@@ -137,12 +137,8 @@ def run_betweenness_centrality_multi(engine: GraFBoostEngine,
 
 def _read_level(vertex_array, overlay) -> tuple[np.ndarray, np.ndarray]:
     """Read one superstep's (vertex, parent) list from its overlay file."""
-    from repro.graph.vertexdata import _overlay_dtype
-
-    dtype = _overlay_dtype(vertex_array.value_dtype)
-    raw = vertex_array.store.read(overlay.name, 0, overlay.count * dtype.itemsize)
-    records = np.frombuffer(raw, dtype=dtype)
-    return records["k"].copy(), records["v"].copy()
+    vertices, parents, _steps = vertex_array.read_overlay(overlay.name, 0, overlay.count)
+    return vertices, parents
 
 
 def _join_credit(keys: np.ndarray, credit: KVArray) -> np.ndarray:

@@ -14,11 +14,11 @@ import numpy as np
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer: a cheap, well-mixed 64-bit hash."""
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    x = x + np.uint64(0x9E3779B97F4A7C15)  # a fresh array; uint64 math wraps
     x ^= x >> np.uint64(30)
-    x = (x * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
-    x = (x * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
+    x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return x
 
@@ -34,6 +34,10 @@ class BloomFilter:
         self.num_bits = int(num_bits)
         self.num_hashes = num_hashes
         self._bits = np.zeros((self.num_bits + 7) // 8, dtype=np.uint8)
+        # One hash seed per row: i * 0x5851F42D4C957F2D mod 2^64 (uint64
+        # array arithmetic wraps), broadcast against the keys in _positions.
+        self._seeds = (np.arange(num_hashes, dtype=np.uint64)
+                       * np.uint64(0x5851F42D4C957F2D))[:, np.newaxis]
 
     @staticmethod
     def for_expected_items(n: int, false_positive_rate: float = 0.01) -> "BloomFilter":
@@ -53,12 +57,8 @@ class BloomFilter:
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """(num_hashes, len(keys)) bit positions."""
         keys = np.asarray(keys, dtype=np.uint64)
-        out = np.empty((self.num_hashes, len(keys)), dtype=np.int64)
-        for i in range(self.num_hashes):
-            seed = (i * 0x5851F42D4C957F2D) & 0xFFFFFFFFFFFFFFFF
-            h = _splitmix64(keys + np.uint64(seed))
-            out[i] = (h % np.uint64(self.num_bits)).astype(np.int64)
-        return out
+        h = _splitmix64(keys[np.newaxis, :] + self._seeds)
+        return (h % np.uint64(self.num_bits)).astype(np.int64)
 
     def add(self, keys: np.ndarray) -> None:
         """Insert a batch of keys."""
@@ -72,11 +72,8 @@ class BloomFilter:
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
         pos = self._positions(keys)
-        hit = np.ones(len(keys), dtype=bool)
-        for i in range(self.num_hashes):
-            p = pos[i]
-            hit &= (self._bits[p >> 3] >> (p & 7).astype(np.uint8)) & 1 == 1
-        return hit
+        bits = self._bits[pos >> 3] >> (pos & 7).astype(np.uint8)
+        return (bits & 1).all(axis=0)
 
     def fill_ratio(self) -> float:
         """Fraction of bits set (saturation indicator)."""

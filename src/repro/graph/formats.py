@@ -56,6 +56,22 @@ def coalesce_ranges(starts: np.ndarray, ends: np.ndarray, max_gap: int) -> list[
     return list(zip(span_starts.tolist(), span_ends.tolist()))
 
 
+def coalescing_gap(store, itemsize: int) -> int:
+    """Coalescing window, in items of ``itemsize`` bytes: ranges closer than
+    this merge into one read.
+
+    The window is the larger of (a) one access latency's worth of
+    sequential transfer — reading the gap is cheaper than a new access —
+    and (b) one flash page, since ranges sharing a page are fetched by
+    the same physical read anyway.  A lower-latency device keeps a
+    smaller window and wastes fewer bytes (§V-C.3's lookahead buffers).
+    """
+    profile = store.device.profile
+    gap_bytes = max(int(profile.flash_read_latency_s * profile.flash_read_bw),
+                    profile.flash_page_bytes)
+    return max(1, gap_bytes // itemsize)
+
+
 class FlashCSR:
     """Reader/writer for the on-flash CSR format."""
 
@@ -105,21 +121,6 @@ class FlashCSR:
             store.seal(out.weight_file)
         return out
 
-    # ------------------------------------------------------------- device gap
-
-    def _latency_gap_bytes(self) -> int:
-        """Coalescing window: ranges closer than this merge into one read.
-
-        The window is the larger of (a) one access latency's worth of
-        sequential transfer — reading the gap is cheaper than a new access —
-        and (b) one flash page, since ranges sharing a page are fetched by
-        the same physical read anyway.  A lower-latency device keeps a
-        smaller window and wastes fewer bytes (§V-C.3's lookahead buffers).
-        """
-        profile = self.store.device.profile
-        return max(int(profile.flash_read_latency_s * profile.flash_read_bw),
-                   profile.flash_page_bytes)
-
     # ----------------------------------------------------------------- lookups
 
     def index_lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +138,7 @@ class FlashCSR:
         if keys[0] < 0 or keys[-1] >= self.num_vertices:
             raise ValueError("vertex id out of range")
         item = OFFSET_DTYPE.itemsize
-        gap = max(1, self._latency_gap_bytes() // item)
+        gap = coalescing_gap(self.store, item)
         spans = coalesce_ranges(keys, keys + 2, gap)
         block, span_starts, block_base = self._read_spans(self.index_file, OFFSET_DTYPE, spans)
         block = block.astype(np.int64)
@@ -176,7 +177,7 @@ class FlashCSR:
         if total == 0:
             return np.empty(0, dtype=dtype)
         item = dtype.itemsize
-        gap = max(1, self._latency_gap_bytes() // item)
+        gap = coalescing_gap(self.store, item)
         spans = coalesce_ranges(starts, ends, gap)
         block, span_starts, block_base = self._read_spans(filename, dtype, spans)
         self.wasted_read_bytes += len(block) * item

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.bloom import BloomFilter
 from repro.core.kvstream import KVArray
-from repro.graph.formats import coalesce_ranges
+from repro.graph.formats import coalesce_ranges, coalescing_gap
 
 _va_counter = itertools.count()
 
@@ -43,14 +43,6 @@ NEVER = -1
 
 #: Records per chunk when scanning overlays/base sequentially.
 SCAN_CHUNK_RECORDS = 1 << 16
-
-
-def _record_dtype(value_dtype: np.dtype) -> np.dtype:
-    return np.dtype([("v", np.dtype(value_dtype)), ("step", "<i8")])
-
-
-def _overlay_dtype(value_dtype: np.dtype) -> np.dtype:
-    return np.dtype([("k", "<u8"), ("v", np.dtype(value_dtype)), ("step", "<i8")])
 
 
 @dataclass
@@ -70,16 +62,20 @@ class Overlay:
             return False
         if int(sorted_keys[-1]) < self.min_key or int(sorted_keys[0]) > self.max_key:
             return False
-        in_range = sorted_keys[
-            (sorted_keys >= np.uint64(self.min_key))
-            & (sorted_keys <= np.uint64(self.max_key))
-        ]
-        if len(in_range) == 0:
+        lo = int(np.searchsorted(sorted_keys, np.uint64(self.min_key), side="left"))
+        hi = int(np.searchsorted(sorted_keys, np.uint64(self.max_key), side="right"))
+        if hi == lo:
             return False
         # Dense probes always pass; bloom checks pay off on sparse frontiers.
-        if len(in_range) > 256:
+        if hi - lo > 256:
             return True
-        return bool(self.bloom.contains(in_range).any())
+        return bool(self.bloom.contains(sorted_keys[lo:hi]).any())
+
+
+def _overlay_bloom(count: int) -> BloomFilter:
+    """The skip filter of a ``count``-record overlay: one geometry, so a filter
+    rebuilt by :meth:`VertexArray.restore` is bit-identical to the writer's."""
+    return BloomFilter(max(64, count * 10), num_hashes=3)
 
 
 class VertexArray:
@@ -95,6 +91,10 @@ class VertexArray:
         self.store = store
         self.num_vertices = num_vertices
         self.value_dtype = np.dtype(value_dtype)
+        self._record_dtype = np.dtype([("v", self.value_dtype), ("step", "<i8")])
+        self._overlay_dtype = np.dtype(
+            [("k", "<u8"), ("v", self.value_dtype), ("step", "<i8")])
+        self._base_gap = coalescing_gap(store, self._record_dtype.itemsize)
         self.default_value = default_value
         self.prefix = prefix or f"vertexdata-{next(_va_counter)}"
         self.max_overlays = max_overlays
@@ -158,6 +158,14 @@ class VertexArray:
         """One-shot sorted lookup (convenience over a fresh cursor)."""
         return self.cursor().lookup(sorted_keys)
 
+    def read_overlay(self, name: str, start: int, count: int) -> tuple[np.ndarray, ...]:
+        """Records ``[start, start + count)`` of overlay file ``name`` as
+        contiguous ``(keys, values, steps)`` columns — one store read."""
+        item = self._overlay_dtype.itemsize
+        records = np.frombuffer(self.store.read(name, start * item, count * item),
+                                dtype=self._overlay_dtype)
+        return tuple(np.ascontiguousarray(records[field]) for field in ("k", "v", "step"))
+
     def scan(self, chunk_records: int = SCAN_CHUNK_RECORDS):
         """Yield (keys, values, steps) over the full key space, merged."""
         cursor = self.cursor()
@@ -180,9 +188,8 @@ class VertexArray:
         """Merge base + overlays into a fresh dense base (sequential pass)."""
         new_generation = self._base_generation + 1
         new_name = f"{self.prefix}:base-{new_generation}"
-        rec_dtype = _record_dtype(self.value_dtype)
         for keys, values, steps in self.scan():
-            records = np.empty(len(keys), dtype=rec_dtype)
+            records = np.empty(len(keys), dtype=self._record_dtype)
             records["v"] = values
             records["step"] = steps
             self.store.append(new_name, records.tobytes())
@@ -228,14 +235,11 @@ class VertexArray:
         array._base_materialized = state["base_materialized"]
         array._overlay_counter = state["overlay_counter"]
         array.compactions = state["compactions"]
-        dtype = _overlay_dtype(array.value_dtype)
-        item = dtype.itemsize
         for o in state["overlays"]:
-            bloom = BloomFilter(max(64, o["count"] * 10), num_hashes=3)
+            bloom = _overlay_bloom(o["count"])
             for start in range(0, o["count"], SCAN_CHUNK_RECORDS):
                 n = min(SCAN_CHUNK_RECORDS, o["count"] - start)
-                raw = store.read(o["name"], start * item, n * item)
-                bloom.add(np.frombuffer(raw, dtype=dtype)["k"].copy())
+                bloom.add(array.read_overlay(o["name"], start, n)[0])
             array._overlays.append(Overlay(
                 name=o["name"], count=o["count"], min_key=o["min_key"],
                 max_key=o["max_key"], bloom=bloom))
@@ -301,7 +305,7 @@ class OverlayWriter:
             self._min_key = int(updates.keys[0])
         self._last_key = int(updates.keys[-1])
         self._key_chunks.append(updates.keys.copy())
-        records = np.empty(len(updates), dtype=_overlay_dtype(self.array.value_dtype))
+        records = np.empty(len(updates), dtype=self.array._overlay_dtype)
         records["k"] = updates.keys
         records["v"] = updates.values
         records["step"] = self.step
@@ -316,7 +320,7 @@ class OverlayWriter:
         if self.count == 0:
             return 0
         self.array.store.seal(self.name)
-        bloom = BloomFilter(max(64, self.count * 10), num_hashes=3)
+        bloom = _overlay_bloom(self.count)
         for keys in self._key_chunks:
             bloom.add(keys)
         self._key_chunks = []
@@ -328,52 +332,49 @@ class OverlayWriter:
 
 
 class _OverlayCursor:
-    """Sequential chunked reader of one sorted overlay file."""
+    """Sequential chunked reader of one sorted overlay file.
 
-    __slots__ = ("store", "overlay", "dtype", "pos", "buffer")
+    ``columns`` buffers, as parallel ``(keys, values, steps)`` arrays, every
+    record read so far whose key is above the last queried key.
+    """
 
-    def __init__(self, store, overlay: Overlay, dtype: np.dtype):
-        self.store = store
+    __slots__ = ("array", "overlay", "pos", "columns")
+
+    def __init__(self, array: VertexArray, overlay: Overlay):
+        self.array = array
         self.overlay = overlay
-        self.dtype = dtype
         self.pos = 0
-        self.buffer = np.empty(0, dtype=dtype)
-
-    @property
-    def name(self) -> str:
-        return self.overlay.name
-
-    @property
-    def count(self) -> int:
-        return self.overlay.count
+        self.columns: tuple[np.ndarray, ...] = (np.empty(0, dtype=np.uint64),) * 3
 
     def advance_to(self, max_key: int) -> None:
         """Ensure the buffer covers all records with key <= max_key."""
-        item = self.dtype.itemsize
-        while self.pos < self.count and (
-            len(self.buffer) == 0 or int(self.buffer["k"][-1]) <= max_key
+        count = self.overlay.count
+        while self.pos < count and (
+            len(self.columns[0]) == 0 or int(self.columns[0][-1]) <= max_key
         ):
-            n = min(SCAN_CHUNK_RECORDS, self.count - self.pos)
-            raw = self.store.read(self.name, self.pos * item, n * item)
-            chunk = np.frombuffer(raw, dtype=self.dtype)
-            self.buffer = np.concatenate([self.buffer, chunk]) if len(self.buffer) else chunk
+            n = min(SCAN_CHUNK_RECORDS, count - self.pos)
+            chunk = self.array.read_overlay(self.overlay.name, self.pos, n)
+            self.columns = chunk if len(self.columns[0]) == 0 else tuple(
+                np.concatenate(pair) for pair in zip(self.columns, chunk))
             self.pos += n
 
     def extract(self, sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (query positions, values, steps) of matches, then discard
-        everything at or below the last queried key."""
-        if len(sorted_keys) == 0 or len(self.buffer) == 0:
-            return (np.empty(0, np.intp),) * 3  # type: ignore[return-value]
-        idx = np.searchsorted(self.buffer["k"], sorted_keys)
-        valid = idx < len(self.buffer)
-        hits = np.zeros(len(sorted_keys), dtype=bool)
-        hits[valid] = self.buffer["k"][idx[valid]] == sorted_keys[valid]
-        positions = np.flatnonzero(hits)
-        values = self.buffer["v"][idx[hits]]
-        steps = self.buffer["step"][idx[hits]]
-        cutoff = int(np.searchsorted(self.buffer["k"], sorted_keys[-1], side="right"))
-        self.buffer = self.buffer[cutoff:]
-        return positions, values, steps
+        everything at or below the last queried key.
+
+        Buffered records inside the queried key range are searched into the
+        query, so a full-key-space scan does not binary-search every tiny
+        overlay; each record is in range for exactly one call (the one that
+        discards it).  A key the query repeats is answered at its first
+        position only — :meth:`VertexScanCursor.lookup` copies it forward.
+        """
+        keys, values, steps = self.columns
+        lo = int(np.searchsorted(keys, sorted_keys[0], side="left"))
+        hi = int(np.searchsorted(keys, sorted_keys[-1], side="right"))
+        positions = np.searchsorted(sorted_keys, keys[lo:hi], side="left")
+        hits = sorted_keys[positions] == keys[lo:hi]
+        self.columns = (keys[hi:], values[hi:], steps[hi:])
+        return positions[hits], values[lo:hi][hits], steps[lo:hi][hits]
 
 
 class VertexScanCursor:
@@ -387,12 +388,12 @@ class VertexScanCursor:
 
     def __init__(self, array: VertexArray):
         self.array = array
-        dtype = _overlay_dtype(array.value_dtype)
-        self._overlays = [
-            _OverlayCursor(array.store, overlay, dtype)
-            for overlay in array._overlays
-        ]
+        self._overlays = [_OverlayCursor(array, overlay)
+                          for overlay in array._overlays]
         self._last_key = -1
+        # (value, step) answered for ``_last_key``.  The overlay records behind
+        # it are discarded, so a call starting on that key again reads it here.
+        self._last_answer: tuple | None = None
 
     def lookup(self, sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and last-update steps for a sorted key array."""
@@ -400,7 +401,8 @@ class VertexScanCursor:
         if len(sorted_keys) == 0:
             return (np.empty(0, self.array.value_dtype), np.empty(0, np.int64))
         keys_i = sorted_keys.astype(np.int64)
-        if np.any(keys_i[1:] < keys_i[:-1]):
+        deltas = keys_i[1:] - keys_i[:-1]
+        if np.any(deltas < 0):
             raise ValueError("lookup requires sorted keys")
         if keys_i[0] < self._last_key:
             raise ValueError(
@@ -408,45 +410,49 @@ class VertexScanCursor:
             )
         if keys_i[-1] >= self.array.num_vertices:
             raise ValueError("vertex id out of range")
-        self._last_key = int(keys_i[-1])
+        repeats_boundary = keys_i[0] == self._last_key
+        max_key = self._last_key = int(keys_i[-1])
 
         values = np.full(len(sorted_keys), self.array.default_value,
                          dtype=self.array.value_dtype)
         steps = np.full(len(sorted_keys), NEVER, dtype=np.int64)
         if self.array._base_materialized:
             self._gather_base(keys_i, values, steps)
-        max_key = int(keys_i[-1])
         for cursor in self._overlays:  # older overlays first; newer overwrite
             # Host-memory range/bloom metadata skips overlays that cannot
             # hold any queried key — no flash I/O for them at all.
-            if len(cursor.buffer) == 0 and not cursor.overlay.may_contain(sorted_keys):
+            if len(cursor.columns[0]) == 0 and not cursor.overlay.may_contain(sorted_keys):
                 continue
             cursor.advance_to(max_key)
             positions, v, s = cursor.extract(sorted_keys)
             values[positions] = v
             steps[positions] = s
+        if repeats_boundary:
+            values[0], steps[0] = self._last_answer
+        duplicate = deltas == 0
+        if duplicate.any():
+            # Every position takes the answer at its key's first occurrence.
+            owner = np.arange(len(keys_i))
+            owner[1:][duplicate] = 0
+            owner = np.maximum.accumulate(owner)
+            values, steps = values[owner], steps[owner]
+        self._last_answer = (values[-1], steps[-1])
         return values, steps
 
     def _gather_base(self, keys_i: np.ndarray, values: np.ndarray,
                      steps: np.ndarray) -> None:
+        """One read per coalesced span, in ascending order; the keys are
+        sorted, so each span serves one contiguous slice of the query."""
         array = self.array
-        dtype = _record_dtype(array.value_dtype)
-        item = dtype.itemsize
-        profile = array.store.device.profile
-        gap_bytes = max(int(profile.flash_read_latency_s * profile.flash_read_bw),
-                        profile.flash_page_bytes)
-        gap = max(1, gap_bytes // item)
-        spans = coalesce_ranges(keys_i, keys_i + 1, gap)
-        span_index = 0
-        block: np.ndarray | None = None
-        for qi, key in enumerate(keys_i):
-            while block is None or key >= spans[span_index][1]:
-                if block is not None:
-                    span_index += 1
-                span_start, span_end = spans[span_index]
-                raw = array.store.read(array._base_file, span_start * item,
-                                       (span_end - span_start) * item)
-                block = np.frombuffer(raw, dtype=dtype)
-            records = block[key - spans[span_index][0]]
-            values[qi] = records["v"]
-            steps[qi] = records["step"]
+        item = array._record_dtype.itemsize
+        spans = coalesce_ranges(keys_i, keys_i + 1, array._base_gap)
+        bounds = np.searchsorted(keys_i, [end for _, end in spans]).tolist()
+        lo = 0
+        for (start, end), hi in zip(spans, bounds):
+            raw = array.store.read(array._base_file, start * item,
+                                   (end - start) * item)
+            block = np.frombuffer(raw, dtype=array._record_dtype)
+            local = keys_i[lo:hi] - start
+            values[lo:hi] = block["v"][local]
+            steps[lo:hi] = block["step"][local]
+            lo = hi

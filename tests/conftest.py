@@ -31,6 +31,23 @@ def _isolated_dataset_cache(tmp_path_factory):
         os.environ["REPRO_DATASET_CACHE"] = old
 
 
+@pytest.fixture(scope="session")
+def record_reads():
+    """``record_reads(store)`` starts logging every ``store.read`` of one
+    store as ``(name, offset, nbytes)`` and returns the live list."""
+    def start(store) -> list[tuple[str, int, int]]:
+        calls: list[tuple[str, int, int]] = []
+        real_read = store.read
+
+        def read(name, offset=0, nbytes=None):
+            calls.append((name, offset, nbytes))
+            return real_read(name, offset, nbytes)
+
+        store.read = read
+        return calls
+    return start
+
+
 @pytest.fixture
 def clock() -> SimClock:
     return SimClock()

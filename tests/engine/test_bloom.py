@@ -65,3 +65,29 @@ def test_membership_property(keys):
     bloom.add(array)
     if len(array):
         assert bloom.contains(array).all()
+
+
+def reference_positions(keys, num_bits, num_hashes):
+    """Bit positions one key and one hash at a time, in Python integers."""
+    mask = (1 << 64) - 1
+
+    def splitmix64(x):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & mask
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    return [[splitmix64((key + i * 0x5851F42D4C957F2D) & mask) % num_bits
+             for key in keys] for i in range(num_hashes)]
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40),
+       st.integers(8, 5000), st.integers(1, 6))
+def test_positions_match_scalar_reference(keys, num_bits, num_hashes):
+    bloom = BloomFilter(num_bits, num_hashes)
+    got = bloom._positions(np.array(keys, dtype=np.uint64))
+    assert got.shape == (num_hashes, len(keys))
+    assert got.tolist() == reference_positions(keys, num_bits, num_hashes)

@@ -101,6 +101,24 @@ def test_cursor_monotonicity_enforced(aoffs):
         array.cursor().lookup(np.array([1000], dtype=np.uint64))
 
 
+def test_cursor_repeated_boundary_key(aoffs, record_reads):
+    """A call may start on the key the previous call ended on.  The overlay
+    records behind that key are already discarded, so it is answered from
+    the previous call's result — with no additional flash read."""
+    array = make_array(aoffs)
+    array.stage(kv([(3, 30), (7, 70)]), step=0)
+    cursor = array.cursor()
+    values, _ = cursor.lookup(np.array([3, 7], dtype=np.uint64))
+    assert values.tolist() == [30, 70]
+    reads = record_reads(aoffs)
+    values, steps = cursor.lookup(np.array([7, 7, 8], dtype=np.uint64))
+    assert values.tolist() == [70, 70, 999]
+    assert steps.tolist() == [0, 0, NEVER]
+    values, steps = cursor.lookup(np.array([8], dtype=np.uint64))
+    assert (values.tolist(), steps.tolist()) == ([999], [NEVER])
+    assert reads == []
+
+
 def test_cursor_incremental_lookup(aoffs):
     array = make_array(aoffs, n=1000)
     updates = kv([(i, i * 2) for i in range(0, 1000, 7)])

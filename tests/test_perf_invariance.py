@@ -15,13 +15,18 @@ revert the accounting change or update the golden *and* say why in the PR.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+import repro.graph.vertexdata as vertexdata_mod
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.cc import run_label_propagation
 from repro.algorithms.pagerank import run_pagerank
 from repro.core import backend_for_profile
+from repro.core.bloom import BloomFilter
 from repro.core.external import ExternalSortReducer
 from repro.core.kvstream import KVArray
 from repro.core.parallel import SortReducePool
@@ -32,7 +37,8 @@ from repro.flash.device import FlashDevice, FlashGeometry
 from repro.flash.faults import CrashPlan, FaultPlan
 from repro.flash.filestore import SSDFileSystem
 from repro.flash.ftl import SSD
-from repro.graph.formats import FlashCSR, coalesce_ranges
+from repro.graph.formats import FlashCSR, coalesce_ranges, coalescing_gap
+from repro.graph.vertexdata import VertexArray
 from repro.harness import (
     default_root,
     load_dataset,
@@ -40,7 +46,7 @@ from repro.harness import (
     run_with_crashes,
 )
 from repro.perf.clock import SimClock
-from repro.perf.profiles import GRAFSOFT
+from repro.perf.profiles import GRAFBOOST, GRAFSOFT
 
 # --------------------------------------------------------------------------
 # scalar reference implementations
@@ -144,7 +150,7 @@ def test_gather_matches_reference_random(seed):
     assert got.flags.writeable
     # wasted_read_bytes is exactly (bytes read in coalesced spans) - (bytes
     # requested) under the same gap the gather used.
-    gap = max(1, fcsr._latency_gap_bytes() // data.dtype.itemsize)
+    gap = coalescing_gap(fcsr.store, data.dtype.itemsize)
     spans = reference_coalesce(starts, ends, gap)
     span_items = sum(e - s for s, e in spans)
     requested = int(np.maximum(ends - starts, 0).sum())
@@ -464,3 +470,131 @@ def test_sanitizer_actually_observed_the_run():
     sanitizer = system.device.sanitizer
     assert sanitizer is not None
     assert sanitizer.pages_checked > 0
+
+
+# --------------------------------------------------------------------------
+# vertex-data read path: pinned goldens
+# --------------------------------------------------------------------------
+# Recorded on the commit before the read side of graph/vertexdata.py was
+# vectorised.  The layered benchmark bounds sim_elapsed_s at 5 %; one skipped
+# or extra overlay read is a 1e-4 effect, so it is pinned here exactly.
+
+
+def _bfs_fingerprint(result) -> str:
+    rows = [[s.activated, s.traversed_edges, s.reduced_pairs]
+            for s in result.superstep_metrics]
+    return hashlib.sha1(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "system,golden_elapsed,golden_flash,golden_supersteps,golden_fingerprint", [
+        ("GraFBoost", 0.09376059032136268, 208744448, 916,
+         "88cd1a8cedf4a7ff74f0bced447420c04c5a1bde"),
+        ("GraFSoft", 0.6933206309136102, 4047642624, 916,
+         "88cd1a8cedf4a7ff74f0bced447420c04c5a1bde"),
+    ])
+def test_sim_clock_invariance_wdc_bfs(system, golden_elapsed, golden_flash,
+                                      golden_supersteps, golden_fingerprint):
+    """~900 supersteps of overlay lookups, bloom skips and compactions, on
+    AOFFS (GraFBoost) and on the FTL-backed file system (GraFSoft)."""
+    graph = load_dataset("wdc", scale=1 / 65536, seed=7)
+    result = run_grafboost_system(system, graph, "bfs", scale=1 / 65536,
+                                  dataset="wdc", mode="sortreduce")
+    assert result.completed
+    assert result.elapsed_s == golden_elapsed
+    assert result.flash_bytes == golden_flash
+    assert result.supersteps == golden_supersteps
+    assert _bfs_fingerprint(result) == golden_fingerprint
+
+
+def _cursor_script(store, record_reads):
+    """A fixed multi-call cursor workout over a materialised base plus four
+    overlays; returns every ``store.read`` it caused, in order, and the
+    slice of them that the five ``cursor.lookup`` calls issued."""
+    def stage(array, keys, step):
+        keys = np.asarray(keys, dtype=np.uint64)
+        array.stage(KVArray(keys, keys * np.uint64(10) + np.uint64(step)), step)
+
+    calls = record_reads(store)
+    array = VertexArray(store, 60_000, np.uint64, np.uint64(999),
+                        prefix="golden", max_overlays=16)
+    stage(array, range(0, 60_000, 5), 0)
+    array.compact()                              # materialise the base
+    stage(array, range(10, 50_000, 370), 1)      # wide and sparse, 3 chunks
+    stage(array, range(20_000, 20_300), 2)       # narrow and dense
+    stage(array, [7, 20_100, 59_999], 3)         # range covers everything
+    stage(array, range(45_000, 45_100, 2), 4)
+    cursor = array.cursor()
+    first_lookup_read = len(calls)
+    for keys in (
+        [3, 7, 10, 380],
+        [380, 750, 1999, 5000],                  # repeats the boundary key
+        np.arange(20_000, 20_400),               # > 256 in range: no bloom probe
+        [20_400, 20_400, 36_000, 52_000],        # duplicates; three base spans
+        [52_001, 59_998, 59_999],
+    ):
+        cursor.lookup(np.asarray(keys, dtype=np.uint64))
+    lookup_reads = calls[first_lookup_read:]
+    array.read_values(np.array([5, 15_000, 30_000, 45_050], dtype=np.uint64))
+    array.final_values()
+    return calls, lookup_reads
+
+
+def _digest(calls) -> str:
+    return hashlib.sha1(json.dumps(calls).encode()).hexdigest()
+
+
+#: The reads of the five ``cursor.lookup`` calls of :func:`_cursor_script`,
+#: around the fourth call's base gather (which depends on the profile's
+#: coalescing gap).  overlay-4 is never read: the bloom filter rejects every
+#: probe.
+_LOOKUP_READS_HEAD = [
+    ("golden:base-1", 48, 6048), ("golden:overlay-1", 0, 1536),
+    ("golden:overlay-3", 0, 72),
+    ("golden:base-1", 6080, 73936),
+    ("golden:base-1", 320000, 6400),
+    ("golden:overlay-2", 0, 1536), ("golden:overlay-2", 1536, 1536),
+    ("golden:overlay-2", 3072, 1536), ("golden:overlay-2", 4608, 1536),
+    ("golden:overlay-2", 6144, 1056),
+]
+_LOOKUP_READS_TAIL = [
+    ("golden:overlay-1", 1536, 1536), ("golden:overlay-1", 3072, 192),
+    ("golden:base-1", 832016, 127984),
+]
+
+
+@pytest.mark.parametrize(
+    "fs_kind,fourth_base_gather,golden_count,golden_digest,golden_elapsed", [
+        # GraFBoost's gap (12 079 records) splits keys 20 400 / 36 000 /
+        # 52 000 into three spans; GraFSoft's (48 318) keeps them in one.
+        ("aoffs", [("golden:base-1", 326400, 16), ("golden:base-1", 576000, 16),
+                   ("golden:base-1", 832000, 16)],
+         222, "f91b7eb43b99ad1875b4e3f62a691d142a1c9209", 0.021660117085774692),
+        ("ssd", [("golden:base-1", 326400, 505616)],
+         217, "a3a80e6bc7ab6dd41a52c5ce05d227e6db21c809", 0.05147498189290331),
+    ])
+def test_cursor_read_sequence_golden(monkeypatch, record_reads, fs_kind,
+                                     fourth_base_gather, golden_count,
+                                     golden_digest, golden_elapsed):
+    monkeypatch.setattr(vertexdata_mod, "SCAN_CHUNK_RECORDS", 64)
+    clock = SimClock()
+    geometry = FlashGeometry(page_bytes=4096, pages_per_block=16, num_blocks=1024)
+    if fs_kind == "aoffs":
+        store = AppendOnlyFlashFS(FlashDevice(geometry, GRAFBOOST, clock))
+    else:
+        store = SSDFileSystem(SSD(FlashDevice(geometry, GRAFSOFT, clock)))
+    calls, lookup_reads = _cursor_script(store, record_reads)
+    assert lookup_reads == (_LOOKUP_READS_HEAD + fourth_base_gather
+                            + _LOOKUP_READS_TAIL)
+    assert len(calls) == golden_count
+    assert _digest(calls) == golden_digest
+    assert clock.elapsed_s == golden_elapsed
+
+
+def test_bloom_bits_golden():
+    bloom = BloomFilter(640, 3)
+    bloom.add(np.arange(3, 3 + 64 * 11, 11, dtype=np.uint64))
+    assert bloom._bits.tobytes().hex() == (
+        "2144040048c00016881235122e844550020d8ed960aa808502880440e09445402a040168"
+        "40100c6020400c868000c6a08383c248002001820885020ae570025358431004084e4580"
+        "100892890050360a")
