@@ -42,7 +42,7 @@ from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_pagerank
 from repro.engine.config import make_system
 from repro.flash.faults import CrashPlan
-from repro.harness import default_root, load_dataset, run_with_crashes
+from repro.harness import default_root, load_dataset, run_grafboost_system
 from repro.perf.report import emit_results, format_table
 
 #: ISSUE acceptance: at least this many power losses must actually fire.
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
             clean_values, clean_s, total_ops = run_clean(
                 kind, graph, algorithm, params["scale"], params["iterations"])
             plan = crash_plan_for(total_ops, args.seed)
-            crashed = run_with_crashes(
+            crashed = run_grafboost_system(
                 kind, graph, algorithm, scale=params["scale"], crashes=plan,
                 checkpoint_every=args.checkpoint_every,
                 pagerank_iterations=params["iterations"])

@@ -325,7 +325,7 @@ def cmd_serve(args) -> int:
                                 quotas=quotas or None, dataset=args.dataset,
                                 faults=args.faults, crashes=args.crashes,
                                 workers=args.workers, mode=args.mode)
-    except (FlashError, ValueError) as e:
+    except (FlashError, ValueError, RuntimeError) as e:
         print(f"serve: aborted on {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     print("Scheduler trace")

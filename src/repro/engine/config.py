@@ -24,7 +24,12 @@ from repro.core.parallel import resolve_workers
 from repro.engine.engine import GraFBoostEngine
 from repro.engine.modes import resolve_mode
 from repro.flash.aoffs import AppendOnlyFlashFS
-from repro.flash.device import FlashDevice, FlashGeometry
+from repro.flash.device import (
+    FlashDevice,
+    FlashGeometry,
+    FlashRecoveryExhaustedError,
+    PowerLossError,
+)
 from repro.flash.filestore import SSDFileSystem
 from repro.flash.ftl import SSD
 from repro.graph.csr import CSRGraph
@@ -75,6 +80,11 @@ class SystemConfig:
     #: ``densescan`` | ``adaptive``; resolved from ``REPRO_MODE`` when
     #: ``make_system`` is given ``mode=None``).
     mode: str = "sortreduce"
+    #: Give-up bound of :meth:`run_recovering`: the one remount budget every
+    #: crash→remount→retry loop over this stack draws from.
+    max_remounts: int = 10_000
+    #: Remount attempts so far (interrupted ones included).
+    remounts: int = 0
 
     def engine_for(self, graph: FlashCSR, num_vertices: int,
                    lazy: bool = True, checkpoint_every: int = 0,
@@ -134,6 +144,41 @@ class SystemConfig:
         self.memory = MemoryTracker(budget=self.memory.budget,
                                     policy=self.memory.policy)
         self.memory.peak = peak
+
+    def run_recovering(self, op, reload=None):
+        """Run ``op()`` to completion across power losses; return its result.
+
+        The one crash→remount→retry driver, and the only code allowed to
+        catch :class:`PowerLossError` (RL002): each loss is answered by
+        :meth:`remount`, then the caller's ``reload`` hook (rebuild whatever
+        host state died from what is durable on flash), then ``op`` again.
+        Recovery reads flash too, so a loss inside ``remount`` or ``reload``
+        simply starts recovery over.  Crash op indices are device-lifetime,
+        so every retry drains the finite schedule; ``max_remounts`` bounds
+        the loop regardless and gives up with a typed error carrying the
+        plan.  A stack not built durable has nothing to remount from: its
+        power loss propagates.
+        """
+        crashed = False
+        while True:
+            try:
+                if crashed:
+                    self.remounts += 1
+                    if self.remounts > self.max_remounts:
+                        crashes = self.device.crashes
+                        raise FlashRecoveryExhaustedError(
+                            f"gave up after {self.max_remounts} remounts; "
+                            f"the crash plan leaves no forward progress",
+                            plan=crashes.plan if crashes is not None else None)
+                    self.remount()
+                    if reload is not None:
+                        reload()
+                    crashed = False
+                return op()
+            except PowerLossError:
+                if not self.durable:
+                    raise
+                crashed = True
 
     def reattach_graph(self, flash_graph: FlashCSR) -> FlashCSR:
         """Point a graph handle at the remounted store (files survive)."""

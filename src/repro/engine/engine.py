@@ -20,6 +20,7 @@ from repro.engine.modes import (
     semiexternal_footprint,
 )
 from repro.flash.device import FlashError
+from repro.flash.publish import discard, publish
 from repro.engine.superstep import SuperstepExecutor
 from repro.graph.formats import FlashCSR
 from repro.graph.vertexdata import VertexArray
@@ -189,6 +190,16 @@ class GraFBoostEngine:
     def _checkpoint_file(self) -> str:
         return f"{self.checkpoint_prefix}:latest"
 
+    @property
+    def _checkpoint_staging(self) -> str:
+        return f"{self.checkpoint_prefix}:staging"
+
+    def _flush_retired(self) -> None:
+        retired, self._retired = self._retired, []
+        for name in retired:
+            if self.store.exists(name):
+                self.store.delete(name)
+
     def _retire_file(self, name: str) -> None:
         """Defer a deletion until the next checkpoint supersedes the one that
         may still reference this file."""
@@ -226,16 +237,9 @@ class GraFBoostEngine:
             "sort_stats": [s.to_dict() for s in result.sort_stats],
             "files": files + ([prev_run.name] if prev_run.num_records else []),
         }
-        staging = f"{self.checkpoint_prefix}:staging"
-        if self.store.exists(staging):
-            self.store.delete(staging)
-        self.store.append(staging, json.dumps(state).encode())
-        self.store.seal(staging)
-        self.store.rename(staging, self._checkpoint_file, overwrite=True)
-        retired, self._retired = self._retired, []
-        for name in retired:
-            if self.store.exists(name):
-                self.store.delete(name)
+        publish(self.store, self._checkpoint_staging, self._checkpoint_file,
+                json.dumps(state).encode())
+        self._flush_retired()
 
     def _load_checkpoint(self, program: VertexProgram) -> dict | None:
         if not self.store.exists(self._checkpoint_file):
@@ -281,18 +285,13 @@ class GraFBoostEngine:
             if name in referenced:
                 continue
             if (name.startswith(vertex_prefix) or name.startswith(run_prefix)
-                    or name == f"{self.checkpoint_prefix}:staging"):
+                    or name == self._checkpoint_staging):
                 self.store.delete(name)
 
     def _clear_checkpoint(self) -> None:
         """Completion: drop checkpoint files and flush deferred deletions."""
-        for name in (f"{self.checkpoint_prefix}:staging", self._checkpoint_file):
-            if self.store.exists(name):
-                self.store.delete(name)
-        retired, self._retired = self._retired, []
-        for name in retired:
-            if self.store.exists(name):
-                self.store.delete(name)
+        discard(self.store, self._checkpoint_staging, self._checkpoint_file)
+        self._flush_retired()
 
     # --------------------------------------------------------- state teardown
 
@@ -307,9 +306,7 @@ class GraFBoostEngine:
         for name in list(self.store.list_files()):
             if any(name.startswith(p) for p in prefixes):
                 self.store.delete(name)
-        for name in (f"{self.checkpoint_prefix}:staging", self._checkpoint_file):
-            if self.store.exists(name):
-                self.store.delete(name)
+        discard(self.store, self._checkpoint_staging, self._checkpoint_file)
         self._retired = []
 
     def purge_program_state(self, program: VertexProgram) -> None:

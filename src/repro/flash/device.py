@@ -95,10 +95,9 @@ class FlashOutOfSpaceError(FlashError):
 
 class FlashRecoveryExhaustedError(FlashError):
     """Crash recovery made no forward progress: the remount retry loop hit
-    its give-up bound.  Raised by the crash harness and the service
-    scheduler instead of a bare ``RuntimeError`` so callers can react inside
-    the taxonomy; carries the exhausted :class:`~repro.flash.faults.CrashPlan`
-    for diagnosis."""
+    its give-up bound.  Raised by the recovery driver instead of a bare
+    ``RuntimeError`` so callers can react inside the taxonomy; carries the
+    exhausted :class:`~repro.flash.faults.CrashPlan` for diagnosis."""
 
     def __init__(self, message: str, plan=None):
         super().__init__(message)
@@ -111,9 +110,9 @@ class PowerLossError(BaseException):
     Deliberately derives from :class:`BaseException`, *not*
     :class:`FlashError` (nor even :class:`Exception`): when power is cut the
     host dies instantly, so no error-recovery or cleanup handler in the
-    stack may observe, swallow, or react to it.  Only the crash harness
-    (:func:`repro.harness.run_with_crashes`) catches it, then remounts the
-    device and resumes from durable state.
+    stack may observe, swallow, or react to it.  Only the recovery driver
+    (:meth:`repro.engine.config.SystemConfig.run_recovering`) catches it,
+    then remounts the device and resumes from durable state.
     """
 
     def __init__(self, message: str, op_index: int | None = None):

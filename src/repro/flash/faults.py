@@ -118,8 +118,8 @@ class CrashPlan:
     page program, block erase, and mount-scan block counts as one op, so
     the schedule is deterministic for a fixed workload and keeps advancing
     across remounts (recovery itself can be crashed).  A drained schedule
-    injects nothing, which guarantees :func:`repro.harness.run_with_crashes`
-    terminates.
+    injects nothing, which guarantees the recovery driver
+    (:meth:`repro.engine.config.SystemConfig.run_recovering`) terminates.
     """
 
     seed: int = 0

@@ -388,7 +388,8 @@ class SSDFileSystem:
     # half (first frame: a "reset" record naming the snapshot's frame count)
     # and the cursor moves there.  Replay picks the newest reset whose
     # snapshot is complete, so a crash mid-compaction falls back to the
-    # previous generation, which is still intact in the other half.
+    # previous generation, which is still intact in the other half, and
+    # stops at the unfinished snapshot's head.
 
     def _log(self, *records: dict) -> None:
         if self.durable:
@@ -468,6 +469,12 @@ class SSDFileSystem:
             seq = start_seq
             while seq in frames:
                 lpn, records = frames[seq]
+                if (seq != start_seq and records
+                        and records[0].get("op") == "reset"):
+                    # Head of a newer snapshot that never completed.  Its
+                    # sequence number continues this generation's, but it
+                    # is not part of it: applying it would empty the table.
+                    break
                 applied_lpns.append(lpn)
                 for record in records:
                     self._apply_record(record)
@@ -486,6 +493,13 @@ class SSDFileSystem:
         if last >= 0:
             self._meta_half = last // self._half_lpns
             self._meta_cursor = last % self._half_lpns + 1
+            newest = max(frames)
+            if newest >= self._meta_seq:
+                # Frames of the interrupted compaction hold the sequence
+                # numbers the next commits would take; start a fresh
+                # generation above them instead of colliding.
+                self._meta_seq = newest + 1
+                self._write_snapshot()
         else:
             self._meta_half = 0
             self._meta_cursor = 0

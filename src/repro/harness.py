@@ -39,7 +39,6 @@ from repro.baselines import (
 from repro.baselines.base import DNF_CUTOFF_UNLIMITED
 from repro.baselines.semiexternal import VERTEX_ID_SPACE
 from repro.engine.config import make_system
-from repro.flash.device import FlashRecoveryExhaustedError, PowerLossError
 from repro.flash.wear import WearReport, lifetime_writes_remaining
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DEFAULT_SCALE, build_graph, dataset_by_name
@@ -181,7 +180,7 @@ class WorkloadResult:
     power_losses: int = 0
     remounts: int = 0
     torn_writes: int = 0
-    # Final vertex values (populated by run_with_crashes for divergence
+    # Final vertex values (populated under a crash plan, for divergence
     # checks against an uninterrupted run).
     final_values: np.ndarray | None = None
     # Per-superstep execution modes (GraFBoost-family engines only; the
@@ -210,6 +209,21 @@ class WorkloadResult:
         return self.traversed_edges / self.elapsed_s / 1e6
 
 
+def _load_graph(system, graph: CSRGraph):
+    """Serialize ``graph`` into the stack's store, across power losses.
+
+    A loss mid-write leaves partial ``graph:`` files behind; recovery
+    scrubs them and the write starts over.
+    """
+    def scrub() -> None:
+        for name in list(system.store.list_files()):
+            if name.startswith("graph:"):
+                system.store.delete(name)
+
+    return system.run_recovering(lambda: system.load_graph(graph),
+                                 reload=scrub)
+
+
 def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
                          scale: float = DEFAULT_SCALE,
                          dram_bytes: int | None = None,
@@ -227,48 +241,55 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
     ``faults`` (a :class:`~repro.flash.faults.FaultPlan`) makes the run a
     seeded chaos test; its recovery counters land on the result.
     ``crashes`` (a :class:`~repro.flash.faults.CrashPlan`) additionally
-    injects power losses; the run then goes through the
-    :func:`run_with_crashes` crash→remount→resume loop.  ``sanitize``
-    attaches FlashSan to the device (``None`` defers to ``REPRO_SANITIZE``).
-    ``workers`` turns on parallel sort-reduce (``None`` defers to
-    ``REPRO_WORKERS``); results and simulated time are bit-identical for
-    any worker count.  ``mode`` picks the engine execution mode (``None``
-    defers to ``REPRO_MODE``; see :mod:`repro.engine.modes`) — the result
-    carries the per-superstep ``mode_trace``.
+    injects power losses.  The stack is then built durable and every loss
+    is answered by :meth:`SystemConfig.run_recovering`: remount the store
+    (journal replay and FTL recovery charge real simulated time against the
+    shared clock) and re-run the algorithm, which auto-resumes from the
+    latest checkpoint.  Op indices are device-lifetime, so remounts and
+    re-execution *drain* the finite schedule even with
+    ``checkpoint_every=0``, and the final vertex values are bit-identical
+    to an uninterrupted run.  Only the single-program algorithms run under
+    a crash plan (``pagerank``, ``bfs``); multi-phase drivers like
+    betweenness centrality would need per-phase checkpoint names.  With no
+    crash plan nothing is ever caught and this is the plain run.
+
+    ``sanitize`` attaches FlashSan to the device (``None`` defers to
+    ``REPRO_SANITIZE``).  ``workers`` turns on parallel sort-reduce
+    (``None`` defers to ``REPRO_WORKERS``); results and simulated time are
+    bit-identical for any worker count.  ``mode`` picks the engine
+    execution mode (``None`` defers to ``REPRO_MODE``; see
+    :mod:`repro.engine.modes`) — the result carries the per-superstep
+    ``mode_trace``.
     """
-    if crashes is not None:
-        return run_with_crashes(kind, graph, algorithm, scale=scale,
-                                crashes=crashes,
-                                checkpoint_every=checkpoint_every,
-                                dram_bytes=dram_bytes, profile=profile,
-                                dataset=dataset, seed_root=seed_root,
-                                pagerank_iterations=pagerank_iterations,
-                                faults=faults, sanitize=sanitize,
-                                workers=workers, mode=mode)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if crashes is not None and algorithm == "bc":
+        raise ValueError("crash injection supports pagerank/bfs, not 'bc'")
     system = make_system(kind.lower(), scale, dram_bytes=dram_bytes,
                          num_vertices_hint=graph.num_vertices, profile=profile,
-                         faults=faults, durable=durable, sanitize=sanitize,
-                         workers=workers, mode=mode)
-    flash_graph = system.load_graph(graph)
-    engine = system.engine_for(flash_graph, graph.num_vertices,
-                               checkpoint_every=checkpoint_every)
+                         faults=faults, crashes=crashes, durable=durable,
+                         sanitize=sanitize, workers=workers, mode=mode)
+    start_s = system.clock.elapsed_s
+    flash_graph = _load_graph(system, graph)
     root = default_root(graph) if seed_root is None else seed_root
 
-    if algorithm == "pagerank":
-        result = run_pagerank(engine, graph.num_vertices,
-                              iterations=pagerank_iterations)
-        elapsed, supersteps, traversed = (result.elapsed_s, result.num_supersteps,
-                                          result.total_traversed_edges)
-    elif algorithm == "bfs":
-        result = run_bfs(engine, root)
-        elapsed, supersteps, traversed = (result.elapsed_s, result.num_supersteps,
-                                          result.total_traversed_edges)
-    elif algorithm == "bc":
-        result = run_betweenness_centrality(engine, root)
-        elapsed, supersteps, traversed = (result.elapsed_s, result.num_supersteps,
-                                          result.total_traversed_edges)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    def run_algorithm():
+        # After a remount, continue from the newest checkpoint (if any).
+        engine = system.engine_for(flash_graph, graph.num_vertices,
+                                   checkpoint_every=checkpoint_every,
+                                   auto_resume=system.remounts > 0)
+        if algorithm == "pagerank":
+            return run_pagerank(engine, graph.num_vertices,
+                                iterations=pagerank_iterations)
+        if algorithm == "bfs":
+            return run_bfs(engine, root)
+        return run_betweenness_centrality(engine, root)
+
+    def reattach() -> None:
+        nonlocal flash_graph
+        flash_graph = system.reattach_graph(flash_graph)
+
+    result = system.run_recovering(run_algorithm, reload=reattach)
 
     if algorithm == "bc":
         # Both phases: the forward BFS supersteps *and* the backtracing
@@ -285,14 +306,22 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
     clock = system.clock
     workload = WorkloadResult(
         system=kind, algorithm=algorithm, dataset=dataset, completed=True,
-        elapsed_s=elapsed, supersteps=supersteps, traversed_edges=traversed,
+        # Under a crash plan the cell's time spans graph load, every
+        # interrupted attempt and every remount, not just the last attempt.
+        elapsed_s=(result.elapsed_s if crashes is None
+                   else clock.elapsed_s - start_s),
+        supersteps=result.num_supersteps,
+        traversed_edges=result.total_traversed_edges,
         cpu_busy_s=clock.busy_s("cpu") + clock.busy_s("accel"),
         flash_bytes=clock.bytes_moved("flash"),
         memory_bytes=system.memory.peak,
+        remounts=system.remounts,
         mode_trace=mode_trace,
         mode_phases=mode_phases,
         superstep_metrics=list(steps),
     )
+    if crashes is not None:
+        workload.final_values = result.final_values()
     _attach_injection_stats(workload, system)
     return workload
 
@@ -314,112 +343,6 @@ def _attach_injection_stats(workload: WorkloadResult, system) -> None:
     if crash_injector is not None:
         workload.power_losses = crash_injector.stats.power_losses
         workload.torn_writes = crash_injector.stats.torn_writes
-
-
-def run_with_crashes(kind: str, graph: CSRGraph, algorithm: str,
-                     scale: float = DEFAULT_SCALE, crashes=None,
-                     checkpoint_every: int = 4,
-                     dram_bytes: int | None = None,
-                     profile: HardwareProfile | None = None,
-                     dataset: str = "?", seed_root: int | None = None,
-                     pagerank_iterations: int = 1,
-                     faults=None, max_remounts: int = 10_000,
-                     sanitize: bool | None = None,
-                     workers: int | None = None,
-                     mode: str | None = None) -> WorkloadResult:
-    """Run an algorithm under power-loss injection: crash → remount → resume.
-
-    The stack is built durable; every :class:`PowerLossError` the injector
-    raises is answered by remounting the store (journal replay and FTL
-    recovery charge real simulated time against the shared clock) and
-    re-running the algorithm, which auto-resumes from the latest
-    checkpoint.  The loop terminates because the crash schedule is finite —
-    op indices are device-lifetime, so remounts and re-execution *drain*
-    the schedule even with ``checkpoint_every=0`` — and the final vertex
-    values are bit-identical to an uninterrupted run.
-
-    Only the single-program algorithms are supported (``pagerank``,
-    ``bfs``); multi-phase drivers like betweenness centrality would need
-    per-phase checkpoint names.
-    """
-    if algorithm not in ("pagerank", "bfs"):
-        raise ValueError(
-            f"run_with_crashes supports pagerank/bfs, not {algorithm!r}")
-    system = make_system(kind.lower(), scale, dram_bytes=dram_bytes,
-                         num_vertices_hint=graph.num_vertices, profile=profile,
-                         faults=faults, crashes=crashes, durable=True,
-                         sanitize=sanitize, workers=workers, mode=mode)
-    remounts = 0
-
-    def remount() -> None:
-        # Recovery itself reads flash, so a power loss can interrupt the
-        # mount scan / journal replay too — just start the mount over.
-        nonlocal remounts
-        while True:
-            remounts += 1
-            if remounts > max_remounts:
-                raise FlashRecoveryExhaustedError(
-                    f"gave up after {max_remounts} remounts; crash plan or "
-                    f"checkpoint cadence leaves no forward progress",
-                    plan=crashes)
-            try:
-                system.remount()
-                return
-            except PowerLossError:
-                continue
-
-    def scrub(prefix: str) -> None:
-        while True:
-            try:
-                for name in list(system.store.list_files()):
-                    if name.startswith(prefix):
-                        system.store.delete(name)
-                return
-            except PowerLossError:
-                remount()
-
-    start_s = system.clock.elapsed_s
-    while True:  # graph loading can crash too: scrub partials and rewrite
-        try:
-            flash_graph = system.load_graph(graph)
-            break
-        except PowerLossError:
-            remount()
-            scrub("graph:")
-    root = default_root(graph) if seed_root is None else seed_root
-
-    resumed = False
-    while True:
-        engine = system.engine_for(flash_graph, graph.num_vertices,
-                                   checkpoint_every=checkpoint_every,
-                                   auto_resume=resumed)
-        try:
-            if algorithm == "pagerank":
-                result = run_pagerank(engine, graph.num_vertices,
-                                      iterations=pagerank_iterations)
-            else:
-                result = run_bfs(engine, root)
-            break
-        except PowerLossError:
-            remount()
-            flash_graph = system.reattach_graph(flash_graph)
-            resumed = True
-
-    clock = system.clock
-    workload = WorkloadResult(
-        system=kind, algorithm=algorithm, dataset=dataset, completed=True,
-        elapsed_s=clock.elapsed_s - start_s, supersteps=result.num_supersteps,
-        traversed_edges=result.total_traversed_edges,
-        cpu_busy_s=clock.busy_s("cpu") + clock.busy_s("accel"),
-        flash_bytes=clock.bytes_moved("flash"),
-        memory_bytes=system.memory.peak,
-    )
-    workload.remounts = remounts
-    workload.final_values = result.final_values()
-    workload.mode_trace = [s.mode for s in result.supersteps]
-    workload.superstep_metrics = list(result.supersteps)
-    _attach_injection_stats(workload, system)
-    return workload
 
 
 _BASELINE_CLASSES = {
@@ -563,33 +486,7 @@ def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
                          faults=faults, crashes=crashes, durable=True,
                          sanitize=sanitize, workers=workers, mode=mode)
     start_s = system.clock.elapsed_s
-    pre_remounts = 0
-
-    def remount() -> None:
-        nonlocal pre_remounts
-        while True:
-            pre_remounts += 1
-            try:
-                system.remount()
-                return
-            except PowerLossError:
-                continue
-
-    while True:  # graph loading can crash too: scrub partials and rewrite
-        try:
-            flash_graph = system.load_graph(graph)
-            break
-        except PowerLossError:
-            remount()
-            while True:
-                try:
-                    for name in list(system.store.list_files()):
-                        if name.startswith("graph:"):
-                            system.store.delete(name)
-                    break
-                except PowerLossError:
-                    remount()
-
+    flash_graph = _load_graph(system, graph)
     root = default_root(graph) if seed_root is None else seed_root
     service = system.service_for(flash_graph, graph.num_vertices,
                                  config=config, quotas=quotas,
@@ -602,7 +499,7 @@ def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
         jobs_rejected=len(report.jobs_by_state("rejected")),
         jobs_failed=len(report.jobs_by_state("failed")),
         rounds=report.rounds,
-        remounts=report.remounts + pre_remounts,
+        remounts=report.remounts,
         power_losses=report.power_losses,
         rejections=report.rejections,
         elapsed_s=system.clock.elapsed_s - start_s,

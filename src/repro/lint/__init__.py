@@ -6,7 +6,8 @@ The reproduction rests on invariants that no generic linter knows about:
   sim paths silently break bit-exact goldens (RL001);
 * ``PowerLossError`` derives from ``BaseException`` precisely so cleanup
   code cannot swallow it — a bare ``except`` that fails to re-raise defeats
-  the crash-injection machinery (RL002);
+  the crash-injection machinery, and a handler naming it anywhere but the
+  one recovery driver forks the crash→remount→retry loop (RL002);
 * the flash stack has its own error taxonomy (RL003) and everything below
   the store layer must talk to ``FlashDevice``, never the host filesystem
   (RL004);

@@ -177,21 +177,30 @@ class RuleWallClock(Rule):
 
 
 class RuleBareExcept(Rule):
-    """RL002: a bare ``except``/``except BaseException`` must re-raise.
+    """RL002: only the recovery driver may absorb a ``PowerLossError``.
 
     ``PowerLossError`` subclasses ``BaseException`` (not ``Exception``)
     exactly so normal error handling cannot absorb an injected power cut.
-    A handler broad enough to catch it must contain a bare ``raise`` on
-    every path, or crash injection silently stops working.
+    A handler broad enough to catch it (bare ``except``/``except
+    BaseException``) must contain a bare ``raise`` on every path, or crash
+    injection silently stops working.  A handler that *names* it is a
+    crash→remount→retry driver, and the simulator has exactly one: under
+    ``src/repro/`` only ``engine/config.py``
+    (``SystemConfig.run_recovering``) may hold one, so every retry loop
+    shares one remount bound and one typed give-up.
     """
 
     id = "RL002"
-    summary = "bare except that can swallow PowerLossError"
+    summary = "except that can swallow PowerLossError outside the recovery driver"
+
+    _DRIVER_MODULE = "repro/engine/config.py"
 
     def applies(self, path: str) -> bool:
         return _norm(path).endswith(".py")
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
+        driver_only = (_in_sim_src(path)
+                       and not _norm(path).endswith(self._DRIVER_MODULE))
         for node in ast.walk(tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
@@ -204,6 +213,15 @@ class RuleBareExcept(Rule):
                 yield self._v(path, node,
                               "bare except swallows PowerLossError — "
                               "re-raise, or catch Exception instead")
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type] if node.type is not None else [])
+            if driver_only and any(
+                    (_dotted(t) or [""])[-1] == "PowerLossError"
+                    for t in caught):
+                yield self._v(path, node,
+                              "PowerLossError handler outside the recovery "
+                              "driver — run the operation under "
+                              "SystemConfig.run_recovering instead")
 
 
 class RuleFlashErrors(Rule):

@@ -16,9 +16,9 @@ then drives everything to completion in discrete *rounds*:
 4. **Point batch** — all outstanding point queries advance together in one
    shared batch (:func:`repro.service.queries.run_point_batch`); ``vstate``
    reads resolve once their referenced job is done.
-5. **Journal** — the whole job table is published to flash through the
-   same staging → seal → atomic-rename protocol the engine checkpoint
-   uses, so job state survives power loss.
+5. **Journal** — the whole job table is published to flash through
+   :func:`repro.flash.publish.publish`, the staging → seal → atomic-rename
+   helper the engine checkpoint uses, so job state survives power loss.
 
 Every decision above is a pure function of (submission list, journaled job
 table): no wall clock, no randomness, no dependence on absolute sim time.
@@ -28,11 +28,12 @@ bit-identical across ``--workers`` and power-loss injection — absolute
 round/time quantities are deliberately excluded, because crash re-execution
 legitimately repeats work.
 
-On a :class:`PowerLossError` the service remounts the store (charging real
-recovery time), reloads the journal, rebuilds the admission ledger from the
-journaled job states, and re-creates engines with ``auto_resume=True`` so
-each interrupted run continues from its own checkpoint namespace
-(``svc:<job-id>:ckpt``).
+Every round runs under :meth:`SystemConfig.run_recovering`: on a power loss
+the driver remounts the store (charging real recovery time) and calls the
+service's reload hook, which reloads the journal, rebuilds the admission
+ledger from the journaled job states, and drops the dead engines — they are
+re-created with ``auto_resume=True`` so each interrupted run continues from
+its own checkpoint namespace (``svc:<job-id>:ckpt``).
 
 **Failure domains.**  A :class:`FlashError` raised inside one job's
 superstep (uncorrectable ECC, out-of-space, bad-block exhaustion) is *that
@@ -48,9 +49,8 @@ exhaust retries or outlive their ``deadline_rounds`` are *quarantined*:
 their whole flash footprint (checkpoint included) is swept through the
 engine's purge path, their quota is released, and a tombstone stays in the
 journal.  A tenant can also tear a job down explicitly with a ``cancel``
-control op.  :class:`PowerLossError` deliberately stays outside all of this
-— power loss kills the whole host, not one job, and only the recovery loop
-above may observe it.
+control op.  A power loss deliberately stays outside all of this — it kills
+the whole host, not one job, and only the recovery driver may observe it.
 """
 
 from __future__ import annotations
@@ -64,12 +64,11 @@ from repro.flash.device import (
     FlashError,
     FlashOutOfSpaceError,
     FlashProgramError,
-    FlashRecoveryExhaustedError,
     FlashUncorrectableError,
     FlashWearOutError,
-    PowerLossError,
 )
 from repro.flash.faults import error_context
+from repro.flash.publish import discard, publish
 from repro.flash.wear import (
     HEALTHY,
     DegradePolicy,
@@ -103,7 +102,13 @@ from repro.service.jobs import (
 from repro.service.queries import checksum, read_vstate, run_point_batch
 
 JOURNAL_FILE = "svc:jobs"
+JOURNAL_STAGING = "svc:jobs:staging"
 JOURNAL_VERSION = 1
+
+
+def _values_files(job_id: str) -> tuple[str, str]:
+    """(staging, final) names of a finished job's vertex-values file."""
+    return f"svc:{job_id}:values:staging", f"svc:{job_id}:values"
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,8 @@ class ServiceConfig:
     #: Per-job engine checkpoint cadence (supersteps); every admitted run is
     #: crash→remount→resume durable through the PR 3 machinery.
     checkpoint_every: int = 2
-    #: Hard ceiling on scheduler rounds (a stuck dependency otherwise spins).
+    #: Hard ceiling on scheduler rounds (e.g. an arrival tagged beyond it).
     max_rounds: int = 100_000
-    #: Give-up bound for the remount retry loop under crash injection.
-    max_remounts: int = 10_000
     #: Default retry budget for failed analytics jobs (per-job override via
     #: the ``retries=N`` spec param).
     max_retries: int = 2
@@ -210,7 +213,6 @@ class GraphService:
         self.submissions: list[tuple[str, JobSpec]] = []
         self.jobs: dict[str, Job] = {}
         self.round = 0
-        self.remounts = 0
         self._engines: dict = {}
         self._next_id = 1
 
@@ -245,17 +247,10 @@ class GraphService:
         while not self._finished():
             if self.round >= self.config.max_rounds:
                 raise RuntimeError(
-                    f"service exceeded {self.config.max_rounds} rounds; "
-                    f"a job dependency is probably unsatisfiable")
-            try:
-                self._run_round()
-            except PowerLossError:
-                while True:
-                    try:
-                        self._recover()
-                        break
-                    except PowerLossError:
-                        continue
+                    f"service exceeded {self.config.max_rounds} rounds "
+                    f"with jobs still short of a terminal state")
+            self.system.run_recovering(self._run_round,
+                                       reload=self._reload_journal)
         crashes = self.system.device.crashes
         jobs = [self.jobs[jid] for jid, _ in self.submissions
                 if jid in self.jobs]
@@ -263,7 +258,7 @@ class GraphService:
             jobs=jobs,
             trace=self.trace(),
             rounds=self.round,
-            remounts=self.remounts,
+            remounts=self.system.remounts,
             power_losses=crashes.stats.power_losses if crashes else 0,
             rejections=self.controller.rejections,
             failures=sum(len(j.failures) for j in jobs),
@@ -423,12 +418,8 @@ class GraphService:
         reservation is released for the duration of the backoff.
         """
         run = self._engines.pop(job.job_id, None)
-        superstep = getattr(exc, "superstep",
-                            run.superstep if run is not None else -1)
-        failure = JobFailure(error=type(exc).__name__, message=str(exc),
-                             superstep=superstep, attempt=job.retries,
-                             context=error_context(exc))
-        job.failures.append(failure.to_dict())
+        self._record_failure(job, exc, getattr(
+            exc, "superstep", run.superstep if run is not None else -1))
         if run is not None:
             run.abandon()
         self.controller.release(job.spec.tenant)
@@ -447,6 +438,13 @@ class GraphService:
         self.system.clock.charge(
             "cpu", self.config.retry_backoff_s * (1 << attempt))
         job.state = RETRYING
+
+    def _record_failure(self, job: Job, exc: FlashError,
+                        superstep: int) -> None:
+        failure = JobFailure(error=type(exc).__name__, message=str(exc),
+                             superstep=superstep, attempt=job.retries,
+                             context=error_context(exc))
+        job.failures.append(failure.to_dict())
 
     def _quarantine(self, job: Job, reason: str) -> None:
         """Poison a job: sweep its whole flash footprint, leave a tombstone."""
@@ -473,27 +471,18 @@ class GraphService:
                 checkpoint_every=self.config.checkpoint_every,
                 checkpoint_prefix=f"svc:{job.job_id}:ckpt")
             engine.purge_program_state(program)
-        store = self.system.store
-        for name in (f"svc:{job.job_id}:values:staging",
-                     f"svc:{job.job_id}:values"):
-            if store.exists(name):
-                store.delete(name)
+        discard(self.system.store, *_values_files(job.job_id))
 
     def _write_values(self, job_id: str, values: np.ndarray) -> str:
         """Durably publish a finished job's vertex values.
 
-        Staging → seal → atomic rename, like the engine checkpoint: a crash
-        between completion and the journal commit re-runs the job, and the
-        rewrite lands over the partial file instead of appending to it.
+        A crash between completion and the journal commit re-runs the job,
+        and the rewrite lands over the partial file instead of appending to
+        it.
         """
-        store = self.system.store
-        final = f"svc:{job_id}:values"
-        staging = f"{final}:staging"
-        if store.exists(staging):
-            store.delete(staging)
-        store.append_array(staging, values)
-        store.seal(staging)
-        store.rename(staging, final, overwrite=True)
+        staging, final = _values_files(job_id)
+        publish(self.system.store, staging, final,
+                np.ascontiguousarray(values).tobytes())
         return final
 
     # ------------------------------------------------------ cancel & deadlines
@@ -528,17 +517,22 @@ class GraphService:
         job.result = {"kind": "cancel", "ref": ref, "outcome": outcome}
         job.state = DONE
 
+    def _release(self, job: Job) -> None:
+        """Give back whatever admission resource the job's state holds."""
+        tenant = job.spec.tenant
+        if job.state == RUNNING:
+            self.controller.release(tenant)
+        elif job.state == QUEUED:
+            self.controller.release_queued(tenant)
+        elif job.state == PENDING:
+            self.controller.release_point(tenant)
+        # RETRYING holds neither bandwidth nor a queue slot.
+
     def _cancel_job(self, target: Job, reason: str) -> None:
         """Tear down a live job: release its quota, sweep its flash state."""
+        self._release(target)
         if target.is_analytics:
-            if target.state == RUNNING:
-                self.controller.release(target.spec.tenant)
-            elif target.state == QUEUED:
-                self.controller.release_queued(target.spec.tenant)
-            # RETRYING holds neither bandwidth nor a queue slot.
             self._purge_job_flash(target)
-        elif target.state == PENDING:
-            self.controller.release_point(target.spec.tenant)
         target.state = CANCELLED
         target.reason = reason
 
@@ -556,14 +550,10 @@ class GraphService:
             if not d or self.round - job.spec.at_round < d:
                 continue
             reason = f"deadline of {d} rounds exceeded"
+            self._release(job)
             if job.is_analytics:
-                if job.state == RUNNING:
-                    self.controller.release(job.spec.tenant)
-                elif job.state == QUEUED:
-                    self.controller.release_queued(job.spec.tenant)
                 self._quarantine(job, reason)
             else:
-                self.controller.release_point(job.spec.tenant)
                 job.state = FAILED
                 job.reason = reason
 
@@ -621,11 +611,7 @@ class GraphService:
             # failure, each against its own retry budget.
             for job_id, _, _ in batch:
                 job = self.jobs[job_id]
-                failure = JobFailure(error=type(exc).__name__,
-                                     message=str(exc), superstep=-1,
-                                     attempt=job.retries,
-                                     context=error_context(exc))
-                job.failures.append(failure.to_dict())
+                self._record_failure(job, exc, -1)
                 if job.retries >= job.retry_limit(self.config.max_retries):
                     job.state = FAILED
                     job.reason = "retries exhausted in point batch"
@@ -649,18 +635,22 @@ class GraphService:
     def _try_vstate(self, job: Job) -> None:
         """Resolve a vertex-state read once its referenced job is terminal."""
         ref = str(job.spec.params.get("ref", ""))
-        known = any(jid == ref for jid, _ in self.submissions)
+        ref_spec = next((s for jid, s in self.submissions if jid == ref), None)
         target = self.jobs.get(ref)
-        if not known:
-            job.state = FAILED
-            job.reason = f"unknown ref job {ref!r}"
-            self.controller.release_point(job.spec.tenant)
-            return
-        if target is None or target.state not in TERMINAL_STATES:
+        reason = None
+        if ref_spec is None:
+            reason = f"unknown ref job {ref!r}"
+        elif not ref_spec.is_analytics:
+            # Only analytics runs publish vertex values; waiting on anything
+            # else (itself and another vstate included) can never resolve.
+            reason = f"ref job {ref} is not an analytics run"
+        elif target is None or target.state not in TERMINAL_STATES:
             return  # dependency still in flight; stays pending
-        if target.state != DONE or not target.spec.is_analytics:
+        elif target.state != DONE:
+            reason = f"ref job {ref} ended {target.state}"
+        if reason is not None:
             job.state = FAILED
-            job.reason = f"ref job {ref} ended {target.state}"
+            job.reason = reason
             self.controller.release_point(job.spec.tenant)
             return
         vertices = job.spec.params.get("v", [0])
@@ -684,30 +674,13 @@ class GraphService:
             "jobs": [self.jobs[jid].to_dict()
                      for jid, _ in self.submissions if jid in self.jobs],
         }
-        store = self.system.store
-        staging = f"{JOURNAL_FILE}:staging"
-        if store.exists(staging):
-            store.delete(staging)
-        store.append(staging, json.dumps(state).encode())
-        store.seal(staging)
-        store.rename(staging, JOURNAL_FILE, overwrite=True)
+        publish(self.system.store, JOURNAL_STAGING, JOURNAL_FILE,
+                json.dumps(state).encode())
 
-    def _recover(self) -> None:
-        """Answer a power loss: remount, reload the journal, rebuild state."""
+    def _reload_journal(self) -> None:
+        """The recovery driver's reload hook: after a remount, rebuild the
+        host state that died from the journal."""
         self._engines = {}
-        while True:
-            self.remounts += 1
-            if self.remounts > self.config.max_remounts:
-                crashes = self.system.device.crashes
-                raise FlashRecoveryExhaustedError(
-                    f"gave up after {self.config.max_remounts} remounts; "
-                    f"crash plan leaves the service no forward progress",
-                    plan=crashes.plan if crashes is not None else None)
-            try:
-                self.system.remount()
-                break
-            except PowerLossError:
-                continue
         self.graph = self.system.reattach_graph(self.graph)
         store = self.system.store
         if store.exists(JOURNAL_FILE):

@@ -12,7 +12,7 @@ from repro.core.reduce_ops import SUM
 from repro.engine.config import make_system
 from repro.flash.device import FlashError, PowerLossError
 from repro.flash.faults import CrashPlan
-from repro.harness import run_grafboost_system, run_with_crashes
+from repro.harness import run_grafboost_system
 
 SCALE = 2.0 ** -14
 ITERATIONS = 3
@@ -113,8 +113,9 @@ def test_run_with_crashes_harness_smoke(random_graph):
     plan = CrashPlan(at_ops=(load_ops // 2, load_ops + 50,
                              load_ops + (total_ops - load_ops) // 2),
                      torn_write_p=0.5)
-    crashed = run_with_crashes("GraFSoft", random_graph, "bfs", scale=SCALE,
-                               crashes=plan, checkpoint_every=2, seed_root=0)
+    crashed = run_grafboost_system("GraFSoft", random_graph, "bfs",
+                                   scale=SCALE, crashes=plan,
+                                   checkpoint_every=2, seed_root=0)
     assert crashed.completed
     assert crashed.power_losses == 3
     assert crashed.remounts >= 3

@@ -36,7 +36,7 @@ from repro.engine.modes import (
     semiexternal_footprint,
 )
 from repro.flash.faults import CrashPlan
-from repro.harness import default_root, load_dataset, run_with_crashes
+from repro.harness import default_root, load_dataset, run_grafboost_system
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFSOFT
 
@@ -261,7 +261,7 @@ def test_crash_resume_bit_identical_per_mode(mode):
 
     def crashed(workers):
         _pin_name_counters()
-        return run_with_crashes(
+        return run_grafboost_system(
             "GraFSoft", graph, "pagerank", scale=SCALE,
             crashes=CrashPlan(at_ops=plan_ops, torn_write_p=0.5),
             checkpoint_every=1, pagerank_iterations=2,

@@ -14,6 +14,7 @@ from repro.flash.device import (
 from repro.flash.faults import CrashPlan
 from repro.flash.filestore import SSDFileSystem
 from repro.flash.ftl import SSD
+from repro.flash.publish import publish
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT
 
@@ -27,7 +28,8 @@ def content(name: str, nbytes: int) -> bytes:
 
 
 # The scripted workload: create/append/seal/delete/rename/rename-overwrite,
-# with multi-page appends and partial tails.  ``allowed`` maps every name
+# with multi-page appends and partial tails, then two durable publishes of
+# the same final name (the second lands over an existing ``final``).  ``allowed`` maps every name
 # that can exist at *any* point to the full contents it may hold.
 A = content("a", 3 * PAGE + 100)
 B = content("b", 2 * PAGE)
@@ -36,19 +38,33 @@ D = content("d", PAGE + 7)
 F = content("f", PAGE)
 G = content("g", 2 * PAGE + 1)
 
+P_OLD = content("p-old", PAGE + 11)
+P_NEW = content("p-new", 2 * PAGE + 3)
+
 H = {i: content(f"h{i}", PAGE + i * 37) for i in range(12)}
 BIG = content("big", 6 * PAGE + 5)
 
 ALLOWED = {
     "a": (A,), "b": (B,), "c": (C,), "d": (D,), "e": (D,),
     "f": (F, G), "g": (G,), "big": (BIG,),
+    "p": (P_OLD, P_NEW), "p:staging": (P_OLD, P_NEW),
     **{f"h{i}": (H[i],) for i in range(12)},
 }
 
 
-def run_script(fs) -> None:
+def run_script(fs) -> dict[str, int]:
+    """Returns, for names that are durable from some point on (sealed or
+    published, never deleted afterwards), the device op index of that
+    point (empty on a device that does not count ops)."""
+    durable_since: dict[str, int] = {}
+
+    def mark(name: str) -> None:
+        if fs.device.crashes is not None:
+            durable_since[name] = fs.device.crashes.op_index
+
     fs.append("a", A)
     fs.seal("a")
+    mark("a")
     fs.append("b", B[:PAGE])
     fs.append("c", C)
     fs.seal("c")
@@ -69,6 +85,28 @@ def run_script(fs) -> None:
     fs.append("g", G)
     fs.seal("g")
     fs.rename("g", "f", overwrite=True)
+    publish(fs, "p:staging", "p", P_OLD)
+    mark("p")
+    publish(fs, "p:staging", "p", P_NEW)
+    return durable_since
+
+
+def check_durable(fs, crash_op: int, durable_since: dict[str, int]) -> None:
+    """Nothing durable before the crash is lost by it, and the published
+    name ``p`` is never visible half-written; a leftover staging file
+    neither shadows it nor blocks the next publish.  (That a sealed file
+    reads as exactly one of its allowed payloads — for ``p``, exactly the
+    old or the new one — is :func:`check_contents`' check.)"""
+    for name, since in durable_since.items():
+        if crash_op >= since:
+            assert fs.exists(name) and fs.is_sealed(name), \
+                f"{name!r}, durable since op {since}, lost by a crash at " \
+                f"op {crash_op}"
+    if fs.exists("p"):
+        assert fs.is_sealed("p"), "final name visible before its seal"
+    publish(fs, "p:staging", "p", P_NEW)
+    assert bytes(fs.read("p")) == P_NEW
+    assert not fs.exists("p:staging")
 
 
 def check_contents(fs) -> None:
@@ -122,29 +160,28 @@ def check_ssd_fs_structure(fs) -> None:
         "free-lpn pool is not the exact complement of live files"
 
 
-def total_ops_of(make_fs_and_run) -> int:
-    """Run the script uninterrupted on an op-counting device."""
-    device = make_fs_and_run(CrashPlan(crashes=0))
-    return device.crashes.op_index
+def total_ops_of(make_fs_and_run) -> tuple[int, dict[str, int]]:
+    """Run the script uninterrupted on an op-counting device: (total ops,
+    the script's durable-since marks)."""
+    device, durable_since = make_fs_and_run(CrashPlan(crashes=0))
+    return device.crashes.op_index, durable_since
 
 
-def aoffs_workload(plan: CrashPlan) -> FlashDevice:
+def aoffs_workload(plan: CrashPlan) -> tuple[FlashDevice, dict[str, int]]:
     device = FlashDevice(GEOMETRY, GRAFBOOST, SimClock(), crashes=plan)
-    run_script(AppendOnlyFlashFS(device, durable=True))
-    return device
+    return device, run_script(AppendOnlyFlashFS(device, durable=True))
 
 
-def ssd_workload(plan: CrashPlan) -> FlashDevice:
+def ssd_workload(plan: CrashPlan) -> tuple[FlashDevice, dict[str, int]]:
     device = FlashDevice(GEOMETRY, GRAFSOFT, SimClock(), crashes=plan)
     ssd = SSD(device, durable=True)
     # A small log forces several compactions inside the scripted workload,
     # so crash points land inside the ping-pong snapshot path too.
-    run_script(SSDFileSystem(ssd, durable=True, meta_lpns=8))
-    return device
+    return device, run_script(SSDFileSystem(ssd, durable=True, meta_lpns=8))
 
 
 def test_aoffs_crash_at_every_op_leaves_consistent_fs():
-    total = total_ops_of(aoffs_workload)
+    total, durable_since = total_ops_of(aoffs_workload)
     assert total > 100, "script too small to be a meaningful sweep"
     for op in range(total):
         plan = CrashPlan(at_ops=(op,), torn_write_p=float(op % 2))
@@ -158,6 +195,7 @@ def test_aoffs_crash_at_every_op_leaves_consistent_fs():
         fs = AppendOnlyFlashFS(device, durable=True)
         check_contents(fs)
         check_aoffs_structure(fs)
+        check_durable(fs, op, durable_since)
         # The recovered store stays fully usable.
         fs.append("post", content("post", PAGE + 3))
         fs.seal("post")
@@ -165,7 +203,7 @@ def test_aoffs_crash_at_every_op_leaves_consistent_fs():
 
 
 def test_ssd_fs_crash_at_every_op_leaves_consistent_fs():
-    total = total_ops_of(ssd_workload)
+    total, durable_since = total_ops_of(ssd_workload)
     assert total > 100, "script too small to be a meaningful sweep"
     for op in range(total):
         plan = CrashPlan(at_ops=(op,), torn_write_p=float(op % 2))
@@ -181,6 +219,7 @@ def test_ssd_fs_crash_at_every_op_leaves_consistent_fs():
         fs = SSDFileSystem.mount(ssd, meta_lpns=8)
         check_contents(fs)
         check_ssd_fs_structure(fs)
+        check_durable(fs, op, durable_since)
         fs.append("post", content("post", PAGE + 3))
         fs.seal("post")
         assert fs.read("post") == content("post", PAGE + 3)

@@ -117,6 +117,29 @@ def test_rl002_allows_reraising_handler():
     assert "RL002" not in rules_hit(narrow, SIM_PATH)
 
 
+def test_rl002_allows_power_loss_handler_only_in_the_driver_module():
+    handlers = ["""
+        def f():
+            try:
+                work()
+            except PowerLossError:
+                remount()
+    """, """
+        def f():
+            try:
+                work()
+            except (FlashError, device.PowerLossError):
+                remount()
+    """]
+    for handler in handlers:
+        assert "RL002" in rules_hit(handler, SIM_PATH)
+        assert "RL002" in rules_hit(handler, "src/repro/harness.py")
+        assert "RL002" not in rules_hit(handler, "src/repro/engine/config.py")
+        # Tests and benchmarks crash stacks on purpose and catch the loss.
+        assert "RL002" not in rules_hit(handler, "tests/flash/test_crash.py")
+        assert "RL002" not in rules_hit(handler, "benchmarks/bench_crash.py")
+
+
 # ------------------------------------------------------------------- RL003
 
 def test_rl003_fires_on_foreign_raise_in_flash():

@@ -332,8 +332,8 @@ def test_recovery_exhaustion_is_typed_with_plan(make_service):
     # the typed error.  Mode/workers are pinned — other modes reach op 300
     # at different points (or not at all on this tiny workload).
     crashes = CrashPlan.parse("at=300")
-    service = make_service(crashes=crashes, workers=1, mode="sortreduce",
-                           config=ServiceConfig(max_remounts=0))
+    service = make_service(crashes=crashes, workers=1, mode="sortreduce")
+    service.system.max_remounts = 0
     service.submit("t0:pagerank:iters=2")
     with pytest.raises(FlashRecoveryExhaustedError) as excinfo:
         service.run()

@@ -68,6 +68,36 @@ def test_trace_bit_identical_under_power_loss_with_workers(make_service):
     assert crashed.trace == base.trace
 
 
+def test_power_loss_inside_journal_reload_lands_on_fault_free_trace(
+        make_service):
+    """Recovery reads flash too: a loss during the reload hook's journal
+    read re-enters the one recovery driver and leaves no trace."""
+    base = run_demo(make_service)
+
+    def run_counting(at_ops):
+        service = make_service(quotas=demo_quotas(),
+                               crashes=CrashPlan(at_ops=at_ops))
+        service.submit_all(demo_workload())
+        reload, entered, completed = service._reload_journal, [], []
+
+        def counting():
+            entered.append(service.system.device.crashes.op_index)
+            reload()
+            completed.append(True)
+
+        service._reload_journal = counting
+        return service.run(), entered, completed
+
+    # Op 500 is mid-run (900 ops in all), after the first journal commit.
+    _, entered, completed = run_counting((500,))
+    assert len(entered) == len(completed) == 1
+    # The reload's first flash op is the journal read: crash exactly there.
+    report, entered, completed = run_counting((500, entered[0]))
+    assert (len(entered), len(completed)) == (2, 1)
+    assert report.power_losses == report.remounts == 2
+    assert report.trace == base.trace
+
+
 def test_adaptive_mode_completes(make_service):
     report = run_demo(make_service, mode="adaptive")
     assert len(report.jobs_by_state("done")) == 8
@@ -145,6 +175,24 @@ def test_vstate_on_rejected_ref_fails(make_service):
     vstate = report.jobs[2]
     assert vstate.state == "failed"
     assert "rejected" in vstate.reason
+
+
+@pytest.mark.parametrize("jobs", [
+    ["t0:vstate:ref=svc-1,v=0"],                              # self-reference
+    ["t0:vstate:ref=svc-2,v=0", "t1:vstate:ref=svc-1,v=0"],   # 2-cycle
+])
+def test_vstate_on_non_analytics_ref_fails_at_once(make_service, jobs):
+    """Only analytics runs publish values: a vstate waiting on itself or on
+    another vstate used to stay pending until ``max_rounds``."""
+    service = make_service()
+    service.submit_all(jobs)
+    report = service.run()
+    assert report.rounds == 1
+    for job in report.jobs:
+        assert job.state == "failed"
+        assert job.reason == (f"ref job {job.spec.params['ref']} is not an "
+                              f"analytics run")
+        assert service.controller._usage(job.spec.tenant).point == 0
 
 
 # ------------------------------------------------------------------ arrivals

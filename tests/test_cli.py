@@ -162,6 +162,30 @@ def test_serve_rejects_bad_quota(capsys):
     assert "quota" in err
 
 
+def test_serve_self_referencing_vstate_fails_only_that_query(capsys):
+    code, out, _ = run_cli(capsys, "serve", "--dataset", "twitter",
+                           "--scale", "1.6e-5",
+                           "--job", "t0:vstate:ref=svc-1,v=0")
+    assert code == 0
+    assert _metric(out, "jobs failed") == "1"
+    assert "ref job svc-1 is not an analytics run" in out
+
+
+def test_serve_round_limit_is_a_clean_abort(capsys, monkeypatch):
+    import functools
+
+    from repro.service import scheduler
+
+    monkeypatch.setattr(scheduler, "ServiceConfig", functools.partial(
+        scheduler.ServiceConfig, max_rounds=3))
+    code, _, err = run_cli(capsys, "serve", "--dataset", "twitter",
+                           "--scale", "1.6e-5",
+                           "--job", "t0:neighborhood:v=0,depth=1@50")
+    assert code == 1
+    assert "serve: aborted on RuntimeError" in err
+    assert "exceeded 3 rounds" in err
+
+
 def test_serve_rejects_bad_job_spec(capsys):
     code, _, err = run_cli(capsys, "serve", "--dataset", "twitter",
                            "--scale", "1.6e-5", "--job", "t0:unknownkind")

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import harness
+from repro.engine.config import make_system
+from repro.flash.device import FlashRecoveryExhaustedError
+from repro.flash.faults import CrashPlan
 from repro.harness import (
     GRAFBOOST_FAMILY,
     GRAFBOOST_ONE_CARD,
@@ -14,6 +18,7 @@ from repro.harness import (
     run_cell,
     run_grafboost_system,
     run_matrix,
+    run_service_cell,
 )
 from repro.perf.profiles import SERVER_SSD_ARRAY
 
@@ -54,6 +59,32 @@ def test_run_grafboost_unknown_algorithm():
     graph = load_dataset("twitter", SCALE)
     with pytest.raises(ValueError, match="algorithm"):
         run_grafboost_system("GraFBoost", graph, "kcore", scale=SCALE)
+
+
+@pytest.mark.parametrize("entry", ["run", "serve"])
+def test_graph_load_recovery_is_bounded_and_typed(monkeypatch, entry):
+    """Every crash-path loop draws from the system's one remount budget.
+    The serve entry's graph-load remount loop used to have no bound at all:
+    it drained this plan and completed."""
+    graph = load_dataset("twitter", SCALE)
+
+    def two_remounts(*args, **kwargs):
+        system = make_system(*args, **kwargs)
+        system.max_remounts = 2
+        return system
+
+    monkeypatch.setattr(harness, "make_system", two_remounts)
+    # Op 3 is inside the graph write; the mount scan counts ops too, so 6,
+    # 9 and 12 each kill one remount of its recovery.
+    plan = CrashPlan(at_ops=(3, 6, 9, 12))
+    with pytest.raises(FlashRecoveryExhaustedError) as excinfo:
+        if entry == "run":
+            run_grafboost_system("GraFSoft", graph, "bfs", scale=SCALE,
+                                 crashes=plan)
+        else:
+            run_service_cell("GraFSoft", graph, ["t0:bfs"], scale=SCALE,
+                             crashes=plan)
+    assert excinfo.value.plan is plan
 
 
 def test_run_baseline_unknown_name():

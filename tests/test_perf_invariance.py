@@ -43,7 +43,6 @@ from repro.harness import (
     default_root,
     load_dataset,
     run_grafboost_system,
-    run_with_crashes,
 )
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT
@@ -439,7 +438,7 @@ def test_crash_recovery_bit_identical_under_parallel_merge():
 
     def crashed(workers):
         pin_name_counters()
-        return run_with_crashes(
+        return run_grafboost_system(
             "GraFSoft", graph, "pagerank", scale=1 / 65536,
             crashes=CrashPlan(at_ops=plan_ops, torn_write_p=0.5),
             checkpoint_every=1, pagerank_iterations=2, workers=workers)
