@@ -17,6 +17,10 @@ import numpy as np
 
 KEY_DTYPE = np.dtype("<u8")
 
+#: Concatenations of at most this many sorted runs are sorted by timsort, more
+#: by the composite sort — the measured crossover (DESIGN.md), not a setting.
+TIMSORT_MAX_RUNS = 2
+
 
 class KVArray:
     """An aligned (keys, values) pair; may be sorted or unsorted.
@@ -99,27 +103,36 @@ class KVArray:
 
     # ------------------------------------------------------------- operations
 
-    def sorted(self, presorted_concat: bool = False) -> "KVArray":
+    def sorted(self, runs: int = 0) -> "KVArray":
         """Stable sort by key; ties keep arrival order (FIRST/LAST correctness).
 
-        When ``max_key * n`` fits in a uint64, the stable order is encoded
-        into a composite key (``key * n + position``) whose values are
-        unique, letting the much faster unstable default sort produce the
-        exact permutation a stable sort would — ~4x faster than timsort on
-        random 64-bit keys.
+        The stable order is packed into one unique composite word,
+        ``(key << pos_bits) | position`` with ``pos_bits = (n-1).bit_length()``,
+        which is sorted in place by the (unstable, SIMD) default sort: the
+        sorted keys are its high bits, the stable permutation its low bits,
+        and only the values are gathered.
 
-        ``presorted_concat`` hints that the data is a concatenation of a few
-        already-sorted runs: there timsort's natural-run merging beats the
-        composite-key quicksort, so the stable sort is used directly.
+        ``runs`` is the number of already-sorted runs the data is a
+        concatenation of (0: unsorted; an upper bound will do).  Up to
+        ``TIMSORT_MAX_RUNS`` of them, timsort's natural-run merging beats the
+        composite sort (table in DESIGN.md, "Performance of the simulator");
+        keys too large to leave ``pos_bits`` free take the same stable
+        argsort.  Every path yields the same permutation, so the choice
+        never changes a result.
         """
         keys = self.keys
         n = len(keys)
-        if not presorted_concat and n > 1 and int(keys.max()) <= (2**64 - n) // n:
-            composite = keys * np.uint64(n) + np.arange(n, dtype=np.uint64)
-            order = np.argsort(composite)
-        else:
+        pos_bits = (n - 1).bit_length()
+        if (n < 2 or 0 < runs <= TIMSORT_MAX_RUNS
+                or int(keys.max()) >> (64 - pos_bits)):
             order = np.argsort(keys, kind="stable")
-        return KVArray._wrap(keys[order], self.values[order])
+            return KVArray._wrap(keys[order], self.values[order])
+        composite = keys << np.uint64(pos_bits)
+        composite |= np.arange(n, dtype=np.uint64)
+        composite.sort()
+        order = (composite & np.uint64((1 << pos_bits) - 1)).view(np.int64)
+        composite >>= np.uint64(pos_bits)
+        return KVArray._wrap(composite, self.values[order])
 
     def slice(self, start: int, stop: int) -> "KVArray":
         return KVArray._wrap(self.keys[start:stop], self.values[start:stop])

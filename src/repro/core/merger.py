@@ -42,7 +42,7 @@ def merge_reduce_arrays(runs: list[KVArray], op: ReduceOp,
             raise ValueError(f"input run {i} is not sorted")
     if pool is not None:
         return pool.merge_reduce(runs, op)
-    return op.reduce_sorted(KVArray.concat(runs).sorted(presorted_concat=True),
+    return op.reduce_sorted(KVArray.concat(runs).sorted(runs=len(runs)),
                             presorted=True)
 
 
@@ -194,8 +194,7 @@ class StreamingMergeReducer:
             merged = self.pool.merge_reduce(parts, self.op)
         else:
             merged = self.op.reduce_sorted(
-                KVArray.concat(parts).sorted(presorted_concat=True),
-                presorted=True)
+                KVArray.concat(parts).sorted(runs=len(parts)), presorted=True)
         self.pairs_in += sum(len(p) for p in parts)
         self.pairs_out += len(merged)
         sink(merged)

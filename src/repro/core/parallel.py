@@ -109,27 +109,27 @@ def _kv_from_shm(name: str, n: int, dtype_str: str, unlink: bool) -> KVArray:
     return KVArray._wrap(keys, values)
 
 
-def _worker_main(tasks, results) -> None:
-    """Worker-process loop: pure numpy compute, zero simulated state.
+def _sort_reduce(kv: KVArray, op: ReduceOp, runs: int) -> KVArray:
+    """One task, on a worker or inline: ``runs == 0`` is a chunk sort
+    (``sort_reduce_in_memory``); otherwise a range merge of ``runs``
+    concatenated sorted slices (stable sort, then the interleaved
+    reduction) — exactly the expressions the serial path runs, so outputs
+    are bitwise identical."""
+    if runs:
+        return op.reduce_sorted(kv.sorted(runs), presorted=True)
+    return sort_reduce_in_memory(kv, op)
 
-    ``presorted_concat=False`` is a chunk sort (``sort_reduce_in_memory``);
-    ``True`` is a range merge (stable sort of concatenated sorted slices,
-    then the interleaved reduction) — exactly the expressions the serial
-    path runs, so outputs are bitwise identical.
-    """
+
+def _worker_main(tasks, results) -> None:
+    """Worker-process loop: pure numpy compute, zero simulated state."""
     while True:
         task = tasks.get()
         if task is None:
             return
-        ticket, name, n, dtype_str, op_name, presorted_concat = task
+        ticket, name, n, dtype_str, op_name, runs = task
         try:
             kv = _kv_from_shm(name, n, dtype_str, unlink=True)
-            op = op_by_name(op_name)
-            if presorted_concat:
-                out = op.reduce_sorted(kv.sorted(presorted_concat=True),
-                                       presorted=True)
-            else:
-                out = sort_reduce_in_memory(kv, op)
+            out = _sort_reduce(kv, op_by_name(op_name), runs)
             results.put((ticket, _kv_to_shm(out), len(out),
                          out.values.dtype.str, None))
         except Exception as exc:
@@ -186,26 +186,22 @@ class SortReducePool:
                 and is_builtin_op(op)
                 and not kv.values.dtype.hasobject)
 
-    def submit(self, kv: KVArray, op: ReduceOp,
-               presorted_concat: bool = False) -> int:
-        """Queue one sort-reduce task; returns a ticket for :meth:`collect`."""
+    def submit(self, kv: KVArray, op: ReduceOp, runs: int = 0) -> int:
+        """Queue one sort-reduce task — a chunk sort, or with ``runs`` a merge
+        of that many concatenated sorted runs; returns a ticket for
+        :meth:`collect`."""
         ticket = self._next_ticket
         self._next_ticket += 1
         if not self._offloadable(kv, op):
-            if presorted_concat:
-                result = op.reduce_sorted(kv.sorted(presorted_concat=True),
-                                          presorted=True)
-            else:
-                result = sort_reduce_in_memory(kv, op)
-            self._arrived[ticket] = result
+            self._arrived[ticket] = _sort_reduce(kv, op, runs)
             return ticket
         self._tasks.put((ticket, _kv_to_shm(kv), len(kv),
-                         kv.values.dtype.str, op.name, presorted_concat))
+                         kv.values.dtype.str, op.name, runs))
         return ticket
 
     def submit_chunk_sort(self, chunk: KVArray, op: ReduceOp) -> int:
         """Async in-memory sort-reduce of one unsorted chunk."""
-        return self.submit(chunk, op, presorted_concat=False)
+        return self.submit(chunk, op)
 
     # ------------------------------------------------------------- collection
 
@@ -301,7 +297,7 @@ class SortReducePool:
         """Merge-reduce sorted parts, partitioned by key range across workers.
 
         Bitwise-identical to the serial
-        ``op.reduce_sorted(concat(parts).sorted(presorted_concat=True))``:
+        ``op.reduce_sorted(concat(parts).sorted(runs=len(parts)))``:
         ranges partition the key space, the stable sort of each range is the
         restriction of the stable sort of the whole, and no duplicate-key
         group crosses a splitter, so concatenating range outputs in key
@@ -313,9 +309,7 @@ class SortReducePool:
         total = sum(len(p) for p in parts)
         if (total < 2 * self.inline_records
                 or not self._offloadable(parts[0], op)):
-            return op.reduce_sorted(
-                KVArray.concat(parts).sorted(presorted_concat=True),
-                presorted=True)
+            return _sort_reduce(KVArray.concat(parts), op, len(parts))
         all_keys = np.concatenate([p.keys for p in parts])
         splitters = self._splitters(all_keys, total)
         tickets = []
@@ -330,7 +324,7 @@ class SortReducePool:
                     slices.append(p.slice(a, b))
             if slices:
                 tickets.append(self.submit(KVArray.concat(slices), op,
-                                           presorted_concat=True))
+                                           runs=len(slices)))
         return self._collect_ranges(tickets)
 
     # --------------------------------------------------------------- lifecycle

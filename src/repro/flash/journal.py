@@ -44,16 +44,21 @@ def frame_capacity(page_bytes: int) -> int:
     return page_bytes - FRAME_HEADER.size
 
 
-def encode_frame(magic: bytes, seq: int, records: list[dict],
-                 page_bytes: int) -> bytes:
-    """One frame holding ``records``; raises if they exceed a page."""
-    payload = json.dumps(records, separators=(",", ":")).encode()
+def _pack_frame(magic: bytes, seq: int, payload: bytes, page_bytes: int) -> bytes:
     if len(payload) > frame_capacity(page_bytes):
         raise FlashError(
             f"journal frame of {len(payload)} B exceeds page capacity "
             f"{frame_capacity(page_bytes)} B")
     return FRAME_HEADER.pack(magic, seq, len(payload),
                              zlib.crc32(payload)) + payload
+
+
+def encode_frame(magic: bytes, seq: int, records: list[dict],
+                 page_bytes: int) -> bytes:
+    """One frame holding ``records``; raises if they exceed a page."""
+    return _pack_frame(magic, seq,
+                       json.dumps(records, separators=(",", ":")).encode(),
+                       page_bytes)
 
 
 def encode_frames(magic: bytes, seq_start: int, records: list[dict],
@@ -63,26 +68,24 @@ def encode_frames(magic: bytes, seq_start: int, records: list[dict],
     Each record must individually fit a page (callers chunk oversized
     record bodies — see the snapshot ``blocks``/``crcs`` continuation
     records); consecutive frames get consecutive sequence numbers starting
-    at ``seq_start``.
+    at ``seq_start``.  Every record is serialised once: a frame's payload
+    is its records' JSON joined with ``,`` inside ``[]``, byte for byte what
+    ``encode_frame`` makes of the same group.
     """
     capacity = frame_capacity(page_bytes)
-    frames: list[bytes] = []
-    group: list[dict] = []
-    group_len = 2  # the enclosing "[]"
+    groups: list[list[str]] = []
+    group_len = capacity  # forces the first record to open a group
     for record in records:
         blob = json.dumps(record, separators=(",", ":"))
-        added = len(blob) + (1 if group else 0)
-        if group and group_len + added > capacity:
-            frames.append(encode_frame(magic, seq_start + len(frames),
-                                       group, page_bytes))
-            group, group_len = [], 2
-            added = len(blob)
-        group.append(record)
-        group_len += added
-    if group:
-        frames.append(encode_frame(magic, seq_start + len(frames),
-                                   group, page_bytes))
-    return frames
+        if group_len + 1 + len(blob) > capacity:
+            groups.append([])
+            group_len = 2 + len(blob)  # the enclosing "[]"
+        else:
+            group_len += 1 + len(blob)
+        groups[-1].append(blob)
+    return [_pack_frame(magic, seq_start + i, f"[{','.join(group)}]".encode(),
+                        page_bytes)
+            for i, group in enumerate(groups)]
 
 
 def decode_frame(magic: bytes, data: bytes) -> tuple[int, list[dict]] | None:

@@ -193,9 +193,10 @@ class FlashCSR:
             return block.copy()  # writable, like the fancy-indexed result
         span_idx = np.searchsorted(span_starts, s_nz, side="right") - 1
         base = block_base[span_idx] + (s_nz - span_starts[span_idx])
-        range_start = np.cumsum(len_nz) - len_nz
-        within = np.arange(total, dtype=np.int64) - np.repeat(range_start, len_nz)
-        out = block[np.repeat(base, len_nz) + within]
+        # Output position p of range r reads block[base[r] + p - range_start[r]].
+        index = np.repeat(base - (np.cumsum(len_nz) - len_nz), len_nz)
+        index += np.arange(total, dtype=np.int64)
+        out = block[index]
         self.wasted_read_bytes -= total * item
         return out
 

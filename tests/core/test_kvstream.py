@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.kvstream import KVArray, record_dtype
+from repro.core.kvstream import TIMSORT_MAX_RUNS, KVArray, record_dtype
 
 
 def test_construction_validates_alignment():
@@ -88,6 +88,64 @@ def test_sorted_really_sorts(keys):
     assert len(out) == len(kv)
     # Same multiset of keys.
     assert sorted(keys) == out.keys.astype(int).tolist()
+
+
+def assert_stable_sorted(kv: KVArray, out: KVArray):
+    """``out`` is ``kv`` under the stable permutation, keys *and* values."""
+    order = np.argsort(kv.keys, kind="stable")
+    assert out.keys.dtype == kv.keys.dtype and out.values.dtype == kv.values.dtype
+    assert np.array_equal(out.keys, kv.keys[order])
+    assert np.array_equal(out.values, kv.values[order])
+
+
+#: 0, 1, 2 and every 2^k, 2^k ± 1 up to 2^12 + 1: each one is a value of
+#: ``pos_bits`` at its first and last n.
+KERNEL_SIZES = sorted({0, 1, 2} | {2 ** k + d for k in range(1, 13) for d in (-1, 0, 1)})
+#: Value dtypes the engine sorts: BFS/CC labels, PageRank/SSSP/BC floats,
+#: the float32 weights of the benchmarks, the int64 tags of these tests.
+VALUE_DTYPES = ["<u8", "<f8", "<f4", "<i8"]
+
+
+@given(st.sampled_from(KERNEL_SIZES),
+       st.sampled_from([1, 3, 1000, 2 ** 20, 2 ** 40]),
+       st.sampled_from(VALUE_DTYPES),
+       st.sampled_from([0, 1, TIMSORT_MAX_RUNS, TIMSORT_MAX_RUNS + 1, 17]),
+       st.integers(0, 2 ** 32))
+def test_sorted_is_the_stable_permutation(n, key_space, dtype, runs, seed):
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, key_space, n).astype(np.uint64)
+    # Make the hint true: ``runs`` sorted segments, concatenated.
+    for segment in np.array_split(keys, runs) if runs else ():
+        segment.sort()
+    # Position-tagged values (exact in float32 up to 2^24) expose any
+    # permutation that is sorted but not the stable one.
+    kv = KVArray(keys, np.arange(n).astype(dtype))
+    assert_stable_sorted(kv, kv.sorted(runs))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 9, 1024, 1025])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_sorted_at_the_composite_encoding_limit(n, delta):
+    # The composite word leaves 64 - pos_bits bits for the key: the largest
+    # key sits one below (composite), at and one above (stable argsort) the
+    # limit, duplicated so that ties among the top keys must keep order.
+    limit = 2 ** (64 - (n - 1).bit_length())
+    rng = np.random.default_rng(n)
+    keys = rng.integers(0, 4, n).astype(np.uint64) + np.uint64(limit + delta - 3)
+    keys[[0, n // 2]] = limit + delta
+    keys[-1] = 0
+    assert int(keys.max()) == limit + delta
+    kv = KVArray(keys, np.arange(n, dtype=np.int64))
+    assert_stable_sorted(kv, kv.sorted())
+
+
+@pytest.mark.parametrize("n", [4, 5, 300])  # 2^62 fits beside 2 position bits only
+def test_sorted_with_keys_around_2_to_the_62(n):
+    rng = np.random.default_rng(62)
+    keys = (np.uint64(2 ** 62) + rng.integers(-2, 3, n).astype(np.int64).view(np.uint64))
+    keys[-1] = 2 ** 64 - 1
+    kv = KVArray(keys, np.arange(n, dtype=np.float64))
+    assert_stable_sorted(kv, kv.sorted())
 
 
 def test_repr_preview():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kvstream import KVArray
+from repro.core.inmemory import sort_reduce_in_memory
+from repro.core.kvstream import TIMSORT_MAX_RUNS, KVArray
 from repro.core.merger import StreamingMergeReducer, merge_reduce_arrays
-from repro.core.reduce_ops import FIRST, SUM
+from repro.core.parallel import SortReducePool
+from repro.core.reduce_ops import FIRST, LAST, SUM
 
 
 def kv(pairs, dtype=np.int64):
@@ -85,6 +87,73 @@ def test_giant_duplicate_group_spanning_buffers():
     out = collect(merger, [chunked(a, 9), chunked(b, 2)])
     assert out.keys.tolist() == [6, 7, 8]
     assert out.values.tolist() == [1, 501, 1]
+
+
+# ------------------------------------- emits on both sides of the crossover
+
+#: One emit of k runs sorts with ``runs=k``: timsort up to TIMSORT_MAX_RUNS,
+#: the composite sort above — 1…17 covers both and the 16-way tree's fan-in.
+EMIT_RUN_COUNTS = range(1, 18)
+assert EMIT_RUN_COUNTS[0] <= TIMSORT_MAX_RUNS < EMIT_RUN_COUNTS[-1]
+
+
+def tagged_runs(k: int, per: int = 40) -> list[KVArray]:
+    """k sorted runs over 12 keys — every key repeats inside a run and in
+    other runs — whose values name their (run, position)."""
+    rng = np.random.default_rng(k)
+    return [KVArray(np.sort(rng.integers(0, 12, per)).astype(np.uint64),
+                    1000 * r + np.arange(per, dtype=np.int64))
+            for r in range(k)]
+
+
+def model(runs: list[KVArray], op) -> tuple[list[int], list[int]]:
+    """Per key, fold the values in (run, position) order."""
+    folded: dict[int, int] = {}
+    for run in runs:
+        for k, v in zip(run.keys.tolist(), run.values.tolist()):
+            folded[k] = v if k not in folded else \
+                {"first": folded[k], "last": v, "sum": folded[k] + v}[op.name]
+    return sorted(folded), [folded[k] for k in sorted(folded)]
+
+
+@pytest.mark.parametrize("op", [FIRST, LAST, SUM], ids=lambda o: o.name)
+@pytest.mark.parametrize("k", EMIT_RUN_COUNTS)
+def test_emit_of_k_runs_folds_in_run_then_position_order(k, op):
+    runs = tagged_runs(k)
+    keys, values = model(runs, op)
+    out = merge_reduce_arrays(runs, op)
+    assert (out.keys.tolist(), out.values.tolist()) == (keys, values)
+    # Whole runs as single chunks: the streaming merger makes it one emit.
+    merger = StreamingMergeReducer(op, np.int64, fanout=len(EMIT_RUN_COUNTS))
+    emits = []
+    merger.merge([iter([r]) for r in runs], emits.append)
+    assert len(emits) == 1
+    assert (emits[0].keys.tolist(), emits[0].values.tolist()) == (keys, values)
+
+
+def assert_same(a: KVArray, b: KVArray):
+    assert np.array_equal(a.keys, b.keys)
+    assert np.array_equal(a.values, b.values)
+
+
+def test_emits_through_a_two_worker_pool_equal_serial():
+    pool = SortReducePool(2, inline_records=16)  # 40-record runs reach workers
+    try:
+        for k in EMIT_RUN_COUNTS:
+            runs = tagged_runs(k)
+            # The same records as one unsorted chunk (runs interleaved).
+            chunk = KVArray.concat(runs).take(
+                np.arange(40 * k).reshape(k, 40).T.ravel())
+            for op in (FIRST, LAST, SUM):
+                serial = merge_reduce_arrays(runs, op)
+                assert_same(merge_reduce_arrays(runs, op, pool=pool), serial)
+                merger = StreamingMergeReducer(op, np.int64, pool=pool,
+                                               fanout=len(EMIT_RUN_COUNTS))
+                assert_same(collect(merger, [chunked(r, 7) for r in runs]), serial)
+                assert_same(pool.sort_reduce_chunk(chunk, op),
+                            sort_reduce_in_memory(chunk, op))
+    finally:
+        pool.shutdown()
 
 
 def test_empty_sources():

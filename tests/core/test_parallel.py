@@ -38,7 +38,7 @@ def random_kv(n, key_range, seed=0, dtype=np.float64):
 
 def serial_merge(parts, op):
     """The exact serial expression the range merge must reproduce."""
-    return op.reduce_sorted(KVArray.concat(parts).sorted(presorted_concat=True),
+    return op.reduce_sorted(KVArray.concat(parts).sorted(runs=len(parts)),
                             presorted=True)
 
 

@@ -1,11 +1,23 @@
 """On-flash CSR format: lookups, gathers, streaming, coalescing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.flash.aoffs import AppendOnlyFlashFS
+from repro.flash.device import FlashDevice, FlashGeometry
 from repro.graph.csr import CSRGraph
-from repro.graph.formats import FlashCSR, coalesce_ranges
+from repro.graph.formats import (
+    TARGET_DTYPE,
+    FlashCSR,
+    coalesce_ranges,
+    coalescing_gap,
+)
 from repro.graph.generators import random_weights
+from repro.perf.clock import SimClock
+from repro.perf.profiles import GRAFBOOST
 
 
 def test_coalesce_ranges_merges_close():
@@ -106,3 +118,65 @@ def test_reads_charge_flash_time(aoffs, random_graph):
     starts, ends = flash.index_lookup(np.arange(0, 500, 3, dtype=np.uint64))
     flash.edges_for(starts, ends)
     assert clock.elapsed_s > before
+
+
+# ------------------------------------------------ _gather vs naive slicing
+
+#: With no access latency the coalescing gap is its floor, one 8 KiB flash
+#: page = 1024 edge ids, so ranges further apart than that split into spans.
+PAGE_GAP_PROFILE = dataclasses.replace(GRAFBOOST, flash_read_latency_s=1e-9)
+GATHER_EDGES = 6000
+
+
+@pytest.fixture(scope="module")
+def gather_csr():
+    rng = np.random.default_rng(7)
+    graph = CSRGraph.from_edges(rng.integers(0, 300, GATHER_EDGES).astype(np.uint64),
+                                rng.integers(0, 300, GATHER_EDGES).astype(np.uint64), 300)
+    geometry = FlashGeometry(page_bytes=4096, pages_per_block=16, num_blocks=256)
+    store = AppendOnlyFlashFS(FlashDevice(geometry, PAGE_GAP_PROFILE, SimClock()))
+    return FlashCSR.write(store, "g", graph), graph.targets
+
+
+def check_gather(flash, targets, starts, ends):
+    """``edges_for`` equals per-range slicing, and what it records as wasted
+    is exactly what the coalesced spans read beyond the requested edges."""
+    item = TARGET_DTYPE.itemsize
+    spans = coalesce_ranges(starts, ends, coalescing_gap(flash.store, item))
+    wanted = [targets[s:max(s, e)] for s, e in zip(starts.tolist(), ends.tolist())]
+    before = flash.wasted_read_bytes
+    got = flash.edges_for(starts, ends)
+    assert got.dtype == TARGET_DTYPE
+    assert np.array_equal(got, np.concatenate(wanted))
+    got[:] = 0  # the result is the caller's to overwrite
+    assert flash.wasted_read_bytes - before == \
+        (sum(e - s for s, e in spans) - len(got)) * item
+    return spans
+
+
+def test_gather_shapes(gather_csr):
+    flash, targets = gather_csr
+    # Empty, adjacent, overlapping, duplicate and inverted ranges over three
+    # spans (the gaps 400→2000 and 2110→5000 exceed one page of edge ids).
+    starts = np.array([10, 50, 50, 90, 90, 120, 300, 2000, 2000, 2100, 5000, 5990])
+    ends = np.array([50, 50, 90, 200, 200, 110, 400, 2050, 2050, 2110, 5001, 6000])
+    assert len(check_gather(flash, targets, starts, ends)) == 3
+    # Nothing requested; and the dense identity path (ranges tile one span).
+    assert len(flash.edges_for(np.array([5, 9]), np.array([5, 3]))) == 0
+    tiles = np.arange(0, GATHER_EDGES + 1, 500)
+    assert len(check_gather(flash, targets, tiles[:-1], tiles[1:])) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from([0, 0, 1, 7, 40, 1500]),     # start − previous start
+    st.sampled_from([-3, 0, 0, 1, 5, 60, 900])), # length (≤ 0: empty)
+    min_size=1, max_size=30))
+def test_gather_matches_naive_slices(gather_csr, steps):
+    flash, targets = gather_csr
+    starts = np.minimum(np.cumsum([d for d, _ in steps]), GATHER_EDGES)
+    ends = np.minimum(starts + np.array([n for _, n in steps]), GATHER_EDGES)
+    if (ends > starts).any():
+        check_gather(flash, targets, starts, ends)
+    else:
+        assert len(flash.edges_for(starts, ends)) == 0
