@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.parallel import resolve_workers
 from repro.engine.modes import MODES as EXECUTION_MODES
 from repro.flash.device import FlashError
 from repro.flash.faults import CrashPlan, FaultPlan
@@ -57,6 +58,15 @@ def _parse_scale(text: str) -> float:
     return value
 
 
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+    return integer
+
+
 def _parse_faults(text: str) -> FaultPlan:
     try:
         return FaultPlan.parse(text)
@@ -88,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algorithm", choices=list(ALGORITHMS), default="bfs")
     run.add_argument("--dataset", choices=sorted(DATASETS), default="kron28")
     run.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE)
-    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--seed", type=_int_at_least(0), default=1)
     run.add_argument("--timeline", action="store_true",
                      help="print the per-superstep breakdown")
     run.add_argument("--faults", type=_parse_faults, default=None,
@@ -103,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "mid-run, which then remounts and resumes from "
                           "the latest checkpoint (pagerank/bfs on "
                           "GraFBoost-family systems)")
-    run.add_argument("--checkpoint-every", type=int, default=None,
+    run.add_argument("--checkpoint-every", type=_int_at_least(0), default=None,
                      metavar="N",
                      help="checkpoint engine state every N supersteps "
                           "(default: 4 when --crash is given, else off)")
@@ -111,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach FlashSan, the runtime flash-invariant "
                           "sanitizer, to the simulated device (GraFBoost-"
                           "family systems; equivalent to REPRO_SANITIZE=1)")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
+    run.add_argument("--workers", type=_int_at_least(1), default=None,
+                     metavar="N",
                      help="sort-reduce worker processes for the GraFBoost-"
                           "family engines (default: REPRO_WORKERS or 1); "
                           "results and simulated time are bit-identical "
@@ -130,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="GraFBoost")
     serve.add_argument("--dataset", choices=sorted(DATASETS), default="kron28")
     serve.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE)
-    serve.add_argument("--seed", type=int, default=1)
+    serve.add_argument("--seed", type=_int_at_least(0), default=1)
     serve.add_argument("--job", action="append", dest="jobs", metavar="SPEC",
                        help="submit one job: tenant:kind[:k=v,...][@round], "
                             "e.g. t0:pagerank:iters=2, "
@@ -157,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded power-loss plan; job state and engine "
                             "checkpoints are journaled on flash, so the "
                             "service recovers with a bit-identical trace")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
+    serve.add_argument("--workers", type=_int_at_least(1), default=None,
+                       metavar="N",
                        help="sort-reduce worker processes (trace is "
                             "bit-identical for any N)")
     serve.add_argument("--mode", choices=list(EXECUTION_MODES), default=None,
@@ -168,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--systems", default="GraFBoost,GraFBoost2,GraFSoft")
     compare.add_argument("--algorithms", default="pagerank,bfs")
     compare.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE)
-    compare.add_argument("--seed", type=int, default=1)
+    compare.add_argument("--seed", type=_int_at_least(0), default=1)
     return parser
 
 
@@ -408,7 +420,13 @@ def cmd_compare(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("run", "serve", "compare"):
+        try:  # a bad REPRO_WORKERS is a usage error too, not a traceback
+            resolve_workers(getattr(args, "workers", None))
+        except ValueError as exc:
+            parser.error(str(exc))
     handlers = {
         "datasets": cmd_datasets,
         "profiles": cmd_profiles,

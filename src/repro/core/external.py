@@ -31,6 +31,7 @@ from repro.core.kvstream import KVArray, record_dtype
 from repro.core.merger import StreamingMergeReducer
 from repro.core.reduce_ops import ReduceOp
 from repro.flash.device import FlashError
+from repro.flash.store import FileStore
 
 _run_counter = itertools.count()
 
@@ -144,7 +145,7 @@ class RunHandle:
     an in-memory chunk sort).
     """
 
-    def __init__(self, store, name: str, num_records: int, value_dtype: np.dtype,
+    def __init__(self, store: FileStore, name: str, num_records: int, value_dtype: np.dtype,
                  level: int = 0, seq: int = 0):
         self.store = store
         self.name = name
@@ -197,7 +198,7 @@ class ExternalSortReducer:
     buffer (the paper's 512 MB), registered against ``memory`` if given.
     """
 
-    def __init__(self, store, op: ReduceOp, value_dtype: np.dtype, backend,
+    def __init__(self, store: FileStore, op: ReduceOp, value_dtype: np.dtype, backend,
                  chunk_bytes: int, fanout: int = 16, name_prefix: str = "sortreduce",
                  memory=None, pool=None):
         if chunk_bytes < 1024:

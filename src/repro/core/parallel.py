@@ -373,8 +373,12 @@ class SortReducePool:
 def resolve_workers(workers: int | None) -> int:
     """``None`` defers to ``REPRO_WORKERS`` (default 1 = serial)."""
     if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "").strip()
-        workers = int(env) if env else 1
+        env = os.environ.get("REPRO_WORKERS", "").strip() or "1"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_WORKERS must be an integer, got {env!r}") from None
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers

@@ -32,6 +32,7 @@ from repro.flash.device import (
 )
 from repro.flash.filestore import SSDFileSystem
 from repro.flash.ftl import SSD
+from repro.flash.store import FileStore
 from repro.graph.csr import CSRGraph
 from repro.graph.formats import FlashCSR
 from repro.perf.clock import SimClock
@@ -67,7 +68,7 @@ class SystemConfig:
     scale_factor: float
     clock: SimClock
     device: FlashDevice
-    store: object            # AppendOnlyFlashFS or SSDFileSystem
+    store: FileStore
     backend: object          # AcceleratorBackend or SoftwareBackend
     memory: MemoryTracker
     chunk_bytes: int

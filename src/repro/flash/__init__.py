@@ -10,9 +10,10 @@ Translation Layer (§IV).  This package builds that stack in simulation:
 * :class:`PageMappedFTL` / :class:`SSD` — the "off-the-shelf SSD" baseline: a
   page-mapped FTL with greedy garbage collection and wear leveling, used by
   the competing systems and by the AOFFS-vs-FTL ablation.
-* :class:`AppendOnlyFlashFS` — the paper's AOFFS (§IV-A): host-managed
-  logical-to-physical mapping where files only ever grow by appending, which
-  is all sort-reduce needs and removes FTL latency overhead.
+* :class:`FileStore` — the append/seal/stream/delete file interface every
+  layer above talks to, with two placements: :class:`AppendOnlyFlashFS`, the
+  paper's AOFFS (§IV-A: host-managed logical-to-physical mapping on raw
+  flash, no FTL latency overhead), and :class:`SSDFileSystem` on the SSD.
 * :class:`FaultPlan` / :class:`FaultInjector` — deterministic seeded fault
   injection with an ECC/read-retry recovery model, plus the ``FlashError``
   exception taxonomy every layer above reacts to.
@@ -30,7 +31,8 @@ from repro.flash.device import (
 )
 from repro.flash.faults import FaultInjector, FaultPlan, FaultStats
 from repro.flash.ftl import PageMappedFTL, SSD
-from repro.flash.aoffs import AppendOnlyFlashFS, FlashFile
+from repro.flash.store import FileStore, StoredFile
+from repro.flash.aoffs import AppendOnlyFlashFS
 from repro.flash.filestore import SSDFileSystem
 from repro.flash.wear import WearReport
 
@@ -48,8 +50,9 @@ __all__ = [
     "FaultStats",
     "PageMappedFTL",
     "SSD",
+    "FileStore",
+    "StoredFile",
     "AppendOnlyFlashFS",
-    "FlashFile",
     "SSDFileSystem",
     "WearReport",
 ]

@@ -1,34 +1,31 @@
-"""Append-Only Flash File System (AOFFS), §IV-A of the paper.
+"""Append-Only Flash File System (AOFFS), §IV-A: the raw-flash placement.
 
 AOFFS manages the logical-to-physical flash mapping in the host instead of an
 FTL.  Its one restriction — every file only ever grows by appending — is all
-sort-reduce needs, and it makes flash management trivial:
+sort-reduce needs, and it makes flash management trivial.  Everything
+placement-independent is :class:`~repro.flash.store.FileStore`, shared with
+the SSD placement; here is what owning the mapping means:
 
-* Files own whole erase blocks, allocated from a free pool as they grow, so
-  deleting a file erases exactly its own blocks and no garbage collection or
-  relocation ever happens (write amplification is exactly 1.0).
-* Writes stream page-by-page in program order, so the erase-before-write and
-  program-order constraints of NAND are satisfied by construction.
+* Files own whole erase blocks (a file's extents are block numbers) taken
+  from a free pool as they grow, so deleting a file erases exactly its own
+  blocks and no garbage collection or relocation ever happens (write
+  amplification is exactly 1.0); pages program in order by construction.
 * No translation layer sits on the data path, which removes the FTL latency
   overhead — the reason hardware GraFBoost keeps its lookahead buffers small
   and "almost removes unused flash reads" (§V-C.3).
-
-A file being written keeps its partial tail page in host memory.  Calling
-:meth:`AppendOnlyFlashFS.seal` flushes the tail and makes the file immutable;
-sort-reduce writes each run fully and then seals it before merging.
-
-Because the host owns the mapping, wear leveling (§II-B) is a one-line
-policy instead of an FTL: block allocation always picks the least-erased
-free block, spreading program/erase cycles evenly across the device.
+* Wear leveling (§II-B) is a one-line policy instead of an FTL: allocation
+  picks the least-erased free block.  A block that fails to program is
+  retired and its pages remapped (the ``remap`` record).
+* Durable metadata is an append-only journal chain on blocks of its own
+  (``extend`` records link it), found through a superblock ping-pong pair.
 """
 
 from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from repro.flash.device import (
+    PAGE_VALID,
     FlashDevice,
     FlashEraseError,
     FlashError,
@@ -36,62 +33,30 @@ from repro.flash.device import (
     FlashProgramError,
     FlashWearOutError,
 )
-from repro.flash.faults import page_crc, verify_pages
+from repro.flash.faults import page_crc
 from repro.flash.journal import (
     JOURNAL_MAGIC,
     SUPERBLOCK_MAGIC,
-    RecoveryStats,
-    chunked_file_records,
     decode_frame,
     encode_frame,
     encode_frames,
 )
+from repro.flash.store import FileStore, StoredFile
 
 #: Durable mode reserves these two blocks as the superblock ping-pong pair.
 SUPERBLOCK_BLOCKS = (0, 1)
-#: Pages per journal commit record: bounds the record's JSON size so it
-#: always fits one journal frame, whatever the append size.
-COMMIT_CHUNK_PAGES = 128
 
 
-class FlashFile:
-    """Metadata for one append-only file: its blocks and logical size."""
-
-    def __init__(self, name: str, page_bytes: int):
-        self.name = name
-        self.page_bytes = page_bytes
-        self.blocks: list[int] = []
-        self.size = 0              # logical bytes, including the tail buffer
-        # Partial last page, not yet on flash, kept as a fragment list so
-        # appends never recopy the accumulated tail; a flush joins once.
-        self.tail_parts: list[bytes] = []
-        self.tail_len = 0
-        self.flushed_pages = 0     # pages already programmed to flash
-        self.sealed = False
-        # Per-flushed-page CRC-32, recorded only under fault injection: the
-        # end-to-end integrity check that catches ECC miscorrections.
-        self.page_crcs: list[int] = []
-
-    def tail_bytes(self) -> bytes:
-        """The unflushed tail as one bytes object (consolidates in place)."""
-        if len(self.tail_parts) != 1:
-            joined = b"".join(self.tail_parts)
-            self.tail_parts = [joined] if joined else []
-            return joined
-        return self.tail_parts[0]
-
-
-class AppendOnlyFlashFS:
+class AppendOnlyFlashFS(FileStore):
     """Host-managed append-only file system over a raw :class:`FlashDevice`.
 
-    ``prefetch_pages`` is the lookahead buffer applied to small reads.  The
-    low access latency of raw flash lets GraFBoost keep it tiny, "which
-    almost removes unused flash reads" (§V-C.3); the commodity-SSD file
-    system needs a much deeper one (see
-    :class:`~repro.flash.filestore.SSDFileSystem`).  Reads shorter than the
-    buffer still transfer the full buffer; the overshoot is charged and
-    tracked in ``prefetch_waste_bytes``.
+    The low access latency of raw flash lets GraFBoost keep the
+    ``prefetch_pages`` lookahead tiny, "which almost removes unused flash
+    reads" (§V-C.3); the commodity-SSD file system needs a much deeper one
+    (see :class:`~repro.flash.filestore.SSDFileSystem`).
     """
+
+    label = "AOFFS"
 
     def __init__(self, device: FlashDevice, prefetch_pages: int = 2,
                  durable: bool = False, journal_limit_blocks: int = 8):
@@ -103,24 +68,18 @@ class AppendOnlyFlashFS:
         file table and free pool.  The default (``False``) keeps the
         historical all-in-host-memory behaviour, bit-identical in timing.
         """
-        self.device = device
         self.geometry = device.geometry
+        super().__init__(device, self.geometry.pages_per_block,
+                         prefetch_pages, durable)
         if device.sanitizer is not None:
             # FlashSan audits every erase against the live file table,
             # journal chain and active superblock of the registered owner.
             device.sanitizer.track_owner(self)
-        self.prefetch_pages = prefetch_pages
-        self.prefetch_waste_bytes = 0
-        self.durable = durable
         self.journal_limit_blocks = journal_limit_blocks
-        self.recovery = RecoveryStats()
-        self._files: dict[str, FlashFile] = {}
         self._free_blocks: list[tuple[int, int]] = []
-        self.total_appended_bytes = 0
         if durable:
             if self.geometry.num_blocks < 4:
                 raise FlashError("durable AOFFS needs at least 4 blocks")
-            self._pending_records: list[dict] = []
             self._journal_blocks: list[int] = []
             self._journal_seq = 0
             self._generation = 0
@@ -137,35 +96,17 @@ class AppendOnlyFlashFS:
                 (0, block) for block in range(self.geometry.num_blocks)]
             heapq.heapify(self._free_blocks)
 
-    def _charge_prefetch(self, f: FlashFile, first_page: int, pages_read: int) -> None:
-        """Charge the unused tail of the lookahead buffer on a small read.
+    # The layered benchmark's tracer patches these names in *this* class's
+    # ``__dict__`` so host time lands on flash.aoffs, not flash.filestore.
+    create = FileStore.create
+    append = FileStore.append
+    seal = FileStore.seal
+    read = FileStore.read
+    stream = FileStore.stream
+    delete = FileStore.delete
+    rename = FileStore.rename
 
-        Readahead stops at end-of-file, so reading a small file whole wastes
-        nothing; the waste appears on short reads *inside* large files —
-        exactly the "unused flash reads" of §V-C.3.
-        """
-        effective = min(self.prefetch_pages, f.flushed_pages - first_page)
-        shortfall = effective - pages_read
-        if shortfall <= 0:
-            return
-        nbytes = shortfall * self.geometry.page_bytes
-        profile = self.device.profile
-        self.device.clock.charge("flash", nbytes / profile.flash_read_bw, nbytes=nbytes)
-        self.prefetch_waste_bytes += nbytes
-
-    # ---------------------------------------------------------------- queries
-
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
-    def list_files(self) -> list[str]:
-        return sorted(self._files)
-
-    def size(self, name: str) -> int:
-        return self._file(name).size
-
-    def is_sealed(self, name: str) -> bool:
-        return self._file(name).sealed
+    # -------------------------------------------------------------- placement
 
     @property
     def free_bytes(self) -> int:
@@ -184,147 +125,44 @@ class AppendOnlyFlashFS:
         heapq.heappush(self._free_blocks,
                        (self.device.erase_counts[block], block))
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(len(f.blocks) for f in self._files.values()) * self.geometry.block_bytes
-
-    def _file(self, name: str) -> FlashFile:
-        if name not in self._files:
-            raise FileNotFoundError(f"no AOFFS file named {name!r}")
-        return self._files[name]
-
-    # ---------------------------------------------------------------- writing
-
-    def create(self, name: str) -> None:
-        """Create an empty file; the name must be unused."""
-        if name in self._files:
-            raise FileExistsError(f"AOFFS file {name!r} already exists")
-        self._files[name] = FlashFile(name, self.geometry.page_bytes)
-        self._log({"op": "create", "name": name})
-        self._commit_log()
-
-    def append(self, name: str, data: bytes) -> None:
-        """Append bytes to a file, creating it if needed.
-
-        Complete pages are streamed to flash immediately (batched, so device
-        latency is amortized over the whole call); the final partial page
-        stays in the host tail buffer until more data arrives or the file is
-        sealed.  In durable mode the journal commit record is written *after*
-        the data pages land (write-ahead for deletes, write-behind for data):
-        a crash in between leaves fully-programmed but unreferenced pages
-        that mount discards.
-        """
-        if name not in self._files:
-            self._files[name] = FlashFile(name, self.geometry.page_bytes)
-            self._log({"op": "create", "name": name})
-        f = self._files[name]
-        if f.sealed:
-            raise FlashError(f"append to sealed AOFFS file {name!r}")
-        if data:
-            f.tail_parts.append(bytes(data))
-            f.tail_len += len(data)
-        f.size += len(data)
-        self.total_appended_bytes += len(data)
-        self._flush_full_pages(f)
-        self._commit_log()
-
-    def _flush_full_pages(self, f: FlashFile) -> None:
-        page_bytes = self.geometry.page_bytes
-        n_full = f.tail_len // page_bytes
-        if n_full == 0:
-            return
-        pages_per_block = self.geometry.pages_per_block
-        first = f.flushed_pages
-        # Claim every block the batch will touch, in ascending page order —
-        # the identical wear-leveled allocation sequence the per-page path
-        # produced.
-        last_block_index = (first + n_full - 1) // pages_per_block
-        prior_blocks = len(f.blocks)
-        while len(f.blocks) <= last_block_index:
-            f.blocks.append(self._allocate_block())
-        flush_bytes = n_full * page_bytes
-        blob = f.tail_bytes()
-        page_index = np.arange(first, first + n_full)
-        blocks = np.asarray(f.blocks, dtype=np.int64)[page_index // pages_per_block].tolist()
-        pages = (page_index % pages_per_block).tolist()
-        # Zero-copy page views into the joined tail; the device stores them
-        # as-is, and every consumer goes through the buffer protocol.
-        view = memoryview(blob)
-        writes = [
-            (block, page, view[start:start + page_bytes])
-            for block, page, start in zip(blocks, pages, range(0, flush_bytes, page_bytes))
-        ]
-        self._program_pages(f, writes)
-        remainder = blob[flush_bytes:]
-        f.tail_parts = [remainder] if remainder else []
-        f.tail_len -= flush_bytes
-        f.flushed_pages += n_full
-        if self.durable:
-            # Bounded commit records: a multi-megabyte append would list
-            # thousands of pages, which no single journal frame can hold.
-            # ``flushed`` is absolute and blocks/crcs extend on replay, so
-            # a chunk sequence is equivalent — and a crash mid-sequence
-            # recovers a consistent prefix of the flush.
-            next_block = prior_blocks
-            for cs in range(first, first + n_full, COMMIT_CHUNK_PAGES):
-                ce = min(cs + COMMIT_CHUNK_PAGES, first + n_full)
-                hi_block = (ce - 1) // pages_per_block + 1
-                self._log({"op": "commit", "name": f.name, "flushed": ce,
-                           "blocks": f.blocks[next_block:hi_block],
-                           "crcs": f.page_crcs[cs:ce]})
-                next_block = hi_block
-
-    def seal(self, name: str) -> None:
-        """Flush the tail (padded to a page) and make the file immutable."""
-        f = self._file(name)
-        if f.sealed:
-            return
-        if f.tail_len:
-            tail = f.tail_bytes()
-            padded = tail + b"\x00" * (self.geometry.page_bytes - len(tail))
-            prior_blocks = len(f.blocks)
-            prior_crcs = len(f.page_crcs)
-            block, page = self._physical_addr(f, f.flushed_pages, allocate=True)
-            self._program_pages(f, [(block, page, padded)])
-            f.tail_parts = []
-            f.tail_len = 0
-            f.flushed_pages += 1
-            if self.durable:
-                self._log({"op": "commit", "name": f.name,
-                           "flushed": f.flushed_pages,
-                           "blocks": f.blocks[prior_blocks:],
-                           "crcs": f.page_crcs[prior_crcs:]})
-        f.sealed = True
-        self._log({"op": "seal", "name": name, "size": f.size})
-        self._commit_log()
-
-    def _program_pages(self, f: FlashFile, writes: list[tuple[int, int, bytes]]) -> None:
+    def _program(self, f: StoredFile, pages: list, batched: bool) -> None:
         """Program pages, surviving program failures by block remapping.
 
         A failed program retires the block; the pages it already holds are
         copied to a fresh block which takes over the retired block's slot in
-        ``f.blocks`` (file addressing never changes), and the remaining
-        writes retarget it.  Single-page lists use the scalar device call so
-        the charged time is identical to the historical per-page path.
+        ``f.extents`` (file addressing never changes), and the remaining
+        writes retarget it.  Whatever ``batched`` says, a single-page list
+        uses the scalar device call — one-page appends always have here.
         """
-        pending = writes
+        ppb = self.pages_per_extent
+        first = f.flushed_pages
+        demand = (first + len(pages) - 1) // ppb + 1 - len(f.extents)
+        if demand > len(self._free_blocks):
+            raise FlashOutOfSpaceError(
+                f"AOFFS out of space appending to {f.name!r}: {demand} "
+                f"blocks needed, {len(self._free_blocks)} free (bad blocks: "
+                f"{self.device.bad_block_count})")
+        # Claimed in ascending page order: the wear-leveled allocation
+        # sequence of a page-at-a-time writer.
+        f.extents.extend(self._allocate_block() for _ in range(demand))
+        blocks = f.extents
+        pending = [(blocks[i // ppb], i % ppb, data)
+                   for i, data in enumerate(pages, first)]
         while True:
             try:
                 if len(pending) == 1:
                     self.device.write_page(*pending[0])
                 else:
                     self.device.write_pages(pending)
-                break
+                return
             except FlashProgramError as e:
                 committed = getattr(e, "batch_committed", 0)
                 bad = e.block
                 fresh = self._remap_bad_block(f, bad)
                 pending = [(fresh if b == bad else b, p, d)
                            for b, p, d in pending[committed:]]
-        if self.device.faults is not None or self.durable:
-            f.page_crcs.extend(page_crc(d) for _b, _p, d in writes)
 
-    def _remap_bad_block(self, f: FlashFile, bad: int) -> int:
+    def _remap_bad_block(self, f: StoredFile, bad: int) -> int:
         """Copy a retired block's programmed pages onto a fresh block and
         swap it into the file's block list."""
         count = self.device.programmed_pages(bad)
@@ -343,116 +181,28 @@ class AppendOnlyFlashFS:
                 break
             except FlashProgramError:
                 continue  # the replacement died too; try another spare
-        f.blocks[f.blocks.index(bad)] = fresh
+        f.extents[f.extents.index(bad)] = fresh
         self._log({"op": "remap", "name": f.name, "bad": bad, "fresh": fresh})
         return fresh
 
-    def _physical_addr(self, f: FlashFile, page_index: int, allocate: bool = False) -> tuple[int, int]:
-        pages_per_block = self.geometry.pages_per_block
-        block_index, page = divmod(page_index, pages_per_block)
-        if block_index >= len(f.blocks):
-            if not allocate:
-                raise FlashError(f"page {page_index} beyond end of file {f.name!r}")
-            f.blocks.append(self._allocate_block())
-        return f.blocks[block_index], page
+    def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:
+        blocks, ppb = f.extents, self.pages_per_extent
+        return self.device.read_pages(
+            [(blocks[i // ppb], i % ppb)
+             for i in range(first_page, last_page + 1)])
 
-    # ---------------------------------------------------------------- reading
+    def _fetch_one(self, f: StoredFile, page_index: int) -> bytes:
+        block_index, page = divmod(page_index, self.pages_per_extent)
+        return self.device.read_page(f.extents[block_index], page)
 
-    def read(self, name: str, offset: int = 0, nbytes: int | None = None) -> bytes:
-        """Read a byte range; one device access latency per call.
-
-        Streaming readers should read in large chunks; a caller doing many
-        small reads pays the per-access latency each time, exactly like a
-        real host doing fine-grained random flash I/O.
-        """
-        f = self._file(name)
-        if nbytes is None:
-            nbytes = f.size - offset
-        if offset < 0 or nbytes < 0 or offset + nbytes > f.size:
-            raise ValueError(
-                f"read [{offset}, {offset + nbytes}) out of range for "
-                f"{name!r} of size {f.size}"
-            )
-        if nbytes == 0:
-            return b""
-        page_bytes = self.geometry.page_bytes
-        flushed_bytes = f.flushed_pages * page_bytes
-
-        parts: list[bytes] = []
-        flash_end = min(offset + nbytes, flushed_bytes)
-        if offset < flushed_bytes:
-            first_page = offset // page_bytes
-            last_page = (flash_end - 1) // page_bytes
-            if last_page - first_page > 8:
-                ppb = self.geometry.pages_per_block
-                idx = np.arange(first_page, last_page + 1)
-                blk = np.asarray(f.blocks, dtype=np.int64)[idx // ppb]
-                addresses = list(zip(blk.tolist(), (idx % ppb).tolist()))
-            else:
-                addresses = [self._physical_addr(f, i) for i in range(first_page, last_page + 1)]
-            pages = self.device.read_pages(addresses)
-            if self.device.faults is not None:
-                pages = verify_pages(
-                    pages, f.page_crcs, first_page,
-                    lambda i: self.device.read_page(*self._physical_addr(f, i)),
-                    self.device.faults, f"aoffs:{f.name}")
-            self._charge_prefetch(f, first_page, len(addresses))
-            blob = b"".join(pages)
-            start = offset - first_page * page_bytes
-            parts.append(blob[start:start + (flash_end - offset)])
-        if offset + nbytes > flushed_bytes:
-            tail_start = max(0, offset - flushed_bytes)
-            tail_end = offset + nbytes - flushed_bytes
-            parts.append(f.tail_bytes()[tail_start:tail_end])
-        return b"".join(parts)
-
-    def stream(self, name: str, chunk_bytes: int):
-        """Yield the file's contents in ``chunk_bytes`` pieces (sequential scan)."""
-        if chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
-        size = self._file(name).size
-        offset = 0
-        while offset < size:
-            n = min(chunk_bytes, size - offset)
-            yield self.read(name, offset, n)
-            offset += n
-
-    # ----------------------------------------------------------- numpy helpers
-
-    def append_array(self, name: str, array: np.ndarray) -> None:
-        """Append a numpy array's raw bytes to a file."""
-        self.append(name, np.ascontiguousarray(array).tobytes())
-
-    def read_array(self, name: str, dtype: np.dtype, start_item: int = 0,
-                   count: int | None = None) -> np.ndarray:
-        """Read ``count`` items of ``dtype`` starting at item ``start_item``."""
-        dtype = np.dtype(dtype)
-        if count is None:
-            count = self.size(name) // dtype.itemsize - start_item
-        raw = self.read(name, start_item * dtype.itemsize, count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype)
-
-    # --------------------------------------------------------------- deletion
-
-    def delete(self, name: str) -> None:
-        """Delete a file and erase its blocks back into the free pool.
+    def _reclaim(self, extents: list[int]) -> None:
+        """Erase blocks back into the free pool.
 
         Erases run in the background: with block-per-file allocation there
         is never data to relocate, so the device pipelines reclamation
-        behind foreground traffic (unlike FTL garbage collection).  In
-        durable mode the journal records the delete *before* the erases: a
-        crash mid-reclamation leaves unreferenced blocks that mount scrubs.
+        behind foreground traffic (unlike FTL garbage collection).
         """
-        f = self._file(name)
-        # The table mutation precedes the commit so a compaction fired
-        # inside it snapshots the post-delete state.
-        self._log({"op": "delete", "name": name})
-        del self._files[name]
-        self._commit_log()
-        self._erase_into_pool(f.blocks)
-
-    def _erase_into_pool(self, blocks: list[int]) -> None:
-        for block in blocks:
+        for block in extents:
             try:
                 if not self.device.block_is_erased(block):
                     self.device.erase_block(block, background=True)
@@ -460,38 +210,7 @@ class AppendOnlyFlashFS:
                 continue  # block retired: it never rejoins the free pool
             self._release_block(block)
 
-    def rename(self, old: str, new: str, overwrite: bool = False) -> None:
-        """Rename a file (metadata only, no flash traffic).
-
-        With ``overwrite=True`` an existing target is atomically replaced:
-        the delete and the rename land in one journal commit, so after any
-        crash the target is either entirely the old file or entirely the
-        new one — the primitive checkpoint publication relies on.
-        """
-        f = self._file(old)
-        victim = None
-        if new in self._files and new != old:
-            if not overwrite:
-                raise FileExistsError(f"AOFFS file {new!r} already exists")
-            victim = self._files[new]
-            self._log({"op": "delete", "name": new})
-        elif new in self._files:
-            raise FileExistsError(f"AOFFS file {new!r} already exists")
-        self._log({"op": "rename", "old": old, "new": new})
-        f.name = new
-        del self._files[old]
-        self._files[new] = f
-        self._commit_log()
-        if victim is not None:
-            self._erase_into_pool(victim.blocks)
-
     # ----------------------------------------------------- durable metadata
-
-    def _log(self, *records: dict) -> None:
-        """Buffer journal records for the current public call (no-op unless
-        durable)."""
-        if self.durable:
-            self._pending_records.extend(records)
 
     def _commit_log(self) -> None:
         """Flush buffered records as journal frames, then maybe compact."""
@@ -499,7 +218,7 @@ class AppendOnlyFlashFS:
             return
         records, self._pending_records = self._pending_records, []
         frames = encode_frames(JOURNAL_MAGIC, self._journal_seq, records,
-                               self.geometry.page_bytes)
+                               self.page_bytes)
         self._journal_seq += len(frames)
         for frame in frames:
             self._journal_write(frame)
@@ -538,7 +257,7 @@ class AppendOnlyFlashFS:
             return
         frame = encode_frame(JOURNAL_MAGIC, self._journal_seq,
                              [{"op": "extend", "block": fresh}],
-                             self.geometry.page_bytes)
+                             self.page_bytes)
         self._journal_seq += 1
         try:
             self.device.write_page(
@@ -557,21 +276,16 @@ class AppendOnlyFlashFS:
         durable state (unflushed host tails are never journaled).
         """
         old_chain = self._journal_blocks
-        records: list[dict] = []
-        for name in sorted(self._files):
-            f = self._files[name]
-            records.extend(chunked_file_records(
-                name, f.size, f.flushed_pages, f.sealed, f.blocks,
-                f.page_crcs))
+        records = self._snapshot_records()
         self._journal_blocks = [self._allocate_block("journal")]
         frames = encode_frames(JOURNAL_MAGIC, self._journal_seq, records,
-                               self.geometry.page_bytes)
+                               self.page_bytes)
         self._journal_seq += len(frames)
         for frame in frames:
             self._journal_write(frame)
         self._write_superblock()
-        self._erase_into_pool([b for b in old_chain
-                               if b not in self._journal_blocks])
+        self._reclaim([b for b in old_chain
+                       if b not in self._journal_blocks])
 
     # -------------------------------------------------- superblock handling
 
@@ -582,7 +296,7 @@ class AppendOnlyFlashFS:
             if self.device.is_bad(block):
                 continue
             for page in range(self.device.programmed_pages(block)):
-                if self.device.page_state(block, page) != 1:  # PAGE_VALID
+                if self.device.page_state(block, page) != PAGE_VALID:
                     continue
                 try:
                     raw = self.device.read_page(block, page)
@@ -604,7 +318,7 @@ class AppendOnlyFlashFS:
         self._generation += 1
         frame = encode_frame(SUPERBLOCK_MAGIC, self._generation,
                              [{"journal": self._journal_blocks}],
-                             self.geometry.page_bytes)
+                             self.page_bytes)
         first = (1 - self._sb_active) if self._sb_active is not None \
             else SUPERBLOCK_BLOCKS[0]
         for target in (first, 1 - first):
@@ -670,7 +384,7 @@ class AppendOnlyFlashFS:
             if not 0 <= block < self.geometry.num_blocks:
                 continue
             for page in range(self.device.programmed_pages(block)):
-                if self.device.page_state(block, page) != 1:  # PAGE_VALID
+                if self.device.page_state(block, page) != PAGE_VALID:
                     continue
                 try:
                     raw = self.device.read_page(block, page)
@@ -694,56 +408,18 @@ class AppendOnlyFlashFS:
             if seq in applied:
                 continue
             applied.add(seq)
-            self.recovery.replayed_frames += 1
-            for record in records:
-                self._apply_record(record)
-                self.recovery.replayed_records += 1
+            self._replay_frame(records)
         self._journal_seq = (max(applied) + 1) if applied else 0
         self.recovery.recovered_files += len(self._files)
 
     def _apply_record(self, r: dict) -> None:
-        op = r.get("op")
-        files = self._files
-        if op == "create":
-            files.setdefault(r["name"],
-                             FlashFile(r["name"], self.geometry.page_bytes))
-        elif op == "commit":
-            f = files.setdefault(r["name"],
-                                 FlashFile(r["name"], self.geometry.page_bytes))
-            f.blocks.extend(r["blocks"])
-            f.flushed_pages = r["flushed"]
-            f.size = r["flushed"] * self.geometry.page_bytes
-            f.page_crcs.extend(r["crcs"])
-        elif op == "seal":
-            if r["name"] in files:
-                f = files[r["name"]]
-                f.sealed = True
-                f.size = r["size"]
-        elif op == "delete":
-            files.pop(r["name"], None)
-        elif op == "rename":
-            if r["old"] in files:
-                f = files.pop(r["old"])
-                f.name = r["new"]
-                files[r["new"]] = f
-        elif op == "remap":
-            f = files.get(r["name"])
-            if f is not None and r["bad"] in f.blocks:
-                f.blocks[f.blocks.index(r["bad"])] = r["fresh"]
-        elif op == "file":
-            f = FlashFile(r["name"], self.geometry.page_bytes)
-            f.blocks = list(r["blocks"])
-            f.page_crcs = list(r["crcs"])
-            f.flushed_pages = r["flushed"]
-            f.size = r["size"]
-            f.sealed = r["sealed"]
-            files[r["name"]] = f
-        elif op == "filex":
-            if r["name"] in files:
-                f = files[r["name"]]
-                f.blocks.extend(r["blocks"])
-                f.page_crcs.extend(r["crcs"])
-        # "extend" records steer chain discovery and are no-ops here.
+        if r.get("op") == "remap":
+            f = self._files.get(r["name"])
+            if f is not None and r["bad"] in f.extents:
+                f.extents[f.extents.index(r["bad"])] = r["fresh"]
+        else:
+            # "extend" records steer chain discovery and are no-ops there.
+            super()._apply_record(r)
 
     def _fix_tails(self) -> None:
         """Discard uncommitted state the crash left behind.
@@ -758,25 +434,19 @@ class AppendOnlyFlashFS:
         """
         ppb = self.geometry.pages_per_block
         for f in list(self._files.values()):
-            if not f.sealed:
-                committed = f.flushed_pages * self.geometry.page_bytes
-                if f.size != committed:
-                    f.size = committed
-                    self.recovery.truncated_files += 1
-                f.tail_parts = []
-                f.tail_len = 0
-            if not f.blocks:
+            self._drop_lost_tail(f)
+            if not f.extents:
                 continue
-            last = f.blocks[-1]
-            expected = f.flushed_pages - (len(f.blocks) - 1) * ppb
+            last = f.extents[-1]
+            expected = f.flushed_pages - (len(f.extents) - 1) * ppb
             actual = self.device.programmed_pages(last)
             if actual <= expected:
                 continue
             self.recovery.discarded_pages += actual - expected
             if expected == 0:
-                f.blocks.pop()
+                f.extents.pop()
             else:
-                f.blocks[-1] = self._relocate_committed(f, last, expected)
+                f.extents[-1] = self._relocate_committed(f, last, expected)
             try:
                 if not self.device.block_is_erased(last):
                     self.device.erase_block(last)
@@ -785,11 +455,11 @@ class AppendOnlyFlashFS:
             except FlashEraseError:
                 pass
 
-    def _relocate_committed(self, f: FlashFile, dirty: int,
+    def _relocate_committed(self, f: StoredFile, dirty: int,
                             count: int) -> int:
         """Copy the committed prefix of a dirty block onto a fresh one."""
         pages = self.device.read_pages([(dirty, p) for p in range(count)])
-        base = (len(f.blocks) - 1) * self.geometry.pages_per_block
+        base = (len(f.extents) - 1) * self.geometry.pages_per_block
         if f.page_crcs:
             for offset, data in enumerate(pages):
                 index = base + offset
@@ -814,7 +484,7 @@ class AppendOnlyFlashFS:
         superblocks, or the bad-block list — scrubbed back to erased."""
         owned: set[int] = set()
         for f in self._files.values():
-            owned.update(f.blocks)
+            owned.update(f.extents)
         owned.update(self._journal_blocks)
         owned.update(SUPERBLOCK_BLOCKS)
         pool = []

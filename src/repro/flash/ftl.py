@@ -168,6 +168,10 @@ class PageMappedFTL:
         self._check_lpn(lpn)
         return lpn in self._map
 
+    def mapped_lpns(self) -> list[int]:
+        """Every mapped logical page, in mapping order."""
+        return list(self._map)
+
     def translate(self, lpn: int) -> tuple[int, int]:
         """Physical (block, page) address of a mapped logical page."""
         self._check_lpn(lpn)

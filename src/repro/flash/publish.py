@@ -14,8 +14,10 @@ are part of the on-flash format.
 
 from __future__ import annotations
 
+from repro.flash.store import FileStore
 
-def publish(store, staging: str, final: str, payload: bytes) -> None:
+
+def publish(store: FileStore, staging: str, final: str, payload: bytes) -> None:
     """Atomically replace ``final`` with ``payload`` on either file store."""
     if store.exists(staging):
         store.delete(staging)
@@ -24,7 +26,7 @@ def publish(store, staging: str, final: str, payload: bytes) -> None:
     store.rename(staging, final, overwrite=True)
 
 
-def discard(store, staging: str, final: str) -> None:
+def discard(store: FileStore, staging: str, final: str) -> None:
     """Delete a published file and any staging leftover of it."""
     for name in (staging, final):
         if store.exists(name):

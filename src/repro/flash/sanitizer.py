@@ -156,8 +156,8 @@ class FlashSanitizer:
                         f"{ftl._reverse[(block, page)]} by the FTL")
         fs = self._owner
         if fs is not None:
-            for f in getattr(fs, "_files", {}).values():
-                if block in f.blocks:
+            for f in fs._files.values():
+                if block in f.extents:
                     raise SanitizerError(
                         f"erase of block {block} still owned by live AOFFS "
                         f"file {f.name!r}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.flash.store import FileStore
 from repro.graph.csr import CSRGraph
 
 OFFSET_DTYPE = np.dtype("<u8")
@@ -56,7 +57,7 @@ def coalesce_ranges(starts: np.ndarray, ends: np.ndarray, max_gap: int) -> list[
     return list(zip(span_starts.tolist(), span_ends.tolist()))
 
 
-def coalescing_gap(store, itemsize: int) -> int:
+def coalescing_gap(store: FileStore, itemsize: int) -> int:
     """Coalescing window, in items of ``itemsize`` bytes: ranges closer than
     this merge into one read.
 
@@ -75,7 +76,7 @@ def coalescing_gap(store, itemsize: int) -> int:
 class FlashCSR:
     """Reader/writer for the on-flash CSR format."""
 
-    def __init__(self, store, prefix: str, num_vertices: int, num_edges: int,
+    def __init__(self, store: FileStore, prefix: str, num_vertices: int, num_edges: int,
                  has_weights: bool = False):
         self.store = store
         self.prefix = prefix
@@ -108,7 +109,7 @@ class FlashCSR:
         return total
 
     @staticmethod
-    def write(store, prefix: str, graph: CSRGraph) -> "FlashCSR":
+    def write(store: FileStore, prefix: str, graph: CSRGraph) -> "FlashCSR":
         """Serialize an in-memory CSR graph into flash files."""
         out = FlashCSR(store, prefix, graph.num_vertices, graph.num_edges,
                        has_weights=graph.has_weights)

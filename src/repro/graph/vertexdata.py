@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.bloom import BloomFilter
 from repro.core.kvstream import KVArray
+from repro.flash.store import FileStore
 from repro.graph.formats import coalesce_ranges, coalescing_gap
 
 _va_counter = itertools.count()
@@ -81,7 +82,7 @@ def _overlay_bloom(count: int) -> BloomFilter:
 class VertexArray:
     """``V`` on flash: default-valued until written, append-only thereafter."""
 
-    def __init__(self, store, num_vertices: int, value_dtype: np.dtype,
+    def __init__(self, store: FileStore, num_vertices: int, value_dtype: np.dtype,
                  default_value, prefix: str | None = None, max_overlays: int = 8,
                  retire=None):
         if num_vertices < 1:
@@ -225,7 +226,7 @@ class VertexArray:
         }
 
     @classmethod
-    def restore(cls, store, state: dict, value_dtype: np.dtype, default_value,
+    def restore(cls, store: FileStore, state: dict, value_dtype: np.dtype, default_value,
                 max_overlays: int = 8, retire=None) -> "VertexArray":
         """Reattach to checkpointed vertex data after a remount."""
         array = cls(store, state["num_vertices"], value_dtype, default_value,

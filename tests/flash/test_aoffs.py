@@ -1,77 +1,41 @@
-"""Append-Only Flash File System: the paper's AOFFS (§IV-A)."""
+"""Append-Only Flash File System: what only the paper's AOFFS (§IV-A) does.
 
-import numpy as np
+The interface cases every file store shares live in
+``test_store_contract.py``, which runs them on both placements, volatile
+and durable.
+"""
+
 import pytest
+import test_store_contract as contract
 
 from repro.flash.device import FlashError
 
 
-def test_append_read_roundtrip(aoffs):
-    aoffs.append("f", b"hello ")
-    aoffs.append("f", b"world")
-    assert aoffs.read("f") == b"hello world"
-    assert aoffs.size("f") == 11
+@pytest.fixture
+def store(aoffs):
+    return aoffs
 
 
-def test_read_ranges(aoffs):
-    data = bytes(range(256)) * 100  # spans several pages
-    aoffs.append("f", data)
-    assert aoffs.read("f", 0, 10) == data[:10]
-    assert aoffs.read("f", 5000, 3000) == data[5000:8000]
-    assert aoffs.read("f", len(data) - 7) == data[-7:]
-    assert aoffs.read("f", 100, 0) == b""
-
-
-def test_read_out_of_range(aoffs):
-    aoffs.append("f", b"abc")
-    with pytest.raises(ValueError):
-        aoffs.read("f", 0, 10)
-    with pytest.raises(ValueError):
-        aoffs.read("f", -1, 1)
-
-
-def test_tail_visible_before_seal(aoffs):
-    aoffs.append("f", b"tiny")  # smaller than a page: stays in tail buffer
-    assert aoffs.read("f") == b"tiny"
-    aoffs.seal("f")
-    assert aoffs.read("f") == b"tiny"
-
-
-def test_seal_makes_immutable(aoffs):
-    aoffs.append("f", b"x")
-    aoffs.seal("f")
-    aoffs.seal("f")  # idempotent
-    with pytest.raises(FlashError, match="sealed"):
-        aoffs.append("f", b"more")
+# The contract cases on the conftest ``aoffs`` stack, under the test ids
+# they have always had here (the tier-1 floor list names them).
+test_append_read_roundtrip = contract.test_append_read_roundtrip
+test_read_ranges = contract.test_read_ranges
+test_read_out_of_range = contract.test_read_out_of_range
+test_tail_visible_before_seal = contract.test_tail_visible_before_seal
+test_seal_makes_immutable = contract.test_seal_makes_immutable
+test_create_conflicts = contract.test_create_conflicts
+test_missing_file = contract.test_missing_file
+test_delete_returns_space = contract.test_delete_returns_space
+test_array_roundtrip = contract.test_array_roundtrip
+test_stream_chunks = contract.test_stream_chunks
+test_rename = contract.test_rename
+test_list_files = contract.test_list_files
 
 
 def test_append_only_no_random_update_api(aoffs):
     # AOFFS deliberately exposes no in-place write; the attribute must not
     # exist (SSDFileSystem has it, AOFFS must not).
     assert not hasattr(aoffs, "write_at")
-
-
-def test_create_conflicts(aoffs):
-    aoffs.create("f")
-    with pytest.raises(FileExistsError):
-        aoffs.create("f")
-
-
-def test_missing_file(aoffs):
-    with pytest.raises(FileNotFoundError):
-        aoffs.read("ghost")
-    with pytest.raises(FileNotFoundError):
-        aoffs.delete("ghost")
-    assert not aoffs.exists("ghost")
-
-
-def test_delete_returns_space(aoffs):
-    free_before = aoffs.free_bytes
-    aoffs.append("f", b"z" * 20000)
-    assert aoffs.free_bytes < free_before
-    aoffs.delete("f")
-    assert aoffs.free_bytes == free_before
-    assert not aoffs.exists("f")
 
 
 def test_delete_erases_blocks(aoffs):
@@ -91,46 +55,10 @@ def test_no_write_amplification(aoffs):
     assert aoffs.device.total_pages_written == 10
 
 
-def test_array_roundtrip(aoffs):
-    array = np.arange(5000, dtype=np.uint64)
-    aoffs.append_array("a", array)
-    aoffs.seal("a")
-    back = aoffs.read_array("a", np.uint64)
-    assert np.array_equal(back, array)
-    middle = aoffs.read_array("a", np.uint64, start_item=100, count=50)
-    assert np.array_equal(middle, array[100:150])
-
-
-def test_stream_chunks(aoffs):
-    data = bytes(range(256)) * 64
-    aoffs.append("f", data)
-    chunks = list(aoffs.stream("f", 1000))
-    assert b"".join(chunks) == data
-    assert all(len(c) <= 1000 for c in chunks)
-    with pytest.raises(ValueError):
-        list(aoffs.stream("f", 0))
-
-
-def test_rename(aoffs):
-    aoffs.append("old", b"payload")
-    aoffs.rename("old", "new")
-    assert aoffs.read("new") == b"payload"
-    assert not aoffs.exists("old")
-    aoffs.append("other", b"x")
-    with pytest.raises(FileExistsError):
-        aoffs.rename("other", "new")
-
-
 def test_out_of_space(aoffs):
     capacity = aoffs.free_bytes
     with pytest.raises(FlashError, match="out of space"):
         aoffs.append("big", b"\xff" * (capacity + aoffs.geometry.block_bytes))
-
-
-def test_list_files(aoffs):
-    aoffs.append("b", b"1")
-    aoffs.append("a", b"2")
-    assert aoffs.list_files() == ["a", "b"]
 
 
 def test_wear_leveled_allocation(aoffs):

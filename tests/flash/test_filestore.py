@@ -1,30 +1,28 @@
-"""SSD-backed file system: interface parity with AOFFS plus in-place writes."""
+"""SSD-backed file system: what only the FTL placement does (in-place writes).
 
-import numpy as np
+The interface cases every file store shares live in
+``test_store_contract.py``, which runs them on both placements, volatile
+and durable.
+"""
+
 import pytest
-
-from repro.flash.device import FlashError
-
-
-def test_append_read_roundtrip(ssd_fs):
-    ssd_fs.append("f", b"abc")
-    ssd_fs.append("f", b"def")
-    assert ssd_fs.read("f") == b"abcdef"
+import test_store_contract as contract
 
 
-def test_multi_page_file(ssd_fs):
-    data = bytes(range(256)) * 80
-    ssd_fs.append("f", data)
-    ssd_fs.seal("f")
-    assert ssd_fs.read("f") == data
-    assert ssd_fs.read("f", 7000, 2000) == data[7000:9000]
+@pytest.fixture
+def store(ssd_fs):
+    return ssd_fs
 
 
-def test_array_roundtrip(ssd_fs):
-    array = np.linspace(0, 1, 3000)
-    ssd_fs.append_array("a", array)
-    ssd_fs.seal("a")
-    assert np.allclose(ssd_fs.read_array("a", np.float64), array)
+# The contract cases on the conftest ``ssd_fs`` stack, under the test ids
+# they have always had here (the tier-1 floor list names them).
+test_append_read_roundtrip = contract.test_append_read_roundtrip
+test_multi_page_file = contract.test_read_ranges
+test_array_roundtrip = contract.test_array_roundtrip
+test_delete_trims_and_frees = contract.test_delete_returns_space
+test_seal_then_append_rejected = contract.test_seal_makes_immutable
+test_stream = contract.test_stream_chunks
+test_rename = contract.test_rename
 
 
 def test_write_at_in_place_update(ssd_fs):
@@ -56,34 +54,6 @@ def test_write_at_causes_ftl_garbage(ssd_fs):
     user_writes_before = ssd_fs.ssd.ftl.user_pages_written
     ssd_fs.write_at("f", 0, b"y" * page)
     assert ssd_fs.ssd.ftl.user_pages_written == user_writes_before + 1
-
-
-def test_delete_trims_and_frees(ssd_fs):
-    free_before = ssd_fs.free_bytes
-    ssd_fs.append("f", b"z" * 50000)
-    ssd_fs.delete("f")
-    assert ssd_fs.free_bytes == free_before
-    with pytest.raises(FileNotFoundError):
-        ssd_fs.read("f")
-
-
-def test_seal_then_append_rejected(ssd_fs):
-    ssd_fs.append("f", b"x")
-    ssd_fs.seal("f")
-    with pytest.raises(FlashError, match="sealed"):
-        ssd_fs.append("f", b"y")
-
-
-def test_stream(ssd_fs):
-    data = b"m" * 10000
-    ssd_fs.append("f", data)
-    assert b"".join(ssd_fs.stream("f", 3000)) == data
-
-
-def test_rename(ssd_fs):
-    ssd_fs.append("a", b"1")
-    ssd_fs.rename("a", "b")
-    assert ssd_fs.read("b") == b"1"
 
 
 def test_interface_parity_with_aoffs(ssd_fs, aoffs):

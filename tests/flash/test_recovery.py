@@ -130,7 +130,7 @@ def check_aoffs_structure(fs) -> None:
     owner: dict[int, str] = {}
     for name in fs.list_files():
         f = fs._files[name]
-        for block in f.blocks:
+        for block in f.extents:
             assert block not in owner, \
                 f"block {block} shared by {owner[block]!r} and {name!r}"
             assert block not in SUPERBLOCK_BLOCKS
@@ -150,7 +150,7 @@ def check_ssd_fs_structure(fs) -> None:
     owner: dict[int, str] = {}
     for name in fs.list_files():
         f = fs._files[name]
-        for lpn in f.lpns:
+        for lpn in f.extents:
             assert lpn not in owner, \
                 f"lpn {lpn} shared by {owner[lpn]!r} and {name!r}"
             assert lpn >= fs.meta_lpns, f"file lpn {lpn} inside metadata log"

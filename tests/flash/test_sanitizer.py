@@ -159,7 +159,7 @@ def test_erase_of_live_aoffs_file_detected():
     fs = AppendOnlyFlashFS(device)
     fs.append("f", page_of(1))
     fs.seal("f")
-    block = fs._files["f"].blocks[0]
+    block = fs._files["f"].extents[0]
     with pytest.raises(SanitizerError, match="owned by live"):
         device.erase_block(block)
 
@@ -180,7 +180,7 @@ def test_erase_of_reclaimed_block_is_clean():
     fs = AppendOnlyFlashFS(device)
     fs.append("f", page_of(1))
     fs.seal("f")
-    block = fs._files["f"].blocks[0]
+    block = fs._files["f"].extents[0]
     fs.delete("f")  # delete erases the block back into the pool — legal
     assert device.sanitizer._state[block].any() == False  # noqa: E712
 

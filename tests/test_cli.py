@@ -75,6 +75,31 @@ def test_scale_validation():
         parser.parse_args(["run", "--scale", "0"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--workers", "0"], ["run", "--workers", "-2"],
+    ["run", "--workers", "two"], ["run", "--seed", "-1"],
+    ["run", "--checkpoint-every", "-3"],
+    ["serve", "--demo", "--workers", "0"], ["serve", "--demo", "--seed", "-1"],
+    ["compare", "--seed", "-1"],
+])
+def test_count_flags_are_validated_by_the_parser(argv, capsys):
+    # Each of these used to die with a traceback deep in the run (or, for
+    # --checkpoint-every -3, silently checkpoint every 3 supersteps).
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "serve", "compare"])
+def test_bad_repro_workers_is_a_usage_error(command, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_WORKERS", "many")
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "REPRO_WORKERS must be an integer" in capsys.readouterr().err
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

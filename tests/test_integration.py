@@ -109,7 +109,7 @@ def test_flash_data_really_round_trips():
     # Reach into the device and flip a page of the edge file.
     store = system.store
     edge_file = store._files[flash_graph.edge_file]
-    block = edge_file.blocks[0]
+    block = edge_file.extents[0]
     page_data = system.device._data[(block, 0)]
     system.device._data[(block, 0)] = b"\xff" * len(page_data)
     corrupted = store.read_array(flash_graph.edge_file, np.uint64, 0, 8)

@@ -235,11 +235,11 @@ def test_page_flush_matches_reference(fs_kind, seed):
     assert device.total_pages_written == len(ref)
     if fs_kind == "ssd":
         stored = [device._read_silent(*fs.ssd.ftl.translate(lpn))
-                  for lpn in fs._file("f").lpns]
+                  for lpn in fs._file("f").extents]
     else:
         f = fs._file("f")
         ppb = geometry.pages_per_block
-        stored = [device._read_silent(f.blocks[i // ppb], i % ppb)
+        stored = [device._read_silent(f.extents[i // ppb], i % ppb)
                   for i in range(f.flushed_pages)]
     assert [bytes(p) for p in stored] == ref
 
