@@ -102,6 +102,7 @@ class AppendOnlyFlashFS(FileStore):
     append = FileStore.append
     seal = FileStore.seal
     read = FileStore.read
+    read_spans = FileStore.read_spans
     stream = FileStore.stream
     delete = FileStore.delete
     rename = FileStore.rename
@@ -174,8 +175,7 @@ class AppendOnlyFlashFS(FileStore):
             fresh = self._allocate_block()
             try:
                 if count:
-                    pages = self.device.read_pages(
-                        [(bad, p) for p in range(count)])
+                    pages = self.device.read_pages([(bad, 0, count)])
                     self.device.write_pages(
                         [(fresh, p, d) for p, d in enumerate(pages)])
                 break
@@ -186,10 +186,16 @@ class AppendOnlyFlashFS(FileStore):
         return fresh
 
     def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:
+        """The page range as one device run per block it touches."""
         blocks, ppb = f.extents, self.pages_per_extent
-        return self.device.read_pages(
-            [(blocks[i // ppb], i % ppb)
-             for i in range(first_page, last_page + 1)])
+        runs = []
+        page = first_page
+        while page <= last_page:
+            index, page0 = divmod(page, ppb)
+            count = min(ppb - page0, last_page + 1 - page)
+            runs.append((blocks[index], page0, count))
+            page += count
+        return self.device.read_pages(runs)
 
     def _fetch_one(self, f: StoredFile, page_index: int) -> bytes:
         block_index, page = divmod(page_index, self.pages_per_extent)
@@ -458,7 +464,7 @@ class AppendOnlyFlashFS(FileStore):
     def _relocate_committed(self, f: StoredFile, dirty: int,
                             count: int) -> int:
         """Copy the committed prefix of a dirty block onto a fresh one."""
-        pages = self.device.read_pages([(dirty, p) for p in range(count)])
+        pages = self.device.read_pages([(dirty, 0, count)])
         base = (len(f.extents) - 1) * self.geometry.pages_per_block
         if f.page_crcs:
             for offset, data in enumerate(pages):

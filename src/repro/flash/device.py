@@ -31,6 +31,7 @@ from repro.perf.profiles import HardwareProfile
 PAGE_ERASED = 0
 PAGE_VALID = 1
 PAGE_INVALID = 2  # written, then superseded; space reclaimable by erase
+_VALID = bytes([PAGE_VALID])
 
 
 class FlashError(RuntimeError):
@@ -167,6 +168,22 @@ class FlashGeometry:
         )
 
 
+def _program_order_runs(items: list) -> list[tuple[int, int, int]]:
+    """Group ``(block, page, ...)`` tuples, in order, into ``(block, first
+    page, count)`` runs of consecutive pages of one block, so a batch is
+    validated with one array-slice check per run instead of per page."""
+    runs = []
+    i, n = 0, len(items)
+    while i < n:
+        block, page0 = items[i][0], items[i][1]
+        j = i + 1
+        while j < n and items[j][0] == block and items[j][1] == page0 + j - i:
+            j += 1
+        runs.append((block, page0, j - i))
+        i = j
+    return runs
+
+
 class FlashDevice:
     """A raw NAND device: data integrity plus timing/wear accounting.
 
@@ -287,84 +304,82 @@ class FlashDevice:
             data = self.faults.filter_read(block, page, data)
         return data
 
-    def read_pages(self, addresses: list[tuple[int, int]]) -> list[bytes]:
-        """Batched/streamed read: one latency for the batch, bandwidth for all bytes."""
+    def read_pages(self, addresses: list) -> list[bytes]:
+        """Batched/streamed read: one latency for the batch, bandwidth for all bytes.
+
+        ``addresses`` holds ``(block, page)`` pairs or, from a caller that
+        knows its extents, ``(block, first_page, count)`` runs; pairs are
+        grouped into runs here, so validation and charging are per run.
+        """
         if not addresses:
             return []
+        if len(addresses[0]) == 3:
+            runs, n = addresses, sum(count for _b, _p, count in addresses)
+        else:
+            runs, n = _program_order_runs(addresses), len(addresses)
         sanitizer = self.sanitizer
         op_start = sanitizer.op_begin() if sanitizer is not None else 0.0
-        if self.crashes is not None and \
-                self.crashes.advance(len(addresses)) is not None:
-            self.crashes.fire(f"batched read of {len(addresses)} pages")
-        # Group the batch into program-order runs so state validation is one
-        # array-slice check per run instead of per page.
+        if self.crashes is not None and self.crashes.advance(n) is not None:
+            self.crashes.fire(f"batched read of {n} pages")
         out: list[bytes] = []
-        data = self._data
-        i, n = 0, len(addresses)
-        while i < n:
-            block, page0 = addresses[i]
-            j, p = i + 1, page0
-            while j < n and addresses[j][0] == block and addresses[j][1] == p + 1:
-                p += 1
-                j += 1
-            if j - i == 1:
-                out.append(self._read_silent(block, page0))
-            else:
-                self._check_page(block, page0)
-                self._check_page(block, p)
-                states = self._page_state[block, page0:p + 1]
-                if (states == PAGE_VALID).sum() != len(states):
-                    offset = int(np.flatnonzero(states != PAGE_VALID)[0])
-                    kind = ("erased" if states[offset] == PAGE_ERASED
-                            else "invalidated")
-                    raise FlashError(
-                        f"read of {kind} page ({block}, {page0 + offset})")
-                if sanitizer is not None:
-                    for q in range(page0, p + 1):
-                        sanitizer.on_read(block, q, data[(block, q)])
-                out.extend(data[(block, q)] for q in range(page0, p + 1))
-            i = j
-        nbytes = int(sum(len(d) for d in out) * self.traffic_scale)
-        transfer = self._striped_seconds(
-            ((b, len(d)) for (b, _p), d in zip(addresses, out)),
-            self._channel_read_bw)
-        seconds = self.profile.flash_read_latency_s + transfer
+        channels = self.geometry.channels
+        per_channel = [0] * channels
+        for block, page0, count in runs:
+            per_channel[block % channels] += self._read_run(block, page0, count, out)
+        nbytes = int(sum(per_channel) * self.traffic_scale)
+        seconds = self.profile.flash_read_latency_s + self._striped_seconds(
+            per_channel, self._channel_read_bw)
         if self.faults is not None:
             seconds += self.faults.jitter_s(self.profile.flash_read_latency_s)
-        self.clock.charge("flash", seconds, nbytes=nbytes, ops=len(addresses))
-        self.total_pages_read += len(addresses)
+        self.clock.charge("flash", seconds, nbytes=nbytes, ops=n)
+        self.total_pages_read += n
         if sanitizer is not None:
             sanitizer.op_end("read_pages", op_start)
         if self.faults is not None:
+            if runs is addresses:
+                addresses = [(block, page) for block, page0, count in runs
+                             for page in range(page0, page0 + count)]
             out = self.faults.filter_read_batch(addresses, out)
         return out
 
-    def _striped_seconds(self, block_sizes, channel_bw: float) -> float:
-        """Transfer time of a batch: channels run in parallel, so the busiest
-        channel decides.  With one channel this is exactly bytes/bandwidth."""
-        channels = self.geometry.channels
-        if channels == 1:
-            total = sum(size for _block, size in block_sizes)
-            return total * self.traffic_scale / (channel_bw * 1)
-        per_channel = [0] * channels
-        for block, size in block_sizes:
-            per_channel[self.geometry.channel_of(block)] += size
+    def _striped_seconds(self, per_channel: list[int], channel_bw: float) -> float:
+        """Transfer time of a batch from its bytes per channel: they run in
+        parallel, so the busiest decides (one channel: bytes/bandwidth)."""
         return max(per_channel) * self.traffic_scale / channel_bw
 
     def _read_silent(self, block: int, page: int) -> bytes:
-        self._check_page(block, page)
-        state = self._page_state[block, page]
-        if state != PAGE_VALID:
+        out: list[bytes] = []
+        self._read_run(block, page, 1, out)
+        return out[0]
+
+    def _read_run(self, block: int, page0: int, count: int, out: list) -> int:
+        """Validate pages ``page0 .. page0 + count - 1`` of ``block``, append
+        their contents to ``out`` and return their total size in bytes."""
+        geometry = self.geometry
+        if not (0 <= block < geometry.num_blocks
+                and 0 <= page0 <= geometry.pages_per_block - count):
+            self._check_page(block, page0)
+            self._check_page(block, page0 + count - 1)
+        # The int8 states compared as bytes: runs are a page or a few, where
+        # a ufunc reduction costs several times the comparison.
+        states = self._page_state[block, page0:page0 + count]
+        if states.tobytes() != _VALID * count:
             # Reading an erased page returns all-ones in real NAND, and an
             # invalidated page's contents are host/FTL garbage; engines must
             # not depend on either, so both are logic errors (never a bare
             # KeyError out of the backing dict).
-            kind = "erased" if state == PAGE_ERASED else "invalidated"
-            raise FlashError(f"read of {kind} page ({block}, {page})")
-        data = self._data[(block, page)]
-        if self.sanitizer is not None:
-            self.sanitizer.on_read(block, page, data)
-        return data
+            offset = int(np.flatnonzero(states != PAGE_VALID)[0])
+            kind = "erased" if states[offset] == PAGE_ERASED else "invalidated"
+            raise FlashError(f"read of {kind} page ({block}, {page0 + offset})")
+        data, sanitizer = self._data, self.sanitizer
+        size = 0
+        for page in range(page0, page0 + count):
+            content = data[(block, page)]
+            if sanitizer is not None:
+                sanitizer.on_read(block, page, content)
+            out.append(content)
+            size += len(content)
+        return size
 
     # ------------------------------------------------------------------ writes
 
@@ -409,48 +424,42 @@ class FlashDevice:
             hit = self.crashes.advance(len(writes))
             if hit is not None:
                 self._crash_during_batch(writes, oobs, hit)
-        # Group into program-order runs; each run is validated and committed
-        # with one array-slice state update instead of per-page bookkeeping.
-        i, n = 0, len(writes)
+        # Each program-order run is validated and committed with one
+        # array-slice state update instead of per-page bookkeeping.
         done = 0
         try:
-            while i < n:
-                block, page0, _ = writes[i]
-                j, p = i + 1, page0
-                while j < n and writes[j][0] == block and writes[j][1] == p + 1:
-                    p += 1
-                    j += 1
-                if j - i == 1:
-                    self._write_silent(block, page0, writes[i][2],
-                                       oobs[i] if oobs else None)
+            for _block, _page0, count in _program_order_runs(writes):
+                run = writes[done:done + count]
+                run_oobs = oobs[done:done + count] if oobs else None
+                if count == 1:
+                    self._write_silent(*run[0], run_oobs[0] if run_oobs else None)
                 else:
-                    self._program_run(block, page0, writes[i:j],
-                                      oobs[i:j] if oobs else None)
-                i = j
-                done = j
+                    self._program_run(run[0][0], run[0][1], run, run_oobs)
+                done += count
         except FlashProgramError as e:
             # Charge the pages that really landed plus tProg of the failure;
             # callers resume from ``batch_committed`` after remapping.
             e.batch_committed = done + getattr(e, "committed", 0)
-            committed = writes[:e.batch_committed]
-            nbytes = int(sum(len(d) for _, _, d in committed) * self.traffic_scale)
-            transfer = self._striped_seconds(
-                ((b, len(d)) for b, _page, d in committed),
-                self._channel_write_bw)
-            self.clock.charge(
-                "flash", self.profile.flash_write_latency_s + transfer,
-                nbytes=nbytes, ops=max(1, len(committed)))
+            self._charge_program(writes[:e.batch_committed], jitter=False)
             raise
-        nbytes = int(sum(len(d) for _, _, d in writes) * self.traffic_scale)
-        transfer = self._striped_seconds(
-            ((block, len(d)) for block, _page, d in writes),
-            self._channel_write_bw)
-        seconds = self.profile.flash_write_latency_s + transfer
-        if self.faults is not None:
-            seconds += self.faults.jitter_s(self.profile.flash_write_latency_s)
-        self.clock.charge("flash", seconds, nbytes=nbytes, ops=len(writes))
+        self._charge_program(writes, jitter=True)
         if sanitizer is not None:
             sanitizer.op_end("write_pages", op_start)
+
+    def _charge_program(self, writes: list[tuple[int, int, bytes]],
+                        jitter: bool) -> None:
+        """One program latency plus the striped transfer of ``writes``."""
+        channels = self.geometry.channels
+        per_channel = [0] * channels
+        for block, _page, data in writes:
+            per_channel[block % channels] += len(data)
+        seconds = self.profile.flash_write_latency_s + self._striped_seconds(
+            per_channel, self._channel_write_bw)
+        if jitter and self.faults is not None:
+            seconds += self.faults.jitter_s(self.profile.flash_write_latency_s)
+        self.clock.charge("flash", seconds,
+                          nbytes=int(sum(per_channel) * self.traffic_scale),
+                          ops=max(1, len(writes)))
 
     def _crash_during_program(self, block: int, page: int, data: bytes) -> None:
         """Power loss hit a single-page program: maybe commit a torn page."""
@@ -489,10 +498,10 @@ class FlashDevice:
 
     def _commit_unchecked(self, block: int, page: int, data: bytes,
                           oob: bytes | None) -> None:
-        """Commit one page of a crash-interrupted batch prefix.
-
-        The batch would have passed the normal validation; power loss skips
-        fault injection (the dead host draws nothing)."""
+        """Commit one page :meth:`_write_silent` validated — or one of a
+        crash-interrupted batch prefix: the batch would have passed that
+        validation, and power loss skips fault injection (the dead host
+        draws nothing)."""
         if self.sanitizer is not None:
             self.sanitizer.on_program(block, page, data, oob)
         self._data[(block, page)] = data
@@ -598,14 +607,7 @@ class FlashDevice:
             raise FlashProgramError(
                 f"program failure at ({block}, {page}); block retired",
                 block=block, page=page)
-        if self.sanitizer is not None:
-            self.sanitizer.on_program(block, page, data, oob)
-        self._data[(block, page)] = data
-        if oob is not None:
-            self._oob[(block, page)] = oob
-        self._page_state[block, page] = PAGE_VALID
-        self._next_program_page[block] = page + 1
-        self.total_pages_written += 1
+        self._commit_unchecked(block, page, data, oob)
 
     # ------------------------------------------------------------ invalidation
 
@@ -646,15 +648,7 @@ class FlashDevice:
             # clearing or kept their (now half-stressed) contents; the host
             # never saw status either way, so no time is charged.
             if self.crashes.erase_completes():
-                if sanitizer is not None:
-                    sanitizer.on_erased(block)
-                self._page_state[block, :] = PAGE_ERASED
-                for page in range(self.geometry.pages_per_block):
-                    self._data.pop((block, page), None)
-                    self._oob.pop((block, page), None)
-                self._next_program_page[block] = 0
-                self.erase_counts[block] += 1
-                self.total_blocks_erased += 1
+                self._complete_erase(block)
             self.crashes.fire(f"erase of block {block}")
         if self.faults is not None:
             reason = self.faults.erase_fails(block)
@@ -672,15 +666,7 @@ class FlashDevice:
                 raise FlashEraseError(
                     f"erase failure on block {block} ({detail}); block retired",
                     block=block)
-        if sanitizer is not None:
-            sanitizer.on_erased(block)
-        self._page_state[block, :] = PAGE_ERASED
-        for page in range(self.geometry.pages_per_block):
-            self._data.pop((block, page), None)
-            self._oob.pop((block, page), None)
-        self._next_program_page[block] = 0
-        self.erase_counts[block] += 1
-        self.total_blocks_erased += 1
+        self._complete_erase(block)
         seconds = self.profile.flash_erase_latency_s
         if self.faults is not None:
             seconds += self.faults.jitter_s(self.profile.flash_erase_latency_s)
@@ -692,6 +678,19 @@ class FlashDevice:
             self.clock.charge("flash", seconds)
             if sanitizer is not None:
                 sanitizer.op_end("erase_block", op_start)
+
+    def _complete_erase(self, block: int) -> None:
+        """The cells cleared: every page erased and forgotten, one more cycle
+        of wear."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_erased(block)
+        self._page_state[block, :] = PAGE_ERASED
+        for page in range(self.geometry.pages_per_block):
+            self._data.pop((block, page), None)
+            self._oob.pop((block, page), None)
+        self._next_program_page[block] = 0
+        self.erase_counts[block] += 1
+        self.total_blocks_erased += 1
 
     # --------------------------------------------------------------- recovery
 

@@ -85,6 +85,7 @@ class SSDFileSystem(FileStore):
     append = FileStore.append
     seal = FileStore.seal
     read = FileStore.read
+    read_spans = FileStore.read_spans
     stream = FileStore.stream
     delete = FileStore.delete
     rename = FileStore.rename

@@ -7,8 +7,8 @@ stacks serve that same pattern and differ only in who owns the
 logical→physical mapping, and the code is split the same way:
 :class:`FileStore` owns everything placement-independent — the file record
 and its RAM tail buffer, queries, ``create``/``append``/``seal``, bounded
-commit records, range reads with CRC verify/repair and the lookahead
-charge, ``stream``, the numpy helpers, ``delete``/``rename`` with their
+commit records, the one range-read kernel with CRC verify/repair and the
+lookahead charge under ``read``/``stream``/``read_spans``, the numpy helpers, ``delete``/``rename`` with their
 crash ordering, the snapshot record list, replay of the shared metadata
 records — and a placement supplies the hooks at the bottom of the class.
 :class:`~repro.flash.aoffs.AppendOnlyFlashFS` places files on whole erase
@@ -200,36 +200,73 @@ class FileStore:
         f = self._file(name)
         if nbytes is None:
             nbytes = f.size - offset
-        if offset < 0 or nbytes < 0 or offset + nbytes > f.size:
+        return b"".join(self._read_span(f, offset, nbytes))
+
+    def read_spans(self, name: str, dtype: np.dtype,
+                   spans: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Scatter read: one :meth:`read` per ``(start_item, end_item)`` span
+        of ``dtype`` items, in order, gathered into one array.
+
+        Returns ``(data, base)``: the spans' items concatenated in one
+        writable array, and the position in it of each span's first item.
+        Spans are never merged — each pays its own access latency and
+        lookahead, exactly as the same reads issued one by one — but their
+        bytes are copied once, from the fetched pages into ``data``.
+        """
+        dtype = np.dtype(dtype)
+        item = dtype.itemsize
+        f = self._file(name)
+        pieces: list = []
+        base = []
+        filled = 0
+        for start, end in spans:
+            base.append(filled)
+            pieces += self._read_span(f, start * item, (end - start) * item)
+            filled += end - start
+        # Every span was in range, so the size is known; the pieces are
+        # views of the stored pages, not copies, until they land here.
+        data = np.empty(filled, dtype=dtype)
+        out = memoryview(data.view(np.uint8))
+        pos = 0
+        for piece in pieces:
+            end = pos + len(piece)
+            out[pos:end] = piece
+            pos = end
+        return data, np.array(base, dtype=np.int64)
+
+    def _read_span(self, f: StoredFile, offset: int, nbytes: int) -> list:
+        """The one read path: bytes ``[offset, offset + nbytes)`` of ``f`` as
+        buffers to concatenate — the fetched flash pages, first and last cut
+        to the range, then the part that is still in the RAM tail."""
+        end = offset + nbytes
+        if offset < 0 or nbytes < 0 or end > f.size:
             raise ValueError(
-                f"read [{offset}, {offset + nbytes}) out of range for "
-                f"{name!r} of size {f.size}"
+                f"read [{offset}, {end}) out of range for "
+                f"{f.name!r} of size {f.size}"
             )
+        pieces: list = []
         if nbytes == 0:
-            return b""
+            return pieces
         page_bytes = self.page_bytes
         flushed_bytes = f.flushed_pages * page_bytes
-        parts: list[bytes] = []
-        flash_end = min(offset + nbytes, flushed_bytes)
         if offset < flushed_bytes:
+            flash_end = min(end, flushed_bytes)
             first_page = offset // page_bytes
             last_page = (flash_end - 1) // page_bytes
-            pages = self._fetch(f, first_page, last_page)
+            pieces = self._fetch(f, first_page, last_page)
             faults = self.device.faults
             if faults is not None:
-                pages = verify_pages(
-                    pages, f.page_crcs, first_page,
+                pieces = verify_pages(
+                    pieces, f.page_crcs, first_page,
                     lambda i: self._fetch_one(f, i),
                     faults, f"{self.label.lower()}:{f.name}")
             self._charge_prefetch(f, first_page, last_page + 1 - first_page)
-            blob = b"".join(pages)
-            start = offset - first_page * page_bytes
-            parts.append(blob[start:start + (flash_end - offset)])
-        if offset + nbytes > flushed_bytes:
-            tail_start = max(0, offset - flushed_bytes)
-            tail_end = offset + nbytes - flushed_bytes
-            parts.append(f.tail_bytes()[tail_start:tail_end])
-        return b"".join(parts)
+            pieces[-1] = pieces[-1][:flash_end - last_page * page_bytes]
+            pieces[0] = pieces[0][offset - first_page * page_bytes:]
+        if end > flushed_bytes:
+            pieces.append(f.tail_bytes()[max(0, offset - flushed_bytes):
+                                         end - flushed_bytes])
+        return pieces
 
     def _charge_prefetch(self, f: StoredFile, first_page: int, pages_read: int) -> None:
         """Charge the unused tail of the lookahead buffer on a small read.

@@ -73,6 +73,16 @@ def coalescing_gap(store: FileStore, itemsize: int) -> int:
     return max(1, gap_bytes // itemsize)
 
 
+def span_positions(spans: list[tuple[int, int]], base: np.ndarray,
+                   items: np.ndarray) -> np.ndarray:
+    """Where each of ``items`` sits in the data ``store.read_spans(..., spans)``
+    returned with ``base``; every item must lie inside one of the spans."""
+    span_starts = np.fromiter((start for start, _ in spans), dtype=np.int64,
+                              count=len(spans))
+    span_idx = np.searchsorted(span_starts, items, side="right") - 1
+    return items + (base - span_starts)[span_idx]
+
+
 class FlashCSR:
     """Reader/writer for the on-flash CSR format."""
 
@@ -141,10 +151,9 @@ class FlashCSR:
         item = OFFSET_DTYPE.itemsize
         gap = coalescing_gap(self.store, item)
         spans = coalesce_ranges(keys, keys + 2, gap)
-        block, span_starts, block_base = self._read_spans(self.index_file, OFFSET_DTYPE, spans)
+        block, base = self.store.read_spans(self.index_file, OFFSET_DTYPE, spans)
         block = block.astype(np.int64)
-        span_idx = np.searchsorted(span_starts, keys, side="right") - 1
-        local = block_base[span_idx] + (keys - span_starts[span_idx])
+        local = span_positions(spans, base, keys)
         return block[local], block[local + 1]
 
     def edges_for(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -155,19 +164,6 @@ class FlashCSR:
         if not self.has_weights:
             raise ValueError(f"graph {self.prefix!r} has no edge weights")
         return self._gather(self.weight_file, WEIGHT_DTYPE, starts, ends)
-
-    def _read_spans(self, filename: str, dtype: np.dtype, spans: list[tuple[int, int]],
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read every coalesced span (one store read each, in order) and
-        return (concatenated data, span starts, offset of each span's data
-        in the concatenation)."""
-        blocks = [self.store.read_array(filename, dtype, s, e - s) for s, e in spans]
-        span_starts = np.fromiter((s for s, _ in spans), dtype=np.int64, count=len(spans))
-        lengths = np.fromiter((len(b) for b in blocks), dtype=np.int64, count=len(blocks))
-        block_base = np.zeros(len(spans), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=block_base[1:])
-        return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
-                span_starts, block_base)
 
     def _gather(self, filename: str, dtype: np.dtype, starts: np.ndarray,
                 ends: np.ndarray) -> np.ndarray:
@@ -180,26 +176,22 @@ class FlashCSR:
         item = dtype.itemsize
         gap = coalescing_gap(self.store, item)
         spans = coalesce_ranges(starts, ends, gap)
-        block, span_starts, block_base = self._read_spans(filename, dtype, spans)
-        self.wasted_read_bytes += len(block) * item
+        block, base = self.store.read_spans(filename, dtype, spans)
+        self.wasted_read_bytes += (len(block) - total) * item
         # Scatter-gather index arithmetic: each range's slice of its covering
         # span, flattened into one fancy-index read of the concatenated data.
         nonempty = lengths > 0
         s_nz, len_nz = starts[nonempty], lengths[nonempty]
         # Dense supersteps request adjacent ranges tiling one span exactly —
         # the gather is the identity and the fancy index can be skipped.
-        if (len(spans) == 1 and total == len(block) and s_nz[0] == span_starts[0]
+        if (len(spans) == 1 and total == len(block) and s_nz[0] == spans[0][0]
                 and np.array_equal(s_nz[1:], s_nz[:-1] + len_nz[:-1])):
-            self.wasted_read_bytes -= total * item
-            return block.copy()  # writable, like the fancy-indexed result
-        span_idx = np.searchsorted(span_starts, s_nz, side="right") - 1
-        base = block_base[span_idx] + (s_nz - span_starts[span_idx])
-        # Output position p of range r reads block[base[r] + p - range_start[r]].
-        index = np.repeat(base - (np.cumsum(len_nz) - len_nz), len_nz)
+            return block
+        first = span_positions(spans, base, s_nz)
+        # Output position p of range r reads block[first[r] + p - range_start[r]].
+        index = np.repeat(first - (np.cumsum(len_nz) - len_nz), len_nz)
         index += np.arange(total, dtype=np.int64)
-        out = block[index]
-        self.wasted_read_bytes -= total * item
-        return out
+        return block[index]
 
     # ---------------------------------------------------------------- streams
 

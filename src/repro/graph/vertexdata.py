@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.bloom import BloomFilter
 from repro.core.kvstream import KVArray
 from repro.flash.store import FileStore
-from repro.graph.formats import coalesce_ranges, coalescing_gap
+from repro.graph.formats import coalesce_ranges, coalescing_gap, span_positions
 
 _va_counter = itertools.count()
 
@@ -57,20 +57,13 @@ class Overlay:
     max_key: int
     bloom: BloomFilter
 
-    def may_contain(self, sorted_keys: np.ndarray) -> bool:
-        """False only if no queried key can possibly be in this overlay."""
-        if len(sorted_keys) == 0:
-            return False
-        if int(sorted_keys[-1]) < self.min_key or int(sorted_keys[0]) > self.max_key:
-            return False
-        lo = int(np.searchsorted(sorted_keys, np.uint64(self.min_key), side="left"))
-        hi = int(np.searchsorted(sorted_keys, np.uint64(self.max_key), side="right"))
-        if hi == lo:
-            return False
+    def may_contain(self, keys_in_range: np.ndarray) -> bool:
+        """False only if none of the queried keys, already cut to
+        ``[min_key, max_key]``, can possibly be in this overlay."""
         # Dense probes always pass; bloom checks pay off on sparse frontiers.
-        if hi - lo > 256:
+        if len(keys_in_range) > 256:
             return True
-        return bool(self.bloom.contains(sorted_keys[lo:hi]).any())
+        return bool(self.bloom.contains(keys_in_range).any())
 
 
 def _overlay_bloom(count: int) -> BloomFilter:
@@ -389,8 +382,12 @@ class VertexScanCursor:
 
     def __init__(self, array: VertexArray):
         self.array = array
-        self._overlays = [_OverlayCursor(array, overlay)
-                          for overlay in array._overlays]
+        self._overlays = list(array._overlays)
+        self._min_keys = np.array([o.min_key for o in self._overlays], dtype=np.uint64)
+        self._max_keys = np.array([o.max_key for o in self._overlays], dtype=np.uint64)
+        #: Overlay index -> its reader, made when the overlay is first read:
+        #: a sparse superstep skips most overlays in every lookup.
+        self._cursors: dict[int, _OverlayCursor] = {}
         self._last_key = -1
         # (value, step) answered for ``_last_key``.  The overlay records behind
         # it are discarded, so a call starting on that key again reads it here.
@@ -419,11 +416,21 @@ class VertexScanCursor:
         steps = np.full(len(sorted_keys), NEVER, dtype=np.int64)
         if self.array._base_materialized:
             self._gather_base(keys_i, values, steps)
-        for cursor in self._overlays:  # older overlays first; newer overwrite
-            # Host-memory range/bloom metadata skips overlays that cannot
-            # hold any queried key — no flash I/O for them at all.
-            if len(cursor.columns[0]) == 0 and not cursor.overlay.may_contain(sorted_keys):
-                continue
+        # Host-memory range/bloom metadata skips overlays that cannot hold
+        # any queried key — no flash I/O for them at all.  The range test
+        # runs over every overlay at once; only survivors probe their bloom.
+        lo = np.searchsorted(sorted_keys, self._min_keys, side="left").tolist()
+        hi = np.searchsorted(sorted_keys, self._max_keys, side="right").tolist()
+        # Older overlays first; newer overwrite.
+        cursors = self._cursors
+        for i, (overlay, first, end) in enumerate(zip(self._overlays, lo, hi)):
+            cursor = cursors.get(i)
+            if cursor is None or len(cursor.columns[0]) == 0:
+                if not (first < end
+                        and overlay.may_contain(sorted_keys[first:end])):
+                    continue
+                if cursor is None:
+                    cursor = cursors[i] = _OverlayCursor(self.array, overlay)
             cursor.advance_to(max_key)
             positions, v, s = cursor.extract(sorted_keys)
             values[positions] = v
@@ -442,18 +449,11 @@ class VertexScanCursor:
 
     def _gather_base(self, keys_i: np.ndarray, values: np.ndarray,
                      steps: np.ndarray) -> None:
-        """One read per coalesced span, in ascending order; the keys are
-        sorted, so each span serves one contiguous slice of the query."""
+        """One scatter read of the coalesced spans, in ascending order."""
         array = self.array
-        item = array._record_dtype.itemsize
         spans = coalesce_ranges(keys_i, keys_i + 1, array._base_gap)
-        bounds = np.searchsorted(keys_i, [end for _, end in spans]).tolist()
-        lo = 0
-        for (start, end), hi in zip(spans, bounds):
-            raw = array.store.read(array._base_file, start * item,
-                                   (end - start) * item)
-            block = np.frombuffer(raw, dtype=array._record_dtype)
-            local = keys_i[lo:hi] - start
-            values[lo:hi] = block["v"][local]
-            steps[lo:hi] = block["step"][local]
-            lo = hi
+        block, base = array.store.read_spans(array._base_file,
+                                             array._record_dtype, spans)
+        local = span_positions(spans, base, keys_i)
+        values[:] = block["v"][local]
+        steps[:] = block["step"][local]

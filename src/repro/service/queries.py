@@ -176,13 +176,11 @@ def _finish(state: _QueryState) -> dict:
 def read_vstate(store, filename: str, value_dtype, vertices: list[int]) -> dict:
     """Vertex-state reads from a finished run's durable result file.
 
-    One coalesced pass over the sorted vertex list — the same access
-    discipline as the index lookups above.
+    One access per distinct vertex, ascending (a scatter read; nearby
+    vertices are not coalesced).
     """
     order = sorted(set(int(v) for v in vertices))
-    values = [store.read_array(filename, np.dtype(value_dtype), v, 1)[0]
-              for v in order]
-    arr = np.asarray(values)
+    arr, _ = store.read_spans(filename, value_dtype, [(v, v + 1) for v in order])
     return {"kind": "vstate", "vertices": order,
             "values": [_json_scalar(v) for v in arr.tolist()],
             "checksum": checksum(arr)}

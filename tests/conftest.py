@@ -33,17 +33,19 @@ def _isolated_dataset_cache(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def record_reads():
-    """``record_reads(store)`` starts logging every ``store.read`` of one
-    store as ``(name, offset, nbytes)`` and returns the live list."""
+    """``record_reads(store)`` starts logging every logical read of one
+    store as ``(name, offset, nbytes)`` and returns the live list.  It hooks
+    the per-span kernel, so a read is logged whichever of ``read``,
+    ``read_array``, ``stream`` and ``read_spans`` issued it."""
     def start(store) -> list[tuple[str, int, int]]:
         calls: list[tuple[str, int, int]] = []
-        real_read = store.read
+        real_read_span = store._read_span
 
-        def read(name, offset=0, nbytes=None):
-            calls.append((name, offset, nbytes))
-            return real_read(name, offset, nbytes)
+        def read_span(f, offset, nbytes):
+            calls.append((f.name, offset, nbytes))
+            return real_read_span(f, offset, nbytes)
 
-        store.read = read
+        store._read_span = read_span
         return calls
     return start
 

@@ -59,6 +59,24 @@ def test_striped_batch_reaches_aggregate_bandwidth():
     assert confined_transfer == pytest.approx(8 * spread_transfer)
 
 
+def test_striped_runs_charge_the_busiest_channel():
+    # Runs (what AOFFS hands the device) stripe like the same pages given
+    # one by one: blocks 0 and 4 share channel 0 of 4, so it moves 6 of the
+    # 9 pages and decides the transfer time.
+    by_pair, by_run = make_device(4), make_device(4)
+    for device in (by_pair, by_run):
+        fill_blocks(device, (0, 1, 4))
+    by_pair.read_pages([(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
+                        (4, 0), (4, 1)])
+    by_run.read_pages([(0, 0, 4), (1, 1, 3), (4, 0, 2)])
+    assert by_run.clock.elapsed_s == by_pair.clock.elapsed_s
+    assert by_run.clock.usage == by_pair.clock.usage
+    assert by_run.clock.elapsed_s == (
+        GRAFSOFT.flash_read_latency_s
+        + 6 * 4096 * 1.0 / (GRAFSOFT.flash_read_bw / 4))
+    assert by_run.clock.bytes_moved("flash") == 9 * 4096
+
+
 def test_single_page_read_uses_one_channel():
     one = make_device(1)
     eight = make_device(8)

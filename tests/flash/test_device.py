@@ -97,6 +97,48 @@ def test_batched_read_of_erased_page_matches_scalar():
         device.read_pages([(0, 0), (0, 1), (0, 2)])
 
 
+def test_read_pages_takes_runs():
+    # (block, first page, count) runs read, charge and count exactly like
+    # the same pages named one (block, page) pair each.
+    by_pair, by_run = make_device(), make_device()
+    for device in (by_pair, by_run):
+        device.write_pages([(b, p, bytes([b, p]) * 100)
+                            for b in (0, 1, 2) for p in range(8)])
+    pairs = [(0, 5), (0, 6), (0, 7), (1, 0), (2, 3), (2, 4)]
+    runs = [(0, 5, 3), (1, 0, 1), (2, 3, 2)]
+    assert by_run.read_pages(runs) == by_pair.read_pages(pairs)
+    assert by_run.clock.elapsed_s == by_pair.clock.elapsed_s
+    assert by_run.clock.usage == by_pair.clock.usage
+    assert by_run.total_pages_read == by_pair.total_pages_read == 6
+
+
+@pytest.mark.parametrize("spoil, kind", [("invalidate", "invalidated"),
+                                         ("leave erased", "erased")])
+def test_bad_page_inside_a_run_is_named(spoil, kind):
+    device = make_device()
+    device.write_pages([(3, p, b"x") for p in range(5 if spoil == "invalidate" else 2)])
+    if spoil == "invalidate":
+        device.invalidate_page(3, 2)
+    before = device.clock.elapsed_s
+    for addresses in ([(3, 0, 4)], [(3, p) for p in range(4)]):
+        with pytest.raises(FlashError, match=rf"read of {kind} page \(3, 2\)"):
+            device.read_pages(addresses)
+    assert device.clock.elapsed_s == before and device.total_pages_read == 0
+
+
+@pytest.mark.parametrize("run, pairs, message", [
+    ((16, 0, 2), [(16, 0), (16, 1)], r"block 16 out of range \[0, 16\)"),
+    ((0, 6, 3), [(0, 6), (0, 7), (0, 8)], r"page 8 out of range \[0, 8\)"),
+    ((0, -1, 2), [(0, -1), (0, 0)], r"page -1 out of range \[0, 8\)"),
+])
+def test_out_of_range_run_is_the_same_error(run, pairs, message):
+    device = make_device()
+    device.write_pages([(0, p, b"x") for p in range(8)])
+    for addresses in ([run], pairs):
+        with pytest.raises(FlashError, match=message):
+            device.read_pages(addresses)
+
+
 def test_batched_write_errors_match_scalar():
     # Out-of-order program: same typed error from the batched run path.
     device = make_device()

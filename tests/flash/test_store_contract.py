@@ -4,8 +4,11 @@ Everything above the storage layer treats :class:`AppendOnlyFlashFS` and
 :class:`SSDFileSystem` interchangeably, so every interface case here runs
 on {AOFFS, SSD} x {volatile, durable}; a Hypothesis state machine then
 drives generated op sequences (with remounts on the durable stores) against
-a dict model.  Store-specific behaviour — ``write_at``, wear levelling,
-write amplification — stays in ``test_filestore.py`` / ``test_aoffs.py``.
+a dict model.  ``read_spans`` is held to "the same reads issued one by one"
+throughout: equal data and bit-equal charges against per-span ``read_array``
+calls on a twin store.  Store-specific behaviour — ``write_at``, wear
+levelling, write amplification — stays in ``test_filestore.py`` /
+``test_aoffs.py``.
 """
 
 import numpy as np
@@ -28,7 +31,8 @@ from repro.flash import (
     FlashGeometry,
     SSDFileSystem,
 )
-from repro.flash.device import FlashOutOfSpaceError
+from repro.flash.device import FlashOutOfSpaceError, PowerLossError
+from repro.flash.faults import CrashPlan, FaultPlan
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT
 
@@ -39,11 +43,13 @@ IDS = [f"{kind}-{'durable' if durable else 'volatile'}"
        for kind, durable in CONFIGS]
 
 
-def make_store(kind: str, durable: bool, geometry=SMALL) -> FileStore:
+def make_store(kind: str, durable: bool, geometry=SMALL, **device_options) -> FileStore:
     if kind == "aoffs":
         return AppendOnlyFlashFS(
-            FlashDevice(geometry, GRAFBOOST, SimClock()), durable=durable)
-    ssd = SSD(FlashDevice(geometry, GRAFSOFT, SimClock()), durable=durable)
+            FlashDevice(geometry, GRAFBOOST, SimClock(), **device_options),
+            durable=durable)
+    ssd = SSD(FlashDevice(geometry, GRAFSOFT, SimClock(), **device_options),
+              durable=durable)
     return SSDFileSystem(ssd, durable=durable)
 
 
@@ -189,6 +195,109 @@ def test_out_of_space_append_leaves_the_pool_untouched(config):
     assert store.free_bytes < free
 
 
+# ------------------------------------------------- scatter reads (read_spans)
+
+
+def charges(store: FileStore) -> tuple:
+    """Everything a read charges, for bit-for-bit comparison."""
+    device = store.device
+    return (device.clock.elapsed_s, device.clock.usage, device.total_pages_read)
+
+
+def read_one_by_one(store: FileStore, name: str, dtype, spans) -> np.ndarray:
+    """The reference ``read_spans`` must equal: one ``read_array`` per span
+    (of a file that exists, even when there is no span to read)."""
+    store.size(name)
+    blocks = [store.read_array(name, dtype, start, end - start)
+              for start, end in spans]
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)
+
+
+#: In uint32 items of a file of 40 000 B on 512 B pages, 8 per AOFFS block:
+#: an empty span, one item, a page-straddling span, an extent-straddling
+#: span, a span reaching into the unflushed tail, a repeat, the whole file.
+SPANS = [(5, 5), (7, 8), (120, 140), (1000, 1100), (9900, 10_000), (7, 8),
+         (0, 10_000)]
+SPAN_GEOMETRY = FlashGeometry(page_bytes=512, pages_per_block=8, num_blocks=512)
+
+
+def twin_stores(config, **device_options) -> tuple[FileStore, FileStore]:
+    """Two equal stores holding file ``f``: 40 000 patterned bytes, so flushed
+    pages over several extents and then an unflushed tail."""
+    data = (np.arange(40_000, dtype=np.uint32) * 7 % 251).astype(np.uint8).tobytes()
+    stores = [make_store(*config, geometry=SPAN_GEOMETRY, **device_options)
+              for _ in range(2)]
+    for store in stores:
+        for start in range(0, len(data), 5000):
+            store.append("f", data[start:start + 5000])
+    return stores[0], stores[1]
+
+
+def test_read_spans_equals_reads_one_by_one(config):
+    store, twin = twin_stores(config)
+    assert store.size("f") > store._file("f").flushed_pages * 512  # a live tail
+    data, base = store.read_spans("f", np.uint32, SPANS)
+    assert np.array_equal(data, read_one_by_one(twin, "f", np.uint32, SPANS))
+    assert base.tolist() == [0, 0, 1, 21, 121, 221, 222]
+    assert data.flags.writeable
+    assert charges(store) == charges(twin)
+    empty, no_base = store.read_spans("f", np.uint32, [])
+    assert len(empty) == len(no_base) == 0 and empty.dtype == np.uint32
+    assert charges(store) == charges(twin)
+
+
+@pytest.mark.parametrize("bad", [(9990, 10_001), (-1, 3), (8, 7)])
+def test_read_spans_out_of_range_is_the_same_error_after_the_same_reads(config, bad):
+    store, twin = twin_stores(config)
+    spans = SPANS[:4] + [bad] + SPANS[4:]
+    with pytest.raises(ValueError) as scattered:
+        store.read_spans("f", np.uint32, spans)
+    with pytest.raises(ValueError) as one_by_one:
+        read_one_by_one(twin, "f", np.uint32, spans)
+    assert str(scattered.value) == str(one_by_one.value)
+    assert charges(store) == charges(twin)
+    with pytest.raises(FileNotFoundError):
+        store.read_spans("ghost", np.uint32, [(0, 1)])
+
+
+def test_read_spans_under_flashsan(config):
+    store, twin = twin_stores(config, sanitize=True)
+    data, _ = store.read_spans("f", np.uint32, SPANS)
+    assert np.array_equal(data, read_one_by_one(twin, "f", np.uint32, SPANS))
+    assert charges(store) == charges(twin)
+    assert (store.device.sanitizer.pages_checked
+            == twin.device.sanitizer.pages_checked > 0)
+
+
+def test_read_spans_under_read_faults_and_jitter(config):
+    plan = FaultPlan(seed=11, read_ber=2e-3, latency_jitter=0.3,
+                     ecc_correctable_bits=8)
+    store, twin = twin_stores(config, faults=plan)
+    data, _ = store.read_spans("f", np.uint32, SPANS)
+    assert np.array_equal(data, read_one_by_one(twin, "f", np.uint32, SPANS))
+    assert charges(store) == charges(twin)
+    faults, twin_faults = store.device.faults, twin.device.faults
+    assert faults.stats == twin_faults.stats
+    assert faults.stats.read_retries > 0        # the plan really bites
+    assert (faults._rng.bit_generator.state
+            == twin_faults._rng.bit_generator.state)
+
+
+def test_read_spans_power_loss_fires_at_the_same_op(config):
+    # A plan that never fires counts the flash ops up to the last page of
+    # the fourth span's read; the real plan cuts power there.
+    probe, _ = twin_stores(config, crashes=CrashPlan(at_ops=(10**9,)))
+    probe.read_spans("f", np.uint32, SPANS[:4])
+    at = probe.device.crashes.op_index - 1
+    store, twin = twin_stores(config, crashes=CrashPlan(at_ops=(at,)))
+    with pytest.raises(PowerLossError) as scattered:
+        store.read_spans("f", np.uint32, SPANS)
+    with pytest.raises(PowerLossError) as one_by_one:
+        read_one_by_one(twin, "f", np.uint32, SPANS)
+    assert scattered.value.op_index == one_by_one.value.op_index == at
+    assert charges(store) == charges(twin)
+
+
 # ------------------------------------------------------- generated sequences
 
 PAGE = 512
@@ -204,25 +313,34 @@ class StoreMachine(RuleBasedStateMachine):
 
     Each rule predicts from the model either the new state or the exact
     exception type; the invariant then compares the whole visible state.
+    Every op also runs on a twin store, where ``read_spans`` becomes one
+    ``read_array`` per span: the two stores' charges must never differ.
     """
 
     def __init__(self, kind: str, durable: bool):
         super().__init__()
         self.store = make_store(kind, durable, MACHINE_GEOMETRY)
+        self.twin = make_store(kind, durable, MACHINE_GEOMETRY)
         self.model: dict[str, list] = {}
         self.fill = 0
 
-    def expect(self, error, op, *args, **kwargs):
-        if error is None:
-            return op(*args, **kwargs)
-        with pytest.raises(error) as caught:
-            op(*args, **kwargs)
-        assert caught.type is error
+    def expect(self, error, op, *args, twin_op=None, **kwargs):
+        """Run ``op(store, ...)`` on the store and ``twin_op`` (default: the
+        same op) on the twin; returns the store's result."""
+        results = []
+        for store, run in ((self.store, op), (self.twin, twin_op or op)):
+            if error is None:
+                results.append(run(store, *args, **kwargs))
+            else:
+                with pytest.raises(error) as caught:
+                    run(store, *args, **kwargs)
+                assert caught.type is error
+        return results[0] if results else None
 
     @rule(name=NAMES)
     def create(self, name):
         self.expect(FileExistsError if name in self.model else None,
-                    self.store.create, name)
+                    FileStore.create, name)
         self.model.setdefault(name, [b"", False])
 
     @rule(name=NAMES, size=APPEND_SIZES)
@@ -231,7 +349,7 @@ class StoreMachine(RuleBasedStateMachine):
         data = bytes((self.fill + i) % 256 for i in range(size))
         sealed = name in self.model and self.model[name][1]
         self.expect(FlashError if sealed else None,
-                    self.store.append, name, data)
+                    FileStore.append, name, data)
         if not sealed:
             entry = self.model.setdefault(name, [b"", False])
             entry[0] += data
@@ -239,7 +357,7 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(name=NAMES)
     def seal(self, name):
         self.expect(None if name in self.model else FileNotFoundError,
-                    self.store.seal, name)
+                    FileStore.seal, name)
         if name in self.model:
             self.model[name][1] = True
 
@@ -247,21 +365,51 @@ class StoreMachine(RuleBasedStateMachine):
           nbytes=st.one_of(st.none(), st.integers(-1, 12 * PAGE)))
     def read(self, name, offset, nbytes):
         if name not in self.model:
-            self.expect(FileNotFoundError, self.store.read, name, offset, nbytes)
+            self.expect(FileNotFoundError, FileStore.read, name, offset, nbytes)
             return
         data = self.model[name][0]
         n = len(data) - offset if nbytes is None else nbytes
         bad = offset < 0 or n < 0 or offset + n > len(data)
         got = self.expect(ValueError if bad else None,
-                          self.store.read, name, offset, nbytes)
+                          FileStore.read, name, offset, nbytes)
         if not bad:
             assert bytes(got) == data[offset:offset + n]
+
+    @rule(name=NAMES, dtype=st.sampled_from([np.dtype("u1"), np.dtype("<u4")]),
+          cuts=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+                        max_size=5),
+          bad=st.sampled_from([None, None, "negative", "reversed", "past end"]))
+    def read_spans(self, name, dtype, cuts, bad):
+        """Spans cut from the file per mille of its length — empty, one item,
+        page-, extent- and tail-straddling, the whole file — then maybe one
+        out-of-range span in the middle of them."""
+        item = dtype.itemsize
+        data = self.model.get(name, [b""])[0]
+        items = len(data) // item
+        spans = []
+        for at, length in cuts:
+            start = items * at // 1000
+            spans.append((start, start + (items - start) * length // 1000))
+        if bad is not None:
+            spans.insert(len(spans) // 2, {"negative": (-1, 0), "reversed": (1, 0),
+                                           "past end": (0, items + 1)}[bad])
+        error = (FileNotFoundError if name not in self.model else
+                 ValueError if bad is not None else None)
+        got = self.expect(error, FileStore.read_spans, name, dtype, spans,
+                          twin_op=read_one_by_one)
+        if error is None:
+            blocks, base = got
+            assert blocks.tobytes() == b"".join(
+                data[start * item:end * item] for start, end in spans)
+            assert blocks.dtype == dtype and blocks.flags.writeable
+            lengths = [end - start for start, end in spans]
+            assert base.tolist() == [sum(lengths[:i]) for i in range(len(spans))]
 
     @rule(name=NAMES, chunk=st.sampled_from([0, 1000, PAGE, 5 * PAGE + 3]))
     def stream(self, name, chunk):
         error = (ValueError if chunk <= 0 else
                  None if name in self.model else FileNotFoundError)
-        chunks = self.expect(error, lambda: list(self.store.stream(name, chunk)))
+        chunks = self.expect(error, lambda store: list(store.stream(name, chunk)))
         if error is None:
             assert b"".join(chunks) == self.model[name][0]
             assert all(0 < len(c) <= chunk for c in chunks)
@@ -269,7 +417,7 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(name=NAMES)
     def delete(self, name):
         self.expect(None if name in self.model else FileNotFoundError,
-                    self.store.delete, name)
+                    FileStore.delete, name)
         self.model.pop(name, None)
 
     @rule(old=NAMES, new=NAMES, overwrite=st.booleans())
@@ -277,14 +425,14 @@ class StoreMachine(RuleBasedStateMachine):
         error = (FileNotFoundError if old not in self.model else
                  FileExistsError if new in self.model
                  and (new == old or not overwrite) else None)
-        self.expect(error, self.store.rename, old, new, overwrite=overwrite)
+        self.expect(error, FileStore.rename, old, new, overwrite=overwrite)
         if error is None:
             self.model[new] = self.model.pop(old)
 
     @precondition(lambda self: self.store.durable)
     @rule()
     def remount(self):
-        self.store = remount(self.store)
+        self.store, self.twin = remount(self.store), remount(self.twin)
         for entry in self.model.values():
             if not entry[1]:
                 # The RAM tail died with power: back to the last full page.
@@ -299,6 +447,8 @@ class StoreMachine(RuleBasedStateMachine):
             assert store.size(name) == len(data)
             assert store.is_sealed(name) == sealed
             assert bytes(store.read(name)) == data
+            self.twin.read(name)
+        assert charges(store) == charges(self.twin)
         for ghost in {"a", "b", "c", "d"} - set(self.model):
             assert not store.exists(ghost)
             with pytest.raises(FileNotFoundError):
