@@ -50,6 +50,21 @@ def record_reads():
     return start
 
 
+@pytest.fixture(scope="session")
+def reference_from_edges():
+    """``CSRGraph.from_edges`` as first written — a stable argsort of the
+    sources.  The reference the CSR build is held to, and the code that wrote
+    the version-1 dataset-cache entries still on users' disks."""
+    def build(src, dst, num_vertices, weights=None) -> CSRGraph:
+        order = np.argsort(src, kind="stable")
+        counts = np.bincount(src[order].astype(np.int64), minlength=num_vertices)
+        offsets = np.zeros(num_vertices + 1, dtype=np.uint64)
+        np.cumsum(counts, out=offsets[1:])
+        return CSRGraph(num_vertices, offsets, dst[order],
+                        None if weights is None else weights[order])
+    return build
+
+
 @pytest.fixture
 def clock() -> SimClock:
     return SimClock()
