@@ -104,35 +104,10 @@ class KVArray:
     # ------------------------------------------------------------- operations
 
     def sorted(self, runs: int = 0) -> "KVArray":
-        """Stable sort by key; ties keep arrival order (FIRST/LAST correctness).
-
-        The stable order is packed into one unique composite word,
-        ``(key << pos_bits) | position`` with ``pos_bits = (n-1).bit_length()``,
-        which is sorted in place by the (unstable, SIMD) default sort: the
-        sorted keys are its high bits, the stable permutation its low bits,
-        and only the values are gathered.
-
-        ``runs`` is the number of already-sorted runs the data is a
-        concatenation of (0: unsorted; an upper bound will do).  Up to
-        ``TIMSORT_MAX_RUNS`` of them, timsort's natural-run merging beats the
-        composite sort (table in DESIGN.md, "Performance of the simulator");
-        keys too large to leave ``pos_bits`` free take the same stable
-        argsort.  Every path yields the same permutation, so the choice
-        never changes a result.
-        """
-        keys = self.keys
-        n = len(keys)
-        pos_bits = (n - 1).bit_length()
-        if (n < 2 or 0 < runs <= TIMSORT_MAX_RUNS
-                or int(keys.max()) >> (64 - pos_bits)):
-            order = np.argsort(keys, kind="stable")
-            return KVArray._wrap(keys[order], self.values[order])
-        composite = keys << np.uint64(pos_bits)
-        composite |= np.arange(n, dtype=np.uint64)
-        composite.sort()
-        order = (composite & np.uint64((1 << pos_bits) - 1)).view(np.int64)
-        composite >>= np.uint64(pos_bits)
-        return KVArray._wrap(composite, self.values[order])
+        """Stable sort by key: ties keep arrival order (FIRST/LAST correctness).
+        ``runs`` is :func:`stable_sort`'s hint; only the values are gathered."""
+        keys, order = stable_sort(self.keys, runs)
+        return KVArray._wrap(keys, self.values[order])
 
     def slice(self, start: int, stop: int) -> "KVArray":
         return KVArray._wrap(self.keys[start:stop], self.values[start:stop])
@@ -171,6 +146,37 @@ class KVArray:
         )
         suffix = ", …" if len(self) > 4 else ""
         return f"KVArray(n={len(self)}, vdtype={self.values.dtype}, [{preview}{suffix}])"
+
+
+def stable_sort(keys: np.ndarray, runs: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted_keys, order)`` of uint64 ``keys``, ``order`` being the stable
+    permutation: ``sorted_keys == keys[order]``, ties in input order.
+
+    The stable order is packed into one unique composite word,
+    ``(key << pos_bits) | position`` with ``pos_bits = (n-1).bit_length()``,
+    which is sorted in place by the (unstable, SIMD) default sort: the
+    sorted keys are its high bits, the stable permutation its low bits.
+
+    ``runs`` is the number of already-sorted runs the data is a
+    concatenation of (0: unsorted; an upper bound will do).  Up to
+    ``TIMSORT_MAX_RUNS`` of them, timsort's natural-run merging beats the
+    composite sort (table in DESIGN.md, "Performance of the simulator");
+    keys too large to leave ``pos_bits`` free take the same stable
+    argsort.  Every path yields the same permutation, so the choice
+    never changes a result.
+    """
+    n = len(keys)
+    pos_bits = (n - 1).bit_length()
+    if (n < 2 or 0 < runs <= TIMSORT_MAX_RUNS
+            or int(keys.max()) >> (64 - pos_bits)):
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    composite = keys << np.uint64(pos_bits)
+    composite |= np.arange(n, dtype=np.uint64)
+    composite.sort()
+    order = (composite & np.uint64((1 << pos_bits) - 1)).view(np.int64)
+    composite >>= np.uint64(pos_bits)
+    return composite, order
 
 
 def record_dtype(value_dtype: np.dtype) -> np.dtype:

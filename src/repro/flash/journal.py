@@ -109,7 +109,7 @@ def decode_frame(magic: bytes, data: bytes) -> tuple[int, list[dict]] | None:
 
 def chunked_file_records(name: str, size: int, flushed: int, sealed: bool,
                          blocks: list[int], crcs: list[int],
-                         chunk: int = 128) -> list[dict]:
+                         chunk: int) -> list[dict]:
     """Snapshot records for one file, split so each fits a journal frame.
 
     The head ``file`` record carries the scalars plus the first chunk of

@@ -20,6 +20,7 @@ placements to it).
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -27,10 +28,14 @@ import numpy as np
 
 from repro.flash.device import FlashDevice, FlashError
 from repro.flash.faults import page_crc, verify_pages
-from repro.flash.journal import RecoveryStats, chunked_file_records
+from repro.flash.journal import (
+    RecoveryStats,
+    chunked_file_records,
+    frame_capacity,
+)
 
-#: Pages per commit record: bounds the record's JSON size so it always fits
-#: one metadata frame, whatever the append size.
+#: Most pages one commit or snapshot record lists; :meth:`FileStore._record_pages`
+#: lowers it where that many do not fit one metadata frame (small pages).
 COMMIT_CHUNK_PAGES = 128
 
 
@@ -86,6 +91,16 @@ class FileStore:
         self.recovery = RecoveryStats()
         self._files: dict[str, StoredFile] = {}
         self._pending_records: list[dict] = []
+        # Worst-case JSON size of a frame holding one ``file`` record (the
+        # longest of the page-listing records) with no name and no pages,
+        # and of each page it then lists: a CRC-32 and an extent id, which
+        # has no more digits than the device has pages, a comma each.
+        pages = device.geometry.num_blocks * device.geometry.pages_per_block
+        bare = chunked_file_records("", pages * self.page_bytes, pages, False,
+                                    [], [], COMMIT_CHUNK_PAGES)
+        self._record_room = frame_capacity(self.page_bytes) - len(
+            json.dumps(bare, separators=(",", ":")))
+        self._record_page_bytes = len(f"{2 ** 32 - 1},{pages},")
 
     # ---------------------------------------------------------------- queries
 
@@ -169,7 +184,7 @@ class FileStore:
         Records only after the data is on flash (write-behind for data,
         write-ahead for deletes): a crash in between leaves programmed but
         unreferenced pages that mount discards, never a torn file.  Chunked
-        so any append's page list fits one metadata frame; ``flushed`` is
+        so every record fits one metadata frame; ``flushed`` is
         absolute and extents/crcs extend on replay, so a crash mid-sequence
         recovers a consistent prefix of the flush.
         """
@@ -180,8 +195,9 @@ class FileStore:
         f.flushed_pages = end = first + len(pages)
         if self.durable:
             per_extent = self.pages_per_extent
-            for cs in range(first, end, COMMIT_CHUNK_PAGES):
-                ce = min(cs + COMMIT_CHUNK_PAGES, end)
+            chunk = self._record_pages(f.name)
+            for cs in range(first, end, chunk):
+                ce = min(cs + chunk, end)
                 covered = (ce - 1) // per_extent + 1
                 self._log({"op": "commit", "name": f.name, "flushed": ce,
                            "blocks": f.extents[logged:covered],
@@ -367,8 +383,16 @@ class FileStore:
             f = self._files[name]
             records.extend(chunked_file_records(
                 name, f.size, f.flushed_pages, f.sealed, f.extents,
-                f.page_crcs))
+                f.page_crcs, self._record_pages(name)))
         return records
+
+    def _record_pages(self, name: str) -> int:
+        """Pages one commit or snapshot record of file ``name`` may list and
+        still fit a metadata frame whatever the CRCs and extent ids turn out
+        to be.  ``COMMIT_CHUNK_PAGES`` wherever that fits — every page size
+        from 4 KB up — so those geometries' frames never depend on this."""
+        room = self._record_room - len(json.dumps(name))
+        return max(1, min(COMMIT_CHUNK_PAGES, room // self._record_page_bytes))
 
     def _replay_frame(self, records: list[dict]) -> None:
         for record in records:

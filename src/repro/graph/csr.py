@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kvstream import stable_sort
+
 
 class CSRGraph:
     """Out-edge adjacency in CSR form.
@@ -51,9 +53,8 @@ class CSRGraph:
             raise ValueError(f"weights length {len(weights)} != edge count {len(src)}")
         if len(src) and max(src.max(), dst.max()) >= num_vertices:
             raise ValueError("edge endpoint out of range")
-        order = np.argsort(src, kind="stable")
-        src_sorted = src[order]
-        counts = np.bincount(src_sorted.astype(np.int64), minlength=num_vertices)
+        src_sorted, order = stable_sort(src)
+        counts = np.bincount(src_sorted.view(np.int64), minlength=num_vertices)
         offsets = np.zeros(num_vertices + 1, dtype=np.uint64)
         np.cumsum(counts, out=offsets[1:])
         w = None if weights is None else np.asarray(weights)[order]
@@ -93,21 +94,21 @@ class CSRGraph:
 
     # ------------------------------------------------------------- operations
 
-    def reversed(self) -> "CSRGraph":
-        """The transpose graph (in-edge lists), needed by pull-style consumers."""
-        src = np.repeat(
+    def sources(self) -> np.ndarray:
+        """The source vertex of every edge, in CSR order."""
+        return np.repeat(
             np.arange(self.num_vertices, dtype=np.uint64),
             np.diff(self.offsets.astype(np.int64)),
         )
-        return CSRGraph.from_edges(self.targets, src, self.num_vertices, self.weights)
+
+    def reversed(self) -> "CSRGraph":
+        """The transpose graph (in-edge lists), needed by pull-style consumers."""
+        return CSRGraph.from_edges(self.targets, self.sources(),
+                                   self.num_vertices, self.weights)
 
     def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays in CSR order."""
-        src = np.repeat(
-            np.arange(self.num_vertices, dtype=np.uint64),
-            np.diff(self.offsets.astype(np.int64)),
-        )
-        return src, self.targets.copy()
+        return self.sources(), self.targets.copy()
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.num_vertices}, m={self.num_edges}, weighted={self.has_weights})"

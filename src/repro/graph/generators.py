@@ -43,22 +43,10 @@ def kronecker_edges(scale: int, edgefactor: int = 16, seed: int = 1,
     if scale < 1 or scale > 30:
         raise ValueError(f"kronecker scale out of supported range [1, 30]: {scale}")
     n = 1 << scale
-    m = n * edgefactor
     rng = np.random.default_rng(seed)
-    src = np.zeros(m, dtype=np.uint64)
-    dst = np.zeros(m, dtype=np.uint64)
-    ab = KRON_A + KRON_B
-    c_norm = KRON_C / (1.0 - ab)
-    a_norm = KRON_A / ab
-    for bit in range(scale):
-        r1 = rng.random(m)
-        r2 = rng.random(m)
-        src_bit = r1 > ab
-        dst_bit = r2 > np.where(src_bit, c_norm, a_norm)
-        src |= src_bit.astype(np.uint64) << np.uint64(bit)
-        dst |= dst_bit.astype(np.uint64) << np.uint64(bit)
+    src, dst = _rmat_words(rng, scale, n * edgefactor, KRON_A, KRON_B, KRON_C)
     perm = rng.permutation(n).astype(np.uint64)
-    return perm[src.astype(np.int64)], perm[dst.astype(np.int64)], n
+    return perm[src], perm[dst], n
 
 
 def rmat_edges(scale: int, edgefactor: int, a: float, b: float, c: float,
@@ -66,20 +54,47 @@ def rmat_edges(scale: int, edgefactor: int, a: float, b: float, c: float,
     """General R-MAT with caller-chosen quadrant probabilities."""
     if not 0 < a + b + c < 1:
         raise ValueError(f"a+b+c must be in (0, 1), got {a + b + c}")
+    if scale > 32:
+        raise ValueError(f"R-MAT scale above 32 is not supported: {scale}")
     n = 1 << scale
-    m = n * edgefactor
     rng = np.random.default_rng(seed)
-    src = np.zeros(m, dtype=np.uint64)
-    dst = np.zeros(m, dtype=np.uint64)
+    src, dst = _rmat_words(rng, scale, n * edgefactor, a, b, c)
+    return src.astype(np.uint64), dst.astype(np.uint64), n
+
+
+def _rmat_words(rng: np.random.Generator, scale: int, m: int,
+                a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The R-MAT recursion behind both generators: ``m`` (src, dst) pairs of
+    ``scale``-bit ids as uint32 words, two uniform draws per edge and level
+    (source, then target).  Every m-sized array is allocated once, before
+    the loop: a fresh float64 threshold array and uint64 casts and shifts per
+    level cost more than the draws (DESIGN.md, "Performance of the simulator")."""
     ab = a + b
     c_norm = c / (1.0 - ab)
     a_norm = a / ab
+    src = np.zeros(m, dtype=np.uint32)
+    dst = np.zeros(m, dtype=np.uint32)
+    r = np.empty(m, dtype=np.float64)
+    word = np.empty(m, dtype=np.uint32)
+    src_bit, dst_bit, if_set = (np.empty(m, dtype=np.bool_) for _ in range(3))
     for bit in range(scale):
-        src_bit = rng.random(m) > ab
-        dst_bit = rng.random(m) > np.where(src_bit, c_norm, a_norm)
-        src |= src_bit.astype(np.uint64) << np.uint64(bit)
-        dst |= dst_bit.astype(np.uint64) << np.uint64(bit)
-    return src, dst, n
+        place = np.uint32(1 << bit)
+        rng.random(out=r)
+        np.greater(r, ab, out=src_bit)
+        np.multiply(src_bit, place, out=word)
+        src |= word
+        rng.random(out=r)
+        # The target's threshold is c_norm where the source bit is set and
+        # a_norm elsewhere; a masked select (np.where, copyto) branches per
+        # element, the xor-select below does not.
+        np.greater(r, a_norm, out=dst_bit)
+        np.greater(r, c_norm, out=if_set)
+        if_set ^= dst_bit
+        if_set &= src_bit
+        dst_bit ^= if_set
+        np.multiply(dst_bit, place, out=word)
+        dst |= word
+    return src, dst
 
 
 def _zipf_ids(rng: np.random.Generator, n: int, count: int, exponent: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.kvstream import TIMSORT_MAX_RUNS, KVArray, record_dtype
+from repro.core.kvstream import TIMSORT_MAX_RUNS, KVArray, record_dtype, stable_sort
 
 
 def test_construction_validates_alignment():
@@ -121,6 +121,28 @@ def test_sorted_is_the_stable_permutation(n, key_space, dtype, runs, seed):
     # permutation that is sorted but not the stable one.
     kv = KVArray(keys, np.arange(n).astype(dtype))
     assert_stable_sorted(kv, kv.sorted(runs))
+
+
+@given(st.sampled_from(KERNEL_SIZES),
+       # 1 and 3: nothing but duplicates; 2^64: keys that leave no room for
+       # the position bits, so the stable-argsort fallback runs.
+       st.sampled_from([1, 3, 1000, 2 ** 40, 2 ** 64]),
+       st.sampled_from(["random", "sorted", "reversed"]),
+       st.integers(0, 2 ** 32))
+def test_stable_sort_is_the_stable_argsort(n, key_space, shape, seed):
+    keys = np.random.default_rng(seed).integers(0, key_space, n, dtype=np.uint64)
+    if shape != "random":
+        keys.sort()
+    if shape == "reversed":
+        keys = keys[::-1]
+    before = keys.copy()
+    expected = np.argsort(keys, kind="stable")
+    for runs in (0, 1) if shape == "sorted" else (0,):
+        sorted_keys, order = stable_sort(keys, runs)
+        assert sorted_keys.dtype == keys.dtype
+        assert np.array_equal(order, expected)
+        assert np.array_equal(sorted_keys, keys[expected])
+    assert np.array_equal(keys, before)  # the caller's array is not the scratch
 
 
 @pytest.mark.parametrize("n", [2, 5, 8, 9, 1024, 1025])

@@ -195,6 +195,27 @@ def test_out_of_space_append_leaves_the_pool_untouched(config):
     assert store.free_bytes < free
 
 
+@pytest.mark.parametrize("kind", ["aoffs", "ssd"])
+@pytest.mark.parametrize("name", ["f", "a-much-longer-file-name/" * 8],
+                         ids=["short-name", "192-byte-name"])
+def test_durable_commits_fit_a_small_page(kind, name):
+    # On 512 B pages a metadata frame holds 492 B of records; 128 page CRCs
+    # per commit record (right for 4 KB pages and up) do not fit, and a
+    # durable store could not commit an append of more than ~40 pages.
+    store = make_store(kind, True, geometry=SPAN_GEOMETRY)
+    data = (np.arange(200 * 512 + 77) * 13 % 256).astype(np.uint8).tobytes()
+    store.append(name, data)
+    store.seal(name)
+    assert remount(store).read(name) == data
+    # The snapshot lists the same pages again, as ``file``/``filex`` records.
+    if kind == "aoffs":
+        store._compact_journal()
+    else:
+        store._write_snapshot()
+    mounted = remount(store)
+    assert mounted.is_sealed(name) and mounted.read(name) == data
+
+
 # ------------------------------------------------- scatter reads (read_spans)
 
 

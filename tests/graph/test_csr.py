@@ -89,3 +89,32 @@ def test_from_edges_preserves_multiset(edges):
     assert sorted(zip(src.tolist(), dst.tolist())) == \
         sorted(zip(out_src.tolist(), out_dst.tolist()))
     assert int(graph.out_degrees().sum()) == len(edges)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 40),
+       st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=300),
+       st.booleans())
+def test_from_edges_equals_the_stable_argsort_reference(
+        reference_from_edges, n, edges, weighted):
+    # Ids are folded into [0, n): small n gives duplicate edges and
+    # self-loops, large n isolated vertices, the empty list zero edges.
+    edges = [(s % n, d % n) for s, d in edges]
+    src = np.array([s for s, _ in edges], dtype=np.uint64)
+    dst = np.array([d for _, d in edges], dtype=np.uint64)
+    # Position-tagged weights expose any order that is not the input order.
+    weights = np.arange(len(edges), dtype=np.float32) if weighted else None
+    graph = CSRGraph.from_edges(src, dst, n, weights)
+    reference = reference_from_edges(src, dst, n, weights)
+    for name in ("offsets", "targets", "weights"):
+        got, expected = getattr(graph, name), getattr(reference, name)
+        if expected is None:
+            assert got is None
+        else:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    # "Target order within a vertex follows input order", said directly.
+    for v in range(n):
+        assert graph.neighbors(v).tolist() == [d for s, d in edges if s == v]
+    if weighted:
+        assert np.array_equal(src[graph.weights.astype(np.int64)], graph.sources())
+

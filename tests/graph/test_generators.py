@@ -5,6 +5,10 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
+    KRON_A,
+    KRON_B,
+    KRON_C,
+    _rmat_words,
     kronecker_edges,
     powerlaw_edges,
     random_weights,
@@ -50,6 +54,74 @@ def test_rmat_general():
     assert n == 256 and len(src) == 1024
     with pytest.raises(ValueError):
         rmat_edges(scale=8, edgefactor=4, a=0.5, b=0.3, c=0.3)
+
+
+def reference_rmat(rng, scale, m, a, b, c):
+    """The R-MAT loop as first written (one fresh array per expression): the
+    reference for the bytes *and* the draws of the allocation-free kernel."""
+    src = np.zeros(m, dtype=np.uint64)
+    dst = np.zeros(m, dtype=np.uint64)
+    ab = a + b
+    c_norm = c / (1.0 - ab)
+    a_norm = a / ab
+    for bit in range(scale):
+        r1 = rng.random(m)
+        r2 = rng.random(m)
+        src_bit = r1 > ab
+        dst_bit = r2 > np.where(src_bit, c_norm, a_norm)
+        src |= src_bit.astype(np.uint64) << np.uint64(bit)
+        dst |= dst_bit.astype(np.uint64) << np.uint64(bit)
+    return src, dst
+
+
+def assert_same_edges(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert g.dtype == e.dtype == np.uint64 and np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("scale, edgefactor", [(1, 3), (4, 5), (9, 4), (17, 1)])
+@pytest.mark.parametrize("seed", [1, 2, 99])
+def test_kronecker_equals_the_reference_loop(scale, edgefactor, seed):
+    n = 1 << scale
+    rng = np.random.default_rng(seed)
+    src, dst = reference_rmat(rng, scale, n * edgefactor, KRON_A, KRON_B, KRON_C)
+    perm = rng.permutation(n).astype(np.uint64)
+    got = kronecker_edges(scale, edgefactor, seed=seed)
+    assert got[2] == n
+    assert_same_edges(got[:2], (perm[src.astype(np.int64)], perm[dst.astype(np.int64)]))
+
+
+@pytest.mark.parametrize("scale, edgefactor", [(1, 3), (4, 5), (9, 4), (17, 1)])
+@pytest.mark.parametrize("seed, abc", [(1, (0.45, 0.25, 0.15)),
+                                       (2, (0.25, 0.25, 0.25)),
+                                       # c_norm < a_norm and c_norm > a_norm:
+                                       (3, (0.7, 0.1, 0.05)),
+                                       (4, (0.1, 0.3, 0.5))])
+def test_rmat_equals_the_reference_loop(scale, edgefactor, seed, abc):
+    expected = reference_rmat(np.random.default_rng(seed), scale,
+                              edgefactor << scale, *abc)
+    got = rmat_edges(scale, edgefactor, *abc, seed=seed)
+    assert got[2] == 1 << scale
+    assert_same_edges(got[:2], expected)
+
+
+@pytest.mark.parametrize("scale", [1, 4, 9])
+def test_rmat_kernel_leaves_the_generator_where_the_reference_does(scale):
+    # Same draws in the same order: whatever is drawn next (the Graph500
+    # permutation, in kronecker_edges) sees the same stream.
+    m = 7 << scale
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    got = _rmat_words(ours, scale, m, KRON_A, KRON_B, KRON_C)
+    expected = reference_rmat(theirs, scale, m, KRON_A, KRON_B, KRON_C)
+    assert all(g.dtype == np.uint32 and np.array_equal(g, e)
+               for g, e in zip(got, expected, strict=True))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert np.array_equal(ours.random(8), theirs.random(8))
+
+
+def test_rmat_scale_beyond_the_id_word_is_rejected():
+    with pytest.raises(ValueError):
+        rmat_edges(scale=33, edgefactor=1, a=0.45, b=0.25, c=0.15)
 
 
 def test_powerlaw_skew_and_range():
