@@ -68,7 +68,7 @@ def _rmat_words(rng: np.random.Generator, scale: int, m: int,
     ``scale``-bit ids as uint32 words, two uniform draws per edge and level
     (source, then target).  Every m-sized array is allocated once, before
     the loop: a fresh float64 threshold array and uint64 casts and shifts per
-    level cost more than the draws (DESIGN.md, "Performance of the simulator")."""
+    level cost as much as the draws (DESIGN.md, "Performance of the simulator")."""
     ab = a + b
     c_norm = c / (1.0 - ab)
     a_norm = a / ab
