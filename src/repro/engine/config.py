@@ -30,6 +30,7 @@ from repro.flash.device import (
     FlashRecoveryExhaustedError,
     PowerLossError,
 )
+from repro.flash.faults import MAX_REMOUNTS
 from repro.flash.filestore import SSDFileSystem
 from repro.flash.ftl import SSD
 from repro.flash.store import FileStore
@@ -83,7 +84,7 @@ class SystemConfig:
     mode: str = "sortreduce"
     #: Give-up bound of :meth:`run_recovering`: the one remount budget every
     #: crash→remount→retry loop over this stack draws from.
-    max_remounts: int = 10_000
+    max_remounts: int = MAX_REMOUNTS
     #: Remount attempts so far (interrupted ones included).
     remounts: int = 0
 

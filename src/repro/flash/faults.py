@@ -69,6 +69,7 @@ __all__ = [
     "FaultStats",
     "CrashPlan",
     "CrashStats",
+    "MAX_REMOUNTS",
     "PowerLossInjector",
     "verify_pages",
     "FlashError",
@@ -110,6 +111,12 @@ _CRASH_SPEC_KEYS: dict[str, tuple[str, str]] = {
 }
 
 
+#: Remounts after which the crash recovery driver
+#: (:meth:`repro.engine.config.SystemConfig.run_recovering`) gives up, and so
+#: the most power losses a :class:`CrashPlan` may schedule: each costs one.
+MAX_REMOUNTS = 10_000
+
+
 @dataclass(frozen=True)
 class CrashPlan:
     """Seeded schedule of power-loss injection points.
@@ -137,8 +144,10 @@ class CrashPlan:
     at_ops: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.crashes < 0:
-            raise ValueError(f"crashes must be >= 0, got {self.crashes}")
+        if not 0 <= self.crashes <= MAX_REMOUNTS:
+            raise ValueError(
+                f"crashes must be in [0, {MAX_REMOUNTS}] (recovery gives up "
+                f"after {MAX_REMOUNTS} remounts), got {self.crashes}")
         if self.mean_gap <= 0:
             raise ValueError(f"mean_gap must be > 0, got {self.mean_gap}")
         if not 0.0 <= self.torn_write_p <= 1.0:
@@ -189,7 +198,7 @@ class CrashPlan:
                     kwargs[field] = int(float(raw))
                 else:
                     kwargs[field] = float(raw)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:    # OverflowError: inf
                 raise ValueError(f"bad value {raw!r} for crash key {key!r}") from exc
         return CrashPlan(**kwargs)
 

@@ -20,17 +20,23 @@ arrays; duplicate edges and self-loops are kept, as in Graph500 inputs.
 
 RNG audit (repro-lint RL001): every function here constructs its own
 ``np.random.default_rng(seed)`` from an explicit caller-supplied seed and
-draws nothing from global or OS-entropy state — two calls with the same
-arguments produce byte-identical edge lists, which is what lets
-``load_dataset`` cache built graphs and the invariance goldens stay pinned.
+draws nothing from global or OS-entropy state (R-MAT edge blocks draw through
+copies of that generator's state, never seeded from anything else) — two
+calls with the same arguments produce byte-identical edge lists, which is what
+lets ``load_dataset`` cache built graphs and the invariance goldens stay pinned.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
 #: Graph500 initiator matrix probabilities.
 KRON_A, KRON_B, KRON_C = 0.57, 0.19, 0.19
+#: Edges per R-MAT kernel call and fewest per thread (measured: DESIGN.md).
+RMAT_BLOCK_EDGES, RMAT_THREAD_EDGES = 1 << 17, 1 << 19
 
 
 def kronecker_edges(scale: int, edgefactor: int = 16, seed: int = 1,
@@ -65,25 +71,60 @@ def rmat_edges(scale: int, edgefactor: int, a: float, b: float, c: float,
 def _rmat_words(rng: np.random.Generator, scale: int, m: int,
                 a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     """The R-MAT recursion behind both generators: ``m`` (src, dst) pairs of
-    ``scale``-bit ids as uint32 words, two uniform draws per edge and level
-    (source, then target).  Every m-sized array is allocated once, before
-    the loop: a fresh float64 threshold array and uint64 casts and shifts per
-    level cost as much as the draws (DESIGN.md, "Performance of the simulator")."""
+    ``scale``-bit ids as uint32 words from ``rng`` (a fresh PCG64), in blocks
+    dealt to one thread per CPU this process may run on (the caller is one; the
+    rest are joined on return).  Same arrays and ``rng`` state for any deal."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, m // RMAT_THREAD_EDGES))
+    src, dst = (np.zeros(m, dtype=np.uint32) for _ in range(2))
+    errors = []
+
+    def run(part: int) -> None:
+        try:
+            for lo in range(part * RMAT_BLOCK_EDGES, m, parts * RMAT_BLOCK_EDGES):
+                hi = min(lo + RMAT_BLOCK_EDGES, m)
+                _rmat_range(rng, scale, m, lo, a, b, c, src[lo:hi], dst[lo:hi])
+        except Exception as exc:
+            errors.append(exc)
+    threads = [threading.Thread(target=run, args=(part,)) for part in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    rng.bit_generator.advance(2 * m * scale)  # where one loop over m leaves it
+    return src, dst
+
+
+def _rmat_range(caller: np.random.Generator, scale: int, m: int, lo: int, a: float,
+                b: float, c: float, src: np.ndarray, dst: np.ndarray) -> None:
+    """Edges ``lo:lo + len(src)`` of ``m`` into ``src``/``dst``: two uniform
+    draws per edge and level (source, then target), edge ``i`` reading draws
+    ``2 * bit * m + i`` and ``+ m`` of the caller's stream, so a copy of its
+    generator starts ``lo`` draws in and skips the others' after each fill.
+    Scratch is allocated before the loop: fresh arrays per level cost as much
+    as the draws (DESIGN.md, "Graph synthesis (cold start)")."""
     ab = a + b
     c_norm = c / (1.0 - ab)
     a_norm = a / ab
-    src = np.zeros(m, dtype=np.uint32)
-    dst = np.zeros(m, dtype=np.uint32)
-    r = np.empty(m, dtype=np.float64)
-    word = np.empty(m, dtype=np.uint32)
-    src_bit, dst_bit, if_set = (np.empty(m, dtype=np.bool_) for _ in range(3))
+    n = len(src)
+    bits = np.random.PCG64(0)
+    bits.state = caller.bit_generator.state
+    rng = np.random.Generator(bits.advance(lo))
+    r = np.empty(n, dtype=np.float64)
+    word = np.empty(n, dtype=np.uint32)
+    src_bit, dst_bit, if_set = (np.empty(n, dtype=np.bool_) for _ in range(3))
     for bit in range(scale):
         place = np.uint32(1 << bit)
         rng.random(out=r)
+        bits.advance(m - n)
         np.greater(r, ab, out=src_bit)
         np.multiply(src_bit, place, out=word)
         src |= word
         rng.random(out=r)
+        bits.advance(m - n)
         # The target's threshold is c_norm where the source bit is set and
         # a_norm elsewhere; a masked select (np.where, copyto) branches per
         # element, the xor-select below does not.
@@ -94,7 +135,6 @@ def _rmat_words(rng: np.random.Generator, scale: int, m: int,
         dst_bit ^= if_set
         np.multiply(dst_bit, place, out=word)
         dst |= word
-    return src, dst
 
 
 def _zipf_ids(rng: np.random.Generator, n: int, count: int, exponent: float) -> np.ndarray:

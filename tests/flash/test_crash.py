@@ -4,6 +4,7 @@ contract, typed out-of-space errors, and atomic rename-overwrite."""
 import numpy as np
 import pytest
 
+from repro.engine.config import SystemConfig
 from repro.flash.aoffs import AppendOnlyFlashFS
 from repro.flash.device import (
     FlashDevice,
@@ -12,7 +13,7 @@ from repro.flash.device import (
     FlashOutOfSpaceError,
     PowerLossError,
 )
-from repro.flash.faults import CrashPlan, PowerLossInjector
+from repro.flash.faults import MAX_REMOUNTS, CrashPlan, PowerLossInjector
 from repro.flash.filestore import SSDFileSystem
 from repro.flash.ftl import SSD
 from repro.perf.clock import SimClock
@@ -56,6 +57,18 @@ def test_crash_plan_parse_rejects_garbage():
         CrashPlan(torn_write_p=1.5)
     with pytest.raises(ValueError):
         CrashPlan(mean_gap=0)
+
+
+def test_crash_count_is_bounded_by_the_recovery_drivers_give_up():
+    # One constant: a plan may schedule as many losses as the driver will
+    # remount for, and asks numpy for no more draws than that.
+    assert SystemConfig.max_remounts == MAX_REMOUNTS == 10_000
+    assert len(CrashPlan.parse("ops=10000").schedule()) <= MAX_REMOUNTS
+    for spec in ("ops=10001", "ops=1e9", "ops=1e400", "ops=-1"):
+        with pytest.raises(ValueError, match="crash"):
+            CrashPlan.parse(spec)
+    with pytest.raises(ValueError, match="10000 remounts"):
+        CrashPlan(crashes=MAX_REMOUNTS + 1)
 
 
 def test_crash_schedule_is_deterministic_and_bounded():

@@ -1,13 +1,21 @@
 """Graph synthesizers: determinism, shape properties, degree skew."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_generator_goldens import digest
 
+from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     KRON_A,
     KRON_B,
     KRON_C,
+    _rmat_range,
     _rmat_words,
     kronecker_edges,
     powerlaw_edges,
@@ -117,6 +125,162 @@ def test_rmat_kernel_leaves_the_generator_where_the_reference_does(scale):
                for g, e in zip(got, expected, strict=True))
     assert ours.bit_generator.state == theirs.bit_generator.state
     assert np.array_equal(ours.random(8), theirs.random(8))
+
+
+#: Every (a, b, c) the reference comparisons above use.
+ABC_SETS = [(KRON_A, KRON_B, KRON_C), (0.45, 0.25, 0.15), (0.25, 0.25, 0.25),
+            (0.7, 0.1, 0.05), (0.1, 0.3, 0.5)]
+
+
+@st.composite
+def rmat_cuts(draw):
+    """(scale, m, bounds): 1-8 contiguous ranges covering ``m`` edges, cut
+    anywhere — uneven, and as short as one edge."""
+    scale = draw(st.sampled_from([1, 4, 9, 17]))
+    m = draw(st.integers(1, 5)) << scale if scale < 17 else 1 << scale
+    cuts = draw(st.lists(st.integers(1, m - 1), max_size=7, unique=True))
+    return scale, m, [0, *sorted(cuts), m]
+
+
+@settings(deadline=None, max_examples=60)
+@given(rmat_cuts(), st.sampled_from([1, 2, 99]), st.sampled_from(ABC_SETS))
+@example((4, 48, [0, 1, 47, 48]), 3, ABC_SETS[0])       # one-edge ranges at both ends
+@example((9, 2048, [0, 1, 2, 3, 4, 5, 6, 7, 2048]), 4, ABC_SETS[3])
+def test_rmat_ranges_give_the_same_bytes_for_any_cut(cut, seed, abc):
+    # The bounds go to the per-range kernel directly, every range on a thread
+    # of its own and started last-first, so neither the host's CPU count nor
+    # the order the ranges run in is part of the result.
+    scale, m, bounds = cut
+    expected = reference_rmat(np.random.default_rng(seed), scale, m, *abc)
+    caller = np.random.default_rng(seed)
+    before = caller.bit_generator.state
+    src, dst = np.zeros(m, dtype=np.uint32), np.zeros(m, dtype=np.uint32)
+    threads = [threading.Thread(target=_rmat_range, args=(
+                   caller, scale, m, lo, *abc, src[lo:hi], dst[lo:hi]))
+               for lo, hi in zip(bounds, bounds[1:])]
+    for thread in reversed(threads):
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert np.array_equal(src, expected[0]) and np.array_equal(dst, expected[1])
+    # A range draws through a copy: the caller's generator is only read.
+    assert caller.bit_generator.state == before
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n, block)``: ``_rmat_words`` sees ``n`` CPUs, starts a thread
+    for as little as one edge and deals blocks of ``block`` edges, so a small
+    ``m`` takes the threaded path on any host.  ``block=None`` leaves the
+    shipped block size and thread threshold in place.  Threads switch every
+    microsecond while the test runs: up to eight of them on however few
+    cores, interleaved as finely as the interpreter allows."""
+    def patch(n, block=None):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        if block is not None:
+            monkeypatch.setattr(generators, "RMAT_THREAD_EDGES", 1)
+            monkeypatch.setattr(generators, "RMAT_BLOCK_EDGES", block)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield patch
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def range_threads(monkeypatch):
+    """The thread each per-range kernel call ran on."""
+    seen = []
+
+    def recording(*args):
+        seen.append(threading.current_thread())
+        _rmat_range(*args)
+    monkeypatch.setattr(generators, "_rmat_range", recording)
+    return seen
+
+
+@pytest.mark.parametrize("parts", range(1, 9))
+@pytest.mark.parametrize("scale, seed, abc", [
+    (1, 1, ABC_SETS[0]), (4, 2, ABC_SETS[1]), (9, 99, ABC_SETS[3]), (17, 3, ABC_SETS[4])])
+def test_rmat_words_on_any_cpu_count_equal_the_reference(
+        cpus, range_threads, parts, scale, seed, abc):
+    m = 11 << scale if scale < 17 else 1 << scale
+    block = max(1, m // 19)         # 20 blocks, the last one short
+    cpus(parts, block)
+    alive = threading.active_count()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _rmat_words(ours, scale, m, *abc)
+    assert threading.active_count() == alive
+    # The blocks were dealt to the caller and to parts - 1 threads of its own.
+    assert len(range_threads) == -(-m // block)
+    assert threading.current_thread() in range_threads
+    assert len(set(range_threads)) == parts
+    expected = reference_rmat(theirs, scale, m, *abc)
+    assert all(g.dtype == np.uint32 and np.array_equal(g, e)
+               for g, e in zip(got, expected, strict=True))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert np.array_equal(ours.random(8), theirs.random(8))
+
+
+@pytest.mark.parametrize("parts", range(1, 9))
+@pytest.mark.parametrize("scale, edgefactor", [(1, 3), (4, 5), (9, 4), (17, 1)])
+def test_generators_on_any_cpu_count_equal_the_reference(cpus, parts, scale, edgefactor):
+    n, m = 1 << scale, edgefactor << scale
+    cpus(parts, block=max(1, m // 11))
+    rng = np.random.default_rng(7)
+    src, dst = reference_rmat(rng, scale, m, KRON_A, KRON_B, KRON_C)
+    perm = rng.permutation(n).astype(np.uint64)     # drawn after the words
+    assert_same_edges(kronecker_edges(scale, edgefactor, seed=7)[:2],
+                      (perm[src.astype(np.int64)], perm[dst.astype(np.int64)]))
+    assert_same_edges(rmat_edges(scale, edgefactor, *ABC_SETS[3], seed=7)[:2],
+                      reference_rmat(np.random.default_rng(7), scale, m, *ABC_SETS[3]))
+
+
+def test_thread_count_follows_the_cpus_and_the_edge_count(cpus, range_threads):
+    # The shipped constants: blocks of 2**17 edges, a thread per 2**19.
+    for n, m, threads in [(1, 1 << 21, 1), (4, (1 << 19) - 1, 1), (4, 1 << 19, 1),
+                          (4, 1 << 20, 2), (4, 3 << 19, 3), (2, 1 << 21, 2)]:
+        cpus(n)
+        del range_threads[:]
+        src, dst = _rmat_words(np.random.default_rng(1), 1, m, KRON_A, KRON_B, KRON_C)
+        assert len(src) == len(dst) == m
+        assert len(range_threads) == -(-m // (1 << 17))
+        assert len(set(range_threads)) == threads
+    assert [len(a) for a in _rmat_words(np.random.default_rng(1), 1, 0, 0.5, 0.2, 0.2)] == [0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_kron30_at_benchmark_size_has_the_serial_loops_bytes(cpus, n):
+    # kron30 @ 2^-12 (pr_dense): 4 194 304 edges in 32 blocks, up to eight
+    # threads allowed, the CPUs decide; three do not divide 32.  The digest was
+    # recorded from the one-loop kernel on the commit before the split.
+    cpus(n)
+    assert digest(*kronecker_edges(18, 16, seed=1)[:2]) == (
+        "ac8e91650d10581c3ed7680749c2f23b6f547f883b23abaa14754cd5de61705c")
+
+
+def test_a_failing_block_raises_in_the_caller_and_leaves_no_thread(cpus, monkeypatch):
+    fails_at = None
+
+    def failing(caller, scale, m, lo, *rest):
+        if lo == fails_at:
+            raise FloatingPointError(f"block at {lo}")
+        _rmat_range(caller, scale, m, lo, *rest)
+    monkeypatch.setattr(generators, "_rmat_range", failing)
+    cpus(4, block=4)
+    alive = threading.active_count()
+    # Block 8 of 16 is the caller's third, block 9 the second thread's.
+    for fails_at in (32, 36):
+        for call in (lambda: _rmat_words(np.random.default_rng(1), 4, 64,
+                                         KRON_A, KRON_B, KRON_C),
+                     lambda: kronecker_edges(4, 4, seed=1),
+                     lambda: rmat_edges(4, 4, 0.45, 0.25, 0.15, seed=1)):
+            with pytest.raises(FloatingPointError, match=f"block at {fails_at}"):
+                call()
+            assert threading.active_count() == alive
 
 
 def test_rmat_scale_beyond_the_id_word_is_rejected():

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -89,6 +91,24 @@ def test_count_flags_are_validated_by_the_parser(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run", "--system", "GraFSoft"], ["serve", "--demo"]])
+@pytest.mark.parametrize("ops", ["10001", "1e9", "1e400", "-1"])
+def test_crash_count_is_bounded_by_the_parser(command, ops, capsys):
+    # ops=1e9 used to ask numpy for 10**9 exponential draws (8 GB) before
+    # anything ran; the recovery driver gives up after 10 000 remounts anyway.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--crash", f"seed=1,ops={ops}"])
+    assert exc.value.code == 2
+    assert "--crash" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_largest_crash_count_is_accepted():
+    args = build_parser().parse_args(["run", "--crash", "seed=1,ops=10000"])
+    assert args.crashes.crashes == 10_000 and len(args.crashes.schedule()) <= 10_000
 
 
 @pytest.mark.parametrize("command", ["run", "serve", "compare"])
