@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.graph.vertexdata as vertexdata_mod
+from repro.algorithms.bc import run_betweenness_centrality
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.cc import run_label_propagation
 from repro.algorithms.pagerank import run_pagerank
@@ -597,3 +598,79 @@ def test_bloom_bits_golden():
         "2144040048c00016881235122e844550020d8ed960aa808502880440e09445402a040168"
         "40100c6020400c868000c6a08383c248002001820885020ae570025358431004084e4580"
         "100892890050360a")
+
+
+# --------------------------------------------------------------------------
+# every execution strategy: pinned goldens
+# --------------------------------------------------------------------------
+# The goldens above pin absolute numbers only for mode="sortreduce", lazy.
+# These were recorded on the commit before engine/ was consolidated into one
+# superstep loop, for the strategies that consolidation rewrites: Algorithm 2
+# (lazy=False), the semi-external and dense-scan modes, and the betweenness
+# backtrace.  kron30 @ 1/65536, seed 7; BFS activates the same frontier under
+# every strategy.
+
+_BFS_ACTIVATED = [1, 1, 422, 8265, 2316, 36, 0]
+_PAGERANK_ACTIVATED = [16384, 11050]
+
+
+def _strategy_run(kind, algorithm, mode="sortreduce", lazy=True):
+    graph = load_dataset("kron30", scale=1 / 65536, seed=7)
+    system = make_system(kind, 1 / 65536, num_vertices_hint=graph.num_vertices,
+                         mode=mode)
+    flash_graph = system.load_graph(graph)
+    engine = system.engine_for(flash_graph, graph.num_vertices, lazy=lazy)
+    if algorithm == "pagerank":
+        result = run_pagerank(engine, graph.num_vertices, 2)
+    elif algorithm == "bfs":
+        result = run_bfs(engine, default_root(graph))
+    else:
+        result = run_betweenness_centrality(engine, default_root(graph))
+    return result, system.clock.bytes_moved("flash")
+
+
+@pytest.mark.parametrize("kind,golden_elapsed,golden_flash", [
+    ("grafsoft", 0.01800202051507097, 61366272),
+    ("grafboost", 0.004437884881746925, 8228864),
+])
+def test_sim_clock_invariance_eager_bfs(kind, golden_elapsed, golden_flash):
+    """Algorithm 2: the active list A_i is written and read back."""
+    result, flash = _strategy_run(kind, "bfs", lazy=False)
+    assert result.elapsed_s == golden_elapsed
+    assert flash == golden_flash
+    assert [s.activated for s in result.supersteps] == _BFS_ACTIVATED
+
+
+@pytest.mark.parametrize("mode,algorithm,golden_elapsed,golden_flash", [
+    ("semiexternal", "pagerank", 0.017783634334140333, 9420800),
+    ("semiexternal", "bfs", 0.016690191387600348, 56025088),
+    ("densescan", "pagerank", 0.020262423304451667, 19759104),
+    ("densescan", "bfs", 0.01192108667718039, 22405120),
+])
+def test_sim_clock_invariance_static_modes(mode, algorithm, golden_elapsed,
+                                           golden_flash):
+    result, flash = _strategy_run("grafsoft", algorithm, mode=mode)
+    assert result.elapsed_s == golden_elapsed
+    assert flash == golden_flash
+    assert result.mode_trace == [mode] * result.num_supersteps
+    assert [s.activated for s in result.supersteps] == (
+        _PAGERANK_ACTIVATED if algorithm == "pagerank" else _BFS_ACTIVATED)
+
+
+@pytest.mark.parametrize(
+    "kind,golden_forward,golden_backtrace,golden_flash", [
+        ("grafsoft", 0.01790268457757097, 0.0004255283196766928, 61407232),
+        ("grafboost", 0.0042973333782475795, 0.00014528896159871248, 8249344),
+    ])
+def test_sim_clock_invariance_bc(kind, golden_forward, golden_backtrace,
+                                 golden_flash):
+    """Forward BFS, then one sort-reduce per BFS-tree level, deepest first."""
+    result, flash = _strategy_run(kind, "bc")
+    assert result.forward.elapsed_s == golden_forward
+    assert result.backtrace_elapsed_s == golden_backtrace
+    assert flash == golden_flash
+    assert [s.activated for s in result.forward.supersteps] == _BFS_ACTIVATED
+    assert [s.to_dict()["phases"] for s in result.backtrace_stats] == [
+        [[0, 36, 35]], [[0, 2316, 1403]], [[0, 8265, 672], [1, 672, 354]],
+        [[0, 422, 1]], [[0, 1, 1]]]
+    assert float(result.centrality.sum()) == 35084.0
