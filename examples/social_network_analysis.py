@@ -33,9 +33,8 @@ def rank_influencers(kind: str, graph) -> tuple[np.ndarray, float]:
     system = make_system(kind, SCALE, num_vertices_hint=graph.num_vertices)
     out_graph = system.load_graph(graph, prefix="follows")
     in_graph = FlashCSR.write(system.store, "followed-by", graph.reversed())
-    result = run_pagerank_alg4(
-        system.store, system.backend, out_graph, in_graph, graph.num_vertices,
-        system.chunk_bytes, iterations=30, tol=1e-8, memory=system.memory)
+    engine = system.engine_for(out_graph, graph.num_vertices)
+    result = run_pagerank_alg4(engine, in_graph, iterations=30, tol=1e-8)
     return result.final_values(), result.elapsed_s
 
 

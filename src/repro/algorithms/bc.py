@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.bfs import BFSProgram
-from repro.core.external import ExternalSortReducer, SortReduceStats
+from repro.core.external import SortReduceStats
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
 from repro.engine.engine import GraFBoostEngine, RunResult
+from repro.engine.superstep import reduce_into
 
 
 @dataclass
@@ -64,7 +65,6 @@ def run_betweenness_centrality(engine: GraFBoostEngine, root: int) -> BCResult:
     finally:
         engine.max_overlays = saved_max_overlays
 
-    store = engine.store
     clock = engine.clock
     backtrace_start = clock.elapsed_s
     levels = forward.vertices.overlays()
@@ -82,13 +82,9 @@ def run_betweenness_centrality(engine: GraFBoostEngine, root: int) -> BCResult:
             break
         push_mask = parents != vertices_k  # the root parents itself; stop there
         updates = KVArray(parents[push_mask], 1.0 + level_credit[push_mask])
-        reducer = ExternalSortReducer(
-            store, SUM, np.dtype("<f8"), engine.backend, engine.chunk_bytes,
-            fanout=engine.fanout, name_prefix=f"bc-back-{level_index}",
-            memory=engine.memory, pool=engine.pool,
-        )
-        reducer.add(updates)
-        run = reducer.finish()
+        reducer = engine.make_reducer(SUM, np.dtype("<f8"),
+                                      f"bc-back-{level_index}")
+        run, _ = reduce_into(reducer, lambda sink: sink.add(updates))
         stats.append(reducer.stats)
         modes.append("sortreduce")
         credit = run.read_all()

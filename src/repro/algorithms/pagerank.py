@@ -16,7 +16,8 @@ For convergence runs the active list is not a subset of ``newV`` (a vertex
 must push when any of its *out*-neighbours changed), so the paper's
 Algorithm 4 marks the sources of edges into changed vertices in a bloom
 filter while scanning ``newV``'s in-edges, then sweeps the key space pushing
-from every marked vertex.  :func:`run_pagerank_alg4` implements that driver.
+from every marked vertex: :class:`PageRankAlg4Program`, run by the engine
+like every other program.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.external import ExternalSortReducer
+from repro.core.bloom import BloomFilter
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
 from repro.engine.api import VertexProgram, all_active_chunks
-from repro.engine.bloom import BloomFilter
-from repro.engine.engine import GraFBoostEngine, RunResult, SuperstepMetrics
+from repro.engine.engine import GraFBoostEngine, RunResult
 from repro.graph.formats import FlashCSR
-from repro.graph.vertexdata import VertexArray
 
 
 class PageRankProgram(VertexProgram):
@@ -134,141 +133,65 @@ def run_pagerank(engine: GraFBoostEngine, num_vertices: int,
     return engine.run(program, max_supersteps=iterations)
 
 
-def run_pagerank_alg4(store, backend, out_graph: FlashCSR, in_graph: FlashCSR,
-                      num_vertices: int, chunk_bytes: int, iterations: int = 10,
-                      tol: float = 1e-9, damping: float = 0.85, memory=None,
-                      fanout: int = 16, pool=None) -> RunResult:
-    """Algorithm 4: PageRank with bloom-filter custom active-list generation.
+class PageRankAlg4Program(PageRankProgram):
+    """Algorithm 4: PageRank whose active list the program generates.
 
-    Each iteration: scan ``newV``, finalize against ``V``; for every vertex
-    whose rank moved more than ``tol``, mark all sources of its in-edges in
-    the bloom filter and stage the new value; then sweep the whole key space
-    and push rank from every marked vertex's current value over its
-    out-edges into the next sort-reduce.  Stops early when nothing moves.
+    ``is_active`` keeps the vertices whose rank moved by at least ``tol``;
+    each of them marks the sources of its in-edges in the bloom filter, and
+    the sweep of the key space returns every marked vertex.  Filter false
+    positives only cost extra pushes, never correctness (§III-C).
     """
-    program = PageRankProgram(num_vertices, damping)
-    clock = store.device.clock
-    vertices = VertexArray(store, num_vertices, program.value_dtype,
-                           program.default_value)
-    result = RunResult(algorithm="pagerank-alg4", vertices=vertices)
-    run_start = clock.elapsed_s
 
-    # One byte of filter per eight vertices: coarse, but false positives only
-    # cost extra pushes, never correctness (§III-C).
-    bloom = BloomFilter(max(64, num_vertices), num_hashes=2)
-    if memory is not None:
-        memory.allocate("pagerank:bloom", bloom.nbytes)
+    name = "pagerank-alg4"
 
-    newv_chunks: Iterator[KVArray] = all_active_chunks(
-        num_vertices, program.value_dtype, program.default_value)
-    prev_run = None
+    def __init__(self, in_graph: FlashCSR, bloom: BloomFilter, tol: float,
+                 damping: float = 0.85):
+        super().__init__(in_graph.num_vertices, damping)
+        self.in_graph = in_graph
+        self.bloom = bloom
+        self.tol = tol
+
+    def is_active(self, finalized: np.ndarray, old_values: np.ndarray,
+                  old_steps: np.ndarray, superstep: int) -> np.ndarray:
+        if superstep == 0:
+            return np.ones(len(finalized), dtype=bool)
+        # The step index stored with V (§III-C): a vertex's incoming sum is
+        # only complete if the vertex changed last superstep (then *all* its
+        # in-edge sources were marked); sums for other vertices are ignored.
+        fresh = old_steps == superstep - 1
+        # ``>=`` keeps tol=0 an *exact* mode: every fresh vertex stays
+        # active, so every receiver's sum stays complete.
+        return fresh & (np.abs(finalized - old_values) >= self.tol)
+
+    def active_list_marker(self, superstep: int):
+        self.bloom.clear()
+        return self._mark_in_neighbours
+
+    def _mark_in_neighbours(self, keys: np.ndarray, values: np.ndarray) -> None:
+        starts, ends = self.in_graph.index_lookup(keys)
+        self.bloom.add(self.in_graph.edges_for(starts, ends))
+
+    def sweep_active_list(self) -> Iterator[np.ndarray]:
+        for start in range(0, self.num_vertices, 1 << 16):
+            keys = np.arange(start, min(start + (1 << 16), self.num_vertices),
+                             dtype=np.uint64)
+            marked = keys[self.bloom.contains(keys)]
+            if len(marked):
+                yield marked
+
+
+def run_pagerank_alg4(engine: GraFBoostEngine, in_graph: FlashCSR,
+                      iterations: int = 10, tol: float = 1e-9,
+                      damping: float = 0.85) -> RunResult:
+    """Algorithm 4 over ``engine``'s (out-edge) graph; ``in_graph`` is its
+    transpose.  Stops early when no rank moves by ``tol``."""
+    # One bit of filter per vertex: coarse, but see the class docstring.
+    bloom = BloomFilter(max(64, engine.num_vertices), num_hashes=2)
+    if engine.memory is not None:
+        engine.memory.allocate("pagerank:bloom", bloom.nbytes)
     try:
-        for iteration in range(iterations):
-            step_start = clock.elapsed_s
-            bloom.clear()
-            cursor = vertices.cursor()
-            overlay = vertices.overlay_writer(iteration)
-            changed = 0
-            for chunk in newv_chunks:
-                old_values, old_steps = cursor.lookup(chunk.keys)
-                finalized = program.finalize(chunk.values, old_values)
-                if iteration == 0:
-                    mask = np.ones(len(chunk), dtype=bool)
-                else:
-                    # The step index stored with V (§III-C): a vertex's
-                    # incoming sum is only complete if the vertex changed
-                    # last iteration (then *all* its in-edge sources were
-                    # marked); sort-reduced values for vertices not in the
-                    # previous superstep's newV are ignored.
-                    fresh = old_steps == iteration - 1
-                    # ``>=`` keeps tol=0 an *exact* mode: every fresh vertex
-                    # stays active, so every receiver's sum stays complete.
-                    mask = fresh & (np.abs(finalized - old_values) >= tol)
-                active_keys = chunk.keys[mask]
-                if len(active_keys) == 0:
-                    continue
-                overlay.add(KVArray(active_keys, finalized[mask]))
-                changed += len(active_keys)
-                starts, ends = in_graph.index_lookup(active_keys)
-                bloom.add(in_graph.edges_for(starts, ends))
-            overlay.close()
-            if prev_run is not None:
-                prev_run.delete()
-                prev_run = None
-            if changed == 0:
-                break
-
-            reducer = ExternalSortReducer(
-                store, SUM, program.value_dtype, backend, chunk_bytes,
-                fanout=fanout, name_prefix=f"pagerank-alg4-i{iteration}",
-                memory=memory, pool=pool,
-            )
-            push_cursor = vertices.cursor()
-            pushed = 0
-            traversed = 0
-            for start in range(0, num_vertices, 1 << 16):
-                keys = np.arange(start, min(start + (1 << 16), num_vertices),
-                                 dtype=np.uint64)
-                values, _steps = push_cursor.lookup(keys)
-                mask = bloom.contains(keys)
-                active_keys = keys[mask]
-                if len(active_keys) == 0:
-                    continue
-                starts, ends = out_graph.index_lookup(active_keys)
-                degrees = ends - starts
-                nonzero = degrees > 0
-                active_keys = active_keys[nonzero]
-                active_values = values[mask][nonzero]
-                starts, ends, degrees = starts[nonzero], ends[nonzero], degrees[nonzero]
-                targets = out_graph.edges_for(starts, ends)
-                if len(targets) == 0:
-                    continue
-                messages = np.repeat(active_values / degrees, degrees)
-                update = KVArray(targets, messages)
-                reducer.add(update)
-                backend.charge_edge_stream(clock, update.nbytes)
-                pushed += len(active_keys)
-                traversed += len(targets)
-            prev_run = reducer.finish()
-            result.sort_stats.append(reducer.stats)
-            result.supersteps.append(SuperstepMetrics(
-                superstep=iteration,
-                activated=pushed,
-                traversed_edges=traversed,
-                update_pairs=reducer.stats.total_input_pairs,
-                reduced_pairs=prev_run.num_records,
-                elapsed_s=clock.elapsed_s - step_start,
-            ))
-            vertices.maybe_compact()
-            if prev_run.num_records == 0:
-                break
-            newv_chunks = prev_run.chunks()
-
-        if prev_run is not None and prev_run.num_records:
-            _fold_final(program, vertices, prev_run, len(result.supersteps))
+        return engine.run(PageRankAlg4Program(in_graph, bloom, tol, damping),
+                          max_supersteps=iterations)
     finally:
-        if prev_run is not None:
-            prev_run.delete()
-        if memory is not None:
-            memory.free("pagerank:bloom")
-    result.elapsed_s = clock.elapsed_s - run_start
-    return result
-
-
-def _fold_final(program: PageRankProgram, vertices: VertexArray, run,
-                step: int) -> None:
-    """Fold the last unconsumed ``newV`` into ``V``.
-
-    Applies the same step-index freshness filter as the iteration scan:
-    entries for vertices that did not change in the final iteration carry
-    partial sums and are ignored.
-    """
-    cursor = vertices.cursor()
-    overlay = vertices.overlay_writer(step)
-    for chunk in run.chunks():
-        old_values, old_steps = cursor.lookup(chunk.keys)
-        finalized = program.finalize(chunk.values, old_values)
-        fresh = old_steps == step - 1 if step > 0 else np.ones(len(chunk), dtype=bool)
-        if np.any(fresh):
-            overlay.add(KVArray(chunk.keys[fresh], finalized[fresh]))
-    overlay.close()
+        if engine.memory is not None:
+            engine.memory.free("pagerank:bloom")

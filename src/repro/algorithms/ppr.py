@@ -7,21 +7,25 @@ workloads, and it exercises sort-reduce with a *growing* sparse active set —
 mass spreads outward from the source superstep by superstep, unlike
 PageRank's dense all-active iterations.
 
-The driver mirrors the engine's lazy superstep: scan ``newV`` (the reduced
-incoming mass), finalize with the source-teleport, stage into ``V``, and
-push ``d·mass/degree`` over out-edges into the next sort-reduce.  A zero
-seed update for the source rides along in every superstep so the teleport
-mass is always applied, even when no edge points back at the source.
+Each superstep pushes through the engine's push kernel and reduces through
+its reduce kernel (:mod:`repro.engine.superstep`); the scan of ``newV`` is
+this module's own — the one exception to the engine's single scan: its
+finalize depends on the vertex *key* (the source-teleport) and its stop rule
+is global (the largest rank change), neither expressible in
+:class:`~repro.engine.api.VertexProgram` without two more hooks nothing else
+would use.  A zero seed update for the source rides along in every superstep
+so the teleport mass is always applied, even when no edge points back at it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.external import ExternalSortReducer
+from repro.algorithms.pagerank import PageRankProgram
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
 from repro.engine.engine import GraFBoostEngine, RunResult, SuperstepMetrics
+from repro.engine.superstep import push, reduce_into
 from repro.graph.vertexdata import VertexArray
 
 
@@ -37,64 +41,56 @@ def run_personalized_pagerank(engine: GraFBoostEngine, source: int,
     if not 0 < damping < 1:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
 
-    store = engine.store
     clock = engine.clock
-    graph = engine.graph
-    vertices = VertexArray(store, engine.num_vertices, np.dtype("<f8"), 0.0)
+    vertices = VertexArray(engine.store, engine.num_vertices, np.dtype("<f8"), 0.0)
     result = RunResult(algorithm="personalized-pagerank", vertices=vertices)
     run_start = clock.elapsed_s
-
+    # Supplies the push kernel's messages: rank / out-degree per edge.
+    program = PageRankProgram(engine.num_vertices, damping)
     source_key = np.array([source], dtype=np.uint64)
-    # Iteration 0's "incoming mass": the full unit of teleport probability.
+
+    def teleport_scan(newv, iteration: int, sink=None) -> tuple[int, float]:
+        """Finalize with the source-teleport, stage into ``V`` and (given a
+        sink) push; returns (vertices staged, largest rank change)."""
+        cursor = vertices.cursor()
+        overlay = vertices.overlay_writer(iteration)
+        staged, max_change = 0, 0.0
+        for chunk in newv:
+            if len(chunk) == 0:
+                continue
+            old_values, _steps = cursor.lookup(chunk.keys)
+            teleport = np.where(chunk.keys == np.uint64(source), 1.0 - damping, 0.0)
+            ranks = teleport + damping * chunk.values
+            max_change = max(max_change, float(np.abs(ranks - old_values).max()))
+            overlay.add(KVArray(chunk.keys, ranks))
+            staged += len(chunk)
+            if sink is not None:
+                push(engine.graph, program, engine.backend, sink, chunk.keys, ranks)
+        overlay.close()
+        if sink is not None:
+            # The source's teleport must apply every iteration even when no
+            # edge reaches back: a zero-mass seed keeps it in the next newV.
+            sink.add(KVArray(source_key, np.zeros(1)))
+        return staged, max_change
+
+    # Iteration 0's "incoming mass", chosen so the scan's finalize yields
+    # exactly 1.0 at the source: the full unit of teleport probability.
     prev_run = None
     prev_chunks = iter([KVArray(source_key,
                                 np.array([1.0 / damping - (1.0 - damping) / damping],
                                          dtype=np.float64))])
-    # Chosen so finalize() below yields exactly 1.0 at the source initially.
-
     for iteration in range(iterations):
         checkpoint = clock.checkpoint()
-        reducer = ExternalSortReducer(
-            store, SUM, np.float64, engine.backend, engine.chunk_bytes,
-            fanout=engine.fanout, name_prefix=f"ppr-i{iteration}",
-            memory=engine.memory, pool=engine.pool)
-        cursor = vertices.cursor()
-        overlay = vertices.overlay_writer(iteration)
-        max_change = 0.0
-        traversed = 0
-        activated = 0
-        for chunk in prev_chunks:
-            if len(chunk) == 0:
-                continue
-            old_values, _steps = cursor.lookup(chunk.keys)
-            teleport = np.where(chunk.keys == np.uint64(source),
-                                1.0 - damping, 0.0)
-            ranks = teleport + damping * chunk.values
-            max_change = max(max_change, float(np.abs(ranks - old_values).max()))
-            overlay.add(KVArray(chunk.keys, ranks))
-            activated += len(chunk)
-            starts, ends = graph.index_lookup(chunk.keys)
-            degrees = ends - starts
-            pushing = degrees > 0
-            if not pushing.any():
-                continue
-            targets = graph.edges_for(starts[pushing], ends[pushing])
-            messages = np.repeat(ranks[pushing] / degrees[pushing],
-                                 degrees[pushing])
-            reducer.add(KVArray(targets, messages))
-            engine.backend.charge_edge_stream(clock, len(targets) * 16)
-            traversed += len(targets)
-        overlay.close()
-        # The source's teleport must apply every iteration even when no edge
-        # reaches back: a zero-mass seed keeps it in the next newV.
-        reducer.add(KVArray(source_key, np.zeros(1)))
+        reducer = engine.make_reducer(SUM, np.float64, f"ppr-i{iteration}")
+        new_run, (activated, max_change) = reduce_into(
+            reducer, lambda sink: teleport_scan(prev_chunks, iteration, sink))
         if prev_run is not None:
             prev_run.delete()
-        prev_run = reducer.finish()
+        prev_run = new_run
         result.sort_stats.append(reducer.stats)
         result.supersteps.append(SuperstepMetrics(
             superstep=iteration, activated=activated,
-            traversed_edges=traversed,
+            traversed_edges=reducer.stats.total_input_pairs - 1,  # less the seed
             update_pairs=reducer.stats.total_input_pairs,
             reduced_pairs=prev_run.num_records,
             elapsed_s=checkpoint.elapsed_s,
@@ -105,13 +101,7 @@ def run_personalized_pagerank(engine: GraFBoostEngine, source: int,
         if iteration > 0 and max_change < tol:
             break
 
-    # Fold the final newV into V.
-    cursor = vertices.cursor()
-    overlay = vertices.overlay_writer(len(result.supersteps))
-    for chunk in prev_run.chunks():
-        teleport = np.where(chunk.keys == np.uint64(source), 1.0 - damping, 0.0)
-        overlay.add(KVArray(chunk.keys, teleport + damping * chunk.values))
-    overlay.close()
+    teleport_scan(prev_run.chunks(), len(result.supersteps))  # fold the last newV into V
     prev_run.delete()
     result.elapsed_s = clock.elapsed_s - run_start
     return result

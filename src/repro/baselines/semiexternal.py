@@ -28,6 +28,7 @@ from repro.baselines.base import (
     graph_bytes_on_flash,
 )
 from repro.baselines import kernels
+from repro.engine.modes import DENSE_THRESHOLD
 from repro.graph.csr import CSRGraph
 from repro.perf.clock import SimClock
 from repro.perf.profiles import HardwareProfile
@@ -52,10 +53,6 @@ MAX_SWAP_FRACTION = 0.6
 #: exceeds the id space cannot be loaded at all — the kron32 DNF of Fig 12a
 #: ("128 GB of memory was not enough ... to fit all vertex data").
 VERTEX_ID_SPACE = 2 ** 32
-
-#: Fraction of active vertices above which edge access is effectively a
-#: sequential scan rather than per-vertex random reads.
-DENSE_THRESHOLD = 0.3
 
 #: Average wasted bytes per random edge-list read (page-granularity slack).
 RANDOM_READ_WASTE = 2048

@@ -463,17 +463,3 @@ def recover_runs(store, prefix: str,
             discarded.append(name)
     recovered.sort(key=lambda r: r.seq)
     return recovered, discarded
-
-
-def sort_reduce_stream(chunks: Iterator[KVArray], store, op: ReduceOp,
-                       value_dtype: np.dtype, backend, chunk_bytes: int,
-                       fanout: int = 16, name_prefix: str = "sortreduce",
-                       memory=None, pool=None) -> tuple[RunHandle, SortReduceStats]:
-    """One-shot convenience: sort-reduce a stream of unsorted KV chunks."""
-    reducer = ExternalSortReducer(
-        store, op, value_dtype, backend, chunk_bytes,
-        fanout=fanout, name_prefix=name_prefix, memory=memory, pool=pool,
-    )
-    for chunk in chunks:
-        reducer.add(chunk)
-    return reducer.finish(), reducer.stats

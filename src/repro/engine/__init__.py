@@ -7,24 +7,22 @@ sort-reduce:
 
 * :mod:`repro.engine.api` — the :class:`VertexProgram` interface and the
   all-active vertex list generator (§IV-D's hardware generator module).
-* :mod:`repro.engine.superstep` — Algorithm 3 (lazy active-vertex
-  evaluation, the production path) and Algorithm 2 (eager) for the
-  ablation.
-* :mod:`repro.engine.bloom` — the bloom filter of Algorithm 4.
+* :mod:`repro.engine.superstep` — the superstep loop's three kernels
+  (scan ``newV``, push the active list, reduce into the next ``newV``).
+* :mod:`repro.engine.modes` — the execution strategies over those kernels
+  (Algorithms 2–4, semi-external, dense scan, the adaptive policy).
 * :mod:`repro.engine.engine` — the superstep driver and run metrics.
 * :mod:`repro.engine.config` — system assembly: GraFBoost / GraFBoost2 /
   GraFSoft stacks at a chosen scale.
 """
 
 from repro.engine.api import VertexProgram, all_active_chunks
-from repro.engine.bloom import BloomFilter
 from repro.engine.engine import GraFBoostEngine, RunResult, SuperstepMetrics
 from repro.engine.config import SystemConfig, make_system
 
 __all__ = [
     "VertexProgram",
     "all_active_chunks",
-    "BloomFilter",
     "GraFBoostEngine",
     "RunResult",
     "SuperstepMetrics",

@@ -86,6 +86,26 @@ class VertexProgram:
         """Mask of vertices that activate for the next superstep."""
         return np.ones(len(finalized), dtype=bool)
 
+    # ----------------------------------------- custom active lists (Algorithm 4)
+
+    def active_list_marker(self, superstep: int):
+        """``None`` when the active list is the scan's own output — the
+        vertices of ``newV`` that pass :meth:`is_active` (Algorithms 2/3).
+
+        A program whose active list is *not* a subset of ``newV``
+        (Algorithm 4) returns a callable ``mark(keys, values)`` instead.
+        The engine hands it every chunk of changed vertices during the scan
+        of ``newV`` and afterwards pushes from :meth:`sweep_active_list`,
+        reading each swept vertex's current value from ``V``.  Called once
+        per superstep, before the scan — the place to reset marking state.
+        """
+        return None
+
+    def sweep_active_list(self) -> Iterator[np.ndarray]:
+        """The marked active list as ascending sorted key chunks (only
+        called when :meth:`active_list_marker` returned a marker)."""
+        raise NotImplementedError
+
     # --------------------------------------------------------------- kickoff
 
     def initial_updates(self, num_vertices: int) -> Iterator[KVArray]:

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.external import RunHandle, SortReduceStats
+from repro.core.external import ExternalSortReducer, RunHandle, SortReduceStats
 from repro.core.parallel import get_pool
 from repro.engine.api import VertexProgram
 from repro.engine.modes import (
@@ -19,9 +19,9 @@ from repro.engine.modes import (
     charge_mode_switch,
     semiexternal_footprint,
 )
+from repro.engine.superstep import scan
 from repro.flash.device import FlashError
 from repro.flash.publish import discard, publish
-from repro.engine.superstep import SuperstepExecutor
 from repro.graph.formats import FlashCSR
 from repro.graph.vertexdata import VertexArray
 
@@ -169,20 +169,14 @@ class GraFBoostEngine:
         """
         return EngineRun(self, program, max_supersteps=max_supersteps)
 
-    def _apply_pass(self, executor: SuperstepExecutor, run, superstep: int) -> None:
-        """Fold an unconsumed ``newV`` into ``V`` without pushing edges."""
-        program = executor.program
-        cursor = executor.vertices.cursor()
-        overlay = executor.vertices.overlay_writer(superstep)
-        from repro.core.kvstream import KVArray
-
-        for chunk in run.chunks():
-            old_values, old_steps = cursor.lookup(chunk.keys)
-            finalized = program.finalize(chunk.values, old_values)
-            mask = program.is_active(finalized, old_values, old_steps, superstep)
-            if np.any(mask):
-                overlay.add(KVArray(chunk.keys[mask], np.asarray(finalized)[mask]))
-        overlay.close()
+    def make_reducer(self, op, value_dtype, name_prefix: str) -> ExternalSortReducer:
+        """An external sort-reducer over this stack.  Feed and finish it
+        through :func:`repro.engine.superstep.reduce_into`, which releases
+        its chunk buffer and run files if the sort-reduce fails."""
+        return ExternalSortReducer(
+            self.store, op, value_dtype, self.backend, self.chunk_bytes,
+            fanout=self.fanout, name_prefix=name_prefix, memory=self.memory,
+            pool=self.pool)
 
     # ----------------------------------------------------- checkpoint/restart
 
@@ -362,12 +356,7 @@ class EngineRun:
             self.prev_chunks = program.initial_updates(engine.num_vertices)
             self.prev_run = None
             self.superstep = 0
-        self.executor = SuperstepExecutor(
-            engine.graph, self.vertices, program, engine.store, engine.backend,
-            engine.chunk_bytes, fanout=engine.fanout, memory=engine.memory,
-            lazy=engine.lazy, pool=engine.pool,
-        )
-        self.mode_table = build_modes(self.executor)
+        self.mode_table = build_modes(engine, self.vertices, program)
         self.footprint = semiexternal_footprint(engine.num_vertices,
                                                 program.value_dtype)
         self.policy = None
@@ -493,7 +482,9 @@ class EngineRun:
         self.done = True
         engine = self.engine
         if self.prev_run is not None and self.prev_run.num_records:
-            engine._apply_pass(self.executor, self.prev_run, self.superstep)
+            # Fold the unconsumed newV into V: a scan that pushes nothing.
+            scan(self.vertices, self.program, self.prev_run.chunks(),
+                 self.superstep)
             self.prev_run.delete()
         if engine.checkpoint_every:
             engine._clear_checkpoint()

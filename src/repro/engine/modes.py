@@ -1,42 +1,36 @@
-"""Pluggable execution modes: sort-reduce, semi-external, dense scan.
+"""Execution modes: each strategy is an active-list source and a sink.
 
 GraFBoost's sort-reduce wins on the paper's scenario — sparse frontiers over
-vertex data much larger than DRAM — but other engines win elsewhere:
-FlashGraph-style *semi-external* execution (vertex state pinned in DRAM,
-selective edge I/O) is faster whenever the vertex data fits, and
-X-Stream-style *dense scans* (stream the whole adjacency sequentially) beat
-per-vertex gathers once most vertices are active.  This module promotes
-those strategies out of :mod:`repro.baselines` into first-class execution
-modes of the real engine: every mode runs on the same simulated flash
-stack, SimClock, checkpoint protocol and ``--workers`` pool, and produces a
-sorted, reduced run file interchangeable with the sort-reduce path's.
+vertex data much larger than DRAM — but FlashGraph-style *semi-external*
+execution is faster whenever the vertex data fits in DRAM, and
+X-Stream-style *dense scans* beat per-vertex gathers once most vertices are
+active.  All of them are the one loop of :mod:`repro.engine.superstep`
+(scan ``newV`` → push the active list → reduce into the next ``newV``) on
+the same simulated flash stack, SimClock, checkpoint protocol and
+``--workers`` pool; a strategy only chooses where the active list comes from
+and which sink reduces the updates:
 
-An :class:`ExecutionMode` covers one superstep end to end — update
-generation, reduction, and staging the finalized values into ``V`` — and
-returns the same :class:`~repro.engine.superstep.SuperstepOutcome` the
-default executor does, so the engine driver (metrics, checkpoints,
-quiescence) is mode-agnostic.  The three static modes:
+==================  ==================================  =====================
+strategy            active list                         sink
+==================  ==================================  =====================
+Algorithm 3 (lazy)  the scan's output, pushed inline    external sort-reducer
+Algorithm 2         the scan's output, spooled to       external sort-reducer
+(``lazy=False``)    ``A_i`` on flash and read back
+``semiexternal``    as Algorithm 3                      :class:`DramAggregator`
+``densescan``       staged into a dense mask, then one  external sort-reducer
+                    sequential scan of the adjacency
+Algorithm 4         the program's marked-and-swept      the mode's own
+                    list (any mode)
+==================  ==================================  =====================
 
-* ``sortreduce`` — today's path, byte-for-byte unchanged (pure delegation
-  to :class:`~repro.engine.superstep.SuperstepExecutor`).  The default.
-* ``semiexternal`` — a dense per-vertex value table in DRAM absorbs the
-  update stream (through the shared
-  :meth:`~repro.core.reduce_ops.ReduceOp.scatter_into` path, so FIRST/LAST
-  ordering rules stay in one place); edge I/O stays selective.  The part of
-  the table that does not fit the DRAM budget thrashes, charged with the
-  same random-page-fault model as :mod:`repro.baselines.semiexternal`.
-* ``densescan`` — one sequential scan of the full index + edge files per
-  superstep, filtered by a dense active mask, feeding the ordinary
-  external sort-reducer.  Frontier-independent I/O, promoted from
-  :mod:`repro.baselines.edgecentric`.
-
-On top, :class:`AdaptivePolicy` picks a static mode per superstep from
-stats the engine already tracks — the incoming frontier size, average
-degree vs. total edge volume, and the vertex-data footprint vs. the DRAM
-budget — and :func:`charge_mode_switch` bills the cost of entering a mode
-(loading the vertex table into DRAM) to the sim clock.  Decisions are pure
-functions of checkpointed state, so adaptive runs stay bit-identical under
-``--workers`` sweeps and crash/resume.
+An :class:`ExecutionMode` covers one superstep end to end and returns a
+:class:`~repro.engine.superstep.SuperstepOutcome` whose ``new_run`` is a
+sorted, reduced run file, so the engine driver (metrics, checkpoints,
+quiescence) is mode-agnostic.  On top, :class:`AdaptivePolicy` picks a
+static mode per superstep from stats the engine already tracks, and
+:func:`charge_mode_switch` bills the cost of entering a mode to the sim
+clock.  Decisions are pure functions of checkpointed state, so adaptive runs
+stay bit-identical under ``--workers`` sweeps and crash/resume.
 """
 
 from __future__ import annotations
@@ -46,18 +40,19 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-# DENSE_THRESHOLD is shared with the FlashGraph baseline model: the frontier
-# density above which per-vertex random reads degrade to a sequential scan.
-from repro.baselines.semiexternal import DENSE_THRESHOLD
 from repro.core.external import MERGE_IO_BYTES, RunHandle, SortReduceStats, next_run_seq
 from repro.core.kvstream import KVArray
-from repro.engine.superstep import SuperstepExecutor, SuperstepOutcome
+from repro.engine.superstep import SuperstepOutcome, push, reduce_into, scan
 from repro.flash.device import FlashError
 from repro.graph.formats import OFFSET_DTYPE, TARGET_DTYPE, WEIGHT_DTYPE
 
 #: Every selectable mode (``adaptive`` picks among the static ones).
 MODES = ("sortreduce", "semiexternal", "densescan", "adaptive")
 STATIC_MODES = ("sortreduce", "semiexternal", "densescan")
+
+#: Frontier density above which per-vertex random edge reads degrade to a
+#: sequential scan (shared with the FlashGraph baseline model).
+DENSE_THRESHOLD = 0.3
 
 #: Adaptive only commits to semi-external while the vertex table uses at
 #: most this fraction of the DRAM budget, leaving headroom for the chunk
@@ -86,67 +81,105 @@ def semiexternal_footprint(num_vertices: int, value_dtype: np.dtype) -> int:
     return num_vertices * (np.dtype(value_dtype).itemsize + 1)
 
 
-class ExecutionMode:
-    """One way to run a superstep against an assembled system stack.
+Consume = Callable[[np.ndarray, np.ndarray], None]
 
-    Modes wrap the engine's :class:`SuperstepExecutor` — they reuse its
-    graph/vertex-array/store/backend wiring and its edge-push machinery —
-    and must return a :class:`SuperstepOutcome` whose ``new_run`` is a
-    sorted, reduced run file, regardless of how the reduction happened.
-    Non-default modes always use Algorithm 3's lazy staging; the eager
-    Algorithm 2 ablation exists only on the sort-reduce path.
-    """
+
+class ExecutionMode:
+    """One way to run a superstep of ``program`` over ``engine``'s stack."""
 
     name = "mode"
 
-    def __init__(self, executor: SuperstepExecutor):
-        self.ex = executor
+    def __init__(self, engine, vertices, program):
+        self.engine = engine
+        self.vertices = vertices
+        self.program = program
+        self.graph = engine.graph
+        self.store = engine.store
+        self.backend = engine.backend
+        self.memory = engine.memory
 
     def run_superstep(self, prev_newv: Iterator[KVArray],
                       superstep: int) -> SuperstepOutcome:
         raise NotImplementedError
 
+    def _reducer(self, superstep: int):
+        program = self.program
+        return self.engine.make_reducer(program.reduce_op, program.value_dtype,
+                                        f"{program.name}-s{superstep}")
+
+    def _push_into(self, sink) -> Consume:
+        return lambda keys, values: push(self.graph, self.program,
+                                         self.backend, sink, keys, values)
+
+    def _active_list(self, prev_newv: Iterator[KVArray], superstep: int,
+                     consume: Consume) -> int:
+        """Scan ``newV`` and feed this superstep's active list to
+        ``consume(keys, values)`` chunk by chunk; returns its length."""
+        program = self.program
+        mark = program.active_list_marker(superstep)
+        if mark is None:
+            # Algorithm 3: the list is the scan's output, consumed in-pass.
+            return scan(self.vertices, program, prev_newv, superstep, consume)
+        # Algorithm 4: the scan only marks; the list is the program's sweep,
+        # each vertex pushing its current value in V.
+        scan(self.vertices, program, prev_newv, superstep, mark)
+        cursor = self.vertices.cursor()
+        activated = 0
+        for keys in program.sweep_active_list():
+            consume(keys, cursor.lookup(keys)[0])
+            activated += len(keys)
+        return activated
+
+    def _outcome(self, sink, produce: Callable) -> SuperstepOutcome:
+        """Reduce what ``produce(sink)`` (returning the activated count)
+        feeds the sink.  Every traversed edge emits exactly one update pair."""
+        new_run, activated = reduce_into(sink, produce)
+        pairs = sink.stats.total_input_pairs
+        return SuperstepOutcome(new_run=new_run, sort_stats=sink.stats,
+                                activated=activated, traversed_edges=pairs,
+                                update_pairs=pairs)
+
 
 class SortReduceMode(ExecutionMode):
-    """The paper's path, unchanged: delegate to the executor verbatim."""
+    """The paper's path: selective edge gathers into external sort-reduce."""
 
     name = "sortreduce"
 
     def run_superstep(self, prev_newv: Iterator[KVArray],
                       superstep: int) -> SuperstepOutcome:
-        return self.ex.run(prev_newv, superstep)
+        source = (self._active_list if self.engine.lazy
+                  else self._spooled_active_list)
+        return self._outcome(
+            self._reducer(superstep),
+            lambda sink: source(prev_newv, superstep, self._push_into(sink)))
 
+    def _spooled_active_list(self, prev_newv: Iterator[KVArray], superstep: int,
+                             consume: Consume) -> int:
+        """Algorithm 2: materialize the active list A_i on flash, then
+        consume it from the read-back — two extra I/O operations per active
+        vertex vs Algorithm 3 (§III-C), kept for the lazy-evaluation ablation."""
+        store = self.store
+        name = f"{self.vertices.prefix}:active-{superstep}"
+        rec_dtype = np.dtype([("k", "<u8"), ("v", self.program.value_dtype)])
 
-def _lazy_pass(ex: SuperstepExecutor, prev_newv: Iterator[KVArray],
-               superstep: int,
-               push: Callable[[np.ndarray, np.ndarray], int]) -> tuple[int, int]:
-    """Algorithm 3's finalize + activate + stage loop with a pluggable push.
+        def spool(keys: np.ndarray, values: np.ndarray) -> None:
+            records = np.empty(len(keys), dtype=rec_dtype)
+            records["k"] = keys
+            records["v"] = values
+            store.append(name, records.tobytes())  # extra I/O #1
 
-    Mirrors ``SuperstepExecutor._run_lazy`` exactly (that method stays
-    untouched so the default path is byte-for-byte the seed's); ``push``
-    receives each chunk's active (keys, values) and returns the number of
-    edges it traversed.  Returns ``(activated, traversed)``.
-    """
-    program = ex.program
-    cursor = ex.vertices.cursor()
-    overlay = ex.vertices.overlay_writer(superstep)
-    activated = 0
-    traversed = 0
-    for chunk in prev_newv:
-        if len(chunk) == 0:
-            continue
-        old_values, old_steps = cursor.lookup(chunk.keys)
-        finalized = program.finalize(chunk.values, old_values)
-        mask = program.is_active(finalized, old_values, old_steps, superstep)
-        active_keys = chunk.keys[mask]
-        active_values = np.asarray(finalized)[mask]
-        if len(active_keys) == 0:
-            continue
-        overlay.add(KVArray(active_keys, active_values))
-        activated += len(active_keys)
-        traversed += push(active_keys, active_values)
-    overlay.close()
-    return activated, traversed
+        activated = self._active_list(prev_newv, superstep, spool)
+        if activated:
+            store.seal(name)
+            item = rec_dtype.itemsize
+            per_chunk = max(1, (1 << 22) // item)
+            for start in range(0, activated, per_chunk):
+                n = min(per_chunk, activated - start)
+                records = np.frombuffer(  # extra I/O #2
+                    store.read(name, start * item, n * item), dtype=rec_dtype)
+                consume(records["k"].copy(), records["v"].copy())
+            store.delete(name)
+        return activated
 
 
 class DramAggregator:
@@ -161,12 +194,14 @@ class DramAggregator:
     slots, already sorted by construction, as one sealed run file.
     """
 
-    def __init__(self, ex: SuperstepExecutor, superstep: int):
-        program = ex.program
-        self.ex = ex
+    def __init__(self, mode: ExecutionMode, superstep: int):
+        program = mode.program
+        self.store = mode.store
+        self.backend = mode.backend
+        self.memory = mode.memory
         self.op = program.reduce_op
         self.value_dtype = np.dtype(program.value_dtype)
-        n = max(ex.graph.num_vertices, ex.vertices.num_vertices)
+        n = max(mode.graph.num_vertices, mode.vertices.num_vertices)
         self.values = np.zeros(n, dtype=self.value_dtype)
         self.touched = np.zeros(n, dtype=bool)
         self.stats = SortReduceStats()
@@ -177,17 +212,17 @@ class DramAggregator:
         footprint = semiexternal_footprint(n, self.value_dtype)
         self._mem_label = f"{self.name}:vertex-dram"
         pinned = footprint
-        if ex.memory is not None:
-            pinned = min(footprint, ex.memory.available)
-            ex.memory.allocate(self._mem_label, pinned)
-        self._mem_allocated = ex.memory is not None
+        if self.memory is not None:
+            pinned = min(footprint, self.memory.available)
+            self.memory.allocate(self._mem_label, pinned)
+        self._mem_allocated = self.memory is not None
         #: Fraction of the vertex table that did not fit in DRAM; accesses
         #: to it fault pages in and out (FlashGraph's Fig 13 degradation).
         self.swap = (footprint - pinned) / footprint if footprint else 0.0
 
     @property
     def clock(self):
-        return self.ex.store.device.clock
+        return self.store.device.clock
 
     def add(self, kv: KVArray) -> None:
         """Reduce one unsorted update batch into the dense table."""
@@ -198,12 +233,12 @@ class DramAggregator:
         self.stats.total_input_pairs += len(kv)
         # Sorting + reducing the batch costs the same as a chunk sort of
         # equal volume; the dense scatter is random-access CPU work.
-        self.ex.backend.charge_chunk_sort(self.clock, kv.nbytes)
+        self.backend.charge_chunk_sort(self.clock, kv.nbytes)
         distinct = self.op.scatter_into(self.values, self.touched,
                                         kv.keys, kv.values)
         self.stats.record(0, len(kv), distinct)
         self._batch_out += distinct
-        profile = self.ex.store.device.profile
+        profile = self.store.device.profile
         scatter_bytes = distinct * (8 + self.value_dtype.itemsize)
         self.clock.charge_pool(
             "cpu", scatter_bytes / profile.cpu_scatter_bw_per_thread,
@@ -215,7 +250,7 @@ class DramAggregator:
         (the baseline model's ``_charge_thrash``, against the real clock)."""
         if self.swap <= 0 or vertices_touched == 0:
             return
-        profile = self.ex.store.device.profile
+        profile = self.store.device.profile
         page = profile.flash_page_bytes
         faults = int(vertices_touched * self.swap)
         if faults == 0:
@@ -230,7 +265,7 @@ class DramAggregator:
 
     def finish(self) -> RunHandle:
         """Emit the touched slots as one sorted, sealed run file."""
-        store = self.ex.store
+        store = self.store
         try:
             idx = np.flatnonzero(self.touched)
             n = len(idx)
@@ -250,105 +285,78 @@ class DramAggregator:
         finally:
             self._free()
 
-    def abandon(self) -> None:
+    def close(self) -> None:
         """Error path: release DRAM and delete any partial run file."""
         self._free()
         try:
-            if self.ex.store.exists(self.name):
-                self.ex.store.delete(self.name)
+            if self.store.exists(self.name):
+                self.store.delete(self.name)
         except FlashError:
             pass  # best-effort cleanup on an already-failing device
 
     def _free(self) -> None:
         if self._mem_allocated:
             self._mem_allocated = False
-            self.ex.memory.free(self._mem_label)
+            self.memory.free(self._mem_label)
 
 
 class SemiExternalMode(ExecutionMode):
     """Vertex data pinned in DRAM, selective edge I/O (FlashGraph-style).
 
-    Identical to the lazy sort-reduce pass on the edge side — the same
-    coalesced index/edge gathers, the same edge-stream charge — but the
-    update stream lands in a :class:`DramAggregator` instead of the
-    external sort-reducer, eliminating all intermediate run traffic.
+    The edge side is the sort-reduce path's — the same coalesced index/edge
+    gathers, the same edge-stream charge — but the update stream lands in a
+    :class:`DramAggregator`, eliminating all intermediate run traffic.
     """
 
     name = "semiexternal"
 
     def run_superstep(self, prev_newv: Iterator[KVArray],
                       superstep: int) -> SuperstepOutcome:
-        ex = self.ex
-        agg = DramAggregator(ex, superstep)
-        try:
-            activated, traversed = _lazy_pass(
-                ex, prev_newv, superstep,
-                lambda keys, values: ex._push_edges(agg, keys, values))
-            new_run = agg.finish()
-        except Exception:
-            agg.abandon()
-            raise
-        return SuperstepOutcome(
-            new_run=new_run,
-            sort_stats=agg.stats,
-            activated=activated,
-            traversed_edges=traversed,
-            update_pairs=agg.stats.total_input_pairs,
-        )
+        return self._outcome(
+            DramAggregator(self, superstep),
+            lambda sink: self._active_list(prev_newv, superstep,
+                                           self._push_into(sink)))
 
 
 class DenseScanMode(ExecutionMode):
     """Whole-adjacency streaming scan for dense frontiers (X-Stream-style).
 
-    Stages the frontier into a dense active mask, then reads the index and
-    edge files sequentially once, filters edges by source activity, and
-    feeds the surviving updates to the ordinary external sort-reducer.
-    I/O volume is frontier-independent — the winning trade exactly when
-    most vertices are active.
+    Stages the active list into a dense mask, then reads the index and edge
+    files sequentially once, filters edges by source activity, and feeds the
+    surviving updates to the ordinary external sort-reducer.  I/O volume is
+    frontier-independent — the winning trade exactly when most vertices are
+    active.
     """
 
     name = "densescan"
 
     def run_superstep(self, prev_newv: Iterator[KVArray],
                       superstep: int) -> SuperstepOutcome:
-        ex = self.ex
-        program = ex.program
-        n = ex.graph.num_vertices
+        n = self.graph.num_vertices
         active_mask = np.zeros(n, dtype=bool)
-        values_dense = np.zeros(n, dtype=program.value_dtype)
+        values_dense = np.zeros(n, dtype=self.program.value_dtype)
 
-        def stage(keys: np.ndarray, values: np.ndarray) -> int:
+        def stage(keys: np.ndarray, values: np.ndarray) -> None:
             idx = keys.astype(np.int64)
             active_mask[idx] = True
             values_dense[idx] = values
-            return 0  # edges are traversed by the scan below
 
-        activated, _ = _lazy_pass(ex, prev_newv, superstep, stage)
-        reducer = ex._make_reducer(superstep)
-        try:
-            traversed = 0
+        def produce(sink) -> int:
+            activated = self._active_list(prev_newv, superstep, stage)
             if activated:
-                traversed = self._scan(reducer, active_mask, values_dense)
-            new_run = reducer.finish()
-        except Exception:
-            reducer.close()
-            raise
-        return SuperstepOutcome(
-            new_run=new_run,
-            sort_stats=reducer.stats,
-            activated=activated,
-            traversed_edges=traversed,
-            update_pairs=reducer.stats.total_input_pairs,
-        )
+                self._scan_edges(sink, active_mask, values_dense)
+            return activated
 
-    def _scan(self, reducer, active_mask: np.ndarray,
-              values_dense: np.ndarray) -> int:
+        return self._outcome(self._reducer(superstep), produce)
+
+    def _scan_edges(self, sink, active_mask: np.ndarray,
+                    values_dense: np.ndarray) -> None:
         """One sequential pass over index + edges, pushing active updates."""
-        ex = self.ex
-        program = ex.program
-        graph = ex.graph
+        program = self.program
+        graph = self.graph
+        store = self.store
         n = graph.num_vertices
-        offsets = ex.store.read_array(graph.index_file, OFFSET_DTYPE).astype(np.int64)
+        offsets = store.read_array(graph.index_file, OFFSET_DTYPE).astype(np.int64)
         degrees = np.diff(offsets)
         srcs_all = np.repeat(np.arange(n, dtype=np.int64), degrees)
 
@@ -364,18 +372,16 @@ class DenseScanMode(ExecutionMode):
                 msg_dense = np.zeros(n, dtype=program.value_dtype)
                 msg_dense[active_idx] = per_vertex
 
-        traversed = 0
         for start in range(0, graph.num_edges, SCAN_EDGES_PER_CHUNK):
             cnt = min(SCAN_EDGES_PER_CHUNK, graph.num_edges - start)
-            dsts = ex.store.read_array(graph.edge_file, TARGET_DTYPE, start, cnt)
+            dsts = store.read_array(graph.edge_file, TARGET_DTYPE, start, cnt)
             weights = None
             if program.uses_weights:
-                weights = ex.store.read_array(graph.weight_file, WEIGHT_DTYPE,
-                                              start, cnt)
+                weights = store.read_array(graph.weight_file, WEIGHT_DTYPE,
+                                           start, cnt)
             srcs = srcs_all[start:start + cnt]
             sel = active_mask[srcs]
-            hit = int(np.count_nonzero(sel))
-            if hit == 0:
+            if not sel.any():
                 continue
             src_sel = srcs[sel]
             if msg_dense is not None:
@@ -387,19 +393,14 @@ class DenseScanMode(ExecutionMode):
                     degrees[src_sel].astype(np.uint64))
             update = KVArray(dsts[sel],
                              np.asarray(messages, dtype=program.value_dtype))
-            reducer.add(update)
-            ex.backend.charge_edge_stream(ex.clock, update.nbytes)
-            traversed += hit
-        return traversed
+            sink.add(update)
+            self.backend.charge_edge_stream(sink.clock, update.nbytes)
 
 
-def build_modes(executor: SuperstepExecutor) -> dict[str, ExecutionMode]:
-    """All static modes wrapping one executor (construction is charge-free)."""
-    return {mode.name: mode for mode in (
-        SortReduceMode(executor),
-        SemiExternalMode(executor),
-        DenseScanMode(executor),
-    )}
+def build_modes(engine, vertices, program) -> dict[str, ExecutionMode]:
+    """All static modes over one run's state (construction is charge-free)."""
+    return {cls.name: cls(engine, vertices, program)
+            for cls in (SortReduceMode, SemiExternalMode, DenseScanMode)}
 
 
 class AdaptivePolicy:

@@ -1,28 +1,21 @@
-"""Superstep execution: Algorithms 2 and 3 of the paper.
+"""The superstep loop of §III-C, once: Algorithms 2, 3 and 4 as three kernels.
 
-The production path is **Algorithm 3** (lazy active-vertex evaluation): one
-sequential pass over the previous superstep's ``newV`` simultaneously
-
-1. finalizes each vertex's reduced update against its old value in ``V``,
-2. decides activity,
-3. stages the finalized value into ``V``'s overlay for this superstep, and
-4. pushes the active vertices' out-edges through the edge program into the
-   external sort-reducer,
-
-saving the two extra I/O operations per active vertex that Algorithm 2's
-materialized active list costs (§III-C).  Algorithm 2 is also implemented —
-it writes and re-reads the explicit active list — so the lazy-evaluation
-ablation can measure exactly that difference.
+Every execution strategy is one pass over the previous superstep's ``newV``
+(:func:`scan`), an expansion of the active list into update pairs
+(:func:`push`), and a reduction of those pairs into the next ``newV``
+(:func:`reduce_into`).  The strategies differ only in where the active list
+comes from and which sink reduces the updates — see
+:mod:`repro.engine.modes` for the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.external import ExternalSortReducer, RunHandle, SortReduceStats
+from repro.core.external import RunHandle, SortReduceStats
 from repro.core.kvstream import KVArray
 from repro.engine.api import VertexProgram
 from repro.graph.formats import FlashCSR
@@ -40,161 +33,77 @@ class SuperstepOutcome:
     update_pairs: int
 
 
-class SuperstepExecutor:
-    """Runs supersteps of a vertex program against one system stack."""
+def scan(vertices: VertexArray, program: VertexProgram,
+         newv: Iterator[KVArray], superstep: int,
+         on_active: Callable[[np.ndarray, np.ndarray], None] | None = None) -> int:
+    """One sequential pass over ``newV``: finalize each reduced update
+    against its old value in ``V``, decide activity, and stage the active
+    vertices' finalized values into ``V``'s overlay for this superstep.
 
-    def __init__(self, graph: FlashCSR, vertices: VertexArray, program: VertexProgram,
-                 store, backend, chunk_bytes: int, fanout: int = 16,
-                 memory=None, lazy: bool = True, pool=None):
-        self.graph = graph
-        self.vertices = vertices
-        self.program = program
-        self.store = store
-        self.backend = backend
-        self.chunk_bytes = chunk_bytes
-        self.fanout = fanout
-        self.memory = memory
-        self.lazy = lazy
-        self.pool = pool
+    ``on_active(keys, values)`` receives each chunk's active vertices as
+    they are found — Algorithm 3's lazy evaluation, which saves the write
+    and read-back of a materialized active list.  Returns how many vertices
+    activated.
+    """
+    cursor = vertices.cursor()
+    overlay = vertices.overlay_writer(superstep)
+    activated = 0
+    for chunk in newv:
+        if len(chunk) == 0:
+            continue
+        old_values, old_steps = cursor.lookup(chunk.keys)
+        finalized = program.finalize(chunk.values, old_values)
+        mask = program.is_active(finalized, old_values, old_steps, superstep)
+        active_keys = chunk.keys[mask]
+        if len(active_keys) == 0:
+            continue
+        active_values = np.asarray(finalized)[mask]
+        overlay.add(KVArray(active_keys, active_values))
+        activated += len(active_keys)
+        if on_active is not None:
+            on_active(active_keys, active_values)
+    overlay.close()
+    return activated
 
-    @property
-    def clock(self):
-        return self.store.device.clock
 
-    # -------------------------------------------------------------- superstep
+def push(graph: FlashCSR, program: VertexProgram, backend, sink,
+         active_keys: np.ndarray, active_values: np.ndarray) -> None:
+    """Stream the active vertices' out-edges through the edge program into
+    ``sink``: one update pair per traversed edge."""
+    starts, ends = graph.index_lookup(active_keys)
+    degrees = ends - starts
+    targets = graph.edges_for(starts, ends)
+    if len(targets) == 0:
+        return
+    weights = graph.weights_for(starts, ends) if program.uses_weights else None
+    per_vertex = None
+    if weights is None:
+        per_vertex = program.vertex_messages(
+            active_values, active_keys, degrees.astype(np.uint64))
+    if per_vertex is not None:
+        messages = np.repeat(per_vertex, degrees)
+    else:
+        src_values = np.repeat(active_values, degrees)
+        src_ids = np.repeat(active_keys, degrees)
+        src_degrees = np.repeat(degrees, degrees).astype(np.uint64)
+        messages = program.edge_program(src_values, src_ids, weights, src_degrees)
+    update = KVArray(targets, np.asarray(messages, dtype=program.value_dtype))
+    sink.add(update)
+    backend.charge_edge_stream(sink.clock, update.nbytes)
 
-    def run(self, prev_newv: Iterator[KVArray], superstep: int) -> SuperstepOutcome:
-        if self.lazy:
-            return self._run_lazy(prev_newv, superstep)
-        return self._run_eager(prev_newv, superstep)
 
-    def _run_lazy(self, prev_newv: Iterator[KVArray], superstep: int) -> SuperstepOutcome:
-        """Algorithm 3: finalize + activate + stage + push in one pass."""
-        program = self.program
-        reducer = self._make_reducer(superstep)
-        try:
-            cursor = self.vertices.cursor()
-            overlay = self.vertices.overlay_writer(superstep)
-            activated = 0
-            traversed = 0
-            for chunk in prev_newv:
-                if len(chunk) == 0:
-                    continue
-                old_values, old_steps = cursor.lookup(chunk.keys)
-                finalized = program.finalize(chunk.values, old_values)
-                mask = program.is_active(finalized, old_values, old_steps, superstep)
-                active_keys = chunk.keys[mask]
-                active_values = np.asarray(finalized)[mask]
-                if len(active_keys) == 0:
-                    continue
-                overlay.add(KVArray(active_keys, active_values))
-                activated += len(active_keys)
-                traversed += self._push_edges(reducer, active_keys, active_values)
-            overlay.close()
-            new_run = reducer.finish()
-        except Exception:
-            # The superstep failed (device error, worker death, bad program
-            # output): release the reducer's DRAM buffer and run files, then
-            # let the typed error propagate.
-            reducer.close()
-            raise
-        return SuperstepOutcome(
-            new_run=new_run,
-            sort_stats=reducer.stats,
-            activated=activated,
-            traversed_edges=traversed,
-            update_pairs=reducer.stats.total_input_pairs,
-        )
+def reduce_into(sink, produce: Callable):
+    """Run ``produce(sink)`` and finish the sink into its sorted, reduced
+    run; returns ``(run, produce's result)``.
 
-    def _run_eager(self, prev_newv: Iterator[KVArray], superstep: int) -> SuperstepOutcome:
-        """Algorithm 2: materialize the active list A_i, then push from it.
-
-        Two extra I/O operations per active vertex vs the lazy path: the
-        write of A_i and its read back (§III-C).
-        """
-        program = self.program
-        cursor = self.vertices.cursor()
-        overlay = self.vertices.overlay_writer(superstep)
-        active_file = f"{self.vertices.prefix}:active-{superstep}"
-        active_records = 0
-        rec_dtype = np.dtype([("k", "<u8"), ("v", program.value_dtype)])
-        for chunk in prev_newv:
-            if len(chunk) == 0:
-                continue
-            old_values, old_steps = cursor.lookup(chunk.keys)
-            finalized = program.finalize(chunk.values, old_values)
-            mask = program.is_active(finalized, old_values, old_steps, superstep)
-            active_keys = chunk.keys[mask]
-            active_values = np.asarray(finalized)[mask]
-            if len(active_keys) == 0:
-                continue
-            overlay.add(KVArray(active_keys, active_values))
-            records = np.empty(len(active_keys), dtype=rec_dtype)
-            records["k"] = active_keys
-            records["v"] = active_values
-            self.store.append(active_file, records.tobytes())  # extra I/O #1
-            active_records += len(active_keys)
-        overlay.close()
-
-        reducer = self._make_reducer(superstep)
-        try:
-            activated = active_records
-            traversed = 0
-            if active_records:
-                self.store.seal(active_file)
-                item = rec_dtype.itemsize
-                per_chunk = max(1, (1 << 22) // item)
-                for start in range(0, active_records, per_chunk):
-                    n = min(per_chunk, active_records - start)
-                    raw = self.store.read(active_file, start * item, n * item)  # extra I/O #2
-                    records = np.frombuffer(raw, dtype=rec_dtype)
-                    traversed += self._push_edges(reducer, records["k"].copy(),
-                                                  records["v"].copy())
-                self.store.delete(active_file)
-            new_run = reducer.finish()
-        except Exception:
-            reducer.close()
-            raise
-        return SuperstepOutcome(
-            new_run=new_run,
-            sort_stats=reducer.stats,
-            activated=activated,
-            traversed_edges=traversed,
-            update_pairs=reducer.stats.total_input_pairs,
-        )
-
-    # ----------------------------------------------------------------- pieces
-
-    def _make_reducer(self, superstep: int) -> ExternalSortReducer:
-        return ExternalSortReducer(
-            self.store, self.program.reduce_op, self.program.value_dtype,
-            self.backend, self.chunk_bytes, fanout=self.fanout,
-            name_prefix=f"{self.program.name}-s{superstep}", memory=self.memory,
-            pool=self.pool,
-        )
-
-    def _push_edges(self, reducer: ExternalSortReducer, active_keys: np.ndarray,
-                    active_values: np.ndarray) -> int:
-        """Stream the active vertices' out-edges through the edge program."""
-        program = self.program
-        starts, ends = self.graph.index_lookup(active_keys)
-        degrees = ends - starts
-        targets = self.graph.edges_for(starts, ends)
-        if len(targets) == 0:
-            return 0
-        weights = self.graph.weights_for(starts, ends) if program.uses_weights else None
-        per_vertex = None
-        if weights is None:
-            per_vertex = program.vertex_messages(
-                active_values, active_keys, degrees.astype(np.uint64))
-        if per_vertex is not None:
-            messages = np.repeat(per_vertex, degrees)
-        else:
-            src_values = np.repeat(active_values, degrees)
-            src_ids = np.repeat(active_keys, degrees)
-            src_degrees = np.repeat(degrees, degrees).astype(np.uint64)
-            messages = program.edge_program(src_values, src_ids, weights, src_degrees)
-        update = KVArray(targets, np.asarray(messages, dtype=program.value_dtype))
-        reducer.add(update)
-        self.backend.charge_edge_stream(self.clock, update.nbytes)
-        return len(targets)
+    If anything fails (device error, worker death, bad program output) the
+    sink's DRAM buffer and run files are released before the typed error
+    propagates.  A ``BaseException`` — an injected power loss — passes
+    untouched: the store is dead and its sealed runs are what recovery needs.
+    """
+    try:
+        produced = produce(sink)
+        return sink.finish(), produced
+    except Exception:
+        sink.close()
+        raise

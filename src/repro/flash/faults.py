@@ -375,9 +375,11 @@ class FaultPlan:
             else:
                 known = ", ".join(sorted(_SPEC_KEYS))
                 raise ValueError(f"unknown fault spec key {key!r}; known: {known}")
+            if field in kwargs:
+                raise ValueError(f"duplicate fault spec key {key!r}")
             try:
                 kwargs[field] = cast(float(raw)) if cast is int else cast(raw)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:    # OverflowError: inf
                 raise ValueError(f"bad value {raw!r} for fault key {key!r}") from exc
         return FaultPlan(**kwargs)
 

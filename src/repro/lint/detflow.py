@@ -35,8 +35,7 @@ Sinks (where nondeterminism becomes a broken golden):
   frame encoding) — durable state replayed on recovery;
 * trace/report/checksum construction (``checksum()``, appends to
   ``*trace*``/``*timeline*``/``*history*``/``*events*`` collections);
-* sort-reduce key material (``sort_reduce_in_memory``/
-  ``sort_reduce_stream``);
+* sort-reduce key material (``sort_reduce_in_memory``);
 * run-file naming (store ``create``/``rename``).
 
 Rules:
@@ -177,7 +176,6 @@ _SINKS_BY_NAME = {
     "encode_frames": "journal frame encoding",
     "checksum": "checksum construction",
     "sort_reduce_in_memory": "sort-reduce key material",
-    "sort_reduce_stream": "sort-reduce key material",
 }
 _STORE_NAMESPACE = {"create", "rename"}
 _TRACE_NAME = re.compile(r"trace|timeline|history|events", re.IGNORECASE)

@@ -85,59 +85,44 @@ def test_engine_iterations_update_receivers(kron):
 
 
 def test_alg4_exact_with_zero_tolerance(kron):
-    system, _ = make_engine(kron)
-    out_graph = FlashCSR.write(system.store, "out", kron)
+    system, engine = make_engine(kron)
     in_graph = FlashCSR.write(system.store, "in", kron.reversed())
-    result = run_pagerank_alg4(
-        system.store, system.backend, out_graph, in_graph, kron.num_vertices,
-        system.chunk_bytes, iterations=3, tol=0.0, memory=system.memory)
+    result = run_pagerank_alg4(engine, in_graph, iterations=3, tol=0.0)
     assert np.allclose(result.final_values(), pagerank_push(kron, 3), atol=1e-12)
     assert result.num_supersteps == 3
 
 
 def test_alg4_tolerance_bounds_error(kron):
-    system, _ = make_engine(kron)
-    out_graph = FlashCSR.write(system.store, "out", kron)
+    system, engine = make_engine(kron)
     in_graph = FlashCSR.write(system.store, "in", kron.reversed())
-    result = run_pagerank_alg4(
-        system.store, system.backend, out_graph, in_graph, kron.num_vertices,
-        system.chunk_bytes, iterations=10, tol=1e-9, memory=system.memory)
+    result = run_pagerank_alg4(engine, in_graph, iterations=10, tol=1e-9)
     # Delta-filtered activation is approximate: a vertex whose rank
     # transiently stops moving freezes.  The error stays tiny.
     assert np.abs(result.final_values() - pagerank_push(kron, 10)).max() < 1e-3
 
 
 def test_alg4_converges_and_stops_early(kron):
-    system, _ = make_engine(kron)
-    out_graph = FlashCSR.write(system.store, "out", kron)
+    system, engine = make_engine(kron)
     in_graph = FlashCSR.write(system.store, "in", kron.reversed())
-    result = run_pagerank_alg4(
-        system.store, system.backend, out_graph, in_graph, kron.num_vertices,
-        system.chunk_bytes, iterations=500, tol=1e-7, memory=system.memory)
+    result = run_pagerank_alg4(engine, in_graph, iterations=500, tol=1e-7)
     assert result.num_supersteps < 500  # quiesced before the limit
     converged = pagerank_push(kron, 200)
     assert np.abs(result.final_values() - converged).max() < 1e-3
 
 
 def test_alg4_activity_shrinks_over_iterations(kron):
-    system, _ = make_engine(kron)
-    out_graph = FlashCSR.write(system.store, "out", kron)
+    system, engine = make_engine(kron)
     in_graph = FlashCSR.write(system.store, "in", kron.reversed())
-    result = run_pagerank_alg4(
-        system.store, system.backend, out_graph, in_graph, kron.num_vertices,
-        system.chunk_bytes, iterations=30, tol=1e-6, memory=system.memory)
+    result = run_pagerank_alg4(engine, in_graph, iterations=30, tol=1e-6)
     activated = [s.activated for s in result.supersteps]
     assert activated[-1] < activated[0]
 
 
 def test_alg4_frees_bloom_memory(kron):
-    system, _ = make_engine(kron)
-    out_graph = FlashCSR.write(system.store, "out", kron)
+    system, engine = make_engine(kron)
     in_graph = FlashCSR.write(system.store, "in", kron.reversed())
     in_use_before = system.memory.in_use
-    run_pagerank_alg4(system.store, system.backend, out_graph, in_graph,
-                      kron.num_vertices, system.chunk_bytes, iterations=2,
-                      memory=system.memory)
+    run_pagerank_alg4(engine, in_graph, iterations=2)
     assert system.memory.in_use == in_use_before
 
 

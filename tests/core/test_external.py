@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.accelerator import AcceleratorBackend, SoftwareBackend
-from repro.core.external import ExternalSortReducer, sort_reduce_stream
+from repro.core.external import ExternalSortReducer
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import FIRST, SUM
 from repro.perf.memory import MemoryTracker
@@ -188,15 +188,15 @@ def test_external_equals_in_memory(n, key_range, seed):
     geometry = FlashGeometry(page_bytes=4096, pages_per_block=16, num_blocks=512)
     store = AppendOnlyFlashFS(FlashDevice(geometry, GRAFSOFT, SimClock()))
     updates = random_updates(n, key_range, seed=seed)
-    run, stats = sort_reduce_stream(
-        iter([updates]), store, SUM, np.float64,
-        SoftwareBackend(GRAFSOFT), chunk_bytes=2048)
-    out = run.read_all()
+    reducer = ExternalSortReducer(store, SUM, np.float64,
+                                  SoftwareBackend(GRAFSOFT), chunk_bytes=2048)
+    reducer.add(updates)
+    out = reducer.finish().read_all()
     expected = histogram(updates, key_range)
     nonzero = np.flatnonzero(expected)
     assert out.keys.astype(np.int64).tolist() == nonzero.tolist()
     assert np.allclose(out.values, expected[nonzero])
-    assert stats.total_input_pairs == n
+    assert reducer.stats.total_input_pairs == n
 
 
 # ---------------------------------------------------------- stats aggregation

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.bloom import BloomFilter
+from repro.core.bloom import BloomFilter
 
 
 def test_no_false_negatives():

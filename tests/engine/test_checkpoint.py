@@ -10,6 +10,7 @@ from repro.core.external import ExternalSortReducer, RunHandle, recover_runs
 from repro.core.kvstream import record_dtype
 from repro.core.reduce_ops import SUM
 from repro.engine.config import make_system
+from repro.engine.modes import STATIC_MODES
 from repro.flash.device import FlashError, PowerLossError
 from repro.flash.faults import CrashPlan
 from repro.harness import run_grafboost_system
@@ -89,6 +90,45 @@ def test_crash_resume_from_checkpoint_is_bit_identical(random_graph):
     leftovers = [n for n in system.store.list_files()
                  if n.startswith("ckpt:")]
     assert leftovers == []
+
+
+def test_alg4_crash_resume_from_checkpoint(random_graph):
+    """Algorithm 4 runs through EngineRun like every program: per-superstep
+    mode and flash bytes are recorded, and a power loss resumes from the last
+    checkpoint to the uninterrupted run's values (the bloom filter is
+    per-superstep state, rebuilt by the resumed superstep's scan)."""
+    from repro.algorithms.pagerank import run_pagerank_alg4
+    from repro.graph.formats import FlashCSR
+
+    n = random_graph.num_vertices
+
+    def load(crashes):
+        system, out_graph = build("grafsoft", random_graph, crashes=crashes)
+        in_graph = FlashCSR.write(system.store, "in", random_graph.reversed())
+        return system, out_graph, in_graph
+
+    system, out_graph, in_graph = load(CrashPlan(crashes=0))
+    load_ops = system.device.crashes.op_index
+    clean = run_pagerank_alg4(system.engine_for(out_graph, n), in_graph,
+                              iterations=6, tol=0.0)
+    total_ops = system.device.crashes.op_index
+    assert len(clean.mode_trace) == 6 and set(clean.mode_trace) <= set(STATIC_MODES)
+    assert all(s.flash_bytes > 0 for s in clean.supersteps)
+
+    crash_at = load_ops + int((total_ops - load_ops) * 0.9)
+    system, out_graph, in_graph = load(
+        CrashPlan(at_ops=(crash_at,), torn_write_p=1.0))
+    engine = system.engine_for(out_graph, n, checkpoint_every=2)
+    with pytest.raises(PowerLossError):
+        run_pagerank_alg4(engine, in_graph, iterations=6, tol=0.0)
+
+    system.remount()
+    engine = system.engine_for(system.reattach_graph(out_graph), n,
+                               checkpoint_every=2, auto_resume=True)
+    result = run_pagerank_alg4(engine, system.reattach_graph(in_graph),
+                               iterations=6, tol=0.0)
+    assert engine.resumed_from_superstep in (2, 4)
+    assert np.array_equal(result.final_values(), clean.final_values())
 
 
 def test_power_loss_is_not_swallowed_by_superstep_cleanup(random_graph):

@@ -23,7 +23,7 @@ import repro.core.external as external_mod
 import repro.graph.vertexdata as vertexdata_mod
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.cc import run_label_propagation
-from repro.algorithms.pagerank import run_pagerank
+from repro.algorithms.pagerank import run_pagerank, run_pagerank_alg4
 from repro.algorithms.reference import pagerank_push, validate_parents
 from repro.algorithms.bfs import UNVISITED
 from repro.engine.config import make_system
@@ -36,6 +36,8 @@ from repro.engine.modes import (
     semiexternal_footprint,
 )
 from repro.flash.faults import CrashPlan
+from repro.graph.csr import CSRGraph
+from repro.graph.formats import FlashCSR
 from repro.harness import default_root, load_dataset, run_grafboost_system
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFSOFT
@@ -166,6 +168,91 @@ def test_all_modes_match_bfs_reference(random_graph, mode):
     engine = system.engine_for(flash_graph, random_graph.num_vertices)
     result = run_bfs(engine, root)
     assert validate_parents(random_graph, root, result.final_values(), UNVISITED)
+
+
+# --------------------------------------------------------------------------
+# every strategy on adversarial shapes
+# --------------------------------------------------------------------------
+
+
+def _edges(pairs, n):
+    src, dst = (np.array(col, dtype=np.uint64) for col in zip(*pairs))
+    return CSRGraph.from_edges(src, dst, n)
+
+
+def _clique(lo, hi):
+    return [(a, b) for a in range(lo, hi) for b in range(lo, hi) if a != b]
+
+
+_CHAIN = [(i, i + 1) for i in range(31)]
+SHAPES = {
+    "chain": _edges(_CHAIN, 32),
+    "out-star": _edges([(0, i) for i in range(1, 48)], 48),
+    "in-star": _edges([(i, 0) for i in range(1, 48)] + [(0, 1)], 48),
+    "cycle": _edges(_CHAIN + [(31, 0)], 32),
+    "barbell": _edges(_clique(0, 6) + _clique(6, 12) + [(5, 6), (6, 5)], 12),
+    "self-loops": _edges(_CHAIN + [(i, i) for i in range(32)], 32),
+    "parallel-edges": _edges(_CHAIN * 3, 32),
+    "isolated-vertex": _edges(_CHAIN, 64),          # 32..63 touch no edge
+    "no-out-edges": _edges([(0, 1), (0, 2), (1, 2)], 3),
+}
+
+#: (mode, lazy): Algorithm 3, Algorithm 2, and the other execution modes.
+STRATEGIES = {
+    "lazy": ("sortreduce", True),
+    "eager": ("sortreduce", False),
+    "semiexternal": ("semiexternal", True),
+    "densescan": ("densescan", True),
+    "adaptive": ("adaptive", True),
+}
+
+
+def _shape_engine(graph, strategy):
+    mode, lazy = STRATEGIES[strategy]
+    system = make_system("grafsoft", 2.0 ** -14,
+                         num_vertices_hint=graph.num_vertices, mode=mode)
+    flash_graph = system.load_graph(graph)
+    return system, system.engine_for(flash_graph, graph.num_vertices, lazy=lazy)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_every_strategy_agrees_on_adversarial_shapes(shape):
+    graph = SHAPES[shape]
+    runs = {
+        "bfs": lambda engine: run_bfs(engine, 0),
+        "label-propagation": run_label_propagation,
+        "pagerank": lambda engine: run_pagerank(engine, graph.num_vertices, 3),
+    }
+    for algorithm, run in runs.items():
+        results = {name: run(_shape_engine(graph, name)[1]) for name in STRATEGIES}
+        base = results["lazy"]
+        if algorithm == "bfs":
+            assert validate_parents(graph, 0, base.final_values(), UNVISITED)
+        for name, result in results.items():
+            where = (shape, algorithm, name)
+            assert ([s.activated for s in result.supersteps]
+                    == [s.activated for s in base.supersteps]), where
+            if algorithm == "pagerank":
+                assert np.allclose(result.final_values(), base.final_values(),
+                                   rtol=0, atol=1e-12), where
+            else:
+                assert np.array_equal(result.final_values(),
+                                      base.final_values()), where
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_alg4_exact_under_every_strategy(shape, strategy):
+    # Every mode honours a program-generated active list (the list only
+    # replaces the *source* of what is pushed), so no mode refuses
+    # Algorithm 4 and the adaptive policy may pick any of them.
+    graph = SHAPES[shape]
+    system, engine = _shape_engine(graph, strategy)
+    in_graph = FlashCSR.write(system.store, "in", graph.reversed())
+    result = run_pagerank_alg4(engine, in_graph, iterations=3, tol=0.0)
+    assert np.allclose(result.final_values(), pagerank_push(graph, 3),
+                       rtol=0, atol=1e-12)
+    assert set(result.mode_trace) <= set(STATIC_MODES)
 
 
 # --------------------------------------------------------------------------

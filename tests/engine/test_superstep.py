@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.pagerank import run_weighted_pagerank
+from repro.algorithms.bc import run_betweenness_centrality
+from repro.algorithms.pagerank import (
+    run_pagerank,
+    run_pagerank_alg4,
+    run_weighted_pagerank,
+)
+from repro.algorithms.ppr import run_personalized_pagerank
 from repro.algorithms.sssp import run_sssp
+from repro.core.external import ExternalSortReducer
 from repro.engine.config import make_system
+from repro.flash.device import FlashError
 from repro.graph.csr import CSRGraph
+from repro.graph.formats import FlashCSR
 from repro.graph.generators import random_weights, uniform_edges
 
 SCALE = 2.0 ** -14
@@ -18,8 +27,9 @@ def weighted_graph():
     return CSRGraph.from_edges(src, dst, n, random_weights(2400, seed=6))
 
 
-def build(graph, kind="grafsoft", lazy=True):
-    system = make_system(kind, SCALE, num_vertices_hint=graph.num_vertices)
+def build(graph, kind="grafsoft", lazy=True, mode=None):
+    system = make_system(kind, SCALE, num_vertices_hint=graph.num_vertices,
+                         mode=mode)
     flash_graph = system.load_graph(graph)
     return system, system.engine_for(flash_graph, graph.num_vertices, lazy=lazy)
 
@@ -79,3 +89,56 @@ def test_self_loops_are_harmless():
     result = run_bfs(engine, 0)
     parents = result.final_values()
     assert parents[0] == 0 and parents[1] in (0, 1)
+
+
+# ------------------------------------------------- error-path cleanup (reduce)
+
+
+def _alg4(system, engine, graph):
+    in_graph = FlashCSR.write(system.store, "in", graph.reversed())
+    return run_pagerank_alg4(engine, in_graph, iterations=3, tol=0.0)
+
+
+@pytest.mark.parametrize("failing_call", ["add", "finish"])
+@pytest.mark.parametrize("run,failing_prefix,superstep", [
+    (_alg4, "pagerank-alg4-s1-", 1),
+    (lambda system, engine, graph: run_personalized_pagerank(engine, 0, iterations=3),
+     "ppr-i1-", None),
+    (lambda system, engine, graph: run_betweenness_centrality(engine, 0),
+     "bc-back-2-", None),
+    # The engine's own path: the control row.
+    (lambda system, engine, graph: run_pagerank(engine, graph.num_vertices, 3),
+     "pagerank-s1-", 1),
+], ids=["alg4", "ppr", "bc-backtrace", "pagerank"])
+def test_failed_sort_reduce_leaks_nothing(monkeypatch, run, failing_prefix,
+                                          superstep, failing_call):
+    """A FlashError out of one sort-reduce — while it is being fed, or while
+    it merges — releases that reducer's chunk buffer and run files, whichever
+    driver owns it."""
+    rng = np.random.default_rng(3)
+    graph = CSRGraph.from_edges(rng.integers(0, 600, 9000).astype(np.uint64),
+                                rng.integers(0, 600, 9000).astype(np.uint64), 600)
+    system, engine = build(graph, mode="sortreduce")
+    real = getattr(ExternalSortReducer, failing_call)
+    fired = []
+
+    def fail_once(self, *args):
+        if not fired and self.name_prefix.startswith(failing_prefix):
+            if failing_call == "add":
+                real(self, *args)     # leave sorted runs behind, then fail
+            fired.append(self.name_prefix)
+            raise FlashError("injected")
+        return real(self, *args)
+
+    monkeypatch.setattr(ExternalSortReducer, failing_call, fail_once)
+    in_use = system.memory.in_use
+    with pytest.raises(FlashError, match="injected") as exc:
+        run(system, engine, graph)
+    assert fired
+    assert system.memory.in_use == in_use
+    assert [name for name in system.store.list_files()
+            if name.startswith(fired[0])] == []
+    if superstep is not None:
+        assert exc.value.superstep == superstep
+        assert any(f"superstep {superstep}" in note
+                   for note in exc.value.__notes__)

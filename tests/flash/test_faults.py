@@ -54,6 +54,14 @@ def test_fault_plan_parse_rejects_garbage():
         FaultPlan.parse("ber")
     with pytest.raises(ValueError, match="bad value"):
         FaultPlan.parse("ber=lots")
+    # Integer keys: infinity is a bad value, not an OverflowError.
+    for spec in ("seed=1e400", "retries=1e400", "ecc=inf", "pe_cycle_limit=-inf"):
+        with pytest.raises(ValueError, match="bad value"):
+            FaultPlan.parse(spec)
+    # A repeated key — short or full name — is rejected, not last-one-wins.
+    for spec in ("seed=1,seed=2", "ber=1e-5,read_ber=1e-4"):
+        with pytest.raises(ValueError, match="duplicate fault spec key"):
+            FaultPlan.parse(spec)
 
 
 def test_fault_plan_validates_ranges():

@@ -106,6 +106,22 @@ def test_crash_count_is_bounded_by_the_parser(command, ops, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command", [["run", "--system", "GraFSoft"], ["serve", "--demo"]])
+@pytest.mark.parametrize("spec,message", [
+    ("seed=1e400", "bad value '1e400' for fault key 'seed'"),
+    ("retries=1e400", "bad value '1e400' for fault key 'retries'"),
+    ("ecc=inf", "bad value 'inf' for fault key 'ecc'"),
+    ("seed=1,seed=2", "duplicate fault spec key 'seed'"),
+])
+def test_fault_spec_errors_are_usage_errors(command, spec, message, capsys):
+    # The integer keys used to end in "OverflowError: cannot convert float
+    # infinity to integer"; a repeated key silently kept the last value.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--faults", spec])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_largest_crash_count_is_accepted():
     args = build_parser().parse_args(["run", "--crash", "seed=1,ops=10000"])
     assert args.crashes.crashes == 10_000 and len(args.crashes.schedule()) <= 10_000
