@@ -26,6 +26,13 @@ from repro.algorithms.bc import run_betweenness_centrality
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.cc import run_label_propagation
 from repro.algorithms.pagerank import run_pagerank
+from repro.baselines import (
+    ClusterInMemoryEngine,
+    EdgeCentricEngine,
+    InMemoryEngine,
+    SemiExternalEngine,
+    ShardedExternalEngine,
+)
 from repro.core import backend_for_profile
 from repro.core.bloom import BloomFilter
 from repro.core.external import ExternalSortReducer
@@ -46,7 +53,7 @@ from repro.harness import (
     run_grafboost_system,
 )
 from repro.perf.clock import SimClock
-from repro.perf.profiles import GRAFBOOST, GRAFSOFT
+from repro.perf.profiles import GRAFBOOST, GRAFSOFT, SERVER_SSD_ARRAY
 
 # --------------------------------------------------------------------------
 # scalar reference implementations
@@ -674,3 +681,293 @@ def test_sim_clock_invariance_bc(kind, golden_forward, golden_backtrace,
         [[0, 36, 35]], [[0, 2316, 1403]], [[0, 8265, 672], [1, 672, 354]],
         [[0, 422, 1]], [[0, 1, 1]]]
     assert float(result.centrality.sum()) == 35084.0
+
+
+# --------------------------------------------------------------------------
+# baseline strategy models: pinned goldens
+# --------------------------------------------------------------------------
+# The figure files pin baselines only as 2-decimal ratios.  These pin each
+# model's absolute numbers, recorded before the five models were folded into
+# one driver: every model x algorithm on a roomy machine, on a tight-DRAM one
+# (FlashGraph thrashes or refuses, X-Stream partitions, GraphLab refuses), on
+# WDC with a patience that cuts the long traversals off, and on kron28; plus
+# FlashGraph refusing kron32 for its id space.
+
+_BASELINE_MODELS = {cls.name: cls for cls in (
+    InMemoryEngine, ClusterInMemoryEngine, SemiExternalEngine,
+    EdgeCentricEngine, ShardedExternalEngine)}
+
+
+def _baseline_case(system, algorithm, case):
+    """Run one model on one case; returns every pinned number, floats as repr."""
+    scale = 2.0 ** -17 if case == "wdc" else 2.0 ** -16
+    dataset = {"wdc": "wdc", "kron28": "kron28", "idspace": "kron32"}.get(
+        case, "twitter")
+    graph = load_dataset(dataset, scale=scale, seed=1)
+    profile = SERVER_SSD_ARRAY.scaled(scale)
+    if case == "tight":
+        profile = profile.with_dram(int(graph.num_vertices * 16 * 0.95))
+    kwargs = {"cutoff_s": 0.05} if case == "wdc" else {}
+    if case == "idspace":
+        kwargs["max_vertices"] = int(2 ** 32 * scale) - 1
+    engine = _BASELINE_MODELS[system](graph, profile, **kwargs)
+    root = default_root(graph)
+    if algorithm == "pagerank":
+        result = engine.run_pagerank(iterations=2)
+    elif algorithm == "bfs":
+        result = engine.run_bfs(root)
+    else:
+        result = engine.run_bc(root)
+    digest = ("" if result.values is None
+              else hashlib.sha256(result.values.tobytes()).hexdigest())
+    return (result.completed, repr(result.elapsed_s), result.supersteps,
+            result.traversed_edges, result.dnf_reason, result.peak_memory,
+            repr(result.cpu_busy_s), result.flash_bytes,
+            repr(engine.clock.elapsed_s), digest)
+
+
+_BASELINE_GOLDENS = {
+    ('GraphLab', 'bfs', 'roomy'): (
+        True, '0.00020980173667271935', 5, 22445, '', 1865080,
+        '0.005794652303059897', 185008, '0.00020980173667271935',
+        'a33ca8e74bddb83b01d746e93d53afc9fe251497bcefe5b589e92ddb820a9ffd'),
+    ('GraphLab', 'pagerank', 'roomy'): (
+        True, '0.0002994272541999817', 2, 45000, '', 1865080,
+        '0.008662668863932292', 185008, '0.0002994272541999817',
+        'c4988b497e46482b62e9054f8591782d7e16e8d3b93b1811154fbcadee97a2da'),
+    ('GraphLab', 'bc', 'roomy'): (
+        True, '0.00021220976432164513', 5, 22445, '', 1865080,
+        '0.005871709187825522', 185008, '0.00021220976432164513',
+        'b8a0671a1beda49d5a47f3e988071f148d89e0c44e1502dbc77e20c696bddcd7'),
+    ('GraphLab5', 'bfs', 'roomy'): (
+        True, '0.0051021676864140275', 5, 22445, '', 1865080,
+        '0.005794652303059897', 37001, '0.0051021676864140275',
+        'a33ca8e74bddb83b01d746e93d53afc9fe251497bcefe5b589e92ddb820a9ffd'),
+    ('GraphLab5', 'pagerank', 'roomy'): (
+        True, '0.002184279217823692', 2, 45000, '', 1865080,
+        '0.008662668863932292', 37001, '0.002184279217823692',
+        'c4988b497e46482b62e9054f8591782d7e16e8d3b93b1811154fbcadee97a2da'),
+    ('GraphLab5', 'bc', 'roomy'): (
+        True, '0.006102649291943813', 5, 22445, '', 1865080,
+        '0.005871709187825522', 37001, '0.006102649291943813',
+        'b8a0671a1beda49d5a47f3e988071f148d89e0c44e1502dbc77e20c696bddcd7'),
+    ('FlashGraph', 'bfs', 'roomy'): (
+        True, '0.00035846154054005935', 5, 22445, '', 5000,
+        '0.004365984598795572', 1435952, '0.0003594890681902567',
+        'a33ca8e74bddb83b01d746e93d53afc9fe251497bcefe5b589e92ddb820a9ffd'),
+    ('FlashGraph', 'pagerank', 'roomy'): (
+        True, '0.00038246496836344407', 2, 45000, '', 10000,
+        '0.008678436279296875', 725008, '0.0003837408487002055',
+        'c4988b497e46482b62e9054f8591782d7e16e8d3b93b1811154fbcadee97a2da'),
+    ('FlashGraph', 'bc', 'roomy'): (
+        True, '0.00036086956818898527', 5, 22445, '', 25000,
+        '0.004474830627441404', 1435952, '0.0003628905065854391',
+        'b8a0671a1beda49d5a47f3e988071f148d89e0c44e1502dbc77e20c696bddcd7'),
+    ('X-Stream', 'bfs', 'roomy'): (
+        True, '0.0007232096950213115', 5, 22445, '', 2097152,
+        '0.01643689473470052', 1350000, '0.0007232096950213115',
+        'a33ca8e74bddb83b01d746e93d53afc9fe251497bcefe5b589e92ddb820a9ffd'),
+    ('X-Stream', 'pagerank', 'roomy'): (
+        True, '0.0005755610132217407', 2, 45000, '', 2097152,
+        '0.015735626220703125', 540000, '0.0005755610132217407',
+        'c4988b497e46482b62e9054f8591782d7e16e8d3b93b1811154fbcadee97a2da'),
+    ('X-Stream', 'bc', 'roomy'): (
+        True, '0.0012728586117426556', 5, 22445, '', 2097152,
+        '0.027319844563802084', 2700000, '0.0012728586117426556',
+        'b8a0671a1beda49d5a47f3e988071f148d89e0c44e1502dbc77e20c696bddcd7'),
+    ('GraphChi', 'bfs', 'roomy'): (
+        True, '0.004593322610855103', 5, 22445, '', 1048576,
+        '0.015020370483398438', 4050000, '0.004593322610855103',
+        'a33ca8e74bddb83b01d746e93d53afc9fe251497bcefe5b589e92ddb820a9ffd'),
+    ('GraphChi', 'pagerank', 'roomy'): (
+        True, '0.001837329044342041', 2, 45000, '', 1048576,
+        '0.006008148193359375', 1620000, '0.001837329044342041',
+        'c4988b497e46482b62e9054f8591782d7e16e8d3b93b1811154fbcadee97a2da'),
+    ('GraphChi', 'bc', 'roomy'): (
+        True, '0.009186645221710206', 5, 22445, '', 1048576,
+        '0.030040740966796875', 8100000, '0.009186645221710206',
+        'b8a0671a1beda49d5a47f3e988071f148d89e0c44e1502dbc77e20c696bddcd7'),
+    ('GraphLab', 'bfs', 'tight'): (
+        False, 'nan', 0, 0, 'out of memory: needs 1865080 B of 9500 B DRAM',
+        1865080, '0.0', 0, '0.0', ''),
+    ('GraphLab', 'pagerank', 'tight'): (
+        False, 'nan', 0, 0, 'out of memory: needs 1865080 B of 9500 B DRAM',
+        1865080, '0.0', 0, '0.0', ''),
+    ('GraphLab', 'bc', 'tight'): (
+        False, 'nan', 0, 0, 'out of memory: needs 1865080 B of 9500 B DRAM',
+        1865080, '0.0', 0, '0.0', ''),
+    ('GraphLab5', 'bfs', 'tight'): (
+        False, 'nan', 0, 0, 'out of memory: needs 1865080 B of 47500 B DRAM',
+        1865080, '0.0', 0, '0.0', ''),
+    ('GraphLab5', 'pagerank', 'tight'): (
+        False, 'nan', 0, 0, 'out of memory: needs 1865080 B of 47500 B DRAM',
+        1865080, '0.0', 0, '0.0', ''),
+    ('GraphLab5', 'bc', 'tight'): (
+        False, 'nan', 0, 0, 'out of memory: needs 1865080 B of 47500 B DRAM',
+        1865080, '0.0', 0, '0.0', ''),
+    ('FlashGraph', 'bfs', 'tight'): (
+        True, '0.00035846154054005935', 5, 22445, '', 5000,
+        '0.004365984598795572', 1435952, '0.0003594890681902567',
+        'a33ca8e74bddb83b01d746e93d53afc9fe251497bcefe5b589e92ddb820a9ffd'),
+    ('FlashGraph', 'pagerank', 'tight'): (
+        True, '0.000731228682200114', 2, 45000, '', 10000,
+        '0.008678436279296875', 2460816, '0.0007325045625368755',
+        'c4988b497e46482b62e9054f8591782d7e16e8d3b93b1811154fbcadee97a2da'),
+    ('FlashGraph', 'bc', 'tight'): (
+        False, 'nan', 0, 0,
+        'vertex state 25000 B exceeds DRAM 9500 B beyond thrashing tolerance',
+        25000, '0.0', 0, '0.0', ''),
+    ('X-Stream', 'bfs', 'tight'): (
+        True, '0.0008904776493708293', 5, 22445, '', 9500,
+        '0.01643689473470052', 2068240, '0.0008904776493708293',
+        'a33ca8e74bddb83b01d746e93d53afc9fe251497bcefe5b589e92ddb820a9ffd'),
+    ('X-Stream', 'pagerank', 'tight'): (
+        True, '0.000910853009223938', 2, 45000, '', 9500,
+        '0.015735626220703125', 1980000, '0.000910853009223938',
+        'c4988b497e46482b62e9054f8591782d7e16e8d3b93b1811154fbcadee97a2da'),
+    ('X-Stream', 'bc', 'tight'): (
+        True, '0.0014446812907854714', 5, 22445, '', 9500,
+        '0.027319844563802084', 3437632, '0.0014446812907854714',
+        'b8a0671a1beda49d5a47f3e988071f148d89e0c44e1502dbc77e20c696bddcd7'),
+    ('GraphChi', 'bfs', 'tight'): (
+        True, '0.004593322610855103', 5, 22445, '', 4750,
+        '0.015020370483398438', 4050000, '0.004593322610855103',
+        'a33ca8e74bddb83b01d746e93d53afc9fe251497bcefe5b589e92ddb820a9ffd'),
+    ('GraphChi', 'pagerank', 'tight'): (
+        True, '0.001837329044342041', 2, 45000, '', 4750,
+        '0.006008148193359375', 1620000, '0.001837329044342041',
+        'c4988b497e46482b62e9054f8591782d7e16e8d3b93b1811154fbcadee97a2da'),
+    ('GraphChi', 'bc', 'tight'): (
+        True, '0.009186645221710206', 5, 22445, '', 4750,
+        '0.030040740966796875', 8100000, '0.009186645221710206',
+        'b8a0671a1beda49d5a47f3e988071f148d89e0c44e1502dbc77e20c696bddcd7'),
+    ('GraphLab', 'bfs', 'wdc'): (
+        False, 'nan', 0, 0,
+        'out of memory: needs 79579632 B of 1048576 B DRAM', 79579632, '0.0',
+        0, '0.0', ''),
+    ('GraphLab', 'pagerank', 'wdc'): (
+        False, 'nan', 0, 0,
+        'out of memory: needs 79579632 B of 1048576 B DRAM', 79579632, '0.0',
+        0, '0.0', ''),
+    ('GraphLab', 'bc', 'wdc'): (
+        False, 'nan', 0, 0,
+        'out of memory: needs 79579632 B of 1048576 B DRAM', 79579632, '0.0',
+        0, '0.0', ''),
+    ('GraphLab5', 'bfs', 'wdc'): (
+        False, 'nan', 0, 0,
+        'out of memory: needs 79579632 B of 5242880 B DRAM', 79579632, '0.0',
+        0, '0.0', ''),
+    ('GraphLab5', 'pagerank', 'wdc'): (
+        False, 'nan', 0, 0,
+        'out of memory: needs 79579632 B of 5242880 B DRAM', 79579632, '0.0',
+        0, '0.0', ''),
+    ('GraphLab5', 'bc', 'wdc'): (
+        False, 'nan', 0, 0,
+        'out of memory: needs 79579632 B of 5242880 B DRAM', 79579632, '0.0',
+        0, '0.0', ''),
+    ('FlashGraph', 'bfs', 'wdc'): (
+        True, '0.039759171663920075', 458, 964990, '', 183104,
+        '0.18725856781006253', 218553096, '0.03979669017672538',
+        '12ea3cf60cd02d17d67cf26a1a33f3e49e311d57109bb19f8f9bf56d1333ca02'),
+    ('FlashGraph', 'pagerank', 'wdc'): (
+        True, '0.02075717234929403', 2, 1929980, '', 366208,
+        '0.3716069030761719', 59213000, '0.02080378573616346',
+        '47455c736d84b71eee117fc23f9f95efb75b4ef74778504d348c15e7e2aae380'),
+    ('FlashGraph', 'bc', 'wdc'): (
+        True, '0.03985012040456098', 458, 964990, '', 915520,
+        '0.1913330713907908', 218553096, '0.039924018413622794',
+        'aa7c973986381ae4637d779baa15042d4d308285ce9b02484a2ccf4fcc0d056f'),
+    ('X-Stream', 'bfs', 'wdc'): (
+        False, 'nan', 10, 605803, 'exceeded patience of 0s simulated time',
+        1048576, '0.0', 0, '0.051589795111020395', ''),
+    ('X-Stream', 'pagerank', 'wdc'): (
+        True, '0.03906424078385035', 2, 1929980, '', 1048576,
+        '0.6748765309651693', 84919120, '0.03906424078385035',
+        '47455c736d84b71eee117fc23f9f95efb75b4ef74778504d348c15e7e2aae380'),
+    ('X-Stream', 'bc', 'wdc'): (
+        False, 'nan', 10, 605803, 'exceeded patience of 0s simulated time',
+        1048576, '0.0', 0, '0.051589795111020395', ''),
+    ('GraphChi', 'bfs', 'wdc'): (
+        False, 'nan', 2, 585, 'exceeded patience of 0s simulated time', 524288,
+        '0.0', 0, '0.05579235751152038', ''),
+    ('GraphChi', 'pagerank', 'wdc'): (
+        False, 'nan', 2, 1929980, 'exceeded patience of 0s simulated time',
+        524288, '0.0', 0, '0.05579235751152038', ''),
+    ('GraphChi', 'bc', 'wdc'): (
+        False, 'nan', 2, 585, 'exceeded patience of 0s simulated time', 524288,
+        '0.0', 0, '0.05579235751152038', ''),
+    ('GraphLab', 'bfs', 'kron28'): (
+        False, 'nan', 0, 0, 'out of memory: needs 5668944 B of 2097152 B DRAM',
+        5668944, '0.0', 0, '0.0', ''),
+    ('GraphLab', 'pagerank', 'kron28'): (
+        False, 'nan', 0, 0, 'out of memory: needs 5668944 B of 2097152 B DRAM',
+        5668944, '0.0', 0, '0.0', ''),
+    ('GraphLab', 'bc', 'kron28'): (
+        False, 'nan', 0, 0, 'out of memory: needs 5668944 B of 2097152 B DRAM',
+        5668944, '0.0', 0, '0.0', ''),
+    ('GraphLab5', 'bfs', 'kron28'): (
+        True, '0.006420020980403044', 6, 64967, '', 5668944,
+        '0.017115275065104168', 111412, '0.006420020980403044',
+        '752ec83fa442f0edd97105e94d57b2bc2275f109e299ca731c6106517bb23e5e'),
+    ('GraphLab5', 'pagerank', 'kron28'): (
+        True, '0.0029920187680444856', 2, 131072, '', 5668944,
+        '0.025520960489908852', 111412, '0.0029920187680444856',
+        '405f10429d7dc4c722f4dcd946e1dc34762282c099ae3c5ae59d11b8df985404'),
+    ('GraphLab5', 'bc', 'kron28'): (
+        True, '0.00742238370852194', 6, 64967, '', 5668944,
+        '0.017493311564127607', 111412, '0.00742238370852194',
+        '5fcb5a088a41e302b530f696d082699c40e470a7517e5871ed51aa3b563e3738'),
+    ('FlashGraph', 'bfs', 'kron28'): (
+        True, '0.001541809105873108', 6, 64967, '', 32768,
+        '0.012821528116861979', 7387368, '0.0015485260458787283',
+        '752ec83fa442f0edd97105e94d57b2bc2275f109e299ca731c6106517bb23e5e'),
+    ('FlashGraph', 'pagerank', 'kron28'): (
+        True, '0.0011230487060546876', 2, 131072, '', 65536,
+        '0.025625000000000002', 2129928, '0.0011313932502269746',
+        '405f10429d7dc4c722f4dcd946e1dc34762282c099ae3c5ae59d11b8df985404'),
+    ('FlashGraph', 'bc', 'kron28'): (
+        True, '0.0015536227464675904', 6, 64967, '', 163840,
+        '0.013407897949218749', 7387368, '0.0015668501031398773',
+        '5fcb5a088a41e302b530f696d082699c40e470a7517e5871ed51aa3b563e3738'),
+    ('X-Stream', 'bfs', 'kron28'): (
+        True, '0.0024206191889444987', 6, 64967, '', 2097152,
+        '0.05402196248372396', 4718592, '0.0024206191889444987',
+        '752ec83fa442f0edd97105e94d57b2bc2275f109e299ca731c6106517bb23e5e'),
+    ('X-Stream', 'pagerank', 'kron28'): (
+        True, '0.0016764359537760416', 2, 131072, '', 2097152,
+        '0.04583333333333333', 1572864, '0.0016764359537760416',
+        '405f10429d7dc4c722f4dcd946e1dc34762282c099ae3c5ae59d11b8df985404'),
+    ('X-Stream', 'bc', 'kron28'): (
+        True, '0.004348554331461589', 6, 64967, '', 2097152,
+        '0.09227803548177084', 9437184, '0.004348554331461589',
+        '5fcb5a088a41e302b530f696d082699c40e470a7517e5871ed51aa3b563e3738'),
+    ('GraphChi', 'bfs', 'kron28'): (
+        True, '0.016054735107421877', 6, 64967, '', 1048576,
+        '0.052500000000000005', 14155776, '0.016054735107421877',
+        '752ec83fa442f0edd97105e94d57b2bc2275f109e299ca731c6106517bb23e5e'),
+    ('GraphChi', 'pagerank', 'kron28'): (
+        True, '0.005351578369140625', 2, 131072, '', 1048576, '0.0175',
+        4718592, '0.005351578369140625',
+        '405f10429d7dc4c722f4dcd946e1dc34762282c099ae3c5ae59d11b8df985404'),
+    ('GraphChi', 'bc', 'kron28'): (
+        True, '0.03210947021484375', 6, 64967, '', 1048576,
+        '0.10500000000000004', 28311552, '0.03210947021484375',
+        '5fcb5a088a41e302b530f696d082699c40e470a7517e5871ed51aa3b563e3738'),
+    ('FlashGraph', 'bfs', 'idspace'): (
+        False, 'nan', 0, 0,
+        '65536 vertices exceed the (scaled) vertex id space of 65535', 524288,
+        '0.0', 0, '0.0', ''),
+    ('FlashGraph', 'pagerank', 'idspace'): (
+        False, 'nan', 0, 0,
+        '65536 vertices exceed the (scaled) vertex id space of 65535', 1048576,
+        '0.0', 0, '0.0', ''),
+    ('FlashGraph', 'bc', 'idspace'): (
+        False, 'nan', 0, 0,
+        '65536 vertices exceed the (scaled) vertex id space of 65535', 2621440,
+        '0.0', 0, '0.0', ''),
+}
+
+
+@pytest.mark.parametrize("case", list(_BASELINE_GOLDENS), ids="-".join)
+def test_baseline_model_goldens(case):
+    assert _baseline_case(*case) == _BASELINE_GOLDENS[case]
