@@ -1,12 +1,26 @@
-"""Common machinery for the baseline engines: charging helpers, run results,
-and the did-not-finish protocol.
+"""The one driver every baseline model runs on, its charging helpers, run
+results, and the did-not-finish protocol.
 
 The paper's figures contain several kinds of failure — GraphLab exceeding
 memory, FlashGraph thrashing until "stopped manually", X-Stream's projected
 "23 days" on WDC BFS — all rendered as missing bars or ``*`` marks.  A
-baseline run therefore ends in one of three ways: completed, out-of-memory
-(refused up front), or cutoff (simulated time exceeded the experiment's
-patience, like stopping a run by hand).
+baseline run therefore ends in one of three ways: completed, refused up
+front (out of memory or vertex id space), or cut off (simulated time
+exceeded the experiment's patience, like stopping a run by hand).
+
+:class:`BaselineEngine` runs BFS, PageRank and BC once, over
+:mod:`repro.baselines.kernels`, and owns the start clock, the cutoff scope,
+the superstep and traversed-edge counts and the three result shapes.  A
+model is a subclass that answers only cost hooks:
+
+* :meth:`~BaselineEngine.refusal` — why the run cannot start, or ``None``;
+* :meth:`~BaselineEngine.setup` — untimed preparation;
+* :meth:`~BaselineEngine.load` — timed preparation;
+* :meth:`~BaselineEngine.charge_superstep` — one superstep, from the
+  frontier size, edges read, vertices updated and vertex-state accesses;
+* :meth:`~BaselineEngine.charge_backtrace` — BC's backtrace, from the BFS
+  level sizes, deepest level first;
+* :meth:`~BaselineEngine.peak_memory` — the footprint the result reports.
 """
 
 from __future__ import annotations
@@ -15,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines import kernels
 from repro.graph.csr import CSRGraph
 from repro.perf.clock import SimClock
 from repro.perf.profiles import HardwareProfile
@@ -54,17 +69,139 @@ class BaselineResult:
         return self.values
 
 
-class ChargingMixin:
-    """Storage/CPU charging helpers shared by every baseline engine.
+class BaselineEngine:
+    """One storage strategy's costs over the shared BFS, PageRank and BC.
 
-    Subclasses provide ``self.profile`` and ``self.clock``; the helpers
-    translate strategy-level traffic (sequential scans, random page reads,
-    CPU streaming) into clock charges consistent with the device model.
+    The charging helpers translate strategy-level traffic (sequential
+    scans, random page reads, CPU streaming) into clock charges consistent
+    with the device model; each checks the patience after charging.
     """
 
-    profile: HardwareProfile
-    clock: SimClock
-    cutoff_s: float
+    name = "baseline"
+
+    def __init__(self, graph: CSRGraph, profile: HardwareProfile,
+                 clock: SimClock | None = None,
+                 cutoff_s: float = DNF_CUTOFF_UNLIMITED):
+        self.graph = graph
+        self.profile = profile
+        self.clock = clock or SimClock()
+        self.cutoff_s = cutoff_s
+        self._supersteps = 0
+        self._traversed = 0
+
+    # ------------------------------------------------------------- hooks
+
+    def refusal(self, algorithm: str) -> str | None:
+        """The DNF reason if ``algorithm`` cannot start at all."""
+        return None
+
+    def setup(self, algorithm: str) -> None:
+        """Preparation charged before the run's clock starts."""
+
+    def load(self, algorithm: str) -> None:
+        """Preparation charged as part of the run's time."""
+
+    def charge_superstep(self, algorithm: str, frontier: int, edges: int,
+                         updated: int, accesses: int) -> None:
+        """One superstep: ``frontier`` active vertices read ``edges`` edges,
+        ``updated`` vertices change value, ``accesses`` vertex-state slots
+        are touched."""
+        raise NotImplementedError
+
+    def charge_backtrace(self, algorithm: str, level_sizes: list[int]) -> None:
+        """BC's backtrace, one pass per BFS level (deepest first), each
+        reading that level's tree edges."""
+        for size in level_sizes:
+            self.charge_superstep(algorithm, 0, size, 0, 0)
+
+    def peak_memory(self, algorithm: str) -> int:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------ algorithms
+
+    def run_bfs(self, root: int) -> BaselineResult:
+        return self.run("bfs", root=root)
+
+    def run_pagerank(self, iterations: int = 1, damping: float = 0.85) -> BaselineResult:
+        return self.run("pagerank", iterations=iterations, damping=damping)
+
+    def run_bc(self, root: int) -> BaselineResult:
+        return self.run("bc", root=root)
+
+    def run(self, algorithm: str, root: int = 0, iterations: int = 1,
+            damping: float = 0.85) -> BaselineResult:
+        """Run ``algorithm`` (``bfs``, ``pagerank`` or ``bc``) under this
+        model's costs; ``root`` is the BFS/BC source."""
+        if algorithm not in ("bfs", "pagerank", "bc"):
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        self._supersteps = self._traversed = 0
+        reason = self.refusal(algorithm)
+        if reason is not None:
+            return self._result(algorithm, dnf_reason=reason)
+        try:
+            self.setup(algorithm)
+            start = self.clock.elapsed_s
+            self.load(algorithm)
+            if algorithm == "pagerank":
+                values = self._pagerank(iterations, damping)
+            else:
+                values, levels = self._bfs(algorithm, root)
+                if algorithm == "bc":
+                    values = kernels.bc_backtrace(levels, self.graph.num_vertices)
+                    self.charge_backtrace(algorithm, [len(v) for v, _ in levels[::-1]])
+        except RunCutoff as cut:
+            return self._result(algorithm, dnf_reason=str(cut))
+        return self._result(algorithm, values, self.clock.elapsed_s - start)
+
+    def _bfs(self, algorithm: str, root: int):
+        """Level-synchronous BFS: the parent array and the per-level
+        (vertices, parents) lists the BC backtrace walks."""
+        parents = np.full(self.graph.num_vertices, kernels.UNVISITED, dtype=np.uint64)
+        parents[root] = root
+        frontier = np.array([root], dtype=np.int64)
+        levels = [(frontier, parents[frontier])]
+        while len(frontier):
+            active = len(frontier)
+            frontier, edges = kernels.bfs_expand(self.graph, frontier, parents)
+            self._superstep(algorithm, active, edges, len(frontier),
+                            active + len(frontier))
+            if len(frontier):
+                levels.append((frontier, parents[frontier]))
+        return parents, levels
+
+    def _pagerank(self, iterations: int, damping: float) -> np.ndarray:
+        graph = self.graph
+        n = graph.num_vertices
+        rank = np.full(n, 1.0 / n)
+        degrees = graph.out_degrees().astype(np.float64)
+        has_inbound = np.zeros(n, dtype=bool)
+        has_inbound[graph.targets.astype(np.int64)] = True
+        for _ in range(iterations):
+            rank = kernels.pagerank_iteration(graph, rank, degrees,
+                                              has_inbound, damping)
+            self._superstep("pagerank", n, graph.num_edges, n, n)
+        return rank
+
+    def _superstep(self, algorithm: str, frontier: int, edges: int,
+                   updated: int, accesses: int) -> None:
+        self._supersteps += 1
+        self._traversed += edges
+        self.charge_superstep(algorithm, frontier, edges, updated, accesses)
+
+    def _result(self, algorithm: str, values: np.ndarray | None = None,
+                elapsed_s: float = float("nan"),
+                dnf_reason: str = "") -> BaselineResult:
+        completed = values is not None
+        return BaselineResult(
+            system=self.name, algorithm=algorithm, completed=completed,
+            elapsed_s=elapsed_s, values=values, supersteps=self._supersteps,
+            traversed_edges=self._traversed, dnf_reason=dnf_reason,
+            peak_memory=self.peak_memory(algorithm),
+            cpu_busy_s=self.clock.busy_s("cpu") if completed else 0.0,
+            flash_bytes=self.clock.bytes_moved("flash") if completed else 0,
+        )
+
+    # ---------------------------------------------------------------- charges
 
     def _check_cutoff(self) -> None:
         if self.clock.elapsed_s > self.cutoff_s:
@@ -93,14 +230,6 @@ class ChargingMixin:
             return
         seconds = accesses * self.profile.flash_read_latency_s \
             + nbytes / self.profile.flash_read_bw
-        self.clock.charge("flash", seconds, nbytes=int(nbytes), ops=accesses)
-        self._check_cutoff()
-
-    def charge_random_writes(self, accesses: int, nbytes: float) -> None:
-        if accesses <= 0:
-            return
-        seconds = accesses * self.profile.flash_write_latency_s \
-            + nbytes / self.profile.flash_write_bw
         self.clock.charge("flash", seconds, nbytes=int(nbytes), ops=accesses)
         self._check_cutoff()
 

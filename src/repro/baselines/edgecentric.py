@@ -17,15 +17,7 @@ DNF.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.baselines.base import (
-    BaselineResult,
-    ChargingMixin,
-    DNF_CUTOFF_UNLIMITED,
-    RunCutoff,
-)
-from repro.baselines import kernels
+from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED
 from repro.graph.csr import CSRGraph
 from repro.perf.clock import SimClock
 from repro.perf.profiles import HardwareProfile
@@ -37,7 +29,7 @@ UPDATE_RECORD_BYTES = 16
 VERTEX_STATE_BYTES = 24
 
 
-class EdgeCentricEngine(ChargingMixin):
+class EdgeCentricEngine(BaselineEngine):
     """X-Stream-like execution: full edge scans, streaming partitions."""
 
     name = "X-Stream"
@@ -45,28 +37,25 @@ class EdgeCentricEngine(ChargingMixin):
     def __init__(self, graph: CSRGraph, profile: HardwareProfile,
                  clock: SimClock | None = None,
                  cutoff_s: float = DNF_CUTOFF_UNLIMITED):
-        self.graph = graph
-        self.profile = profile
-        self.clock = clock or SimClock()
-        self.cutoff_s = cutoff_s
+        super().__init__(graph, profile, clock, cutoff_s)
         self.edge_scan_bytes = graph.num_edges * 12  # src+dst packed records
         self.update_log_overflow = False
-
-    # ------------------------------------------------------------- provision
 
     def num_partitions(self) -> int:
         """Streaming partitions needed so one partition's vertices fit in DRAM."""
         state = self.graph.num_vertices * VERTEX_STATE_BYTES
         return max(1, -(-state * 2 // self.profile.dram_capacity))
 
-    # ---------------------------------------------------------------- charges
+    def peak_memory(self, algorithm: str) -> int:
+        return self.profile.dram_capacity
 
-    def _charge_superstep(self, active_edges: int) -> None:
-        """One superstep: scan all edges, shuffle updates out and back."""
+    def charge_superstep(self, algorithm: str, frontier: int, edges: int,
+                         updated: int, accesses: int) -> None:
+        """Scan all edges, shuffle the ``edges`` updates out and back."""
         partitions = self.num_partitions()
         # Full sequential edge scan — the defining cost, frontier-independent.
         self.charge_seq_read(self.edge_scan_bytes)
-        update_bytes = active_edges * UPDATE_RECORD_BYTES
+        update_bytes = edges * UPDATE_RECORD_BYTES
         if partitions > 1:
             # Updates spill to per-partition logs on flash and stream back.
             if update_bytes > self.profile.flash_capacity:
@@ -77,94 +66,3 @@ class EdgeCentricEngine(ChargingMixin):
         # runs all 32 cores flat out yet moves only ~2 GB/s of a 6 GB/s
         # array (Table II) — it is compute-bound, not I/O-bound.
         self.charge_cpu_scatter(self.edge_scan_bytes + 2 * update_bytes)
-
-    # ------------------------------------------------------------ algorithms
-
-    def run_bfs(self, root: int) -> BaselineResult:
-        start = self.clock.elapsed_s
-        graph = self.graph
-        parents = np.full(graph.num_vertices, kernels.UNVISITED, dtype=np.uint64)
-        parents[root] = root
-        frontier = np.array([root], dtype=np.int64)
-        supersteps = 0
-        traversed = 0
-        try:
-            while len(frontier):
-                degrees = (graph.offsets[frontier + 1] - graph.offsets[frontier]).astype(np.int64)
-                active_edges = int(degrees.sum())
-                frontier, edges = kernels.bfs_expand(graph, frontier, parents)
-                traversed += edges
-                supersteps += 1
-                self._charge_superstep(active_edges)
-        except RunCutoff as cut:
-            return self._cutoff("bfs", cut, supersteps, traversed)
-        return self._done("bfs", start, parents, supersteps, traversed)
-
-    def run_pagerank(self, iterations: int = 1, damping: float = 0.85) -> BaselineResult:
-        start = self.clock.elapsed_s
-        graph = self.graph
-        rank = np.full(graph.num_vertices, 1.0 / graph.num_vertices)
-        degrees = graph.out_degrees().astype(np.float64)
-        has_inbound = np.zeros(graph.num_vertices, dtype=bool)
-        has_inbound[graph.targets.astype(np.int64)] = True
-        supersteps = 0
-        try:
-            for _ in range(iterations):
-                rank = kernels.pagerank_iteration(graph, rank, degrees,
-                                                  has_inbound, damping)
-                supersteps += 1
-                self._charge_superstep(graph.num_edges)
-        except RunCutoff as cut:
-            return self._cutoff("pagerank", cut, supersteps,
-                                supersteps * graph.num_edges)
-        return self._done("pagerank", start, rank, supersteps,
-                          supersteps * graph.num_edges)
-
-    def run_bc(self, root: int) -> BaselineResult:
-        start = self.clock.elapsed_s
-        graph = self.graph
-        parents = np.full(graph.num_vertices, kernels.UNVISITED, dtype=np.uint64)
-        parents[root] = root
-        frontier = np.array([root], dtype=np.int64)
-        levels_lists = [(frontier.copy(), np.array([root], dtype=np.uint64))]
-        supersteps = 0
-        traversed = 0
-        try:
-            while len(frontier):
-                degrees = (graph.offsets[frontier + 1] - graph.offsets[frontier]).astype(np.int64)
-                active_edges = int(degrees.sum())
-                frontier, edges = kernels.bfs_expand(graph, frontier, parents)
-                traversed += edges
-                supersteps += 1
-                self._charge_superstep(active_edges)
-                if len(frontier):
-                    levels_lists.append((frontier.copy(), parents[frontier]))
-            centrality = kernels.bc_backtrace(levels_lists, graph.num_vertices)
-            # Backtracing scans the edge list once more per level.
-            for vertices, _parents in levels_lists[::-1]:
-                self._charge_superstep(len(vertices))
-        except RunCutoff as cut:
-            return self._cutoff("bc", cut, supersteps, traversed)
-        return self._done("bc", start, centrality, supersteps, traversed)
-
-    # --------------------------------------------------------------- results
-
-    def _done(self, algorithm: str, start: float, values: np.ndarray,
-              supersteps: int, traversed: int) -> BaselineResult:
-        return BaselineResult(
-            system=self.name, algorithm=algorithm, completed=True,
-            elapsed_s=self.clock.elapsed_s - start, values=values,
-            supersteps=supersteps, traversed_edges=traversed,
-            peak_memory=self.profile.dram_capacity,
-            cpu_busy_s=self.clock.busy_s("cpu"),
-            flash_bytes=self.clock.bytes_moved("flash"),
-        )
-
-    def _cutoff(self, algorithm: str, cut: RunCutoff, supersteps: int,
-                traversed: int) -> BaselineResult:
-        return BaselineResult(
-            system=self.name, algorithm=algorithm, completed=False,
-            elapsed_s=float("nan"), dnf_reason=str(cut),
-            supersteps=supersteps, traversed_edges=traversed,
-            peak_memory=self.profile.dram_capacity,
-        )

@@ -16,16 +16,7 @@ patterns", §V-D).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.baselines.base import (
-    BaselineResult,
-    ChargingMixin,
-    DNF_CUTOFF_UNLIMITED,
-    RunCutoff,
-    graph_bytes_on_flash,
-)
-from repro.baselines import kernels
+from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED, graph_bytes_on_flash
 from repro.graph.csr import CSRGraph
 from repro.perf.clock import SimClock
 from repro.perf.profiles import HardwareProfile, MB
@@ -50,22 +41,18 @@ MIRRORS_PER_VERTEX = 1.5
 EDGE_TOUCH_BYTES = 16
 
 
-class InMemoryEngine(ChargingMixin):
+class InMemoryEngine(BaselineEngine):
     """Single-node GraphLab-like execution."""
 
     name = "GraphLab"
+    num_nodes = 1
 
     def __init__(self, graph: CSRGraph, profile: HardwareProfile,
                  clock: SimClock | None = None,
                  cutoff_s: float = DNF_CUTOFF_UNLIMITED,
                  replication_factor: float = REPLICATION_FACTOR):
-        self.graph = graph
-        self.profile = profile
-        self.clock = clock or SimClock()
-        self.cutoff_s = cutoff_s
+        super().__init__(graph, profile, clock, cutoff_s)
         self.replication_factor = replication_factor
-
-    # ------------------------------------------------------------- provision
 
     def memory_required(self) -> int:
         """DRAM needed: replicated graph structure plus vertex state."""
@@ -73,127 +60,35 @@ class InMemoryEngine(ChargingMixin):
                    + self.graph.num_vertices * 24)
 
     def memory_available(self) -> int:
-        return self.profile.dram_capacity
+        return self.profile.dram_capacity * self.num_nodes
 
     def fits(self) -> bool:
         return self.memory_required() <= self.memory_available()
 
-    def _oom(self, algorithm: str) -> BaselineResult:
-        return BaselineResult(
-            system=self.name, algorithm=algorithm, completed=False,
-            elapsed_s=float("nan"),
-            dnf_reason=(
-                f"out of memory: needs {self.memory_required()} B of "
-                f"{self.memory_available()} B DRAM"
-            ),
-            peak_memory=self.memory_required(),
-        )
+    def refusal(self, algorithm: str) -> str | None:
+        if self.fits():
+            return None
+        return (f"out of memory: needs {self.memory_required()} B of "
+                f"{self.memory_available()} B DRAM")
 
-    def _load(self) -> None:
-        """Read the graph from storage and build the in-memory structure."""
-        flash_bytes = graph_bytes_on_flash(self.graph)
-        self.charge_seq_read(flash_bytes)
-        self.charge_cpu_stream(self.graph.nbytes * self.replication_factor)
+    def peak_memory(self, algorithm: str) -> int:
+        return self.memory_required()
 
-    def _compute_parallelism(self) -> int:
-        return self.profile.cpu_threads
+    def load(self, algorithm: str) -> None:
+        """Read the graph from storage and build the in-memory structure;
+        each node of a cluster loads (and replicates) its own partition."""
+        self.charge_seq_read(graph_bytes_on_flash(self.graph) / self.num_nodes)
+        self.charge_cpu_stream(self.graph.nbytes * self.replication_factor,
+                               self.profile.cpu_threads * self.num_nodes)
 
-    def _charge_superstep(self, edges_touched: int, active_vertices: int) -> None:
-        self.charge_cpu_scatter(edges_touched * EDGE_TOUCH_BYTES,
-                                self._compute_parallelism())
+    def charge_superstep(self, algorithm: str, frontier: int, edges: int,
+                         updated: int, accesses: int) -> None:
+        self.charge_cpu_scatter(edges * EDGE_TOUCH_BYTES,
+                                self.profile.cpu_threads * self.num_nodes)
 
-    # ------------------------------------------------------------ algorithms
-
-    def run_bfs(self, root: int) -> BaselineResult:
-        if not self.fits():
-            return self._oom("bfs")
-        start = self.clock.elapsed_s
-        parents = np.full(self.graph.num_vertices, kernels.UNVISITED, dtype=np.uint64)
-        parents[root] = root
-        frontier = np.array([root], dtype=np.int64)
-        supersteps = 0
-        traversed = 0
-        try:
-            self._load()
-            while len(frontier):
-                frontier, edges = kernels.bfs_expand(self.graph, frontier, parents)
-                traversed += edges
-                supersteps += 1
-                self._charge_superstep(edges, len(frontier))
-        except RunCutoff as cut:
-            return self._cutoff("bfs", cut, supersteps, traversed)
-        return self._done("bfs", start, parents, supersteps, traversed)
-
-    def run_pagerank(self, iterations: int = 1, damping: float = 0.85) -> BaselineResult:
-        if not self.fits():
-            return self._oom("pagerank")
-        start = self.clock.elapsed_s
-        graph = self.graph
-        rank = np.full(graph.num_vertices, 1.0 / graph.num_vertices)
-        degrees = graph.out_degrees().astype(np.float64)
-        has_inbound = np.zeros(graph.num_vertices, dtype=bool)
-        has_inbound[graph.targets.astype(np.int64)] = True
-        supersteps = 0
-        try:
-            self._load()
-            for _ in range(iterations):
-                rank = kernels.pagerank_iteration(graph, rank, degrees,
-                                                  has_inbound, damping)
-                supersteps += 1
-                self._charge_superstep(graph.num_edges, graph.num_vertices)
-        except RunCutoff as cut:
-            return self._cutoff("pagerank", cut, supersteps, supersteps * graph.num_edges)
-        return self._done("pagerank", start, rank, supersteps,
-                          supersteps * graph.num_edges)
-
-    def run_bc(self, root: int) -> BaselineResult:
-        if not self.fits():
-            return self._oom("bc")
-        start = self.clock.elapsed_s
-        graph = self.graph
-        parents = np.full(graph.num_vertices, kernels.UNVISITED, dtype=np.uint64)
-        parents[root] = root
-        frontier = np.array([root], dtype=np.int64)
-        levels_lists = [(frontier.copy(), np.array([root], dtype=np.uint64))]
-        supersteps = 0
-        traversed = 0
-        try:
-            self._load()
-            while len(frontier):
-                frontier, edges = kernels.bfs_expand(self.graph, frontier, parents)
-                traversed += edges
-                supersteps += 1
-                self._charge_superstep(edges, len(frontier))
-                if len(frontier):
-                    levels_lists.append((frontier.copy(), parents[frontier]))
-            centrality = kernels.bc_backtrace(levels_lists, graph.num_vertices)
-            # Backtrace touches every tree edge once per level list.
-            self._charge_superstep(sum(len(v) for v, _ in levels_lists), 0)
-        except RunCutoff as cut:
-            return self._cutoff("bc", cut, supersteps, traversed)
-        return self._done("bc", start, centrality, supersteps, traversed)
-
-    # --------------------------------------------------------------- results
-
-    def _done(self, algorithm: str, start: float, values: np.ndarray,
-              supersteps: int, traversed: int) -> BaselineResult:
-        return BaselineResult(
-            system=self.name, algorithm=algorithm, completed=True,
-            elapsed_s=self.clock.elapsed_s - start, values=values,
-            supersteps=supersteps, traversed_edges=traversed,
-            peak_memory=self.memory_required(),
-            cpu_busy_s=self.clock.busy_s("cpu"),
-            flash_bytes=self.clock.bytes_moved("flash"),
-        )
-
-    def _cutoff(self, algorithm: str, cut: RunCutoff, supersteps: int,
-                traversed: int) -> BaselineResult:
-        return BaselineResult(
-            system=self.name, algorithm=algorithm, completed=False,
-            elapsed_s=float("nan"), dnf_reason=str(cut),
-            supersteps=supersteps, traversed_edges=traversed,
-            peak_memory=self.memory_required(),
-        )
+    def charge_backtrace(self, algorithm: str, level_sizes: list[int]) -> None:
+        # One pass touching every tree edge of every level.
+        self.charge_superstep(algorithm, 0, sum(level_sizes), 0, 0)
 
 
 class ClusterInMemoryEngine(InMemoryEngine):
@@ -212,28 +107,14 @@ class ClusterInMemoryEngine(InMemoryEngine):
         self.num_nodes = num_nodes
         self.network_bw = network_bw
 
-    def memory_available(self) -> int:
-        return self.profile.dram_capacity * self.num_nodes
-
-    def _compute_parallelism(self) -> int:
-        return self.profile.cpu_threads * self.num_nodes
-
-    def _load(self) -> None:
-        """Each node loads (and replicates) its own partition in parallel."""
-        from repro.baselines.base import graph_bytes_on_flash
-
-        flash_bytes = graph_bytes_on_flash(self.graph)
-        self.charge_seq_read(flash_bytes / self.num_nodes)
-        self.charge_cpu_stream(self.graph.nbytes * self.replication_factor,
-                               self._compute_parallelism())
-
-    def _charge_superstep(self, edges_touched: int, active_vertices: int) -> None:
-        super()._charge_superstep(edges_touched, active_vertices)
-        # Mirror synchronization: every active vertex's value crosses the
+    def charge_superstep(self, algorithm: str, frontier: int, edges: int,
+                         updated: int, accesses: int) -> None:
+        super().charge_superstep(algorithm, frontier, edges, updated, accesses)
+        # Mirror synchronization: every updated vertex's value crosses the
         # network to its remote mirrors, plus a per-superstep barrier.
         # Sparse many-superstep algorithms (BFS) drown in the barrier
         # latency — "the network becoming the bottleneck" (§V-D).
-        sync_bytes = int(active_vertices * 8 * MIRRORS_PER_VERTEX)
+        sync_bytes = int(updated * 8 * MIRRORS_PER_VERTEX)
         self.clock.charge("net", SYNC_LATENCY_S + sync_bytes / self.network_bw,
                           nbytes=sync_bytes)
         self._check_cutoff()

@@ -1,8 +1,9 @@
 """Shared numpy compute kernels for the baseline engines.
 
-The four baselines differ in *where data lives and what I/O each superstep
+The baseline models differ in *where data lives and what I/O each superstep
 costs*, not in what they compute — so the per-superstep computation is
-factored here and every engine produces identical (cross-validated) answers.
+factored here, driven once by :class:`~repro.baselines.base.BaselineEngine`,
+and every model produces identical (cross-validated) answers.
 
 Reductions go through :mod:`repro.core.reduce_ops` — the same audited op
 table the sort-reduce engine and the execution modes use — so FIRST/LAST

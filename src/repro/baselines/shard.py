@@ -15,15 +15,7 @@ budget, so it never DNFs on memory — only on patience.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.baselines.base import (
-    BaselineResult,
-    ChargingMixin,
-    DNF_CUTOFF_UNLIMITED,
-    RunCutoff,
-)
-from repro.baselines import kernels
+from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED
 from repro.graph.csr import CSRGraph
 from repro.perf.clock import SimClock
 from repro.perf.profiles import HardwareProfile
@@ -39,7 +31,7 @@ EFFECTIVE_THREADS = 4
 REWRITE_FRACTION = 0.5
 
 
-class ShardedExternalEngine(ChargingMixin):
+class ShardedExternalEngine(BaselineEngine):
     """GraphChi-like execution with constant memory use."""
 
     name = "GraphChi"
@@ -48,10 +40,7 @@ class ShardedExternalEngine(ChargingMixin):
                  clock: SimClock | None = None,
                  cutoff_s: float = DNF_CUTOFF_UNLIMITED,
                  shard_memory_bytes: int | None = None):
-        self.graph = graph
-        self.profile = profile
-        self.clock = clock or SimClock()
-        self.cutoff_s = cutoff_s
+        super().__init__(graph, profile, clock, cutoff_s)
         self.shard_memory = shard_memory_bytes or min(
             profile.dram_capacity // 2, 4 * (1 << 30))
         self.edge_data_bytes = graph.num_edges * EDGE_RECORD_BYTES
@@ -59,10 +48,13 @@ class ShardedExternalEngine(ChargingMixin):
     def num_shards(self) -> int:
         return max(1, -(-self.edge_data_bytes // self.shard_memory))
 
-    # ---------------------------------------------------------------- charges
+    def peak_memory(self, algorithm: str) -> int:
+        return self.shard_memory
 
-    def _charge_iteration(self) -> None:
-        """One full parallel-sliding-windows pass over all shards."""
+    def charge_superstep(self, algorithm: str, frontier: int, edges: int,
+                         updated: int, accesses: int) -> None:
+        """One full parallel-sliding-windows pass over all shards, however
+        few vertices are active."""
         # Memory shard + sliding windows: the whole edge data is read once,
         # and updated edge values are written back.
         self.charge_seq_read(self.edge_data_bytes)
@@ -71,89 +63,3 @@ class ShardedExternalEngine(ChargingMixin):
         # Re-sorting updates into shard order is extra work GraphChi pays.
         self.charge_cpu_scatter(self.edge_data_bytes * 0.5,
                                 threads=EFFECTIVE_THREADS)
-
-    # ------------------------------------------------------------ algorithms
-
-    def run_bfs(self, root: int) -> BaselineResult:
-        start = self.clock.elapsed_s
-        graph = self.graph
-        parents = np.full(graph.num_vertices, kernels.UNVISITED, dtype=np.uint64)
-        parents[root] = root
-        frontier = np.array([root], dtype=np.int64)
-        supersteps = 0
-        traversed = 0
-        try:
-            while len(frontier):
-                frontier, edges = kernels.bfs_expand(graph, frontier, parents)
-                traversed += edges
-                supersteps += 1
-                self._charge_iteration()
-        except RunCutoff as cut:
-            return self._cutoff("bfs", cut, supersteps, traversed)
-        return self._done("bfs", start, parents, supersteps, traversed)
-
-    def run_pagerank(self, iterations: int = 1, damping: float = 0.85) -> BaselineResult:
-        start = self.clock.elapsed_s
-        graph = self.graph
-        rank = np.full(graph.num_vertices, 1.0 / graph.num_vertices)
-        degrees = graph.out_degrees().astype(np.float64)
-        has_inbound = np.zeros(graph.num_vertices, dtype=bool)
-        has_inbound[graph.targets.astype(np.int64)] = True
-        supersteps = 0
-        try:
-            for _ in range(iterations):
-                rank = kernels.pagerank_iteration(graph, rank, degrees,
-                                                  has_inbound, damping)
-                supersteps += 1
-                self._charge_iteration()
-        except RunCutoff as cut:
-            return self._cutoff("pagerank", cut, supersteps,
-                                supersteps * graph.num_edges)
-        return self._done("pagerank", start, rank, supersteps,
-                          supersteps * graph.num_edges)
-
-    def run_bc(self, root: int) -> BaselineResult:
-        start = self.clock.elapsed_s
-        graph = self.graph
-        parents = np.full(graph.num_vertices, kernels.UNVISITED, dtype=np.uint64)
-        parents[root] = root
-        frontier = np.array([root], dtype=np.int64)
-        levels_lists = [(frontier.copy(), np.array([root], dtype=np.uint64))]
-        supersteps = 0
-        traversed = 0
-        try:
-            while len(frontier):
-                frontier, edges = kernels.bfs_expand(graph, frontier, parents)
-                traversed += edges
-                supersteps += 1
-                self._charge_iteration()
-                if len(frontier):
-                    levels_lists.append((frontier.copy(), parents[frontier]))
-            centrality = kernels.bc_backtrace(levels_lists, graph.num_vertices)
-            for _ in levels_lists:
-                self._charge_iteration()
-        except RunCutoff as cut:
-            return self._cutoff("bc", cut, supersteps, traversed)
-        return self._done("bc", start, centrality, supersteps, traversed)
-
-    # --------------------------------------------------------------- results
-
-    def _done(self, algorithm: str, start: float, values: np.ndarray,
-              supersteps: int, traversed: int) -> BaselineResult:
-        return BaselineResult(
-            system=self.name, algorithm=algorithm, completed=True,
-            elapsed_s=self.clock.elapsed_s - start, values=values,
-            supersteps=supersteps, traversed_edges=traversed,
-            peak_memory=self.shard_memory,
-            cpu_busy_s=self.clock.busy_s("cpu"),
-            flash_bytes=self.clock.bytes_moved("flash"),
-        )
-
-    def _cutoff(self, algorithm: str, cut: RunCutoff, supersteps: int,
-                traversed: int) -> BaselineResult:
-        return BaselineResult(
-            system=self.name, algorithm=algorithm, completed=False,
-            elapsed_s=float("nan"), dnf_reason=str(cut),
-            supersteps=supersteps, traversed_edges=traversed,
-            peak_memory=self.shard_memory,
-        )

@@ -50,6 +50,14 @@ from repro.perf.report import (
 
 ALL_SYSTEMS = list(GRAFBOOST_FAMILY) + list(BASELINE_SYSTEMS)
 
+#: ``run`` flags (and their argparse dests) that configure the simulated
+#: flash stack; the baseline strategy models have none to configure.
+_FLASH_STACK_FLAGS = (
+    ("--timeline", "timeline"), ("--faults", "faults"), ("--crash", "crashes"),
+    ("--checkpoint-every", "checkpoint_every"), ("--sanitize", "sanitize"),
+    ("--workers", "workers"), ("--mode", "mode"),
+)
+
 
 def _parse_scale(text: str) -> float:
     value = float(text)
@@ -220,43 +228,26 @@ def cmd_profiles(_args) -> int:
 
 
 def cmd_run(args) -> int:
-    graph = load_dataset(args.dataset, args.scale, seed=args.seed)
-    print(f"{args.dataset} @ scale {args.scale:g}: "
-          f"{graph.num_vertices:,} vertices, {graph.num_edges:,} edges")
     # NB: --timeline is handled *after* all flag validation and goes through
     # run_cell like every other invocation, so it composes with --faults/
     # --crash/--sanitize/--checkpoint-every instead of silently dropping
     # them (it used to return early through a separate bare-engine path).
-    if args.timeline and args.system not in GRAFBOOST_FAMILY:
-        print(f"--timeline only applies to the simulated flash stacks "
-              f"({', '.join(GRAFBOOST_FAMILY)}), not {args.system}",
-              file=sys.stderr)
+    # A flash-stack flag on a baseline model is refused, never ignored.
+    if args.system not in GRAFBOOST_FAMILY:
+        for flag, dest in _FLASH_STACK_FLAGS:
+            value = getattr(args, dest)
+            if value is not None and value is not False:
+                print(f"{flag} only applies to the simulated flash stacks "
+                      f"({', '.join(GRAFBOOST_FAMILY)}), not {args.system}",
+                      file=sys.stderr)
+                return 2
+    if args.crashes is not None and args.algorithm not in ("pagerank", "bfs"):
+        print("--crash supports pagerank and bfs (multi-phase "
+              "algorithms have no checkpoint protocol)", file=sys.stderr)
         return 2
-    if args.faults is not None and args.system not in GRAFBOOST_FAMILY:
-        print(f"--faults only applies to the simulated flash stacks "
-              f"({', '.join(GRAFBOOST_FAMILY)}), not {args.system}",
-              file=sys.stderr)
-        return 2
-    if args.crashes is not None:
-        if args.system not in GRAFBOOST_FAMILY:
-            print(f"--crash only applies to the simulated flash stacks "
-                  f"({', '.join(GRAFBOOST_FAMILY)}), not {args.system}",
-                  file=sys.stderr)
-            return 2
-        if args.algorithm not in ("pagerank", "bfs"):
-            print("--crash supports pagerank and bfs (multi-phase "
-                  "algorithms have no checkpoint protocol)", file=sys.stderr)
-            return 2
-    if args.sanitize and args.system not in GRAFBOOST_FAMILY:
-        print(f"--sanitize only applies to the simulated flash stacks "
-              f"({', '.join(GRAFBOOST_FAMILY)}), not {args.system}",
-              file=sys.stderr)
-        return 2
-    if args.mode is not None and args.system not in GRAFBOOST_FAMILY:
-        print(f"--mode only applies to the simulated flash stacks "
-              f"({', '.join(GRAFBOOST_FAMILY)}), not {args.system}",
-              file=sys.stderr)
-        return 2
+    graph = load_dataset(args.dataset, args.scale, seed=args.seed)
+    print(f"{args.dataset} @ scale {args.scale:g}: "
+          f"{graph.num_vertices:,} vertices, {graph.num_edges:,} edges")
     checkpoint_every = args.checkpoint_every
     if checkpoint_every is None:
         checkpoint_every = 4 if args.crashes is not None else 0

@@ -81,6 +81,26 @@ def semiexternal_footprint(num_vertices: int, value_dtype: np.dtype) -> int:
     return num_vertices * (np.dtype(value_dtype).itemsize + 1)
 
 
+def charge_page_faults(clock, profile, swap: float, vertices_touched: int) -> int:
+    """Charge the swap traffic of ``vertices_touched`` vertex-state accesses
+    when a ``swap`` fraction of the state is beyond DRAM; returns the faults.
+
+    Vertex updates arrive in edge order — effectively random — so a miss has
+    no page locality: every out-of-core access faults a whole page in and
+    writes a dirty one out (FlashGraph's Fig 13 degradation, shared by the
+    baseline model and :class:`DramAggregator`).
+    """
+    faults = int(vertices_touched * swap)
+    if faults <= 0:
+        return 0
+    nbytes = faults * profile.flash_page_bytes
+    clock.charge("flash", faults * profile.flash_read_latency_s
+                 + nbytes / profile.flash_read_bw, nbytes=nbytes, ops=faults)
+    clock.charge("flash", faults * profile.flash_write_latency_s
+                 + nbytes / profile.flash_write_bw, nbytes=nbytes, ops=faults)
+    return faults
+
+
 Consume = Callable[[np.ndarray, np.ndarray], None]
 
 
@@ -189,9 +209,9 @@ class DramAggregator:
     array via the shared :meth:`ReduceOp.scatter_into` path — no run files,
     no external merging.  The table pins as much of the DRAM budget as is
     available; updates landing in the unpinned remainder fault whole pages
-    in and out, charged with the FlashGraph thrash model
-    (:mod:`repro.baselines.semiexternal`).  ``finish()`` emits the touched
-    slots, already sorted by construction, as one sealed run file.
+    in and out (:func:`charge_page_faults`, the FlashGraph model's thrash
+    charge).  ``finish()`` emits the touched slots, already sorted by
+    construction, as one sealed run file.
     """
 
     def __init__(self, mode: ExecutionMode, superstep: int):
@@ -243,25 +263,7 @@ class DramAggregator:
         self.clock.charge_pool(
             "cpu", scatter_bytes / profile.cpu_scatter_bw_per_thread,
             profile.cpu_threads)
-        self._charge_thrash(distinct)
-
-    def _charge_thrash(self, vertices_touched: int) -> None:
-        """Random page faults for table slots beyond the DRAM budget
-        (the baseline model's ``_charge_thrash``, against the real clock)."""
-        if self.swap <= 0 or vertices_touched == 0:
-            return
-        profile = self.store.device.profile
-        page = profile.flash_page_bytes
-        faults = int(vertices_touched * self.swap)
-        if faults == 0:
-            return
-        nbytes = faults * page
-        self.clock.charge(
-            "flash", faults * profile.flash_read_latency_s
-            + nbytes / profile.flash_read_bw, nbytes=nbytes, ops=faults)
-        self.clock.charge(
-            "flash", faults * profile.flash_write_latency_s
-            + nbytes / profile.flash_write_bw, nbytes=nbytes, ops=faults)
+        charge_page_faults(self.clock, profile, self.swap, distinct)
 
     def finish(self) -> RunHandle:
         """Emit the touched slots as one sorted, sealed run file."""

@@ -29,13 +29,7 @@ import numpy as np
 from repro.algorithms.bc import run_betweenness_centrality
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_pagerank
-from repro.baselines import (
-    ClusterInMemoryEngine,
-    EdgeCentricEngine,
-    InMemoryEngine,
-    SemiExternalEngine,
-    ShardedExternalEngine,
-)
+from repro.baselines import BASELINE_ENGINES, SemiExternalEngine
 from repro.baselines.base import DNF_CUTOFF_UNLIMITED
 from repro.baselines.semiexternal import VERTEX_ID_SPACE
 from repro.engine.config import make_system
@@ -60,7 +54,8 @@ GRAFBOOST_ONE_CARD = dataclasses.replace(
     flash_read_bw=1.2 * GB, flash_write_bw=0.5 * GB)
 
 GRAFBOOST_FAMILY = ("GraFBoost", "GraFBoost2", "GraFSoft")
-BASELINE_SYSTEMS = ("GraphLab", "GraphLab5", "FlashGraph", "X-Stream", "GraphChi")
+_BASELINE_CLASSES = {cls.name: cls for cls in BASELINE_ENGINES}
+BASELINE_SYSTEMS = tuple(_BASELINE_CLASSES)
 ALGORITHMS = ("pagerank", "bfs", "bc")
 
 #: Default in-process graph cache budget; override with
@@ -345,15 +340,6 @@ def _attach_injection_stats(workload: WorkloadResult, system) -> None:
         workload.torn_writes = crash_injector.stats.torn_writes
 
 
-_BASELINE_CLASSES = {
-    "GraphLab": InMemoryEngine,
-    "GraphLab5": ClusterInMemoryEngine,
-    "FlashGraph": SemiExternalEngine,
-    "X-Stream": EdgeCentricEngine,
-    "GraphChi": ShardedExternalEngine,
-}
-
-
 def run_baseline_system(name: str, graph: CSRGraph, algorithm: str,
                         profile: HardwareProfile,
                         scale: float = DEFAULT_SCALE,
@@ -373,16 +359,7 @@ def run_baseline_system(name: str, graph: CSRGraph, algorithm: str,
         kwargs["max_vertices"] = max(1, int(VERTEX_ID_SPACE * scale) - 1)
     engine = engine_cls(graph, profile, **kwargs)
     root = default_root(graph) if seed_root is None else seed_root
-
-    if algorithm == "pagerank":
-        result = engine.run_pagerank(iterations=pagerank_iterations)
-    elif algorithm == "bfs":
-        result = engine.run_bfs(root)
-    elif algorithm == "bc":
-        result = engine.run_bc(root)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
+    result = engine.run(algorithm, root=root, iterations=pagerank_iterations)
     return WorkloadResult(
         system=name, algorithm=algorithm, dataset=dataset,
         completed=result.completed, elapsed_s=result.time_or_nan,

@@ -22,7 +22,7 @@ from repro.perf.profiles import SERVER_SSD_ARRAY
 SCALE = 2.0 ** -14
 SERVER = SERVER_SSD_ARRAY.scaled(SCALE)
 ALL_ENGINES = [InMemoryEngine, SemiExternalEngine, EdgeCentricEngine,
-               ShardedExternalEngine]
+               ShardedExternalEngine, ClusterInMemoryEngine]
 
 
 @pytest.fixture(scope="module")

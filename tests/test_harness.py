@@ -103,6 +103,26 @@ def test_baseline_dnf_propagates():
     assert "memory" in cell.dnf_reason
 
 
+@pytest.mark.parametrize("algorithm", ["pagerank", "bfs", "bc"])
+@pytest.mark.parametrize("system", harness.BASELINE_SYSTEMS)
+def test_baseline_cutoff_before_first_superstep_is_a_dnf(system, algorithm):
+    """Patience that runs out in FlashGraph's untimed setup or GraphLab's
+    timed load is a DNF like any other cutoff, not an escaping exception."""
+    scale = 2.0 ** -16
+    graph = load_dataset("twitter", scale)
+    cell = run_baseline_system(system, graph, algorithm,
+                               SERVER_SSD_ARRAY.scaled(scale), scale=scale,
+                               cutoff_s=1e-12)
+    assert not cell.completed
+    assert "exceeded patience" in cell.dnf_reason
+
+
+def test_run_baseline_unknown_algorithm():
+    graph = load_dataset("twitter", SCALE)
+    with pytest.raises(ValueError, match="algorithm"):
+        run_baseline_system("X-Stream", graph, "kcore", SERVER_SSD_ARRAY.scaled(SCALE))
+
+
 def test_run_cell_dispatch():
     graph = load_dataset("twitter", SCALE)
     family = run_cell("GraFSoft", graph, "bfs", scale=SCALE)

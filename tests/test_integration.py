@@ -20,6 +20,7 @@ from repro.algorithms.reference import (
     validate_parents,
 )
 from repro.baselines import (
+    ClusterInMemoryEngine,
     EdgeCentricEngine,
     InMemoryEngine,
     SemiExternalEngine,
@@ -32,7 +33,7 @@ from repro.perf.profiles import SERVER_SSD_ARRAY
 SCALE = 2.0 ** -16
 DATASETS = ["twitter", "kron28", "wdc"]
 BASELINES = [InMemoryEngine, SemiExternalEngine, EdgeCentricEngine,
-             ShardedExternalEngine]
+             ShardedExternalEngine, ClusterInMemoryEngine]
 
 
 def engine_for(kind, graph):
