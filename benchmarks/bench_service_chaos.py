@@ -42,6 +42,8 @@ from repro.service import (
     demo_quotas,
     demo_workload,
 )
+from repro.service.admission import usage
+from repro.service.jobs import RUNNING
 
 SCALE = 2.0 ** -16
 POISONED = "svc-10"
@@ -109,7 +111,7 @@ def check_reclaim(failures):
                  if not name.startswith("graph:") and name != "svc:jobs"]
     if leftovers:
         failures.append(f"reclaim: flash leftovers {leftovers[:4]}")
-    if service.controller.reserved != 0.0:
+    if usage(service.jobs.values())[RUNNING]:
         failures.append("reclaim: bandwidth reservation not returned")
 
 

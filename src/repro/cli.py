@@ -89,6 +89,15 @@ def _parse_crashes(text: str) -> CrashPlan:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _parse_job(text: str):
+    from repro.service import parse_job_spec
+
+    try:
+        return parse_job_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -151,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE)
     serve.add_argument("--seed", type=_int_at_least(0), default=1)
     serve.add_argument("--job", action="append", dest="jobs", metavar="SPEC",
+                       type=_parse_job,
                        help="submit one job: tenant:kind[:k=v,...][@round], "
                             "e.g. t0:pagerank:iters=2, "
                             "t1:neighborhood:v=5,depth=2, "
@@ -376,8 +386,11 @@ def _parse_quota(text: str):
         running, queued, point = (int(p) for p in parts)
     except ValueError:
         raise ValueError(f"bad quota {text!r}; limits must be integers") from None
-    return tenant, TenantQuota(max_running=running, max_queued=queued,
-                               max_point=point)
+    try:
+        return tenant, TenantQuota(max_running=running, max_queued=queued,
+                                   max_point=point)
+    except ValueError as exc:
+        raise ValueError(f"bad quota {text!r}; {exc}") from None
 
 
 def cmd_compare(args) -> int:

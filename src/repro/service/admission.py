@@ -10,10 +10,15 @@ reserved against — they are batched into shared passes (see
 :mod:`repro.service.queries`) whose cost is amortized across the batch —
 but they do count against a per-tenant outstanding-query quota.
 
-Everything here is a pure function of (quota table, current reservations,
-device wear, spec); no clock reads, no randomness — the same inputs always
-produce the same decision, which is what makes scheduler traces
-bit-identical across worker counts and crash/resume.
+The controller holds configuration only (capacity, quotas, wear probe,
+degrade policy).  Who holds what is read from the scheduler's journaled job
+table on every decision (:func:`usage`): a running job *is* a reservation
+and a queued job *is* a queue slot, so reloading the journaled table after
+a crash restores every one of them.  Every decision is a pure
+function of (quota table, job table, device wear, spec); no clock reads, no
+randomness — the same inputs always produce the same decision, which is
+what makes scheduler traces bit-identical across worker counts and
+crash/resume.
 
 Wear-aware degraded mode: the controller optionally consults a *wear probe*
 (``() -> (lifetime_writes_remaining, bad_block_count)``, see
@@ -28,10 +33,12 @@ even if wear crossed a threshold in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import Counter
+from dataclasses import dataclass, fields
+from typing import Callable, Collection
 
 from repro.flash.wear import CRITICAL, DEGRADED, HEALTHY, DegradePolicy
+from repro.service.jobs import PENDING, QUEUED, REJECTED, RUNNING, Job
 
 #: Fraction of device read bandwidth one analytics run reserves.  0.45 means
 #: two concurrent runs fit (0.9) and a third (1.35) saturates the channel —
@@ -59,26 +66,33 @@ class TenantQuota:
     #: Point queries outstanding (pending or batched) at once.
     max_point: int = 8
 
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0, "
+                                 f"got {getattr(self, f.name)}")
+
 
 DEFAULT_QUOTA = TenantQuota()
 
 
-@dataclass
-class TenantUsage:
-    """Live per-tenant counters the controller decides against."""
+def usage(jobs: Collection[Job], tenant: str | None = None) -> Counter:
+    """Jobs per state, of ``tenant`` or (None) of every tenant.
 
-    running: int = 0
-    queued: int = 0
-    point: int = 0
+    ``[RUNNING]`` counts bandwidth reservations and ``[QUEUED]`` queue
+    slots — only analytics runs take either state — and ``[PENDING]``
+    outstanding point queries: a control op leaves PENDING at its arrival.
+    """
+    return Counter(job.state for job in jobs
+                   if tenant is None or job.spec.tenant == tenant)
 
 
 class AdmissionController:
     """Decide admit / queue / reject for each submission.
 
-    The controller is deliberately stateless about *which* jobs hold
-    reservations — the scheduler owns the job table and feeds usage back in
-    via :meth:`acquire` / :meth:`release`, so after a crash the controller
-    is rebuilt exactly from the journaled job states.
+    Every method takes the job table (``jobs``: the :class:`Job` records of
+    every arrived submission) and reads current usage from it.  The
+    controller itself has no mutable state beyond the ``wear_probe`` hook.
     """
 
     def __init__(self, flash_read_bw: float,
@@ -88,10 +102,6 @@ class AdmissionController:
         self.capacity = float(flash_read_bw)
         self.reservation = ANALYTICS_BW_FRACTION * self.capacity
         self.quotas = dict(quotas or {})
-        self.usage: dict[str, TenantUsage] = {}
-        self.reserved = 0.0
-        self.rejections = 0
-        self.degraded_rejections = 0
         #: ``() -> (lifetime_writes_remaining, bad_block_count)``; None means
         #: the device is always treated as healthy (the pre-wear behaviour).
         self.wear_probe = wear_probe
@@ -99,9 +109,6 @@ class AdmissionController:
 
     def quota_for(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, DEFAULT_QUOTA)
-
-    def _usage(self, tenant: str) -> TenantUsage:
-        return self.usage.setdefault(tenant, TenantUsage())
 
     # ------------------------------------------------------------------ wear
 
@@ -124,119 +131,67 @@ class AdmissionController:
 
     # ------------------------------------------------------------- decisions
 
-    def decide_analytics(self, tenant: str) -> str:
-        """Admission decision for one analytics submission (no side effect)."""
-        quota, use = self.quota_for(tenant), self._usage(tenant)
+    def can_start(self, tenant: str, jobs: Collection[Job],
+                  level: str | None = None) -> bool:
+        """Whether one more analytics run of ``tenant`` may execute now:
+        within the tenant's running quota, and its reservation fits the
+        device's effective capacity on top of every running job's.  The
+        one check behind arrival, promotion and retry resumption."""
+        return (usage(jobs, tenant)[RUNNING]
+                < self.quota_for(tenant).max_running
+                and (usage(jobs)[RUNNING] + 1) * self.reservation
+                <= self.effective_capacity(level))
+
+    def decide_analytics(self, tenant: str, jobs: Collection[Job]) -> str:
+        """Arrival decision for one analytics submission (no side effect)."""
+        quota = self.quota_for(tenant)
+        if quota.max_running == 0:
+            # Could never start: queueing it would only spin the service.
+            return REJECTED_DECISION
         level = self.wear_level()
-        fits_bw = (self.reserved + self.reservation
-                   <= self.effective_capacity(level))
-        if level != CRITICAL and fits_bw and use.running < quota.max_running:
+        if self.can_start(tenant, jobs, level):
             return ADMITTED
         if level != HEALTHY:
             # Degraded mode sheds load instead of queueing it: a queue the
             # device can no longer drain would just starve its tenants.
             return DEGRADED_DECISION
-        if use.queued < quota.max_queued:
+        if usage(jobs, tenant)[QUEUED] < quota.max_queued:
             return QUEUED_DECISION
         return REJECTED_DECISION
 
-    def decide_point(self, tenant: str) -> str:
-        """Admission decision for one point query (no side effect)."""
-        quota, use = self.quota_for(tenant), self._usage(tenant)
-        if use.point < quota.max_point:
+    def decide_point(self, tenant: str, jobs: Collection[Job]) -> str:
+        """Arrival decision for one point query (no side effect)."""
+        if usage(jobs, tenant)[PENDING] < self.quota_for(tenant).max_point:
             return ADMITTED
         return REJECTED_DECISION
 
-    # ----------------------------------------------------------- accounting
+    # -------------------------------------------------------------- recording
 
-    def admit_analytics(self, tenant: str) -> str:
-        decision = self.decide_analytics(tenant)
+    def admit_analytics(self, job: Job, jobs: Collection[Job]) -> str:
+        """Decide an arriving analytics job and record the outcome on it."""
+        decision = self.decide_analytics(job.spec.tenant, jobs)
+        job.admission = decision
         if decision == ADMITTED:
-            self.acquire(tenant)
+            job.state = RUNNING
         elif decision == QUEUED_DECISION:
-            self._usage(tenant).queued += 1
+            job.state = QUEUED
         else:
-            self.rejections += 1
+            job.state = REJECTED
             if decision == DEGRADED_DECISION:
-                self.degraded_rejections += 1
+                job.reason = "device degraded: analytics admission shed"
+            elif self.quota_for(job.spec.tenant).max_running == 0:
+                job.reason = "tenant quota allows no analytics runs"
+            else:
+                job.reason = "flash bandwidth saturated and tenant queue full"
         return decision
 
-    def admit_point(self, tenant: str) -> str:
-        decision = self.decide_point(tenant)
+    def admit_point(self, job: Job, jobs: Collection[Job]) -> str:
+        """Decide an arriving point query and record the outcome on it."""
+        decision = self.decide_point(job.spec.tenant, jobs)
+        job.admission = decision
         if decision == ADMITTED:
-            self._usage(tenant).point += 1
+            job.state = PENDING
         else:
-            self.rejections += 1
+            job.state = REJECTED
+            job.reason = "tenant point-query quota exceeded"
         return decision
-
-    def acquire(self, tenant: str) -> None:
-        """Reserve bandwidth for a run that starts executing."""
-        self._usage(tenant).running += 1
-        self.reserved += self.reservation
-
-    def release(self, tenant: str) -> None:
-        """Return a finished run's reservation."""
-        use = self._usage(tenant)
-        use.running -= 1
-        self.reserved -= self.reservation
-        if self.reserved < 1e-9:     # clamp float dust, keep decisions exact
-            self.reserved = 0.0
-
-    def promote(self, tenant: str) -> bool:
-        """Try to move one queued run of ``tenant`` into execution."""
-        quota, use = self.quota_for(tenant), self._usage(tenant)
-        if (use.queued > 0 and use.running < quota.max_running
-                and self.reserved + self.reservation
-                <= self.effective_capacity()):
-            use.queued -= 1
-            self.acquire(tenant)
-            return True
-        return False
-
-    def resume_retry(self, tenant: str) -> bool:
-        """Try to re-admit a RETRYING job whose backoff expired.
-
-        Like :meth:`promote` but without queue accounting — a retrying job
-        released its reservation at failure and holds no queue slot while it
-        backs off.
-        """
-        quota, use = self.quota_for(tenant), self._usage(tenant)
-        if (use.running < quota.max_running
-                and self.reserved + self.reservation
-                <= self.effective_capacity()):
-            self.acquire(tenant)
-            return True
-        return False
-
-    def release_queued(self, tenant: str) -> None:
-        """Return a queue slot (cancellation, deadline expiry, load shed)."""
-        self._usage(tenant).queued -= 1
-
-    def release_point(self, tenant: str) -> None:
-        self._usage(tenant).point -= 1
-
-    def shed_queued(self, tenant: str) -> None:
-        """Degraded mode: convert one queued run into a DEGRADED rejection."""
-        self.release_queued(tenant)
-        self.rejections += 1
-        self.degraded_rejections += 1
-
-    # ------------------------------------------------------------- recovery
-
-    def note_queued(self, tenant: str) -> None:
-        """Re-account a journaled queued run during crash recovery."""
-        self._usage(tenant).queued += 1
-
-    def note_point(self, tenant: str) -> None:
-        """Re-account a journaled outstanding point query during recovery."""
-        self._usage(tenant).point += 1
-
-    def note_rejection(self, degraded: bool = False) -> None:
-        """Re-account a journaled rejection during recovery."""
-        self.rejections += 1
-        if degraded:
-            self.degraded_rejections += 1
-
-    def utilization(self) -> float:
-        """Reserved fraction of device read bandwidth (for reports)."""
-        return self.reserved / self.capacity if self.capacity else 0.0

@@ -43,6 +43,11 @@ TERMINAL_STATES = (DONE, REJECTED, FAILED, QUARANTINED, CANCELLED)
 #: BFS depth cap for ``path`` queries without an explicit ``cap`` param.
 DEFAULT_PATH_CAP = 64
 
+#: Integer params checked when a spec is made, with their minimum: a bad
+#: one would otherwise surface rounds later (``retries`` only at the job's
+#: first failure) or run nothing (``iters=0``).
+_INT_PARAMS = {"iters": 1, "root": 0, "retries": 0}
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -68,6 +73,11 @@ class JobSpec:
         if self.deadline_rounds < 0:
             raise ValueError(
                 f"deadline_rounds must be >= 0, got {self.deadline_rounds}")
+        for key, minimum in _INT_PARAMS.items():
+            value = self.params.get(key, minimum)
+            if not isinstance(value, int) or value < minimum:
+                raise ValueError(f"{key} must be an integer >= {minimum}, "
+                                 f"got {value!r}")
 
     @property
     def is_analytics(self) -> bool:

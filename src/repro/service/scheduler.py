@@ -9,8 +9,8 @@ then drives everything to completion in discrete *rounds*:
    decision (admit / queue / reject; see :mod:`repro.service.admission`).
 2. **Analytics steps** — every running job advances exactly one superstep,
    in job-id order, via the engine's cooperative :class:`EngineRun` handle.
-   A job that completes writes its vertex values to a durable result file
-   and releases its bandwidth reservation.
+   A job that completes writes its vertex values to a durable result file;
+   leaving RUNNING frees its bandwidth reservation.
 3. **Promotion** — queued runs start executing if a completion freed
    bandwidth.
 4. **Point batch** — all outstanding point queries advance together in one
@@ -22,35 +22,39 @@ then drives everything to completion in discrete *rounds*:
 
 Every decision above is a pure function of (submission list, journaled job
 table): no wall clock, no randomness, no dependence on absolute sim time.
-Combined with the engine's own determinism across worker counts (PR 5) and
-crash/resume (PR 3), the service's :meth:`~GraphService.trace` is
-bit-identical across ``--workers`` and power-loss injection — absolute
-round/time quantities are deliberately excluded, because crash re-execution
-legitimately repeats work.
+The job table is also the only record of who holds what: admission counts
+running, queued and pending jobs in it on every decision, so changing a
+job's state is all it takes to take or give back a reservation, a queue
+slot or a point-query slot.  Combined with the engine's own determinism
+across worker counts and crash/resume, the service's
+:meth:`~GraphService.trace` is bit-identical across ``--workers`` and
+power-loss injection — absolute round/time quantities are deliberately
+excluded, because crash re-execution legitimately repeats work.
 
 Every round runs under :meth:`SystemConfig.run_recovering`: on a power loss
 the driver remounts the store (charging real recovery time) and calls the
-service's reload hook, which reloads the journal, rebuilds the admission
-ledger from the journaled job states, and drops the dead engines — they are
-re-created with ``auto_resume=True`` so each interrupted run continues from
-its own checkpoint namespace (``svc:<job-id>:ckpt``).
+service's reload hook, which reloads the journal — and with the job table,
+every reservation that was committed — and drops the dead engines.  They
+are re-created with ``auto_resume=True`` so each interrupted run continues
+from its own checkpoint namespace (``svc:<job-id>:ckpt``).
 
 **Failure domains.**  A :class:`FlashError` raised inside one job's
 superstep (uncorrectable ECC, out-of-space, bad-block exhaustion) is *that
 job's* failure, never the service's: the scheduler records a typed
 :class:`~repro.service.jobs.JobFailure` on the job (journaled durably),
-abandons the dead attempt back to its last sealed checkpoint, releases the
-bandwidth reservation, and every other job's round proceeds exactly as if
-the failed job had completed its reservation early.  Failed analytics jobs
-retry up to their budget with exponential backoff — backoff rounds are a
-pure function of journaled state (retry count), and the backoff *time* is
-charged to the sim clock — resuming from the last checkpoint.  Jobs that
-exhaust retries or outlive their ``deadline_rounds`` are *quarantined*:
-their whole flash footprint (checkpoint included) is swept through the
-engine's purge path, their quota is released, and a tombstone stays in the
-journal.  A tenant can also tear a job down explicitly with a ``cancel``
-control op.  A power loss deliberately stays outside all of this — it kills
-the whole host, not one job, and only the recovery driver may observe it.
+abandons the dead attempt back to its last sealed checkpoint, and moves
+the job out of RUNNING, which returns its bandwidth reservation; every
+other job's round proceeds exactly as if the failed job had completed its
+reservation early.  Failed analytics jobs retry up to their budget with
+exponential backoff — backoff rounds are a pure function of journaled
+state (retry count), and the backoff *time* is charged to the sim clock —
+resuming from the last checkpoint.  Jobs that exhaust retries or outlive
+their ``deadline_rounds`` are *quarantined*: their whole flash footprint
+(checkpoint included) is swept through the engine's purge path, and a
+tombstone stays in the journal.  A tenant can also tear a job down
+explicitly with a ``cancel`` control op.  A power loss deliberately stays
+outside all of this — it kills the whole host, not one job, and only the
+recovery driver may observe it.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ from repro.flash.wear import (
 from repro.service.admission import (
     ADMITTED,
     DEGRADED_DECISION,
-    QUEUED_DECISION,
     AdmissionController,
     TenantQuota,
 )
@@ -202,9 +205,8 @@ class GraphService:
         self.num_vertices = num_vertices
         self.config = config or ServiceConfig()
         self.default_root = default_root
-        self._quotas = dict(quotas or {})
         self.controller = AdmissionController(system.profile.flash_read_bw,
-                                              self._quotas,
+                                              quotas,
                                               wear_probe=self._wear_probe,
                                               degrade=self.config.degrade)
         #: (job_id, spec) in submission order — the workload definition.
@@ -252,33 +254,38 @@ class GraphService:
             self.system.run_recovering(self._run_round,
                                        reload=self._reload_journal)
         crashes = self.system.device.crashes
-        jobs = [self.jobs[jid] for jid, _ in self.submissions
-                if jid in self.jobs]
+        jobs = list(self._jobs())
+        rejected = [j for j in jobs if j.state == REJECTED]
         return ServiceReport(
             jobs=jobs,
             trace=self.trace(),
             rounds=self.round,
             remounts=self.system.remounts,
             power_losses=crashes.stats.power_losses if crashes else 0,
-            rejections=self.controller.rejections,
+            rejections=len(rejected),
             failures=sum(len(j.failures) for j in jobs),
             retries=sum(j.retries for j in jobs),
             quarantined=sum(1 for j in jobs if j.state == QUARANTINED),
             cancelled=sum(1 for j in jobs if j.state == CANCELLED),
-            degraded_rejections=self.controller.degraded_rejections,
+            degraded_rejections=sum(1 for j in rejected
+                                    if j.admission == DEGRADED_DECISION),
             wear=WearReport.from_device(self.system.device),
             lifetime_writes_remaining=lifetime_writes_remaining(
                 self.system.device, self.config.rated_pe_cycles),
         )
 
-    def _finished(self) -> bool:
-        if not self.submissions:
-            return True
+    def _jobs(self, *states):
+        """Arrived jobs in submission order; only those in ``states``, if
+        any are given."""
         for job_id, _ in self.submissions:
             job = self.jobs.get(job_id)
-            if job is None or job.state not in TERMINAL_STATES:
-                return False
-        return True
+            if job is not None and (not states or job.state in states):
+                yield job
+
+    def _finished(self) -> bool:
+        return all(job_id in self.jobs
+                   and self.jobs[job_id].state in TERMINAL_STATES
+                   for job_id, _ in self.submissions)
 
     def _run_round(self) -> None:
         r = self.round
@@ -293,10 +300,8 @@ class GraphService:
         # 3. Retrying jobs whose backoff expired try to re-acquire bandwidth.
         self._resume_retries()
         # 4. One superstep per running analytics job, job-id order.
-        for job_id, _ in self.submissions:
-            job = self.jobs.get(job_id)
-            if job is not None and job.state == RUNNING:
-                self._step_job(job)
+        for job in self._jobs(RUNNING):
+            self._step_job(job)
         # 5. Completions/failures may have freed bandwidth: promote queued
         # runs (or shed them, if the device has degraded under us).
         self._promote()
@@ -318,26 +323,9 @@ class GraphService:
             self._do_cancel(job)
             return
         if spec.is_analytics:
-            decision = self.controller.admit_analytics(spec.tenant)
-            job.admission = decision
-            if decision == ADMITTED:
-                job.state = RUNNING
-            elif decision == QUEUED_DECISION:
-                job.state = QUEUED
-            elif decision == DEGRADED_DECISION:
-                job.state = REJECTED
-                job.reason = "device degraded: analytics admission shed"
-            else:
-                job.state = REJECTED
-                job.reason = "flash bandwidth saturated and tenant queue full"
+            self.controller.admit_analytics(job, self.jobs.values())
         else:
-            decision = self.controller.admit_point(spec.tenant)
-            job.admission = decision
-            if decision == ADMITTED:
-                job.state = PENDING
-            else:
-                job.state = REJECTED
-                job.reason = "tenant point-query quota exceeded"
+            self.controller.admit_point(job, self.jobs.values())
         self.jobs[job_id] = job
 
     # ----------------------------------------------------------- analytics jobs
@@ -389,7 +377,6 @@ class GraphService:
             "elapsed_s": result.elapsed_s,
         }
         job.state = DONE
-        self.controller.release(job.spec.tenant)
 
     def _maybe_poison(self, job: Job, run) -> None:
         """Fire the job's deterministic fault injection, if configured."""
@@ -414,15 +401,14 @@ class GraphService:
 
         The dead attempt is rolled back to its last sealed checkpoint (files
         from the doomed superstep are swept; the checkpoint itself is kept
-        so the retry resumes rather than restarts) and the job's bandwidth
-        reservation is released for the duration of the backoff.
+        so the retry resumes rather than restarts); a RETRYING job holds no
+        bandwidth reservation for the duration of the backoff.
         """
         run = self._engines.pop(job.job_id, None)
         self._record_failure(job, exc, getattr(
             exc, "superstep", run.superstep if run is not None else -1))
         if run is not None:
             run.abandon()
-        self.controller.release(job.spec.tenant)
         limit = job.retry_limit(self.config.max_retries)
         if job.retries >= limit:
             self._quarantine(
@@ -517,20 +503,8 @@ class GraphService:
         job.result = {"kind": "cancel", "ref": ref, "outcome": outcome}
         job.state = DONE
 
-    def _release(self, job: Job) -> None:
-        """Give back whatever admission resource the job's state holds."""
-        tenant = job.spec.tenant
-        if job.state == RUNNING:
-            self.controller.release(tenant)
-        elif job.state == QUEUED:
-            self.controller.release_queued(tenant)
-        elif job.state == PENDING:
-            self.controller.release_point(tenant)
-        # RETRYING holds neither bandwidth nor a queue slot.
-
     def _cancel_job(self, target: Job, reason: str) -> None:
-        """Tear down a live job: release its quota, sweep its flash state."""
-        self._release(target)
+        """Tear down a live job: sweep its flash state, end it CANCELLED."""
         if target.is_analytics:
             self._purge_job_flash(target)
         target.state = CANCELLED
@@ -542,15 +516,12 @@ class GraphService:
         Analytics jobs are quarantined (their partial flash state is dead
         weight the service must reclaim); point queries simply fail.
         """
-        for job_id, _ in self.submissions:
-            job = self.jobs.get(job_id)
-            if job is None or job.state in TERMINAL_STATES:
-                continue
+        for job in self._jobs():
             d = job.spec.deadline_rounds
-            if not d or self.round - job.spec.at_round < d:
+            if (job.state in TERMINAL_STATES or not d
+                    or self.round - job.spec.at_round < d):
                 continue
             reason = f"deadline of {d} rounds exceeded"
-            self._release(job)
             if job.is_analytics:
                 self._quarantine(job, reason)
             else:
@@ -559,11 +530,10 @@ class GraphService:
 
     def _resume_retries(self) -> None:
         """Re-admit RETRYING jobs whose backoff expired, job-id order."""
-        for job_id, _ in self.submissions:
-            job = self.jobs.get(job_id)
-            if (job is not None and job.state == RETRYING
-                    and self.round >= job.retry_round
-                    and self.controller.resume_retry(job.spec.tenant)):
+        for job in self._jobs(RETRYING):
+            if (self.round >= job.retry_round
+                    and self.controller.can_start(job.spec.tenant,
+                                                  self.jobs.values())):
                 # The engine run is rebuilt lazily in _step_job with
                 # auto_resume=True: the retry continues from the last sealed
                 # checkpoint, not from scratch.
@@ -575,30 +545,23 @@ class GraphService:
         if level != HEALTHY:
             # A queue the device can no longer drain only starves tenants:
             # shed it with explicit DEGRADED rejections.
-            for job_id, _ in self.submissions:
-                job = self.jobs.get(job_id)
-                if job is not None and job.state == QUEUED:
-                    self.controller.shed_queued(job.spec.tenant)
-                    job.admission = DEGRADED_DECISION
-                    job.state = REJECTED
-                    job.reason = f"device {level}: queued load shed"
+            for job in self._jobs(QUEUED):
+                job.admission = DEGRADED_DECISION
+                job.state = REJECTED
+                job.reason = f"device {level}: queued load shed"
             return
-        for job_id, _ in self.submissions:
-            job = self.jobs.get(job_id)
-            if (job is not None and job.state == QUEUED
-                    and self.controller.promote(job.spec.tenant)):
+        for job in self._jobs(QUEUED):
+            if self.controller.can_start(job.spec.tenant, self.jobs.values(),
+                                         level):
                 job.state = RUNNING
 
     # ------------------------------------------------------------ point queries
 
     def _run_points(self) -> None:
         batch: list[tuple[str, str, dict]] = []
-        for job_id, _ in self.submissions:
-            job = self.jobs.get(job_id)
-            if job is None or job.state != PENDING:
-                continue
+        for job in self._jobs(PENDING):
             if job.spec.kind in ("neighborhood", "path"):
-                batch.append((job_id, job.spec.kind, job.spec.params))
+                batch.append((job.job_id, job.spec.kind, job.spec.params))
             else:
                 self._try_vstate(job)
         if not batch:
@@ -615,7 +578,6 @@ class GraphService:
                 if job.retries >= job.retry_limit(self.config.max_retries):
                     job.state = FAILED
                     job.reason = "retries exhausted in point batch"
-                    self.controller.release_point(job.spec.tenant)
                 else:
                     job.retries += 1   # stays PENDING, rebatched next round
             return
@@ -630,7 +592,6 @@ class GraphService:
             else:
                 job.result = res
                 job.state = DONE
-            self.controller.release_point(job.spec.tenant)
 
     def _try_vstate(self, job: Job) -> None:
         """Resolve a vertex-state read once its referenced job is terminal."""
@@ -651,7 +612,6 @@ class GraphService:
         if reason is not None:
             job.state = FAILED
             job.reason = reason
-            self.controller.release_point(job.spec.tenant)
             return
         vertices = job.spec.params.get("v", [0])
         if isinstance(vertices, int):
@@ -660,7 +620,6 @@ class GraphService:
                                  target.result["values_file"],
                                  np.dtype(target.result["dtype"]), vertices)
         job.state = DONE
-        self.controller.release_point(job.spec.tenant)
 
     # ------------------------------------------------------------- durability
 
@@ -671,8 +630,7 @@ class GraphService:
             "next_id": self._next_id,
             "submissions": [{"job_id": jid, "spec": spec.to_dict()}
                             for jid, spec in self.submissions],
-            "jobs": [self.jobs[jid].to_dict()
-                     for jid, _ in self.submissions if jid in self.jobs],
+            "jobs": [job.to_dict() for job in self._jobs()],
         }
         publish(self.system.store, JOURNAL_STAGING, JOURNAL_FILE,
                 json.dumps(state).encode())
@@ -700,36 +658,6 @@ class GraphService:
             # replays from the (in-memory) workload definition.
             self.round = 0
             self.jobs = {}
-        self._rebuild_controller()
-
-    def _rebuild_controller(self) -> None:
-        """Reconstruct the admission ledger from journaled job states.
-
-        Decisions themselves are *not* recomputed — they were recorded at
-        arrival and survive in the journal; only the live counters (running
-        reservations, queue depths, outstanding queries) are re-derived.
-        """
-        self.controller = AdmissionController(
-            self.system.profile.flash_read_bw, self._quotas,
-            wear_probe=self._wear_probe, degrade=self.config.degrade)
-        for job_id, _ in self.submissions:
-            job = self.jobs.get(job_id)
-            if job is None or job.spec.is_control:
-                continue
-            if job.is_analytics:
-                if job.state == RUNNING:
-                    self.controller.acquire(job.spec.tenant)
-                elif job.state == QUEUED:
-                    self.controller.note_queued(job.spec.tenant)
-                elif job.state == REJECTED:
-                    self.controller.note_rejection(
-                        degraded=(job.admission == DEGRADED_DECISION))
-                # RETRYING / QUARANTINED / CANCELLED hold no reservations.
-            else:
-                if job.state == PENDING:
-                    self.controller.note_point(job.spec.tenant)
-                elif job.state == REJECTED:
-                    self.controller.note_rejection()
 
     # ------------------------------------------------------------------ trace
 
@@ -771,7 +699,7 @@ class GraphService:
             elif job.reason:
                 parts.append(f"reason={job.reason!r}")
             lines.append(" ".join(parts))
-        lines.append(f"rejections={self.controller.rejections}")
+        lines.append(f"rejections={sum(1 for _ in self._jobs(REJECTED))}")
         return lines
 
 

@@ -6,12 +6,15 @@ import pytest
 from repro.flash.device import FlashRecoveryExhaustedError
 from repro.flash.faults import CrashPlan
 from repro.service import (
+    TERMINAL_STATES,
     PoisonSpec,
     ServiceConfig,
     TenantQuota,
     demo_quotas,
     demo_workload,
 )
+from repro.service.admission import usage
+from repro.service.jobs import PENDING, QUEUED, RUNNING
 
 # --------------------------------------------------------------- scaffolding
 
@@ -131,8 +134,7 @@ def test_quarantine_reclaims_flash_and_quota(make_service):
                  if not name.startswith("graph:") and name != "svc:jobs"]
     assert leftovers == []
     # Quota: the bandwidth reservation was returned.
-    assert service.controller.reserved == 0.0
-    assert service.controller.utilization() == 0.0
+    assert usage(service.jobs.values())[RUNNING] == 0
 
 
 def test_quarantine_with_sealed_checkpoint_reclaims_everything(make_service):
@@ -158,7 +160,7 @@ def test_deadline_expires_running_analytics(make_service):
     job = report.jobs[0]
     assert job.state == "quarantined"
     assert job.reason == "deadline of 2 rounds exceeded"
-    assert service.controller.reserved == 0.0
+    assert usage(service.jobs.values())[RUNNING] == 0
     leftovers = [name for name in service.system.store.list_files()
                  if not name.startswith("graph:") and name != "svc:jobs"]
     assert leftovers == []
@@ -195,7 +197,7 @@ def test_cancel_running_job(make_service):
     assert target.reason == "cancelled by svc-2"
     assert cancel.state == "done"
     assert cancel.result["outcome"] == "cancelled"
-    assert service.controller.reserved == 0.0
+    assert usage(service.jobs.values())[RUNNING] == 0
     leftovers = [name for name in service.system.store.list_files()
                  if not name.startswith("graph:") and name != "svc:jobs"]
     assert leftovers == []
@@ -210,7 +212,7 @@ def test_cancel_queued_job_releases_queue_slot(make_service):
     report = service.run()
     assert report.jobs[0].state == "done"
     assert report.jobs[1].state == "cancelled"
-    assert service.controller._usage("t0").queued == 0
+    assert usage(service.jobs.values(), "t0")[QUEUED] == 0
 
 
 def test_cancel_before_arrival_leaves_tombstone(make_service):
@@ -295,7 +297,68 @@ def test_degrading_device_sheds_queued_load(make_service):
     queued = report.jobs[1]
     assert queued.admission == "degraded" and queued.state == "rejected"
     assert "queued load shed" in queued.reason
-    assert service.controller._usage("t0").queued == 0
+    assert usage(service.jobs.values(), "t0")[QUEUED] == 0
+
+
+# ------------------------------------------------- invariants after each round
+
+def check_invariants(service):
+    """Quota bounds and reservation conservation over the job table, and a
+    journal that reloads — twice — into the very same table and trace."""
+    ctrl, jobs = service.controller, service.jobs.values()
+    for tenant in {job.spec.tenant for job in jobs}:
+        held, quota = usage(jobs, tenant), ctrl.quota_for(tenant)
+        assert held[RUNNING] <= quota.max_running
+        assert held[QUEUED] <= quota.max_queued
+        assert held[PENDING] <= quota.max_point
+    assert usage(jobs)[RUNNING] * ctrl.reservation <= ctrl.effective_capacity()
+    replica = service.system.service_for(service.graph, service.num_vertices,
+                                         config=service.config,
+                                         quotas=ctrl.quotas)
+    for _ in range(2):
+        replica._reload_journal()
+        assert replica.round == service.round
+        assert ({jid: job.to_dict() for jid, job in replica.jobs.items()}
+                == {jid: job.to_dict() for jid, job in service.jobs.items()})
+        assert replica.trace() == service.trace()
+
+
+def degrade_from_round_1(service):
+    # Degraded, not critical: wear never preempts a running job, so only a
+    # device whose derated capacity still holds the running set keeps
+    # reservations within effective capacity.
+    return lambda: (1.0, 0) if service.round < 1 else (0.3, 0)
+
+
+@pytest.mark.parametrize("quotas,jobs,poison,wear", [
+    (demo_quotas(), demo_workload(), {}, None),
+    (chaos_quotas(), chaos_workload(),
+     {POISONED: PoisonSpec(superstep=1, attempts=99)}, None),
+    ({"t0": TenantQuota(max_running=1, max_queued=2)},
+     ["t0:pagerank:iters=6", "t0:pagerank:iters=6", "t0:bfs:deadline=2",
+      "t0:cancel:ref=svc-2@1", "t0:cancel:ref=svc-1@2",
+      "t0:vstate:ref=svc-1,v=0,deadline=1"], {}, None),
+    ({"t0": TenantQuota(max_running=1, max_queued=1)},
+     ["t0:pagerank:iters=4", "t0:bfs", "t0:cc@2"], {}, degrade_from_round_1),
+], ids=["demo", "poison-quarantine", "cancel-deadline", "degraded-shed"])
+def test_invariants_hold_after_every_round(make_service, quotas, jobs, poison,
+                                           wear):
+    service = make_service(quotas=quotas,
+                           config=ServiceConfig(poison=dict(poison)))
+    if wear is not None:
+        service.controller.wear_probe = wear(service)
+    service.submit_all(jobs)
+    rounds, one_round = [], service._run_round
+
+    def checked_round():
+        one_round()
+        check_invariants(service)
+        rounds.append(service.round)
+
+    service._run_round = checked_round
+    report = service.run()
+    assert rounds == list(range(1, report.rounds + 1))
+    assert all(job.state in TERMINAL_STATES for job in report.jobs)
 
 
 # ------------------------------------------------------------- determinism

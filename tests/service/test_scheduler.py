@@ -7,11 +7,14 @@ from repro.flash.faults import CrashPlan
 from repro.service import (
     GraphService,
     JobSpec,
+    ServiceConfig,
     TenantQuota,
     demo_quotas,
     demo_workload,
     parse_job_spec,
 )
+from repro.service.admission import usage
+from repro.service.jobs import PENDING
 from repro.service.scheduler import JOURNAL_FILE
 
 
@@ -192,7 +195,7 @@ def test_vstate_on_non_analytics_ref_fails_at_once(make_service, jobs):
         assert job.state == "failed"
         assert job.reason == (f"ref job {job.spec.params['ref']} is not an "
                               f"analytics run")
-        assert service.controller._usage(job.spec.tenant).point == 0
+        assert usage(service.jobs.values(), job.spec.tenant)[PENDING] == 0
 
 
 # ------------------------------------------------------------------ arrivals
@@ -226,6 +229,21 @@ def test_point_quota_rejection(make_service):
     report = service.run()
     assert [j.state for j in report.jobs] == ["done", "rejected"]
     assert "quota" in report.jobs[1].reason
+
+
+def test_zero_running_quota_rejects_at_arrival(make_service):
+    # A run that can never start used to queue forever: the service spun
+    # until its own journal writes wore the device out, then shed the job
+    # as "device degraded".
+    service = make_service(quotas={"t0": TenantQuota(max_running=0)},
+                           config=ServiceConfig(max_rounds=50))
+    service.submit("t0:pagerank")
+    report = service.run()
+    job = report.jobs[0]
+    assert (job.state, job.reason) == ("rejected",
+                                       "tenant quota allows no analytics runs")
+    assert report.rounds == 1
+    assert report.lifetime_writes_remaining == 1.0
 
 
 # ------------------------------------------------------------------- parsing

@@ -264,7 +264,42 @@ def test_serve_round_limit_is_a_clean_abort(capsys, monkeypatch):
 
 
 def test_serve_rejects_bad_job_spec(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--dataset", "twitter", "--scale", "1.6e-5",
+              "--job", "t0:unknownkind"])
+    assert exc.value.code == 2
+    assert "unknown job kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("t0:pagerank@x", "bad @round suffix"),
+    ("t0:pagerank:deadline=-2", "deadline_rounds must be >= 0"),
+    ("t0:pagerank:deadline=soon", "deadline must be an integer"),
+    ("t0:pagerank:iters=0", "iters must be an integer >= 1"),
+    ("t0:pagerank:iters=-1", "iters must be an integer >= 1"),
+    ("t0:bfs:root=-4", "root must be an integer >= 0"),
+    ("t0:cc:retries=x", "retries must be an integer >= 0"),
+])
+def test_serve_job_spec_errors_are_usage_errors(spec, message, capsys,
+                                                monkeypatch):
+    # These used to exit 1 ("serve: aborted") after the dataset was built,
+    # report done with 0 supersteps (iters), or raise only at the job's first
+    # failure (retries).  Now they are refused before any dataset work.
+    import repro.cli
+
+    monkeypatch.setattr(repro.cli, "load_dataset", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--dataset", "twitter", "--job", spec])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quota", ["t0=-3/-1/-2", "t0=1/-1/8", "t0=1/1/-1"])
+def test_serve_rejects_negative_quota(quota, capsys, monkeypatch):
+    import repro.cli
+
+    monkeypatch.setattr(repro.cli, "load_dataset", None)
     code, _, err = run_cli(capsys, "serve", "--dataset", "twitter",
-                           "--scale", "1.6e-5", "--job", "t0:unknownkind")
-    assert code == 1
-    assert "unknown job kind" in err
+                           "--job", "t0:bfs", "--quota", quota)
+    assert code == 2
+    assert "must be >= 0" in err
