@@ -15,14 +15,11 @@ so a densified ``newV`` drops into the engine unchanged.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 import numpy as np
 
 from repro.core.kvstream import KVArray
-
-_dense_counter = itertools.count()
 
 #: Keys per chunk when streaming a dense run back as sparse pairs.
 DENSE_CHUNK_KEYS = 1 << 16
@@ -112,7 +109,7 @@ def densify_run(run, key_space: int, store=None,
     if key_space < 1:
         raise ValueError(f"key_space must be >= 1, got {key_space}")
     store = store or run.store
-    name = name or f"dense-{next(_dense_counter)}"
+    name = name or store.unique_name("dense")
     dtype = np.dtype(run.value_dtype)
     handle = DenseRunHandle(store, name, key_space, 0, dtype)
 

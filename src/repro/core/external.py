@@ -19,7 +19,6 @@ are recorded in :class:`SortReduceStats` — the data behind Fig 14.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -32,19 +31,6 @@ from repro.core.merger import StreamingMergeReducer
 from repro.core.reduce_ops import ReduceOp
 from repro.flash.device import FlashError
 from repro.flash.store import FileStore
-
-_run_counter = itertools.count()
-
-
-def next_run_seq() -> int:
-    """Next value of the shared run-name counter.
-
-    Every engine-owned run file — sort-reducer prefixes and the execution
-    modes' DRAM-aggregated runs — draws from this one sequence, so names
-    stay unique within a store and tests that pin the counter (crash
-    goldens need stable file-name lengths) cover all of them.
-    """
-    return next(_run_counter)
 
 #: I/O transfer unit for merge-phase reads, matching the software
 #: implementation's "large 4 MB chunks" (§IV-F).
@@ -209,7 +195,7 @@ class ExternalSortReducer:
         self.backend = backend
         self.chunk_bytes = chunk_bytes
         self.fanout = fanout
-        self.name_prefix = f"{name_prefix}-{next(_run_counter)}"
+        self.name_prefix = store.unique_name(name_prefix)
         self.memory = memory
         #: Optional :class:`repro.core.parallel.SortReducePool`.  With a pool
         #: chunk sorts and merges are key-range-partitioned across worker
@@ -328,8 +314,8 @@ class ExternalSortReducer:
         every temp run (including the partially-written merge output, see
         :meth:`_merge_group`) is deleted via :meth:`close`.  A
         ``BaseException`` (an injected power loss) propagates untouched —
-        the store is dead, and its sealed runs are exactly what crash
-        recovery needs; the pool discards its own in-flight tickets.
+        the store is dead, and resume's orphan sweep reclaims the runs; the
+        pool discards its own in-flight tickets.
         """
         if self._finished:
             raise RuntimeError("finish() called twice")
@@ -379,18 +365,6 @@ class ExternalSortReducer:
         self._buffer.clear()
         self._buffered_bytes = 0
 
-    def adopt_runs(self, runs: list[RunHandle]) -> None:
-        """Seed recovered runs into this sort-reduce (crash recovery).
-
-        The caller owns the bookkeeping of how much of the *input stream*
-        the adopted runs already cover — feeding pairs a recovered run
-        already holds would double-count them.
-        """
-        if self._finished:
-            raise RuntimeError("adopt_runs() after finish()")
-        self._runs.extend(runs)
-        self._merge_full_levels()
-
     def _merge_group(self, group: list[RunHandle], concurrency: int = 1) -> None:
         """Stream-merge one group of runs into a single higher-level run."""
         group = sorted(group, key=lambda r: r.seq)  # oldest data first
@@ -430,36 +404,3 @@ class ExternalSortReducer:
             run.delete()
         self._runs = [r for r in self._runs if r not in group]
         self._runs.append(handle)
-
-
-def recover_runs(store, prefix: str,
-                 value_dtype: np.dtype) -> tuple[list[RunHandle], list[str]]:
-    """After a crash, split the run files under ``prefix`` into keep/discard.
-
-    A *sealed* run is complete — the sorter sealed it only after its last
-    record hit flash — so it is adopted as a :class:`RunHandle` (level 0;
-    age recovered from the run-file counter so non-commutative reductions
-    keep their order).  An *unsealed* run died mid-write: mount already
-    truncated it to its committed pages, but its logical tail is gone, so
-    it is deleted.  Returns ``(recovered, discarded_names)``.
-    """
-    value_dtype = np.dtype(value_dtype)
-    rec = record_dtype(value_dtype).itemsize
-
-    def run_age(name: str) -> int:
-        tail = name.rsplit("run-", 1)
-        return int(tail[1]) if len(tail) == 2 and tail[1].isdigit() else 0
-
-    recovered: list[RunHandle] = []
-    discarded: list[str] = []
-    for name in list(store.list_files()):
-        if not name.startswith(prefix):
-            continue
-        if store.is_sealed(name) and store.size(name) % rec == 0:
-            recovered.append(RunHandle(store, name, store.size(name) // rec,
-                                       value_dtype, level=0, seq=run_age(name)))
-        else:
-            store.delete(name)
-            discarded.append(name)
-    recovered.sort(key=lambda r: r.seq)
-    return recovered, discarded

@@ -127,21 +127,24 @@ class SystemConfig:
         reads against the shared clock, so recovered runs account their
         mount time honestly.  The fresh MemoryTracker keeps the old peak:
         DRAM contents died with power, but the experiment's peak-usage
-        metric spans the whole run.
+        metric spans the whole run.  The new store continues the old one's
+        name sequence: a run that starts after the loss must not be handed a
+        name that a surviving checkpoint still owns.
         """
         if not self.durable:
             raise RuntimeError(
                 f"system {self.name!r} was not built durable=True; nothing "
                 f"on flash can be remounted after a power loss")
-        if isinstance(self.store, AppendOnlyFlashFS):
+        old = self.store
+        if isinstance(old, AppendOnlyFlashFS):
             self.store = AppendOnlyFlashFS(
-                self.device, prefetch_pages=self.store.prefetch_pages,
-                durable=True)
+                self.device, prefetch_pages=old.prefetch_pages, durable=True)
         else:
             ssd = SSD.mount(self.device,
                             ftl_overhead_s=self.profile.ftl_overhead_s)
             self.store = SSDFileSystem.mount(
-                ssd, prefetch_pages=self.store.prefetch_pages)
+                ssd, prefetch_pages=old.prefetch_pages)
+        self.store.names_issued = old.names_issued
         peak = self.memory.peak
         self.memory = MemoryTracker(budget=self.memory.budget,
                                     policy=self.memory.policy)

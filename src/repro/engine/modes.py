@@ -40,7 +40,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.external import MERGE_IO_BYTES, RunHandle, SortReduceStats, next_run_seq
+from repro.core.external import MERGE_IO_BYTES, RunHandle, SortReduceStats
 from repro.core.kvstream import KVArray
 from repro.engine.superstep import SuperstepOutcome, push, reduce_into, scan
 from repro.flash.device import FlashError
@@ -226,9 +226,8 @@ class DramAggregator:
         self.touched = np.zeros(n, dtype=bool)
         self.stats = SortReduceStats()
         self._batch_out = 0
-        # Shares the reducers' run-name counter so every engine-owned run
-        # file is unique and the crash tests can pin name lengths.
-        self.name = f"{program.name}-s{superstep}-{next_run_seq()}:run-0"
+        self.name = self.store.unique_name(
+            f"{program.name}-s{superstep}") + ":run-0"
         footprint = semiexternal_footprint(n, self.value_dtype)
         self._mem_label = f"{self.name}:vertex-dram"
         pinned = footprint

@@ -6,7 +6,8 @@ stream → delete pattern of sort-reduce (§IV-A, §V-C.3).  The paper's two
 stacks serve that same pattern and differ only in who owns the
 logical→physical mapping, and the code is split the same way:
 :class:`FileStore` owns everything placement-independent — the file record
-and its RAM tail buffer, queries, ``create``/``append``/``seal``, bounded
+and its RAM tail buffer, queries, the sequence behind ``unique_name``,
+``create``/``append``/``seal``, bounded
 commit records, the one range-read kernel with CRC verify/repair and the
 lookahead charge under ``read``/``stream``/``read_spans``, the numpy helpers, ``delete``/``rename`` with their
 crash ordering, the snapshot record list, replay of the shared metadata
@@ -89,6 +90,9 @@ class FileStore:
         self.prefetch_pages = prefetch_pages
         self.durable = durable
         self.recovery = RecoveryStats()
+        #: How many names :meth:`unique_name` has handed out.  A remount
+        #: carries it over (``SystemConfig.remount``).
+        self.names_issued = 0
         self._files: dict[str, StoredFile] = {}
         self._pending_records: list[dict] = []
         # Worst-case JSON size of a frame holding one ``file`` record (the
@@ -120,6 +124,18 @@ class FileStore:
         if name not in self._files:
             raise FileNotFoundError(f"no {self.label} file named {name!r}")
         return self._files[name]
+
+    def unique_name(self, stem: str) -> str:
+        """``"<stem>-<n>"``, with ``n`` from one sequence per store.
+
+        The engine names its run files and vertex data here.  Durable stores
+        journal those names, so the sequence is part of the simulated cost:
+        it depends only on what this store has been asked for, never on
+        other stores in the same process.
+        """
+        n = self.names_issued
+        self.names_issued += 1
+        return f"{stem}-{n}"
 
     # ---------------------------------------------------------------- writing
 

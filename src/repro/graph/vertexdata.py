@@ -27,7 +27,6 @@ skip overlays that cannot contain the queried keys without any flash I/O.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ from repro.core.bloom import BloomFilter
 from repro.core.kvstream import KVArray
 from repro.flash.store import FileStore
 from repro.graph.formats import coalesce_ranges, coalescing_gap, span_positions
-
-_va_counter = itertools.count()
 
 #: Superstep marker for "never updated".
 NEVER = -1
@@ -90,7 +87,7 @@ class VertexArray:
             [("k", "<u8"), ("v", self.value_dtype), ("step", "<i8")])
         self._base_gap = coalescing_gap(store, self._record_dtype.itemsize)
         self.default_value = default_value
-        self.prefix = prefix or f"vertexdata-{next(_va_counter)}"
+        self.prefix = prefix or store.unique_name("vertexdata")
         self.max_overlays = max_overlays
         # Compaction normally deletes superseded files immediately; a
         # checkpointing engine passes ``retire`` so files the last durable

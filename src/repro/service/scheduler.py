@@ -330,11 +330,11 @@ class GraphService:
 
     # ----------------------------------------------------------- analytics jobs
 
-    def _build_run(self, job: Job):
-        """(Re)create the cooperative engine run for an admitted job.
+    def _job_engine(self, job: Job):
+        """``(engine, program, superstep limit)`` of an analytics job.
 
-        ``auto_resume=True`` unconditionally: with no checkpoint on flash it
-        is a fresh start, after a crash it resumes from the job's own
+        ``auto_resume=True`` unconditionally: with no checkpoint on flash a
+        run is a fresh start, after a crash it resumes from the job's own
         checkpoint namespace.  The program is namespaced by job id so two
         concurrent runs of the same algorithm keep disjoint on-flash state.
         """
@@ -346,6 +346,11 @@ class GraphService:
             checkpoint_every=self.config.checkpoint_every,
             auto_resume=True,
             checkpoint_prefix=f"svc:{job.job_id}:ckpt")
+        return engine, program, limit
+
+    def _build_run(self, job: Job):
+        """(Re)create the cooperative engine run for an admitted job."""
+        engine, program, limit = self._job_engine(job)
         run = engine.start(program, max_supersteps=limit)
         self._engines[job.job_id] = run
         return run
@@ -449,13 +454,7 @@ class GraphService:
         if run is not None:
             run.cancel()
         elif job.is_analytics:
-            program, _ = make_program(job.spec, self.num_vertices,
-                                      self.default_root)
-            program.namespaced(job.job_id)
-            engine = self.system.engine_for(
-                self.graph, self.num_vertices,
-                checkpoint_every=self.config.checkpoint_every,
-                checkpoint_prefix=f"svc:{job.job_id}:ckpt")
+            engine, program, _ = self._job_engine(job)
             engine.purge_program_state(program)
         discard(self.system.store, *_values_files(job.job_id))
 
@@ -473,10 +472,16 @@ class GraphService:
 
     # ------------------------------------------------------ cancel & deadlines
 
+    def _ref(self, job: Job) -> tuple[str, JobSpec | None]:
+        """The job id a ``cancel`` or ``vstate`` names, and that job's
+        submission (``None`` if no such job was submitted)."""
+        ref = str(job.spec.params.get("ref", ""))
+        return ref, next((s for jid, s in self.submissions if jid == ref),
+                         None)
+
     def _do_cancel(self, job: Job) -> None:
         """Act on a ``cancel`` control op at its arrival round."""
-        ref = str(job.spec.params.get("ref", ""))
-        ref_spec = next((s for jid, s in self.submissions if jid == ref), None)
+        ref, ref_spec = self._ref(job)
         if ref_spec is None:
             job.state = FAILED
             job.reason = f"unknown ref job {ref!r}"
@@ -595,8 +600,7 @@ class GraphService:
 
     def _try_vstate(self, job: Job) -> None:
         """Resolve a vertex-state read once its referenced job is terminal."""
-        ref = str(job.spec.params.get("ref", ""))
-        ref_spec = next((s for jid, s in self.submissions if jid == ref), None)
+        ref, ref_spec = self._ref(job)
         target = self.jobs.get(ref)
         reason = None
         if ref_spec is None:

@@ -1,13 +1,13 @@
 """Superstep checkpoint/restart: cadence, auto-resume after power loss,
-sorted-run recovery, and the narrowed cleanup-path exception contract."""
+and the narrowed cleanup-path exception contract."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_pagerank
-from repro.core.external import ExternalSortReducer, RunHandle, recover_runs
-from repro.core.kvstream import record_dtype
+from repro.core.external import ExternalSortReducer
+from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
 from repro.engine.config import make_system
 from repro.engine.modes import STATIC_MODES
@@ -163,74 +163,22 @@ def test_run_with_crashes_harness_smoke(random_graph):
     assert crashed.elapsed_s >= clean.elapsed_s
 
 
-# ------------------------------------------------------------- run recovery
-
-
-def test_recover_runs_adopts_sealed_and_discards_unsealed(random_graph):
-    system, _ = build("grafboost", random_graph, durable=True)
-    store = system.store
-    dtype = np.dtype(np.float64)
-    rec = np.dtype(record_dtype(dtype))
-
-    def write_run(name, n, seal):
-        records = np.zeros(n, dtype=rec)
-        store.append(name, records.tobytes())
-        if seal:
-            store.seal(name)
-
-    write_run("sr:run-2", 8, seal=True)
-    write_run("sr:run-0", 5, seal=True)
-    write_run("sr:run-1", 3, seal=False)   # died mid-write: discard
-    store.append("other:file", b"x" * 16)  # foreign prefix: untouched
-    store.seal("other:file")
-
-    recovered, discarded = recover_runs(store, "sr:", dtype)
-    assert [r.name for r in recovered] == ["sr:run-0", "sr:run-2"]  # by age
-    assert [r.num_records for r in recovered] == [5, 8]
-    assert all(r.level == 0 for r in recovered)
-    assert discarded == ["sr:run-1"]
-    assert not store.exists("sr:run-1")
-    assert store.exists("other:file")
-
-
-def test_adopted_runs_feed_a_fresh_reducer(random_graph):
-    system, _ = build("grafboost", random_graph)
-    store = system.store
-    dtype = np.dtype(np.float64)
-    rec = np.dtype(record_dtype(dtype))
-    records = np.zeros(4, dtype=rec)
-    store.append("sr:run-0", records.tobytes())
-    store.seal("sr:run-0")
-    recovered, _ = recover_runs(store, "sr:", dtype)
-
-    reducer = ExternalSortReducer(store, SUM, dtype, system.backend,
-                                  chunk_bytes=system.chunk_bytes,
-                                  name_prefix="sr")
-    reducer.adopt_runs(recovered)
-    out = reducer.finish()
-    assert out.num_records == 4
-
-
 # --------------------------------------------------- cleanup-path narrowing
 
 
-def adopted_reducer(system):
+def reducer_with_a_run(system):
+    """A sort-reduce that has written one sorted run file to flash."""
     store = system.store
-    dtype = np.dtype(np.float64)
-    records = np.zeros(4, dtype=np.dtype(record_dtype(dtype)))
-    store.append("sr:run-0", records.tobytes())
-    store.seal("sr:run-0")
-    handle = RunHandle(store, "sr:run-0", 4, dtype)
-    reducer = ExternalSortReducer(store, SUM, dtype, system.backend,
-                                  chunk_bytes=system.chunk_bytes,
-                                  name_prefix="sr")
-    reducer.adopt_runs([handle])
+    reducer = ExternalSortReducer(store, SUM, np.float64, system.backend,
+                                  chunk_bytes=1024, name_prefix="sr")
+    reducer.add(KVArray(np.arange(64, dtype=np.uint64), np.ones(64)))
+    assert [store.exists(run.name) for run in reducer._runs] == [True]
     return reducer, store
 
 
 def test_reducer_close_tolerates_flash_errors(random_graph, monkeypatch):
     system, _ = build("grafboost", random_graph)
-    reducer, store = adopted_reducer(system)
+    reducer, store = reducer_with_a_run(system)
 
     def dying_delete(name):
         raise FlashError("device already failing")
@@ -244,7 +192,7 @@ def test_reducer_close_propagates_foreign_errors(random_graph, monkeypatch):
     (TypeError, ValueError...) in the cleanup path must surface, not be
     eaten by best-effort error handling."""
     system, _ = build("grafboost", random_graph)
-    reducer, store = adopted_reducer(system)
+    reducer, store = reducer_with_a_run(system)
 
     def buggy_delete(name):
         raise ValueError("not a device failure")

@@ -13,14 +13,9 @@ The contracts under test (see repro.engine.modes):
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
-import repro.core.dense as dense_mod
-import repro.core.external as external_mod
-import repro.graph.vertexdata as vertexdata_mod
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.cc import run_label_propagation
 from repro.algorithms.pagerank import run_pagerank, run_pagerank_alg4
@@ -322,15 +317,6 @@ def test_semiexternal_cuts_flash_traffic_on_pagerank():
 # --------------------------------------------------------------------------
 
 
-def _pin_name_counters():
-    # Durable stores journal file *names* to flash; pin the global name
-    # counters so journal bytes can't drift between compared runs (same
-    # trick as tests/test_perf_invariance.py).
-    external_mod._run_counter = itertools.count(1000)
-    vertexdata_mod._va_counter = itertools.count(1000)
-    dense_mod._dense_counter = itertools.count(1000)
-
-
 @pytest.mark.parametrize("mode", STATIC_MODES + ("adaptive",))
 def test_crash_resume_bit_identical_per_mode(mode):
     graph = _load()
@@ -341,13 +327,11 @@ def test_crash_resume_bit_identical_per_mode(mode):
     flash_graph = system.load_graph(graph)
     load_ops = system.device.crashes.op_index
     engine = system.engine_for(flash_graph, graph.num_vertices)
-    _pin_name_counters()
     clean = run_pagerank(engine, graph.num_vertices, 2)
     total_ops = system.device.crashes.op_index
     plan_ops = (load_ops + (total_ops - load_ops) // 2,)
 
     def crashed(workers):
-        _pin_name_counters()
         return run_grafboost_system(
             "GraFSoft", graph, "pagerank", scale=SCALE,
             crashes=CrashPlan(at_ops=plan_ops, torn_write_p=0.5),

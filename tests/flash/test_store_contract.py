@@ -206,13 +206,16 @@ def test_durable_commits_fit_a_small_page(kind, name):
     data = (np.arange(200 * 512 + 77) * 13 % 256).astype(np.uint8).tobytes()
     store.append(name, data)
     store.seal(name)
-    assert remount(store).read(name) == data
-    # The snapshot lists the same pages again, as ``file``/``filex`` records.
-    if kind == "aoffs":
-        store._compact_journal()
-    else:
-        store._write_snapshot()
     mounted = remount(store)
+    assert mounted.read(name) == data
+    # The snapshot lists the same pages again, as ``file``/``filex`` records.
+    # It is taken on the mounted handle: the remount retired ``store``, and
+    # compacting through it would erase the live journal chain.
+    if kind == "aoffs":
+        mounted._compact_journal()
+    else:
+        mounted._write_snapshot()
+    mounted = remount(mounted)
     assert mounted.is_sealed(name) and mounted.read(name) == data
 
 

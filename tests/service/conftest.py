@@ -1,25 +1,11 @@
 """Shared fixtures for the service-layer suite."""
 
-import itertools
-
 import pytest
 
 from repro.engine.config import make_system
 from repro.harness import load_dataset
 
 SCALE = 2.0 ** -16
-
-
-def pin_name_counters():
-    """Pin the global file-name counters so cross-run comparisons see the
-    same on-flash names regardless of test execution order."""
-    import repro.core.dense as dense_mod
-    import repro.core.external as external_mod
-    import repro.graph.vertexdata as vertexdata_mod
-
-    external_mod._run_counter = itertools.count(1000)
-    vertexdata_mod._va_counter = itertools.count(1000)
-    dense_mod._dense_counter = itertools.count(1000)
 
 
 @pytest.fixture()
@@ -33,7 +19,6 @@ def make_service(service_graph):
 
     def build(quotas=None, crashes=None, faults=None, workers=None,
               mode=None, config=None):
-        pin_name_counters()
         system = make_system("grafboost", SCALE,
                              num_vertices_hint=service_graph.num_vertices,
                              durable=True, crashes=crashes, faults=faults,

@@ -141,6 +141,36 @@ def test_analytics_values_durable_and_crash_invariant(make_service):
         assert values_of(base, job_id) == values_of(crashed, job_id)
 
 
+def test_job_starting_after_power_loss_keeps_clear_of_resumed_state(
+        make_service):
+    """A job that first starts after a remount must not be handed the name
+    of a resumed job's checkpointed vertex data.  svc-2 names its vertex
+    data first and checkpoints it at superstep 2; svc-1 arrives in round 3,
+    and the loss lands in that round, so after the remount svc-1 asks for
+    the first name, before svc-2 resumes."""
+    jobs = ["t1:bfs@3", "t0:pagerank:iters=6"]
+
+    def run(crashes, round_ops=None):
+        service = make_service(crashes=crashes)
+        service.submit_all(jobs)
+        if round_ops is not None:
+            run_round = service._run_round
+
+            def counting():
+                round_ops.append(service.system.device.crashes.op_index)
+                run_round()
+
+            service._run_round = counting
+        return service.run()
+
+    base = run(None)
+    round_ops = []
+    run(CrashPlan(crashes=0), round_ops)
+    crashed = run(CrashPlan(at_ops=((round_ops[3] + round_ops[4]) // 2,)))
+    assert crashed.power_losses == 1
+    assert crashed.trace == base.trace
+
+
 def test_vstate_reads_finished_run(make_service, service_graph):
     service = make_service()
     pr = service.submit("t0:pagerank:iters=1")

@@ -51,9 +51,11 @@ from repro.harness import (
     default_root,
     load_dataset,
     run_grafboost_system,
+    run_service_cell,
 )
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT, SERVER_SSD_ARRAY
+from repro.service import demo_quotas, demo_workload
 
 # --------------------------------------------------------------------------
 # scalar reference implementations
@@ -413,22 +415,6 @@ def test_worker_sweep_bit_identical(algorithm):
 def test_crash_recovery_bit_identical_under_parallel_merge():
     """Power loss mid sort-reduce with workers in flight: the crash →
     remount → resume loop must land on the same bits as the serial run."""
-    import itertools
-
-    import repro.core.dense as dense_mod
-    import repro.core.external as external_mod
-    import repro.graph.vertexdata as vertexdata_mod
-
-    # The crash runs are durable, and a durable store journals file *names*
-    # to flash — so any global name counter whose digit count drifts between
-    # runs changes journal bytes, and with them the low bits of elapsed_s.
-    # Pin every such counter before each run: identical names, and the only
-    # variable left between the runs is the worker count.
-    def pin_name_counters():
-        external_mod._run_counter = itertools.count(1000)
-        vertexdata_mod._va_counter = itertools.count(1000)
-        dense_mod._dense_counter = itertools.count(1000)
-
     graph = load_dataset("kron30", scale=1 / 65536, seed=7)
     # Count device ops on an uninterrupted run to aim the crash inside the
     # engine run (past graph load), then crash both a serial and a parallel
@@ -439,13 +425,11 @@ def test_crash_recovery_bit_identical_under_parallel_merge():
     flash_graph = system.load_graph(graph)
     load_ops = system.device.crashes.op_index
     engine = system.engine_for(flash_graph, graph.num_vertices)
-    pin_name_counters()
     clean = run_pagerank(engine, graph.num_vertices, 2)
     total_ops = system.device.crashes.op_index
     plan_ops = (load_ops + (total_ops - load_ops) // 2,)
 
     def crashed(workers):
-        pin_name_counters()
         return run_grafboost_system(
             "GraFSoft", graph, "pagerank", scale=1 / 65536,
             crashes=CrashPlan(at_ops=plan_ops, torn_write_p=0.5),
@@ -460,6 +444,49 @@ def test_crash_recovery_bit_identical_under_parallel_merge():
     assert parallel.flash_bytes == serial.flash_bytes
     assert parallel.remounts == serial.remounts
     assert np.array_equal(serial.final_values, clean.final_values())
+
+
+# --------------------------------------------------------------------------
+# durable stacks: simulated time is a function of the job alone
+# --------------------------------------------------------------------------
+# A durable store journals file names, so a name's digit count is journal
+# bytes.  Names come from the store's own sequence, so neither earlier jobs
+# nor other stores in the process may move a job's simulated time.
+
+
+def _name_files_elsewhere() -> None:
+    """What earlier jobs leave behind in a process: sort-reducers and vertex
+    arrays named on a store of their own."""
+    store = AppendOnlyFlashFS(FlashDevice(
+        FlashGeometry(page_bytes=4096, pages_per_block=16, num_blocks=64),
+        GRAFSOFT, SimClock()))
+    backend = backend_for_profile(GRAFSOFT)
+    for _ in range(10_000):
+        ExternalSortReducer(store, SUM, np.float64, backend, chunk_bytes=1024)
+        VertexArray(store, 1, np.float64, 0.0)
+
+
+DURABLE_SCALE = 1 / 65536
+DURABLE_JOBS = {
+    "GraFSoft-pagerank-checkpointed": lambda graph: run_grafboost_system(
+        "GraFSoft", graph, "pagerank", scale=DURABLE_SCALE, durable=True,
+        checkpoint_every=1, pagerank_iterations=2),
+    "GraFBoost-bfs": lambda graph: run_grafboost_system(
+        "GraFBoost", graph, "bfs", scale=DURABLE_SCALE, durable=True),
+    "service-demo": lambda graph: run_service_cell(
+        "GraFBoost", graph, demo_workload(), scale=DURABLE_SCALE,
+        quotas=demo_quotas()),
+}
+
+
+@pytest.mark.parametrize("job", sorted(DURABLE_JOBS))
+def test_durable_job_reruns_bit_identical(job):
+    graph = load_dataset("kron30", scale=DURABLE_SCALE, seed=7)
+    first = DURABLE_JOBS[job](graph)
+    _name_files_elsewhere()
+    again = DURABLE_JOBS[job](graph)
+    assert again.elapsed_s == first.elapsed_s
+    assert again.flash_bytes == first.flash_bytes
 
 
 def test_sanitizer_actually_observed_the_run():
