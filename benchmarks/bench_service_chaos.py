@@ -20,6 +20,9 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_service_chaos.py           # full
     PYTHONPATH=src python benchmarks/bench_service_chaos.py --quick   # CI
+
+Only the full matrix writes ``benchmarks/results/service_chaos.txt``, the
+committed golden; ``--quick`` prints its subset and leaves the file alone.
 """
 
 from __future__ import annotations
@@ -165,7 +168,10 @@ def main(argv=None) -> int:
         title=(f"Service chaos: demo+tC workload @ scale {SCALE:g}, "
                f"{POISONED} poisoned (uncorrectable @ superstep 1, "
                f"every attempt)"))
-    emit_results("service_chaos", table)
+    if args.quick:
+        print(table)
+    else:
+        emit_results("service_chaos", table)
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

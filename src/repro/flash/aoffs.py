@@ -126,14 +126,13 @@ class AppendOnlyFlashFS(FileStore):
         heapq.heappush(self._free_blocks,
                        (self.device.erase_counts[block], block))
 
-    def _program(self, f: StoredFile, pages: list, batched: bool) -> None:
+    def _program(self, f: StoredFile, pages: list) -> None:
         """Program pages, surviving program failures by block remapping.
 
         A failed program retires the block; the pages it already holds are
         copied to a fresh block which takes over the retired block's slot in
         ``f.extents`` (file addressing never changes), and the remaining
-        writes retarget it.  Whatever ``batched`` says, a single-page list
-        uses the scalar device call — one-page appends always have here.
+        writes retarget it.
         """
         ppb = self.pages_per_extent
         first = f.flushed_pages
@@ -151,17 +150,13 @@ class AppendOnlyFlashFS(FileStore):
                    for i, data in enumerate(pages, first)]
         while True:
             try:
-                if len(pending) == 1:
-                    self.device.write_page(*pending[0])
-                else:
-                    self.device.write_pages(pending)
+                self.device.write_pages(pending)
                 return
             except FlashProgramError as e:
-                committed = getattr(e, "batch_committed", 0)
                 bad = e.block
                 fresh = self._remap_bad_block(f, bad)
                 pending = [(fresh if b == bad else b, p, d)
-                           for b, p, d in pending[committed:]]
+                           for b, p, d in pending[e.batch_committed:]]
 
     def _remap_bad_block(self, f: StoredFile, bad: int) -> int:
         """Copy a retired block's programmed pages onto a fresh block and
@@ -196,10 +191,6 @@ class AppendOnlyFlashFS(FileStore):
             runs.append((blocks[index], page0, count))
             page += count
         return self.device.read_pages(runs)
-
-    def _fetch_one(self, f: StoredFile, page_index: int) -> bytes:
-        block_index, page = divmod(page_index, self.pages_per_extent)
-        return self.device.read_page(f.extents[block_index], page)
 
     def _reclaim(self, extents: list[int]) -> None:
         """Erase blocks back into the free pool.

@@ -47,6 +47,7 @@ that raises it) and is re-exported here for convenience.
 from __future__ import annotations
 
 import dataclasses
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -148,13 +149,20 @@ class CrashPlan:
             raise ValueError(
                 f"crashes must be in [0, {MAX_REMOUNTS}] (recovery gives up "
                 f"after {MAX_REMOUNTS} remounts), got {self.crashes}")
-        if self.mean_gap <= 0:
-            raise ValueError(f"mean_gap must be > 0, got {self.mean_gap}")
+        if not 0 < self.mean_gap < math.inf:
+            raise ValueError(f"mean_gap must be finite and > 0, got {self.mean_gap}")
         if not 0.0 <= self.torn_write_p <= 1.0:
             raise ValueError(
                 f"torn_write_p must be in [0, 1], got {self.torn_write_p}")
         if any(op < 0 for op in self.at_ops):
             raise ValueError("at_ops indices must be >= 0")
+        try:
+            with np.errstate(over="ignore"):
+                self.schedule()
+        except OverflowError:   # gaps so long their sum reaches infinity
+            raise ValueError(
+                f"first_op={self.first_op} and mean_gap={self.mean_gap} draw "
+                f"crash op indices beyond any integer") from None
 
     def schedule(self) -> list[int]:
         """Sorted absolute op indices at which power is cut."""
@@ -319,10 +327,6 @@ class FaultPlan:
     #: (ECC miscorrection) instead of an error — the case the file-store
     #: checksums exist to catch.
     silent_corruption_p: float = 0.0
-    #: Optional power-loss schedule riding along with the fault plan; the
-    #: device builds a :class:`PowerLossInjector` from it exactly as if it
-    #: were passed as ``crashes=`` directly.  ``None`` adds nothing.
-    crash: CrashPlan | None = None
 
     def __post_init__(self) -> None:
         for field in ("read_ber", "program_fail_p", "erase_fail_p",
@@ -332,8 +336,9 @@ class FaultPlan:
                 raise ValueError(f"{field} must be in [0, 1], got {value}")
         for field in ("latency_jitter", "wear_ber_scale", "wear_fail_scale",
                       "retry_ber_scale"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0")
+            value = getattr(self, field)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{field} must be finite and >= 0, got {value}")
         for field in ("pe_cycle_limit", "ecc_correctable_bits",
                       "read_retry_limit"):
             if getattr(self, field) < 0:
@@ -433,42 +438,18 @@ class FaultInjector:
             ber *= 1.0 + self.plan.wear_ber_scale * self.device.erase_counts[block]
         return min(ber, 0.5)
 
-    def filter_read(self, block: int, page: int, data) -> bytes:
-        """Inject bit errors into one page read; recover via ECC/retries.
-
-        Returns the (functionally intact) data on recovery, possibly
-        corrupted data under ``silent_corruption_p``, or raises
-        :class:`FlashUncorrectableError`.
-        """
-        if not self.plan.injects_read_faults:
-            return data
-        nbits = len(data) * 8
-        if nbits == 0:
-            return data
-        p = self._effective_ber(block)
-        n = int(self._rng.binomial(nbits, p))
-        self.stats.bit_errors_injected += n
-        if n <= self.plan.ecc_correctable_bits:
-            if n:
-                self.stats.bits_corrected += n
-                self.stats.pages_corrected += 1
-            return data
-        return self._retry_page(block, page, data, p, n)
-
     def filter_read_batch(self, addresses, pages: list) -> list:
-        """Vectorized :meth:`filter_read` over one batched read."""
+        """Inject bit errors into the pages of one read; recover via
+        ECC/retries.
+
+        ``addresses`` holds each page's ``(block, page)``.  Returns the
+        pages — functionally intact on recovery, possibly corrupted under
+        ``silent_corruption_p`` — or raises :class:`FlashUncorrectableError`.
+        """
         if not self.plan.injects_read_faults or not pages:
             return pages
-        nbits = np.fromiter((len(d) * 8 for d in pages), dtype=np.int64,
-                            count=len(pages))
-        if self.plan.wear_ber_scale:
-            blocks = np.fromiter((a[0] for a in addresses), dtype=np.int64,
-                                 count=len(addresses))
-            erases = np.asarray(self.device.erase_counts, dtype=np.float64)[blocks]
-            p = np.minimum(self.plan.read_ber * (1.0 + self.plan.wear_ber_scale * erases), 0.5)
-        else:
-            p = np.full(len(pages), min(self.plan.read_ber, 0.5))
-        errs = self._rng.binomial(nbits, p)
+        p = [self._effective_ber(block) for block, _page in addresses]
+        errs = self._rng.binomial([len(d) * 8 for d in pages], p)
         self.stats.bit_errors_injected += int(errs.sum())
         t = self.plan.ecc_correctable_bits
         corrected = (errs > 0) & (errs <= t)
@@ -481,7 +462,7 @@ class FaultInjector:
         for i in bad:
             block, page = addresses[int(i)]
             out[int(i)] = self._retry_page(block, page, pages[int(i)],
-                                           float(p[int(i)]), int(errs[int(i)]))
+                                           p[int(i)], int(errs[int(i)]))
         return out
 
     def _retry_page(self, block: int, page: int, data, base_p: float, n: int):

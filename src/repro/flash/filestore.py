@@ -96,7 +96,7 @@ class SSDFileSystem(FileStore):
     def free_bytes(self) -> int:
         return len(self._free_lpns) * self.page_bytes
 
-    def _program(self, f: StoredFile, pages: list, batched: bool) -> None:
+    def _program(self, f: StoredFile, pages: list) -> None:
         free, n = self._free_lpns, len(pages)
         if len(free) < n:
             raise FlashOutOfSpaceError(
@@ -105,16 +105,10 @@ class SSDFileSystem(FileStore):
         lpns = free[-n:][::-1]   # the same order as n single pops
         del free[len(free) - n:]
         f.extents.extend(lpns)
-        if batched:
-            self.ssd.write_pages(list(zip(lpns, pages)))
-        else:
-            self.ssd.write_page(lpns[0], pages[0])
+        self.ssd.write_pages(list(zip(lpns, pages)))
 
     def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:
         return self.ssd.read_pages(f.extents[first_page:last_page + 1])
-
-    def _fetch_one(self, f: StoredFile, page_index: int) -> bytes:
-        return self.ssd.read_page(f.extents[page_index])
 
     def _reclaim(self, extents: list[int]) -> None:
         for lpn in extents:

@@ -81,11 +81,11 @@ class PageMappedFTL:
             device.sanitizer.track_ftl(self)
 
     def _sanity_check(self, mutated: int | None = None) -> None:
-        """FlashSan bookkeeping audit after batched mutations (write_many,
-        GC, mount).  The audit is O(map size), so single-page write/trim
-        skip it entirely and ``write_many`` passes its batch size to run it
-        on an amortized schedule; drift those paths introduce is still
-        caught at the next scheduled audit or at erase time."""
+        """FlashSan bookkeeping audit after mutations (write_many, GC,
+        mount).  The audit is O(map size), so trim skips it entirely and
+        ``write_many`` passes its batch size to run it on an amortized
+        schedule; drift those paths introduce is still caught at the next
+        scheduled audit or at erase time."""
         sanitizer = self.device.sanitizer
         if sanitizer is None:
             return
@@ -193,27 +193,15 @@ class PageMappedFTL:
         return self.device.read_page(block, page)
 
     def write(self, lpn: int, data: bytes) -> None:
-        """Write/overwrite a logical page; the old physical copy becomes garbage.
-
-        A program failure retires the block and transparently retries on a
-        fresh one; pages already written to the retired block stay readable
-        in place (grown defects), so no data moves.
-        """
-        self._check_lpn(lpn)
-        while True:
-            block, page = self._allocate_page()
-            try:
-                self.device.write_page(block, page, data,
-                                       oob=self._make_oob(lpn, data))
-            except FlashProgramError:
-                self._on_block_retired(block)
-                continue
-            self._commit_mapping(lpn, block, page)
-            return
+        """Write/overwrite one logical page: a batch of one."""
+        self.write_many([(lpn, data)])
 
     def write_many(self, writes: list[tuple[int, bytes]]) -> None:
-        """Batched sequential write: device latency is paid once per block batch.
+        """Write/overwrite logical pages; each old physical copy becomes
+        garbage.  Sequential: device latency is paid once per block's share.
 
+        A program failure retires the block: pages that landed stay readable
+        in place (grown defects) and the rest retry on a fresh block.
         Pending allocations are flushed to the device before any garbage
         collection can run, so GC never erases a block that holds allocated
         but not-yet-programmed pages.  GC relocations are charged as the
@@ -241,7 +229,7 @@ class PageMappedFTL:
             except FlashProgramError as e:
                 # Pages before the failure landed and stay readable in the
                 # retired block; map them, then retry the rest elsewhere.
-                take = getattr(e, "batch_committed", 0)
+                take = e.batch_committed
                 batch = batch[:take]
                 self._on_block_retired(block)
             lpn_map, reverse = self._map, self._reverse
@@ -257,15 +245,6 @@ class PageMappedFTL:
             self.user_pages_written += take
             i += take
         self._sanity_check(mutated=n)
-
-    def _commit_mapping(self, lpn: int, block: int, page: int) -> None:
-        old = self._map.get(lpn)
-        if old is not None:
-            self.device.invalidate_page(*old)
-            del self._reverse[old]
-        self._map[lpn] = (block, page)
-        self._reverse[(block, page)] = lpn
-        self.user_pages_written += 1
 
     def trim(self, lpn: int) -> None:
         """Discard a logical page (TRIM), making its physical copy garbage."""
@@ -397,15 +376,13 @@ class SSD:
         return self.ftl.logical_pages
 
     def read_page(self, lpn: int) -> bytes:
-        self.device.clock.charge("flash", self.ftl_overhead_s)
-        return self.ftl.read(lpn)
+        return self.read_pages([lpn])[0]
 
     def write_page(self, lpn: int, data: bytes) -> None:
-        self.device.clock.charge("flash", self.ftl_overhead_s)
-        self.ftl.write(lpn, data)
+        self.write_pages([(lpn, data)])
 
     def read_pages(self, lpns: list[int]) -> list[bytes]:
-        """Sequential/batched read: one FTL overhead for the whole batch."""
+        """Sequential read: one FTL overhead for the whole batch."""
         if not lpns:
             return []
         self.device.clock.charge("flash", self.ftl_overhead_s)
@@ -418,7 +395,7 @@ class SSD:
         return self.device.read_pages(addresses)
 
     def write_pages(self, writes: list[tuple[int, bytes]]) -> None:
-        """Sequential/batched write: one FTL overhead for the whole batch."""
+        """Sequential write: one FTL overhead for the whole batch."""
         if not writes:
             return
         self.device.clock.charge("flash", self.ftl_overhead_s)

@@ -248,7 +248,7 @@ class FlashSanitizer:
         """Full FTL bookkeeping audit (map/reverse/free-pool/spares).
 
         Called unconditionally after garbage collection and mount recovery,
-        and on an amortized schedule from the batched write path.
+        and on an amortized schedule from the FTL write path.
         """
         self._audit_debt = 0
         self.ftl_checks += 1

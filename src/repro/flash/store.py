@@ -150,9 +150,9 @@ class FileStore:
     def append(self, name: str, data: bytes) -> None:
         """Append bytes to a file, creating it if needed.
 
-        Complete pages stream to flash at once (batched: device latency is
-        amortized over the call); the partial last page stays in the host
-        tail buffer until more data arrives or the file is sealed.
+        Complete pages stream to flash at once (one device program: its
+        latency is amortized over the call); the partial last page stays in
+        the host tail buffer until more data arrives or the file is sealed.
         """
         f = self._files.get(name)
         if f is None:
@@ -172,8 +172,7 @@ class FileStore:
             # them as-is, and every consumer goes through the buffer protocol.
             view = memoryview(blob)
             self._flush(f, [view[start:start + page_bytes]
-                            for start in range(0, flush_bytes, page_bytes)],
-                        batched=True)
+                            for start in range(0, flush_bytes, page_bytes)])
             remainder = blob[flush_bytes:]
             f.tail_parts = [remainder] if remainder else []
             f.tail_len -= flush_bytes
@@ -186,15 +185,14 @@ class FileStore:
             return
         if f.tail_len:
             tail = f.tail_bytes()
-            self._flush(f, [tail + b"\x00" * (self.page_bytes - len(tail))],
-                        batched=False)
+            self._flush(f, [tail + b"\x00" * (self.page_bytes - len(tail))])
             f.tail_parts = []
             f.tail_len = 0
         f.sealed = True
         self._log({"op": "seal", "name": name, "size": f.size})
         self._commit_log()
 
-    def _flush(self, f: StoredFile, pages: list, batched: bool) -> None:
+    def _flush(self, f: StoredFile, pages: list) -> None:
         """Program ``pages`` at the file's end, then log their commit records.
 
         Records only after the data is on flash (write-behind for data,
@@ -205,7 +203,7 @@ class FileStore:
         recovers a consistent prefix of the flush.
         """
         first, logged = f.flushed_pages, len(f.extents)
-        self._program(f, pages, batched)
+        self._program(f, pages)
         if self.device.faults is not None or self.durable:
             f.page_crcs.extend(page_crc(data) for data in pages)
         f.flushed_pages = end = first + len(pages)
@@ -290,7 +288,7 @@ class FileStore:
             if faults is not None:
                 pieces = verify_pages(
                     pieces, f.page_crcs, first_page,
-                    lambda i: self._fetch_one(f, i),
+                    lambda i: self._fetch(f, i, i)[0],
                     faults, f"{self.label.lower()}:{f.name}")
             self._charge_prefetch(f, first_page, last_page + 1 - first_page)
             pieces[-1] = pieces[-1][:flash_end - last_page * page_bytes]
@@ -467,19 +465,16 @@ class FileStore:
         """Bytes the free pool can still hold."""
         raise NotImplementedError
 
-    def _program(self, f: StoredFile, pages: list, batched: bool) -> None:
-        """Program ``pages`` from page index ``f.flushed_pages`` on, moving
-        extents from the free pool (checked *before* any is taken: a failed
-        append leaves the pool untouched) to ``f.extents``.  ``batched`` is
-        False for the one-page seal flush, a scalar device call."""
+    def _program(self, f: StoredFile, pages: list) -> None:
+        """Program ``pages`` from page index ``f.flushed_pages`` on, as one
+        device program, moving extents from the free pool (checked *before*
+        any is taken: a failed append leaves the pool untouched) to
+        ``f.extents``."""
         raise NotImplementedError
 
     def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:
-        """Pages ``first_page..last_page`` of the file, one batched read."""
-        raise NotImplementedError
-
-    def _fetch_one(self, f: StoredFile, page_index: int) -> bytes:
-        """A real single-page re-read (CRC repair)."""
+        """Pages ``first_page..last_page`` of the file as one device read —
+        a CRC repair re-reads one page as ``_fetch(f, i, i)``."""
         raise NotImplementedError
 
     def _reclaim(self, extents: list[int]) -> None:

@@ -414,7 +414,7 @@ class RuleChargeClock(Rule):
     (``_data``/``_oob``, or stores into ``_page_state``) must call a
     ``charge*`` method, and (b) any function elsewhere in the flash stack
     that calls a raw device primitive (``_read_silent``, ``_read_run``,
-    ``_write_silent``, ``_program_run``, ``_commit_unchecked``,
+    ``_write_silent``, ``_program_run``, ``_commit_run``,
     ``_commit_torn``) must charge.  Free-by-design operations carry an
     explicit ``# repro-lint: disable=RL006`` with the justification.
     """
@@ -423,7 +423,7 @@ class RuleChargeClock(Rule):
     summary = "device operation without a SimClock charge"
 
     _PRIMITIVES = {"_read_silent", "_read_run", "_write_silent",
-                   "_program_run", "_commit_unchecked", "_commit_torn"}
+                   "_program_run", "_commit_run", "_commit_torn"}
 
     def applies(self, path: str) -> bool:
         return "repro/flash/" in _norm(path)

@@ -199,6 +199,24 @@ def test_batched_write_pays_one_latency():
     assert batched < clock2.elapsed_s
 
 
+def test_single_page_call_is_a_batch_of_one():
+    # On a bit-packed device a 4 KB page is 2730.67 B of flash traffic; a
+    # single-page call used to charge the transfer of 2730 B, a batch of one
+    # that of 2730.67 B.  Both now pay the batch charge.
+    usages = []
+    for single in (True, False):
+        device = FlashDevice(FlashGeometry(4096, 8, 16), GRAFSOFT, SimClock(),
+                             traffic_scale=2 / 3)
+        if single:
+            device.write_page(0, 0, b"p" * 4096)
+            device.read_page(0, 0)
+        else:
+            device.write_pages([(0, 0, b"p" * 4096)])
+            device.read_pages([(0, 0)])
+        usages.append((device.clock.elapsed_s, device.clock.usage))
+    assert usages[0] == usages[1]
+
+
 def test_clock_records_bytes():
     clock = SimClock()
     device = make_device(clock)

@@ -122,6 +122,39 @@ def test_fault_spec_errors_are_usage_errors(command, spec, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_crash_is_not_a_fault_spec_key(capsys):
+    # The fault plan once carried a crash field that parse accepted by name
+    # and the device then treated as a crash plan: "crash=1" died with
+    # "AttributeError: 'float' object has no attribute 'schedule'".
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--system", "GraFSoft", "--dataset", "twitter",
+              "--scale", "1.6e-5", "--faults", "crash=1"])
+    assert exc.value.code == 2
+    assert "unknown fault spec key 'crash'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,spec,message", [
+    ("--faults", "jitter=nan", "latency_jitter must be finite"),
+    ("--faults", "jitter=inf", "latency_jitter must be finite"),
+    ("--faults", "wear_ber=nan", "wear_ber_scale must be finite"),
+    ("--faults", "wear_fail=nan", "wear_fail_scale must be finite"),
+    ("--faults", "retry_scale=inf", "retry_ber_scale must be finite"),
+    ("--crash", "gap=inf", "mean_gap must be finite"),
+    ("--crash", "gap=nan", "mean_gap must be finite"),
+    ("--crash", "gap=1e308", "crash op indices beyond any integer"),
+])
+def test_non_finite_plan_values_are_usage_errors(flag, spec, message, capsys):
+    # jitter=nan used to print "simulated time | DNF" and exit 0, the other
+    # fault values ran with them; the crash gaps were tracebacks
+    # (OverflowError, ValueError) out of the device constructor.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--system", "GraFSoft", "--algorithm", "pagerank",
+              "--dataset", "twitter", "--scale", "1.6e-5", flag, spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and message in err
+
+
 def test_largest_crash_count_is_accepted():
     args = build_parser().parse_args(["run", "--crash", "seed=1,ops=10000"])
     assert args.crashes.crashes == 10_000 and len(args.crashes.schedule()) <= 10_000
