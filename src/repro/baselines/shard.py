@@ -45,9 +45,6 @@ class ShardedExternalEngine(BaselineEngine):
             profile.dram_capacity // 2, 4 * (1 << 30))
         self.edge_data_bytes = graph.num_edges * EDGE_RECORD_BYTES
 
-    def num_shards(self) -> int:
-        return max(1, -(-self.edge_data_bytes // self.shard_memory))
-
     def peak_memory(self, algorithm: str) -> int:
         return self.shard_memory
 

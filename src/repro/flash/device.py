@@ -165,18 +165,6 @@ class FlashGeometry:
     def capacity_bytes(self) -> int:
         return self.block_bytes * self.num_blocks
 
-    @staticmethod
-    def from_profile(profile: HardwareProfile, capacity: int | None = None) -> "FlashGeometry":
-        """Geometry for ``capacity`` bytes using the profile's page/block sizes."""
-        capacity = profile.flash_capacity if capacity is None else capacity
-        block_bytes = profile.flash_page_bytes * profile.flash_block_pages
-        num_blocks = max(4, -(-capacity // block_bytes))
-        return FlashGeometry(
-            page_bytes=profile.flash_page_bytes,
-            pages_per_block=profile.flash_block_pages,
-            num_blocks=num_blocks,
-        )
-
 
 def _program_order_runs(items: list) -> list[tuple[int, int, int]]:
     """Group ``(block, page, ...)`` tuples, in order, into ``(block, first
@@ -697,11 +685,6 @@ class FlashDevice:
     def is_bad(self, block: int) -> bool:
         self._check_block(block)
         return block in self._bad_blocks
-
-    def mark_bad(self, block: int) -> None:
-        """Retire a block administratively (host-side grown-defect list)."""
-        self._check_block(block)
-        self._bad_blocks.add(block)
 
     @property
     def bad_block_count(self) -> int:

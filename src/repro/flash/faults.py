@@ -409,11 +409,6 @@ class FaultStats:
     def as_dict(self) -> dict[str, int]:
         return dataclasses.asdict(self)
 
-    @property
-    def corrected_errors(self) -> int:
-        """Bit errors the device absorbed without the host noticing."""
-        return self.bits_corrected
-
 
 class FaultInjector:
     """Runtime fault state for one :class:`~repro.flash.device.FlashDevice`.

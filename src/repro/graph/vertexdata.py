@@ -255,15 +255,6 @@ class VertexArray:
         """
         return list(self._overlays)
 
-    @property
-    def nbytes_on_flash(self) -> int:
-        total = 0
-        if self._base_materialized:
-            total += self.store.size(self._base_file)
-        for overlay in self._overlays:
-            total += self.store.size(overlay.name)
-        return total
-
 
 class OverlayWriter:
     """Builds one overlay file from ascending sorted update chunks."""

@@ -27,11 +27,11 @@ journal/checkpoint writes, trace/report/checksum construction, sort-reduce
 key material, or run naming.  RL100 flags suppression comments that no
 longer suppress anything.
 
-Run with ``python -m repro.lint src tests --format json``.  Suppress a
-finding on one line with ``# repro-lint: disable=RL001`` (comma-separate
-several ids, or ``disable=all``); accepted pre-existing findings live in
-the committed baseline (``--baseline`` / ``--write-baseline``), and
-``--explain RLxxx`` prints a rule's full rationale.
+Run with ``python -m repro.lint src tests benchmarks``; any finding fails
+the run, and ``--format json`` prints it byte-deterministically.
+Suppress a finding on one line with ``# repro-lint: disable=RL001``
+(comma-separate several ids, or ``disable=all``); ``--explain RLxxx``
+prints a rule's full rationale.
 """
 
 from repro.lint.engine import (

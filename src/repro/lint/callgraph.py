@@ -2,9 +2,9 @@
 
 The graph is built purely from the ASTs the lint engine already parses:
 every module is indexed (top-level functions, classes, methods, nested
-defs), imports are resolved through the same alias machinery the per-file
-rules use — extended here with relative-import support — and call
-expressions are resolved to fully-qualified function names
+defs), imports are resolved through :class:`ImportMap` — the alias
+machinery the per-file rules use too — and call expressions are resolved
+to fully-qualified function names
 (``repro.core.external.ExternalSortReducer.add``).
 
 Resolution is deliberately best-effort: Python is dynamic, so a call that
@@ -21,7 +21,7 @@ order:
 4. **Unique method name**: an attribute call ``obj.m()`` whose method
    name is defined by exactly one indexed function anywhere resolves to
    it — in a repo this size that is reliable for distinctive names
-   (``charge_parallel``, ``reduce_sorted``) and a deliberate no-op for
+   (``charge_pool``, ``reduce_sorted``) and a deliberate no-op for
    generic ones (``add``, ``get``), which stay opaque.
 
 Everything is keyed and iterated in sorted order so downstream analyses
@@ -52,17 +52,26 @@ def module_name_for_path(path: str) -> str:
 class ImportMap(ast.NodeVisitor):
     """Alias-resolving import tracker (module- and from-imports).
 
-    Same contract as the per-file rules' ``_ImportMap`` plus relative
-    imports: ``from .foo import bar`` inside ``repro.core.external``
-    resolves against the module's package (``repro.core``).
+    Relative imports resolve against the module's package: ``from .foo
+    import bar`` inside ``repro.core.external`` names ``repro.core.foo``,
+    so it can never alias a stdlib module of the same name.
     """
 
-    def __init__(self, package: str = "") -> None:
+    def __init__(self, package: str) -> None:
         #: local alias -> canonical dotted module ("np" -> "numpy")
         self.modules: dict[str, str] = {}
         #: local name -> (canonical module, attr) for from-imports
         self.names: dict[str, tuple[str, str]] = {}
         self._package = package
+
+    @classmethod
+    def for_module(cls, path: str, tree: ast.Module) -> "ImportMap":
+        """The import map of the module parsed from ``path``."""
+        name = module_name_for_path(path)
+        package = name if path.endswith("__init__.py") else name.rpartition(".")[0]
+        imports = cls(package)
+        imports.visit(tree)
+        return imports
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -95,6 +104,11 @@ class ImportMap(ast.NodeVisitor):
             mod, attr = self.names[head]
             return f"{mod}.{attr}", ".".join(chain[1:])
         return None
+
+    def resolve(self, node: ast.AST) -> tuple[str, str] | None:
+        """Resolve an expression (a ``Call.func``) through the imports."""
+        chain = dotted(node)
+        return self.resolve_module_attr(chain) if chain else None
 
 
 def dotted(node: ast.AST) -> list[str] | None:
@@ -158,14 +172,14 @@ def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return [p.arg for p in a.posonlyargs + a.args]
 
 
-def _is_set_expr(value: ast.AST) -> bool:
+def is_set_expr(value: ast.AST) -> bool:
     if isinstance(value, (ast.Set, ast.SetComp)):
         return True
     return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
             and value.func.id in ("set", "frozenset"))
 
 
-def _is_set_annotation(ann: ast.AST) -> bool:
+def is_set_annotation(ann: ast.AST) -> bool:
     target = ann.value if isinstance(ann, ast.Subscript) else ann
     if isinstance(target, ast.Name):
         return target.id in ("set", "frozenset", "Set", "FrozenSet")
@@ -201,10 +215,7 @@ class CallGraph:
 
     def _index_module(self, path: str, tree: ast.Module) -> None:
         name = module_name_for_path(path)
-        package = ".".join(name.split(".")[:-1])
-        imports = ImportMap(package)
-        imports.visit(tree)
-        mod = ModuleInfo(name, path, tree, imports)
+        mod = ModuleInfo(name, path, tree, ImportMap.for_module(path, tree))
         self.modules[name] = mod
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -230,9 +241,9 @@ class CallGraph:
         # ``self.x = set()`` anywhere in the class body's methods.
         for sub in ast.walk(node):
             target = None
-            if isinstance(sub, ast.AnnAssign) and _is_set_annotation(sub.annotation):
+            if isinstance(sub, ast.AnnAssign) and is_set_annotation(sub.annotation):
                 target = sub.target
-            elif isinstance(sub, ast.Assign) and _is_set_expr(sub.value):
+            elif isinstance(sub, ast.Assign) and is_set_expr(sub.value):
                 target = sub.targets[0] if len(sub.targets) == 1 else None
             if (isinstance(target, ast.Attribute) and
                     isinstance(target.value, ast.Name) and

@@ -22,9 +22,10 @@ id-hash      ``id()``/``hash()`` results; iteration over a dict subscripted
 pool-order   completion-order collection: ``as_completed``,
              ``imap_unordered``
 wall-clock   ``time.time()``-family, ``datetime.now()``-family (RL001's
-             tables, applied transitively)
+             ``entropy_source``, applied transitively)
 rng          stdlib ``random``, legacy ``numpy.random`` globals, seedless
-             ``default_rng()`` (RL001's tables, applied transitively)
+             ``default_rng()`` (RL001's ``entropy_source``, applied
+             transitively)
 ===========  ==============================================================
 
 Sinks (where nondeterminism becomes a broken golden):
@@ -69,12 +70,12 @@ from __future__ import annotations
 import ast
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from repro.lint.callgraph import (CallGraph, FunctionInfo, dotted,
-                                  module_name_for_path)
-from repro.lint.rules import Rule, RuleWallClock, Violation, _in_sim_src
+                                  is_set_annotation, is_set_expr)
+from repro.lint.rules import (RNG, WALLCLOCK, Rule, Violation, _in_sim_src,
+                              entropy_source)
 
 # --------------------------------------------------------------- taint model
 
@@ -82,8 +83,6 @@ FSORDER = "fs-order"
 SETORDER = "set-order"
 IDHASH = "id-hash"
 POOLORDER = "pool-order"
-WALLCLOCK = "wall-clock"
-RNG = "rng"
 PARAM = "param"
 
 ORDER_KINDS = frozenset({FSORDER, SETORDER, IDHASH, POOLORDER})
@@ -153,7 +152,7 @@ EMPTY_SUMMARY = Summary(frozenset(), frozenset(), frozenset())
 
 _FS_MODULE_FNS = {("os", "listdir"), ("os", "scandir"), ("os", "walk"),
                   ("glob", "glob"), ("glob", "iglob")}
-_FS_PATH_METHODS = {"iterdir", "rglob"}
+_FS_PATH_METHODS = {"iterdir", "glob", "rglob"}
 _POOL_FNS = {"as_completed", "imap_unordered"}
 
 #: order-laundering builtins: result order is defined (or there is none).
@@ -217,7 +216,7 @@ class _FunctionAnalyzer:
         for arg in (info.node.args.posonlyargs + info.node.args.args +
                     info.node.args.kwonlyargs):
             ann = arg.annotation
-            if ann is not None and _ann_is_set(ann):
+            if ann is not None and is_set_annotation(ann):
                 self.set_vars.add(arg.arg)
 
     # ------------------------------------------------------------ driving
@@ -252,13 +251,13 @@ class _FunctionAnalyzer:
     def _exec(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
             taints = self._eval(stmt.value)
-            is_set = _expr_is_set(stmt.value)
+            is_set = is_set_expr(stmt.value)
             for target in stmt.targets:
                 self._assign(target, taints, is_set=is_set)
         elif isinstance(stmt, ast.AnnAssign):
             taints = self._eval(stmt.value) if stmt.value is not None else set()
-            is_set = _ann_is_set(stmt.annotation) or (
-                stmt.value is not None and _expr_is_set(stmt.value))
+            is_set = is_set_annotation(stmt.annotation) or (
+                stmt.value is not None and is_set_expr(stmt.value))
             self._assign(stmt.target, taints, is_set=is_set)
         elif isinstance(stmt, ast.AugAssign):
             taints = self._eval(stmt.value)
@@ -454,7 +453,7 @@ class _FunctionAnalyzer:
             return set()
         if isinstance(node, ast.NamedExpr):
             taints = self._eval(node.value, sanctioned)
-            self._assign(node.target, taints, is_set=_expr_is_set(node.value))
+            self._assign(node.target, taints, is_set=is_set_expr(node.value))
             return taints
         return set()
 
@@ -644,39 +643,23 @@ class _FunctionAnalyzer:
         func = node.func
         if isinstance(func, ast.Name) and func.id in ("id", "hash"):
             return self._source(IDHASH, f"{func.id}()", node)
-        chain = dotted(func)
-        resolved = (self.module.imports.resolve_module_attr(chain)
-                    if chain else None)
+        resolved = self.module.imports.resolve(func)
         if resolved is not None:
             mod, attr = resolved
             leaf = attr.split(".")[-1]
             root = mod.split(".")[0]
-            if (root, leaf) in _FS_MODULE_FNS or \
-                    (root == "glob" and leaf in ("glob", "iglob")):
+            if (root, leaf) in _FS_MODULE_FNS:
                 return self._source(FSORDER, f"{root}.{leaf}()", node)
             if mod == "concurrent.futures" and leaf == "as_completed":
                 return self._source(POOLORDER, "as_completed()", node)
-            if mod == "time" and leaf in RuleWallClock._TIME_FNS:
-                return self._source(WALLCLOCK, f"time.{leaf}()", node)
-            if (mod in ("datetime", "datetime.datetime") and
-                    leaf in RuleWallClock._DATETIME_FNS):
-                return self._source(WALLCLOCK, f"datetime {leaf}()", node)
-            if mod == "random":
-                return self._source(RNG, f"random.{leaf}()", node)
-            if ((mod in ("numpy.random", "numpy") and
-                 attr.startswith("random.")) or mod == "numpy.random"):
-                if leaf not in RuleWallClock._SAFE_NP_RANDOM:
-                    return self._source(RNG, f"numpy.random.{leaf}()", node)
-                if leaf in RuleWallClock._SEEDED_CTORS and not node.args:
-                    return self._source(RNG, f"seedless {leaf}()", node)
-        if isinstance(func, ast.Attribute):
-            leaf = func.attr
-            if leaf in _FS_PATH_METHODS and resolved is None:
-                return self._source(FSORDER, f".{leaf}()", node)
-            if leaf == "glob" and resolved is None:
-                return self._source(FSORDER, ".glob()", node)
-            if leaf in _POOL_FNS and resolved is None:
-                return self._source(POOLORDER, f".{leaf}()", node)
+            entropy = entropy_source(mod, attr, node)
+            if entropy is not None:
+                return self._source(entropy[0], entropy[1], node)
+        if isinstance(func, ast.Attribute) and resolved is None:
+            if func.attr in _FS_PATH_METHODS:
+                return self._source(FSORDER, f".{func.attr}()", node)
+            if func.attr in _POOL_FNS:
+                return self._source(POOLORDER, f".{func.attr}()", node)
         return None
 
     def _match_sink(self, node: ast.Call) -> str | None:
@@ -783,25 +766,6 @@ def _via_str(taint: Taint) -> str:
 def _call_name(func: ast.AST) -> str:
     chain = dotted(func)
     return ".".join(chain) if chain else "<dynamic>"
-
-
-def _expr_is_set(value: ast.AST | None) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, (ast.Set, ast.SetComp)):
-        return True
-    return (isinstance(value, ast.Call) and
-            isinstance(value.func, ast.Name) and
-            value.func.id in ("set", "frozenset"))
-
-
-def _ann_is_set(ann: ast.AST) -> bool:
-    target = ann.value if isinstance(ann, ast.Subscript) else ann
-    if isinstance(target, ast.Name):
-        return target.id in ("set", "frozenset", "Set", "FrozenSet")
-    if isinstance(target, ast.Attribute):
-        return target.attr in ("Set", "FrozenSet")
-    return False
 
 
 # -------------------------------------------------------- whole-program pass
@@ -917,15 +881,7 @@ def analyze_program(files: list[tuple[str, ast.Module]]) -> list[Violation]:
 # ``analyze_program`` because it needs the whole program at once.
 
 
-class _ProgramRule(Rule):
-    def applies(self, path: str) -> bool:  # per-file API: never directly
-        return False
-
-    def check(self, tree: ast.Module, path: str):
-        return iter(())
-
-
-class RuleFsOrder(_ProgramRule):
+class RuleFsOrder(Rule):
     """RL007: unsorted directory-listing order escapes.
 
     ``os.listdir``/``os.scandir``/``os.walk``, ``glob.glob``/``iglob`` and
@@ -944,7 +900,7 @@ class RuleFsOrder(_ProgramRule):
     summary = "unsorted filesystem listing order escapes"
 
 
-class RuleSetOrder(_ProgramRule):
+class RuleSetOrder(Rule):
     """RL008: set/dict iteration order or id()/hash() ordering escapes.
 
     Iterating a ``set``/``frozenset`` yields elements in hash order,
@@ -961,7 +917,7 @@ class RuleSetOrder(_ProgramRule):
     summary = "set/dict iteration or id()/hash() order escapes"
 
 
-class RulePoolOrder(_ProgramRule):
+class RulePoolOrder(Rule):
     """RL009: completion-order data feeds order-sensitive accumulation.
 
     Results collected in worker *completion* order (``as_completed``,
@@ -981,7 +937,7 @@ class RulePoolOrder(_ProgramRule):
     summary = "completion-order data reaches float accumulation or a sink"
 
 
-class RuleTransitiveEntropy(_ProgramRule):
+class RuleTransitiveEntropy(Rule):
     """RL010: wall-clock/unseeded RNG reaches a determinism sink transitively.
 
     The interprocedural generalization of RL001: a ``time.time()`` or

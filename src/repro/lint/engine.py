@@ -1,5 +1,5 @@
 """Driver: walk files, run per-file and whole-program rules, honor inline
-suppressions, diff against a baseline, report.
+suppressions, report.
 
 Suppressions are line-scoped comments (real comments — a suppression
 string inside a string literal is ignored)::
@@ -12,21 +12,17 @@ A finding is suppressed when the comment sits on the line the finding is
 reported at (for multi-line statements that is the line of the offending
 node, usually the first line of the statement).  A suppression that
 suppresses nothing is itself reported (RL100, ruff unused-noqa style)
-unless ``--ignore-unused-suppressions`` is given or the comment also
-disables RL100.
+unless the comment also disables RL100.
 
-The CLI supports ``--format json`` (byte-deterministic, CI-diffable
-output), ``--baseline FILE`` (only findings *not* in the committed
-baseline fail the run), ``--write-baseline FILE`` to accept the current
-findings, ``--explain RLxxx`` to print a rule's full rationale, and
-``--cache DIR`` to reuse per-file rule results keyed by content hash.
+Any finding fails the run.  The CLI supports ``--format json``
+(byte-deterministic, CI-diffable output) and ``--explain RLxxx`` to print
+a rule's full rationale.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import inspect
 import io
 import json
@@ -37,6 +33,7 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.lint.detflow import PROGRAM_RULES, analyze_program
 from repro.lint.rules import ALL_RULES, Rule, Violation
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -49,19 +46,13 @@ class RuleUnusedSuppression(Rule):
     known-dangerous but accepted" while actually hiding nothing today and
     potentially hiding a real regression tomorrow.  When the code a
     suppression guarded is fixed or deleted, the comment must go too.
-    Escape hatches: run with ``--ignore-unused-suppressions`` (e.g. while
-    bisecting), or add RL100 itself to the comment's id list to mark a
-    suppression that is only needed under some configurations.
+    Escape hatch: add RL100 itself to the comment's id list
+    (``disable=RL001,RL100``) to mark a suppression that is only needed
+    under some configurations.
     """
 
     id = "RL100"
     summary = "suppression comment that suppresses nothing"
-
-    def applies(self, path: str) -> bool:  # handled by the engine itself
-        return False
-
-    def check(self, tree: ast.Module, path: str):
-        return iter(())
 
 
 def _parse_ids(raw: str) -> set[str]:
@@ -100,7 +91,6 @@ class FileEntry:
     """One parsed file, shared by the per-file and whole-program passes."""
 
     path: str
-    source: str
     tree: ast.Module | None
     suppressions: dict[int, set[str]]
     syntax_error: Violation | None = None
@@ -114,17 +104,16 @@ def _load_entry(path: str, source: str) -> FileEntry:
         tree = None
         error = Violation(path, err.lineno or 1, err.offset or 0, "RL000",
                           f"syntax error: {err.msg}")
-    return FileEntry(path, source, tree, _suppressions(source), error)
+    return FileEntry(path, tree, _suppressions(source), error)
 
 
-def _file_violations(entry: FileEntry,
-                     rules: Sequence[Rule]) -> list[Violation]:
+def _file_violations(entry: FileEntry) -> list[Violation]:
     if entry.tree is None:
         return [entry.syntax_error] if entry.syntax_error else []
-    active = [r for r in rules if r.applies(entry.path)]
     found: list[Violation] = []
-    for rule in active:
-        found.extend(rule.check(entry.tree, entry.path))
+    for rule in ALL_RULES:
+        if rule.applies(entry.path):
+            found.extend(rule.check(entry.tree, entry.path))
     return found
 
 
@@ -188,31 +177,14 @@ def _sorted(violations: list[Violation]) -> list[Violation]:
 
 
 def lint_entries(entries: dict[str, FileEntry],
-                 rules: Sequence[Rule] | None = None,
-                 program: bool = True,
-                 report_unused: bool = True,
-                 cache: "_RuleCache | None" = None) -> list[Violation]:
+                 report_unused: bool = True) -> list[Violation]:
     """Lint parsed entries: per-file rules, det-flow, suppressions, RL100."""
-    file_rules = list(rules) if rules is not None else list(ALL_RULES)
+    ordered = [entries[path] for path in sorted(entries)]
     raw: list[Violation] = []
-    for path in sorted(entries):
-        entry = entries[path]
-        if cache is not None:
-            cached = cache.get(entry)
-            if cached is not None:
-                raw.extend(cached)
-                continue
-            found = _file_violations(entry, file_rules)
-            cache.put(entry, found)
-            raw.extend(found)
-        else:
-            raw.extend(_file_violations(entry, file_rules))
-    if program:
-        from repro.lint.detflow import analyze_program
-        trees = [(e.path, e.tree) for e in
-                 sorted(entries.values(), key=lambda e: e.path)
-                 if e.tree is not None]
-        raw.extend(analyze_program(trees))
+    for entry in ordered:
+        raw.extend(_file_violations(entry))
+    raw.extend(analyze_program([(e.path, e.tree) for e in ordered
+                                if e.tree is not None]))
     result = _apply_suppressions(entries, raw)
     violations = result.violations
     if report_unused:
@@ -220,38 +192,37 @@ def lint_entries(entries: dict[str, FileEntry],
     return _sorted(violations)
 
 
-def lint_source(source: str, path: str,
-                rules: Sequence[Rule] | None = None) -> list[Violation]:
+def lint_source(source: str, path: str) -> list[Violation]:
     """Lint one file's text; ``path`` decides which rules apply.
 
     Runs the whole-program det-flow pass over the single module too (a
     one-module program), but not unused-suppression detection — that only
     makes sense over a full tree run (``lint_paths``).
     """
-    entry = _load_entry(path, source)
-    return lint_entries({path: entry}, rules=rules,
-                        program=rules is None, report_unused=False)
+    return lint_entries({path: _load_entry(path, source)}, report_unused=False)
 
 
 def lint_sources(sources: dict[str, str],
-                 rules: Sequence[Rule] | None = None,
                  report_unused: bool = False) -> list[Violation]:
     """Lint a multi-file program given as ``{path: source}`` — the det-flow
     pass sees all modules at once, so cross-module taint flows resolve."""
     entries = {path: _load_entry(path, src)
                for path, src in sorted(sources.items())}
-    return lint_entries(entries, rules=rules, program=rules is None,
-                        report_unused=report_unused)
+    return lint_entries(entries, report_unused=report_unused)
 
 
 def iter_python_files(paths: Iterable[str]) -> list[str]:
+    """The ``.py`` files named by ``paths`` (files, or directories walked
+    recursively); a path that is neither raises FileNotFoundError."""
     files: list[str] = []
     for path in paths:
         if os.path.isfile(path):
             files.append(path)
             continue
+        if not os.path.isdir(path):
+            raise FileNotFoundError(f"no such file or directory: {path}")
         # dirnames is sorted in place, so the traversal order (and with it
-        # every report and baseline diff) is deterministic.
+        # every report) is deterministic.
         for dirpath, dirnames, filenames in os.walk(path):  # repro-lint: disable=RL007
             dirnames[:] = sorted(d for d in dirnames
                                  if d not in ("__pycache__", ".git"))
@@ -261,78 +232,15 @@ def iter_python_files(paths: Iterable[str]) -> list[str]:
     return files
 
 
-def lint_paths(paths: Iterable[str],
-               rules: Sequence[Rule] | None = None,
-               program: bool | None = None,
-               report_unused: bool = True,
-               cache: "_RuleCache | None" = None) -> list[Violation]:
+def lint_paths(paths: Iterable[str]) -> list[Violation]:
     entries: dict[str, FileEntry] = {}
     for file_path in iter_python_files(paths):
         with open(file_path, encoding="utf-8") as fh:
             entries[file_path] = _load_entry(file_path, fh.read())
-    if program is None:
-        program = rules is None
-    return lint_entries(entries, rules=rules, program=program,
-                        report_unused=report_unused, cache=cache)
+    return lint_entries(entries)
 
 
-# ------------------------------------------------------------------ baseline
-# The committed baseline records *accepted* findings as (path, rule,
-# message) triples — line-free, so unrelated edits above a finding do not
-# churn it.  CI fails on any finding not in the baseline; stale entries
-# (in the baseline but no longer firing) are reported so they get pruned.
-
-BASELINE_VERSION = 1
-
-
-def load_baseline(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(f"unsupported baseline version in {path}: "
-                         f"{data.get('version')!r}")
-    return data["findings"]
-
-def baseline_key(violation: Violation) -> tuple[str, str, str]:
-    return (violation.path.replace("\\", "/"), violation.rule_id,
-            violation.message)
-
-
-def apply_baseline(violations: list[Violation],
-                   entries: list[dict]) -> tuple[list[Violation], list[dict]]:
-    """Split into (new findings, stale baseline entries).
-
-    Multiset semantics: each baseline entry absorbs one matching finding,
-    so a *second* instance of an accepted pattern still fails.
-    """
-    budget: dict[tuple[str, str, str], int] = {}
-    for item in entries:
-        key = (item["path"], item["rule"], item["message"])
-        budget[key] = budget.get(key, 0) + 1
-    new: list[Violation] = []
-    for violation in violations:
-        key = baseline_key(violation)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-        else:
-            new.append(violation)
-    stale = [{"path": path, "rule": rule, "message": message}
-             for (path, rule, message), count in sorted(budget.items())
-             for _ in range(count)]
-    return new, stale
-
-
-def render_baseline(violations: list[Violation]) -> str:
-    findings = sorted(
-        ({"path": p, "rule": r, "message": m}
-         for p, r, m in (baseline_key(v) for v in violations)),
-        key=lambda d: (d["path"], d["rule"], d["message"]))
-    return json.dumps({"version": BASELINE_VERSION, "findings": findings},
-                      indent=2, sort_keys=True) + "\n"
-
-
-def render_json(violations: list[Violation],
-                stale_baseline: list[dict] | None = None) -> str:
+def render_json(violations: list[Violation]) -> str:
     """Machine-readable output; byte-identical across runs on one tree."""
     payload = {
         "version": 1,
@@ -342,79 +250,13 @@ def render_json(violations: list[Violation],
             for v in violations
         ],
     }
-    if stale_baseline is not None:
-        payload["stale_baseline"] = stale_baseline
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# --------------------------------------------------------------------- cache
-
-
-class _RuleCache:
-    """Per-file rule-result cache keyed by content hash.
-
-    Only the per-file rules are cached — they are pure functions of one
-    file's text.  The det-flow pass is whole-program and always runs (it
-    is the cheap part: one AST walk per function over an already-parsed
-    tree).  The cache key folds in the lint package's own sources, so
-    editing a rule invalidates everything.
-    """
-
-    def __init__(self, directory: str) -> None:
-        self.path = os.path.join(directory, "repro-lint-cache.json")
-        self._salt = self._package_hash()
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                self._data = json.load(fh)
-        except (OSError, ValueError):
-            self._data = {}
-        if self._data.get("salt") != self._salt:
-            self._data = {"salt": self._salt, "files": {}}
-        self._dirty = False
-
-    @staticmethod
-    def _package_hash() -> str:
-        digest = hashlib.sha256()
-        package_dir = os.path.dirname(os.path.abspath(__file__))
-        for name in sorted(os.listdir(package_dir)):
-            if name.endswith(".py"):
-                with open(os.path.join(package_dir, name), "rb") as fh:
-                    digest.update(fh.read())
-
-        return digest.hexdigest()
-
-    def _key(self, entry: FileEntry) -> str:
-        content = hashlib.sha256(entry.source.encode("utf-8")).hexdigest()
-        return f"{entry.path}:{content}"
-
-    def get(self, entry: FileEntry) -> list[Violation] | None:
-        item = self._data["files"].get(self._key(entry))
-        if item is None:
-            return None
-        return [Violation(d["path"], d["line"], d["col"], d["rule"],
-                          d["message"]) for d in item]
-
-    def put(self, entry: FileEntry, found: list[Violation]) -> None:
-        self._data["files"][self._key(entry)] = [
-            {"path": v.path, "line": v.line, "col": v.col,
-             "rule": v.rule_id, "message": v.message} for v in found]
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._data, fh)
-        os.replace(tmp, self.path)
 
 
 # ----------------------------------------------------------------------- CLI
 
 
 def all_rules() -> list[Rule]:
-    from repro.lint.detflow import PROGRAM_RULES
     return list(ALL_RULES) + list(PROGRAM_RULES) + [RuleUnusedSuppression()]
 
 
@@ -440,20 +282,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="fmt",
                         help="output format (json is byte-deterministic)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="accepted-findings file: only findings not in "
-                             "it fail the run; stale entries are reported")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="write the current findings as the new "
-                             "baseline and exit 0")
-    parser.add_argument("--ignore-unused-suppressions", action="store_true",
-                        help="do not report RL100 for stale disable= "
-                             "comments")
-    parser.add_argument("--no-detflow", action="store_true",
-                        help="skip the whole-program determinism-flow pass")
-    parser.add_argument("--cache", metavar="DIR",
-                        help="cache per-file rule results in DIR (keyed by "
-                             "content hash; det-flow always runs)")
     args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
 
     if args.list_rules:
@@ -474,41 +302,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    cache = _RuleCache(args.cache) if args.cache else None
-    violations = lint_paths(
-        args.paths,
-        program=not args.no_detflow,
-        report_unused=not args.ignore_unused_suppressions,
-        cache=cache)
-    if cache is not None:
-        cache.save()
-
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as fh:
-            fh.write(render_baseline(violations))
-        print(f"wrote {len(violations)} finding(s) to "
-              f"{args.write_baseline}", file=sys.stderr)
-        return 0
-
-    stale: list[dict] | None = None
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError) as err:
-            print(f"cannot read baseline {args.baseline}: {err}",
-                  file=sys.stderr)
-            return 2
-        violations, stale = apply_baseline(violations, entries)
-
+    try:
+        violations = lint_paths(args.paths)
+    except FileNotFoundError as err:
+        print(f"repro-lint: {err}", file=sys.stderr)
+        return 2
     if args.fmt == "json":
-        sys.stdout.write(render_json(violations, stale))
+        sys.stdout.write(render_json(violations))
     else:
         for violation in violations:
             print(violation.render())
-        if stale:
-            print(f"repro-lint: {len(stale)} stale baseline entr"
-                  f"{'y' if len(stale) == 1 else 'ies'} — regenerate with "
-                  "--write-baseline", file=sys.stderr)
     if violations:
         if args.fmt == "text":
             print(f"repro-lint: {len(violations)} violation(s) in "

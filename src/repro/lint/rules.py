@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.lint.callgraph import ImportMap, dotted
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -38,72 +40,71 @@ def _in_sim_src(path: str) -> bool:
     return "repro/" in p and "/tests/" not in p and not p.startswith("tests/")
 
 
-def _dotted(node: ast.AST) -> list[str] | None:
-    """``a.b.c`` -> ``["a", "b", "c"]``; None for non-name chains."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
 class Rule:
-    """Base class: subclasses set ``id``/``summary`` and implement check()."""
+    """Base class: subclasses set ``id``/``summary``; per-file rules also
+    implement applies() and check().  A rule that keeps the defaults is
+    checked by the engine as a whole (det-flow, RL100) and only lends its
+    id and docstring to ``--list-rules``/``--explain``."""
 
     id: str = ""
     summary: str = ""
 
     def applies(self, path: str) -> bool:
-        raise NotImplementedError
+        return False
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
-        raise NotImplementedError
+        return iter(())
 
     def _v(self, path: str, node: ast.AST, message: str) -> Violation:
         return Violation(path, getattr(node, "lineno", 1),
                          getattr(node, "col_offset", 0), self.id, message)
 
 
-class _ImportMap(ast.NodeVisitor):
-    """Track module/function aliases so rules resolve calls through imports."""
+#: Source kinds of :func:`entropy_source`, shared with det-flow (RL010).
+WALLCLOCK = "wall-clock"
+RNG = "rng"
 
-    def __init__(self) -> None:
-        #: local alias -> canonical dotted module ("np" -> "numpy")
-        self.modules: dict[str, str] = {}
-        #: local name -> (canonical module, attr) for from-imports
-        self.names: dict[str, tuple[str, str]] = {}
+_TIME_FNS = {"time", "time_ns", "perf_counter", "perf_counter_ns",
+             "monotonic", "monotonic_ns", "process_time",
+             "process_time_ns", "clock"}
+_DATETIME_FNS = {"now", "utcnow", "today"}
+#: numpy.random attributes that are fine: seeded constructors and types.
+_SAFE_NP_RANDOM = {"default_rng", "Generator", "SeedSequence",
+                   "BitGenerator", "RandomState", "MT19937", "PCG64",
+                   "PCG64DXSM", "Philox", "SFC64"}
+_SEEDED_CTORS = {"default_rng", "RandomState", "SeedSequence"}
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.modules[alias.asname or alias.name.split(".")[0]] = alias.name
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None or node.level:
-            return
-        for alias in node.names:
-            self.names[alias.asname or alias.name] = (node.module, alias.name)
+def entropy_source(mod: str, attr: str,
+                   call: ast.Call) -> tuple[str, str, str] | None:
+    """Classify a call resolved to ``mod.attr`` as a host-entropy source.
 
-    def resolve_call(self, func: ast.AST) -> tuple[str, str] | None:
-        """Resolve a Call.func to ``(canonical_module, attr_chain)``."""
-        chain = _dotted(func)
-        if chain is None:
-            return None
-        head = chain[0]
-        if len(chain) == 1:
-            if head in self.names:
-                mod, attr = self.names[head]
-                return mod, attr
-            return None
-        if head in self.modules:
-            return self.modules[head], ".".join(chain[1:])
-        if head in self.names:
-            mod, attr = self.names[head]
-            return f"{mod}.{attr}", ".".join(chain[1:])
-        return None
+    Returns ``(kind, source, message)`` — ``kind`` is :data:`WALLCLOCK` or
+    :data:`RNG`, ``source`` names the call in det-flow findings and
+    ``message`` is RL001's — or None for a deterministic call.
+    """
+    leaf = attr.split(".")[-1]
+    if mod == "time" and leaf in _TIME_FNS:
+        source = f"time.{leaf}()"
+        return WALLCLOCK, source, f"wall-clock read {source} — use SimClock"
+    if mod in ("datetime", "datetime.datetime") and leaf in _DATETIME_FNS:
+        source = f"datetime {leaf}()"
+        return WALLCLOCK, source, f"wall-clock read {source} — use SimClock"
+    if mod == "random":
+        source = f"random.{leaf}()"
+        return RNG, source, (f"stdlib {source} draws unseeded host entropy "
+                             "— use numpy.random.default_rng(seed)")
+    if (mod in ("numpy.random", "numpy") and
+            attr.startswith("random.")) or mod == "numpy.random":
+        if leaf not in _SAFE_NP_RANDOM:
+            source = f"numpy.random.{leaf}()"
+            return RNG, source, (f"legacy {source} uses the unseeded global "
+                                 "state — use default_rng(seed)")
+        if leaf in _SEEDED_CTORS and not call.args:
+            return RNG, f"seedless {leaf}()", (
+                f"{leaf}() without a seed is OS-entropy-seeded — pass an "
+                "explicit seed")
+    return None
 
 
 class RuleWallClock(Rule):
@@ -124,16 +125,6 @@ class RuleWallClock(Rule):
     id = "RL001"
     summary = "wall-clock read or unseeded RNG in a sim path"
 
-    _TIME_FNS = {"time", "time_ns", "perf_counter", "perf_counter_ns",
-                 "monotonic", "monotonic_ns", "process_time",
-                 "process_time_ns", "clock"}
-    _DATETIME_FNS = {"now", "utcnow", "today"}
-    #: numpy.random attributes that are fine: seeded constructors and types.
-    _SAFE_NP_RANDOM = {"default_rng", "Generator", "SeedSequence",
-                       "BitGenerator", "RandomState", "MT19937", "PCG64",
-                       "PCG64DXSM", "Philox", "SFC64"}
-    _SEEDED_CTORS = {"default_rng", "RandomState", "SeedSequence"}
-
     def applies(self, path: str) -> bool:
         p = _norm(path)
         if (p.endswith("repro/harness.py") or "benchmarks/" in p
@@ -142,38 +133,14 @@ class RuleWallClock(Rule):
         return _in_sim_src(p)
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
-        imports = _ImportMap()
-        imports.visit(tree)
+        imports = ImportMap.for_module(path, tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            resolved = imports.resolve_call(node.func)
-            if resolved is None:
-                continue
-            mod, attr = resolved
-            leaf = attr.split(".")[-1]
-            if mod == "time" and leaf in self._TIME_FNS:
-                yield self._v(path, node,
-                              f"wall-clock read time.{leaf}() — use SimClock")
-            elif (mod in ("datetime", "datetime.datetime")
-                  and leaf in self._DATETIME_FNS):
-                yield self._v(path, node,
-                              f"wall-clock read datetime {leaf}() — use SimClock")
-            elif mod == "random":
-                yield self._v(path, node,
-                              f"stdlib random.{leaf}() draws unseeded host "
-                              "entropy — use numpy.random.default_rng(seed)")
-            elif (mod in ("numpy.random", "numpy") and
-                  attr.startswith("random.")) or mod == "numpy.random":
-                np_leaf = leaf
-                if np_leaf not in self._SAFE_NP_RANDOM:
-                    yield self._v(path, node,
-                                  f"legacy numpy.random.{np_leaf}() uses the "
-                                  "unseeded global state — use default_rng(seed)")
-                elif np_leaf in self._SEEDED_CTORS and not node.args:
-                    yield self._v(path, node,
-                                  f"{np_leaf}() without a seed is "
-                                  "OS-entropy-seeded — pass an explicit seed")
+            resolved = imports.resolve(node.func)
+            entropy = entropy_source(*resolved, node) if resolved else None
+            if entropy is not None:
+                yield self._v(path, node, entropy[2])
 
 
 class RuleBareExcept(Rule):
@@ -216,7 +183,7 @@ class RuleBareExcept(Rule):
             caught = (node.type.elts if isinstance(node.type, ast.Tuple)
                       else [node.type] if node.type is not None else [])
             if driver_only and any(
-                    (_dotted(t) or [""])[-1] == "PowerLossError"
+                    (dotted(t) or [""])[-1] == "PowerLossError"
                     for t in caught):
                 yield self._v(path, node,
                               "PowerLossError handler outside the recovery "
@@ -316,8 +283,7 @@ class RuleHostIO(Rule):
                    ("repro/engine/", "repro/core/", "repro/flash/"))
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
-        imports = _ImportMap()
-        imports.visit(tree)
+        imports = ImportMap.for_module(path, tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -326,7 +292,7 @@ class RuleHostIO(Rule):
                               "open(): storage below the engine goes through "
                               "FlashDevice / the file stores")
                 continue
-            resolved = imports.resolve_call(node.func)
+            resolved = imports.resolve(node.func)
             if resolved is None:
                 continue
             mod, attr = resolved
@@ -378,11 +344,10 @@ class RuleFloatKeys(Rule):
         return found
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
-        imports = _ImportMap()
-        imports.visit(tree)
+        imports = ImportMap.for_module(path, tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                resolved = imports.resolve_call(node.func)
+                resolved = imports.resolve(node.func)
                 if resolved is None:
                     continue
                 mod, attr = resolved

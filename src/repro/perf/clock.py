@@ -6,15 +6,14 @@ the reproduction.  Components charge time against named *resources* (``flash``,
 bytes moved, which lets the reporting layer compute achieved bandwidth and
 utilization exactly the way Table II of the paper does.
 
-Two charging modes exist:
+Three charging methods exist:
 
 * :meth:`SimClock.charge` — serial work; elapsed time advances by the full
   duration.
-* :meth:`SimClock.charge_parallel` — overlapped stages (e.g. streaming a merge
-  while flash reads are in flight); elapsed time advances by the *maximum*
-  duration while each resource still accrues its own busy time.  This mirrors
-  the paper's bottleneck analysis in §V-C.3, where sort-reduce throughput is
-  ``max(io_time, compute_time)`` per chunk.
+* :meth:`SimClock.charge_pool` — work spread over a pool of units; busy time
+  accrues the full work while elapsed time advances by its share per unit.
+* :meth:`SimClock.charge_background` — work hidden behind other activity;
+  busy time accrues, elapsed time does not advance.
 """
 
 from __future__ import annotations
@@ -49,11 +48,11 @@ class SimClock:
 
     >>> clock = SimClock()
     >>> clock.charge("flash", 0.5, nbytes=1024)
-    >>> clock.charge_parallel({"flash": 1.0, "cpu": 0.25})
+    >>> clock.charge_pool("cpu", 1.0, parallelism=4)
     >>> clock.elapsed_s
-    1.5
+    0.75
     >>> clock.usage["cpu"].busy_s
-    0.25
+    1.0
     """
 
     def __init__(self) -> None:
@@ -71,23 +70,6 @@ class SimClock:
             raise ValueError(f"negative charge: {seconds}")
         self._usage(resource).add(seconds, nbytes, ops)
         self.elapsed_s += seconds
-
-    def charge_parallel(self, charges: dict[str, float], nbytes: dict[str, int] | None = None) -> None:
-        """Charge overlapped work: elapsed advances by ``max(charges.values())``.
-
-        Each resource accrues its own busy time, so utilization of the
-        non-bottleneck resources drops below 100% — exactly how the paper's
-        Table II shows GraFBoost's CPU at 200% of 3200% while flash is
-        saturated.
-        """
-        if not charges:
-            return
-        nbytes = nbytes or {}
-        for resource, seconds in charges.items():
-            if seconds < 0:
-                raise ValueError(f"negative charge for {resource}: {seconds}")
-            self._usage(resource).add(seconds, nbytes.get(resource, 0))
-        self.elapsed_s += max(charges.values())
 
     def charge_background(self, resource: str, seconds: float, nbytes: int = 0) -> None:
         """Charge work fully hidden behind other activity (e.g. NAND block

@@ -90,12 +90,6 @@ class MemoryTracker:
             raise KeyError(f"no allocation named {label!r}")
         del self._allocations[label]
 
-    def resize(self, label: str, nbytes: int) -> None:
-        """Set the allocation for ``label`` to exactly ``nbytes``."""
-        if label in self._allocations:
-            del self._allocations[label]
-        self.allocate(label, nbytes)
-
     def allocation(self, label: str) -> int:
         return self._allocations.get(label, 0)
 

@@ -121,10 +121,6 @@ class HardwareProfile:
         """Peak accelerator throughput: one packed word per cycle (§V-C.3)."""
         return self.accel_clock_hz * self.accel_word_bytes
 
-    @property
-    def flash_block_bytes(self) -> int:
-        return self.flash_block_pages * self.flash_page_bytes
-
 
 # The BlueDBM-based prototype (§V-C): VC707 + 1 GB 10 GB/s DRAM + two raw
 # flash cards.  Host DRAM budget is tiny because sort-reduce runs in-storage;

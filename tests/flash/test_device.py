@@ -223,9 +223,3 @@ def test_clock_records_bytes():
     device.write_page(0, 0, b"q" * 4096)
     device.read_page(0, 0)
     assert clock.bytes_moved("flash") == 8192
-
-
-def test_geometry_from_profile():
-    geometry = FlashGeometry.from_profile(GRAFSOFT, capacity=100 * 1024 * 1024)
-    assert geometry.page_bytes == GRAFSOFT.flash_page_bytes
-    assert geometry.capacity_bytes >= 100 * 1024 * 1024

@@ -1,6 +1,6 @@
 """det-flow coverage: call-graph resolution, interprocedural taint, the
 two historical nondeterminism classes (PR 5 completion-order charges and
-RL001-through-a-wrapper), suppression/baseline round-trips, and the
+RL001-through-a-wrapper), suppression round-trips, the CLI, and the
 determinism of the analysis itself."""
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import textwrap
 from repro.lint import lint_sources, main
 from repro.lint.callgraph import CallGraph, module_name_for_path
 from repro.lint.detflow import analyze_program
-from repro.lint.engine import apply_baseline, load_baseline
 
 SIM_A = "src/repro/core/a.py"
 SIM_B = "src/repro/core/b.py"
@@ -346,7 +345,7 @@ def test_rl008_id_in_sort_key():
     """})
 
 
-# ------------------------------------------- suppression / baseline / CLI
+# ----------------------------------------------------- suppression / CLI
 
 def test_suppression_round_trip():
     src = textwrap.dedent("""
@@ -381,42 +380,20 @@ def test_unused_suppression_reported_and_escape_hatch(tmp_path, capsys):
     assert main([str(tmp_path / "src")]) == 1
     out = capsys.readouterr().out
     assert "RL100" in out and "disable=RL001" in out
-    assert main([str(tmp_path / "src"),
-                 "--ignore-unused-suppressions"]) == 0
+    # The per-line escape hatch: a comment that also disables RL100.
+    mod.write_text("def f():\n    return 1  # repro-lint: disable=RL001,RL100\n")
+    assert main([str(tmp_path / "src")]) == 0
 
 
-def test_baseline_round_trip(tmp_path, capsys):
-    mod = tmp_path / "src" / "repro" / "core" / "m.py"
-    mod.parent.mkdir(parents=True)
-    mod.write_text(textwrap.dedent("""\
-        import os
-
-        def names(d):
-            out = []
-            for n in os.listdir(d):
-                out.append(n)
-            return out
-    """))
-    base = tmp_path / "baseline.json"
-    assert main([str(tmp_path / "src"),
-                 "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    # Accepted findings no longer fail the run...
-    assert main([str(tmp_path / "src"), "--baseline", str(base)]) == 0
-    capsys.readouterr()
-    # ...but a *new* instance of the same pattern still does.
-    mod.write_text(mod.read_text() +
-                   "\ndef more(d):\n"
-                   "    out = []\n"
-                   "    for n in os.listdir(d):\n"
-                   "        out.append(n)\n"
-                   "    return out\n")
-    assert main([str(tmp_path / "src"), "--baseline", str(base)]) == 1
-    out = capsys.readouterr().out
-    assert "RL007" in out
-    entries = load_baseline(str(base))
-    new, stale = apply_baseline([], entries)
-    assert new == [] and len(stale) == len(entries)
+def test_missing_path_is_an_error(tmp_path, capsys):
+    """A mistyped path must not lint nothing and pass."""
+    (tmp_path / "ok.py").write_text("X = 1\n")
+    missing = str(tmp_path / "no_such_dir")
+    for fmt in ("text", "json"):
+        assert main([str(tmp_path / "ok.py"), missing, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert missing in captured.err
 
 
 def test_explain_prints_full_docstring(capsys):

@@ -14,20 +14,6 @@ def test_serial_charge_advances_elapsed():
     assert clock.busy_s("cpu") == pytest.approx(0.25)
 
 
-def test_parallel_charge_advances_by_max():
-    clock = SimClock()
-    clock.charge_parallel({"flash": 1.0, "cpu": 0.25, "accel": 0.5})
-    assert clock.elapsed_s == pytest.approx(1.0)
-    assert clock.busy_s("cpu") == pytest.approx(0.25)
-    assert clock.busy_s("accel") == pytest.approx(0.5)
-
-
-def test_parallel_charge_empty_is_noop():
-    clock = SimClock()
-    clock.charge_parallel({})
-    assert clock.elapsed_s == 0.0
-
-
 def test_pool_charge_separates_busy_from_elapsed():
     clock = SimClock()
     clock.charge_pool("cpu", work_seconds=8.0, parallelism=4)
@@ -57,7 +43,7 @@ def test_negative_charge_rejected():
     with pytest.raises(ValueError):
         clock.charge("flash", -1.0)
     with pytest.raises(ValueError):
-        clock.charge_parallel({"cpu": -0.1})
+        clock.charge_background("flash", -1.0)
     with pytest.raises(ValueError):
         clock.charge_pool("cpu", -1.0, 2)
     with pytest.raises(ValueError):

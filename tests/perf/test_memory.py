@@ -46,14 +46,6 @@ def test_repeated_label_grows_allocation():
     assert mem.allocation("buf") == 300
 
 
-def test_resize_replaces_allocation():
-    mem = MemoryTracker(budget=1000)
-    mem.allocate("buf", 500)
-    mem.resize("buf", 100)
-    assert mem.allocation("buf") == 100
-    assert mem.in_use == 100
-
-
 def test_free_unknown_label_raises():
     mem = MemoryTracker(budget=10)
     with pytest.raises(KeyError):
