@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.parallel import resolve_workers
 from repro.engine.modes import MODES as EXECUTION_MODES
 from repro.flash.device import FlashError
 from repro.flash.faults import CrashPlan, FaultPlan
@@ -51,7 +50,9 @@ from repro.perf.report import (
 ALL_SYSTEMS = list(GRAFBOOST_FAMILY) + list(BASELINE_SYSTEMS)
 
 #: ``run`` flags (and their argparse dests) that configure the simulated
-#: flash stack; the baseline strategy models have none to configure.
+#: flash stack; the baseline strategy models have none to configure.  Each
+#: defaults to None or False, so the guard in ``cmd_run`` sees exactly the
+#: flags given; ``cmd_run`` fills in the real defaults.
 _FLASH_STACK_FLAGS = (
     ("--timeline", "timeline"), ("--faults", "faults"), ("--crash", "crashes"),
     ("--checkpoint-every", "checkpoint_every"), ("--sanitize", "sanitize"),
@@ -141,12 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=_int_at_least(1), default=None,
                      metavar="N",
                      help="sort-reduce worker processes for the GraFBoost-"
-                          "family engines (default: REPRO_WORKERS or 1); "
+                          "family engines (default: 1); "
                           "results and simulated time are bit-identical "
                           "for any N")
     run.add_argument("--mode", choices=list(EXECUTION_MODES), default=None,
                      help="engine execution mode for the GraFBoost-family "
-                          "systems (default: REPRO_MODE or sortreduce); "
+                          "systems (default: sortreduce); "
                           "adaptive picks per superstep and reports the "
                           "decision trace")
 
@@ -186,12 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded power-loss plan; job state and engine "
                             "checkpoints are journaled on flash, so the "
                             "service recovers with a bit-identical trace")
-    serve.add_argument("--workers", type=_int_at_least(1), default=None,
+    serve.add_argument("--workers", type=_int_at_least(1), default=1,
                        metavar="N",
-                       help="sort-reduce worker processes (trace is "
-                            "bit-identical for any N)")
-    serve.add_argument("--mode", choices=list(EXECUTION_MODES), default=None,
-                       help="engine execution mode for the analytics jobs")
+                       help="sort-reduce worker processes (default: 1; "
+                            "trace is bit-identical for any N)")
+    serve.add_argument("--mode", choices=list(EXECUTION_MODES),
+                       default="sortreduce",
+                       help="engine execution mode for the analytics jobs "
+                            "(default: sortreduce)")
 
     compare = sub.add_parser("compare", help="run a figure-style matrix")
     compare.add_argument("--dataset", choices=sorted(DATASETS), default="kron28")
@@ -267,7 +270,8 @@ def cmd_run(args) -> int:
                         crashes=args.crashes,
                         checkpoint_every=checkpoint_every,
                         sanitize=True if args.sanitize else None,
-                        workers=args.workers, mode=args.mode)
+                        workers=args.workers or 1,
+                        mode=args.mode or "sortreduce")
     except FlashError as e:
         print(f"{args.system} {args.algorithm}: aborted on "
               f"{type(e).__name__}: {e}", file=sys.stderr)
@@ -424,13 +428,7 @@ def cmd_compare(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("run", "serve", "compare"):
-        try:  # a bad REPRO_WORKERS is a usage error too, not a traceback
-            resolve_workers(getattr(args, "workers", None))
-        except ValueError as exc:
-            parser.error(str(exc))
+    args = build_parser().parse_args(argv)
     handlers = {
         "datasets": cmd_datasets,
         "profiles": cmd_profiles,

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import queue
 import time
 from multiprocessing import resource_tracker, shared_memory
@@ -370,15 +369,8 @@ class SortReducePool:
 # ------------------------------------------------------------------ registry
 
 
-def resolve_workers(workers: int | None) -> int:
-    """``None`` defers to ``REPRO_WORKERS`` (default 1 = serial)."""
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "").strip() or "1"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_WORKERS must be an integer, got {env!r}") from None
+def resolve_workers(workers: int) -> int:
+    """Check a worker count (1 = serial) and return it."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
@@ -387,8 +379,8 @@ def resolve_workers(workers: int | None) -> int:
 _POOLS: dict[int, SortReducePool] = {}
 
 
-def get_pool(workers: int | None = None) -> SortReducePool | None:
-    """Shared pool for a worker count; ``None`` for the serial path (N<=1).
+def get_pool(workers: int = 1) -> SortReducePool | None:
+    """Shared pool for a worker count; ``None`` for the serial path (N=1).
 
     Pools are keyed by worker count and reused across engines — workers are
     stateless, so sharing is free.  On platforms without ``fork`` the pool

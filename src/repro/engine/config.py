@@ -22,7 +22,6 @@ from repro.core.accelerator import AcceleratorBackend, SoftwareBackend
 from repro.core.packing import PackingSpec
 from repro.core.parallel import resolve_workers
 from repro.engine.engine import GraFBoostEngine
-from repro.engine.modes import resolve_mode
 from repro.flash.aoffs import AppendOnlyFlashFS
 from repro.flash.device import (
     FlashDevice,
@@ -75,12 +74,10 @@ class SystemConfig:
     chunk_bytes: int
     fanout: int = 16
     durable: bool = False
-    #: Sort-reduce worker processes (1 = serial; resolved from
-    #: ``REPRO_WORKERS`` when ``make_system`` is given ``workers=None``).
+    #: Sort-reduce worker processes (1 = serial).
     workers: int = 1
     #: Engine execution mode (``sortreduce`` | ``semiexternal`` |
-    #: ``densescan`` | ``adaptive``; resolved from ``REPRO_MODE`` when
-    #: ``make_system`` is given ``mode=None``).
+    #: ``densescan`` | ``adaptive``).
     mode: str = "sortreduce"
     #: Give-up bound of :meth:`run_recovering`: the one remount budget every
     #: crash→remount→retry loop over this stack draws from.
@@ -220,8 +217,8 @@ def make_system(kind: str, scale_factor: float = 1.0,
                 faults=None, crashes=None,
                 durable: bool = False,
                 sanitize: bool | None = None,
-                workers: int | None = None,
-                mode: str | None = None) -> SystemConfig:
+                workers: int = 1,
+                mode: str = "sortreduce") -> SystemConfig:
     """Build one of the GraFBoost-family stacks at a given scale.
 
     ``dram_bytes`` overrides the (scaled) DRAM budget — the Fig 13 memory
@@ -236,11 +233,10 @@ def make_system(kind: str, scale_factor: float = 1.0,
     through to flash so :meth:`SystemConfig.remount` can recover it.
     ``sanitize`` attaches FlashSan (see :mod:`repro.flash.sanitizer`) to the
     device; ``None`` defers to the ``REPRO_SANITIZE`` environment variable.
-    ``workers`` enables the parallel sort-reduce backend (``None`` defers to
-    ``REPRO_WORKERS``, default 1 = serial); results, stats and simulated
-    time are bit-identical for every worker count.  ``mode`` selects the
-    engine execution mode (``None`` defers to ``REPRO_MODE``, default
-    ``sortreduce``; see :mod:`repro.engine.modes`).
+    ``workers`` enables the parallel sort-reduce backend (1 = serial);
+    results, stats and simulated time are bit-identical for every worker
+    count.  ``mode`` selects the engine execution mode (see
+    :mod:`repro.engine.modes`).
     """
     durable = durable or crashes is not None
     if profile is None:
@@ -299,5 +295,5 @@ def make_system(kind: str, scale_factor: float = 1.0,
         chunk_bytes=chunk,
         durable=durable,
         workers=resolve_workers(workers),
-        mode=resolve_mode(mode),
+        mode=mode,
     )

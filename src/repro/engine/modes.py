@@ -35,7 +35,6 @@ stay bit-identical under ``--workers`` sweeps and crash/resume.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterator
 
 import numpy as np
@@ -62,17 +61,6 @@ SEMI_FIT_HEADROOM = 0.5
 #: Edge chunk of the dense scan (record count), matching
 #: :meth:`repro.graph.formats.FlashCSR.stream_edges`.
 SCAN_EDGES_PER_CHUNK = 1 << 18
-
-
-def resolve_mode(mode: str | None) -> str:
-    """``None`` defers to ``REPRO_MODE`` (default ``sortreduce``)."""
-    if mode is None:
-        env = os.environ.get("REPRO_MODE", "").strip()
-        mode = env if env else "sortreduce"
-    if mode not in MODES:
-        known = ", ".join(MODES)
-        raise ValueError(f"unknown execution mode {mode!r}; known: {known}")
-    return mode
 
 
 def semiexternal_footprint(num_vertices: int, value_dtype: np.dtype) -> int:

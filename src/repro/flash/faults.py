@@ -112,6 +112,14 @@ _CRASH_SPEC_KEYS: dict[str, tuple[str, str]] = {
 }
 
 
+def _spec_int(raw: str) -> int:
+    """An integer spec value: ``1e3`` is 1000; ``2.5`` and ``inf`` are errors."""
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(value)
+
+
 #: Remounts after which the crash recovery driver
 #: (:meth:`repro.engine.config.SystemConfig.run_recovering`) gives up, and so
 #: the most power losses a :class:`CrashPlan` may schedule: each costs one.
@@ -201,12 +209,12 @@ class CrashPlan:
             field, kind = _CRASH_SPEC_KEYS[key]
             try:
                 if kind == "ops":
-                    kwargs[field] = tuple(int(float(x)) for x in raw.split("/"))
+                    kwargs[field] = tuple(_spec_int(x) for x in raw.split("/"))
                 elif kind == "int":
-                    kwargs[field] = int(float(raw))
+                    kwargs[field] = _spec_int(raw)
                 else:
                     kwargs[field] = float(raw)
-            except (ValueError, OverflowError) as exc:    # OverflowError: inf
+            except ValueError as exc:
                 raise ValueError(f"bad value {raw!r} for crash key {key!r}") from exc
         return CrashPlan(**kwargs)
 
@@ -383,8 +391,8 @@ class FaultPlan:
             if field in kwargs:
                 raise ValueError(f"duplicate fault spec key {key!r}")
             try:
-                kwargs[field] = cast(float(raw)) if cast is int else cast(raw)
-            except (ValueError, OverflowError) as exc:    # OverflowError: inf
+                kwargs[field] = _spec_int(raw) if cast is int else cast(raw)
+            except ValueError as exc:
                 raise ValueError(f"bad value {raw!r} for fault key {key!r}") from exc
         return FaultPlan(**kwargs)
 

@@ -20,7 +20,6 @@ bars and ``*`` marks in the figures.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -58,9 +57,8 @@ _BASELINE_CLASSES = {cls.name: cls for cls in BASELINE_ENGINES}
 BASELINE_SYSTEMS = tuple(_BASELINE_CLASSES)
 ALGORITHMS = ("pagerank", "bfs", "bc")
 
-#: Default in-process graph cache budget; override with
-#: ``REPRO_GRAPH_CACHE_BYTES``.  Deliberately small — a long-lived service
-#: process must not accumulate every graph it ever loaded.
+#: In-process graph cache budget.  Deliberately small — a long-lived
+#: service process must not accumulate every graph it ever loaded.
 GRAPH_CACHE_DEFAULT_BYTES = 256 * 1024 * 1024
 
 
@@ -73,10 +71,7 @@ class GraphCache:
     only bounds what *accumulates* beyond that.
     """
 
-    def __init__(self, budget_bytes: int | None = None):
-        if budget_bytes is None:
-            budget_bytes = int(os.environ.get("REPRO_GRAPH_CACHE_BYTES",
-                                              GRAPH_CACHE_DEFAULT_BYTES))
+    def __init__(self, budget_bytes: int = GRAPH_CACHE_DEFAULT_BYTES):
         self.budget_bytes = budget_bytes
         self._entries: "OrderedDict[tuple, CSRGraph]" = OrderedDict()
         self.hits = 0
@@ -122,8 +117,8 @@ _GRAPH_CACHE = GraphCache()
 def load_dataset(name: str, scale: float = DEFAULT_SCALE, seed: int = 1) -> CSRGraph:
     """Build (and memoize) a dataset at the requested scale.
 
-    In-process results go through the byte-budgeted :class:`GraphCache`
-    (``REPRO_GRAPH_CACHE_BYTES``); across processes,
+    In-process results go through the byte-budgeted :class:`GraphCache`;
+    across processes,
     :func:`repro.graph.datasets.build_graph` persists built graphs to the
     on-disk dataset cache (``REPRO_DATASET_CACHE``), so repeated benchmark
     invocations skip synthesis entirely.
@@ -229,8 +224,8 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
                          checkpoint_every: int = 0,
                          durable: bool = False,
                          sanitize: bool | None = None,
-                         workers: int | None = None,
-                         mode: str | None = None) -> WorkloadResult:
+                         workers: int = 1,
+                         mode: str = "sortreduce") -> WorkloadResult:
     """Run one of the GraFBoost-family engines on an algorithm.
 
     ``faults`` (a :class:`~repro.flash.faults.FaultPlan`) makes the run a
@@ -249,10 +244,9 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
     crash plan nothing is ever caught and this is the plain run.
 
     ``sanitize`` attaches FlashSan to the device (``None`` defers to
-    ``REPRO_SANITIZE``).  ``workers`` turns on parallel sort-reduce
-    (``None`` defers to ``REPRO_WORKERS``); results and simulated time are
-    bit-identical for any worker count.  ``mode`` picks the engine
-    execution mode (``None`` defers to ``REPRO_MODE``; see
+    ``REPRO_SANITIZE``).  ``workers`` turns on parallel sort-reduce;
+    results and simulated time are bit-identical for any worker count.
+    ``mode`` picks the engine execution mode (see
     :mod:`repro.engine.modes`) — the result carries the per-superstep
     ``mode_trace``.
     """
@@ -380,8 +374,8 @@ def run_cell(system: str, graph: CSRGraph, algorithm: str,
              faults=None, crashes=None,
              checkpoint_every: int = 0,
              sanitize: bool | None = None,
-             workers: int | None = None,
-             mode: str | None = None) -> WorkloadResult:
+             workers: int = 1,
+             mode: str = "sortreduce") -> WorkloadResult:
     """Dispatch one (system, algorithm) cell with shared conventions.
 
     ``server_profile`` is the host every *software* system runs on (the
@@ -445,8 +439,8 @@ def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
                      dataset: str = "?", seed_root: int | None = None,
                      faults=None, crashes=None,
                      sanitize: bool | None = None,
-                     workers: int | None = None,
-                     mode: str | None = None) -> ServiceCellResult:
+                     workers: int = 1,
+                     mode: str = "sortreduce") -> ServiceCellResult:
     """Run a multi-tenant service workload on a GraFBoost-family stack.
 
     ``jobs`` is a list of job specs (strings in the CLI syntax or

@@ -173,13 +173,29 @@ def _finish(state: _QueryState) -> dict:
             "path": hops[:64], "checksum": checksum(arr)}
 
 
-def read_vstate(store, filename: str, value_dtype, vertices: list[int]) -> dict:
+def vstate_vertices(params: dict, num_vertices: int) -> list[int]:
+    """The distinct vertices a ``vstate`` query reads, ascending.
+
+    Raises ``TypeError`` or ``ValueError`` on a ``v`` that is not a vertex,
+    the same per-query failure domain as :func:`run_point_batch`.
+    """
+    vertices = params.get("v", [0])
+    if not isinstance(vertices, list):
+        vertices = [vertices]
+    for v in vertices:
+        if not isinstance(v, int):
+            raise TypeError(f"vertex {v!r} is not an integer")
+        _check_vertex(v, num_vertices)
+    return sorted(set(vertices))
+
+
+def read_vstate(store, filename: str, value_dtype, order: list[int]) -> dict:
     """Vertex-state reads from a finished run's durable result file.
 
-    One access per distinct vertex, ascending (a scatter read; nearby
-    vertices are not coalesced).
+    One access per vertex of ``order`` (ascending, distinct; see
+    :func:`vstate_vertices`): a scatter read, nearby vertices are not
+    coalesced.
     """
-    order = sorted(set(int(v) for v in vertices))
     arr, _ = store.read_spans(filename, value_dtype, [(v, v + 1) for v in order])
     return {"kind": "vstate", "vertices": order,
             "values": [_json_scalar(v) for v in arr.tolist()],

@@ -102,7 +102,7 @@ from repro.service.jobs import (
     make_program,
     parse_job_spec,
 )
-from repro.service.queries import checksum, read_vstate, run_point_batch
+from repro.service.queries import checksum, read_vstate, run_point_batch, vstate_vertices
 
 JOURNAL_FILE = "svc:jobs"
 JOURNAL_STAGING = "svc:jobs:staging"
@@ -600,6 +600,13 @@ class GraphService:
 
     def _try_vstate(self, job: Job) -> None:
         """Resolve a vertex-state read once its referenced job is terminal."""
+        try:
+            vertices = vstate_vertices(job.spec.params, self.num_vertices)
+        except (TypeError, ValueError) as exc:
+            # Bad input fails this query only, like a bad batched query.
+            job.state = FAILED
+            job.reason = f"invalid query: {type(exc).__name__}: {exc}"
+            return
         ref, ref_spec = self._ref(job)
         target = self.jobs.get(ref)
         reason = None
@@ -617,9 +624,6 @@ class GraphService:
             job.state = FAILED
             job.reason = reason
             return
-        vertices = job.spec.params.get("v", [0])
-        if isinstance(vertices, int):
-            vertices = [vertices]
         job.result = read_vstate(self.system.store,
                                  target.result["values_file"],
                                  np.dtype(target.result["dtype"]), vertices)

@@ -213,13 +213,8 @@ def test_shutdown_kills_hung_workers(monkeypatch):
 # ----------------------------------------------------------------- registry
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
+def test_resolve_workers():
     assert resolve_workers(3) == 3
-    monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert resolve_workers(None) == 5
-    assert resolve_workers(2) == 2  # explicit beats the environment
     with pytest.raises(ValueError):
         resolve_workers(0)
 

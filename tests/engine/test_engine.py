@@ -14,7 +14,7 @@ from repro.core.reduce_ops import SUM
 SCALE = 2.0 ** -14
 
 
-def build(system_kind, graph, lazy=True, mode=None):
+def build(system_kind, graph, lazy=True, mode="sortreduce"):
     system = make_system(system_kind, SCALE, num_vertices_hint=graph.num_vertices,
                          mode=mode)
     flash_graph = system.load_graph(graph)
@@ -56,12 +56,8 @@ def test_eager_costs_more_io(random_graph):
     # Algorithm 3 vs Algorithm 2: the lazy path does "two fewer I/O
     # operations per active vertex" (§III-C).
     root = int(np.flatnonzero(random_graph.out_degrees() > 0)[0])
-    # The lazy-vs-eager I/O claim is about the sort-reduce path; pin the
-    # mode so the comparison survives a REPRO_MODE=adaptive test run.
-    lazy_system, lazy_engine = build("grafsoft", random_graph, lazy=True,
-                                     mode="sortreduce")
-    eager_system, eager_engine = build("grafsoft", random_graph, lazy=False,
-                                       mode="sortreduce")
+    lazy_system, lazy_engine = build("grafsoft", random_graph, lazy=True)
+    eager_system, eager_engine = build("grafsoft", random_graph, lazy=False)
     run_bfs(lazy_engine, root)
     run_bfs(eager_engine, root)
     assert eager_system.clock.bytes_moved("flash") > lazy_system.clock.bytes_moved("flash")

@@ -27,7 +27,7 @@ def weighted_graph():
     return CSRGraph.from_edges(src, dst, n, random_weights(2400, seed=6))
 
 
-def build(graph, kind="grafsoft", lazy=True, mode=None):
+def build(graph, kind="grafsoft", lazy=True, mode="sortreduce"):
     system = make_system(kind, SCALE, num_vertices_hint=graph.num_vertices,
                          mode=mode)
     flash_graph = system.load_graph(graph)

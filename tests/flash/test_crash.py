@@ -59,6 +59,16 @@ def test_crash_plan_parse_rejects_garbage():
         CrashPlan(mean_gap=0)
 
 
+def test_crash_plan_integer_keys_reject_fractions():
+    # ops=2.5 used to be truncated to 2 and at=10.7 to (10,).
+    for spec, key in (("ops=2.5", "ops"), ("at=10.7", "at"),
+                      ("at=5/10.7", "at"), ("first=0.1", "first")):
+        with pytest.raises(ValueError, match=f"bad value .* for crash key '{key}'"):
+            CrashPlan.parse(spec)
+    assert CrashPlan.parse("ops=1e3").crashes == 1000
+    assert CrashPlan.parse("at=1e2/300.0").at_ops == (100, 300)
+
+
 def test_crash_count_is_bounded_by_the_recovery_drivers_give_up():
     # One constant: a plan may schedule as many losses as the driver will
     # remount for, and asks numpy for no more draws than that.

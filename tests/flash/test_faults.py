@@ -58,6 +58,16 @@ def test_fault_plan_parse_rejects_garbage():
     for spec in ("seed=1e400", "retries=1e400", "ecc=inf", "pe_cycle_limit=-inf"):
         with pytest.raises(ValueError, match="bad value"):
             FaultPlan.parse(spec)
+
+
+def test_fault_plan_integer_keys_reject_fractions():
+    # ecc=3.7 used to be truncated to 3 and seed=2.9 to 2.
+    for spec, key in (("ecc=3.7", "ecc"), ("seed=2.9", "seed"),
+                      ("read_retry_limit=0.5", "read_retry_limit")):
+        with pytest.raises(ValueError, match=f"bad value .* for fault key '{key}'"):
+            FaultPlan.parse(spec)
+    assert FaultPlan.parse("ecc=1e1,seed=3.0") == FaultPlan(
+        ecc_correctable_bits=10, seed=3)
     # A repeated key — short or full name — is rejected, not last-one-wins.
     for spec in ("seed=1,seed=2", "ber=1e-5,read_ber=1e-4"):
         with pytest.raises(ValueError, match="duplicate fault spec key"):

@@ -17,8 +17,8 @@ def service_graph():
 def make_service(service_graph):
     """Factory: a fresh durable system + service over the shared graph."""
 
-    def build(quotas=None, crashes=None, faults=None, workers=None,
-              mode=None, config=None):
+    def build(quotas=None, crashes=None, faults=None, workers=1,
+              mode="sortreduce", config=None):
         system = make_system("grafboost", SCALE,
                              num_vertices_hint=service_graph.num_vertices,
                              durable=True, crashes=crashes, faults=faults,

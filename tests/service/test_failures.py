@@ -415,3 +415,22 @@ def test_invalid_point_query_fails_alone(make_service, service_graph):
     bad, good = report.jobs
     assert bad.state == "failed" and "invalid query" in bad.reason
     assert good.state == "done"
+
+
+@pytest.mark.parametrize("v,error", [
+    ("999999", "ValueError: vertex 999999 out of range"),
+    ("-1", "ValueError: vertex -1 out of range"),
+    ("abc", "TypeError: vertex 'abc' is not an integer"),
+    ("0+x", "TypeError: vertex 'x' is not an integer"),
+])
+def test_invalid_vstate_fails_alone(make_service, v, error):
+    # A vstate read of a vertex outside the values file used to abort the
+    # whole service, and v=abc read the vertices 'a', 'b' and 'c'.
+    service = make_service()
+    service.submit_all(["tA:pagerank:iters=1", f"tB:vstate:ref=svc-1,v={v}@3",
+                        "tA:neighborhood:v=0,depth=1@4"])
+    report = service.run()
+    pagerank, bad, good = report.jobs
+    assert bad.state == "failed"
+    assert bad.reason.startswith(f"invalid query: {error}")
+    assert pagerank.state == good.state == "done"

@@ -94,7 +94,7 @@ def test_count_flags_are_validated_by_the_parser(argv, capsys):
 
 
 @pytest.mark.parametrize("command", [["run", "--system", "GraFSoft"], ["serve", "--demo"]])
-@pytest.mark.parametrize("ops", ["10001", "1e9", "1e400", "-1"])
+@pytest.mark.parametrize("ops", ["10001", "1e9", "1e400", "-1", "2.5"])
 def test_crash_count_is_bounded_by_the_parser(command, ops, capsys):
     # ops=1e9 used to ask numpy for 10**9 exponential draws (8 GB) before
     # anything ran; the recovery driver gives up after 10 000 remounts anyway.
@@ -111,6 +111,7 @@ def test_crash_count_is_bounded_by_the_parser(command, ops, capsys):
     ("seed=1e400", "bad value '1e400' for fault key 'seed'"),
     ("retries=1e400", "bad value '1e400' for fault key 'retries'"),
     ("ecc=inf", "bad value 'inf' for fault key 'ecc'"),
+    ("ecc=3.7", "bad value '3.7' for fault key 'ecc'"),
     ("seed=1,seed=2", "duplicate fault spec key 'seed'"),
 ])
 def test_fault_spec_errors_are_usage_errors(command, spec, message, capsys):
@@ -158,15 +159,6 @@ def test_non_finite_plan_values_are_usage_errors(flag, spec, message, capsys):
 def test_largest_crash_count_is_accepted():
     args = build_parser().parse_args(["run", "--crash", "seed=1,ops=10000"])
     assert args.crashes.crashes == 10_000 and len(args.crashes.schedule()) <= 10_000
-
-
-@pytest.mark.parametrize("command", ["run", "serve", "compare"])
-def test_bad_repro_workers_is_a_usage_error(command, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_WORKERS", "many")
-    with pytest.raises(SystemExit) as exc:
-        main([command])
-    assert exc.value.code == 2
-    assert "REPRO_WORKERS must be an integer" in capsys.readouterr().err
 
 
 def test_requires_subcommand():

@@ -206,14 +206,16 @@ def test_graph_cache_stats_and_clear():
     assert len(cache) == 0 and cache.stats()["current_bytes"] == 0
 
 
-def test_graph_cache_budget_from_env(monkeypatch):
-    from repro.harness import GraphCache
+def test_runs_ignore_the_retired_environment_switches(monkeypatch):
+    # The engine mode, worker count and graph cache budget once fell back to
+    # REPRO_<NAME> variables; a run is now configured by its arguments alone.
+    from repro.harness import GRAPH_CACHE_DEFAULT_BYTES, GraphCache
 
-    monkeypatch.setenv("REPRO_GRAPH_CACHE_BYTES", "12345")
-    assert GraphCache().budget_bytes == 12345
-    monkeypatch.delenv("REPRO_GRAPH_CACHE_BYTES")
-    from repro.harness import GRAPH_CACHE_DEFAULT_BYTES
-
+    for name, value in {"MODE": "adaptive", "WORKERS": "4",
+                        "GRAPH_CACHE_BYTES": "12345"}.items():
+        monkeypatch.setenv(f"REPRO_{name}", value)
+    system = make_system("grafsoft", SCALE)
+    assert (system.mode, system.workers) == ("sortreduce", 1)
     assert GraphCache().budget_bytes == GRAPH_CACHE_DEFAULT_BYTES
 
 
