@@ -169,7 +169,7 @@ class PageRankAlg4Program(PageRankProgram):
 
     def _mark_in_neighbours(self, keys: np.ndarray, values: np.ndarray) -> None:
         starts, ends = self.in_graph.index_lookup(keys)
-        self.bloom.add(self.in_graph.edges_for(starts, ends))
+        self.bloom.add(self.in_graph.edges_for(starts, ends).take())
 
     def sweep_active_list(self) -> Iterator[np.ndarray]:
         for start in range(0, self.num_vertices, 1 << 16):

@@ -258,13 +258,13 @@ def cmd_run(args) -> int:
         print("--crash supports pagerank and bfs (multi-phase "
               "algorithms have no checkpoint protocol)", file=sys.stderr)
         return 2
-    graph = load_dataset(args.dataset, args.scale, seed=args.seed)
-    print(f"{args.dataset} @ scale {args.scale:g}: "
-          f"{graph.num_vertices:,} vertices, {graph.num_edges:,} edges")
     checkpoint_every = args.checkpoint_every
     if checkpoint_every is None:
         checkpoint_every = 4 if args.crashes is not None else 0
     try:
+        graph = load_dataset(args.dataset, args.scale, seed=args.seed)
+        print(f"{args.dataset} @ scale {args.scale:g}: "
+              f"{graph.num_vertices:,} vertices, {graph.num_edges:,} edges")
         cell = run_cell(args.system, graph, args.algorithm, scale=args.scale,
                         dataset=args.dataset, faults=args.faults,
                         crashes=args.crashes,
@@ -276,6 +276,13 @@ def cmd_run(args) -> int:
         print(f"{args.system} {args.algorithm}: aborted on "
               f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except (ValueError, MemoryError) as e:
+        # A scale too small for the key packing, or too large for this
+        # host's memory: a usage error, not a crash.
+        print(f"{args.dataset} @ scale {args.scale:g}: cannot run "
+              f"{args.system} {args.algorithm}: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 2
     if not cell.completed:
         print(f"{args.system} {args.algorithm}: DNF — {cell.dnf_reason}")
         return 1

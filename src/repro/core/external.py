@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -223,19 +223,27 @@ class ExternalSortReducer:
 
     # ------------------------------------------------------------------ input
 
-    def add(self, kv: KVArray) -> None:
-        """Append unsorted update pairs to the stream."""
+    def add(self, kv: KVArray | Iterable[KVArray]) -> None:
+        """Append unsorted update pairs to the stream: one batch, or an
+        iterable of batches taken one at a time.
+
+        The buffer is cut into chunks at ``chunk_bytes`` whatever the batch
+        and call boundaries, so one stream gives the same chunks, run files,
+        stats and charges however it is split.
+        """
         if self._finished:
             raise RuntimeError("add() after finish()")
-        if kv.value_dtype != self.value_dtype:
-            raise ValueError(f"value dtype {kv.value_dtype} != {self.value_dtype}")
-        if len(kv) == 0:
-            return
-        self._buffer.append(kv)
-        self._buffered_bytes += kv.nbytes
-        self.stats.total_input_pairs += len(kv)
-        while self._buffered_bytes >= self.chunk_bytes:
-            self._flush_chunk()
+        for batch in (kv,) if isinstance(kv, KVArray) else kv:
+            if batch.value_dtype != self.value_dtype:
+                raise ValueError(
+                    f"value dtype {batch.value_dtype} != {self.value_dtype}")
+            if len(batch) == 0:
+                continue
+            self._buffer.append(batch)
+            self._buffered_bytes += batch.nbytes
+            self.stats.total_input_pairs += len(batch)
+            while self._buffered_bytes >= self.chunk_bytes:
+                self._flush_chunk()
 
     def _take_chunk(self) -> KVArray:
         """Detach exactly one chunk's worth of buffered pairs."""

@@ -35,13 +35,19 @@ stay bit-identical under ``--workers`` sweeps and crash/resume.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.core.external import MERGE_IO_BYTES, RunHandle, SortReduceStats
 from repro.core.kvstream import KVArray
-from repro.engine.superstep import SuperstepOutcome, push, reduce_into, scan
+from repro.engine.superstep import (
+    SCAN_EDGES_PER_CHUNK,
+    SuperstepOutcome,
+    push,
+    reduce_into,
+    scan,
+)
 from repro.flash.device import FlashError
 from repro.graph.formats import OFFSET_DTYPE, TARGET_DTYPE, WEIGHT_DTYPE
 
@@ -57,10 +63,6 @@ DENSE_THRESHOLD = 0.3
 #: most this fraction of the DRAM budget, leaving headroom for the chunk
 #: buffers the other modes need if a later superstep switches away.
 SEMI_FIT_HEADROOM = 0.5
-
-#: Edge chunk of the dense scan (record count), matching
-#: :meth:`repro.graph.formats.FlashCSR.stream_edges`.
-SCAN_EDGES_PER_CHUNK = 1 << 18
 
 
 def semiexternal_footprint(num_vertices: int, value_dtype: np.dtype) -> int:
@@ -231,8 +233,17 @@ class DramAggregator:
     def clock(self):
         return self.store.device.clock
 
-    def add(self, kv: KVArray) -> None:
-        """Reduce one unsorted update batch into the dense table."""
+    def add(self, kv: KVArray | Iterable[KVArray]) -> None:
+        """Reduce one unsorted update batch into the dense table.
+
+        Every charge depends on the call's distinct-key count, so an
+        iterable of batches (one :func:`push`) is joined and reduced as one.
+        """
+        if not isinstance(kv, KVArray):
+            batches = [batch for batch in kv if len(batch)]
+            if not batches:
+                return
+            kv = batches[0] if len(batches) == 1 else KVArray.concat(batches)
         if kv.value_dtype != self.value_dtype:
             raise ValueError(f"value dtype {kv.value_dtype} != {self.value_dtype}")
         if len(kv) == 0:

@@ -16,10 +16,16 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.external import RunHandle, SortReduceStats
-from repro.core.kvstream import KVArray
+from repro.core.kvstream import KEY_DTYPE, KVArray
 from repro.engine.api import VertexProgram
 from repro.graph.formats import FlashCSR
 from repro.graph.vertexdata import VertexArray
+
+
+#: Most edges one batch of update pairs covers: :func:`push`'s batches and
+#: the dense scan's edge chunks, matching
+#: :meth:`repro.graph.formats.FlashCSR.stream_edges`.
+SCAN_EDGES_PER_CHUNK = 1 << 18
 
 
 @dataclass
@@ -66,30 +72,63 @@ def scan(vertices: VertexArray, program: VertexProgram,
     return activated
 
 
+def edge_batches(degrees: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Cut a run of vertices with these out-degrees into consecutive
+    ``(lo, hi)`` batches of at most ``SCAN_EDGES_PER_CHUNK`` edges; a vertex
+    with more edges than that is a batch of its own."""
+    edge_ends = np.cumsum(degrees)
+    total = int(edge_ends[-1])
+    lo, done = 0, 0
+    while done < total:
+        if total - done <= SCAN_EDGES_PER_CHUNK:
+            yield lo, len(degrees)
+            return
+        hi = int(np.searchsorted(edge_ends, done + SCAN_EDGES_PER_CHUNK, side="right"))
+        hi = max(hi, int(np.searchsorted(edge_ends, done, side="right")) + 1)
+        yield lo, hi
+        lo, done = hi, int(edge_ends[hi - 1])
+
+
 def push(graph: FlashCSR, program: VertexProgram, backend, sink,
          active_keys: np.ndarray, active_values: np.ndarray) -> None:
     """Stream the active vertices' out-edges through the edge program into
-    ``sink``: one update pair per traversed edge."""
+    ``sink``: one update pair per traversed edge.
+
+    The edge (and weight) reads are issued and charged first, each as one
+    gather; the pairs then reach the sink in one ``add`` of
+    :func:`edge_batches`-sized batches, each built from the fetched pages
+    only when the sink asks for it, so a superstep holds one batch of update
+    pairs, never all of them.
+    """
     starts, ends = graph.index_lookup(active_keys)
     degrees = ends - starts
     targets = graph.edges_for(starts, ends)
-    if len(targets) == 0:
+    if targets.total == 0:
         return
     weights = graph.weights_for(starts, ends) if program.uses_weights else None
     per_vertex = None
     if weights is None:
         per_vertex = program.vertex_messages(
             active_values, active_keys, degrees.astype(np.uint64))
-    if per_vertex is not None:
-        messages = np.repeat(per_vertex, degrees)
-    else:
-        src_values = np.repeat(active_values, degrees)
-        src_ids = np.repeat(active_keys, degrees)
-        src_degrees = np.repeat(degrees, degrees).astype(np.uint64)
-        messages = program.edge_program(src_values, src_ids, weights, src_degrees)
-    update = KVArray(targets, np.asarray(messages, dtype=program.value_dtype))
-    sink.add(update)
-    backend.charge_edge_stream(sink.clock, update.nbytes)
+    value_dtype = np.dtype(program.value_dtype)
+
+    def batches() -> Iterator[KVArray]:
+        for lo, hi in edge_batches(degrees):
+            counts = degrees[lo:hi]
+            if per_vertex is not None:
+                messages = np.repeat(per_vertex[lo:hi], counts)
+            else:
+                messages = program.edge_program(
+                    np.repeat(active_values[lo:hi], counts),
+                    np.repeat(active_keys[lo:hi], counts),
+                    None if weights is None else weights.take(lo, hi),
+                    np.repeat(counts, counts).astype(np.uint64))
+            yield KVArray(targets.take(lo, hi),
+                          np.asarray(messages, dtype=value_dtype))
+
+    sink.add(batches())
+    backend.charge_edge_stream(
+        sink.clock, targets.total * (KEY_DTYPE.itemsize + value_dtype.itemsize))
 
 
 def reduce_into(sink, produce: Callable):

@@ -185,8 +185,11 @@ def _program_order_runs(items: list) -> list[tuple[int, int, int]]:
 class FlashDevice:
     """A raw NAND device: data integrity plus timing/wear accounting.
 
-    Page contents are stored as ``bytes``; the simulator is *functional*, so
-    anything an engine writes really does round-trip through the device.
+    Page contents are stored as the program call hands them over, never
+    copied: a file store's appends are zero-copy ``memoryview`` slices of
+    the appended blob (:meth:`repro.flash.store.FileStore.append`), other
+    writes ``bytes``; both are immutable.  The simulator is *functional*,
+    so anything an engine writes really does round-trip through the device.
     """
 
     def __init__(self, geometry: FlashGeometry, profile: HardwareProfile, clock: SimClock,

@@ -17,6 +17,10 @@ real SSD.  Durable metadata is a ping-pong log on the low logical pages
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from repro.flash.device import FlashError, FlashOutOfSpaceError
 from repro.flash.faults import page_crc
 from repro.flash.ftl import SSD
@@ -27,6 +31,13 @@ from repro.flash.journal import (
     encode_frames,
 )
 from repro.flash.store import FileStore, StoredFile
+
+
+def free_lpn_stack(end: int, start: int) -> array:
+    """The free pool of a store whose LPNs ``start .. end - 1`` are free: a
+    stack of int64s, popped from the end so the lowest LPN goes first.  One
+    machine word per page, not one Python int."""
+    return array("q", np.arange(end - 1, start - 1, -1, dtype=np.int64).tobytes())
 
 
 class SSDFileSystem(FileStore):
@@ -44,8 +55,7 @@ class SSDFileSystem(FileStore):
         super().__init__(ssd.device, 1, prefetch_pages, durable)
         self.ssd = ssd
         if not durable:
-            self._free_lpns: list[int] = list(
-                range(ssd.logical_pages - 1, -1, -1))
+            self._free_lpns = free_lpn_stack(ssd.logical_pages, 0)
             return
         # Durable mode reserves the low logical pages as a metadata log:
         # two ping-pong halves, each large enough for a full snapshot, so a
@@ -63,7 +73,7 @@ class SSDFileSystem(FileStore):
                 f"device too small for a {meta_lpns}-page metadata log")
         self.meta_lpns = meta_lpns
         self._half_lpns = meta_lpns // 2
-        self._free_lpns = list(range(ssd.logical_pages - 1, meta_lpns - 1, -1))
+        self._free_lpns = free_lpn_stack(ssd.logical_pages, meta_lpns)
         self._meta_seq = 0
         self._meta_half = 0
         self._meta_cursor = 0
@@ -295,7 +305,7 @@ class SSDFileSystem(FileStore):
             if lpn >= self.meta_lpns and lpn not in used:
                 self.ssd.trim(lpn)
                 self.recovery.discarded_pages += 1
-        self._free_lpns = [lpn for lpn
-                           in range(self.ssd.logical_pages - 1,
-                                    self.meta_lpns - 1, -1)
-                           if lpn not in used]
+        self._free_lpns = array("q", (lpn for lpn
+                                      in range(self.ssd.logical_pages - 1,
+                                               self.meta_lpns - 1, -1)
+                                      if lpn not in used))

@@ -68,6 +68,57 @@ class StoredFile:
         return self.tail_parts[0]
 
 
+class SpanRead:
+    """What one :meth:`FileStore.read_spans` fetched: the spans' items,
+    concatenated, still in the fetched page buffers.
+
+    ``base[i]`` is where span ``i`` starts in the concatenation and ``size``
+    is its length in items.  Nothing is copied until :meth:`take`, so a
+    reader that consumes the items a batch at a time holds one batch, not
+    all of them.  The buffers are the device's immutable pages: a later
+    write or delete cannot change what a take returns.
+    """
+
+    __slots__ = ("dtype", "base", "size", "_pieces", "_piece_ends")
+
+    def __init__(self, dtype: np.dtype, pieces: list, base: np.ndarray,
+                 size: int):
+        self.dtype = dtype
+        self.base = base
+        self.size = size
+        self._pieces = pieces
+        self._piece_ends: np.ndarray | None = None
+
+    def take(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Items ``[lo, hi)`` of the concatenation (default: all of it),
+        copied into one new writable array."""
+        if hi is None:
+            hi = self.size
+        if not 0 <= lo <= hi <= self.size:
+            raise ValueError(f"take [{lo}, {hi}) out of range for {self.size} items")
+        item = self.dtype.itemsize
+        data = np.empty(hi - lo, dtype=self.dtype)
+        out = memoryview(data.view(np.uint8))
+        pieces = self._pieces
+        i, skip = 0, 0
+        if lo:
+            if self._piece_ends is None:
+                self._piece_ends = np.cumsum([len(p) for p in pieces])
+            i = int(np.searchsorted(self._piece_ends, lo * item, side="right"))
+            skip = lo * item - (int(self._piece_ends[i - 1]) if i else 0)
+        pos, nbytes = 0, len(out)
+        while pos < nbytes:
+            piece = pieces[i]
+            i += 1
+            if skip or len(piece) > nbytes - pos:
+                piece = memoryview(piece)[skip:skip + nbytes - pos]
+                skip = 0
+            end = pos + len(piece)
+            out[pos:end] = piece
+            pos = end
+        return data
+
+
 class FileStore:
     """Append-only files over flash; subclasses decide where pages live.
 
@@ -233,15 +284,14 @@ class FileStore:
         return b"".join(self._read_span(f, offset, nbytes))
 
     def read_spans(self, name: str, dtype: np.dtype,
-                   spans: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+                   spans: list[tuple[int, int]]) -> SpanRead:
         """Scatter read: one :meth:`read` per ``(start_item, end_item)`` span
-        of ``dtype`` items, in order, gathered into one array.
+        of ``dtype`` items, in order.
 
-        Returns ``(data, base)``: the spans' items concatenated in one
-        writable array, and the position in it of each span's first item.
         Spans are never merged — each pays its own access latency and
-        lookahead, exactly as the same reads issued one by one — but their
-        bytes are copied once, from the fetched pages into ``data``.
+        lookahead, exactly as the same reads issued one by one, all of them
+        here and now.  The fetched pages are kept as they are; the
+        :class:`SpanRead` copies items out of them on request.
         """
         dtype = np.dtype(dtype)
         item = dtype.itemsize
@@ -253,16 +303,7 @@ class FileStore:
             base.append(filled)
             pieces += self._read_span(f, start * item, (end - start) * item)
             filled += end - start
-        # Every span was in range, so the size is known; the pieces are
-        # views of the stored pages, not copies, until they land here.
-        data = np.empty(filled, dtype=dtype)
-        out = memoryview(data.view(np.uint8))
-        pos = 0
-        for piece in pieces:
-            end = pos + len(piece)
-            out[pos:end] = piece
-            pos = end
-        return data, np.array(base, dtype=np.int64)
+        return SpanRead(dtype, pieces, np.array(base, dtype=np.int64), filled)
 
     def _read_span(self, f: StoredFile, offset: int, nbytes: int) -> list:
         """The one read path: bytes ``[offset, offset + nbytes)`` of ``f`` as

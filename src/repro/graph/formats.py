@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.flash.store import FileStore
+from repro.flash.store import FileStore, SpanRead
 from repro.graph.csr import CSRGraph
 
 OFFSET_DTYPE = np.dtype("<u8")
@@ -75,12 +75,64 @@ def coalescing_gap(store: FileStore, itemsize: int) -> int:
 
 def span_positions(spans: list[tuple[int, int]], base: np.ndarray,
                    items: np.ndarray) -> np.ndarray:
-    """Where each of ``items`` sits in the data ``store.read_spans(..., spans)``
-    returned with ``base``; every item must lie inside one of the spans."""
+    """Where each of ``items`` sits in the concatenation a
+    ``store.read_spans(..., spans)`` fetched, whose span ``i`` starts at
+    ``base[i]``; every item must lie inside one of the spans."""
+    if len(spans) == 1:
+        return items - spans[0][0]
     span_starts = np.fromiter((start for start, _ in spans), dtype=np.int64,
                               count=len(spans))
     span_idx = np.searchsorted(span_starts, items, side="right") - 1
     return items + (base - span_starts)[span_idx]
+
+
+class RangeGather:
+    """The items of a sorted run of ``[start, end)`` ranges of one file, read
+    from flash by :meth:`FlashCSR.edges_for` / :meth:`FlashCSR.weights_for`
+    and copied out of the fetched pages a run of ranges at a time."""
+
+    __slots__ = ("total", "_read", "_rank", "_first", "_lengths", "_offsets")
+
+    def __init__(self, read: SpanRead, rank: np.ndarray, first: np.ndarray,
+                 lengths: np.ndarray):
+        self._read = read
+        #: ``rank[r]``: how many of the ranges before range ``r`` are non-empty;
+        #: the arrays below hold the non-empty ranges only.
+        self._rank = rank
+        self._first = first          # where each range starts in the read
+        self._lengths = lengths
+        # Where each range starts in the output; the last entry is the end.
+        self._offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self._offsets[1:])
+        #: Items over all ranges.
+        self.total = int(self._offsets[-1])
+
+    def take(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The items of ranges ``lo .. hi - 1`` (default: all), concatenated
+        in one new writable array."""
+        a = int(self._rank[lo])
+        b = int(self._rank[-1 if hi is None else hi])
+        offsets = self._offsets
+        total = int(offsets[b] - offsets[a])
+        if total == 0:
+            return np.empty(0, dtype=self._read.dtype)
+        first, lengths = self._first[a:b], self._lengths[a:b]
+        low = int(first[0])
+        # How far each range starts past the end of the one before it in the
+        # read.  Adjacent ranges (a dense superstep's shape) jump by zero and
+        # are one stretch of the read: the take is that stretch's copy.
+        jumps = first[1:] - first[:-1] - lengths[:-1]
+        if not jumps.any():
+            return self._read.take(low, low + total)
+        block = self._read.take(low, int((first + lengths).max()))
+        # Output item p of range r is block item first[r] - low + (p - offset
+        # of r): the index climbs by one, and by one plus the jump at each
+        # range's start.
+        index = np.ones(total, dtype=np.int64)
+        index[0] = 0
+        index[offsets[a + 1:b] - offsets[a]] = jumps + 1
+        np.cumsum(index, out=index)
+        return block[index]
 
 
 class FlashCSR:
@@ -151,47 +203,43 @@ class FlashCSR:
         item = OFFSET_DTYPE.itemsize
         gap = coalescing_gap(self.store, item)
         spans = coalesce_ranges(keys, keys + 2, gap)
-        block, base = self.store.read_spans(self.index_file, OFFSET_DTYPE, spans)
-        block = block.astype(np.int64)
-        local = span_positions(spans, base, keys)
+        read = self.store.read_spans(self.index_file, OFFSET_DTYPE, spans)
+        block = read.take().astype(np.int64)
+        local = span_positions(spans, read.base, keys)
         return block[local], block[local + 1]
 
-    def edges_for(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Destination ids of the edge ranges, concatenated in order."""
+    def edges_for(self, starts: np.ndarray, ends: np.ndarray) -> RangeGather:
+        """Destination ids of the edge ranges, read now; ``take()`` returns
+        them concatenated in order, ``take(lo, hi)`` those of ranges
+        ``lo .. hi - 1``."""
         return self._gather(self.edge_file, TARGET_DTYPE, starts, ends)
 
-    def weights_for(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    def weights_for(self, starts: np.ndarray, ends: np.ndarray) -> RangeGather:
+        """Weights of the edge ranges, as :meth:`edges_for`."""
         if not self.has_weights:
             raise ValueError(f"graph {self.prefix!r} has no edge weights")
         return self._gather(self.weight_file, WEIGHT_DTYPE, starts, ends)
 
     def _gather(self, filename: str, dtype: np.dtype, starts: np.ndarray,
-                ends: np.ndarray) -> np.ndarray:
+                ends: np.ndarray) -> RangeGather:
+        """Read the coalesced spans covering the ranges (sorted by start) and
+        record the overshoot; the items stay in the fetched pages."""
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
         lengths = np.maximum(ends - starts, 0)
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=dtype)
-        item = dtype.itemsize
-        gap = coalescing_gap(self.store, item)
-        spans = coalesce_ranges(starts, ends, gap)
-        block, base = self.store.read_spans(filename, dtype, spans)
-        self.wasted_read_bytes += (len(block) - total) * item
-        # Scatter-gather index arithmetic: each range's slice of its covering
-        # span, flattened into one fancy-index read of the concatenated data.
         nonempty = lengths > 0
-        s_nz, len_nz = starts[nonempty], lengths[nonempty]
-        # Dense supersteps request adjacent ranges tiling one span exactly —
-        # the gather is the identity and the fancy index can be skipped.
-        if (len(spans) == 1 and total == len(block) and s_nz[0] == spans[0][0]
-                and np.array_equal(s_nz[1:], s_nz[:-1] + len_nz[:-1])):
-            return block
-        first = span_positions(spans, base, s_nz)
-        # Output position p of range r reads block[first[r] + p - range_start[r]].
-        index = np.repeat(first - (np.cumsum(len_nz) - len_nz), len_nz)
-        index += np.arange(total, dtype=np.int64)
-        return block[index]
+        rank = np.zeros(len(starts) + 1, dtype=np.int64)
+        np.cumsum(nonempty, out=rank[1:])
+        if not nonempty.all():
+            starts, lengths = starts[nonempty], lengths[nonempty]
+        item = dtype.itemsize
+        spans = coalesce_ranges(starts, starts + lengths,
+                                coalescing_gap(self.store, item))
+        read = self.store.read_spans(filename, dtype, spans)
+        gather = RangeGather(read, rank, span_positions(spans, read.base, starts),
+                             lengths)
+        self.wasted_read_bytes += (read.size - gather.total) * item
+        return gather
 
     # ---------------------------------------------------------------- streams
 

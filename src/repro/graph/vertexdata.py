@@ -440,8 +440,9 @@ class VertexScanCursor:
         """One scatter read of the coalesced spans, in ascending order."""
         array = self.array
         spans = coalesce_ranges(keys_i, keys_i + 1, array._base_gap)
-        block, base = array.store.read_spans(array._base_file,
-                                             array._record_dtype, spans)
-        local = span_positions(spans, base, keys_i)
+        read = array.store.read_spans(array._base_file, array._record_dtype,
+                                      spans)
+        block = read.take()
+        local = span_positions(spans, read.base, keys_i)
         values[:] = block["v"][local]
         steps[:] = block["step"][local]

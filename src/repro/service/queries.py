@@ -109,7 +109,7 @@ def run_point_batch(graph, backend, clock, queries: list[tuple[str, str, dict]],
             break
         union = np.unique(np.concatenate([s.frontier for s in live]))
         starts, ends = graph.index_lookup(union)
-        dsts = graph.edges_for(starts, ends)
+        dsts = graph.edges_for(starts, ends).take()
         lengths = (ends - starts).astype(np.int64)
         base = np.cumsum(lengths) - lengths
         # The batch's level goes through one shared sort-reduce pass: one
@@ -196,7 +196,8 @@ def read_vstate(store, filename: str, value_dtype, order: list[int]) -> dict:
     :func:`vstate_vertices`): a scatter read, nearby vertices are not
     coalesced.
     """
-    arr, _ = store.read_spans(filename, value_dtype, [(v, v + 1) for v in order])
+    arr = store.read_spans(filename, value_dtype,
+                           [(v, v + 1) for v in order]).take()
     return {"kind": "vstate", "vertices": order,
             "values": [_json_scalar(v) for v in arr.tolist()],
             "checksum": checksum(arr)}

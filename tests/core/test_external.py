@@ -199,6 +199,65 @@ def test_external_equals_in_memory(n, key_range, seed):
     assert reducer.stats.total_input_pairs == n
 
 
+def sort_reduce_split(kind, op, updates, cuts, as_one_call):
+    """Feed ``updates`` to a fresh reducer cut at ``cuts``, as one ``add``
+    per piece or as one ``add`` of all the pieces (how ``push`` feeds it);
+    returns everything the stream left behind."""
+    from repro.flash.aoffs import AppendOnlyFlashFS
+    from repro.flash.device import FlashDevice, FlashGeometry
+    from repro.flash.filestore import SSDFileSystem
+    from repro.flash.ftl import SSD
+    from repro.perf.clock import SimClock
+
+    geometry = FlashGeometry(page_bytes=512, pages_per_block=8, num_blocks=1024)
+    if kind == "aoffs":
+        store = AppendOnlyFlashFS(FlashDevice(geometry, GRAFBOOST, SimClock()))
+    else:
+        store = SSDFileSystem(SSD(FlashDevice(geometry, GRAFSOFT, SimClock())))
+    written = []
+    append = store.append
+
+    def recording_append(name, data):
+        written.append((name, bytes(data)))
+        append(name, data)
+
+    store.append = recording_append
+    reducer = ExternalSortReducer(store, op, np.float64,
+                                  SoftwareBackend(GRAFSOFT), chunk_bytes=1024,
+                                  fanout=3)
+    bounds = [0, *sorted(cuts), len(updates)]
+    pieces = [updates.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if as_one_call:
+        reducer.add(iter(pieces))
+    else:
+        for piece in pieces:
+            reducer.add(piece)
+    final = reducer.finish().read_all()
+    clock = store.device.clock
+    return (written, final.to_bytes(), reducer.stats.to_dict(),
+            reducer.stats.total_input_pairs, clock.elapsed_s, dict(clock.usage))
+
+
+@settings(deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["aoffs", "ssd"]),
+       op=st.sampled_from([SUM, FIRST]),
+       n=st.integers(0, 1500), key_range=st.integers(1, 400),
+       seed=st.integers(0, 100), as_one_call=st.booleans(),
+       cut_fractions=st.lists(st.integers(0, 1000), max_size=12))
+def test_add_splits_do_not_change_anything(kind, op, n, key_range, seed,
+                                           as_one_call, cut_fractions):
+    """The chunks are cut at ``chunk_bytes`` whatever the ``add`` boundaries:
+    the run files (every byte appended, names included), the stats and the
+    clock (elapsed time; busy time, bytes and ops of every resource) are
+    those of one ``add`` of the whole stream.  FIRST makes arrival order
+    visible in the result."""
+    updates = random_updates(n, key_range, seed=seed)
+    cuts = [n * f // 1000 for f in cut_fractions]
+    whole = sort_reduce_split(kind, op, updates, [], False)
+    split = sort_reduce_split(kind, op, updates, cuts, as_one_call)
+    assert split == whole
+
+
 # ---------------------------------------------------------- stats aggregation
 
 

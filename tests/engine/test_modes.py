@@ -29,6 +29,7 @@ from repro.engine.modes import (
     charge_mode_switch,
     semiexternal_footprint,
 )
+from repro.engine.superstep import SCAN_EDGES_PER_CHUNK
 from repro.flash.faults import CrashPlan
 from repro.graph.csr import CSRGraph
 from repro.graph.formats import FlashCSR
@@ -299,6 +300,26 @@ def test_semiexternal_cuts_flash_traffic_on_pagerank():
     semi = _run(graph, "pagerank", "semiexternal")
     assert semi["flash"] < sortreduce["flash"]
     assert np.allclose(semi["values"], sortreduce["values"])
+
+
+def test_semiexternal_clock_unchanged_on_a_frontier_of_several_push_batches():
+    # PageRank's first superstep pushes every edge: 524 288 of them here,
+    # more than one push batch.  The DramAggregator's charges depend on the
+    # distinct keys of one push, so the batches must reach it as one update.
+    # Pinned numbers: read when a push built all its update pairs at once.
+    scale = 2.0 ** -15
+    graph = load_dataset("kron30", scale=scale, seed=7)
+    system = make_system("grafsoft", scale, num_vertices_hint=graph.num_vertices,
+                         mode="semiexternal")
+    engine = system.engine_for(system.load_graph(graph), graph.num_vertices)
+    result = run_pagerank(engine, graph.num_vertices, 2)
+    assert result.supersteps[0].traversed_edges == graph.num_edges
+    assert graph.num_edges > SCAN_EDGES_PER_CHUNK
+    assert result.elapsed_s == 0.03550763786103986
+    usage = {name: (u.busy_s, u.bytes_moved, u.ops)
+             for name, u in system.clock.usage.items()}
+    assert usage == {"flash": (0.003976376953124998, 18653184, 2298),
+                     "cpu": (0.6056864725748697, 16699472, 7)}
 
 
 # --------------------------------------------------------------------------

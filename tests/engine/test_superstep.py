@@ -12,6 +12,7 @@ from repro.algorithms.pagerank import (
 from repro.algorithms.ppr import run_personalized_pagerank
 from repro.algorithms.sssp import run_sssp
 from repro.core.external import ExternalSortReducer
+from repro.engine import superstep
 from repro.engine.config import make_system
 from repro.flash.device import FlashError
 from repro.graph.csr import CSRGraph
@@ -50,6 +51,41 @@ def test_sssp_eager_agrees_with_lazy(weighted_graph):
     finite = ~np.isinf(a)
     assert np.array_equal(np.isinf(a), np.isinf(b))
     assert np.allclose(a[finite], b[finite])
+
+
+@pytest.mark.parametrize("degrees,batches", [
+    ([0, 0, 5, 300, 0, 1, 0, 299, 2, 0], [(0, 3), (3, 5), (5, 8), (8, 10)]),
+    ([0, 700, 1], [(0, 2), (2, 3)]),      # a vertex above the cap: alone
+    ([3, 4], [(0, 2)]),
+])
+def test_edge_batches(monkeypatch, degrees, batches):
+    monkeypatch.setattr(superstep, "SCAN_EDGES_PER_CHUNK", 300)
+    assert list(superstep.edge_batches(np.array(degrees, dtype=np.int64))) == batches
+
+
+def _outcome(graph, algorithm, mode):
+    system, engine = build(graph, mode=mode)
+    result = algorithm(engine, graph)
+    return (result.final_values().tobytes(), result.elapsed_s,
+            [s.to_dict() for s in result.sort_stats],
+            {name: (u.busy_s, u.bytes_moved, u.ops)
+             for name, u in system.clock.usage.items()})
+
+
+@pytest.mark.parametrize("mode", ["sortreduce", "semiexternal"])
+@pytest.mark.parametrize("algorithm", [
+    lambda engine, graph: run_weighted_pagerank(engine, graph, 2),
+    lambda engine, graph: run_sssp(engine, 0),
+    lambda engine, graph: run_pagerank(engine, graph.num_vertices, 2),
+], ids=["weighted-pagerank", "sssp", "pagerank"])
+def test_push_batch_size_changes_nothing(monkeypatch, weighted_graph, mode,
+                                         algorithm):
+    """Pushing ~2 400 edges in batches of 97 — per-edge programs with their
+    weights, and per-vertex messages — gives the values, sort stats and
+    clock of one batch per push."""
+    whole = _outcome(weighted_graph, algorithm, mode)
+    monkeypatch.setattr(superstep, "SCAN_EDGES_PER_CHUNK", 97)
+    assert _outcome(weighted_graph, algorithm, mode) == whole
 
 
 def test_superstep_metrics_resource_deltas(weighted_graph):

@@ -260,13 +260,24 @@ def twin_stores(config, **device_options) -> tuple[FileStore, FileStore]:
 def test_read_spans_equals_reads_one_by_one(config):
     store, twin = twin_stores(config)
     assert store.size("f") > store._file("f").flushed_pages * 512  # a live tail
-    data, base = store.read_spans("f", np.uint32, SPANS)
-    assert np.array_equal(data, read_one_by_one(twin, "f", np.uint32, SPANS))
+    read = store.read_spans("f", np.uint32, SPANS)
+    data, base = read.take(), read.base
+    expected = read_one_by_one(twin, "f", np.uint32, SPANS)
+    assert np.array_equal(data, expected)
     assert base.tolist() == [0, 0, 1, 21, 121, 221, 222]
     assert data.flags.writeable
     assert charges(store) == charges(twin)
-    empty, no_base = store.read_spans("f", np.uint32, [])
-    assert len(empty) == len(no_base) == 0 and empty.dtype == np.uint32
+    # Any item range copies out of the same fetched pages, and costs nothing.
+    for lo, hi in [(0, 0), (3, 3), (0, 1), (1, 21), (20, 140), (121, 221),
+                   (130, 10_222), (len(data), len(data))]:
+        part = read.take(lo, hi)
+        assert np.array_equal(part, expected[lo:hi]) and part.flags.writeable
+    assert charges(store) == charges(twin)
+    with pytest.raises(ValueError):
+        read.take(5, len(data) + 1)
+    empty = store.read_spans("f", np.uint32, [])
+    assert len(empty.take()) == len(empty.base) == 0
+    assert empty.take().dtype == np.uint32
     assert charges(store) == charges(twin)
 
 
@@ -286,7 +297,7 @@ def test_read_spans_out_of_range_is_the_same_error_after_the_same_reads(config, 
 
 def test_read_spans_under_flashsan(config):
     store, twin = twin_stores(config, sanitize=True)
-    data, _ = store.read_spans("f", np.uint32, SPANS)
+    data = store.read_spans("f", np.uint32, SPANS).take()
     assert np.array_equal(data, read_one_by_one(twin, "f", np.uint32, SPANS))
     assert charges(store) == charges(twin)
     assert (store.device.sanitizer.pages_checked
@@ -297,7 +308,7 @@ def test_read_spans_under_read_faults_and_jitter(config):
     plan = FaultPlan(seed=11, read_ber=2e-3, latency_jitter=0.3,
                      ecc_correctable_bits=8)
     store, twin = twin_stores(config, faults=plan)
-    data, _ = store.read_spans("f", np.uint32, SPANS)
+    data = store.read_spans("f", np.uint32, SPANS).take()
     assert np.array_equal(data, read_one_by_one(twin, "f", np.uint32, SPANS))
     assert charges(store) == charges(twin)
     faults, twin_faults = store.device.faults, twin.device.faults
@@ -402,11 +413,13 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(name=NAMES, dtype=st.sampled_from([np.dtype("u1"), np.dtype("<u4")]),
           cuts=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
                         max_size=5),
-          bad=st.sampled_from([None, None, "negative", "reversed", "past end"]))
-    def read_spans(self, name, dtype, cuts, bad):
+          bad=st.sampled_from([None, None, "negative", "reversed", "past end"]),
+          part=st.tuples(st.integers(0, 1000), st.integers(0, 1000)))
+    def read_spans(self, name, dtype, cuts, bad, part):
         """Spans cut from the file per mille of its length — empty, one item,
         page-, extent- and tail-straddling, the whole file — then maybe one
-        out-of-range span in the middle of them."""
+        out-of-range span in the middle of them; and one item range of what
+        was read, per mille of its length, copied out on its own."""
         item = dtype.itemsize
         data = self.model.get(name, [b""])[0]
         items = len(data) // item
@@ -422,12 +435,15 @@ class StoreMachine(RuleBasedStateMachine):
         got = self.expect(error, FileStore.read_spans, name, dtype, spans,
                           twin_op=read_one_by_one)
         if error is None:
-            blocks, base = got
+            blocks, base = got.take(), got.base
             assert blocks.tobytes() == b"".join(
                 data[start * item:end * item] for start, end in spans)
             assert blocks.dtype == dtype and blocks.flags.writeable
             lengths = [end - start for start, end in spans]
             assert base.tolist() == [sum(lengths[:i]) for i in range(len(spans))]
+            lo = len(blocks) * min(part) // 1000
+            hi = len(blocks) * max(part) // 1000
+            assert got.take(lo, hi).tobytes() == blocks[lo:hi].tobytes()
 
     @rule(name=NAMES, chunk=st.sampled_from([0, 1000, PAGE, 5 * PAGE + 3]))
     def stream(self, name, chunk):

@@ -46,7 +46,7 @@ def test_edges_for_matches_neighbors(aoffs, random_graph):
     flash = FlashCSR.write(aoffs, "g", random_graph)
     keys = np.unique(np.random.default_rng(0).integers(0, 500, 80)).astype(np.uint64)
     starts, ends = flash.index_lookup(keys)
-    edges = flash.edges_for(starts, ends)
+    edges = flash.edges_for(starts, ends).take()
     expected = np.concatenate([random_graph.neighbors(int(k)) for k in keys])
     assert np.array_equal(edges, expected)
 
@@ -57,7 +57,7 @@ def test_weights_roundtrip(aoffs, random_graph):
     flash = FlashCSR.write(aoffs, "w", weighted)
     keys = np.arange(0, 500, 37, dtype=np.uint64)
     starts, ends = flash.index_lookup(keys)
-    weights = flash.weights_for(starts, ends)
+    weights = flash.weights_for(starts, ends).take()
     expected = np.concatenate([weighted.edge_weights(int(k)) for k in keys])
     assert np.allclose(weights, expected)
 
@@ -139,15 +139,22 @@ def gather_csr():
 
 
 def check_gather(flash, targets, starts, ends):
-    """``edges_for`` equals per-range slicing, and what it records as wasted
-    is exactly what the coalesced spans read beyond the requested edges."""
+    """``edges_for`` equals per-range slicing, whole and taken a run of
+    ranges at a time, and what it records as wasted is exactly what the
+    coalesced spans read beyond the requested edges."""
     item = TARGET_DTYPE.itemsize
     spans = coalesce_ranges(starts, ends, coalescing_gap(flash.store, item))
     wanted = [targets[s:max(s, e)] for s, e in zip(starts.tolist(), ends.tolist())]
     before = flash.wasted_read_bytes
-    got = flash.edges_for(starts, ends)
+    gather = flash.edges_for(starts, ends)
+    got = gather.take()
     assert got.dtype == TARGET_DTYPE
     assert np.array_equal(got, np.concatenate(wanted))
+    for step in (1, 2, 5):
+        cuts = list(range(0, len(starts), step)) + [len(starts)]
+        batched = [gather.take(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        assert all(b.dtype == TARGET_DTYPE for b in batched)
+        assert np.array_equal(np.concatenate(batched), got)
     got[:] = 0  # the result is the caller's to overwrite
     assert flash.wasted_read_bytes - before == \
         (sum(e - s for s, e in spans) - len(got)) * item
@@ -162,7 +169,7 @@ def test_gather_shapes(gather_csr):
     ends = np.array([50, 50, 90, 200, 200, 110, 400, 2050, 2050, 2110, 5001, 6000])
     assert len(check_gather(flash, targets, starts, ends)) == 3
     # Nothing requested; and the dense identity path (ranges tile one span).
-    assert len(flash.edges_for(np.array([5, 9]), np.array([5, 3]))) == 0
+    assert len(flash.edges_for(np.array([5, 9]), np.array([5, 3])).take()) == 0
     tiles = np.arange(0, GATHER_EDGES + 1, 500)
     assert len(check_gather(flash, targets, tiles[:-1], tiles[1:])) == 1
 
@@ -179,4 +186,4 @@ def test_gather_matches_naive_slices(gather_csr, steps):
     if (ends > starts).any():
         check_gather(flash, targets, starts, ends)
     else:
-        assert len(flash.edges_for(starts, ends)) == 0
+        assert len(flash.edges_for(starts, ends).take()) == 0

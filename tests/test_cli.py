@@ -46,6 +46,31 @@ def test_run_baseline_dnf_exit_code(capsys):
     assert "DNF" in out and "memory" in out
 
 
+def test_run_scale_too_small_for_key_packing_is_a_usage_error(capsys):
+    # twitter @ 1e-20 has 64 vertices but the paper's id width scaled down
+    # needs 73 key bits: one line naming dataset and scale, no traceback.
+    code, _, err = run_cli(capsys, "run", "--dataset", "twitter",
+                           "--scale", "1e-20")
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("twitter @ scale 1e-20: ")
+    assert "ValueError" in err and "key_bits" in err
+
+
+def test_run_out_of_host_memory_is_a_usage_error(capsys, monkeypatch):
+    import repro.cli
+
+    def build(dataset, scale, seed):
+        raise MemoryError("Unable to allocate 5.50 GiB for an array")
+
+    monkeypatch.setattr(repro.cli, "load_dataset", build)
+    code, out, err = run_cli(capsys, "run", "--dataset", "twitter",
+                             "--scale", "0.5")
+    assert code == 2 and out == ""
+    assert err == ("twitter @ scale 0.5: cannot run GraFBoost bfs: "
+                   "MemoryError: Unable to allocate 5.50 GiB for an array\n")
+
+
 def test_compare_matrix(capsys):
     code, out, _ = run_cli(capsys, "compare", "--dataset", "twitter",
                            "--systems", "GraFBoost,GraFSoft",

@@ -154,7 +154,7 @@ def test_gather_matches_reference_random(seed):
     fcsr = _flash_array(data)
     n = int(rng.integers(1, 150))
     starts, ends = random_ranges(rng, n, domain=len(data), max_len=400)
-    got = fcsr._gather(fcsr.edge_file, data.dtype, starts, ends)
+    got = fcsr._gather(fcsr.edge_file, data.dtype, starts, ends).take()
     assert np.array_equal(got, reference_gather(data, starts, ends))
     assert got.flags.writeable
     # wasted_read_bytes is exactly (bytes read in coalesced spans) - (bytes
@@ -172,7 +172,7 @@ def test_gather_identity_fast_path_matches_reference():
     fcsr = _flash_array(data)
     bounds = np.array([0, 1000, 1000, 2500, 4096], dtype=np.int64)
     starts, ends = bounds[:-1], bounds[1:]
-    got = fcsr._gather(fcsr.edge_file, data.dtype, starts, ends)
+    got = fcsr._gather(fcsr.edge_file, data.dtype, starts, ends).take()
     assert np.array_equal(got, reference_gather(data, starts, ends))
     assert got.flags.writeable
     assert fcsr.wasted_read_bytes == 0
@@ -188,7 +188,7 @@ def test_gather_eof_straddling_and_single_page():
         (np.array([0, 5]), np.array([0, 5])),   # all empty
     ]:
         got = fcsr._gather(fcsr.edge_file, data.dtype,
-                           starts.astype(np.int64), ends.astype(np.int64))
+                           starts.astype(np.int64), ends.astype(np.int64)).take()
         assert np.array_equal(got, reference_gather(data, starts, ends))
 
 
