@@ -69,35 +69,3 @@ def run_bfs(engine: GraFBoostEngine, root: int,
     """Run BFS from ``root``; ``result.final_values()`` is the parent array
     (UNVISITED where unreachable)."""
     return engine.run(BFSProgram(root), max_supersteps=max_supersteps)
-
-
-def parents_to_levels(parents: np.ndarray, root: int) -> np.ndarray:
-    """Convert a parent array into BFS levels (-1 where unreachable).
-
-    Used by tests to check a parent tree against reference levels without
-    fixing which of several valid parents was chosen.
-    """
-    n = len(parents)
-    levels = np.full(n, -1, dtype=np.int64)
-    levels[root] = 0
-    visited = parents != UNVISITED
-    order = [root]
-    # Children of already-levelled vertices get levelled in rounds.
-    children: dict[int, list[int]] = {}
-    for v in np.flatnonzero(visited):
-        v = int(v)
-        if v == root:
-            continue
-        children.setdefault(int(parents[v]), []).append(v)
-    frontier = order
-    level = 0
-    while frontier:
-        level += 1
-        nxt: list[int] = []
-        for p in frontier:
-            for c in children.get(p, ()):
-                if levels[c] == -1:
-                    levels[c] = level
-                    nxt.append(c)
-        frontier = nxt
-    return levels

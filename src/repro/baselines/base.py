@@ -125,9 +125,6 @@ class BaselineEngine:
     def run_pagerank(self, iterations: int = 1, damping: float = 0.85) -> BaselineResult:
         return self.run("pagerank", iterations=iterations, damping=damping)
 
-    def run_bc(self, root: int) -> BaselineResult:
-        return self.run("bc", root=root)
-
     def run(self, algorithm: str, root: int = 0, iterations: int = 1,
             damping: float = 0.85) -> BaselineResult:
         """Run ``algorithm`` (``bfs``, ``pagerank`` or ``bc``) under this

@@ -240,6 +240,14 @@ def cmd_profiles(_args) -> int:
     return 0
 
 
+def _cannot_run(args, what: str, error: Exception) -> int:
+    """A scale too small for the key packing, or too large for this host's
+    memory, is a usage error: one line naming dataset and scale, exit 2."""
+    print(f"{args.dataset} @ scale {args.scale:g}: cannot run {what}: "
+          f"{type(error).__name__}: {error}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     # NB: --timeline is handled *after* all flag validation and goes through
     # run_cell like every other invocation, so it composes with --faults/
@@ -277,12 +285,7 @@ def cmd_run(args) -> int:
               f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except (ValueError, MemoryError) as e:
-        # A scale too small for the key packing, or too large for this
-        # host's memory: a usage error, not a crash.
-        print(f"{args.dataset} @ scale {args.scale:g}: cannot run "
-              f"{args.system} {args.algorithm}: {type(e).__name__}: {e}",
-              file=sys.stderr)
-        return 2
+        return _cannot_run(args, f"{args.system} {args.algorithm}", e)
     if not cell.completed:
         print(f"{args.system} {args.algorithm}: DNF — {cell.dnf_reason}")
         return 1
@@ -349,7 +352,9 @@ def cmd_serve(args) -> int:
                                 quotas=quotas or None, dataset=args.dataset,
                                 faults=args.faults, crashes=args.crashes,
                                 workers=args.workers, mode=args.mode)
-    except (FlashError, ValueError, RuntimeError) as e:
+    except (ValueError, MemoryError) as e:
+        return _cannot_run(args, f"serve on {args.system}", e)
+    except (FlashError, RuntimeError) as e:
         print(f"serve: aborted on {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     print("Scheduler trace")
@@ -417,8 +422,11 @@ def cmd_compare(args) -> int:
         print(f"unknown algorithms: {', '.join(unknown)} "
               f"(known: {', '.join(ALGORITHMS)})", file=sys.stderr)
         return 2
-    results = run_matrix(systems, algorithms, args.dataset, scale=args.scale,
-                         seed=args.seed)
+    try:
+        results = run_matrix(systems, algorithms, args.dataset, scale=args.scale,
+                             seed=args.seed)
+    except (ValueError, MemoryError) as e:
+        return _cannot_run(args, f"{','.join(systems)} {','.join(algorithms)}", e)
     rows = []
     for algorithm in algorithms:
         by_system = results_by(results, algorithm)

@@ -17,9 +17,13 @@ Layers, bottom-up:
 * :mod:`repro.core.parallel` — the multi-core worker pool behind
   ``--workers N``: parallel chunk sorts and key-range-partitioned merges
   with bit-identical results and simulated time for any worker count.
-* :mod:`repro.core.sorting_network` / :mod:`repro.core.packing` /
-  :mod:`repro.core.accelerator` — functional models of the FPGA datapath
-  (Fig 9, Fig 7) and its throughput, plus the software backend's cost model.
+* :mod:`repro.core.packing` / :mod:`repro.core.accelerator` — the FPGA
+  datapath's 256-bit tuple packing (Fig 7) and its throughput model, plus
+  the software backend's cost model.
+* :mod:`repro.core.dense` — dense output encoding with presence bitmaps
+  (§III-B).
+* :mod:`repro.core.bloom` — the bloom filter behind Algorithm 4's active
+  list.
 """
 
 from repro.core.kvstream import KVArray

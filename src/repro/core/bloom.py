@@ -39,17 +39,6 @@ class BloomFilter:
         self._seeds = (np.arange(num_hashes, dtype=np.uint64)
                        * np.uint64(0x5851F42D4C957F2D))[:, np.newaxis]
 
-    @staticmethod
-    def for_expected_items(n: int, false_positive_rate: float = 0.01) -> "BloomFilter":
-        """Size the filter for ``n`` items at the target false-positive rate."""
-        if n < 1:
-            raise ValueError(f"expected item count must be >= 1, got {n}")
-        if not 0 < false_positive_rate < 1:
-            raise ValueError(f"false_positive_rate must be in (0, 1), got {false_positive_rate}")
-        bits = int(-n * np.log(false_positive_rate) / (np.log(2) ** 2)) + 8
-        hashes = max(1, round(bits / n * np.log(2)))
-        return BloomFilter(bits, hashes)
-
     @property
     def nbytes(self) -> int:
         return self._bits.nbytes
@@ -74,10 +63,6 @@ class BloomFilter:
         pos = self._positions(keys)
         bits = self._bits[pos >> 3] >> (pos & 7).astype(np.uint8)
         return (bits & 1).all(axis=0)
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits set (saturation indicator)."""
-        return float(np.unpackbits(self._bits).sum()) / (len(self._bits) * 8)
 
     def clear(self) -> None:
         self._bits[:] = 0

@@ -25,8 +25,7 @@ TIMSORT_MAX_RUNS = 2
 class KVArray:
     """An aligned (keys, values) pair; may be sorted or unsorted.
 
-    The constructor validates alignment; use :meth:`empty` for a typed empty
-    run and :meth:`from_pairs` for literals in tests.
+    The constructor validates alignment; :meth:`empty` makes a typed empty run.
     """
 
     __slots__ = ("keys", "values")
@@ -58,15 +57,6 @@ class KVArray:
     @staticmethod
     def empty(value_dtype: np.dtype) -> "KVArray":
         return KVArray(np.empty(0, KEY_DTYPE), np.empty(0, np.dtype(value_dtype)))
-
-    @staticmethod
-    def from_pairs(pairs: list[tuple[int, object]], value_dtype: np.dtype) -> "KVArray":
-        """Build from a list of (key, value) tuples (test/demo convenience)."""
-        if not pairs:
-            return KVArray.empty(value_dtype)
-        keys = np.array([k for k, _ in pairs], dtype=KEY_DTYPE)
-        values = np.array([v for _, v in pairs], dtype=np.dtype(value_dtype))
-        return KVArray(keys, values)
 
     # -------------------------------------------------------------- properties
 
@@ -111,9 +101,6 @@ class KVArray:
 
     def slice(self, start: int, stop: int) -> "KVArray":
         return KVArray._wrap(self.keys[start:stop], self.values[start:stop])
-
-    def take(self, mask_or_index: np.ndarray) -> "KVArray":
-        return KVArray._wrap(self.keys[mask_or_index], self.values[mask_or_index])
 
     @staticmethod
     def concat(runs: list["KVArray"]) -> "KVArray":

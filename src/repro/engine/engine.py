@@ -47,13 +47,6 @@ class SuperstepMetrics:
     #: trace; trailing default keeps old checkpoints restorable).
     mode: str = "sortreduce"
 
-    @property
-    def flash_bandwidth(self) -> float:
-        """Achieved flash bandwidth during this superstep (bytes/s)."""
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.flash_bytes / self.elapsed_s
-
 
 @dataclass
 class RunResult:

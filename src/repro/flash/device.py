@@ -153,17 +153,9 @@ class FlashGeometry:
         if self.channels > self.num_blocks:
             raise ValueError("more channels than blocks")
 
-    def channel_of(self, block: int) -> int:
-        """Blocks stripe round-robin across channels."""
-        return block % self.channels
-
     @property
     def block_bytes(self) -> int:
         return self.page_bytes * self.pages_per_block
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.block_bytes * self.num_blocks
 
 
 def _program_order_runs(items: list) -> list[tuple[int, int, int]]:
@@ -619,20 +611,6 @@ class FlashDevice:
         self.total_blocks_erased += 1
 
     # --------------------------------------------------------------- recovery
-
-    # Free by design: OOB bytes ride along with every page transfer, and
-    # recovery-time sweeps charge their latency via mount_scan().
-    def read_oob(self, block: int, page: int) -> bytes | None:  # repro-lint: disable=RL006
-        """Spare-area metadata of a valid page (``None`` if none was ever
-        programmed — e.g. a torn page).  Free: OOB rides along with every
-        page transfer, and recovery scans charge via :meth:`mount_scan`."""
-        self._check_page(block, page)
-        if self._page_state[block, page] != PAGE_VALID:
-            raise FlashError(f"OOB read of non-valid page ({block}, {page})")
-        oob = self._oob.get((block, page))
-        if self.sanitizer is not None:
-            self.sanitizer.on_read_oob(block, page, oob)
-        return oob
 
     def mount_scan(self) -> list[tuple[int, int, bytes | None]]:
         """Recovery-time sweep: every valid page's ``(block, page, oob)``.

@@ -226,9 +226,6 @@ class CrashStats:
     power_losses: int = 0
     torn_writes: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
 
 class PowerLossInjector:
     """Runtime crash state for one :class:`~repro.flash.device.FlashDevice`.
@@ -413,9 +410,6 @@ class FaultStats:
     program_failures: int = 0
     erase_failures: int = 0
     blocks_retired: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
 
 
 class FaultInjector:

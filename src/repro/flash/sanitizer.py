@@ -128,7 +128,7 @@ class FlashSanitizer:
         self._next_page[block] = page + 1
         self._crc[(block, page)] = zlib.crc32(data)
         # A torn page's spare area never finished programming; None means
-        # "no OOB on flash" and read_oob must agree.
+        # "no OOB on flash" and the mount scan must agree.
         self._oob_crc[(block, page)] = (
             None if torn or oob is None else zlib.crc32(oob))
 

@@ -56,19 +56,6 @@ class WearReport:
         """
         return max(0.0, 1.0 - self.erase_count_stddev / (self.mean_erase_count + 1.0))
 
-    def as_dict(self) -> dict:
-        """JSON-safe form for result payloads and bench artifacts."""
-        return {
-            "pages_written": self.pages_written,
-            "blocks_erased": self.blocks_erased,
-            "bytes_written": self.bytes_written,
-            "max_erase_count": self.max_erase_count,
-            "mean_erase_count": self.mean_erase_count,
-            "erase_count_stddev": self.erase_count_stddev,
-            "bad_blocks": self.bad_blocks,
-            "wear_evenness": self.wear_evenness(),
-        }
-
 
 def lifetime_writes_remaining(device: FlashDevice, rated_pe_cycles: int = 3000) -> float:
     """Fraction of the device's rated program/erase budget still unused."""

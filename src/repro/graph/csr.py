@@ -81,16 +81,8 @@ class CSRGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.offsets.astype(np.int64)).astype(np.uint64)
 
-    def out_degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         return self.targets[int(self.offsets[v]):int(self.offsets[v + 1])]
-
-    def edge_weights(self, v: int) -> np.ndarray | None:
-        if self.weights is None:
-            return None
-        return self.weights[int(self.offsets[v]):int(self.offsets[v + 1])]
 
     # ------------------------------------------------------------- operations
 

@@ -60,11 +60,6 @@ class GraphDataset:
             raise ValueError(f"scale_factor must be in (0, 1], got {scale_factor}")
         return self.make_edges(scale_factor, seed)
 
-    def vertex_data_bytes(self, scale_factor: float = DEFAULT_SCALE,
-                          value_bytes: int = 8) -> int:
-        """Size of the dense vertex array V — Fig 13's 100% reference point."""
-        return self.scaled_nodes(scale_factor) * value_bytes
-
 
 def _kron(paper_scale: int, edgefactor: int):
     def make(scale_factor: float, seed: int) -> tuple[np.ndarray, np.ndarray, int]:

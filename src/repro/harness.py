@@ -131,11 +131,6 @@ def load_dataset(name: str, scale: float = DEFAULT_SCALE, seed: int = 1) -> CSRG
     return graph
 
 
-def graph_cache() -> GraphCache:
-    """The process-wide dataset cache (stats/clear hook for services)."""
-    return _GRAPH_CACHE
-
-
 def default_root(graph: CSRGraph) -> int:
     """First vertex with outbound edges — the BFS/BC source."""
     degrees = graph.out_degrees()

@@ -4,7 +4,7 @@ suppressions, report.
 Suppressions are line-scoped comments (real comments — a suppression
 string inside a string literal is ignored)::
 
-    page = device.read_oob(b, p)  # repro-lint: disable=RL006
+    device.invalidate_page(b, p)  # repro-lint: disable=RL006
     risky()                       # repro-lint: disable=RL001,RL005
     anything()                    # repro-lint: disable=all
 

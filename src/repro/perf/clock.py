@@ -111,12 +111,6 @@ class SimClock:
             return 0.0
         return self.busy_s(resource) / self.elapsed_s
 
-    def bandwidth(self, resource: str) -> float:
-        """Achieved average bandwidth in bytes/second over the full run."""
-        if self.elapsed_s == 0:
-            return 0.0
-        return self.bytes_moved(resource) / self.elapsed_s
-
     def checkpoint(self) -> "ClockCheckpoint":
         """Snapshot for measuring a sub-interval (e.g. a single superstep)."""
         return ClockCheckpoint(self, self.elapsed_s, {k: v.busy_s for k, v in self.usage.items()})

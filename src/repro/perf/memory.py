@@ -8,10 +8,8 @@ exist, mirroring how real systems behave when DRAM runs out:
   :class:`MemoryBudgetExceeded`.  Used by engines that refuse to run (the
   paper reports GraphLab and FlashGraph as DNF when their working set does
   not fit).
-* ``swap`` — allocation beyond the budget succeeds but the overflow is
-  recorded; the cost model then charges swap-thrashing I/O for accesses to
-  the overflowed fraction.  This is how the paper's Fig 13 shows FlashGraph
-  degrading "sharply" before eventually being stopped manually.
+* ``swap`` — allocation beyond the budget succeeds, so ``in_use`` may
+  exceed ``budget``.  No engine uses it: nothing charges swap-thrashing I/O.
 """
 
 from __future__ import annotations
@@ -61,19 +59,6 @@ class MemoryTracker:
     def available(self) -> int:
         return max(0, self.budget - self.in_use)
 
-    @property
-    def overflow(self) -> int:
-        """Bytes allocated beyond the budget (only nonzero under ``swap``)."""
-        return max(0, self.in_use - self.budget)
-
-    @property
-    def overflow_fraction(self) -> float:
-        """Fraction of allocated bytes that do not fit in DRAM."""
-        in_use = self.in_use
-        if in_use == 0:
-            return 0.0
-        return self.overflow / in_use
-
     def allocate(self, label: str, nbytes: int) -> None:
         """Record an allocation; grows the existing allocation if the label exists."""
         if nbytes < 0:
@@ -89,9 +74,3 @@ class MemoryTracker:
         if label not in self._allocations:
             raise KeyError(f"no allocation named {label!r}")
         del self._allocations[label]
-
-    def allocation(self, label: str) -> int:
-        return self._allocations.get(label, 0)
-
-    def labels(self) -> list[str]:
-        return sorted(self._allocations)

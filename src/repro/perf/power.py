@@ -33,14 +33,6 @@ class PowerBreakdown:
     def total_w(self) -> float:
         return self.host_w + self.accelerator_w + self.storage_w
 
-    def rows(self) -> list[tuple[str, float]]:
-        return [
-            ("host", self.host_w),
-            ("accelerator", self.accelerator_w),
-            ("storage", self.storage_w),
-            ("total", self.total_w),
-        ]
-
 
 class PowerModel:
     """Turns a run's CPU utilization into an average power figure.

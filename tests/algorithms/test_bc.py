@@ -5,9 +5,10 @@ import pytest
 
 from repro.algorithms.bc import run_betweenness_centrality
 from repro.algorithms.bfs import UNVISITED
-from repro.algorithms.reference import bfs_tree_descendants, validate_parents
+from repro.algorithms.reference import validate_parents
 from repro.engine.config import make_system
 from repro.graph.datasets import build_graph
+from tests.support import bfs_tree_descendants
 
 SCALE = 2.0 ** -15
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.bfs import BFSProgram, UNVISITED, parents_to_levels, run_bfs
-from repro.algorithms.reference import bfs_levels, validate_parents
+from repro.algorithms.bfs import BFSProgram, UNVISITED, run_bfs
+from repro.algorithms.reference import validate_parents
 from repro.engine.config import make_system
 from repro.graph.datasets import build_graph
 
@@ -54,13 +54,6 @@ def test_bfs_mteps_positive():
     result = run_on(graph, kind="grafboost", root=root)
     assert result.mteps > 0
     assert result.total_traversed_edges <= graph.num_edges * result.num_supersteps
-
-
-def test_parents_to_levels_matches_reference(random_graph):
-    root = int(np.flatnonzero(random_graph.out_degrees() > 0)[0])
-    result = run_on(random_graph, root=root)
-    levels = parents_to_levels(result.final_values(), root)
-    assert np.array_equal(levels, bfs_levels(random_graph, root))
 
 
 def test_bfs_traversed_edge_count(random_graph):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms.cc import NO_LABEL, run_label_propagation
-from repro.algorithms.reference import min_reachable_label, sssp_distances
+from repro.algorithms.reference import sssp_distances
 from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.engine.config import make_system
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import random_weights, uniform_edges
+from tests.support import min_reachable_label
 
 SCALE = 2.0 ** -15
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bfs import UNVISITED
-from repro.algorithms.reference import (
-    bfs_tree_descendants,
-    pagerank_push,
-    validate_parents,
-)
+from repro.algorithms.reference import pagerank_push, validate_parents
 from repro.baselines import (
     ClusterInMemoryEngine,
     EdgeCentricEngine,
@@ -18,6 +14,7 @@ from repro.baselines import (
 )
 from repro.graph.datasets import build_graph
 from repro.perf.profiles import SERVER_SSD_ARRAY
+from tests.support import bfs_tree_descendants
 
 SCALE = 2.0 ** -14
 SERVER = SERVER_SSD_ARRAY.scaled(SCALE)
@@ -55,7 +52,7 @@ def test_pagerank_correct(engine_cls, twitter):
 @pytest.mark.parametrize("engine_cls", ALL_ENGINES)
 def test_bc_correct(engine_cls, twitter, twitter_root):
     bfs = engine_cls(twitter, SERVER).run_bfs(twitter_root)
-    result = engine_cls(twitter, SERVER).run_bc(twitter_root)
+    result = engine_cls(twitter, SERVER).run("bc", root=twitter_root)
     assert result.completed
     expected = bfs_tree_descendants(twitter, twitter_root,
                                     bfs.final_values(), UNVISITED)
@@ -105,7 +102,7 @@ def test_flashgraph_dnf_on_kron32():
 def test_flashgraph_oom_when_state_cannot_swap(twitter):
     # Vertex state beyond the thrashing tolerance refuses to run.
     tiny = SERVER.with_dram(max(4096, twitter.num_vertices * 2))
-    result = SemiExternalEngine(twitter, tiny).run_bc(0)
+    result = SemiExternalEngine(twitter, tiny).run("bc", root=0)
     assert not result.completed
     assert "vertex state" in result.dnf_reason
 

@@ -17,12 +17,13 @@ from repro.core.external import ExternalSortReducer
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
 from repro.perf.profiles import GRAFSOFT
+from tests.support import kv_pairs
 
 
 def make_run(aoffs, pairs, chunk_bytes=4096):
     reducer = ExternalSortReducer(aoffs, SUM, np.float64,
                                   SoftwareBackend(GRAFSOFT), chunk_bytes)
-    reducer.add(KVArray.from_pairs(pairs, np.float64))
+    reducer.add(kv_pairs(pairs, np.float64))
     return reducer.finish()
 
 

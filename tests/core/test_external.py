@@ -10,6 +10,7 @@ from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import FIRST, SUM
 from repro.perf.memory import MemoryTracker
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT
+from tests.support import kv_pairs
 
 
 def make_reducer(store, op=SUM, dtype=np.float64, chunk_bytes=4096, **kw):
@@ -137,7 +138,7 @@ def test_add_after_finish_rejected(aoffs):
 def test_dtype_mismatch_rejected(aoffs):
     reducer = make_reducer(aoffs, dtype=np.float64)
     with pytest.raises(ValueError):
-        reducer.add(KVArray.from_pairs([(1, 2)], np.int64))
+        reducer.add(kv_pairs([(1, 2)], np.int64))
 
 
 def test_chunk_handles_oversized_add(aoffs):

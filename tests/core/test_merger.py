@@ -9,10 +9,11 @@ from repro.core.kvstream import TIMSORT_MAX_RUNS, KVArray
 from repro.core.merger import StreamingMergeReducer, merge_reduce_arrays
 from repro.core.parallel import SortReducePool
 from repro.core.reduce_ops import FIRST, LAST, SUM
+from tests.support import kv_pairs
 
 
 def kv(pairs, dtype=np.int64):
-    return KVArray.from_pairs(pairs, dtype)
+    return kv_pairs(pairs, dtype)
 
 
 def chunked(run: KVArray, size: int):
@@ -142,8 +143,9 @@ def test_emits_through_a_two_worker_pool_equal_serial():
         for k in EMIT_RUN_COUNTS:
             runs = tagged_runs(k)
             # The same records as one unsorted chunk (runs interleaved).
-            chunk = KVArray.concat(runs).take(
-                np.arange(40 * k).reshape(k, 40).T.ravel())
+            whole = KVArray.concat(runs)
+            interleave = np.arange(40 * k).reshape(k, 40).T.ravel()
+            chunk = KVArray(whole.keys[interleave], whole.values[interleave])
             for op in (FIRST, LAST, SUM):
                 serial = merge_reduce_arrays(runs, op)
                 assert_same(merge_reduce_arrays(runs, op, pool=pool), serial)

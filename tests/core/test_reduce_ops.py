@@ -16,10 +16,11 @@ from repro.core.reduce_ops import (
     group_starts,
     op_by_name,
 )
+from tests.support import kv_pairs
 
 
 def kv(pairs, dtype=np.int64):
-    return KVArray.from_pairs(pairs, dtype)
+    return kv_pairs(pairs, dtype)
 
 
 def test_group_starts():

@@ -98,7 +98,7 @@ def test_superstep_metrics_resource_deltas(weighted_graph):
     total_flash = sum(s.flash_bytes for s in result.supersteps)
     assert total_flash > 0
     busiest = max(result.supersteps, key=lambda s: s.traversed_edges)
-    assert busiest.flash_bandwidth > 0
+    assert busiest.flash_bytes > 0
 
 
 def test_vertex_with_no_outgoing_edges_terminates():

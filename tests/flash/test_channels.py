@@ -27,10 +27,15 @@ def test_geometry_validation():
 
 
 def test_channel_striping():
-    geometry = FlashGeometry(4096, 4, 64, channels=8)
-    assert geometry.channel_of(0) == 0
-    assert geometry.channel_of(7) == 7
-    assert geometry.channel_of(8) == 0
+    # Blocks stripe round-robin: blocks 0 and 7 sit on different channels of
+    # 8 and transfer in parallel; blocks 0 and 8 share channel 0 and queue.
+    transfer = {}
+    for pair in ((0, 7), (0, 8)):
+        device = make_device(8)
+        fill_blocks(device, pair, pages=1)
+        device.read_pages([(block, 0) for block in pair])
+        transfer[pair] = device.clock.elapsed_s - GRAFSOFT.flash_read_latency_s
+    assert transfer[(0, 8)] == pytest.approx(2 * transfer[(0, 7)])
 
 
 def test_single_channel_matches_aggregate_model():

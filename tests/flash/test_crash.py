@@ -1,6 +1,8 @@
 """Power-loss injection: crash plans, torn writes, the PowerLossError
 contract, typed out-of-space errors, and atomic rename-overwrite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,8 @@ def test_torn_write_commits_prefix_plus_garbage_without_oob():
     torn = bytes(dev.read_page(5, 0))
     assert len(torn) == GEOMETRY.page_bytes
     assert torn != page_of(0xAB)          # garbage tail somewhere
-    assert dev.read_oob(5, 0) is None     # torn pages never carry OOB
+    # Torn pages never carry OOB: the mount scan sees none.
+    assert dict(((b, p), oob) for b, p, oob in dev.mount_scan())[(5, 0)] is None
     # Untorn crash (torn=0): the page simply never programmed.
     dev2 = raw_device(crashes=CrashPlan(at_ops=(0,), torn_write_p=0.0))
     with pytest.raises(PowerLossError):
@@ -166,7 +169,7 @@ def test_injector_survives_across_injector_state_not_plan():
                 dev.write_page(1, page, page_of(page))
             except PowerLossError as e:
                 fired.append(e.op_index)
-        outcomes.append((fired, dev.crashes.stats.as_dict()))
+        outcomes.append((fired, dataclasses.asdict(dev.crashes.stats)))
     assert outcomes[0] == outcomes[1]
 
 

@@ -1,6 +1,8 @@
 """Deterministic fault injection, ECC/read-retry recovery, bad-block
 remapping, checksum repair, and the FlashError taxonomy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ def test_fault_plan_validates_ranges():
 
 def test_fault_stats_as_dict_roundtrip():
     stats = FaultStats(bits_corrected=3, read_retries=1)
-    d = stats.as_dict()
+    d = dataclasses.asdict(stats)
     assert d["bits_corrected"] == 3
     assert d["read_retries"] == 1
 

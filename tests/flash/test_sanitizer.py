@@ -134,12 +134,12 @@ def test_oob_divergence_detected():
     device.write_page(0, 0, page_of(1), oob=b"lpn=42")
     device._oob[(0, 0)] = b"lpn=43"
     with pytest.raises(SanitizerError, match="OOB"):
-        device.read_oob(0, 0)
+        device.mount_scan()
     device2 = make_device()
     device2.write_page(0, 0, page_of(1))  # no OOB programmed
     device2._oob[(0, 0)] = b"ghost"
     with pytest.raises(SanitizerError, match="OOB"):
-        device2.read_oob(0, 0)
+        device2.mount_scan()
 
 
 # --------------------------------------------------------------- erase checks

@@ -12,6 +12,7 @@ the same way.  A change to how any layer issues a one-page operation must
 reproduce these numbers bit for bit.
 """
 
+import dataclasses
 import zlib
 
 import pytest
@@ -169,11 +170,11 @@ def power_losses(stack) -> list:
                 fired = e.op_index
                 break
         pages = [(b, p, zlib.crc32(device._read_silent(b, p)),
-                  device.read_oob(b, p) is None)
+                  device._oob.get((b, p)) is None)
                  for b in range(GEOMETRY.num_blocks)
                  for p in range(device.programmed_pages(b))
                  if device.page_state(b, p) == PAGE_VALID]
-        outcomes.append((at, fired, device.crashes.stats.as_dict(), pages,
+        outcomes.append((at, fired, dataclasses.asdict(device.crashes.stats), pages,
                          charges(device)))
     return outcomes
 

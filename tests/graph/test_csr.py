@@ -13,8 +13,8 @@ def test_from_edges_tiny(tiny_graph):
     assert sorted(tiny_graph.neighbors(0).tolist()) == [1, 2]
     assert tiny_graph.neighbors(3).tolist() == [4]
     assert tiny_graph.neighbors(5).tolist() == []
-    assert tiny_graph.out_degree(0) == 2
-    assert tiny_graph.out_degree(5) == 0
+    assert tiny_graph.out_degrees()[0] == 2
+    assert tiny_graph.out_degrees()[5] == 0
 
 
 def test_out_degrees(tiny_graph):
@@ -34,8 +34,8 @@ def test_weights_follow_edges():
     dst = np.array([0, 1], dtype=np.uint64)
     weights = np.array([10.0, 20.0], dtype=np.float32)
     graph = CSRGraph.from_edges(src, dst, 2, weights)
-    assert graph.edge_weights(0).tolist() == [20.0]
-    assert graph.edge_weights(1).tolist() == [10.0]
+    assert graph.targets.tolist() == [1, 0]
+    assert graph.weights.tolist() == [20.0, 10.0]
 
 
 def test_validation():

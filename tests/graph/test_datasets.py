@@ -29,7 +29,6 @@ def test_edge_factor_consistency():
 def test_scaled_sizes():
     wdc = DATASETS["wdc"]
     assert wdc.scaled_nodes(2.0 ** -14) == pytest.approx(183_105, rel=0.01)
-    assert wdc.vertex_data_bytes(2.0 ** -14) == wdc.scaled_nodes(2.0 ** -14) * 8
 
 
 def test_build_graph_small_scale():

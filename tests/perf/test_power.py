@@ -43,6 +43,5 @@ def test_utilization_is_clamped():
 def test_breakdown_rows_sum_to_total():
     model = PowerModel(GRAFBOOST)
     power = model.average_power(cpu_utilization=2.0)
-    rows = dict(power.rows())
-    assert rows["total"] == pytest.approx(
-        rows["host"] + rows["accelerator"] + rows["storage"])
+    assert power.total_w == pytest.approx(
+        power.host_w + power.accelerator_w + power.storage_w)

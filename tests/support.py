@@ -1,0 +1,60 @@
+"""Helpers only the tests use: literal key-value runs and reference answers.
+
+The reference answers, like :mod:`repro.algorithms.reference`, work on a
+:class:`~repro.graph.csr.CSRGraph` directly, with no storage simulation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.algorithms.reference import bfs_levels
+from repro.core.kvstream import KEY_DTYPE, KVArray
+from repro.graph.csr import CSRGraph
+
+
+def kv_pairs(pairs: list[tuple[int, object]], value_dtype: np.dtype) -> KVArray:
+    """A :class:`KVArray` from a list of ``(key, value)`` tuples."""
+    if not pairs:
+        return KVArray.empty(value_dtype)
+    keys = np.array([k for k, _ in pairs], dtype=KEY_DTYPE)
+    values = np.array([v for _, v in pairs], dtype=np.dtype(value_dtype))
+    return KVArray(keys, values)
+
+
+
+
+def min_reachable_label(graph: CSRGraph, max_rounds: int | None = None) -> np.ndarray:
+    """For each vertex: the minimum vertex id that can reach it (label
+    propagation's fixed point on the directed graph)."""
+    n = graph.num_vertices
+    labels = np.arange(n, dtype=np.int64)
+    src, dst = graph.edge_list()
+    src_i, dst_i = src.astype(np.int64), dst.astype(np.int64)
+    rounds = 0
+    while True:
+        pushed = np.full(n, n, dtype=np.int64)
+        np.minimum.at(pushed, dst_i, labels[src_i])
+        new_labels = np.minimum(labels, pushed)
+        rounds += 1
+        if np.array_equal(new_labels, labels):
+            return labels
+        labels = new_labels
+        if max_rounds is not None and rounds >= max_rounds:
+            return labels
+
+
+def bfs_tree_descendants(graph: CSRGraph, root: int, parents: np.ndarray,
+                         unvisited) -> np.ndarray:
+    """Number of BFS-parent-tree descendants per vertex — the score the
+    sort-reduce backtrace computes."""
+    levels = bfs_levels(graph, root)
+    counts = np.zeros(graph.num_vertices, dtype=np.float64)
+    order = np.argsort(levels)  # -1 (unreachable) first, then by depth
+    for v in order[::-1]:
+        v = int(v)
+        if levels[v] <= 0:
+            continue  # unreachable or root: root pushes to nobody
+        p = int(parents[v])
+        counts[p] += 1.0 + counts[v]
+    return counts

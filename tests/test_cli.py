@@ -48,13 +48,15 @@ def test_run_baseline_dnf_exit_code(capsys):
 
 def test_run_scale_too_small_for_key_packing_is_a_usage_error(capsys):
     # twitter @ 1e-20 has 64 vertices but the paper's id width scaled down
-    # needs 73 key bits: one line naming dataset and scale, no traceback.
-    code, _, err = run_cli(capsys, "run", "--dataset", "twitter",
-                           "--scale", "1e-20")
-    assert code == 2
-    assert err.count("\n") == 1
-    assert err.startswith("twitter @ scale 1e-20: ")
-    assert "ValueError" in err and "key_bits" in err
+    # needs 73 key bits: one line naming dataset and scale, no traceback,
+    # from run, compare and serve alike.
+    for command in (["run"], ["compare"], ["serve", "--demo"]):
+        code, _, err = run_cli(capsys, *command, "--dataset", "twitter",
+                               "--scale", "1e-20")
+        assert code == 2, command
+        assert err.count("\n") == 1
+        assert err.startswith("twitter @ scale 1e-20: cannot run ")
+        assert "ValueError" in err and "key_bits" in err
 
 
 def test_run_out_of_host_memory_is_a_usage_error(capsys, monkeypatch):

@@ -35,7 +35,7 @@ def test_load_dataset_memoizes():
 
 def test_default_root_has_edges(tiny_graph):
     root = default_root(tiny_graph)
-    assert tiny_graph.out_degree(root) > 0
+    assert tiny_graph.out_degrees()[root] > 0
 
 
 def test_default_root_rejects_empty():
@@ -220,13 +220,11 @@ def test_runs_ignore_the_retired_environment_switches(monkeypatch):
 
 
 def test_load_dataset_goes_through_shared_cache():
-    from repro.harness import graph_cache
-
-    before = graph_cache().stats()["hits"]
+    before = harness._GRAPH_CACHE.stats()["hits"]
     a = load_dataset("twitter", SCALE, seed=3)
     b = load_dataset("twitter", SCALE, seed=3)
     assert a is b
-    assert graph_cache().stats()["hits"] > before
+    assert harness._GRAPH_CACHE.stats()["hits"] > before
 
 
 # ------------------------------------------------------- two-phase mode trace

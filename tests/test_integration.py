@@ -13,12 +13,7 @@ import pytest
 from repro.algorithms.bfs import UNVISITED, run_bfs
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.bc import run_betweenness_centrality
-from repro.algorithms.reference import (
-    bfs_levels,
-    bfs_tree_descendants,
-    pagerank_push,
-    validate_parents,
-)
+from repro.algorithms.reference import bfs_levels, pagerank_push, validate_parents
 from repro.baselines import (
     ClusterInMemoryEngine,
     EdgeCentricEngine,
@@ -28,6 +23,7 @@ from repro.baselines import (
 )
 from repro.engine.config import make_system
 from repro.harness import default_root, load_dataset
+from tests.support import bfs_tree_descendants
 from repro.perf.profiles import SERVER_SSD_ARRAY
 
 SCALE = 2.0 ** -16
@@ -91,7 +87,7 @@ def test_bc_agrees_everywhere(dataset):
 
     for baseline_cls in BASELINES:
         baseline_bfs = baseline_cls(graph, SERVER_SSD_ARRAY).run_bfs(root)
-        result = baseline_cls(graph, SERVER_SSD_ARRAY).run_bc(root)
+        result = baseline_cls(graph, SERVER_SSD_ARRAY).run("bc", root=root)
         baseline_expected = bfs_tree_descendants(
             graph, root, baseline_bfs.final_values(), UNVISITED)
         assert np.allclose(result.final_values(), baseline_expected), \

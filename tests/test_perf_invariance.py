@@ -744,7 +744,7 @@ def _baseline_case(system, algorithm, case):
     elif algorithm == "bfs":
         result = engine.run_bfs(root)
     else:
-        result = engine.run_bc(root)
+        result = engine.run("bc", root=root)
     digest = ("" if result.values is None
               else hashlib.sha256(result.values.tobytes()).hexdigest())
     return (result.completed, repr(result.elapsed_s), result.supersteps,
