@@ -64,8 +64,7 @@ class BFSProgram(VertexProgram):
         return 1  # single-root seed
 
 
-def run_bfs(engine: GraFBoostEngine, root: int,
-            max_supersteps: int | None = None) -> RunResult:
+def run_bfs(engine: GraFBoostEngine, root: int) -> RunResult:
     """Run BFS from ``root``; ``result.final_values()`` is the parent array
     (UNVISITED where unreachable)."""
-    return engine.run(BFSProgram(root), max_supersteps=max_supersteps)
+    return engine.run(BFSProgram(root))

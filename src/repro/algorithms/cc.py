@@ -57,9 +57,8 @@ class LabelPropagationProgram(VertexProgram):
             yield KVArray(keys, keys.copy())
 
 
-def run_label_propagation(engine: GraFBoostEngine,
-                          max_supersteps: int | None = None) -> RunResult:
+def run_label_propagation(engine: GraFBoostEngine) -> RunResult:
     """Run to convergence; ``result.final_values()`` maps each vertex to the
     minimum vertex id it can be reached from (its component id on a
     symmetrized graph)."""
-    return engine.run(LabelPropagationProgram(), max_supersteps=max_supersteps)
+    return engine.run(LabelPropagationProgram())

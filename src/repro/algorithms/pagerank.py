@@ -26,6 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.algorithms.reference import DAMPING
 from repro.core.bloom import BloomFilter
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
@@ -41,13 +42,10 @@ class PageRankProgram(VertexProgram):
     value_dtype = np.dtype("<f8")
     reduce_op = SUM
 
-    def __init__(self, num_vertices: int, damping: float = 0.85):
+    def __init__(self, num_vertices: int):
         if num_vertices < 1:
             raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
-        if not 0 < damping < 1:
-            raise ValueError(f"damping must be in (0, 1), got {damping}")
         self.num_vertices = num_vertices
-        self.damping = damping
         self.default_value = 1.0 / num_vertices
 
     def edge_program(self, src_values: np.ndarray, src_ids: np.ndarray,
@@ -63,7 +61,7 @@ class PageRankProgram(VertexProgram):
             return values / degrees.astype(np.float64)
 
     def finalize(self, new_values: np.ndarray, old_values: np.ndarray) -> np.ndarray:
-        return (1.0 - self.damping) / self.num_vertices + self.damping * new_values
+        return (1.0 - DAMPING) / self.num_vertices + DAMPING * new_values
 
     def initial_updates(self, num_vertices: int) -> Iterator[KVArray]:
         return all_active_chunks(num_vertices, self.value_dtype, self.default_value)
@@ -82,9 +80,8 @@ class WeightedPageRankProgram(PageRankProgram):
     name = "pagerank-weighted"
     uses_weights = True
 
-    def __init__(self, num_vertices: int, out_weight_sums: np.ndarray,
-                 damping: float = 0.85):
-        super().__init__(num_vertices, damping)
+    def __init__(self, num_vertices: int, out_weight_sums: np.ndarray):
+        super().__init__(num_vertices)
         if len(out_weight_sums) != num_vertices:
             raise ValueError(
                 f"out_weight_sums length {len(out_weight_sums)} != "
@@ -110,18 +107,17 @@ def out_weight_sums(graph) -> np.ndarray:
     return sums
 
 
-def run_weighted_pagerank(engine: GraFBoostEngine, graph, iterations: int = 1,
-                          damping: float = 0.85) -> RunResult:
+def run_weighted_pagerank(engine: GraFBoostEngine, graph,
+                          iterations: int) -> RunResult:
     """Weighted PageRank; ``graph`` is the in-memory CSR (for weight sums)."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    program = WeightedPageRankProgram(graph.num_vertices, out_weight_sums(graph),
-                                      damping)
+    program = WeightedPageRankProgram(graph.num_vertices, out_weight_sums(graph))
     return engine.run(program, max_supersteps=iterations)
 
 
 def run_pagerank(engine: GraFBoostEngine, num_vertices: int,
-                 iterations: int = 1, damping: float = 0.85) -> RunResult:
+                 iterations: int = 1) -> RunResult:
     """The paper's measured configuration: ``iterations`` all-active passes.
 
     ``iterations=1`` reproduces §V's "very first iteration of PageRank, when
@@ -129,7 +125,7 @@ def run_pagerank(engine: GraFBoostEngine, num_vertices: int,
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    program = PageRankProgram(num_vertices, damping)
+    program = PageRankProgram(num_vertices)
     return engine.run(program, max_supersteps=iterations)
 
 
@@ -144,9 +140,8 @@ class PageRankAlg4Program(PageRankProgram):
 
     name = "pagerank-alg4"
 
-    def __init__(self, in_graph: FlashCSR, bloom: BloomFilter, tol: float,
-                 damping: float = 0.85):
-        super().__init__(in_graph.num_vertices, damping)
+    def __init__(self, in_graph: FlashCSR, bloom: BloomFilter, tol: float):
+        super().__init__(in_graph.num_vertices)
         self.in_graph = in_graph
         self.bloom = bloom
         self.tol = tol
@@ -181,8 +176,7 @@ class PageRankAlg4Program(PageRankProgram):
 
 
 def run_pagerank_alg4(engine: GraFBoostEngine, in_graph: FlashCSR,
-                      iterations: int = 10, tol: float = 1e-9,
-                      damping: float = 0.85) -> RunResult:
+                      iterations: int = 10, tol: float = 1e-9) -> RunResult:
     """Algorithm 4 over ``engine``'s (out-edge) graph; ``in_graph`` is its
     transpose.  Stops early when no rank moves by ``tol``."""
     # One bit of filter per vertex: coarse, but see the class docstring.
@@ -190,7 +184,7 @@ def run_pagerank_alg4(engine: GraFBoostEngine, in_graph: FlashCSR,
     if engine.memory is not None:
         engine.memory.allocate("pagerank:bloom", bloom.nbytes)
     try:
-        return engine.run(PageRankAlg4Program(in_graph, bloom, tol, damping),
+        return engine.run(PageRankAlg4Program(in_graph, bloom, tol),
                           max_supersteps=iterations)
     finally:
         if engine.memory is not None:

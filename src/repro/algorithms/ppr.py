@@ -22,31 +22,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.pagerank import PageRankProgram
+from repro.algorithms.reference import DAMPING
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
 from repro.engine.engine import GraFBoostEngine, RunResult, SuperstepMetrics
 from repro.engine.superstep import push, reduce_into
 from repro.graph.vertexdata import VertexArray
 
+#: The run stops once no vertex's rank moves by more than this.
+TOL = 1e-10
+
 
 def run_personalized_pagerank(engine: GraFBoostEngine, source: int,
-                              iterations: int = 20, damping: float = 0.85,
-                              tol: float = 1e-10) -> RunResult:
+                              iterations: int) -> RunResult:
     """Personalized PageRank from ``source``; stops early once no vertex's
-    rank moves by more than ``tol`` in an iteration."""
+    rank moves by more than ``TOL`` in an iteration."""
     if not 0 <= source < engine.num_vertices:
         raise ValueError(f"source {source} out of range [0, {engine.num_vertices})")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if not 0 < damping < 1:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
 
     clock = engine.clock
     vertices = VertexArray(engine.store, engine.num_vertices, np.dtype("<f8"), 0.0)
     result = RunResult(algorithm="personalized-pagerank", vertices=vertices)
     run_start = clock.elapsed_s
     # Supplies the push kernel's messages: rank / out-degree per edge.
-    program = PageRankProgram(engine.num_vertices, damping)
+    program = PageRankProgram(engine.num_vertices)
     source_key = np.array([source], dtype=np.uint64)
 
     def teleport_scan(newv, iteration: int, sink=None) -> tuple[int, float]:
@@ -59,8 +60,8 @@ def run_personalized_pagerank(engine: GraFBoostEngine, source: int,
             if len(chunk) == 0:
                 continue
             old_values, _steps = cursor.lookup(chunk.keys)
-            teleport = np.where(chunk.keys == np.uint64(source), 1.0 - damping, 0.0)
-            ranks = teleport + damping * chunk.values
+            teleport = np.where(chunk.keys == np.uint64(source), 1.0 - DAMPING, 0.0)
+            ranks = teleport + DAMPING * chunk.values
             max_change = max(max_change, float(np.abs(ranks - old_values).max()))
             overlay.add(KVArray(chunk.keys, ranks))
             staged += len(chunk)
@@ -77,7 +78,7 @@ def run_personalized_pagerank(engine: GraFBoostEngine, source: int,
     # exactly 1.0 at the source: the full unit of teleport probability.
     prev_run = None
     prev_chunks = iter([KVArray(source_key,
-                                np.array([1.0 / damping - (1.0 - damping) / damping],
+                                np.array([1.0 / DAMPING - (1.0 - DAMPING) / DAMPING],
                                          dtype=np.float64))])
     for iteration in range(iterations):
         checkpoint = clock.checkpoint()
@@ -98,7 +99,7 @@ def run_personalized_pagerank(engine: GraFBoostEngine, source: int,
         ))
         vertices.maybe_compact()
         prev_chunks = prev_run.chunks()
-        if iteration > 0 and max_change < tol:
+        if iteration > 0 and max_change < TOL:
             break
 
     teleport_scan(prev_run.chunks(), len(result.supersteps))  # fold the last newV into V

@@ -12,6 +12,10 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
+#: PageRank's damping factor, the paper's one setting; every PageRank here
+#: (the engine's programs, the baselines' kernel, this reference) uses it.
+DAMPING = 0.85
+
 
 def bfs_levels(graph: CSRGraph, root: int) -> np.ndarray:
     """BFS level per vertex (-1 = unreachable)."""
@@ -57,7 +61,7 @@ def validate_parents(graph: CSRGraph, root: int, parents: np.ndarray,
     return True
 
 
-def pagerank_push(graph: CSRGraph, iterations: int, damping: float = 0.85) -> np.ndarray:
+def pagerank_push(graph: CSRGraph, iterations: int) -> np.ndarray:
     """Push-semantics PageRank matching the vertex-program formulation.
 
     Every vertex pushes ``rank/out_degree`` along its out-edges; receivers
@@ -77,7 +81,7 @@ def pagerank_push(graph: CSRGraph, iterations: int, damping: float = 0.85) -> np
         contributions = np.zeros(n)
         pushing = degrees[src_i] > 0
         np.add.at(contributions, dst_i[pushing], rank[src_i[pushing]] / degrees[src_i[pushing]])
-        new_rank = (1 - damping) / n + damping * contributions
+        new_rank = (1 - DAMPING) / n + DAMPING * contributions
         rank = np.where(has_inbound, new_rank, rank)
     return rank
 

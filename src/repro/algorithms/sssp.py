@@ -57,7 +57,6 @@ class SSSPProgram(VertexProgram):
         return 1  # single-root seed
 
 
-def run_sssp(engine: GraFBoostEngine, root: int,
-             max_supersteps: int | None = None) -> RunResult:
+def run_sssp(engine: GraFBoostEngine, root: int) -> RunResult:
     """Run SSSP; ``result.final_values()`` holds distances (inf = unreached)."""
-    return engine.run(SSSPProgram(root), max_supersteps=max_supersteps)
+    return engine.run(SSSPProgram(root))

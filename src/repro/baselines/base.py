@@ -80,11 +80,10 @@ class BaselineEngine:
     name = "baseline"
 
     def __init__(self, graph: CSRGraph, profile: HardwareProfile,
-                 clock: SimClock | None = None,
                  cutoff_s: float = DNF_CUTOFF_UNLIMITED):
         self.graph = graph
         self.profile = profile
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         self.cutoff_s = cutoff_s
         self._supersteps = 0
         self._traversed = 0
@@ -122,11 +121,10 @@ class BaselineEngine:
     def run_bfs(self, root: int) -> BaselineResult:
         return self.run("bfs", root=root)
 
-    def run_pagerank(self, iterations: int = 1, damping: float = 0.85) -> BaselineResult:
-        return self.run("pagerank", iterations=iterations, damping=damping)
+    def run_pagerank(self, iterations: int = 1) -> BaselineResult:
+        return self.run("pagerank", iterations=iterations)
 
-    def run(self, algorithm: str, root: int = 0, iterations: int = 1,
-            damping: float = 0.85) -> BaselineResult:
+    def run(self, algorithm: str, root: int = 0, iterations: int = 1) -> BaselineResult:
         """Run ``algorithm`` (``bfs``, ``pagerank`` or ``bc``) under this
         model's costs; ``root`` is the BFS/BC source."""
         if algorithm not in ("bfs", "pagerank", "bc"):
@@ -140,7 +138,7 @@ class BaselineEngine:
             start = self.clock.elapsed_s
             self.load(algorithm)
             if algorithm == "pagerank":
-                values = self._pagerank(iterations, damping)
+                values = self._pagerank(iterations)
             else:
                 values, levels = self._bfs(algorithm, root)
                 if algorithm == "bc":
@@ -166,7 +164,7 @@ class BaselineEngine:
                 levels.append((frontier, parents[frontier]))
         return parents, levels
 
-    def _pagerank(self, iterations: int, damping: float) -> np.ndarray:
+    def _pagerank(self, iterations: int) -> np.ndarray:
         graph = self.graph
         n = graph.num_vertices
         rank = np.full(n, 1.0 / n)
@@ -174,8 +172,7 @@ class BaselineEngine:
         has_inbound = np.zeros(n, dtype=bool)
         has_inbound[graph.targets.astype(np.int64)] = True
         for _ in range(iterations):
-            rank = kernels.pagerank_iteration(graph, rank, degrees,
-                                              has_inbound, damping)
+            rank = kernels.pagerank_iteration(graph, rank, degrees, has_inbound)
             self._superstep("pagerank", n, graph.num_edges, n, n)
         return rank
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED
 from repro.graph.csr import CSRGraph
-from repro.perf.clock import SimClock
 from repro.perf.profiles import HardwareProfile
 
 #: Bytes per logged update record (destination id + value).
@@ -35,9 +34,8 @@ class EdgeCentricEngine(BaselineEngine):
     name = "X-Stream"
 
     def __init__(self, graph: CSRGraph, profile: HardwareProfile,
-                 clock: SimClock | None = None,
                  cutoff_s: float = DNF_CUTOFF_UNLIMITED):
-        super().__init__(graph, profile, clock, cutoff_s)
+        super().__init__(graph, profile, cutoff_s)
         self.edge_scan_bytes = graph.num_edges * 12  # src+dst packed records
         self.update_log_overflow = False
 

@@ -16,10 +16,8 @@ patterns", §V-D).
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED, graph_bytes_on_flash
-from repro.graph.csr import CSRGraph
-from repro.perf.clock import SimClock
-from repro.perf.profiles import HardwareProfile, MB
+from repro.baselines.base import BaselineEngine, graph_bytes_on_flash
+from repro.perf.profiles import MB
 
 #: PowerGraph-style in-memory blow-up over the compact binary size
 #: (vertex/edge objects, mirrors, locks).  Calibrated so the paper's
@@ -47,16 +45,9 @@ class InMemoryEngine(BaselineEngine):
     name = "GraphLab"
     num_nodes = 1
 
-    def __init__(self, graph: CSRGraph, profile: HardwareProfile,
-                 clock: SimClock | None = None,
-                 cutoff_s: float = DNF_CUTOFF_UNLIMITED,
-                 replication_factor: float = REPLICATION_FACTOR):
-        super().__init__(graph, profile, clock, cutoff_s)
-        self.replication_factor = replication_factor
-
     def memory_required(self) -> int:
         """DRAM needed: replicated graph structure plus vertex state."""
-        return int(self.graph.nbytes * self.replication_factor
+        return int(self.graph.nbytes * REPLICATION_FACTOR
                    + self.graph.num_vertices * 24)
 
     def memory_available(self) -> int:
@@ -78,7 +69,7 @@ class InMemoryEngine(BaselineEngine):
         """Read the graph from storage and build the in-memory structure;
         each node of a cluster loads (and replicates) its own partition."""
         self.charge_seq_read(graph_bytes_on_flash(self.graph) / self.num_nodes)
-        self.charge_cpu_stream(self.graph.nbytes * self.replication_factor,
+        self.charge_cpu_stream(self.graph.nbytes * REPLICATION_FACTOR,
                                self.profile.cpu_threads * self.num_nodes)
 
     def charge_superstep(self, algorithm: str, frontier: int, edges: int,
@@ -95,17 +86,7 @@ class ClusterInMemoryEngine(InMemoryEngine):
     """GraphLab5: five pooled nodes over 1 G Ethernet (§V-D)."""
 
     name = "GraphLab5"
-
-    def __init__(self, graph: CSRGraph, profile: HardwareProfile,
-                 num_nodes: int = 5, clock: SimClock | None = None,
-                 cutoff_s: float = DNF_CUTOFF_UNLIMITED,
-                 replication_factor: float = REPLICATION_FACTOR,
-                 network_bw: float = GIGABIT_BW):
-        super().__init__(graph, profile, clock, cutoff_s, replication_factor)
-        if num_nodes < 2:
-            raise ValueError(f"a cluster needs >= 2 nodes, got {num_nodes}")
-        self.num_nodes = num_nodes
-        self.network_bw = network_bw
+    num_nodes = 5
 
     def charge_superstep(self, algorithm: str, frontier: int, edges: int,
                          updated: int, accesses: int) -> None:
@@ -115,6 +96,6 @@ class ClusterInMemoryEngine(InMemoryEngine):
         # Sparse many-superstep algorithms (BFS) drown in the barrier
         # latency — "the network becoming the bottleneck" (§V-D).
         sync_bytes = int(updated * 8 * MIRRORS_PER_VERTEX)
-        self.clock.charge("net", SYNC_LATENCY_S + sync_bytes / self.network_bw,
+        self.clock.charge("net", SYNC_LATENCY_S + sync_bytes / GIGABIT_BW,
                           nbytes=sync_bytes)
         self._check_cutoff()

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import FIRST, SUM
+from repro.algorithms.reference import DAMPING
 from repro.graph.csr import CSRGraph
 
 #: Parent/label marker for untouched vertices (matches the engine's value).
@@ -55,7 +56,7 @@ def bfs_expand(graph: CSRGraph, frontier: np.ndarray,
 
 
 def pagerank_iteration(graph: CSRGraph, rank: np.ndarray, degrees: np.ndarray,
-                       has_inbound: np.ndarray, damping: float = 0.85) -> np.ndarray:
+                       has_inbound: np.ndarray) -> np.ndarray:
     """One push-PageRank iteration with retained rank for no-inbound vertices."""
     n = graph.num_vertices
     src, dst = graph.edge_list()
@@ -67,7 +68,7 @@ def pagerank_iteration(graph: CSRGraph, rank: np.ndarray, degrees: np.ndarray,
     # per-key addition sequence in stream order, matching np.add.at).
     SUM.scatter_into(contributions, touched, dst_i[pushing],
                      rank[src_i[pushing]] / degrees[src_i[pushing]])
-    new_rank = (1 - damping) / n + damping * contributions
+    new_rank = (1 - DAMPING) / n + DAMPING * contributions
     return np.where(has_inbound, new_rank, rank)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED
 from repro.engine.modes import DENSE_THRESHOLD, charge_page_faults
 from repro.graph.csr import CSRGraph
-from repro.perf.clock import SimClock
 from repro.perf.profiles import HardwareProfile
 
 #: Framework bookkeeping per vertex (message queues, indices) on top of the
@@ -59,13 +58,12 @@ class SemiExternalEngine(BaselineEngine):
     name = "FlashGraph"
 
     def __init__(self, graph: CSRGraph, profile: HardwareProfile,
-                 clock: SimClock | None = None,
                  cutoff_s: float = DNF_CUTOFF_UNLIMITED,
                  max_vertices: int | None = None):
         """``max_vertices`` is the vertex-id-space limit; scaled experiments
         pass ``VERTEX_ID_SPACE * scale_factor`` so the limit shrinks with
         everything else."""
-        super().__init__(graph, profile, clock, cutoff_s)
+        super().__init__(graph, profile, cutoff_s)
         self.max_vertices = max_vertices
         self.edge_file_bytes = graph.num_edges * 8
         # Bytes of the edge file never yet read: the page cache starts cold,

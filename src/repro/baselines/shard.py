@@ -15,10 +15,7 @@ budget, so it never DNFs on memory — only on patience.
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED
-from repro.graph.csr import CSRGraph
-from repro.perf.clock import SimClock
-from repro.perf.profiles import HardwareProfile
+from repro.baselines.base import BaselineEngine
 
 #: GraphChi stores values on edges: each edge record is (src, dst, value).
 EDGE_RECORD_BYTES = 24
@@ -36,17 +33,8 @@ class ShardedExternalEngine(BaselineEngine):
 
     name = "GraphChi"
 
-    def __init__(self, graph: CSRGraph, profile: HardwareProfile,
-                 clock: SimClock | None = None,
-                 cutoff_s: float = DNF_CUTOFF_UNLIMITED,
-                 shard_memory_bytes: int | None = None):
-        super().__init__(graph, profile, clock, cutoff_s)
-        self.shard_memory = shard_memory_bytes or min(
-            profile.dram_capacity // 2, 4 * (1 << 30))
-        self.edge_data_bytes = graph.num_edges * EDGE_RECORD_BYTES
-
     def peak_memory(self, algorithm: str) -> int:
-        return self.shard_memory
+        return min(self.profile.dram_capacity // 2, 4 * (1 << 30))
 
     def charge_superstep(self, algorithm: str, frontier: int, edges: int,
                          updated: int, accesses: int) -> None:
@@ -54,9 +42,10 @@ class ShardedExternalEngine(BaselineEngine):
         few vertices are active."""
         # Memory shard + sliding windows: the whole edge data is read once,
         # and updated edge values are written back.
-        self.charge_seq_read(self.edge_data_bytes)
-        self.charge_seq_write(self.edge_data_bytes * REWRITE_FRACTION)
-        self.charge_cpu_stream(self.edge_data_bytes, threads=EFFECTIVE_THREADS)
+        edge_data_bytes = self.graph.num_edges * EDGE_RECORD_BYTES
+        self.charge_seq_read(edge_data_bytes)
+        self.charge_seq_write(edge_data_bytes * REWRITE_FRACTION)
+        self.charge_cpu_stream(edge_data_bytes, threads=EFFECTIVE_THREADS)
         # Re-sorting updates into shard order is extra work GraphChi pays.
-        self.charge_cpu_scatter(self.edge_data_bytes * 0.5,
+        self.charge_cpu_scatter(edge_data_bytes * 0.5,
                                 threads=EFFECTIVE_THREADS)

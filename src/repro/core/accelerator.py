@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.packing import PackingSpec
+from repro.core.packing import ALIGNED_BYTES_PER_PAIR, PackingSpec
 from repro.perf.clock import SimClock
 from repro.perf.profiles import HardwareProfile, MB
 
@@ -53,7 +53,7 @@ class AcceleratorBackend:
 
     def traffic_scale(self) -> float:
         """Bytes on the accelerator datapath per aligned byte (packing win)."""
-        return self.packing.packed_bytes_per_pair / self.packing.aligned_bytes_per_pair()
+        return self.packing.packed_bytes_per_pair / ALIGNED_BYTES_PER_PAIR
 
     def sort_passes(self, chunk_bytes: int) -> int:
         """DRAM passes to sort one chunk: on-chip page sort + merge levels."""
@@ -167,8 +167,8 @@ class SoftwareBackend:
         clock.charge_pool("cpu", work, self.sorter_threads(), nbytes=0)
 
 
-def backend_for_profile(profile: HardwareProfile, packing: PackingSpec | None = None):
+def backend_for_profile(profile: HardwareProfile):
     """The natural backend for a profile: hardware iff it has an accelerator."""
     if profile.has_accelerator:
-        return AcceleratorBackend(profile, packing)
+        return AcceleratorBackend(profile)
     return SoftwareBackend(profile)

@@ -69,13 +69,10 @@ class DenseRunHandle:
     def nbytes(self) -> int:
         return dense_bytes(self.key_space, self.value_dtype.itemsize)
 
-    def chunks(self, io_bytes: int | None = None) -> Iterator[KVArray]:
+    def chunks(self) -> Iterator[KVArray]:
         """Stream the populated (key, value) pairs in key order."""
-        item = self.value_dtype.itemsize
-        keys_per_chunk = DENSE_CHUNK_KEYS if io_bytes is None else max(
-            8, (io_bytes // item) & ~7)
-        for start in range(0, self.key_space, keys_per_chunk):
-            stop = min(start + keys_per_chunk, self.key_space)
+        for start in range(0, self.key_space, DENSE_CHUNK_KEYS):
+            stop = min(start + DENSE_CHUNK_KEYS, self.key_space)
             values = self.store.read_array(self.values_file, self.value_dtype,
                                            start, stop - start)
             bits = self.store.read_array(self.bitmap_file, np.uint8,
@@ -99,8 +96,7 @@ class DenseRunHandle:
                 self.store.delete(name)
 
 
-def densify_run(run, key_space: int, store=None,
-                name: str | None = None) -> DenseRunHandle:
+def densify_run(run, key_space: int, store=None) -> DenseRunHandle:
     """Re-encode a sparse sorted run densely (one sequential pass).
 
     ``run`` is any chunk-iterable sorted run (a :class:`RunHandle`); keys
@@ -109,7 +105,7 @@ def densify_run(run, key_space: int, store=None,
     if key_space < 1:
         raise ValueError(f"key_space must be >= 1, got {key_space}")
     store = store or run.store
-    name = name or store.unique_name("dense")
+    name = store.unique_name("dense")
     dtype = np.dtype(run.value_dtype)
     handle = DenseRunHandle(store, name, key_space, 0, dtype)
 

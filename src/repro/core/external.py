@@ -160,10 +160,10 @@ class RunHandle:
         raw = self.store.read(self.name, 0, self.nbytes)
         return KVArray.from_bytes(raw, self.value_dtype)
 
-    def chunks(self, io_bytes: int = MERGE_IO_BYTES) -> Iterator[KVArray]:
-        """Stream the run in record-aligned chunks of roughly ``io_bytes``."""
+    def chunks(self) -> Iterator[KVArray]:
+        """Stream the run in record-aligned chunks of roughly ``MERGE_IO_BYTES``."""
         rec = self.record_bytes
-        per_chunk = max(1, io_bytes // rec)
+        per_chunk = max(1, MERGE_IO_BYTES // rec)
         offset = 0
         while offset < self.num_records:
             n = min(per_chunk, self.num_records - offset)

@@ -19,6 +19,8 @@ import numpy as np
 
 WORD_BITS = 256
 WORD_BYTES = WORD_BITS // 8
+#: Bytes per pair in the word-aligned software layout: 8-byte key and value.
+ALIGNED_BYTES_PER_PAIR = 16
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,9 @@ class PackingSpec:
         """Average bytes of datapath traffic per pair when packed."""
         return WORD_BYTES / self.pairs_per_word
 
-    def aligned_bytes_per_pair(self, key_bytes: int = 8, value_bytes: int = 8) -> int:
-        """Bytes per pair in the word-aligned software layout."""
-        return key_bytes + value_bytes
-
-    def bandwidth_saving(self, key_bytes: int = 8, value_bytes: int = 8) -> float:
+    def bandwidth_saving(self) -> float:
         """Fraction of bandwidth saved by packing vs the aligned layout."""
-        aligned = self.aligned_bytes_per_pair(key_bytes, value_bytes)
-        return 1.0 - self.packed_bytes_per_pair / aligned
+        return 1.0 - self.packed_bytes_per_pair / ALIGNED_BYTES_PER_PAIR
 
     @staticmethod
     def for_vertex_count(num_vertices: int, value_bits: int = 64) -> "PackingSpec":

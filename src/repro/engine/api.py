@@ -25,6 +25,9 @@ import numpy as np
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import ReduceOp
 
+#: Vertices per chunk of the vertex list generator's stream.
+ACTIVE_CHUNK_RECORDS = 1 << 16
+
 
 class VertexProgram:
     """Base class for push-style vertex programs.
@@ -152,14 +155,14 @@ class VertexProgram:
         return 1 << 30
 
 
-def all_active_chunks(num_vertices: int, value_dtype: np.dtype, value,
-                      chunk_records: int = 1 << 16) -> Iterator[KVArray]:
+def all_active_chunks(num_vertices: int, value_dtype: np.dtype,
+                      value) -> Iterator[KVArray]:
     """Stream (k, value) for every vertex — the hardware vertex list
     generator module: "emits a stream of active vertex key-value pairs with
     uniform values" (§IV-D).  Generated, not read, so it costs no flash I/O.
     """
-    for start in range(0, num_vertices, chunk_records):
-        stop = min(start + chunk_records, num_vertices)
+    for start in range(0, num_vertices, ACTIVE_CHUNK_RECORDS):
+        stop = min(start + ACTIVE_CHUNK_RECORDS, num_vertices)
         keys = np.arange(start, stop, dtype=np.uint64)
         values = np.full(stop - start, value, dtype=np.dtype(value_dtype))
         yield KVArray(keys, values)

@@ -51,6 +51,10 @@ PAPER_CHUNK_BYTES = 512 * MB
 #: well above the 8 KB flash page so run files aren't dominated by page
 #: padding, which paper-size 512 MB chunks never see).
 MIN_CHUNK_BYTES = 64 * 1024
+#: Flash page size of every scaled device: the real 8 KB.
+PAGE_BYTES = 8192
+#: Fewest erase blocks a scaled device has.
+MIN_BLOCKS = 4096
 
 _KINDS = {
     "grafboost": (GRAFBOOST, "aoffs"),
@@ -72,7 +76,6 @@ class SystemConfig:
     backend: object          # AcceleratorBackend or SoftwareBackend
     memory: MemoryTracker
     chunk_bytes: int
-    fanout: int = 16
     durable: bool = False
     #: Sort-reduce worker processes (1 = serial).
     workers: int = 1
@@ -91,8 +94,7 @@ class SystemConfig:
                    checkpoint_prefix: str = "ckpt") -> GraFBoostEngine:
         return GraFBoostEngine(
             graph, self.store, self.backend, num_vertices,
-            chunk_bytes=self.chunk_bytes, fanout=self.fanout,
-            memory=self.memory, lazy=lazy,
+            chunk_bytes=self.chunk_bytes, memory=self.memory, lazy=lazy,
             checkpoint_every=checkpoint_every, auto_resume=auto_resume,
             checkpoint_prefix=checkpoint_prefix,
             workers=self.workers, mode=self.mode,
@@ -134,17 +136,14 @@ class SystemConfig:
                 f"on flash can be remounted after a power loss")
         old = self.store
         if isinstance(old, AppendOnlyFlashFS):
-            self.store = AppendOnlyFlashFS(
-                self.device, prefetch_pages=old.prefetch_pages, durable=True)
+            self.store = AppendOnlyFlashFS(self.device, durable=True)
         else:
             ssd = SSD.mount(self.device,
                             ftl_overhead_s=self.profile.ftl_overhead_s)
-            self.store = SSDFileSystem.mount(
-                ssd, prefetch_pages=old.prefetch_pages)
+            self.store = SSDFileSystem.mount(ssd)
         self.store.names_issued = old.names_issued
         peak = self.memory.peak
-        self.memory = MemoryTracker(budget=self.memory.budget,
-                                    policy=self.memory.policy)
+        self.memory = MemoryTracker(budget=self.memory.budget)
         self.memory.peak = peak
 
     def run_recovering(self, op, reload=None):
@@ -191,8 +190,7 @@ class SystemConfig:
         return graph
 
 
-def scaled_geometry(capacity_bytes: int, page_bytes: int = 8192,
-                    min_blocks: int = 4096) -> FlashGeometry:
+def scaled_geometry(capacity_bytes: int) -> FlashGeometry:
     """Flash geometry for a scaled device.
 
     Pages keep their real 8 KB size (page granularity drives the random
@@ -202,16 +200,16 @@ def scaled_geometry(capacity_bytes: int, page_bytes: int = 8192,
     and per-superstep overlays coexist.
     """
     pages_per_block = 256
-    while pages_per_block > 1 and capacity_bytes // (pages_per_block * page_bytes) < min_blocks:
+    while (pages_per_block > 1 and capacity_bytes // (pages_per_block * PAGE_BYTES)
+           < MIN_BLOCKS):
         pages_per_block //= 2
-    num_blocks = max(min_blocks, -(-capacity_bytes // (pages_per_block * page_bytes)))
-    return FlashGeometry(page_bytes=page_bytes, pages_per_block=pages_per_block,
+    num_blocks = max(MIN_BLOCKS, -(-capacity_bytes // (pages_per_block * PAGE_BYTES)))
+    return FlashGeometry(page_bytes=PAGE_BYTES, pages_per_block=pages_per_block,
                          num_blocks=num_blocks)
 
 
 def make_system(kind: str, scale_factor: float = 1.0,
                 dram_bytes: int | None = None,
-                flash_capacity: int | None = None,
                 num_vertices_hint: int | None = None,
                 profile: HardwareProfile | None = None,
                 faults=None, crashes=None,
@@ -222,10 +220,10 @@ def make_system(kind: str, scale_factor: float = 1.0,
     """Build one of the GraFBoost-family stacks at a given scale.
 
     ``dram_bytes`` overrides the (scaled) DRAM budget — the Fig 13 memory
-    sweep.  ``flash_capacity`` overrides device size; by default the scaled
-    profile capacity is multiplied by 6 to absorb block-granular allocation
-    slack of many coexisting run files.  ``num_vertices_hint`` sizes the
-    accelerator's key packing (Fig 7).  ``faults`` is an optional
+    sweep.  The device holds 6x the scaled profile's flash capacity, to
+    absorb the block-granular allocation slack of many coexisting run
+    files.  ``num_vertices_hint`` sizes the accelerator's key packing
+    (Fig 7).  ``faults`` is an optional
     :class:`~repro.flash.faults.FaultPlan` turning the run into a seeded
     chaos test.  ``crashes`` (a :class:`~repro.flash.faults.CrashPlan`)
     additionally injects power losses at seeded flash-op indices; it
@@ -253,7 +251,7 @@ def make_system(kind: str, scale_factor: float = 1.0,
     if dram_bytes is not None:
         scaled = scaled.with_dram(dram_bytes)
 
-    capacity = flash_capacity if flash_capacity is not None else scaled.flash_capacity * 6
+    capacity = scaled.flash_capacity * 6
     clock = SimClock()
 
     if store_kind == "aoffs":
@@ -281,7 +279,7 @@ def make_system(kind: str, scale_factor: float = 1.0,
 
     chunk = int(PAPER_CHUNK_BYTES * scale_factor)
     chunk = max(MIN_CHUNK_BYTES, min(max(chunk, MIN_CHUNK_BYTES), scaled.dram_capacity * 4))
-    memory = MemoryTracker(budget=max(scaled.dram_capacity, 4 * chunk), policy="strict")
+    memory = MemoryTracker(budget=max(scaled.dram_capacity, 4 * chunk))
 
     return SystemConfig(
         name=kind if profile is None else profile.name,

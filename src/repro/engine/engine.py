@@ -27,6 +27,8 @@ from repro.graph.vertexdata import VertexArray
 
 #: Checkpoint format version (bumped on incompatible layout changes).
 CHECKPOINT_VERSION = 1
+#: Overlays a run's vertex array stacks before it compacts them.
+MAX_OVERLAYS = 64
 
 
 @dataclass
@@ -57,7 +59,6 @@ class RunResult:
     supersteps: list[SuperstepMetrics] = field(default_factory=list)
     sort_stats: list[SortReduceStats] = field(default_factory=list)
     elapsed_s: float = 0.0
-    completed: bool = True
 
     @property
     def num_supersteps(self) -> int:
@@ -98,8 +99,7 @@ class GraFBoostEngine:
     """
 
     def __init__(self, graph: FlashCSR, store, backend, num_vertices: int,
-                 chunk_bytes: int, fanout: int = 16, memory=None,
-                 lazy: bool = True, max_overlays: int = 64,
+                 chunk_bytes: int, memory=None, lazy: bool = True,
                  checkpoint_every: int = 0, checkpoint_prefix: str = "ckpt",
                  auto_resume: bool = False, workers: int = 1,
                  mode: str = "sortreduce"):
@@ -115,10 +115,9 @@ class GraFBoostEngine:
         self.backend = backend
         self.num_vertices = num_vertices
         self.chunk_bytes = chunk_bytes
-        self.fanout = fanout
         self.memory = memory
         self.lazy = lazy
-        self.max_overlays = max_overlays
+        self.max_overlays = MAX_OVERLAYS
         # Parallel sort-reduce: N >= 2 attaches the shared worker pool;
         # N == 1 is byte-for-byte the serial path (pool is None).  Either
         # way results and simulated time are bit-identical.
@@ -168,7 +167,7 @@ class GraFBoostEngine:
         its chunk buffer and run files if the sort-reduce fails."""
         return ExternalSortReducer(
             self.store, op, value_dtype, self.backend, self.chunk_bytes,
-            fanout=self.fanout, name_prefix=name_prefix, memory=self.memory,
+            name_prefix=name_prefix, memory=self.memory,
             pool=self.pool)
 
     # ----------------------------------------------------- checkpoint/restart

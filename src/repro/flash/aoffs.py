@@ -45,6 +45,8 @@ from repro.flash.store import FileStore, StoredFile
 
 #: Durable mode reserves these two blocks as the superblock ping-pong pair.
 SUPERBLOCK_BLOCKS = (0, 1)
+#: Journal blocks the chain may hold before it is compacted.
+JOURNAL_LIMIT_BLOCKS = 8
 
 
 class AppendOnlyFlashFS(FileStore):
@@ -57,9 +59,9 @@ class AppendOnlyFlashFS(FileStore):
     """
 
     label = "AOFFS"
+    prefetch_pages = 2
 
-    def __init__(self, device: FlashDevice, prefetch_pages: int = 2,
-                 durable: bool = False, journal_limit_blocks: int = 8):
+    def __init__(self, device: FlashDevice, durable: bool = False):
         """``durable=True`` turns on crash-consistent metadata: blocks 0/1
         become a superblock ping-pong pair, file-table mutations are logged
         to an append-only journal chain written through the same device,
@@ -69,13 +71,11 @@ class AppendOnlyFlashFS(FileStore):
         historical all-in-host-memory behaviour, bit-identical in timing.
         """
         self.geometry = device.geometry
-        super().__init__(device, self.geometry.pages_per_block,
-                         prefetch_pages, durable)
+        super().__init__(device, self.geometry.pages_per_block, durable)
         if device.sanitizer is not None:
             # FlashSan audits every erase against the live file table,
             # journal chain and active superblock of the registered owner.
             device.sanitizer.track_owner(self)
-        self.journal_limit_blocks = journal_limit_blocks
         self._free_blocks: list[tuple[int, int]] = []
         if durable:
             if self.geometry.num_blocks < 4:
@@ -219,7 +219,7 @@ class AppendOnlyFlashFS(FileStore):
         self._journal_seq += len(frames)
         for frame in frames:
             self._journal_write(frame)
-        if len(self._journal_blocks) > self.journal_limit_blocks:
+        if len(self._journal_blocks) > JOURNAL_LIMIT_BLOCKS:
             self._compact_journal()
 
     def _journal_write(self, frame: bytes) -> None:

@@ -523,9 +523,8 @@ class FlashDevice:
         self._next_program_page[block] = end
         self.total_pages_written += len(run)
 
-    def _write_silent(self, block: int, page: int, data: bytes,
-                      oob: bytes | None = None) -> None:
-        self._program_run(block, page, [(block, page, data)], [oob])
+    def _write_silent(self, block: int, page: int, data: bytes) -> None:
+        self._program_run(block, page, [(block, page, data)], None)
 
     # ------------------------------------------------------------ invalidation
 

@@ -49,10 +49,11 @@ class SSDFileSystem(FileStore):
     """
 
     label = "SSD"
+    prefetch_pages = 64
 
-    def __init__(self, ssd: SSD, prefetch_pages: int = 64,
-                 durable: bool = False, meta_lpns: int | None = None):
-        super().__init__(ssd.device, 1, prefetch_pages, durable)
+    def __init__(self, ssd: SSD, durable: bool = False,
+                 meta_lpns: int | None = None):
+        super().__init__(ssd.device, 1, durable)
         self.ssd = ssd
         if not durable:
             self._free_lpns = free_lpn_stack(ssd.logical_pages, 0)
@@ -83,11 +84,9 @@ class SSDFileSystem(FileStore):
             self._write_snapshot()
 
     @classmethod
-    def mount(cls, ssd: SSD, prefetch_pages: int = 64,
-              meta_lpns: int | None = None) -> "SSDFileSystem":
+    def mount(cls, ssd: SSD, meta_lpns: int | None = None) -> "SSDFileSystem":
         """Remount a durable store after power loss (replays the metadata log)."""
-        return cls(ssd, prefetch_pages=prefetch_pages, durable=True,
-                   meta_lpns=meta_lpns)
+        return cls(ssd, durable=True, meta_lpns=meta_lpns)
 
     # The layered benchmark's tracer patches these names in *this* class's
     # ``__dict__`` so host time lands on flash.filestore, not flash.aoffs.

@@ -102,8 +102,7 @@ class PageMappedFTL:
         return OOB_RECORD.pack(lpn, seq, zlib.crc32(data))
 
     @classmethod
-    def mount(cls, device: FlashDevice, overprovision: float = 0.08,
-              gc_reserve_blocks: int = 2) -> "PageMappedFTL":
+    def mount(cls, device: FlashDevice) -> "PageMappedFTL":
         """Rebuild the mapping table from per-page OOB records after power
         loss.
 
@@ -114,8 +113,7 @@ class PageMappedFTL:
         record (torn programs) and superseded old copies are invalidated so
         GC can reclaim them.
         """
-        ftl = cls(device, overprovision=overprovision,
-                  gc_reserve_blocks=gc_reserve_blocks, durable=True)
+        ftl = cls(device, durable=True)
         best: dict[int, tuple[int, tuple[int, int]]] = {}
         stale: list[tuple[int, int]] = []
         max_seq = -1
@@ -349,21 +347,20 @@ class PageMappedFTL:
 class SSD:
     """A commodity SSD: FTL plus per-op translation overhead charged as time."""
 
-    def __init__(self, device: FlashDevice, overprovision: float = 0.08,
+    def __init__(self, device: FlashDevice,
                  ftl_overhead_s: float = DEFAULT_FTL_OVERHEAD_S,
                  durable: bool = False):
         self.device = device
-        self.ftl = PageMappedFTL(device, overprovision=overprovision,
-                                 durable=durable)
+        self.ftl = PageMappedFTL(device, durable=durable)
         self.ftl_overhead_s = ftl_overhead_s
 
     @classmethod
-    def mount(cls, device: FlashDevice, overprovision: float = 0.08,
+    def mount(cls, device: FlashDevice,
               ftl_overhead_s: float = DEFAULT_FTL_OVERHEAD_S) -> "SSD":
         """Remount after power loss: rebuild the FTL map from OOB records."""
         ssd = cls.__new__(cls)
         ssd.device = device
-        ssd.ftl = PageMappedFTL.mount(device, overprovision=overprovision)
+        ssd.ftl = PageMappedFTL.mount(device)
         ssd.ftl_overhead_s = ftl_overhead_s
         return ssd
 

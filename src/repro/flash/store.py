@@ -125,20 +125,20 @@ class FileStore:
     ``prefetch_pages`` is the lookahead buffer applied to small reads: a
     read shorter than the buffer still transfers the whole buffer (up to
     end-of-file) and the overshoot is charged to the flash clock — the
-    "unused flash reads" of §V-C.3.
+    "unused flash reads" of §V-C.3.  Each subclass sets its own.
     """
 
     #: Names the store in error messages and CRC-repair labels.
     label = "file-store"
+    prefetch_pages: int
 
     def __init__(self, device: FlashDevice, pages_per_extent: int,
-                 prefetch_pages: int, durable: bool):
+                 durable: bool):
         self.device = device
         # A plain attribute, not a property: the shared read/append paths
         # touch it on every call.
         self.page_bytes = device.geometry.page_bytes
         self.pages_per_extent = pages_per_extent
-        self.prefetch_pages = prefetch_pages
         self.durable = durable
         self.recovery = RecoveryStats()
         #: How many names :meth:`unique_name` has handed out.  A remount

@@ -14,10 +14,29 @@ from dataclasses import dataclass
 from repro.flash.device import FlashDevice
 
 #: Device health levels the admission controller reacts to (see
-#: :class:`DegradePolicy` and :mod:`repro.service.admission`).
+#: :func:`health` and :mod:`repro.service.admission`).
 HEALTHY = "healthy"
 DEGRADED = "degraded"
 CRITICAL = "critical"
+
+#: Rated program/erase cycles of a block.
+RATED_PE_CYCLES = 3000
+
+# Thresholds of :func:`health`.  They are deliberately coarse: the level
+# must be stable under the small wear differences crash re-execution
+# introduces, or scheduler traces would stop being bit-identical across
+# crash schedules.
+#: ``lifetime_writes_remaining`` at or below this is degraded...
+DEGRADED_LIFETIME = 0.5
+#: ...and at or below this is critical (device nearly worn out).
+CRITICAL_LIFETIME = 0.1
+#: Retired bad blocks at or above this count the device as degraded...
+DEGRADED_BAD_BLOCKS = 16
+#: ...and at or above this as critical.
+CRITICAL_BAD_BLOCKS = 64
+#: Fraction of nominal bandwidth capacity usable while degraded —
+#: reservations shrink with the device instead of overcommitting it.
+DEGRADED_CAPACITY_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -57,45 +76,22 @@ class WearReport:
         return max(0.0, 1.0 - self.erase_count_stddev / (self.mean_erase_count + 1.0))
 
 
-def lifetime_writes_remaining(device: FlashDevice, rated_pe_cycles: int = 3000) -> float:
+def lifetime_writes_remaining(device: FlashDevice) -> float:
     """Fraction of the device's rated program/erase budget still unused."""
-    if rated_pe_cycles <= 0:
-        raise ValueError(f"rated_pe_cycles must be positive, got {rated_pe_cycles}")
     worst = max(device.erase_counts) if device.erase_counts else 0
-    return max(0.0, 1.0 - worst / rated_pe_cycles)
+    return max(0.0, 1.0 - worst / RATED_PE_CYCLES)
 
 
-@dataclass(frozen=True)
-class DegradePolicy:
-    """Thresholds mapping device wear onto a service health level.
+def health(lifetime_remaining: float, bad_blocks: int) -> str:
+    """Map (lifetime fraction, bad-block count) to a health level.
 
-    The admission controller consults :meth:`classify` before every
-    analytics decision: ``degraded`` shrinks the bandwidth capacity it
-    reserves against (fewer concurrent runs fit) and sheds queued load,
-    ``critical`` stops admitting analytics entirely.  Thresholds are
-    deliberately coarse — classification must be stable under the small
-    wear differences crash re-execution introduces, or scheduler traces
-    would stop being bit-identical across crash schedules.
+    The admission controller asks before every analytics decision:
+    ``degraded`` shrinks the bandwidth capacity it reserves against (fewer
+    concurrent runs fit) and sheds queued load, ``critical`` stops
+    admitting analytics entirely.
     """
-
-    #: ``lifetime_writes_remaining`` at or below this is degraded.
-    degraded_lifetime: float = 0.5
-    #: ...and at or below this is critical (device nearly worn out).
-    critical_lifetime: float = 0.1
-    #: Retired bad blocks at or above this count the device as degraded.
-    degraded_bad_blocks: int = 16
-    #: ...and at or above this as critical.
-    critical_bad_blocks: int = 64
-    #: Fraction of nominal bandwidth capacity usable while degraded —
-    #: reservations shrink with the device instead of overcommitting it.
-    degraded_capacity_fraction: float = 0.5
-
-    def classify(self, lifetime_remaining: float, bad_blocks: int) -> str:
-        """Map (lifetime fraction, bad-block count) to a health level."""
-        if (lifetime_remaining <= self.critical_lifetime
-                or bad_blocks >= self.critical_bad_blocks):
-            return CRITICAL
-        if (lifetime_remaining <= self.degraded_lifetime
-                or bad_blocks >= self.degraded_bad_blocks):
-            return DEGRADED
-        return HEALTHY
+    if lifetime_remaining <= CRITICAL_LIFETIME or bad_blocks >= CRITICAL_BAD_BLOCKS:
+        return CRITICAL
+    if lifetime_remaining <= DEGRADED_LIFETIME or bad_blocks >= DEGRADED_BAD_BLOCKS:
+        return DEGRADED
+    return HEALTHY

@@ -45,10 +45,14 @@ class GraphDataset:
     paper_edgefactor: int
     paper_size_bytes: int      # column-compressed binary encoding (Table I "size")
     paper_txt_bytes: int       # text edge-list size (Table I "txtsize")
-    make_edges: Callable[[float, int], tuple[np.ndarray, np.ndarray, int]]
+    #: ``(dataset, scale_factor) -> vertex count``: the one rule the
+    #: generator and :meth:`scaled_nodes` share.
+    vertices: Callable[["GraphDataset", float], int]
+    #: ``(dataset, num_vertices, seed) -> (src, dst, num_vertices)``.
+    make_edges: Callable[["GraphDataset", int, int], tuple[np.ndarray, np.ndarray, int]]
 
     def scaled_nodes(self, scale_factor: float) -> int:
-        return max(16, int(self.paper_nodes * scale_factor))
+        return self.vertices(self, scale_factor)
 
     def scaled_edges(self, scale_factor: float) -> int:
         return self.scaled_nodes(scale_factor) * self.paper_edgefactor
@@ -58,26 +62,33 @@ class GraphDataset:
         """Synthesize (src, dst, num_vertices) at the requested scale."""
         if scale_factor <= 0 or scale_factor > 1:
             raise ValueError(f"scale_factor must be in (0, 1], got {scale_factor}")
-        return self.make_edges(scale_factor, seed)
+        return self.make_edges(self, self.scaled_nodes(scale_factor), seed)
 
 
-def _kron(paper_scale: int, edgefactor: int):
-    def make(scale_factor: float, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-        shrink_bits = max(0, round(-math.log2(scale_factor)))
-        return generators.kronecker_edges(
-            max(4, paper_scale - shrink_bits), edgefactor, seed=seed
-        )
-    return make
+def _power_of_two(dataset: GraphDataset, scale_factor: float) -> int:
+    """A Kronecker graph's: the paper's scale (``log2`` of its vertex count)
+    less the nearest whole number of halvings, and at least 2^4."""
+    shrink_bits = max(0, round(-math.log2(scale_factor)))
+    return 1 << max(4, round(math.log2(dataset.paper_nodes)) - shrink_bits)
 
 
-def _twitter(scale_factor: float, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    n = max(64, int(41_000_000 * scale_factor))
-    return generators.powerlaw_edges(n, n * 36, exponent=1.3, seed=seed)
+def _at_least_64(dataset: GraphDataset, scale_factor: float) -> int:
+    """The paper's vertex count, scaled, and at least 64."""
+    return max(64, int(dataset.paper_nodes * scale_factor))
 
 
-def _wdc(scale_factor: float, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    n = max(64, int(3_000_000_000 * scale_factor))
-    return generators.webcrawl_edges(n, edgefactor=43, seed=seed)
+def _kron(dataset: GraphDataset, num_vertices: int, seed: int):
+    return generators.kronecker_edges(num_vertices.bit_length() - 1,
+                                      dataset.paper_edgefactor, seed=seed)
+
+
+def _twitter(dataset: GraphDataset, num_vertices: int, seed: int):
+    return generators.powerlaw_edges(num_vertices, num_vertices * dataset.paper_edgefactor,
+                                     exponent=1.3, seed=seed)
+
+
+def _wdc(dataset: GraphDataset, num_vertices: int, seed: int):
+    return generators.webcrawl_edges(num_vertices, dataset.paper_edgefactor, seed=seed)
 
 
 DATASETS: dict[str, GraphDataset] = {
@@ -88,6 +99,7 @@ DATASETS: dict[str, GraphDataset] = {
         paper_edgefactor=36,
         paper_size_bytes=6 * GB,
         paper_txt_bytes=25 * GB,
+        vertices=_at_least_64,
         make_edges=_twitter,
     ),
     "kron28": GraphDataset(
@@ -97,7 +109,8 @@ DATASETS: dict[str, GraphDataset] = {
         paper_edgefactor=16,
         paper_size_bytes=18 * GB,
         paper_txt_bytes=88 * GB,
-        make_edges=_kron(28, 16),
+        vertices=_power_of_two,
+        make_edges=_kron,
     ),
     "kron30": GraphDataset(
         name="kron30",
@@ -106,7 +119,8 @@ DATASETS: dict[str, GraphDataset] = {
         paper_edgefactor=16,
         paper_size_bytes=72 * GB,
         paper_txt_bytes=351 * GB,
-        make_edges=_kron(30, 16),
+        vertices=_power_of_two,
+        make_edges=_kron,
     ),
     "kron32": GraphDataset(
         name="kron32",
@@ -115,7 +129,8 @@ DATASETS: dict[str, GraphDataset] = {
         paper_edgefactor=8,
         paper_size_bytes=128 * GB,
         paper_txt_bytes=295 * GB,
-        make_edges=_kron(32, 8),
+        vertices=_power_of_two,
+        make_edges=_kron,
     ),
     "wdc": GraphDataset(
         name="wdc",
@@ -124,6 +139,7 @@ DATASETS: dict[str, GraphDataset] = {
         paper_edgefactor=43,
         paper_size_bytes=502 * GB,
         paper_txt_bytes=2648 * GB,
+        vertices=_at_least_64,
         make_edges=_wdc,
     ),
 }
@@ -157,23 +173,22 @@ def dataset_cache_dir() -> str | None:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-datasets")
 
 
-def _cache_path(name: str, scale_factor: float, seed: int, weighted: bool) -> str | None:
+def _cache_path(name: str, scale_factor: float, seed: int) -> str | None:
     base = dataset_cache_dir()
     if base is None:
         return None
-    # float().hex() is exact, so distinct scales can never collide.
+    # float().hex() is exact, so distinct scales can never collide.  ``w0``
+    # (unweighted) keeps the names of entries already on disk.
     scale_key = float(scale_factor).hex().replace("0x", "").replace(".", "_")
-    fname = (f"{name}-s{scale_key}-r{seed}-w{int(weighted)}"
-             f"-v{DATASET_CACHE_VERSION}.npz")
+    fname = f"{name}-s{scale_key}-r{seed}-w0-v{DATASET_CACHE_VERSION}.npz"
     return os.path.join(base, fname)
 
 
 def _load_cached(path: str) -> CSRGraph | None:
     try:
         with np.load(path, allow_pickle=False) as data:
-            weights = data["weights"] if "weights" in data.files else None
             return CSRGraph(int(data["num_vertices"]), data["offsets"],
-                            data["targets"], weights)
+                            data["targets"])
     except (OSError, KeyError, ValueError):
         return None  # unreadable/corrupt entry: fall through to a rebuild
 
@@ -186,8 +201,6 @@ def _store_cached(path: str, graph: CSRGraph) -> None:
             "offsets": graph.offsets,
             "targets": graph.targets,
         }
-        if graph.weights is not None:
-            arrays["weights"] = graph.weights
         # Write-then-rename so a concurrent reader never sees a torn file.
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
@@ -201,24 +214,21 @@ def _store_cached(path: str, graph: CSRGraph) -> None:
         pass  # caching is best-effort; the build result is still returned
 
 
-def build_graph(name: str, scale_factor: float = DEFAULT_SCALE, seed: int = 1,
-                weighted: bool = False, cache: bool = True) -> CSRGraph:
+def build_graph(name: str, scale_factor: float = DEFAULT_SCALE, seed: int = 1) -> CSRGraph:
     """Synthesize a dataset and return it as an in-memory CSR graph.
 
     Built graphs are persisted to :func:`dataset_cache_dir` keyed by
-    (name, scale, seed, weighted, cache version); later builds of the same
-    graph load the CSR arrays instead of re-running the generator.  Pass
-    ``cache=False`` to bypass the cache in both directions.
+    (name, scale, seed, cache version); later builds of the same graph load
+    the CSR arrays instead of re-running the generator.
     """
-    path = _cache_path(name, scale_factor, seed, weighted) if cache else None
+    path = _cache_path(name, scale_factor, seed)
     if path is not None and os.path.exists(path):
         cached = _load_cached(path)
         if cached is not None:
             return cached
     dataset = dataset_by_name(name)
     src, dst, n = dataset.edges(scale_factor, seed)
-    weights = generators.random_weights(len(src), seed=seed) if weighted else None
-    graph = CSRGraph.from_edges(src, dst, n, weights)
+    graph = CSRGraph.from_edges(src, dst, n)
     if path is not None:
         _store_cached(path, graph)
     return graph

@@ -27,6 +27,8 @@ from repro.graph.csr import CSRGraph
 OFFSET_DTYPE = np.dtype("<u8")
 TARGET_DTYPE = np.dtype("<u8")
 WEIGHT_DTYPE = np.dtype("<f4")
+#: Edges per chunk of a sequential :meth:`FlashCSR.stream_edges` scan.
+STREAM_EDGES_PER_CHUNK = 1 << 18
 
 
 def coalesce_ranges(starts: np.ndarray, ends: np.ndarray, max_gap: int) -> list[tuple[int, int]]:
@@ -243,7 +245,7 @@ class FlashCSR:
 
     # ---------------------------------------------------------------- streams
 
-    def stream_edges(self, edges_per_chunk: int = 1 << 18):
+    def stream_edges(self):
         """Sequentially scan the whole graph, yielding (srcs, dsts[, weights]).
 
         The access pattern edge-centric systems (X-Stream) and dense
@@ -252,8 +254,8 @@ class FlashCSR:
         offsets = self.store.read_array(self.index_file, OFFSET_DTYPE).astype(np.int64)
         degrees = np.diff(offsets)
         srcs_all = np.repeat(np.arange(self.num_vertices, dtype=np.uint64), degrees)
-        for start in range(0, self.num_edges, edges_per_chunk):
-            n = min(edges_per_chunk, self.num_edges - start)
+        for start in range(0, self.num_edges, STREAM_EDGES_PER_CHUNK):
+            n = min(STREAM_EDGES_PER_CHUNK, self.num_edges - start)
             dsts = self.store.read_array(self.edge_file, TARGET_DTYPE, start, n)
             weights = None
             if self.has_weights:

@@ -37,6 +37,9 @@ import numpy as np
 KRON_A, KRON_B, KRON_C = 0.57, 0.19, 0.19
 #: Edges per R-MAT kernel call and fewest per thread (measured: DESIGN.md).
 RMAT_BLOCK_EDGES, RMAT_THREAD_EDGES = 1 << 17, 1 << 19
+#: Web crawl shape: the share of core edges that are next-vertex "host
+#: navigation" links, and the share of vertices on the pendant path.
+CHAIN_FRACTION, TAIL_FRACTION = 0.3, 0.02
 
 
 def kronecker_edges(scale: int, edgefactor: int = 16, seed: int = 1,
@@ -56,7 +59,7 @@ def kronecker_edges(scale: int, edgefactor: int = 16, seed: int = 1,
 
 
 def rmat_edges(scale: int, edgefactor: int, a: float, b: float, c: float,
-               seed: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+               seed: int) -> tuple[np.ndarray, np.ndarray, int]:
     """General R-MAT with caller-chosen quadrant probabilities."""
     if not 0 < a + b + c < 1:
         raise ValueError(f"a+b+c must be in (0, 1), got {a + b + c}")
@@ -162,27 +165,24 @@ def powerlaw_edges(num_vertices: int, num_edges: int, exponent: float = 1.3,
     return perm[src.astype(np.int64)], perm[dst.astype(np.int64)], num_vertices
 
 
-def webcrawl_edges(num_vertices: int, edgefactor: int = 43, chain_fraction: float = 0.3,
-                   tail_fraction: float = 0.02, seed: int = 1,
+def webcrawl_edges(num_vertices: int, edgefactor: int = 43, seed: int = 1,
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """WDC-like web crawl: hub-skewed links plus host-local chains and a
     long pendant path.
 
-    Structure: ``tail_fraction`` of the vertices form one long directed
+    Structure: ``TAIL_FRACTION`` of the vertices form one long directed
     chain hanging off the main component (the thousands-of-sparse-supersteps
     BFS tail the paper observed on WDC); the rest mix next-vertex "host
     navigation" links with Zipf-distributed hub links.
     """
     if num_vertices < 16:
         raise ValueError(f"webcrawl graph needs >= 16 vertices, got {num_vertices}")
-    if not 0 <= tail_fraction < 0.5:
-        raise ValueError(f"tail_fraction must be in [0, 0.5), got {tail_fraction}")
     rng = np.random.default_rng(seed)
-    n_tail = int(num_vertices * tail_fraction)
+    n_tail = int(num_vertices * TAIL_FRACTION)
     n_core = num_vertices - n_tail
     m_core = n_core * edgefactor
 
-    n_chain = int(m_core * chain_fraction)
+    n_chain = int(m_core * CHAIN_FRACTION)
     chain_src = rng.integers(0, n_core - 1, n_chain).astype(np.uint64)
     chain_dst = chain_src + np.uint64(1)
 
@@ -201,17 +201,10 @@ def webcrawl_edges(num_vertices: int, edgefactor: int = 43, chain_fraction: floa
     return src, dst, num_vertices
 
 
-def uniform_edges(num_vertices: int, num_edges: int, seed: int = 1,
+def uniform_edges(num_vertices: int, num_edges: int, seed: int,
                   ) -> tuple[np.ndarray, np.ndarray, int]:
     """Uniform random (Erdős–Rényi-style multigraph) edges, for tests."""
     rng = np.random.default_rng(seed)
     src = rng.integers(0, num_vertices, num_edges).astype(np.uint64)
     dst = rng.integers(0, num_vertices, num_edges).astype(np.uint64)
     return src, dst, num_vertices
-
-
-def random_weights(num_edges: int, seed: int = 1, low: float = 0.1,
-                   high: float = 10.0) -> np.ndarray:
-    """Uniform edge weights for SSSP-style workloads."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, num_edges).astype(np.float32)

@@ -34,16 +34,8 @@ from repro.baselines.semiexternal import VERTEX_ID_SPACE
 from repro.engine.config import make_system
 from repro.flash.wear import WearReport, lifetime_writes_remaining
 from repro.graph.csr import CSRGraph
-from repro.graph.datasets import DEFAULT_SCALE, build_graph, dataset_by_name
-from repro.perf.profiles import (
-    GB,
-    GRAFBOOST,
-    GRAFBOOST2,
-    GRAFSOFT,
-    HardwareProfile,
-    SERVER_SSD_ARRAY,
-    SINGLE_SSD_SERVER,
-)
+from repro.graph.datasets import DEFAULT_SCALE, build_graph
+from repro.perf.profiles import GB, GRAFBOOST, HardwareProfile, SERVER_SSD_ARRAY
 import dataclasses
 
 #: Fig 15 configuration: "GraFBoost also used only one flash card ...
@@ -213,11 +205,10 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
                          scale: float = DEFAULT_SCALE,
                          dram_bytes: int | None = None,
                          profile: HardwareProfile | None = None,
-                         dataset: str = "?", seed_root: int | None = None,
+                         dataset: str = "?",
                          pagerank_iterations: int = 1,
                          faults=None, crashes=None,
                          checkpoint_every: int = 0,
-                         durable: bool = False,
                          sanitize: bool | None = None,
                          workers: int = 1,
                          mode: str = "sortreduce") -> WorkloadResult:
@@ -251,11 +242,11 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
         raise ValueError("crash injection supports pagerank/bfs, not 'bc'")
     system = make_system(kind.lower(), scale, dram_bytes=dram_bytes,
                          num_vertices_hint=graph.num_vertices, profile=profile,
-                         faults=faults, crashes=crashes, durable=durable,
+                         faults=faults, crashes=crashes,
                          sanitize=sanitize, workers=workers, mode=mode)
     start_s = system.clock.elapsed_s
     flash_graph = _load_graph(system, graph)
-    root = default_root(graph) if seed_root is None else seed_root
+    root = default_root(graph)
 
     def run_algorithm():
         # After a remount, continue from the newest checkpoint (if any).
@@ -333,22 +324,22 @@ def run_baseline_system(name: str, graph: CSRGraph, algorithm: str,
                         profile: HardwareProfile,
                         scale: float = DEFAULT_SCALE,
                         cutoff_s: float = DNF_CUTOFF_UNLIMITED,
-                        dataset: str = "?", seed_root: int | None = None,
-                        pagerank_iterations: int = 1) -> WorkloadResult:
+                        dataset: str = "?") -> WorkloadResult:
     """Run one baseline strategy model on an algorithm."""
     try:
         engine_cls = _BASELINE_CLASSES[name]
     except KeyError:
         known = ", ".join(sorted(_BASELINE_CLASSES))
         raise KeyError(f"unknown baseline {name!r}; known: {known}") from None
-    kwargs = {"cutoff_s": cutoff_s}
     if engine_cls is SemiExternalEngine:
         # FlashGraph's 32-bit ids hold at most 2^32 - 1 vertices (scaled):
         # WDC (~0.7 * 2^32) loads, kron32 (exactly 2^32) cannot (Fig 12a).
-        kwargs["max_vertices"] = max(1, int(VERTEX_ID_SPACE * scale) - 1)
-    engine = engine_cls(graph, profile, **kwargs)
-    root = default_root(graph) if seed_root is None else seed_root
-    result = engine.run(algorithm, root=root, iterations=pagerank_iterations)
+        engine = SemiExternalEngine(
+            graph, profile, cutoff_s=cutoff_s,
+            max_vertices=max(1, int(VERTEX_ID_SPACE * scale) - 1))
+    else:
+        engine = engine_cls(graph, profile, cutoff_s=cutoff_s)
+    result = engine.run(algorithm, root=default_root(graph))
     return WorkloadResult(
         system=name, algorithm=algorithm, dataset=dataset,
         completed=result.completed, elapsed_s=result.time_or_nan,
@@ -361,10 +352,8 @@ def run_baseline_system(name: str, graph: CSRGraph, algorithm: str,
 def run_cell(system: str, graph: CSRGraph, algorithm: str,
              scale: float = DEFAULT_SCALE,
              server_profile: HardwareProfile | None = None,
-             dram_bytes: int | None = None,
              cutoff_s: float = DNF_CUTOFF_UNLIMITED,
              dataset: str = "?",
-             pagerank_iterations: int = 1,
              grafboost_profile: HardwareProfile | None = None,
              faults=None, crashes=None,
              checkpoint_every: int = 0,
@@ -375,13 +364,10 @@ def run_cell(system: str, graph: CSRGraph, algorithm: str,
 
     ``server_profile`` is the host every *software* system runs on (the
     32-core server, possibly with a Fig 13 DRAM override); the GraFBoost
-    accelerator stacks always use their own device profiles, with
-    ``dram_bytes`` only affecting GraFSoft.
+    accelerator stacks always use their own device profiles.
     """
     if server_profile is None:
         server_profile = SERVER_SSD_ARRAY.scaled(scale)
-    if dram_bytes is not None:
-        server_profile = server_profile.with_dram(dram_bytes)
     if system in GRAFBOOST_FAMILY:
         # GraFBoost's accelerator memory never depends on host DRAM; GraFSoft
         # is capped at its own 16 GB regardless of the machine (§I).
@@ -390,14 +376,12 @@ def run_cell(system: str, graph: CSRGraph, algorithm: str,
         profile = grafboost_profile if system != "GraFSoft" else None
         return run_grafboost_system(system, graph, algorithm, scale=scale,
                                     dataset=dataset, profile=profile,
-                                    pagerank_iterations=pagerank_iterations,
                                     faults=faults, crashes=crashes,
                                     checkpoint_every=checkpoint_every,
                                     sanitize=sanitize, workers=workers,
                                     mode=mode)
     return run_baseline_system(system, graph, algorithm, server_profile,
-                               scale=scale, cutoff_s=cutoff_s, dataset=dataset,
-                               pagerank_iterations=pagerank_iterations)
+                               scale=scale, cutoff_s=cutoff_s, dataset=dataset)
 
 
 @dataclass
@@ -431,7 +415,7 @@ class ServiceCellResult:
 def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
                      scale: float = DEFAULT_SCALE,
                      quotas=None, config=None,
-                     dataset: str = "?", seed_root: int | None = None,
+                     dataset: str = "?",
                      faults=None, crashes=None,
                      sanitize: bool | None = None,
                      workers: int = 1,
@@ -453,10 +437,9 @@ def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
                          sanitize=sanitize, workers=workers, mode=mode)
     start_s = system.clock.elapsed_s
     flash_graph = _load_graph(system, graph)
-    root = default_root(graph) if seed_root is None else seed_root
     service = system.service_for(flash_graph, graph.num_vertices,
                                  config=config, quotas=quotas,
-                                 default_root=root)
+                                 default_root=default_root(graph))
     service.submit_all(jobs)
     report = service.run()
     return ServiceCellResult(
@@ -485,7 +468,6 @@ def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
 def run_matrix(systems: list[str], algorithms: list[str], dataset: str,
                scale: float = DEFAULT_SCALE, seed: int = 1,
                server_profile: HardwareProfile | None = None,
-               dram_bytes: int | None = None,
                patience_factor: float = 50.0) -> list[WorkloadResult]:
     """Run a full figure matrix: all systems on all algorithms of a dataset.
 
@@ -500,8 +482,7 @@ def run_matrix(systems: list[str], algorithms: list[str], dataset: str,
         for system in systems:
             if system in GRAFBOOST_FAMILY:
                 cell = run_cell(system, graph, algorithm, scale=scale,
-                                server_profile=server_profile,
-                                dram_bytes=dram_bytes, dataset=dataset)
+                                server_profile=server_profile, dataset=dataset)
                 reference_times.append(cell.elapsed_s)
                 results.append(cell)
         cutoff = (max(reference_times) * patience_factor
@@ -510,7 +491,6 @@ def run_matrix(systems: list[str], algorithms: list[str], dataset: str,
             if system not in GRAFBOOST_FAMILY:
                 results.append(run_cell(system, graph, algorithm, scale=scale,
                                         server_profile=server_profile,
-                                        dram_bytes=dram_bytes,
                                         cutoff_s=cutoff, dataset=dataset))
     return results
 

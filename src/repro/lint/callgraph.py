@@ -136,7 +136,7 @@ class FunctionInfo:
     #: positional parameter names, including ``self``/``cls`` for methods.
     params: list[str] = field(default_factory=list)
     #: nested ``def`` name -> qualname, for lexical resolution.
-    local_defs: dict[str, str] = field(default_factory=dict)
+    local_defs: dict[str, str] = field(default_factory=dict, init=False)
     decorators: list[str] = field(default_factory=list)
     #: lazy cache: local variable name -> class qualname, from
     #: ``var = SomeClass(...)`` assignments in this body.
@@ -149,11 +149,11 @@ class ClassInfo:
     module: str
     name: str
     #: raw (possibly dotted) base-class expressions, definition order.
-    bases: list[str] = field(default_factory=list)
+    bases: list[str] = field(default_factory=list, init=False)
     #: method name -> qualname.
-    methods: dict[str, str] = field(default_factory=dict)
+    methods: dict[str, str] = field(default_factory=dict, init=False)
     #: instance attributes assigned/annotated as sets anywhere in the class.
-    set_attrs: set[str] = field(default_factory=set)
+    set_attrs: set[str] = field(default_factory=set, init=False)
 
 
 @dataclass

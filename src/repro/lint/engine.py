@@ -121,10 +121,10 @@ def _file_violations(entry: FileEntry) -> list[Violation]:
 class LintResult:
     """Outcome of linting a set of entries, pre-suppression bookkeeping."""
 
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list, init=False)
     #: (path, line) -> suppressed rule ids that actually matched a finding.
     used_suppressions: dict[tuple[str, int], set[str]] = field(
-        default_factory=dict)
+        default_factory=dict, init=False)
 
 
 def _apply_suppressions(entries: dict[str, FileEntry],
@@ -202,13 +202,13 @@ def lint_source(source: str, path: str) -> list[Violation]:
     return lint_entries({path: _load_entry(path, source)}, report_unused=False)
 
 
-def lint_sources(sources: dict[str, str],
-                 report_unused: bool = False) -> list[Violation]:
+def lint_sources(sources: dict[str, str]) -> list[Violation]:
     """Lint a multi-file program given as ``{path: source}`` — the det-flow
-    pass sees all modules at once, so cross-module taint flows resolve."""
+    pass sees all modules at once, so cross-module taint flows resolve —
+    unused suppressions included, as :func:`lint_paths` does."""
     entries = {path: _load_entry(path, src)
                for path, src in sorted(sources.items())}
-    return lint_entries(entries, report_unused=report_unused)
+    return lint_entries(entries)
 
 
 def iter_python_files(paths: Iterable[str]) -> list[str]:

@@ -71,13 +71,13 @@ class SimClock:
         self._usage(resource).add(seconds, nbytes, ops)
         self.elapsed_s += seconds
 
-    def charge_background(self, resource: str, seconds: float, nbytes: int = 0) -> None:
+    def charge_background(self, resource: str, seconds: float) -> None:
         """Charge work fully hidden behind other activity (e.g. NAND block
         erases pipelined by the storage device): busy time accrues, elapsed
         time does not advance."""
         if seconds < 0:
             raise ValueError(f"negative charge: {seconds}")
-        self._usage(resource).add(seconds, nbytes)
+        self._usage(resource).add(seconds)
 
     def charge_pool(self, resource: str, work_seconds: float, parallelism: float,
                     nbytes: int = 0) -> None:

@@ -1,22 +1,17 @@
 """DRAM budget tracking for the simulated engines.
 
 Every engine declares its in-memory data structures against a
-:class:`MemoryTracker` sized from the active hardware profile.  Two policies
-exist, mirroring how real systems behave when DRAM runs out:
-
-* ``strict`` — allocation beyond the budget raises
-  :class:`MemoryBudgetExceeded`.  Used by engines that refuse to run (the
-  paper reports GraphLab and FlashGraph as DNF when their working set does
-  not fit).
-* ``swap`` — allocation beyond the budget succeeds, so ``in_use`` may
-  exceed ``budget``.  No engine uses it: nothing charges swap-thrashing I/O.
+:class:`MemoryTracker` sized from the active hardware profile.  Allocation
+beyond the budget raises :class:`MemoryBudgetExceeded`, as a system that
+refuses to run does (the paper reports GraphLab and FlashGraph as DNF when
+their working set does not fit).
 """
 
 from __future__ import annotations
 
 
 class MemoryBudgetExceeded(RuntimeError):
-    """Raised by a strict tracker when an allocation would exceed the budget."""
+    """Raised when an allocation would exceed the budget."""
 
     def __init__(self, requested: int, in_use: int, budget: int, label: str):
         self.requested = requested
@@ -41,13 +36,10 @@ class MemoryTracker:
     0
     """
 
-    def __init__(self, budget: int, policy: str = "strict"):
-        if policy not in ("strict", "swap"):
-            raise ValueError(f"unknown memory policy {policy!r}")
+    def __init__(self, budget: int):
         if budget <= 0:
             raise ValueError(f"budget must be positive, got {budget}")
         self.budget = budget
-        self.policy = policy
         self._allocations: dict[str, int] = {}
         self.peak = 0
 
@@ -64,7 +56,7 @@ class MemoryTracker:
         if nbytes < 0:
             raise ValueError(f"negative allocation: {nbytes}")
         new_total = self.in_use + nbytes
-        if self.policy == "strict" and new_total > self.budget:
+        if new_total > self.budget:
             raise MemoryBudgetExceeded(nbytes, self.in_use, self.budget, label)
         self._allocations[label] = self._allocations.get(label, 0) + nbytes
         self.peak = max(self.peak, new_total)

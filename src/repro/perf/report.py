@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+#: Most rows :func:`superstep_timeline` prints.
+TIMELINE_ROWS = 20
+
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = "") -> str:
     """Render an aligned ASCII table.
@@ -66,18 +69,18 @@ def normalize_series(values: Sequence[float], baseline: float) -> list[float]:
     return out
 
 
-def superstep_timeline(supersteps, max_rows: int = 20) -> str:
+def superstep_timeline(supersteps) -> str:
     """Per-superstep breakdown table from a run's SuperstepMetrics list.
 
     Long runs (the WDC BFS tail has hundreds of supersteps) are sampled
-    down to ``max_rows`` evenly spaced rows plus the last one.
+    down to ``TIMELINE_ROWS`` rows: evenly spaced ones plus the last.
     """
     if not supersteps:
         return "(no supersteps)"
     steps = list(supersteps)
-    if len(steps) > max_rows:
-        stride = len(steps) / (max_rows - 1)
-        picked = [steps[int(i * stride)] for i in range(max_rows - 1)]
+    if len(steps) > TIMELINE_ROWS:
+        stride = len(steps) / (TIMELINE_ROWS - 1)
+        picked = [steps[int(i * stride)] for i in range(TIMELINE_ROWS - 1)]
         picked.append(steps[-1])
         steps = picked
     rows = []
@@ -165,7 +168,7 @@ def default_results_dir() -> str:
     return str(repo_root / "benchmarks" / "results")
 
 
-def emit_results(name: str, text: str, directory: str | None = None) -> str:
+def emit_results(name: str, text: str) -> str:
     """Print a benchmark's regenerated table/figure and persist it.
 
     Benchmarks both print (visible with ``pytest -s``) and write to
@@ -175,7 +178,7 @@ def emit_results(name: str, text: str, directory: str | None = None) -> str:
     """
     import os
 
-    directory = directory or default_results_dir()
+    directory = default_results_dir()
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.txt")
     with open(path, "w") as f:

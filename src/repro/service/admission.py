@@ -10,9 +10,9 @@ reserved against — they are batched into shared passes (see
 :mod:`repro.service.queries`) whose cost is amortized across the batch —
 but they do count against a per-tenant outstanding-query quota.
 
-The controller holds configuration only (capacity, quotas, wear probe,
-degrade policy).  Who holds what is read from the scheduler's journaled job
-table on every decision (:func:`usage`): a running job *is* a reservation
+The controller holds configuration only (capacity, quotas, wear probe).
+Who holds what is read from the scheduler's journaled job table on every
+decision (:func:`usage`): a running job *is* a reservation
 and a queued job *is* a queue slot, so reloading the journaled table after
 a crash restores every one of them.  Every decision is a pure
 function of (quota table, job table, device wear, spec); no clock reads, no
@@ -37,7 +37,13 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Callable, Collection
 
-from repro.flash.wear import CRITICAL, DEGRADED, HEALTHY, DegradePolicy
+from repro.flash.wear import (
+    CRITICAL,
+    DEGRADED,
+    DEGRADED_CAPACITY_FRACTION,
+    HEALTHY,
+    health,
+)
 from repro.service.jobs import PENDING, QUEUED, REJECTED, RUNNING, Job
 
 #: Fraction of device read bandwidth one analytics run reserves.  0.45 means
@@ -97,15 +103,13 @@ class AdmissionController:
 
     def __init__(self, flash_read_bw: float,
                  quotas: dict[str, TenantQuota] | None = None,
-                 wear_probe: Callable[[], tuple[float, int]] | None = None,
-                 degrade: DegradePolicy | None = None):
+                 wear_probe: Callable[[], tuple[float, int]] | None = None):
         self.capacity = float(flash_read_bw)
         self.reservation = ANALYTICS_BW_FRACTION * self.capacity
         self.quotas = dict(quotas or {})
         #: ``() -> (lifetime_writes_remaining, bad_block_count)``; None means
         #: the device is always treated as healthy (the pre-wear behaviour).
         self.wear_probe = wear_probe
-        self.degrade = degrade or DegradePolicy()
 
     def quota_for(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, DEFAULT_QUOTA)
@@ -117,7 +121,7 @@ class AdmissionController:
         if self.wear_probe is None:
             return HEALTHY
         lifetime_remaining, bad_blocks = self.wear_probe()
-        return self.degrade.classify(lifetime_remaining, bad_blocks)
+        return health(lifetime_remaining, bad_blocks)
 
     def effective_capacity(self, level: str | None = None) -> float:
         """Bandwidth capacity reservations are made against, derated by
@@ -126,7 +130,7 @@ class AdmissionController:
         if level == CRITICAL:
             return 0.0
         if level == DEGRADED:
-            return self.capacity * self.degrade.degraded_capacity_fraction
+            return self.capacity * DEGRADED_CAPACITY_FRACTION
         return self.capacity
 
     # ------------------------------------------------------------- decisions

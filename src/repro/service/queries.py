@@ -47,8 +47,8 @@ class _QueryState:
     visited: np.ndarray          # bool mask over vertices
     levels_left: int
     target: int = -1             # path only
-    parents: dict = field(default_factory=dict)   # path only: child -> parent
-    reached: list = field(default_factory=list)   # neighborhood: per-level hits
+    parents: dict = field(default_factory=dict, init=False)  # path: child -> parent
+    reached: list = field(default_factory=list, init=False)  # neighborhood: per-level hits
     done: bool = False
 
 

@@ -66,19 +66,11 @@ import numpy as np
 
 from repro.flash.device import (
     FlashError,
-    FlashOutOfSpaceError,
-    FlashProgramError,
     FlashUncorrectableError,
-    FlashWearOutError,
 )
 from repro.flash.faults import error_context
 from repro.flash.publish import discard, publish
-from repro.flash.wear import (
-    HEALTHY,
-    DegradePolicy,
-    WearReport,
-    lifetime_writes_remaining,
-)
+from repro.flash.wear import HEALTHY, WearReport, lifetime_writes_remaining
 from repro.service.admission import (
     ADMITTED,
     DEGRADED_DECISION,
@@ -108,6 +100,19 @@ JOURNAL_FILE = "svc:jobs"
 JOURNAL_STAGING = "svc:jobs:staging"
 JOURNAL_VERSION = 1
 
+#: Per-job engine checkpoint cadence (supersteps); every admitted run is
+#: crash→remount→resume durable.
+CHECKPOINT_EVERY = 2
+#: Retry budget of a failed analytics job, unless its ``retries=N`` spec
+#: param sets its own.
+MAX_RETRIES = 2
+#: Base backoff in scheduler rounds; attempt ``k`` waits
+#: ``RETRY_BACKOFF_ROUNDS << k`` rounds before re-admission.
+RETRY_BACKOFF_ROUNDS = 1
+#: Simulated seconds charged to the shared clock per failed attempt
+#: (scaled ``<< attempt``) — backoff costs real simulated time.
+RETRY_BACKOFF_S = 0.05
+
 
 def _values_files(job_id: str) -> tuple[str, str]:
     """(staging, final) names of a finished job's vertex-values file."""
@@ -118,8 +123,8 @@ def _values_files(job_id: str) -> tuple[str, str]:
 class PoisonSpec:
     """Deterministic per-job fault injection (tests and the chaos bench).
 
-    Raises a typed :class:`FlashError` when the job is about to execute
-    ``superstep``, on its first ``attempts`` attempts.  The trigger is a
+    Raises :class:`FlashUncorrectableError` when the job is about to
+    execute ``superstep``, on its first ``attempts`` attempts.  The trigger is a
     pure function of journaled state — the run's resume superstep and the
     job's journaled retry count — so it fires at exactly the same logical
     point across ``--workers``, ``--mode`` and arbitrary crash schedules.
@@ -129,42 +134,14 @@ class PoisonSpec:
 
     superstep: int = 1
     attempts: int = 1
-    #: One of "uncorrectable" | "program" | "oos" | "wearout".
-    error: str = "uncorrectable"
-
-
-#: Map a PoisonSpec.error name onto the taxonomy class it raises.
-_POISON_ERRORS = {
-    "uncorrectable": FlashUncorrectableError,
-    "program": FlashProgramError,
-    "oos": FlashOutOfSpaceError,
-    "wearout": FlashWearOutError,
-}
 
 
 @dataclass
 class ServiceConfig:
-    """Service-wide knobs (all deterministic)."""
+    """Service-wide settings (all deterministic)."""
 
-    #: Per-job engine checkpoint cadence (supersteps); every admitted run is
-    #: crash→remount→resume durable through the PR 3 machinery.
-    checkpoint_every: int = 2
     #: Hard ceiling on scheduler rounds (e.g. an arrival tagged beyond it).
     max_rounds: int = 100_000
-    #: Default retry budget for failed analytics jobs (per-job override via
-    #: the ``retries=N`` spec param).
-    max_retries: int = 2
-    #: Base backoff in scheduler rounds; attempt ``k`` waits
-    #: ``retry_backoff_rounds << k`` rounds before re-admission.
-    retry_backoff_rounds: int = 1
-    #: Simulated seconds charged to the shared clock per failed attempt
-    #: (scaled ``<< attempt``) — backoff costs real simulated time.
-    retry_backoff_s: float = 0.05
-    #: Rated program/erase cycles for the wear probe
-    #: (:func:`repro.flash.wear.lifetime_writes_remaining`).
-    rated_pe_cycles: int = 3000
-    #: Wear thresholds for degraded-mode admission.
-    degrade: DegradePolicy = field(default_factory=DegradePolicy)
     #: Deterministic per-job fault injection: job id -> PoisonSpec.
     poison: dict = field(default_factory=dict)
 
@@ -207,8 +184,7 @@ class GraphService:
         self.default_root = default_root
         self.controller = AdmissionController(system.profile.flash_read_bw,
                                               quotas,
-                                              wear_probe=self._wear_probe,
-                                              degrade=self.config.degrade)
+                                              wear_probe=self._wear_probe)
         #: (job_id, spec) in submission order — the workload definition.
         #: Journaled alongside the job table so future arrivals replay
         #: identically after a crash.
@@ -221,8 +197,7 @@ class GraphService:
     def _wear_probe(self) -> tuple[float, int]:
         """Live device health for degraded-mode admission decisions."""
         device = self.system.device
-        return (lifetime_writes_remaining(device, self.config.rated_pe_cycles),
-                device.bad_block_count)
+        return lifetime_writes_remaining(device), device.bad_block_count
 
     # -------------------------------------------------------------- submission
 
@@ -271,7 +246,7 @@ class GraphService:
                                     if j.admission == DEGRADED_DECISION),
             wear=WearReport.from_device(self.system.device),
             lifetime_writes_remaining=lifetime_writes_remaining(
-                self.system.device, self.config.rated_pe_cycles),
+                self.system.device),
         )
 
     def _jobs(self, *states):
@@ -343,7 +318,7 @@ class GraphService:
         program.namespaced(job.job_id)
         engine = self.system.engine_for(
             self.graph, self.num_vertices,
-            checkpoint_every=self.config.checkpoint_every,
+            checkpoint_every=CHECKPOINT_EVERY,
             auto_resume=True,
             checkpoint_prefix=f"svc:{job.job_id}:ckpt")
         return engine, program, limit
@@ -389,12 +364,8 @@ class GraphService:
         if spec is None:
             return
         if job.retries < spec.attempts and run.superstep == spec.superstep:
-            cls = _POISON_ERRORS[spec.error]
-            message = f"poisoned {spec.error} fault for {job.job_id}"
-            if cls in (FlashUncorrectableError, FlashProgramError):
-                exc = cls(message, block=0, page=0)
-            else:
-                exc = cls(message)
+            exc = FlashUncorrectableError(
+                f"poisoned uncorrectable fault for {job.job_id}", block=0, page=0)
             exc.superstep = run.superstep
             exc.algorithm = run.program.name
             raise exc
@@ -414,7 +385,7 @@ class GraphService:
             exc, "superstep", run.superstep if run is not None else -1))
         if run is not None:
             run.abandon()
-        limit = job.retry_limit(self.config.max_retries)
+        limit = job.retry_limit(MAX_RETRIES)
         if job.retries >= limit:
             self._quarantine(
                 job, f"retries exhausted after {job.retries + 1} attempts")
@@ -424,10 +395,8 @@ class GraphService:
         # Exponential backoff, a pure function of the journaled retry count:
         # the resume round replays identically after any crash, and the
         # backoff cost is real simulated time on the shared clock.
-        job.retry_round = self.round + (self.config.retry_backoff_rounds
-                                        << attempt)
-        self.system.clock.charge(
-            "cpu", self.config.retry_backoff_s * (1 << attempt))
+        job.retry_round = self.round + (RETRY_BACKOFF_ROUNDS << attempt)
+        self.system.clock.charge("cpu", RETRY_BACKOFF_S * (1 << attempt))
         job.state = RETRYING
 
     def _record_failure(self, job: Job, exc: FlashError,
@@ -580,7 +549,7 @@ class GraphService:
             for job_id, _, _ in batch:
                 job = self.jobs[job_id]
                 self._record_failure(job, exc, -1)
-                if job.retries >= job.retry_limit(self.config.max_retries):
+                if job.retries >= job.retry_limit(MAX_RETRIES):
                     job.state = FAILED
                     job.reason = "retries exhausted in point batch"
                 else:

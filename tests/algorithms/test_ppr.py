@@ -73,7 +73,7 @@ def test_ppr_active_set_grows_then_settles():
 
 def test_ppr_early_stop_on_tiny_mass(tiny_graph):
     engine = make_engine(tiny_graph)
-    result = run_personalized_pagerank(engine, 0, iterations=500, tol=1e-6)
+    result = run_personalized_pagerank(engine, 0, iterations=500)
     assert result.num_supersteps < 500
 
 
@@ -86,8 +86,6 @@ def test_ppr_different_sources_differ(tiny_graph):
 def test_ppr_validation(tiny_graph):
     engine = make_engine(tiny_graph)
     with pytest.raises(ValueError):
-        run_personalized_pagerank(engine, 99)
+        run_personalized_pagerank(engine, 99, iterations=1)
     with pytest.raises(ValueError):
         run_personalized_pagerank(engine, 0, iterations=0)
-    with pytest.raises(ValueError):
-        run_personalized_pagerank(engine, 0, damping=1.5)

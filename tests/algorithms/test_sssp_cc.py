@@ -8,8 +8,8 @@ from repro.algorithms.reference import sssp_distances
 from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.engine.config import make_system
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import random_weights, uniform_edges
-from tests.support import min_reachable_label
+from repro.graph.generators import uniform_edges
+from tests.support import min_reachable_label, random_weights
 
 SCALE = 2.0 ** -15
 

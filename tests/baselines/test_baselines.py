@@ -183,11 +183,6 @@ def test_inmemory_fastest_when_it_fits(twitter):
     assert fast.elapsed_s < slow.elapsed_s
 
 
-def test_cluster_requires_multiple_nodes(twitter):
-    with pytest.raises(ValueError):
-        ClusterInMemoryEngine(twitter, SERVER, num_nodes=1)
-
-
 def test_result_time_or_nan(twitter, twitter_root):
     good = InMemoryEngine(twitter, SERVER).run_bfs(twitter_root)
     assert good.time_or_nan == good.elapsed_s

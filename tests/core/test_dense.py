@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.dense as dense_mod
 from repro.core.accelerator import SoftwareBackend
 from repro.core.dense import (
     DenseRunHandle,
@@ -46,14 +47,17 @@ def test_densify_roundtrip(aoffs):
     assert dense.nbytes == dense_bytes(100, 8)
 
 
-def test_densify_chunk_iteration_matches_sparse(aoffs):
+def test_densify_chunk_iteration_matches_sparse(aoffs, monkeypatch):
     rng = np.random.default_rng(7)
     keys = np.unique(rng.integers(0, 5000, 3000))
     pairs = [(int(k), float(k) * 0.5) for k in keys]
     run = make_run(aoffs, pairs)
     dense = densify_run(run, key_space=5000)
     sparse_all = run.read_all()
-    dense_all = KVArray.concat(list(dense.chunks(io_bytes=512)))
+    monkeypatch.setattr(dense_mod, "DENSE_CHUNK_KEYS", 64)
+    chunks = list(dense.chunks())
+    assert len(chunks) > 1
+    dense_all = KVArray.concat(chunks)
     assert np.array_equal(dense_all.keys, sparse_all.keys)
     assert np.allclose(dense_all.values, sparse_all.values)
 

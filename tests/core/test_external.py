@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import external
 from repro.core.accelerator import AcceleratorBackend, SoftwareBackend
 from repro.core.external import ExternalSortReducer
 from repro.core.kvstream import KVArray
@@ -156,13 +157,15 @@ def test_chunk_bytes_validation(aoffs):
         make_reducer(aoffs, chunk_bytes=16)
 
 
-def test_run_chunks_iteration(aoffs):
+def test_run_chunks_iteration(aoffs, monkeypatch):
     reducer = make_reducer(aoffs, chunk_bytes=2048)
     updates = random_updates(5000, 2000, seed=6)
     reducer.add(updates)
     run = reducer.finish()
     whole = run.read_all()
-    streamed = [c for c in run.chunks(io_bytes=512)]
+    monkeypatch.setattr(external, "MERGE_IO_BYTES", 512)
+    streamed = [c for c in run.chunks()]
+    assert len(streamed) > 1
     joined = KVArray.concat(streamed)
     assert np.array_equal(joined.keys, whole.keys)
     assert np.allclose(joined.values, whole.values)

@@ -147,7 +147,7 @@ def test_power_loss_is_not_swallowed_by_superstep_cleanup(random_graph):
 
 def test_run_with_crashes_harness_smoke(random_graph):
     clean = run_grafboost_system("GraFSoft", random_graph, "bfs",
-                                 scale=SCALE, seed_root=0)
+                                 scale=SCALE)
     clean_values, load_ops, total_ops = counted_clean_run(
         "grafsoft", random_graph, algorithm="bfs")
     plan = CrashPlan(at_ops=(load_ops // 2, load_ops + 50,
@@ -155,7 +155,7 @@ def test_run_with_crashes_harness_smoke(random_graph):
                      torn_write_p=0.5)
     crashed = run_grafboost_system("GraFSoft", random_graph, "bfs",
                                    scale=SCALE, crashes=plan,
-                                   checkpoint_every=2, seed_root=0)
+                                   checkpoint_every=2)
     assert crashed.completed
     assert crashed.power_losses == 3
     assert crashed.remounts >= 3

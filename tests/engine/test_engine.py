@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.bfs import BFSProgram, UNVISITED, run_bfs
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.reference import pagerank_push, validate_parents
+from repro.engine import api
 from repro.engine.api import VertexProgram, all_active_chunks, single_seed
 from repro.engine.config import make_system
 from repro.core.reduce_ops import SUM
@@ -119,7 +120,7 @@ def test_unreachable_root_terminates(tiny_graph):
 def test_max_supersteps_cuts_and_folds(random_graph):
     _, engine = build("grafsoft", random_graph)
     root = int(np.flatnonzero(random_graph.out_degrees() > 0)[0])
-    result = run_bfs(engine, root, max_supersteps=2)
+    result = engine.run(BFSProgram(root), max_supersteps=2)
     assert result.num_supersteps == 2
     # The apply pass folded the frontier of superstep 2 into V even though
     # its edges were never pushed.
@@ -146,8 +147,9 @@ def test_superstep_zero_with_all_active_generator(tiny_graph):
     assert counts[0] == 0.0
 
 
-def test_initial_generators():
-    chunks = list(all_active_chunks(10, np.float64, 0.5, chunk_records=4))
+def test_initial_generators(monkeypatch):
+    monkeypatch.setattr(api, "ACTIVE_CHUNK_RECORDS", 4)
+    chunks = list(all_active_chunks(10, np.float64, 0.5))
     assert [len(c) for c in chunks] == [4, 4, 2]
     assert chunks[0].values[0] == 0.5
     seed = list(single_seed(3, np.uint64(3), np.uint64))

@@ -17,7 +17,8 @@ from repro.engine.config import make_system
 from repro.flash.device import FlashError
 from repro.graph.csr import CSRGraph
 from repro.graph.formats import FlashCSR
-from repro.graph.generators import random_weights, uniform_edges
+from repro.graph.generators import uniform_edges
+from tests.support import random_weights
 
 SCALE = 2.0 ** -14
 

@@ -31,6 +31,15 @@ def test_scaled_sizes():
     assert wdc.scaled_nodes(2.0 ** -14) == pytest.approx(183_105, rel=0.01)
 
 
+@pytest.mark.parametrize("name, scale", [
+    *((name, 1e-8) for name in DATASETS), ("twitter", 3e-5), ("kron28", 3e-5)])
+def test_scaled_sizes_match_the_built_graph(name, scale):
+    dataset, graph = DATASETS[name], build_graph(name, scale)
+    assert dataset.scaled_nodes(scale) == graph.num_vertices
+    if name != "wdc":   # the web crawl's pendant path has one edge a vertex
+        assert dataset.scaled_edges(scale) == graph.num_edges
+
+
 def test_build_graph_small_scale():
     graph = build_graph("twitter", 2.0 ** -14, seed=1)
     dataset = DATASETS["twitter"]
@@ -39,12 +48,6 @@ def test_build_graph_small_scale():
     # only in structure, not count, except kron rounding).
     assert graph.num_edges == pytest.approx(
         graph.num_vertices * dataset.paper_edgefactor, rel=0.5)
-
-
-def test_build_graph_weighted():
-    graph = build_graph("kron28", 2.0 ** -16, weighted=True)
-    assert graph.has_weights
-    assert len(graph.weights) == graph.num_edges
 
 
 def test_kron_scaling_uses_power_of_two():
@@ -83,13 +86,12 @@ def test_default_scale_is_tractable():
 def test_cache_round_trip_identical(tmp_path, monkeypatch):
     import numpy as np
     monkeypatch.setenv("REPRO_DATASET_CACHE", str(tmp_path))
-    cold = build_graph("kron30", 2.0 ** -16, seed=5, weighted=True)
+    cold = build_graph("kron30", 2.0 ** -16, seed=5)
     assert len(list(tmp_path.iterdir())) == 1
-    warm = build_graph("kron30", 2.0 ** -16, seed=5, weighted=True)
+    warm = build_graph("kron30", 2.0 ** -16, seed=5)
     assert warm.num_vertices == cold.num_vertices
     assert np.array_equal(warm.offsets, cold.offsets)
     assert np.array_equal(warm.targets, cold.targets)
-    assert np.array_equal(warm.weights, cold.weights)
 
 
 def test_second_build_skips_synthesis(tmp_path, monkeypatch):
@@ -132,6 +134,3 @@ def test_cache_disabled_by_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_DATASET_CACHE", "off")
     assert dataset_cache_dir() is None
     build_graph("kron30", 2.0 ** -16, seed=1)  # must not raise
-    monkeypatch.setenv("REPRO_DATASET_CACHE", str(tmp_path))
-    build_graph("kron30", 2.0 ** -16, seed=1, cache=False)
-    assert list(tmp_path.iterdir()) == []  # cache=False bypasses storage

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.flash.aoffs import AppendOnlyFlashFS
 from repro.flash.device import FlashDevice, FlashGeometry
+from repro.graph import formats
 from repro.graph.csr import CSRGraph
 from repro.graph.formats import (
     TARGET_DTYPE,
@@ -15,9 +16,9 @@ from repro.graph.formats import (
     coalesce_ranges,
     coalescing_gap,
 )
-from repro.graph.generators import random_weights
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST
+from tests.support import random_weights
 
 
 def test_coalesce_ranges_merges_close():
@@ -53,7 +54,7 @@ def test_edges_for_matches_neighbors(aoffs, random_graph):
 
 def test_weights_roundtrip(aoffs, random_graph):
     weighted = CSRGraph.from_edges(*random_graph.edge_list(), 500,
-                                   random_weights(random_graph.num_edges))
+                                   random_weights(random_graph.num_edges, seed=1))
     flash = FlashCSR.write(aoffs, "w", weighted)
     keys = np.arange(0, 500, 37, dtype=np.uint64)
     starts, ends = flash.index_lookup(keys)
@@ -80,10 +81,11 @@ def test_index_lookup_validation(aoffs, random_graph):
     assert len(empty_starts) == 0 and len(empty_ends) == 0
 
 
-def test_stream_edges_covers_graph(aoffs, random_graph):
+def test_stream_edges_covers_graph(aoffs, random_graph, monkeypatch):
+    monkeypatch.setattr(formats, "STREAM_EDGES_PER_CHUNK", 999)
     flash = FlashCSR.write(aoffs, "g", random_graph)
     seen_src, seen_dst = [], []
-    for srcs, dsts, weights in flash.stream_edges(edges_per_chunk=999):
+    for srcs, dsts, weights in flash.stream_edges():
         assert weights is None
         assert len(srcs) == len(dsts)
         seen_src.append(srcs)

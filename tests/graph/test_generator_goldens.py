@@ -15,6 +15,7 @@ import pytest
 
 from repro.graph import datasets, generators
 from repro.graph.csr import CSRGraph
+from tests.support import random_weights
 
 RULE = ("generator output changed: bump `DATASET_CACHE_VERSION` and "
         "re-record, or fix the change")
@@ -43,7 +44,7 @@ GENERATORS = {
     "webcrawl_edges": lambda seed: generators.webcrawl_edges(
         2000, edgefactor=11, seed=seed)[:2],
     "uniform_edges": lambda seed: generators.uniform_edges(700, 9000, seed=seed)[:2],
-    "random_weights": lambda seed: (generators.random_weights(9000, seed=seed),),
+    "random_weights": lambda seed: (random_weights(9000, seed=seed),),
 }
 
 GENERATOR_DIGESTS = {
@@ -98,10 +99,21 @@ def graph_arrays(graph: CSRGraph) -> tuple[np.ndarray, ...]:
     return arrays if graph.weights is None else arrays + (graph.weights,)
 
 
+def fresh_build(name: str, seed: int, weighted: bool) -> CSRGraph:
+    """``build_graph`` without the cache; weighted: ``random_weights`` on
+    the generator's edges, as weighted datasets were built."""
+    src, dst, n = datasets.DATASETS[name].edges(SCALE, seed)
+    weights = random_weights(len(src), seed=seed) if weighted else None
+    return CSRGraph.from_edges(src, dst, n, weights)
+
+
 @pytest.mark.parametrize("name, seed, weighted", sorted(DATASET_DIGESTS))
-def test_dataset_bytes(name, seed, weighted):
-    graph = datasets.build_graph(name, SCALE, seed=seed, weighted=weighted,
-                                 cache=False)
+def test_dataset_bytes(name, seed, weighted, monkeypatch):
+    if weighted:
+        graph = fresh_build(name, seed, weighted)
+    else:
+        monkeypatch.setenv("REPRO_DATASET_CACHE", "off")
+        graph = datasets.build_graph(name, SCALE, seed=seed)
     assert digest(*graph_arrays(graph)) == DATASET_DIGESTS[name, seed, weighted], RULE
 
 
@@ -116,11 +128,10 @@ def test_cache_entry_from_the_reference_build_equals_a_fresh_build(
     # A version-1 ``.npz`` written by older code must be what today's code
     # would have built — that is what lets the cache version stay at 1.
     src, dst, n = datasets.DATASETS[name].edges(SCALE, seed=3)
-    weights = generators.random_weights(len(src), seed=3)
     path = str(tmp_path / "entry.npz")
-    datasets._store_cached(path, reference_from_edges(src, dst, n, weights))
+    datasets._store_cached(path, reference_from_edges(src, dst, n))
     cached = datasets._load_cached(path)
-    fresh = datasets.build_graph(name, SCALE, seed=3, weighted=True, cache=False)
+    fresh = fresh_build(name, 3, weighted=False)
     assert cached.num_vertices == fresh.num_vertices
     for old, new in zip(graph_arrays(cached), graph_arrays(fresh), strict=True):
         assert old.dtype == new.dtype and np.array_equal(old, new), RULE

@@ -15,16 +15,17 @@ from repro.graph.generators import (
     KRON_A,
     KRON_B,
     KRON_C,
+    TAIL_FRACTION,
     _rmat_range,
     _rmat_words,
     kronecker_edges,
     powerlaw_edges,
-    random_weights,
     rmat_edges,
     uniform_edges,
     webcrawl_edges,
 )
 from repro.algorithms.reference import bfs_levels
+from tests.support import random_weights
 
 
 def test_kronecker_shape():
@@ -61,7 +62,7 @@ def test_rmat_general():
     src, dst, n = rmat_edges(scale=8, edgefactor=4, a=0.45, b=0.25, c=0.15, seed=2)
     assert n == 256 and len(src) == 1024
     with pytest.raises(ValueError):
-        rmat_edges(scale=8, edgefactor=4, a=0.5, b=0.3, c=0.3)
+        rmat_edges(scale=8, edgefactor=4, a=0.5, b=0.3, c=0.3, seed=1)
 
 
 def reference_rmat(rng, scale, m, a, b, c):
@@ -285,7 +286,7 @@ def test_a_failing_block_raises_in_the_caller_and_leaves_no_thread(cpus, monkeyp
 
 def test_rmat_scale_beyond_the_id_word_is_rejected():
     with pytest.raises(ValueError):
-        rmat_edges(scale=33, edgefactor=1, a=0.45, b=0.25, c=0.15)
+        rmat_edges(scale=33, edgefactor=1, a=0.45, b=0.25, c=0.15, seed=1)
 
 
 def test_powerlaw_skew_and_range():
@@ -304,10 +305,10 @@ def test_powerlaw_validation():
 def test_webcrawl_long_tail_supersteps():
     # The WDC-like graph must give BFS a long pendant path: far more BFS
     # levels than a same-size uniform graph (the X-Stream killer, §V-C.1).
-    src, dst, n = webcrawl_edges(4000, edgefactor=20, tail_fraction=0.05, seed=4)
+    src, dst, n = webcrawl_edges(4000, edgefactor=20, seed=4)
     graph = CSRGraph.from_edges(src, dst, n)
     levels = bfs_levels(graph, 0)
-    assert levels.max() >= 0.05 * 4000  # at least the pendant-path depth
+    assert levels.max() >= TAIL_FRACTION * 4000  # at least the pendant-path depth
     # And the bulk of the graph is shallow (web-like).
     reached = levels[levels >= 0]
     assert np.median(reached) < 30
@@ -316,8 +317,6 @@ def test_webcrawl_long_tail_supersteps():
 def test_webcrawl_validation():
     with pytest.raises(ValueError):
         webcrawl_edges(8)
-    with pytest.raises(ValueError):
-        webcrawl_edges(100, tail_fraction=0.7)
 
 
 def test_uniform_edges():
@@ -327,7 +326,7 @@ def test_uniform_edges():
 
 
 def test_random_weights_range():
-    weights = random_weights(1000, seed=6, low=0.5, high=2.0)
+    weights = random_weights(1000, seed=6)
     assert weights.dtype == np.float32
-    assert weights.min() >= 0.5 and weights.max() <= 2.0
-    assert np.array_equal(weights, random_weights(1000, seed=6, low=0.5, high=2.0))
+    assert weights.min() >= 0.1 and weights.max() <= 10.0
+    assert np.array_equal(weights, random_weights(1000, seed=6))

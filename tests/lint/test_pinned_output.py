@@ -215,7 +215,7 @@ def corpus() -> dict[str, str]:
 
 
 def test_lint_sources_output_is_pinned():
-    found = lint_sources(corpus(), report_unused=True)
+    found = lint_sources(corpus())
     assert [v.render() for v in found] == EXPECTED
 
 

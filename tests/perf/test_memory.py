@@ -24,12 +24,6 @@ def test_strict_policy_raises_on_overflow():
     assert excinfo.value.requested == 30
 
 
-def test_swap_policy_records_overflow():
-    mem = MemoryTracker(budget=100, policy="swap")
-    mem.allocate("a", 150)
-    assert mem.in_use == 150 > mem.budget
-
-
 def test_peak_tracking():
     mem = MemoryTracker(budget=1000)
     mem.allocate("a", 600)
@@ -56,5 +50,3 @@ def test_free_unknown_label_raises():
 def test_invalid_construction():
     with pytest.raises(ValueError):
         MemoryTracker(budget=0)
-    with pytest.raises(ValueError):
-        MemoryTracker(budget=10, policy="yolo")

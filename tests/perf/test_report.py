@@ -68,10 +68,11 @@ def test_default_results_dir_is_repo_anchored():
     assert os.path.exists(os.path.join(repo_root, "src", "repro"))
 
 
-def test_emit_results_honors_explicit_directory(tmp_path, capsys):
-    from repro.perf.report import emit_results
+def test_emit_results_writes_and_prints(tmp_path, capsys, monkeypatch):
+    from repro.perf import report
 
-    path = emit_results("t", "hello", directory=str(tmp_path))
+    monkeypatch.setattr(report, "default_results_dir", lambda: str(tmp_path))
+    path = report.emit_results("t", "hello")
     assert path == str(tmp_path / "t.txt")
     assert (tmp_path / "t.txt").read_text() == "hello\n"
     assert "hello" in capsys.readouterr().out
@@ -85,8 +86,8 @@ def test_superstep_timeline_samples_long_runs():
                               update_pairs=2 * i, reduced_pairs=i,
                               elapsed_s=0.001 * i, flash_bytes=1024 * i)
              for i in range(100)]
-    text = superstep_timeline(steps, max_rows=10)
+    text = superstep_timeline(steps)
     lines = text.splitlines()
-    assert len(lines) <= 13  # title + header + separator + 10 rows
+    assert len(lines) <= 23  # title + header + separator + 20 rows
     assert "99" in text  # the last superstep always appears
     assert superstep_timeline([]) == "(no supersteps)"

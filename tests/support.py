@@ -24,6 +24,12 @@ def kv_pairs(pairs: list[tuple[int, object]], value_dtype: np.dtype) -> KVArray:
 
 
 
+def random_weights(num_edges: int, seed: int) -> np.ndarray:
+    """Uniform edge weights in [0.1, 10) for weighted-graph tests."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.1, 10.0, num_edges).astype(np.float32)
+
+
 def min_reachable_label(graph: CSRGraph, max_rounds: int | None = None) -> np.ndarray:
     """For each vertex: the minimum vertex id that can reach it (label
     propagation's fixed point on the directed graph)."""

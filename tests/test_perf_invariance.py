@@ -467,12 +467,14 @@ def _name_files_elsewhere() -> None:
 
 
 DURABLE_SCALE = 1 / 65536
+#: A crash plan that cuts no power: the stack is built durable.
+DURABLE = CrashPlan(crashes=0)
 DURABLE_JOBS = {
     "GraFSoft-pagerank-checkpointed": lambda graph: run_grafboost_system(
-        "GraFSoft", graph, "pagerank", scale=DURABLE_SCALE, durable=True,
+        "GraFSoft", graph, "pagerank", scale=DURABLE_SCALE, crashes=DURABLE,
         checkpoint_every=1, pagerank_iterations=2),
     "GraFBoost-bfs": lambda graph: run_grafboost_system(
-        "GraFBoost", graph, "bfs", scale=DURABLE_SCALE, durable=True),
+        "GraFBoost", graph, "bfs", scale=DURABLE_SCALE, crashes=DURABLE),
     "service-demo": lambda graph: run_service_cell(
         "GraFBoost", graph, demo_workload(), scale=DURABLE_SCALE,
         quotas=demo_quotas()),

@@ -12,15 +12,21 @@
 * No ``global`` statement and no module-level ``itertools.count()``: a
   process-wide counter makes a run's output depend on what ran before it.
 * ``benchmarks/results/*.txt`` are exactly the files the benches write.
+* Every defaulted parameter and dataclass field in ``src/repro`` is set by
+  some code outside the tests (callers matched by name, as above); one only
+  the tests set is a configuration no workload runs.
 
-``ALLOWED`` names each exception and why it stands; it should only shrink.
+``ALLOWED`` and ``ALLOWED_SETTINGS`` name each exception and why it stands;
+they should only shrink.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -38,6 +44,7 @@ ALLOWED = {
 }
 
 
+@functools.cache
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -160,3 +167,217 @@ def test_results_files_match_their_benches():
     assert written == emitted, (
         f"results no bench writes: {sorted(written - emitted)}; "
         f"benches without results: {sorted(emitted - written)}")
+
+
+
+# Why a defaulted parameter or field that only the tests set may stay.
+SIZING = "a sizing setting that lets a test reach an edge case cheaply"
+ENTRY_POINT = "an entry point"
+PLATFORM = "the §V hardware platform table"
+POOL = "removed with ROADMAP item 2"
+
+#: ``function(parameter)``, ``Class(parameter)`` for a constructor,
+#: ``Class.method(parameter)``, or a bare class name for all its fields.
+ALLOWED_SETTINGS = {
+    "main(argv)": ENTRY_POINT,
+    "HardwareProfile": PLATFORM,
+    "GraphCache(budget_bytes)": SIZING,
+    "PageMappedFTL(gc_reserve_blocks)": SIZING,
+    "PageMappedFTL(overprovision)": SIZING,
+    "SSDFileSystem.mount(meta_lpns)": SIZING,
+    "ServiceConfig(max_rounds)": SIZING,
+    "StreamingMergeReducer(refill_records)": SIZING,
+    "SystemConfig(max_remounts)": SIZING,
+    "SortReducePool(inline_records)": POOL,
+    "SortReducePool.shutdown(join_timeout_s)": POOL,
+    "merge_reduce_arrays(pool)": POOL,
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Stands for every keyword of a ``**`` argument whose keys are not literal.
+ANY = "**"
+
+
+class Signature(NamedTuple):
+    """One definition as its callers see it."""
+
+    name: str            # what a call names: function, method or class
+    label: str           # how a failure names it
+    where: str
+    params: list[str]    # positional parameters (or fields), in order
+    bound: int           # leading parameters a call does not pass (``self``)
+    settings: list[str]  # the defaulted ones this definition declares
+    dataclass: bool
+
+
+def function_signature(name: str, label: str, where: str, fn, bound: int) -> Signature:
+    args = fn.args
+    params = [a.arg for a in [*args.posonlyargs, *args.args]]
+    settings = params[len(params) - len(args.defaults):]
+    settings += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return Signature(name, label, where, params, bound, settings, False)
+
+
+def dataclass_fields(node: ast.ClassDef):
+    """(name, has a default) of each ``__init__`` field the class declares."""
+    if not any(ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")
+               for d in node.decorator_list):
+        return
+    for stmt in node.body:
+        if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and "ClassVar" not in ast.unparse(stmt.annotation)
+                and not (isinstance(stmt.value, ast.Call)
+                         and any(k.arg == "init" for k in stmt.value.keywords))):
+            yield stmt.target.id, stmt.value is not None
+
+
+def signatures() -> tuple[list[Signature], dict[str, list[str]]]:
+    """Every function, method and constructor in ``src/repro``; and for
+    each class without an ``__init__``, the bases a call to it constructs."""
+    found, classes = [], {}
+    for path in MODULES.values():
+        rel = path.relative_to(ROOT)
+        for node in parse(path).body:
+            if isinstance(node, FUNCTIONS):
+                found.append(function_signature(node.name, node.name,
+                                                f"{rel}:{node.lineno}", node, 0))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            classes[node.name] = node, f"{rel}:{node.lineno}"
+            for fn in node.body:
+                if isinstance(fn, FUNCTIONS) and (fn.name == "__init__"
+                                                  or not fn.name.startswith("__")):
+                    init = fn.name == "__init__"
+                    static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+                    found.append(function_signature(
+                        node.name if init else fn.name,
+                        node.name if init else f"{node.name}.{fn.name}",
+                        f"{rel}:{fn.lineno}", fn, 0 if static else 1))
+    constructs = {}
+    for name, (node, where) in classes.items():
+        if any(isinstance(fn, FUNCTIONS) and fn.name == "__init__" for fn in node.body):
+            continue
+        constructs[name] = [ast.unparse(b) for b in node.bases if ast.unparse(b) in classes]
+        fields = list(dataclass_fields(node))
+        if fields:
+            inherited = [f for base in constructs[name]
+                         for f, _ in dataclass_fields(classes[base][0])]
+            found.append(Signature(name, name, where, inherited + [f for f, _ in fields],
+                                   0, [f for f, default in fields if default], True))
+    return found, constructs
+
+
+class Calls(ast.NodeVisitor):
+    """What the callers pass, by the name each call uses."""
+
+    def __init__(self):
+        self.positional: dict[str, int] = {}   # most positional arguments
+        self.keywords: dict[str, set[str]] = {}
+        self.forwards: set[tuple[str, str]] = set()   # f(**kwargs) -> g(**kwargs)
+        self.fields: set[str] = set()   # dataclasses.replace keywords, attribute stores
+        self.scope: list[ast.AST] = []
+
+    def within(self, node):
+        self.scope.append(node)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = within
+
+    def targets(self, func) -> list[str]:
+        owner = next((n for n in reversed(self.scope) if isinstance(n, ast.ClassDef)), None)
+        if isinstance(func, ast.Name):
+            return [owner.name] if func.id == "cls" and owner else [func.id]
+        if not isinstance(func, ast.Attribute):
+            return []
+        if func.attr == "__init__" and ast.unparse(func.value) == "super()" and owner:
+            return [ast.unparse(b) for b in owner.bases]
+        return [func.attr]
+
+    def visit_Call(self, node: ast.Call):
+        self.generic_visit(node)
+        func = ast.unparse(node.func)
+        if func in ("replace", "dataclasses.replace"):
+            self.fields.update(k.arg for k in node.keywords if k.arg)
+        if (func in ("setattr", "object.__setattr__") and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            self.fields.add(node.args[1].value)
+        enclosing = next((n for n in reversed(self.scope) if isinstance(n, FUNCTIONS)), None)
+        kwarg = enclosing and enclosing.args.kwarg and enclosing.args.kwarg.arg
+        keywords, forwards = set(), False
+        for k in node.keywords:
+            if k.arg is not None:
+                keywords.add(k.arg)
+            elif isinstance(k.value, ast.Dict):
+                keywords.update(key.value for key in k.value.keys
+                                if isinstance(key, ast.Constant))
+            elif ast.unparse(k.value) == kwarg:
+                forwards = True   # the enclosing function's callers decide
+            else:
+                keywords.add(ANY)   # a dict whose keys the check cannot read
+        count = (1 << 30 if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+        for name in self.targets(node.func):
+            self.positional[name] = max(self.positional.get(name, 0), count)
+            self.keywords.setdefault(name, set()).update(keywords)
+            if forwards:
+                self.forwards.add((enclosing.name, name))
+
+    def visit_Attribute(self, node: ast.Attribute):
+        self.generic_visit(node)
+        if isinstance(node.ctx, ast.Store):
+            self.fields.add(node.attr)
+
+
+def settings_check() -> tuple[list[str], list[tuple[str, str]]]:
+    """(every defaulted parameter and field in ``src/repro``, and the
+    ``(label, where)`` of each that no code outside the tests sets)."""
+    found, constructs = signatures()
+    calls = Calls()
+    for path in CALLERS:
+        calls.visit(parse(path))
+    edges = calls.forwards | {(cls, base) for cls, bases in constructs.items()
+                              for base in bases}
+    changed = True
+    while changed:   # keywords pass through **kwargs; a class call constructs its bases
+        changed = False
+        for source, target in edges:
+            keywords = calls.keywords.get(source, set()) | calls.keywords.get(target, set())
+            positional = calls.positional.get(target, 0)
+            if (source, target) not in calls.forwards:
+                positional = max(positional, calls.positional.get(source, 0))
+            if (keywords, positional) != (calls.keywords.get(target, set()),
+                                          calls.positional.get(target, 0)):
+                calls.keywords[target], calls.positional[target] = keywords, positional
+                changed = True
+    everything, unset = [], []
+    for sig in found:
+        passed = calls.keywords.get(sig.name, set())
+        for param in sig.settings:
+            label = f"{sig.label}({param})"
+            everything.append(label)
+            position = sig.params.index(param) - sig.bound if param in sig.params else -1
+            if not (param in passed or ANY in passed
+                    or 0 <= position < calls.positional.get(sig.name, 0)
+                    or (sig.dataclass and param in calls.fields)):
+                unset.append((label, sig.where))
+    return everything, unset
+
+
+def test_every_setting_is_set_outside_the_tests():
+    """A defaulted parameter or dataclass field in ``src/repro`` is set by
+    some code in ``src/``, ``benchmarks/`` or ``examples/``: a call (matched
+    by name, as above) passes it by keyword, by position or through
+    ``**kwargs``, or, for a field, ``dataclasses.replace`` or an attribute
+    store does.  A setting only the tests set is a configuration no workload
+    runs: keep its value as a constant."""
+    everything, unset = settings_check()
+    print(f"{len(everything)} settable values in src/repro")
+    allowed = [(label, where) for label, where in unset
+               if label in ALLOWED_SETTINGS or label.split("(")[0] in ALLOWED_SETTINGS]
+    found = sorted(f"{where} {label}" for label, where in unset
+                   if (label, where) not in allowed)
+    assert not found, "only the tests set these; make each a constant:\n" + "\n".join(found)
+    stale = set(ALLOWED_SETTINGS) - {label for label, _ in allowed} - {
+        label.split("(")[0] for label, _ in allowed}
+    assert not stale, f"allowed but set outside the tests, or gone: {sorted(stale)}"
