@@ -22,6 +22,69 @@ import numpy as np
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import ReduceOp
 
+#: Most records one sort-reduce of a merge batch works on at once: a larger
+#: batch is cut into key-range slices of at most this many records, so its
+#: sort temporaries are a slice's, not the batch's.  A key group larger
+#: than a slice stays whole.
+EMIT_SLICE_RECORDS = 1 << 17
+
+
+def _slice_cuts(parts: list[KVArray], total: int) -> list[int]:
+    """Keys that cut the merge of sorted ``parts`` (``total`` records) into
+    key ranges of at most ``EMIT_SLICE_RECORDS`` records each.
+
+    Candidate cuts are every ``step``-th key of each part, so between two
+    candidates lie at most ``len(parts) * step`` records (a quarter slice)
+    plus one key's group.  The records below each candidate are counted
+    exactly, and each cut is the last candidate that keeps its slice within
+    the limit, or the first one past a group that alone outgrows it.
+    """
+    if total <= EMIT_SLICE_RECORDS:
+        return []
+    step = max(1, EMIT_SLICE_RECORDS // (4 * len(parts)))
+    candidates = np.unique(np.concatenate([p.keys[step::step] for p in parts]))
+    below = sum(np.searchsorted(p.keys, candidates, side="left") for p in parts)
+    cuts: list[int] = []
+    start = 0
+    while total - start > EMIT_SLICE_RECORDS:
+        i = int(np.searchsorted(below, start + EMIT_SLICE_RECORDS,
+                                side="right")) - 1
+        if i < 0 or below[i] <= start:
+            # One group fills more than a slice: cut just past it.
+            i = int(np.searchsorted(below, start, side="right"))
+            if i == len(below):
+                break
+        cuts.append(int(candidates[i]))
+        start = int(below[i])
+    return cuts
+
+
+def sort_reduce_parts(parts: list[KVArray], op: ReduceOp) -> KVArray:
+    """Merge-reduce non-empty sorted ``parts`` in key-range slices.
+
+    Bitwise ``op.reduce_sorted(KVArray.concat(parts).sorted(runs=len(parts)))``:
+    every part is cut at the same keys with ``searchsorted(side="left")``, so
+    a key's records all land in one slice, and the stable sort of a key
+    range is the restriction of the stable sort of the whole — the argument
+    of :meth:`~repro.core.parallel.SortReducePool.merge_reduce`, run
+    serially.  A batch of at most ``EMIT_SLICE_RECORDS`` records is one
+    slice.
+    """
+    total = sum(len(p) for p in parts)
+    lows = [0] * len(parts)
+    outs = []
+    for cut in [*_slice_cuts(parts, total), None]:
+        pieces = []
+        for j, p in enumerate(parts):
+            high = len(p) if cut is None else int(
+                np.searchsorted(p.keys, cut, side="left"))
+            if high > lows[j]:
+                pieces.append(p.slice(lows[j], high))
+            lows[j] = high
+        outs.append(op.reduce_sorted(
+            KVArray.concat(pieces).sorted(runs=len(pieces)), presorted=True))
+    return outs[0] if len(outs) == 1 else KVArray.concat(outs)
+
 
 def merge_reduce_arrays(runs: list[KVArray], op: ReduceOp,
                         pool=None) -> KVArray:
@@ -42,8 +105,7 @@ def merge_reduce_arrays(runs: list[KVArray], op: ReduceOp,
             raise ValueError(f"input run {i} is not sorted")
     if pool is not None:
         return pool.merge_reduce(runs, op)
-    return op.reduce_sorted(KVArray.concat(runs).sorted(runs=len(runs)),
-                            presorted=True)
+    return sort_reduce_parts(runs, op)
 
 
 class _SourceState:
@@ -193,8 +255,7 @@ class StreamingMergeReducer:
         if self.pool is not None:
             merged = self.pool.merge_reduce(parts, self.op)
         else:
-            merged = self.op.reduce_sorted(
-                KVArray.concat(parts).sorted(runs=len(parts)), presorted=True)
+            merged = sort_reduce_parts(parts, self.op)
         self.pairs_in += sum(len(p) for p in parts)
         self.pairs_out += len(merged)
         sink(merged)

@@ -179,8 +179,9 @@ class FlashDevice:
 
     Page contents are stored as the program call hands them over, never
     copied: a file store's appends are zero-copy ``memoryview`` slices of
-    the appended blob (:meth:`repro.flash.store.FileStore.append`), other
-    writes ``bytes``; both are immutable.  The simulator is *functional*,
+    the appended blob or of a frozen array
+    (:meth:`repro.flash.store.FileStore.append`), other writes ``bytes``;
+    all of them are immutable.  The simulator is *functional*,
     so anything an engine writes really does round-trip through the device.
     """
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TypeGuard
 
 import numpy as np
 
@@ -40,6 +41,32 @@ from repro.flash.journal import (
 COMMIT_CHUNK_PAGES = 128
 
 
+def is_frozen(array: np.ndarray) -> bool:
+    """Whether no reference can write ``array``'s memory any more: it and
+    every array under it are read-only, down to one that owns its memory or
+    to a ``bytes`` object.  Memory from any other buffer (a ``bytearray``, a
+    ``memoryview``, a mapped file) may still change, so it is not frozen.
+
+    An owner that made itself read-only promises to stay so; the store keeps
+    a frozen array's buffer instead of a copy (:meth:`FileStore.append_array`).
+    """
+    base = array
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        if base.base is None:
+            return True
+        base = base.base
+    return isinstance(base, bytes)
+
+
+def _frozen_bytes(data: bytes | bytearray | memoryview) -> TypeGuard[memoryview]:
+    """Whether ``data`` is a contiguous byte view of a frozen array."""
+    return (isinstance(data, memoryview) and data.format == "B"
+            and data.c_contiguous and isinstance(data.obj, np.ndarray)
+            and is_frozen(data.obj))
+
+
 @dataclass(slots=True)
 class StoredFile:
     """Metadata of one file: where its flushed pages live, and its RAM tail."""
@@ -51,7 +78,7 @@ class StoredFile:
     size: int = 0                  # logical bytes, including the tail buffer
     #: Partial last page, not yet on flash, kept as a fragment list so
     #: appends never recopy the accumulated tail; a flush joins once.
-    tail_parts: list[bytes] = field(default_factory=list)
+    tail_parts: list[bytes | memoryview] = field(default_factory=list)
     tail_len: int = 0
     flushed_pages: int = 0         # pages already programmed to flash
     sealed: bool = False
@@ -59,8 +86,9 @@ class StoredFile:
     #: durability: the end-to-end check that catches ECC miscorrections.
     page_crcs: list[int] = field(default_factory=list)
 
-    def tail_bytes(self) -> bytes:
-        """The unflushed tail as one bytes object (consolidates in place)."""
+    def tail_bytes(self) -> bytes | memoryview:
+        """The unflushed tail as one buffer (consolidates in place): ``bytes``,
+        or a view of a frozen array's tail."""
         if len(self.tail_parts) != 1:
             joined = b"".join(self.tail_parts)
             self.tail_parts = [joined] if joined else []
@@ -198,29 +226,34 @@ class FileStore:
         self._log({"op": "create", "name": name})
         self._commit_log()
 
-    def append(self, name: str, data: bytes) -> None:
+    def append(self, name: str, data: bytes | bytearray | memoryview) -> None:
         """Append bytes to a file, creating it if needed.
 
         Complete pages stream to flash at once (one device program: its
         latency is amortized over the call); the partial last page stays in
         the host tail buffer until more data arrives or the file is sealed.
+        ``bytes`` and byte views of frozen arrays (:meth:`append_array`) are
+        stored as handed over, never copied; any other buffer is copied
+        first, since its owner may still change it.
         """
+        kept = data if isinstance(data, bytes) or _frozen_bytes(data) else bytes(data)
         f = self._files.get(name)
         if f is None:
             f = self._files[name] = StoredFile(name)
             self._log({"op": "create", "name": name})
         if f.sealed:
             raise FlashError(f"append to sealed {self.label} file {name!r}")
-        if data:
-            f.tail_parts.append(bytes(data))
-            f.tail_len += len(data)
-        f.size += len(data)
+        if kept:
+            f.tail_parts.append(kept)
+            f.tail_len += len(kept)
+        f.size += len(kept)
         page_bytes = self.page_bytes
         flush_bytes = f.tail_len // page_bytes * page_bytes
         if flush_bytes:
             blob = f.tail_bytes()
-            # Zero-copy page views into the joined tail; the device stores
-            # them as-is, and every consumer goes through the buffer protocol.
+            # Zero-copy page views into the joined tail (or a frozen
+            # array); the device stores them as-is, and every consumer goes
+            # through the buffer protocol.
             view = memoryview(blob)
             self._flush(f, [view[start:start + page_bytes]
                             for start in range(0, flush_bytes, page_bytes)])
@@ -236,7 +269,7 @@ class FileStore:
             return
         if f.tail_len:
             tail = f.tail_bytes()
-            self._flush(f, [tail + b"\x00" * (self.page_bytes - len(tail))])
+            self._flush(f, [b"".join((tail, bytes(self.page_bytes - len(tail))))])
             f.tail_parts = []
             f.tail_len = 0
         f.sealed = True
@@ -367,8 +400,16 @@ class FileStore:
     # ----------------------------------------------------------- numpy helpers
 
     def append_array(self, name: str, array: np.ndarray) -> None:
-        """Append a numpy array's raw bytes to a file."""
-        self.append(name, np.ascontiguousarray(array).tobytes())
+        """Append a numpy array's raw bytes to a file.
+
+        A C-contiguous array that :func:`is_frozen` is not copied: the
+        device keeps page views of its buffer, which holds the array alive.
+        Any other array is copied, as :meth:`append` copies.
+        """
+        if array.flags.c_contiguous and is_frozen(array):
+            self.append(name, memoryview(array.reshape(-1).view(np.uint8)))
+        else:
+            self.append(name, np.ascontiguousarray(array).tobytes())
 
     def read_array(self, name: str, dtype: np.dtype, start_item: int = 0,
                    count: int | None = None) -> np.ndarray:

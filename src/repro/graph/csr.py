@@ -10,6 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kvstream import stable_sort
+from repro.flash.store import is_frozen
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, read-only: frozen in place when it owns its memory or is
+    already frozen, otherwise a frozen copy — a view's memory could still be
+    written through its base."""
+    if array.base is not None and not is_frozen(array):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
 
 
 class CSRGraph:
@@ -17,7 +28,9 @@ class CSRGraph:
 
     ``offsets[v] : offsets[v+1]`` indexes into ``targets`` (and ``weights``
     when present) for vertex ``v``'s outbound edges.  Edges are sorted by
-    source; target order within a vertex follows input order.
+    source; target order within a vertex follows input order.  The arrays
+    are frozen (read-only, and nothing else can write them), so a file
+    store keeps them instead of a copy when the graph is written to flash.
     """
 
     def __init__(self, num_vertices: int, offsets: np.ndarray, targets: np.ndarray,
@@ -35,9 +48,10 @@ class CSRGraph:
         if weights is not None and len(weights) != len(targets):
             raise ValueError("weights must align with targets")
         self.num_vertices = num_vertices
-        self.offsets = offsets
-        self.targets = targets
-        self.weights = None if weights is None else np.asarray(weights, dtype=np.float32)
+        self.offsets = _frozen(offsets)
+        self.targets = _frozen(targets)
+        self.weights = None if weights is None else _frozen(
+            np.asarray(weights, dtype=np.float32))
 
     # -------------------------------------------------------------- factories
 

@@ -29,6 +29,9 @@ TARGET_DTYPE = np.dtype("<u8")
 WEIGHT_DTYPE = np.dtype("<f4")
 #: Edges per chunk of a sequential :meth:`FlashCSR.stream_edges` scan.
 STREAM_EDGES_PER_CHUNK = 1 << 18
+#: Items of the fetched read one step of a :meth:`RangeGather.take` copies
+#: beyond the ranges it returns, at most.
+GATHER_WINDOW_ITEMS = 1 << 16
 
 
 def coalesce_ranges(starts: np.ndarray, ends: np.ndarray, max_gap: int) -> list[tuple[int, int]]:
@@ -126,15 +129,26 @@ class RangeGather:
         jumps = first[1:] - first[:-1] - lengths[:-1]
         if not jumps.any():
             return self._read.take(low, low + total)
-        block = self._read.take(low, int((first + lengths).max()))
-        # Output item p of range r is block item first[r] - low + (p - offset
-        # of r): the index climbs by one, and by one plus the jump at each
-        # range's start.
-        index = np.ones(total, dtype=np.int64)
-        index[0] = 0
-        index[offsets[a + 1:b] - offsets[a]] = jumps + 1
-        np.cumsum(index, out=index)
-        return block[index]
+        # Copy the read a window at a time: the ranges starting in one
+        # window of GATHER_WINDOW_ITEMS items, from the first one's start to
+        # the furthest end among them.
+        window = (first - low) // GATHER_WINDOW_ITEMS
+        steps = (np.flatnonzero(window[1:] != window[:-1]) + 1).tolist()
+        at = offsets[a:b + 1] - offsets[a]   # where each range starts in out
+        out = np.empty(total, dtype=self._read.dtype)
+        for s, e in zip([0, *steps], [*steps, b - a]):
+            block_low = int(first[s])
+            block = self._read.take(block_low,
+                                    int((first[s:e] + lengths[s:e]).max()))
+            # Output item p of range r is block item first[r] - block_low +
+            # (p - at[r]): the index climbs by one, and by one plus the jump
+            # at each range's start.
+            index = np.ones(int(at[e] - at[s]), dtype=np.int64)
+            index[0] = 0
+            index[at[s + 1:e] - at[s]] = jumps[s:e - 1] + 1
+            np.cumsum(index, out=index)
+            out[at[s]:at[e]] = block[index]
+        return out
 
 
 class FlashCSR:
@@ -177,12 +191,12 @@ class FlashCSR:
         """Serialize an in-memory CSR graph into flash files."""
         out = FlashCSR(store, prefix, graph.num_vertices, graph.num_edges,
                        has_weights=graph.has_weights)
-        store.append_array(out.index_file, graph.offsets.astype(OFFSET_DTYPE))
+        store.append_array(out.index_file, graph.offsets.astype(OFFSET_DTYPE, copy=False))
         store.seal(out.index_file)
-        store.append_array(out.edge_file, graph.targets.astype(TARGET_DTYPE))
+        store.append_array(out.edge_file, graph.targets.astype(TARGET_DTYPE, copy=False))
         store.seal(out.edge_file)
         if graph.has_weights:
-            store.append_array(out.weight_file, graph.weights.astype(WEIGHT_DTYPE))
+            store.append_array(out.weight_file, graph.weights.astype(WEIGHT_DTYPE, copy=False))
             store.seal(out.weight_file)
         return out
 

@@ -6,9 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.inmemory import sort_reduce_in_memory
 from repro.core.kvstream import TIMSORT_MAX_RUNS, KVArray
-from repro.core.merger import StreamingMergeReducer, merge_reduce_arrays
+from repro.core import merger as merger_module
+from repro.core.merger import (
+    StreamingMergeReducer,
+    merge_reduce_arrays,
+    sort_reduce_parts,
+)
 from repro.core.parallel import SortReducePool
-from repro.core.reduce_ops import FIRST, LAST, SUM
+from repro.core.reduce_ops import FIRST, LAST, MIN, SUM
 from tests.support import kv_pairs
 
 
@@ -220,3 +225,63 @@ def test_streaming_merge_property(runs_pairs, chunk_size):
             expected[k] = expected.get(k, 0) + v
     assert out.keys.astype(int).tolist() == sorted(expected)
     assert out.values.tolist() == [expected[k] for k in sorted(expected)]
+
+
+# ------------------------------------------------------- key-range slices
+
+
+def reference(parts: list[KVArray], op) -> KVArray:
+    """The unsliced merge-reduce of a batch: one concat, one stable sort."""
+    return op.reduce_sorted(KVArray.concat(parts).sorted(runs=len(parts)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=40),
+             min_size=1, max_size=7),
+    st.integers(1, 9),
+    st.sampled_from([SUM, MIN, FIRST, LAST]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sliced_merge_reduce_is_bitwise_the_unsliced_one(part_keys, limit, op,
+                                                         seed):
+    # Few distinct keys and small slices: duplicate groups straddle every
+    # candidate cut, in several parts at once.
+    rng = np.random.default_rng(seed)
+    parts = [KVArray(np.sort(np.array(keys, dtype=np.uint64)),
+                     rng.standard_normal(len(keys)).astype(np.float32))
+             for keys in part_keys]
+    expected = reference(parts, op)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(merger_module, "EMIT_SLICE_RECORDS", limit)
+        got = sort_reduce_parts(parts, op)
+    assert got.keys.tobytes() == expected.keys.tobytes()
+    assert got.values.dtype == expected.values.dtype
+    assert got.values.tobytes() == expected.values.tobytes()
+
+
+def slice_sizes(parts: list[KVArray]) -> list[int]:
+    total = sum(len(p) for p in parts)
+    cuts = merger_module._slice_cuts(parts, total)
+    below = [sum(int(np.searchsorted(p.keys, c, side="left")) for p in parts)
+             for c in cuts]
+    return np.diff([0, *below, total]).tolist()
+
+
+def test_slices_hold_at_most_the_limit_unless_one_key_is_larger(monkeypatch):
+    monkeypatch.setattr(merger_module, "EMIT_SLICE_RECORDS", 1000)
+    rng = np.random.default_rng(4)
+    parts = [KVArray(np.sort(rng.choice(10**6, 3000, replace=False)).astype(np.uint64),
+                     np.zeros(3000, dtype=np.float32)) for _ in range(5)]
+    sizes = slice_sizes(parts)
+    assert sum(sizes) == 15_000
+    assert max(sizes) <= 1000 and min(sizes[:-1]) >= 750
+    # A key with 2 500 records is one slice; the rest keep the limit.
+    heavy = KVArray(np.full(2500, 500_000, dtype=np.uint64),
+                    np.ones(2500, dtype=np.float32))
+    sizes = slice_sizes([*parts, heavy])
+    assert sum(sizes) == 17_500
+    assert [s for s in sizes if s > 1000] == [max(sizes)]
+    assert max(sizes) >= 2500
+    # A batch within the limit is one slice.
+    assert slice_sizes([parts[0].slice(0, 400), parts[1].slice(0, 600)]) == [1000]

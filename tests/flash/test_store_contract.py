@@ -33,6 +33,7 @@ from repro.flash import (
 )
 from repro.flash.device import FlashOutOfSpaceError, PowerLossError
 from repro.flash.faults import CrashPlan, FaultPlan
+from repro.flash.store import is_frozen
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT
 
@@ -137,6 +138,107 @@ def test_array_roundtrip(store):
     assert np.array_equal(back, array)
     middle = store.read_array("a", np.uint64, start_item=100, count=50)
     assert np.array_equal(middle, array[100:150])
+
+
+# Each case: (what the caller appends, how it writes that memory afterwards).
+# 10 000 bytes are two full pages and a tail that seal pads.
+def _writeable_array():
+    array = np.arange(1250, dtype=np.uint64)
+    return "array", array, lambda: array.fill(7)
+
+
+def _readonly_view_of_a_writeable_array():
+    array = np.arange(1250, dtype=np.uint64)
+    view = array[:]
+    view.flags.writeable = False
+    return "array", view, lambda: array.fill(7)
+
+
+def _readonly_array_over_a_bytearray():
+    buffer = bytearray(range(250)) * 40
+    array = np.frombuffer(buffer, dtype=np.uint64)
+    array.flags.writeable = False
+    return "array", array, lambda: buffer.__setitem__(slice(0, 4096), bytes(4096))
+
+
+def _bytearray():
+    buffer = bytearray(range(250)) * 40
+    return "bytes", buffer, lambda: buffer.__setitem__(slice(None), bytes(10_000))
+
+
+def _memoryview_of_a_bytearray():
+    buffer = bytearray(range(250)) * 40
+    return "bytes", memoryview(buffer), lambda: buffer.__setitem__(
+        slice(None), bytes(10_000))
+
+
+def _readonly_memoryview_of_a_bytearray():
+    buffer = bytearray(range(250)) * 40
+    return "bytes", memoryview(buffer).toreadonly(), lambda: buffer.__setitem__(
+        slice(None), bytes(10_000))
+
+
+def _memoryview_of_a_writeable_array():
+    array = np.arange(10_000, dtype=np.uint8)
+    return "bytes", memoryview(array), lambda: array.fill(7)
+
+
+def _readonly_byte_view_of_a_writeable_array():
+    array = np.arange(10_000, dtype=np.uint8)
+    view = array[:]
+    view.flags.writeable = False
+    return "bytes", memoryview(view), lambda: array.fill(7)
+
+
+@pytest.mark.parametrize("source", [
+    _writeable_array, _readonly_view_of_a_writeable_array,
+    _readonly_array_over_a_bytearray, _bytearray, _memoryview_of_a_bytearray,
+    _readonly_memoryview_of_a_bytearray, _memoryview_of_a_writeable_array,
+    _readonly_byte_view_of_a_writeable_array])
+def test_appended_memory_that_can_still_change_is_copied(store, source):
+    how, data, mutate = source()
+    original = bytes(data)
+    assert len(original) == 10_000
+    if how == "array":
+        store.append_array("f", data)
+    else:
+        store.append("f", data)
+    mutate()
+    assert bytes(data) != original       # the source really changed
+    assert store.read("f") == original   # flushed pages and the RAM tail
+    store.seal("f")
+    assert store.read("f") == original
+
+
+def test_frozen_array_is_kept_not_copied(store):
+    array = np.arange(1250, dtype=np.uint64)   # 10 000 bytes
+    array.flags.writeable = False
+    assert is_frozen(array)
+    store.append_array("f", array)
+    # The flushed pages are views of the array itself.
+    first = store._fetch(store._file("f"), 0, 0)[0]
+    assert isinstance(first, memoryview)
+    assert np.shares_memory(np.frombuffer(first, dtype=np.uint8), array)
+    assert store.read("f") == array.tobytes()
+    store.seal("f")                            # pads a tail that is a view
+    assert store.read_array("f", np.uint64).tolist() == array.tolist()
+    assert store.size("f") == 10_000
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 1
+
+
+def test_is_frozen():
+    owner = np.arange(8)
+    assert not is_frozen(owner)
+    owner.flags.writeable = False
+    assert is_frozen(owner)
+    assert is_frozen(owner[2:5])
+    assert is_frozen(np.frombuffer(b"12345678", dtype=np.uint8))
+    assert not is_frozen(np.frombuffer(bytearray(8), dtype=np.uint8))
+    writeable = np.arange(8)
+    view = writeable[:]
+    view.flags.writeable = False
+    assert not is_frozen(view)
 
 
 def test_stream_chunks(store):

@@ -191,3 +191,21 @@ def test_gather_matches_naive_slices(gather_csr, steps):
         check_gather(flash, targets, starts, ends)
     else:
         assert len(flash.edges_for(starts, ends).take()) == 0
+
+
+@pytest.mark.parametrize("window", [1, 37, 1000, formats.GATHER_WINDOW_ITEMS])
+def test_gather_in_windows_equals_reference_slices(gather_csr, monkeypatch,
+                                                   window):
+    # Non-adjacent ranges: every one starts past the previous one's end, so
+    # take() copies the read a window at a time, not as one block.
+    monkeypatch.setattr(formats, "GATHER_WINDOW_ITEMS", window)
+    flash, targets = gather_csr
+    rng = np.random.default_rng(window)
+    for _ in range(20):
+        count = int(rng.integers(2, 40))
+        lengths = rng.integers(1, 120, count)
+        gaps = rng.integers(1, 300, count)
+        starts = np.cumsum(gaps) + np.concatenate([[0], np.cumsum(lengths[:-1])])
+        keep = starts + lengths <= GATHER_EDGES
+        starts, ends = starts[keep], (starts + lengths)[keep]
+        check_gather(flash, targets, starts, ends)
