@@ -40,6 +40,7 @@ from repro.flash.journal import (
     decode_frame,
     encode_frame,
     encode_frames,
+    pack_frames,
 )
 from repro.flash.store import FileStore, StoredFile
 
@@ -126,7 +127,8 @@ class AppendOnlyFlashFS(FileStore):
         heapq.heappush(self._free_blocks,
                        (self.device.erase_counts[block], block))
 
-    def _program(self, f: StoredFile, pages: list) -> None:
+    def _program(self, f: StoredFile, pages: list,
+                 crcs: list[int] | None) -> None:
         """Program pages, surviving program failures by block remapping.
 
         A failed program retires the block; the pages it already holds are
@@ -177,6 +179,7 @@ class AppendOnlyFlashFS(FileStore):
             except FlashProgramError:
                 continue  # the replacement died too; try another spare
         f.extents[f.extents.index(bad)] = fresh
+        f.encoded = None
         self._log({"op": "remap", "name": f.name, "bad": bad, "fresh": fresh})
         return fresh
 
@@ -275,8 +278,8 @@ class AppendOnlyFlashFS(FileStore):
         old_chain = self._journal_blocks
         records = self._snapshot_records()
         self._journal_blocks = [self._allocate_block("journal")]
-        frames = encode_frames(JOURNAL_MAGIC, self._journal_seq, records,
-                               self.page_bytes)
+        frames = pack_frames(JOURNAL_MAGIC, self._journal_seq, records,
+                             self.page_bytes)
         self._journal_seq += len(frames)
         for frame in frames:
             self._journal_write(frame)

@@ -18,6 +18,7 @@ real SSD.  Durable metadata is a ping-pong log on the low logical pages
 from __future__ import annotations
 
 from array import array
+from collections.abc import Collection
 
 import numpy as np
 
@@ -29,15 +30,25 @@ from repro.flash.journal import (
     decode_frame,
     encode_frame,
     encode_frames,
+    pack_frames,
 )
 from repro.flash.store import FileStore, StoredFile
 
 
-def free_lpn_stack(end: int, start: int) -> array:
-    """The free pool of a store whose LPNs ``start .. end - 1`` are free: a
-    stack of int64s, popped from the end so the lowest LPN goes first.  One
-    machine word per page, not one Python int."""
-    return array("q", np.arange(end - 1, start - 1, -1, dtype=np.int64).tobytes())
+def free_lpn_stack(end: int, start: int,
+                   used: Collection[int] = ()) -> tuple[array, int]:
+    """The free pool of a store owning LPNs ``start .. end - 1``, of which
+    ``used`` are taken: a stack of int64s and its height.  The free LPNs are
+    ``stack[:height]``, popped from the top so the lowest goes first.  One
+    machine word per page, not one Python int, and room for every LPN the
+    store owns, so the stack is never resized: a multi-megabyte buffer that
+    moved on every grow would fragment the host heap."""
+    lpns = np.arange(end - 1, start - 1, -1, dtype=np.int64)
+    free = lpns[~np.isin(lpns, sorted(used))] if used else lpns
+    stack = array("q", free.tobytes())
+    height = len(stack)
+    stack.frombytes(bytes(8 * (len(lpns) - height)))
+    return stack, height
 
 
 class SSDFileSystem(FileStore):
@@ -56,7 +67,8 @@ class SSDFileSystem(FileStore):
         super().__init__(ssd.device, 1, durable)
         self.ssd = ssd
         if not durable:
-            self._free_lpns = free_lpn_stack(ssd.logical_pages, 0)
+            self._free_lpns, self._free_top = free_lpn_stack(
+                ssd.logical_pages, 0)
             return
         # Durable mode reserves the low logical pages as a metadata log:
         # two ping-pong halves, each large enough for a full snapshot, so a
@@ -74,7 +86,8 @@ class SSDFileSystem(FileStore):
                 f"device too small for a {meta_lpns}-page metadata log")
         self.meta_lpns = meta_lpns
         self._half_lpns = meta_lpns // 2
-        self._free_lpns = free_lpn_stack(ssd.logical_pages, meta_lpns)
+        self._free_lpns, self._free_top = free_lpn_stack(
+            ssd.logical_pages, meta_lpns)
         self._meta_seq = 0
         self._meta_half = 0
         self._meta_cursor = 0
@@ -103,18 +116,19 @@ class SSDFileSystem(FileStore):
 
     @property
     def free_bytes(self) -> int:
-        return len(self._free_lpns) * self.page_bytes
+        return self._free_top * self.page_bytes
 
-    def _program(self, f: StoredFile, pages: list) -> None:
-        free, n = self._free_lpns, len(pages)
-        if len(free) < n:
+    def _program(self, f: StoredFile, pages: list,
+                 crcs: list[int] | None) -> None:
+        top, n = self._free_top, len(pages)
+        if top < n:
             raise FlashOutOfSpaceError(
                 f"SSD file system out of space appending to {f.name!r}: "
-                f"{n} pages needed, {len(free)} free")
-        lpns = free[-n:][::-1]   # the same order as n single pops
-        del free[len(free) - n:]
+                f"{n} pages needed, {top} free")
+        lpns = self._free_lpns[top - n:top][::-1]   # the order of n single pops
+        self._free_top = top - n
         f.extents.extend(lpns)
-        self.ssd.write_pages(list(zip(lpns, pages)))
+        self.ssd.write_pages(list(zip(lpns, pages)), crcs)
 
     def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:
         return self.ssd.read_pages(f.extents[first_page:last_page + 1])
@@ -122,7 +136,8 @@ class SSDFileSystem(FileStore):
     def _reclaim(self, extents: list[int]) -> None:
         for lpn in extents:
             self.ssd.trim(lpn)
-            self._free_lpns.append(lpn)
+            self._free_lpns[self._free_top] = lpn
+            self._free_top += 1
 
     def write_at(self, name: str, offset: int, data: bytes) -> None:
         """In-place update of already-flushed bytes (page-aligned regions may
@@ -148,6 +163,7 @@ class SSDFileSystem(FileStore):
             self.ssd.write_page(lpn, updated)
             if page_index < len(f.page_crcs):
                 f.page_crcs[page_index] = page_crc(updated)
+                f.encoded = None
                 self._log({"op": "patch", "name": f.name, "index": page_index,
                            "crc": f.page_crcs[page_index]})
             pos += n
@@ -185,8 +201,8 @@ class SSDFileSystem(FileStore):
 
     def _write_snapshot(self) -> None:
         """Compact: snapshot the file table into the other half."""
-        body = encode_frames(METALOG_MAGIC, self._meta_seq + 1,
-                             self._snapshot_records(), self.page_bytes)
+        body = pack_frames(METALOG_MAGIC, self._meta_seq + 1,
+                           self._snapshot_records(), self.page_bytes)
         total = 1 + len(body)
         if total > self._half_lpns:
             raise FlashOutOfSpaceError(
@@ -304,7 +320,5 @@ class SSDFileSystem(FileStore):
             if lpn >= self.meta_lpns and lpn not in used:
                 self.ssd.trim(lpn)
                 self.recovery.discarded_pages += 1
-        self._free_lpns = array("q", (lpn for lpn
-                                      in range(self.ssd.logical_pages - 1,
-                                               self.meta_lpns - 1, -1)
-                                      if lpn not in used))
+        self._free_lpns, self._free_top = free_lpn_stack(
+            self.ssd.logical_pages, self.meta_lpns, used)

@@ -94,12 +94,14 @@ class PageMappedFTL:
         else:
             sanitizer.maybe_check_ftl(self, mutated)
 
-    def _make_oob(self, lpn: int, data) -> bytes | None:
+    def _make_oob(self, lpn: int, data, crc: int | None = None) -> bytes | None:
+        """The next OOB record for ``data`` at ``lpn`` (``None`` unless
+        durable); ``crc`` is ``data``'s CRC-32 when the caller has it."""
         if not self.durable:
             return None
         seq = self._write_seq
         self._write_seq += 1
-        return OOB_RECORD.pack(lpn, seq, zlib.crc32(data))
+        return OOB_RECORD.pack(lpn, seq, zlib.crc32(data) if crc is None else crc)
 
     @classmethod
     def mount(cls, device: FlashDevice) -> "PageMappedFTL":
@@ -194,9 +196,12 @@ class PageMappedFTL:
         """Write/overwrite one logical page: a batch of one."""
         self.write_many([(lpn, data)])
 
-    def write_many(self, writes: list[tuple[int, bytes]]) -> None:
+    def write_many(self, writes: list[tuple[int, bytes]],
+                   crcs: list[int] | None = None) -> None:
         """Write/overwrite logical pages; each old physical copy becomes
         garbage.  Sequential: device latency is paid once per block's share.
+        ``crcs``, when given, are the pages' CRC-32s (the file store
+        computed them already); the OOB records take them as they are.
 
         A program failure retires the block: pages that landed stay readable
         in place (grown defects) and the rest retry on a fresh block.
@@ -219,7 +224,9 @@ class PageMappedFTL:
             batch = writes[i:i + take]
             oobs = None
             if self.durable:
-                oobs = [self._make_oob(lpn, data) for lpn, data in batch]
+                oobs = [self._make_oob(lpn, data,
+                                       None if crcs is None else crcs[i + j])
+                        for j, (lpn, data) in enumerate(batch)]
             try:
                 self.device.write_pages(
                     [(block, page0 + j, data) for j, (_lpn, data) in enumerate(batch)],
@@ -391,12 +398,14 @@ class SSD:
             addresses = [self.ftl.translate(lpn) for lpn in lpns]
         return self.device.read_pages(addresses)
 
-    def write_pages(self, writes: list[tuple[int, bytes]]) -> None:
-        """Sequential write: one FTL overhead for the whole batch."""
+    def write_pages(self, writes: list[tuple[int, bytes]],
+                    crcs: list[int] | None = None) -> None:
+        """Sequential write: one FTL overhead for the whole batch.
+        ``crcs`` are the pages' CRC-32s, if the caller has them."""
         if not writes:
             return
         self.device.clock.charge("flash", self.ftl_overhead_s)
-        self.ftl.write_many(writes)
+        self.ftl.write_many(writes, crcs)
 
     def trim(self, lpn: int) -> None:
         self.ftl.trim(lpn)

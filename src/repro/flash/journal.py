@@ -33,6 +33,11 @@ from repro.flash.device import FlashError
 #: Frame header: magic, sequence number, payload length, payload CRC-32.
 FRAME_HEADER = struct.Struct("<4sQII")
 
+#: The one compact JSON encoder of every metadata record: ``json.dumps(...,
+#: separators=(",", ":"))`` byte for byte, without building an encoder per
+#: call.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 #: Stream magics.
 JOURNAL_MAGIC = b"AOJL"
 SUPERBLOCK_MAGIC = b"AOSB"
@@ -56,14 +61,20 @@ def _pack_frame(magic: bytes, seq: int, payload: bytes, page_bytes: int) -> byte
 def encode_frame(magic: bytes, seq: int, records: list[dict],
                  page_bytes: int) -> bytes:
     """One frame holding ``records``; raises if they exceed a page."""
-    return _pack_frame(magic, seq,
-                       json.dumps(records, separators=(",", ":")).encode(),
-                       page_bytes)
+    return _pack_frame(magic, seq, compact_json(records).encode(), page_bytes)
 
 
 def encode_frames(magic: bytes, seq_start: int, records: list[dict],
                   page_bytes: int) -> list[bytes]:
-    """Greedily pack ``records`` into consecutive frames.
+    """Greedily pack ``records`` into consecutive frames: :func:`pack_frames`
+    of each record's :func:`compact_json`."""
+    return pack_frames(magic, seq_start, [compact_json(r) for r in records],
+                       page_bytes)
+
+
+def pack_frames(magic: bytes, seq_start: int, blobs: list[str],
+                page_bytes: int) -> list[bytes]:
+    """Greedily pack already-encoded records into consecutive frames.
 
     Each record must individually fit a page (callers chunk oversized
     record bodies — see the snapshot ``blocks``/``crcs`` continuation
@@ -75,8 +86,7 @@ def encode_frames(magic: bytes, seq_start: int, records: list[dict],
     capacity = frame_capacity(page_bytes)
     groups: list[list[str]] = []
     group_len = capacity  # forces the first record to open a group
-    for record in records:
-        blob = json.dumps(record, separators=(",", ":"))
+    for blob in blobs:
         if group_len + 1 + len(blob) > capacity:
             groups.append([])
             group_len = 2 + len(blob)  # the enclosing "[]"

@@ -21,7 +21,6 @@ placements to it).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TypeGuard
@@ -33,6 +32,7 @@ from repro.flash.faults import page_crc, verify_pages
 from repro.flash.journal import (
     RecoveryStats,
     chunked_file_records,
+    compact_json,
     frame_capacity,
 )
 
@@ -85,6 +85,11 @@ class StoredFile:
     #: Per-flushed-page CRC-32, recorded only under fault injection or
     #: durability: the end-to-end check that catches ECC miscorrections.
     page_crcs: list[int] = field(default_factory=list)
+    #: A sealed file's snapshot records, JSON-encoded by the first
+    #: compaction that lists it and reused by every later one; whatever
+    #: changes a sealed file's record (rename, ``write_at`` patch, AOFFS
+    #: remap) drops it.
+    encoded: list[str] | None = None
 
     def tail_bytes(self) -> bytes | memoryview:
         """The unflushed tail as one buffer (consolidates in place): ``bytes``,
@@ -182,7 +187,7 @@ class FileStore:
         bare = chunked_file_records("", pages * self.page_bytes, pages, False,
                                     [], [], COMMIT_CHUNK_PAGES)
         self._record_room = frame_capacity(self.page_bytes) - len(
-            json.dumps(bare, separators=(",", ":")))
+            compact_json(bare))
         self._record_page_bytes = len(f"{2 ** 32 - 1},{pages},")
 
     # ---------------------------------------------------------------- queries
@@ -287,9 +292,12 @@ class FileStore:
         recovers a consistent prefix of the flush.
         """
         first, logged = f.flushed_pages, len(f.extents)
-        self._program(f, pages)
+        crcs = None
         if self.device.faults is not None or self.durable:
-            f.page_crcs.extend(page_crc(data) for data in pages)
+            crcs = [page_crc(data) for data in pages]
+        self._program(f, pages, crcs)
+        if crcs is not None:
+            f.page_crcs += crcs
         f.flushed_pages = end = first + len(pages)
         if self.durable:
             per_extent = self.pages_per_extent
@@ -454,6 +462,7 @@ class FileStore:
             self._log({"op": "delete", "name": new})
         self._log({"op": "rename", "old": old, "new": new})
         f.name = new
+        f.encoded = None
         del self._files[old]
         self._files[new] = f
         self._commit_log()
@@ -472,14 +481,22 @@ class FileStore:
         if self.durable:
             self._pending_records.extend(records)
 
-    def _snapshot_records(self) -> list[dict]:
-        """The whole file table as ``file``/``filex`` records (compaction)."""
-        records: list[dict] = []
+    def _snapshot_records(self) -> list[str]:
+        """The whole file table as encoded ``file``/``filex`` records
+        (compaction).  A sealed file's are encoded once and kept
+        (:attr:`StoredFile.encoded`); an open file's change with every
+        flush, so they are encoded afresh."""
+        records: list[str] = []
         for name in sorted(self._files):
             f = self._files[name]
-            records.extend(chunked_file_records(
-                name, f.size, f.flushed_pages, f.sealed, f.extents,
-                f.page_crcs, self._record_pages(name)))
+            encoded = f.encoded
+            if encoded is None:
+                encoded = [compact_json(r) for r in chunked_file_records(
+                    name, f.size, f.flushed_pages, f.sealed, f.extents,
+                    f.page_crcs, self._record_pages(name))]
+                if f.sealed:
+                    f.encoded = encoded
+            records += encoded
         return records
 
     def _record_pages(self, name: str) -> int:
@@ -487,7 +504,7 @@ class FileStore:
         still fit a metadata frame whatever the CRCs and extent ids turn out
         to be.  ``COMMIT_CHUNK_PAGES`` wherever that fits — every page size
         from 4 KB up — so those geometries' frames never depend on this."""
-        room = self._record_room - len(json.dumps(name))
+        room = self._record_room - len(compact_json(name))
         return max(1, min(COMMIT_CHUNK_PAGES, room // self._record_page_bytes))
 
     def _replay_frame(self, records: list[dict]) -> None:
@@ -547,11 +564,13 @@ class FileStore:
         """Bytes the free pool can still hold."""
         raise NotImplementedError
 
-    def _program(self, f: StoredFile, pages: list) -> None:
+    def _program(self, f: StoredFile, pages: list,
+                 crcs: list[int] | None) -> None:
         """Program ``pages`` from page index ``f.flushed_pages`` on, as one
         device program, moving extents from the free pool (checked *before*
         any is taken: a failed append leaves the pool untouched) to
-        ``f.extents``."""
+        ``f.extents``.  ``crcs`` are the pages' CRC-32s when the store keeps
+        them (else ``None``), for a placement that tags pages with one."""
         raise NotImplementedError
 
     def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:

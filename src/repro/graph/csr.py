@@ -41,7 +41,7 @@ class CSRGraph:
             raise ValueError(f"offsets length {len(offsets)} != num_vertices+1 ({num_vertices + 1})")
         if offsets[0] != 0 or offsets[-1] != len(targets):
             raise ValueError("offsets must start at 0 and end at len(targets)")
-        if np.any(np.diff(offsets.astype(np.int64)) < 0):
+        if np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("offsets must be non-decreasing")
         if len(targets) and targets.max() >= num_vertices:
             raise ValueError("edge target out of range")

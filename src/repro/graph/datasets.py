@@ -187,10 +187,22 @@ def _cache_path(name: str, scale_factor: float, seed: int) -> str | None:
 def _load_cached(path: str) -> CSRGraph | None:
     try:
         with np.load(path, allow_pickle=False) as data:
-            return CSRGraph(int(data["num_vertices"]), data["offsets"],
-                            data["targets"])
+            return CSRGraph(int(data["num_vertices"]),
+                            _freeze_loaded(data["offsets"]),
+                            _freeze_loaded(data["targets"]))
     except (OSError, KeyError, ValueError):
         return None  # unreadable/corrupt entry: fall through to a rebuild
+
+
+def _freeze_loaded(array: np.ndarray) -> np.ndarray:
+    """``array`` and every array under it, made read-only.  ``np.load`` hands
+    out a view of an owner array nobody else holds; freezing the owner lets
+    :class:`CSRGraph` keep the view instead of copying it."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return array
 
 
 def _store_cached(path: str, graph: CSRGraph) -> None:

@@ -173,6 +173,7 @@ _SINKS_BY_NAME = {
     "write_checkpoint": "checkpoint write",
     "encode_frame": "journal frame encoding",
     "encode_frames": "journal frame encoding",
+    "pack_frames": "journal frame encoding",
     "checksum": "checksum construction",
     "sort_reduce_in_memory": "sort-reduce key material",
 }

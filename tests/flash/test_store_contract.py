@@ -33,6 +33,7 @@ from repro.flash import (
 )
 from repro.flash.device import FlashOutOfSpaceError, PowerLossError
 from repro.flash.faults import CrashPlan, FaultPlan
+from repro.flash.journal import chunked_file_records, compact_json
 from repro.flash.store import is_frozen
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT
@@ -59,6 +60,26 @@ def remount(store: FileStore) -> FileStore:
     if isinstance(store, AppendOnlyFlashFS):
         return AppendOnlyFlashFS(store.device, durable=True)
     return SSDFileSystem.mount(SSD.mount(store.device))
+
+
+def compact(store: FileStore) -> None:
+    """Snapshot a durable store's file table into its metadata log now."""
+    if isinstance(store, AppendOnlyFlashFS):
+        store._compact_journal()
+    else:
+        store._write_snapshot()
+
+
+def fresh_snapshot(store: FileStore) -> list[str]:
+    """The records a compaction of ``store`` must write: every file's
+    snapshot records, encoded from scratch."""
+    records = []
+    for name in store.list_files():
+        f = store._file(name)
+        records += [compact_json(r) for r in chunked_file_records(
+            name, f.size, f.flushed_pages, f.sealed, f.extents, f.page_crcs,
+            store._record_pages(name))]
+    return records
 
 
 @pytest.fixture(params=CONFIGS, ids=IDS)
@@ -313,12 +334,70 @@ def test_durable_commits_fit_a_small_page(kind, name):
     # The snapshot lists the same pages again, as ``file``/``filex`` records.
     # It is taken on the mounted handle: the remount retired ``store``, and
     # compacting through it would erase the live journal chain.
-    if kind == "aoffs":
-        mounted._compact_journal()
-    else:
-        mounted._write_snapshot()
+    compact(mounted)
     mounted = remount(mounted)
     assert mounted.is_sealed(name) and mounted.read(name) == data
+
+
+# ------------------------------------------- the compaction's record cache
+#
+# A compaction reuses a sealed file's encoded records; each case first
+# compacts so the file's records are cached, then changes the file, checks
+# the records the next compaction writes against a from-scratch encoding,
+# compacts and remounts from that snapshot.
+
+
+@pytest.mark.parametrize("kind", ["aoffs", "ssd"])
+def test_checkpoint_publish_reencodes_the_renamed_file(kind):
+    store = make_store(kind, True, geometry=SPAN_GEOMETRY)
+    old, new = b"o" * 3000, bytes(range(256)) * 20
+    for name, data in (("ckpt", old), ("staging", new)):
+        store.append(name, data)
+        store.seal(name)
+    compact(store)
+    store.rename("staging", "ckpt", overwrite=True)
+    assert store._snapshot_records() == fresh_snapshot(store)
+    compact(store)
+    mounted = remount(store)
+    assert mounted.list_files() == ["ckpt"]
+    assert mounted.is_sealed("ckpt") and mounted.read("ckpt") == new
+
+
+def test_write_at_reencodes_the_patched_file():
+    store = make_store("ssd", True, geometry=SPAN_GEOMETRY)
+    data = bytearray(bytes(range(256)) * 16)
+    store.append("f", bytes(data))
+    store.seal("f")
+    compact(store)
+    store.write_at("f", 1000, b"patched")
+    data[1000:1007] = b"patched"
+    assert store._snapshot_records() == fresh_snapshot(store)
+    compact(store)
+    mounted = remount(store)
+    assert mounted.read("f") == data
+    assert mounted._file("f").page_crcs == store._file("f").page_crcs
+
+
+def test_aoffs_remap_under_a_program_failure_is_in_the_snapshot():
+    device = FlashDevice(SPAN_GEOMETRY, GRAFBOOST, SimClock(),
+                         faults=FaultPlan(seed=0, program_fail_p=1e-9))
+    # One failure, on the third page of the first multi-page data program.
+    failures = [2]
+    device.faults.first_program_failure = lambda block, page0, count: (
+        failures.pop() if failures and count > 2 else None)
+    store = AppendOnlyFlashFS(device, durable=True)
+    store.append("keep", b"k" * 700)
+    store.seal("keep")
+    compact(store)
+    data = bytes(range(256)) * 20              # ten pages over two blocks
+    store.append("f", data)
+    store.seal("f")
+    assert not failures and device.bad_block_count == 1
+    assert store._snapshot_records() == fresh_snapshot(store)
+    compact(store)
+    mounted = remount(store)
+    assert mounted._file("f").extents == store._file("f").extents
+    assert mounted.read("f") == data and mounted.read("keep") == b"k" * 700
 
 
 # ------------------------------------------------- scatter reads (read_spans)
@@ -591,6 +670,10 @@ class StoreMachine(RuleBasedStateMachine):
             assert bytes(store.read(name)) == data
             self.twin.read(name)
         assert charges(store) == charges(self.twin)
+        if store.durable:
+            # Asking fills the record cache, so a later step that fails to
+            # drop a stale entry is caught here.
+            assert store._snapshot_records() == fresh_snapshot(store)
         for ghost in {"a", "b", "c", "d"} - set(self.model):
             assert not store.exists(ghost)
             with pytest.raises(FileNotFoundError):

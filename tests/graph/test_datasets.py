@@ -94,6 +94,23 @@ def test_cache_round_trip_identical(tmp_path, monkeypatch):
     assert np.array_equal(warm.targets, cold.targets)
 
 
+def test_warm_load_holds_the_graph_once(tmp_path, monkeypatch):
+    """The arrays ``np.load`` returns become the graph's, frozen, not copied:
+    a warm build's traced peak is the graph's own size plus a little."""
+    import tracemalloc
+    monkeypatch.setenv("REPRO_DATASET_CACHE", str(tmp_path))
+    build_graph("kron30", 2.0 ** -14, seed=5)
+    tracemalloc.start()
+    try:
+        warm = build_graph("kron30", 2.0 ** -14, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (warm.offsets.nbytes + warm.targets.nbytes)
+    assert not warm.offsets.flags.writeable
+    assert not warm.targets.flags.writeable
+
+
 def test_second_build_skips_synthesis(tmp_path, monkeypatch):
     from repro.graph import generators
     monkeypatch.setenv("REPRO_DATASET_CACHE", str(tmp_path))
