@@ -53,8 +53,11 @@ class BloomFilter:
         """Insert a batch of keys."""
         if len(keys) == 0:
             return
-        pos = self._positions(keys).ravel()
-        np.bitwise_or.at(self._bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
+        # One boolean per bit, packed least-significant bit first: bit
+        # ``pos`` lands on byte ``pos >> 3``, bit ``pos & 7``.
+        mask = np.zeros(len(self._bits) * 8, dtype=bool)
+        mask[self._positions(keys).ravel()] = True
+        self._bits |= np.packbits(mask, bitorder="little")
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         """Membership mask for a batch of keys (no false negatives)."""

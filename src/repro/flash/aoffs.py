@@ -183,17 +183,27 @@ class AppendOnlyFlashFS(FileStore):
         self._log({"op": "remap", "name": f.name, "bad": bad, "fresh": fresh})
         return fresh
 
-    def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:
-        """The page range as one device run per block it touches."""
+    def _fetch(self, f: StoredFile, firsts: list[int], counts: list[int],
+               after=None) -> list:
+        """Each range's ``(block, page)`` addresses from extent arithmetic."""
         blocks, ppb = f.extents, self.pages_per_extent
-        runs = []
-        page = first_page
-        while page <= last_page:
+        addresses: list = []
+        append = addresses.append
+        for page, count in zip(firsts, counts):
             index, page0 = divmod(page, ppb)
-            count = min(ppb - page0, last_page + 1 - page)
-            runs.append((blocks[index], page0, count))
-            page += count
-        return self.device.read_pages(runs)
+            if count == 1:      # most reads: one page, no loops
+                append((blocks[index], page0))
+                continue
+            end = page0 + count
+            while end > ppb:    # the range runs on into the next extent
+                block = blocks[index]
+                for p in range(page0, ppb):
+                    append((block, p))
+                index, page0, end = index + 1, 0, end - ppb
+            block = blocks[index]
+            for p in range(page0, end):
+                append((block, p))
+        return self.device.read_pages(addresses, counts, after=after)
 
     def _reclaim(self, extents: list[int]) -> None:
         """Erase blocks back into the free pool.

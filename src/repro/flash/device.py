@@ -267,10 +267,6 @@ class FlashDevice:
     # ------------------------------------------------------------------- reads
 
     @property
-    def _channel_read_bw(self) -> float:
-        return self.profile.flash_read_bw / self.geometry.channels
-
-    @property
     def _channel_write_bw(self) -> float:
         return self.profile.flash_write_bw / self.geometry.channels
 
@@ -279,43 +275,86 @@ class FlashDevice:
         and one channel's share of the bandwidth."""
         return self.read_pages([(block, page, 1)])[0]
 
-    def read_pages(self, addresses: list) -> list[bytes]:
+    def read_pages(self, addresses: list, spans: list[int] | None = None,
+                   overhead_s: float | None = None, after=None) -> list[bytes]:
         """Streamed read of a batch: one latency, bandwidth for all bytes.
 
         ``addresses`` holds ``(block, page)`` pairs or, from a caller that
-        knows its extents, ``(block, first_page, count)`` runs; pairs are
-        grouped into runs here, so validation and charging are per run.
+        knows its extents, ``(block, first_page, count)`` runs.
+
+        ``spans`` splits the pages into consecutive reads of ``spans[i]``
+        pages each (default: one read of all of them).  Each is a read of its
+        own, in order — ``overhead_s`` charged first when given (the FTL's
+        translation), then crash-op advance, FlashSan, jitter, the charge,
+        the fault filter and ``after(i, pages)``, whose result (it may edit
+        the list it is handed) becomes the read's pages: a file store's CRC
+        verify, lookahead charge and cut — exactly as the same reads issued
+        one call each.
+
+        One gather of the contents map fetches and validates every page up
+        front: the device holds contents for exactly its valid pages.  A
+        read that holds an invalid page raises, after the reads before it,
+        the error of its first invalid page, as :meth:`_check_run` names it.
         """
         if not addresses:
             return []
         if len(addresses[0]) == 3:
-            runs, n = addresses, sum(count for _b, _p, count in addresses)
-        else:
-            runs, n = _program_order_runs(addresses), len(addresses)
-        sanitizer = self.sanitizer
-        op_start = sanitizer.op_begin() if sanitizer is not None else 0.0
-        if self.crashes is not None and self.crashes.advance(n) is not None:
-            self.crashes.fire(f"read of {n} page(s)")
-        out: list[bytes] = []
+            addresses = [(block, page) for block, page0, count in addresses
+                         for page in range(page0, page0 + count)]
+        data = self._data
+        try:
+            pages = list(map(data.__getitem__, addresses))
+            bad = len(pages)
+        except KeyError:
+            bad = next(i for i, address in enumerate(addresses)
+                       if address not in data)
+            pages = list(map(data.__getitem__, addresses[:bad]))
+        if spans is None:
+            spans = [len(addresses)]
+        clock, sanitizer = self.clock, self.sanitizer
+        crashes, faults = self.crashes, self.faults
+        latency, scale = self.profile.flash_read_latency_s, self.traffic_scale
         channels = self.geometry.channels
-        per_channel = [0] * channels
-        for block, page0, count in runs:
-            per_channel[block % channels] += self._read_run(block, page0, count, out)
-        nbytes = int(sum(per_channel) * self.traffic_scale)
-        seconds = self.profile.flash_read_latency_s + self._striped_seconds(
-            per_channel, self._channel_read_bw)
-        if self.faults is not None:
-            seconds += self.faults.jitter_s(self.profile.flash_read_latency_s)
-        self.clock.charge("flash", seconds, nbytes=nbytes, ops=n)
-        self.total_pages_read += n
-        if sanitizer is not None:
-            sanitizer.op_end("read_pages", op_start)
-        if self.faults is not None:
-            if runs is addresses:
-                addresses = [(block, page) for block, page0, count in runs
-                             for page in range(page0, page0 + count)]
-            out = self.faults.filter_read_batch(addresses, out)
-        return out
+        channel_bw = self.profile.flash_read_bw / channels
+        start = 0
+        for i, n in enumerate(spans):
+            end = start + n
+            if overhead_s is not None:
+                clock.charge("flash", overhead_s)
+            op_start = sanitizer.op_begin() if sanitizer is not None else 0.0
+            if crashes is not None and crashes.advance(n) is not None:
+                crashes.fire(f"read of {n} page(s)")
+            if end > bad:
+                self._raise_unreadable(addresses[start:end])
+            span = pages[start:end]
+            if sanitizer is not None:
+                for (block, page), content in zip(addresses[start:end], span):
+                    sanitizer.on_read(block, page, content)
+            # The busiest channel decides the transfer time (one channel:
+            # bytes / bandwidth); bytes are scaled exactly, never rounded.
+            if channels == 1:
+                busiest = total = sum(map(len, span))
+            else:
+                per_channel = [0] * channels
+                for (block, _page), content in zip(addresses[start:end], span):
+                    per_channel[block % channels] += len(content)
+                busiest, total = max(per_channel), sum(per_channel)
+            seconds = latency + busiest * scale / channel_bw
+            if faults is not None:
+                seconds += faults.jitter_s(latency)
+            clock.charge("flash", seconds, nbytes=int(total * scale), ops=n)
+            self.total_pages_read += n
+            if sanitizer is not None:
+                sanitizer.op_end("read_pages", op_start)
+            got = span
+            if faults is not None:
+                got = faults.filter_read_batch(addresses[start:end], got)
+            if after is not None:
+                pages[start:end] = after(i, got)
+            elif got is not span:
+                pages[start:end] = got
+            start = end
+        return pages
 
     def _striped_seconds(self, per_channel: list[int], channel_bw: float) -> float:
         """Transfer time of a batch from its bytes per channel: they run in
@@ -323,14 +362,26 @@ class FlashDevice:
         Bytes are scaled by ``traffic_scale`` exactly, never rounded."""
         return max(per_channel) * self.traffic_scale / channel_bw
 
-    def _read_silent(self, block: int, page: int) -> bytes:
-        out: list[bytes] = []
-        self._read_run(block, page, 1, out)
-        return out[0]
+    def _raise_unreadable(self, addresses: list) -> None:
+        """Raise what a read of ``addresses``, which holds an invalid page,
+        meets first: run by run, the run's check, then FlashSan on its pages."""
+        for block, page0, count in _program_order_runs(addresses):
+            self._check_run(block, page0, count)
+            if self.sanitizer is not None:
+                for page in range(page0, page0 + count):
+                    self.sanitizer.on_read(block, page, self._data[(block, page)])
+        raise FlashError(f"a valid page without contents among {addresses}")
 
-    def _read_run(self, block: int, page0: int, count: int, out: list) -> int:
-        """Validate pages ``page0 .. page0 + count - 1`` of ``block``, append
-        their contents to ``out`` and return their total size in bytes."""
+    def _read_silent(self, block: int, page: int) -> bytes:
+        self._check_run(block, page, 1)
+        content = self._data[(block, page)]
+        if self.sanitizer is not None:
+            self.sanitizer.on_read(block, page, content)
+        return content
+
+    def _check_run(self, block: int, page0: int, count: int) -> None:
+        """Check that pages ``page0 .. page0 + count - 1`` of ``block`` exist
+        and hold valid data."""
         geometry = self.geometry
         if not (0 <= block < geometry.num_blocks
                 and 0 <= page0 <= geometry.pages_per_block - count):
@@ -347,15 +398,6 @@ class FlashDevice:
             offset = int(np.flatnonzero(states != PAGE_VALID)[0])
             kind = "erased" if states[offset] == PAGE_ERASED else "invalidated"
             raise FlashError(f"read of {kind} page ({block}, {page0 + offset})")
-        data, sanitizer = self._data, self.sanitizer
-        size = 0
-        for page in range(page0, page0 + count):
-            content = data[(block, page)]
-            if sanitizer is not None:
-                sanitizer.on_read(block, page, content)
-            out.append(content)
-            size += len(content)
-        return size
 
     # ------------------------------------------------------------------ writes
 
@@ -481,7 +523,7 @@ class FlashDevice:
         if oversize is not None:
             raise FlashError(f"write of {oversize} B exceeds page size {page_bytes}")
         states = self._page_state[block, page0:last + 1]
-        if states.tobytes() != _ERASED * count:  # as in _read_run
+        if states.tobytes() != _ERASED * count:  # as in _check_run
             bad = page0 + int(np.flatnonzero(states)[0])
             raise FlashError(f"write to un-erased page ({block}, {bad})")
         if page0 != self._next_program_page[block]:

@@ -130,8 +130,13 @@ class SSDFileSystem(FileStore):
         f.extents.extend(lpns)
         self.ssd.write_pages(list(zip(lpns, pages)), crcs)
 
-    def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:
-        return self.ssd.read_pages(f.extents[first_page:last_page + 1])
+    def _fetch(self, f: StoredFile, firsts: list[int], counts: list[int],
+               after=None) -> list:
+        extents = f.extents
+        lpns: list[int] = []
+        for first, count in zip(firsts, counts):
+            lpns += extents[first:first + count]
+        return self.ssd.read_pages(lpns, counts, after)
 
     def _reclaim(self, extents: list[int]) -> None:
         for lpn in extents:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import NoReturn
 
 from repro.flash.device import (
     FlashDevice,
@@ -385,18 +386,38 @@ class SSD:
     def write_page(self, lpn: int, data: bytes) -> None:
         self.write_pages([(lpn, data)])
 
-    def read_pages(self, lpns: list[int]) -> list[bytes]:
-        """Sequential read: one FTL overhead for the whole batch."""
+    def read_pages(self, lpns: list[int], spans: list[int] | None = None,
+                   after=None) -> list[bytes]:
+        """Sequential read: one FTL overhead for the whole batch, or for each
+        of the consecutive reads ``spans`` splits it into
+        (:meth:`FlashDevice.read_pages`, which also calls ``after``)."""
         if not lpns:
             return []
-        self.device.clock.charge("flash", self.ftl_overhead_s)
         lpn_map = self.ftl._map
         try:
             addresses = [lpn_map[lpn] for lpn in lpns]
         except KeyError:
-            # Fall back for the exact range/unmapped error of translate().
-            addresses = [self.ftl.translate(lpn) for lpn in lpns]
-        return self.device.read_pages(addresses)
+            return self._read_untranslatable(lpns, spans, after)
+        return self.device.read_pages(addresses, spans, self.ftl_overhead_s,
+                                      after)
+
+    def _read_untranslatable(self, lpns: list[int], spans: list[int] | None,
+                             after) -> NoReturn:
+        """Issue the reads before the first one holding a page that does not
+        translate, then charge that read's overhead and raise the exact
+        range/unmapped error of :meth:`PageMappedFTL.translate`."""
+        lpn_map = self.ftl._map
+        bad = next(i for i, lpn in enumerate(lpns) if lpn not in lpn_map)
+        counts = spans or [len(lpns)]
+        done = reads = 0
+        while done + counts[reads] <= bad:
+            done += counts[reads]
+            reads += 1
+        if reads:
+            self.read_pages(lpns[:done], counts[:reads], after)
+        self.device.clock.charge("flash", self.ftl_overhead_s)
+        self.ftl.translate(lpns[bad])
+        raise FlashError(f"logical page {lpns[bad]} is unmapped yet translates")
 
     def write_pages(self, writes: list[tuple[int, bytes]],
                     crcs: list[int] | None = None) -> None:

@@ -8,10 +8,13 @@ logical→physical mapping, and the code is split the same way:
 :class:`FileStore` owns everything placement-independent — the file record
 and its RAM tail buffer, queries, the sequence behind ``unique_name``,
 ``create``/``append``/``seal``, bounded
-commit records, the one range-read kernel with CRC verify/repair and the
-lookahead charge under ``read``/``stream``/``read_spans``, the numpy helpers, ``delete``/``rename`` with their
-crash ordering, the snapshot record list, replay of the shared metadata
-records — and a placement supplies the hooks at the bottom of the class.
+commit records, the one range-read kernel under ``read``/``read_array``/
+``stream``/``read_spans`` (one pass over a call's spans, one placement
+fetch and one device call for all of them, each span still its own device
+read with its own CRC verify/repair and lookahead charge), the numpy
+helpers, ``delete``/``rename`` with their crash ordering, the snapshot
+record list, replay of the shared metadata records — and a placement
+supplies the hooks at the bottom of the class.
 :class:`~repro.flash.aoffs.AppendOnlyFlashFS` places files on whole erase
 blocks of raw flash, :class:`~repro.flash.filestore.SSDFileSystem` on
 logical pages of an FTL-backed SSD.  ``FileStore`` is also the declared
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TypeGuard
 
 import numpy as np
@@ -124,32 +128,28 @@ class SpanRead:
 
     def take(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Items ``[lo, hi)`` of the concatenation (default: all of it),
-        copied into one new writable array."""
+        copied into one new writable array by a single ``bytearray`` join
+        over the pieces they lie in, the first and last cut to the range."""
         if hi is None:
             hi = self.size
         if not 0 <= lo <= hi <= self.size:
             raise ValueError(f"take [{lo}, {hi}) out of range for {self.size} items")
-        item = self.dtype.itemsize
-        data = np.empty(hi - lo, dtype=self.dtype)
-        out = memoryview(data.view(np.uint8))
         pieces = self._pieces
-        i, skip = 0, 0
-        if lo:
+        if lo or hi != self.size:
+            if lo == hi:
+                return np.empty(0, dtype=self.dtype)
             if self._piece_ends is None:
                 self._piece_ends = np.cumsum([len(p) for p in pieces])
-            i = int(np.searchsorted(self._piece_ends, lo * item, side="right"))
-            skip = lo * item - (int(self._piece_ends[i - 1]) if i else 0)
-        pos, nbytes = 0, len(out)
-        while pos < nbytes:
-            piece = pieces[i]
-            i += 1
-            if skip or len(piece) > nbytes - pos:
-                piece = memoryview(piece)[skip:skip + nbytes - pos]
-                skip = 0
-            end = pos + len(piece)
-            out[pos:end] = piece
-            pos = end
-        return data
+            ends, item = self._piece_ends, self.dtype.itemsize
+            i, j = np.searchsorted(ends, [lo * item, hi * item - 1], side="right")
+            head = lo * item - (int(ends[i - 1]) if i else 0)
+            stop = hi * item - (int(ends[j - 1]) if j else 0)
+            if i == j:
+                pieces = [memoryview(pieces[i])[head:stop]]
+            else:
+                pieces = [memoryview(pieces[i])[head:], *pieces[i + 1:j],
+                          memoryview(pieces[j])[:stop]]
+        return np.frombuffer(bytearray().join(pieces), dtype=self.dtype)
 
 
 class FileStore:
@@ -322,7 +322,7 @@ class FileStore:
         f = self._file(name)
         if nbytes is None:
             nbytes = f.size - offset
-        return b"".join(self._read_span(f, offset, nbytes))
+        return b"".join(self._read_spans(f, 1, [(offset, offset + nbytes)]))
 
     def read_spans(self, name: str, dtype: np.dtype,
                    spans: list[tuple[int, int]]) -> SpanRead:
@@ -331,68 +331,105 @@ class FileStore:
 
         Spans are never merged — each pays its own access latency and
         lookahead, exactly as the same reads issued one by one, all of them
-        here and now.  The fetched pages are kept as they are; the
+        here and now, and a span out of range raises after the reads before
+        it.  The host work is one pass over the spans (:meth:`_read_spans`)
+        and one device call; the fetched pages are kept as they are, and the
         :class:`SpanRead` copies items out of them on request.
         """
         dtype = np.dtype(dtype)
-        item = dtype.itemsize
-        f = self._file(name)
-        pieces: list = []
-        base = []
-        filled = 0
-        for start, end in spans:
-            base.append(filled)
-            pieces += self._read_span(f, start * item, (end - start) * item)
-            filled += end - start
-        return SpanRead(dtype, pieces, np.array(base, dtype=np.int64), filled)
+        pieces = self._read_spans(self._file(name), dtype.itemsize, spans)
+        starts = list(accumulate([end - start for start, end in spans], initial=0))
+        return SpanRead(dtype, pieces,
+                        np.fromiter(starts, np.int64, len(spans)), starts[-1])
 
-    def _read_span(self, f: StoredFile, offset: int, nbytes: int) -> list:
-        """The one read path: bytes ``[offset, offset + nbytes)`` of ``f`` as
-        buffers to concatenate — the fetched flash pages, first and last cut
-        to the range, then the part that is still in the RAM tail."""
-        end = offset + nbytes
-        if offset < 0 or nbytes < 0 or end > f.size:
-            raise ValueError(
-                f"read [{offset}, {end}) out of range for "
-                f"{f.name!r} of size {f.size}"
-            )
-        pieces: list = []
-        if nbytes == 0:
-            return pieces
-        page_bytes = self.page_bytes
-        flushed_bytes = f.flushed_pages * page_bytes
-        if offset < flushed_bytes:
-            flash_end = min(end, flushed_bytes)
-            first_page = offset // page_bytes
-            last_page = (flash_end - 1) // page_bytes
-            pieces = self._fetch(f, first_page, last_page)
-            faults = self.device.faults
-            if faults is not None:
-                pieces = verify_pages(
-                    pieces, f.page_crcs, first_page,
-                    lambda i: self._fetch(f, i, i)[0],
-                    faults, f"{self.label.lower()}:{f.name}")
-            self._charge_prefetch(f, first_page, last_page + 1 - first_page)
-            pieces[-1] = pieces[-1][:flash_end - last_page * page_bytes]
-            pieces[0] = pieces[0][offset - first_page * page_bytes:]
-        if end > flushed_bytes:
-            pieces.append(f.tail_bytes()[max(0, offset - flushed_bytes):
-                                         end - flushed_bytes])
-        return pieces
+    def _read_spans(self, f: StoredFile, item: int,
+                    spans: list[tuple[int, int]]) -> list:
+        """The one range-read kernel: the byte ranges ``[start * item, end *
+        item)`` of ``f``, in order, as buffers to concatenate — the fetched
+        flash pages, the first and last memoryview-cut to the range, then
+        the part of the range that is still in the RAM tail.
 
-    def _charge_prefetch(self, f: StoredFile, first_page: int, pages_read: int) -> None:
-        """Charge the unused tail of the lookahead buffer on a small read.
-
-        Readahead stops at end-of-file, so reading a small file whole wastes
-        nothing; the waste appears on short reads *inside* large files.
+        One pass over the spans finds each one's pages and cuts, up to the
+        first span out of range; one :meth:`_fetch` reads them, one device
+        read per span, and after each read (``after``) verifies its CRCs,
+        charges its lookahead and cuts its pages; the tail parts are spliced
+        in; then the error, if any, is raised.
         """
-        effective = min(self.prefetch_pages, f.flushed_pages - first_page)
-        shortfall = effective - pages_read
-        if shortfall <= 0:
-            return
-        nbytes = shortfall * self.page_bytes
-        self.device.clock.charge(
-            "flash", nbytes / self.device.profile.flash_read_bw, nbytes=nbytes)
+        page_bytes = self.page_bytes
+        flushed_pages = f.flushed_pages
+        flushed = flushed_pages * page_bytes
+        size, prefetch = f.size, self.prefetch_pages
+        # Per device read: its first page, its page count, and (head of its
+        # first page, stop of its last page, lookahead pages beyond it).
+        firsts: list[int] = []
+        counts: list[int] = []
+        cuts = []
+        tails = []   # per span reaching the RAM tail: (reads before, offset, end)
+        error = None
+        for start, end in spans:
+            offset, end = start * item, end * item
+            if offset < 0 or end < offset or end > size:
+                error = ValueError(f"read [{offset}, {end}) out of range for "
+                                   f"{f.name!r} of size {size}")
+                break
+            if end == offset:
+                continue
+            if offset < flushed:
+                # Conditional expressions, not min(): this runs per span.
+                first = offset // page_bytes
+                flash_end = end if end < flushed else flushed
+                last = (flash_end - 1) // page_bytes
+                count = last + 1 - first
+                firsts.append(first)
+                counts.append(count)
+                # Readahead stops at end-of-file, so reading a small file
+                # whole wastes nothing; the waste appears on short reads
+                # inside large files.
+                ahead = flushed_pages - first
+                cuts.append((offset - first * page_bytes,
+                             flash_end - last * page_bytes,
+                             (prefetch if prefetch < ahead else ahead) - count))
+            if end > flushed:
+                tails.append((len(counts), offset, end))
+        pieces: list = []
+        if counts:
+            device = self.device
+
+            # What the reads need is bound as defaults, not closed over:
+            # cells would cost every read, and every span of the pass above.
+            def after(i: int, pages: list, cuts=cuts, firsts=firsts, f=f,
+                      store=self, faults=device.faults, clock=device.clock,
+                      read_bw=device.profile.flash_read_bw,
+                      page_bytes=page_bytes) -> list:
+                head, stop, shortfall = cuts[i]
+                if faults is not None:
+                    pages = verify_pages(
+                        pages, f.page_crcs, firsts[i],
+                        lambda index: store._fetch(f, [index], [1])[0],
+                        faults, f"{store.label.lower()}:{f.name}")
+                if shortfall > 0:
+                    nbytes = shortfall * page_bytes
+                    clock.charge("flash", nbytes / read_bw, nbytes=nbytes)
+                if len(pages) == 1:
+                    pages[0] = memoryview(pages[0])[head:stop]
+                else:
+                    pages[0] = memoryview(pages[0])[head:]
+                    pages[-1] = memoryview(pages[-1])[:stop]
+                return pages
+            pieces = self._fetch(f, firsts, counts, after)
+        if tails:
+            page_ends = list(accumulate(counts, initial=0))
+            tail = memoryview(f.tail_bytes())
+            spliced: list = []
+            k = 0
+            for reads, offset, end in tails:
+                spliced += pieces[k:page_ends[reads]]
+                k = page_ends[reads]
+                spliced.append(tail[max(0, offset - flushed):end - flushed])
+            pieces = spliced + pieces[k:]
+        if error is not None:
+            raise error
+        return pieces
 
     def stream(self, name: str, chunk_bytes: int) -> Iterator[bytes]:
         """Yield the file's contents in ``chunk_bytes`` pieces (sequential scan)."""
@@ -573,9 +610,13 @@ class FileStore:
         them (else ``None``), for a placement that tags pages with one."""
         raise NotImplementedError
 
-    def _fetch(self, f: StoredFile, first_page: int, last_page: int) -> list:
-        """Pages ``first_page..last_page`` of the file as one device read —
-        a CRC repair re-reads one page as ``_fetch(f, i, i)``."""
+    def _fetch(self, f: StoredFile, firsts: list[int], counts: list[int],
+               after=None) -> list:
+        """Pages ``firsts[i] .. firsts[i] + counts[i] - 1`` of the file for
+        every ``i``, concatenated: one device call, in which each range is a
+        device read of its own followed by ``after(i, pages)``
+        (:meth:`FlashDevice.read_pages`).  A CRC repair re-reads one page as
+        ``_fetch(f, [index], [1])``."""
         raise NotImplementedError
 
     def _reclaim(self, extents: list[int]) -> None:

@@ -43,8 +43,13 @@ def coalesce_ranges(starts: np.ndarray, ends: np.ndarray, max_gap: int) -> list[
     and the per-span running maximum agree at every boundary decision (a
     carried-over larger end from an earlier span implies the gap test fails
     either way), so one cummax pass finds the boundaries and a segmented
-    reduction recovers the exact per-span end.
+    reduction recovers the exact per-span end.  One range is returned as
+    it is (a sparse superstep's one-vertex lookups): the numpy pipeline costs
+    several times the read it plans.
     """
+    if len(starts) == 1:
+        start, end = int(starts[0]), int(ends[0])
+        return [(start, end)] if end > start else []
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     nonempty = ends > starts

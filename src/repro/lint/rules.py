@@ -378,17 +378,16 @@ class RuleChargeClock(Rule):
     ``FlashDevice`` methods that read or mutate the flash arrays
     (``_data``/``_oob``, or stores into ``_page_state``) must call a
     ``charge*`` method, and (b) any function elsewhere in the flash stack
-    that calls a raw device primitive (``_read_silent``, ``_read_run``,
-    ``_write_silent``, ``_program_run``, ``_commit_run``,
-    ``_commit_torn``) must charge.  Free-by-design operations carry an
+    that calls a raw device primitive (``_read_silent``, ``_write_silent``,
+    ``_program_run``, ``_commit_run``, ``_commit_torn``) must charge.  Free-by-design operations carry an
     explicit ``# repro-lint: disable=RL006`` with the justification.
     """
 
     id = "RL006"
     summary = "device operation without a SimClock charge"
 
-    _PRIMITIVES = {"_read_silent", "_read_run", "_write_silent",
-                   "_program_run", "_commit_run", "_commit_torn"}
+    _PRIMITIVES = {"_read_silent", "_write_silent", "_program_run",
+                   "_commit_run", "_commit_torn"}
 
     def applies(self, path: str) -> bool:
         return "repro/flash/" in _norm(path)

@@ -35,17 +35,19 @@ def _isolated_dataset_cache(tmp_path_factory):
 def record_reads():
     """``record_reads(store)`` starts logging every logical read of one
     store as ``(name, offset, nbytes)`` and returns the live list.  It hooks
-    the per-span kernel, so a read is logged whichever of ``read``,
-    ``read_array``, ``stream`` and ``read_spans`` issued it."""
+    the range-read kernel and logs each span it is handed, so a read is
+    logged whichever of ``read``, ``read_array``, ``stream`` and
+    ``read_spans`` issued it."""
     def start(store) -> list[tuple[str, int, int]]:
         calls: list[tuple[str, int, int]] = []
-        real_read_span = store._read_span
+        real_read_spans = store._read_spans
 
-        def read_span(f, offset, nbytes):
-            calls.append((f.name, offset, nbytes))
-            return real_read_span(f, offset, nbytes)
+        def read_spans(f, item, spans):
+            calls.extend((f.name, start * item, (end - start) * item)
+                         for start, end in spans)
+            return real_read_spans(f, item, spans)
 
-        store._read_span = read_span
+        store._read_spans = read_spans
         return calls
     return start
 

@@ -86,3 +86,22 @@ def test_positions_match_scalar_reference(keys, num_bits, num_hashes):
     got = bloom._positions(np.array(keys, dtype=np.uint64))
     assert got.shape == (num_hashes, len(keys))
     assert got.tolist() == reference_positions(keys, num_bits, num_hashes)
+
+
+def reference_add(bloom, keys):
+    """The bits ``add`` sets, one ``bitwise_or.at`` per bit position."""
+    bits = bloom._bits.copy()
+    pos = bloom._positions(np.array(keys, dtype=np.uint64)).ravel()
+    np.bitwise_or.at(bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
+    return bits
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.lists(st.lists(st.integers(0, 2**64 - 1), max_size=60), max_size=3),
+       st.one_of(st.just(64), st.integers(8, 5000)), st.integers(1, 4))
+def test_add_sets_the_bits_of_the_scatter_reference(batches, num_bits, num_hashes):
+    bloom = BloomFilter(num_bits, num_hashes)
+    for keys in batches:
+        expected = reference_add(bloom, keys)
+        bloom.add(np.array(keys, dtype=np.uint64))
+        assert bloom._bits.tobytes() == expected.tobytes()
