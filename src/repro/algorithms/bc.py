@@ -99,38 +99,6 @@ def run_betweenness_centrality(engine: GraFBoostEngine, root: int) -> BCResult:
     )
 
 
-def run_betweenness_centrality_multi(engine: GraFBoostEngine,
-                                     roots: list[int]) -> BCResult:
-    """Accumulated centrality over several sources.
-
-    Exact betweenness sums single-source contributions over all sources;
-    sampling a handful of roots is the standard approximation.  Each
-    source's traversal and backtrace run through the same engine
-    (sequentially, like repeated supersteps of one job).
-    """
-    if not roots:
-        raise ValueError("need at least one root")
-    total = None
-    forwards = []
-    backtrace_time = 0.0
-    stats = []
-    modes = []
-    for root in roots:
-        single = run_betweenness_centrality(engine, root)
-        total = single.centrality if total is None else total + single.centrality
-        forwards.append(single.forward)
-        backtrace_time += single.backtrace_elapsed_s
-        stats.extend(single.backtrace_stats)
-        modes.extend(single.backtrace_modes)
-    return BCResult(
-        forward=forwards[-1],
-        centrality=total,
-        backtrace_elapsed_s=backtrace_time,
-        backtrace_stats=stats,
-        backtrace_modes=modes,
-    )
-
-
 def _read_level(vertex_array, overlay) -> tuple[np.ndarray, np.ndarray]:
     """Read one superstep's (vertex, parent) list from its overlay file."""
     vertices, parents, _steps = vertex_array.read_overlay(overlay.name, 0, overlay.count)

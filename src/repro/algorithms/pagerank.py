@@ -67,55 +67,6 @@ class PageRankProgram(VertexProgram):
         return all_active_chunks(num_vertices, self.value_dtype, self.default_value)
 
 
-class WeightedPageRankProgram(PageRankProgram):
-    """PageRank over weighted edges: rank flows proportionally to edge
-    weight instead of uniformly across out-edges.
-
-    ``out_weight_sums`` is the per-vertex total outgoing weight, computed
-    once at graph load (the weighted analogue of the system-provided
-    ``numNeighbors``); it lives in host memory like FlashGraph's vertex
-    metadata, one float per vertex.
-    """
-
-    name = "pagerank-weighted"
-    uses_weights = True
-
-    def __init__(self, num_vertices: int, out_weight_sums: np.ndarray):
-        super().__init__(num_vertices)
-        if len(out_weight_sums) != num_vertices:
-            raise ValueError(
-                f"out_weight_sums length {len(out_weight_sums)} != "
-                f"num_vertices {num_vertices}")
-        self.out_weight_sums = np.asarray(out_weight_sums, dtype=np.float64)
-
-    def edge_program(self, src_values: np.ndarray, src_ids: np.ndarray,
-                     edge_weights: np.ndarray | None,
-                     src_degrees: np.ndarray) -> np.ndarray:
-        if edge_weights is None:
-            raise ValueError("weighted PageRank requires a weighted graph")
-        sums = self.out_weight_sums[src_ids.astype(np.int64)]
-        return src_values * edge_weights.astype(np.float64) / sums
-
-
-def out_weight_sums(graph) -> np.ndarray:
-    """Per-vertex total outgoing edge weight of a weighted CSR graph."""
-    if not graph.has_weights:
-        raise ValueError("graph has no edge weights")
-    src, _dst = graph.edge_list()
-    sums = np.zeros(graph.num_vertices)
-    np.add.at(sums, src.astype(np.int64), graph.weights.astype(np.float64))
-    return sums
-
-
-def run_weighted_pagerank(engine: GraFBoostEngine, graph,
-                          iterations: int) -> RunResult:
-    """Weighted PageRank; ``graph`` is the in-memory CSR (for weight sums)."""
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    program = WeightedPageRankProgram(graph.num_vertices, out_weight_sums(graph))
-    return engine.run(program, max_supersteps=iterations)
-
-
 def run_pagerank(engine: GraFBoostEngine, num_vertices: int,
                  iterations: int = 1) -> RunResult:
     """The paper's measured configuration: ``iterations`` all-active passes.

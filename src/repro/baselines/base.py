@@ -121,9 +121,6 @@ class BaselineEngine:
     def run_bfs(self, root: int) -> BaselineResult:
         return self.run("bfs", root=root)
 
-    def run_pagerank(self, iterations: int = 1) -> BaselineResult:
-        return self.run("pagerank", iterations=iterations)
-
     def run(self, algorithm: str, root: int = 0, iterations: int = 1) -> BaselineResult:
         """Run ``algorithm`` (``bfs``, ``pagerank`` or ``bc``) under this
         model's costs; ``root`` is the BFS/BC source."""

@@ -38,11 +38,7 @@ from repro.core.parallel import (
     resolve_workers,
     shutdown_pools,
 )
-from repro.core.accelerator import (
-    AcceleratorBackend,
-    SoftwareBackend,
-    backend_for_profile,
-)
+from repro.core.accelerator import AcceleratorBackend, SoftwareBackend
 from repro.core.packing import PackingSpec
 
 __all__ = [
@@ -66,6 +62,5 @@ __all__ = [
     "shutdown_pools",
     "AcceleratorBackend",
     "SoftwareBackend",
-    "backend_for_profile",
     "PackingSpec",
 ]

@@ -165,10 +165,3 @@ class SoftwareBackend:
         """Streaming edges through the edge program on the CPU pool."""
         work = nbytes / self.profile.cpu_stream_bw_per_thread
         clock.charge_pool("cpu", work, self.sorter_threads(), nbytes=0)
-
-
-def backend_for_profile(profile: HardwareProfile):
-    """The natural backend for a profile: hardware iff it has an accelerator."""
-    if profile.has_accelerator:
-        return AcceleratorBackend(profile)
-    return SoftwareBackend(profile)

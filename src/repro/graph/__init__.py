@@ -9,7 +9,7 @@ vertex-value array ``V`` and sparse ``newV`` overlays (§IV-B).
   in-memory baseline, and reference algorithm checks.
 * :mod:`repro.graph.formats` — the flash file layout and a reader with
   latency-aware read coalescing (the "lookahead buffer" of §V-C.3).
-* :mod:`repro.graph.generators` — Graph500 Kronecker, R-MAT, power-law
+* :mod:`repro.graph.generators` — Graph500 Kronecker, power-law
   ("twitter"-like) and shallow/long-tail web ("wdc"-like) synthesizers.
 * :mod:`repro.graph.datasets` — the Table I dataset registry, parameterized
   by a scale factor.
@@ -20,13 +20,7 @@ vertex-value array ``V`` and sparse ``newV`` overlays (§IV-B).
 
 from repro.graph.csr import CSRGraph
 from repro.graph.formats import FlashCSR
-from repro.graph.generators import (
-    kronecker_edges,
-    rmat_edges,
-    powerlaw_edges,
-    webcrawl_edges,
-    uniform_edges,
-)
+from repro.graph.generators import kronecker_edges, powerlaw_edges, webcrawl_edges
 from repro.graph.datasets import GraphDataset, DATASETS, dataset_by_name, build_graph
 from repro.graph.vertexdata import VertexArray
 
@@ -34,10 +28,8 @@ __all__ = [
     "CSRGraph",
     "FlashCSR",
     "kronecker_edges",
-    "rmat_edges",
     "powerlaw_edges",
     "webcrawl_edges",
-    "uniform_edges",
     "GraphDataset",
     "DATASETS",
     "dataset_by_name",

@@ -13,7 +13,6 @@ the structural property that drives its results:
 * :func:`webcrawl_edges` — a "wdc"-like web graph: host-local chain links
   plus hub links, engineered to give BFS a very long sparse tail of
   supersteps — the property that makes X-Stream take "23 days" (§V-C.1).
-* :func:`uniform_edges` — Erdős–Rényi-style uniform edges for tests.
 
 All generators are deterministic given a seed and return (src, dst) uint64
 arrays; duplicate edges and self-loops are kept, as in Graph500 inputs.
@@ -58,25 +57,13 @@ def kronecker_edges(scale: int, edgefactor: int = 16, seed: int = 1,
     return perm[src], perm[dst], n
 
 
-def rmat_edges(scale: int, edgefactor: int, a: float, b: float, c: float,
-               seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """General R-MAT with caller-chosen quadrant probabilities."""
-    if not 0 < a + b + c < 1:
-        raise ValueError(f"a+b+c must be in (0, 1), got {a + b + c}")
-    if scale > 32:
-        raise ValueError(f"R-MAT scale above 32 is not supported: {scale}")
-    n = 1 << scale
-    rng = np.random.default_rng(seed)
-    src, dst = _rmat_words(rng, scale, n * edgefactor, a, b, c)
-    return src.astype(np.uint64), dst.astype(np.uint64), n
-
-
 def _rmat_words(rng: np.random.Generator, scale: int, m: int,
                 a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The R-MAT recursion behind both generators: ``m`` (src, dst) pairs of
-    ``scale``-bit ids as uint32 words from ``rng`` (a fresh PCG64), in blocks
-    dealt to one thread per CPU this process may run on (the caller is one; the
-    rest are joined on return).  Same arrays and ``rng`` state for any deal."""
+    """The R-MAT recursion behind :func:`kronecker_edges`: ``m`` (src, dst)
+    pairs of ``scale``-bit ids as uint32 words from ``rng`` (a fresh PCG64),
+    in blocks dealt to one thread per CPU this process may run on (the caller
+    is one; the rest are joined on return).  Same arrays and ``rng`` state
+    for any deal."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cpus, m // RMAT_THREAD_EDGES))
     src, dst = (np.zeros(m, dtype=np.uint32) for _ in range(2))
@@ -198,13 +185,4 @@ def webcrawl_edges(num_vertices: int, edgefactor: int = 43, seed: int = 1,
 
     src = np.concatenate([chain_src, hub_src, tail_src])
     dst = np.concatenate([chain_dst, hub_dst, tail_dst])
-    return src, dst, num_vertices
-
-
-def uniform_edges(num_vertices: int, num_edges: int, seed: int,
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Uniform random (Erdős–Rényi-style multigraph) edges, for tests."""
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, num_vertices, num_edges).astype(np.uint64)
-    dst = rng.integers(0, num_vertices, num_edges).astype(np.uint64)
     return src, dst, num_vertices

@@ -37,7 +37,6 @@ prints a rule's full rationale.
 from repro.lint.engine import (
     Violation,
     lint_paths,
-    lint_source,
     lint_sources,
     main,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Rule",
     "Violation",
     "lint_paths",
-    "lint_source",
     "lint_sources",
     "main",
 ]

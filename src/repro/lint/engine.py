@@ -176,39 +176,20 @@ def _sorted(violations: list[Violation]) -> list[Violation]:
     return violations
 
 
-def lint_entries(entries: dict[str, FileEntry],
-                 report_unused: bool = True) -> list[Violation]:
-    """Lint parsed entries: per-file rules, det-flow, suppressions, RL100."""
-    ordered = [entries[path] for path in sorted(entries)]
+def lint_sources(sources: dict[str, str]) -> list[Violation]:
+    """Lint a program given as ``{path: source}``; each path decides which
+    rules apply to its file.  Per-file rules, then the det-flow pass over
+    all modules at once (so cross-module taint flows resolve), then
+    suppressions and RL100."""
+    entries = {path: _load_entry(path, sources[path]) for path in sorted(sources)}
+    ordered = list(entries.values())
     raw: list[Violation] = []
     for entry in ordered:
         raw.extend(_file_violations(entry))
     raw.extend(analyze_program([(e.path, e.tree) for e in ordered
                                 if e.tree is not None]))
     result = _apply_suppressions(entries, raw)
-    violations = result.violations
-    if report_unused:
-        violations.extend(_unused_suppressions(entries, result))
-    return _sorted(violations)
-
-
-def lint_source(source: str, path: str) -> list[Violation]:
-    """Lint one file's text; ``path`` decides which rules apply.
-
-    Runs the whole-program det-flow pass over the single module too (a
-    one-module program), but not unused-suppression detection — that only
-    makes sense over a full tree run (``lint_paths``).
-    """
-    return lint_entries({path: _load_entry(path, source)}, report_unused=False)
-
-
-def lint_sources(sources: dict[str, str]) -> list[Violation]:
-    """Lint a multi-file program given as ``{path: source}`` — the det-flow
-    pass sees all modules at once, so cross-module taint flows resolve —
-    unused suppressions included, as :func:`lint_paths` does."""
-    entries = {path: _load_entry(path, src)
-               for path, src in sorted(sources.items())}
-    return lint_entries(entries)
+    return _sorted(result.violations + _unused_suppressions(entries, result))
 
 
 def iter_python_files(paths: Iterable[str]) -> list[str]:
@@ -233,11 +214,11 @@ def iter_python_files(paths: Iterable[str]) -> list[str]:
 
 
 def lint_paths(paths: Iterable[str]) -> list[Violation]:
-    entries: dict[str, FileEntry] = {}
+    sources = {}
     for file_path in iter_python_files(paths):
         with open(file_path, encoding="utf-8") as fh:
-            entries[file_path] = _load_entry(file_path, fh.read())
-    return lint_entries(entries)
+            sources[file_path] = fh.read()
+    return lint_sources(sources)
 
 
 def render_json(violations: list[Violation]) -> str:

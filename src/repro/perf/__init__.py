@@ -15,7 +15,6 @@ from repro.perf.profiles import (
     GRAFSOFT,
     SERVER_SSD_ARRAY,
     SINGLE_SSD_SERVER,
-    profile_by_name,
 )
 from repro.perf.memory import MemoryTracker, MemoryBudgetExceeded
 from repro.perf.power import PowerModel, PowerBreakdown
@@ -30,7 +29,6 @@ __all__ = [
     "GRAFSOFT",
     "SERVER_SSD_ARRAY",
     "SINGLE_SSD_SERVER",
-    "profile_by_name",
     "MemoryTracker",
     "MemoryBudgetExceeded",
     "PowerModel",

@@ -115,10 +115,6 @@ class SimClock:
         """Snapshot for measuring a sub-interval (e.g. a single superstep)."""
         return ClockCheckpoint(self, self.elapsed_s, {k: v.busy_s for k, v in self.usage.items()})
 
-    def reset(self) -> None:
-        self.elapsed_s = 0.0
-        self.usage = {}
-
 
 @dataclass
 class ClockCheckpoint:

@@ -175,17 +175,3 @@ SINGLE_SSD_SERVER = dataclasses.replace(
     flash_write_bw=0.6 * GB,
     ssd_count=1,
 )
-
-_PROFILES = {
-    p.name.lower(): p
-    for p in (GRAFBOOST, GRAFBOOST2, SERVER_SSD_ARRAY, GRAFSOFT, SINGLE_SSD_SERVER)
-}
-
-
-def profile_by_name(name: str) -> HardwareProfile:
-    """Look up a built-in profile by (case-insensitive) name."""
-    try:
-        return _PROFILES[name.lower()]
-    except KeyError:
-        known = ", ".join(sorted(_PROFILES))
-        raise KeyError(f"unknown hardware profile {name!r}; known: {known}") from None

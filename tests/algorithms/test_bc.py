@@ -1,7 +1,6 @@
 """Betweenness centrality: traversal plus sort-reduced backtracing."""
 
 import numpy as np
-import pytest
 
 from repro.algorithms.bc import run_betweenness_centrality
 from repro.algorithms.bfs import UNVISITED
@@ -71,34 +70,3 @@ def test_bc_engine_restores_overlay_policy(random_graph):
     root = int(np.flatnonzero(random_graph.out_degrees() > 0)[0])
     run_betweenness_centrality(engine, root)
     assert engine.max_overlays == saved
-
-
-def test_multi_source_bc_sums_contributions(random_graph):
-    from repro.algorithms.bc import run_betweenness_centrality_multi
-
-    roots = np.flatnonzero(random_graph.out_degrees() > 0)[:3].tolist()
-    system = make_system("grafsoft", SCALE, num_vertices_hint=random_graph.num_vertices)
-    flash_graph = system.load_graph(random_graph)
-    engine = system.engine_for(flash_graph, random_graph.num_vertices)
-    multi = run_betweenness_centrality_multi(engine, roots)
-
-    expected = np.zeros(random_graph.num_vertices)
-    for root in roots:
-        single_system = make_system("grafsoft", SCALE,
-                                    num_vertices_hint=random_graph.num_vertices)
-        single_graph = single_system.load_graph(random_graph)
-        single_engine = single_system.engine_for(single_graph,
-                                                 random_graph.num_vertices)
-        expected += run_betweenness_centrality(single_engine, root).centrality
-    assert np.allclose(multi.centrality, expected)
-    assert len(multi.backtrace_stats) > 0
-
-
-def test_multi_source_bc_requires_roots(random_graph):
-    from repro.algorithms.bc import run_betweenness_centrality_multi
-
-    system = make_system("grafsoft", SCALE, num_vertices_hint=random_graph.num_vertices)
-    flash_graph = system.load_graph(random_graph)
-    engine = system.engine_for(flash_graph, random_graph.num_vertices)
-    with pytest.raises(ValueError):
-        run_betweenness_centrality_multi(engine, [])

@@ -122,54 +122,3 @@ def test_alg4_frees_bloom_memory(kron):
     in_use_before = system.memory.in_use
     run_pagerank_alg4(engine, in_graph, iterations=2)
     assert system.memory.in_use == in_use_before
-
-
-def test_weighted_pagerank_matches_dense_reference():
-    from repro.algorithms.pagerank import (
-        WeightedPageRankProgram,
-        out_weight_sums,
-        run_weighted_pagerank,
-    )
-    from repro.graph.csr import CSRGraph
-    from repro.graph.generators import uniform_edges
-    from tests.support import random_weights
-
-    src, dst, n = uniform_edges(400, 3200, seed=31)
-    weights = random_weights(3200, seed=31)
-    graph = CSRGraph.from_edges(src, dst, n, weights)
-    system, engine = None, None
-    system = make_system("grafsoft", SCALE, num_vertices_hint=n)
-    flash_graph = system.load_graph(graph)
-    engine = system.engine_for(flash_graph, n)
-    result = run_weighted_pagerank(engine, graph, iterations=1)
-
-    # Dense reference with identical semantics.
-    damping = 0.85
-    sums = out_weight_sums(graph)
-    src_i, dst_i = src.astype(np.int64), dst.astype(np.int64)
-    rank = np.full(n, 1.0 / n)
-    contributions = np.zeros(n)
-    np.add.at(contributions, dst_i,
-              rank[src_i] * weights.astype(np.float64) / sums[src_i])
-    has_inbound = np.zeros(n, dtype=bool)
-    has_inbound[dst_i] = True
-    expected = np.where(has_inbound, (1 - damping) / n + damping * contributions,
-                        rank)
-    assert np.allclose(result.final_values(), expected, atol=1e-14)
-
-
-def test_weighted_pagerank_validation():
-    from repro.algorithms.pagerank import WeightedPageRankProgram, out_weight_sums
-    from repro.graph.csr import CSRGraph
-    from repro.graph.generators import uniform_edges
-
-    src, dst, n = uniform_edges(10, 40, seed=1)
-    unweighted = CSRGraph.from_edges(src, dst, n)
-    with pytest.raises(ValueError, match="weights"):
-        out_weight_sums(unweighted)
-    with pytest.raises(ValueError, match="length"):
-        WeightedPageRankProgram(10, np.ones(5))
-    program = WeightedPageRankProgram(10, np.ones(10))
-    with pytest.raises(ValueError, match="weighted graph"):
-        program.edge_program(np.ones(2), np.zeros(2, dtype=np.uint64), None,
-                             np.ones(2, dtype=np.uint64))

@@ -8,8 +8,7 @@ from repro.algorithms.reference import sssp_distances
 from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.engine.config import make_system
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import uniform_edges
-from tests.support import min_reachable_label, random_weights
+from tests.support import min_reachable_label, random_weights, uniform_edges
 
 SCALE = 2.0 ** -15
 

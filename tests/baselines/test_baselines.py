@@ -44,7 +44,7 @@ def test_bfs_correct(engine_cls, twitter, twitter_root):
 
 @pytest.mark.parametrize("engine_cls", ALL_ENGINES)
 def test_pagerank_correct(engine_cls, twitter):
-    result = engine_cls(twitter, SERVER).run_pagerank(iterations=2)
+    result = engine_cls(twitter, SERVER).run("pagerank", iterations=2)
     assert result.completed
     assert np.allclose(result.final_values(), pagerank_push(twitter, 2))
 
@@ -64,7 +64,7 @@ def test_graphlab_oom_on_kron28():
     kron = build_graph("kron28", SCALE, seed=13)
     engine = InMemoryEngine(kron, SERVER)
     assert not engine.fits()
-    result = engine.run_pagerank()
+    result = engine.run("pagerank")
     assert not result.completed
     assert "out of memory" in result.dnf_reason
     assert result.elapsed_s != result.elapsed_s  # NaN
@@ -75,9 +75,9 @@ def test_graphlab_oom_on_kron28():
 def test_graphlab5_handles_kron28_not_kron30():
     # §V-D: "GraphLab5 cannot handle graphs larger than Kron28."
     kron28 = build_graph("kron28", SCALE, seed=13)
-    assert ClusterInMemoryEngine(kron28, SERVER).run_pagerank().completed
+    assert ClusterInMemoryEngine(kron28, SERVER).run("pagerank").completed
     kron30 = build_graph("kron30", SCALE, seed=13)
-    assert not ClusterInMemoryEngine(kron30, SERVER).run_pagerank().completed
+    assert not ClusterInMemoryEngine(kron30, SERVER).run("pagerank").completed
 
 
 def test_graphlab5_network_hurts_bfs(twitter, twitter_root):
@@ -109,10 +109,10 @@ def test_flashgraph_oom_when_state_cannot_swap(twitter):
 
 def test_flashgraph_degrades_with_less_memory(twitter):
     # Fig 13b: FlashGraph's performance "degrades sharply" as memory shrinks.
-    roomy = SemiExternalEngine(twitter, SERVER).run_pagerank()
+    roomy = SemiExternalEngine(twitter, SERVER).run("pagerank")
     vertex_state = SemiExternalEngine(twitter, SERVER).state_bytes("pagerank")
     tight_profile = SERVER.with_dram(int(vertex_state * 0.95))
-    tight = SemiExternalEngine(twitter, tight_profile).run_pagerank()
+    tight = SemiExternalEngine(twitter, tight_profile).run("pagerank")
     assert roomy.completed and tight.completed
     assert tight.elapsed_s > roomy.elapsed_s
 
@@ -133,9 +133,9 @@ def test_xstream_immune_to_memory_pressure(twitter):
     tiny_profile = SERVER.with_dram(max(4096, state // 2))
     engine = EdgeCentricEngine(twitter, tiny_profile)
     assert engine.num_partitions() > 1
-    result = engine.run_pagerank()
+    result = engine.run("pagerank")
     assert result.completed
-    roomy = EdgeCentricEngine(twitter, SERVER).run_pagerank()
+    roomy = EdgeCentricEngine(twitter, SERVER).run("pagerank")
     # Partitioning costs extra update-log traffic but not collapse.
     assert result.elapsed_s < 10 * max(roomy.elapsed_s, 1e-9)
 
@@ -162,7 +162,7 @@ def test_graphchi_constant_memory():
     # GraphChi works even when vertex data exceeds DRAM.
     kron32 = build_graph("kron32", SCALE, seed=13)
     engine = ShardedExternalEngine(kron32, SERVER)
-    result = engine.run_pagerank()
+    result = engine.run("pagerank")
     assert result.completed
     assert result.peak_memory <= SERVER.dram_capacity
 
@@ -171,15 +171,15 @@ def test_graphchi_slowest_on_pagerank(twitter):
     # "Its performance is not competitive with any of the other systems."
     times = {}
     for engine_cls in ALL_ENGINES:
-        result = engine_cls(twitter, SERVER).run_pagerank()
+        result = engine_cls(twitter, SERVER).run("pagerank")
         if result.completed:
             times[engine_cls.__name__] = result.elapsed_s
     assert times["ShardedExternalEngine"] == max(times.values())
 
 
 def test_inmemory_fastest_when_it_fits(twitter):
-    fast = InMemoryEngine(twitter, SERVER).run_pagerank()
-    slow = ShardedExternalEngine(twitter, SERVER).run_pagerank()
+    fast = InMemoryEngine(twitter, SERVER).run("pagerank")
+    slow = ShardedExternalEngine(twitter, SERVER).run("pagerank")
     assert fast.elapsed_s < slow.elapsed_s
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.accelerator import AcceleratorBackend, SoftwareBackend, backend_for_profile
+from repro.core.accelerator import AcceleratorBackend, SoftwareBackend
 from repro.core.packing import PackingSpec
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GB, GRAFBOOST, GRAFBOOST2, GRAFSOFT, MB
@@ -87,11 +87,6 @@ def test_software_merge_charges_cpu_threads():
 def test_hardware_requires_accelerator_profile():
     with pytest.raises(ValueError):
         AcceleratorBackend(GRAFSOFT)
-
-
-def test_backend_for_profile_dispatch():
-    assert isinstance(backend_for_profile(GRAFBOOST), AcceleratorBackend)
-    assert isinstance(backend_for_profile(GRAFSOFT), SoftwareBackend)
 
 
 def test_edge_stream_charges():

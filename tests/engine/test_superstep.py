@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bc import run_betweenness_centrality
-from repro.algorithms.pagerank import (
-    run_pagerank,
-    run_pagerank_alg4,
-    run_weighted_pagerank,
-)
-from repro.algorithms.ppr import run_personalized_pagerank
-from repro.algorithms.sssp import run_sssp
+from repro.algorithms.pagerank import run_pagerank, run_pagerank_alg4
+from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.core.external import ExternalSortReducer
 from repro.engine import superstep
 from repro.engine.config import make_system
 from repro.flash.device import FlashError
 from repro.graph.csr import CSRGraph
 from repro.graph.formats import FlashCSR
-from repro.graph.generators import uniform_edges
-from tests.support import random_weights
+from tests.support import random_weights, uniform_edges
 
 SCALE = 2.0 ** -14
 
@@ -34,14 +28,6 @@ def build(graph, kind="grafsoft", lazy=True, mode="sortreduce"):
                          mode=mode)
     flash_graph = system.load_graph(graph)
     return system, system.engine_for(flash_graph, graph.num_vertices, lazy=lazy)
-
-
-def test_weighted_program_through_lazy_and_eager(weighted_graph):
-    _, lazy_engine = build(weighted_graph, lazy=True)
-    _, eager_engine = build(weighted_graph, lazy=False)
-    lazy_result = run_weighted_pagerank(lazy_engine, weighted_graph, 1)
-    eager_result = run_weighted_pagerank(eager_engine, weighted_graph, 1)
-    assert np.allclose(lazy_result.final_values(), eager_result.final_values())
 
 
 def test_sssp_eager_agrees_with_lazy(weighted_graph):
@@ -73,17 +59,26 @@ def _outcome(graph, algorithm, mode):
              for name, u in system.clock.usage.items()})
 
 
+class SourceTaggedSSSP(SSSPProgram):
+    """SSSP whose every message also carries its source's id: a per-edge
+    program that reads ``src_ids`` besides the weights."""
+
+    def edge_program(self, src_values, src_ids, edge_weights, src_degrees):
+        return (super().edge_program(src_values, src_ids, edge_weights, src_degrees)
+                + src_ids.astype(np.float64) / 1024)
+
+
 @pytest.mark.parametrize("mode", ["sortreduce", "semiexternal"])
 @pytest.mark.parametrize("algorithm", [
-    lambda engine, graph: run_weighted_pagerank(engine, graph, 2),
     lambda engine, graph: run_sssp(engine, 0),
+    lambda engine, graph: engine.run(SourceTaggedSSSP(0)),
     lambda engine, graph: run_pagerank(engine, graph.num_vertices, 2),
-], ids=["weighted-pagerank", "sssp", "pagerank"])
+], ids=["sssp", "sssp-src-ids", "pagerank"])
 def test_push_batch_size_changes_nothing(monkeypatch, weighted_graph, mode,
                                          algorithm):
     """Pushing ~2 400 edges in batches of 97 — per-edge programs with their
-    weights, and per-vertex messages — gives the values, sort stats and
-    clock of one batch per push."""
+    weights and source ids, and per-vertex messages — gives the values, sort
+    stats and clock of one batch per push."""
     whole = _outcome(weighted_graph, algorithm, mode)
     monkeypatch.setattr(superstep, "SCAN_EDGES_PER_CHUNK", 97)
     assert _outcome(weighted_graph, algorithm, mode) == whole
@@ -139,14 +134,12 @@ def _alg4(system, engine, graph):
 @pytest.mark.parametrize("failing_call", ["add", "finish"])
 @pytest.mark.parametrize("run,failing_prefix,superstep", [
     (_alg4, "pagerank-alg4-s1-", 1),
-    (lambda system, engine, graph: run_personalized_pagerank(engine, 0, iterations=3),
-     "ppr-i1-", None),
     (lambda system, engine, graph: run_betweenness_centrality(engine, 0),
      "bc-back-2-", None),
     # The engine's own path: the control row.
     (lambda system, engine, graph: run_pagerank(engine, graph.num_vertices, 3),
      "pagerank-s1-", 1),
-], ids=["alg4", "ppr", "bc-backtrace", "pagerank"])
+], ids=["alg4", "bc-backtrace", "pagerank"])
 def test_failed_sort_reduce_leaks_nothing(monkeypatch, run, failing_prefix,
                                           superstep, failing_call):
     """A FlashError out of one sort-reduce — while it is being fed, or while

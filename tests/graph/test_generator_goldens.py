@@ -15,7 +15,7 @@ import pytest
 
 from repro.graph import datasets, generators
 from repro.graph.csr import CSRGraph
-from tests.support import random_weights
+from tests.support import random_weights, rmat_edges, uniform_edges
 
 RULE = ("generator output changed: bump `DATASET_CACHE_VERSION` and "
         "re-record, or fix the change")
@@ -35,7 +35,7 @@ def digest(*arrays: np.ndarray) -> str:
 
 GENERATORS = {
     "kronecker_edges": lambda seed: generators.kronecker_edges(11, 8, seed=seed)[:2],
-    "rmat_edges": lambda seed: generators.rmat_edges(
+    "rmat_edges": lambda seed: rmat_edges(
         10, 6, a=0.45, b=0.25, c=0.15, seed=seed)[:2],
     "powerlaw_edges": lambda seed: generators.powerlaw_edges(
         3000, 40_000, exponent=1.3, seed=seed)[:2],
@@ -43,7 +43,7 @@ GENERATORS = {
         3000, 40_000, exponent=1.0, seed=seed)[:2],
     "webcrawl_edges": lambda seed: generators.webcrawl_edges(
         2000, edgefactor=11, seed=seed)[:2],
-    "uniform_edges": lambda seed: generators.uniform_edges(700, 9000, seed=seed)[:2],
+    "uniform_edges": lambda seed: uniform_edges(700, 9000, seed=seed)[:2],
     "random_weights": lambda seed: (random_weights(9000, seed=seed),),
 }
 

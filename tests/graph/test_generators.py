@@ -20,12 +20,10 @@ from repro.graph.generators import (
     _rmat_words,
     kronecker_edges,
     powerlaw_edges,
-    rmat_edges,
-    uniform_edges,
     webcrawl_edges,
 )
 from repro.algorithms.reference import bfs_levels
-from tests.support import random_weights
+from tests.support import random_weights, rmat_edges, uniform_edges
 
 
 def test_kronecker_shape():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import lint_paths, lint_source, main
+from repro.lint import lint_paths, lint_sources, main
 
 #: Paths chosen so every rule's scope predicate applies.
 SIM_PATH = "src/repro/core/example.py"
@@ -14,7 +14,7 @@ ENGINE_PATH = "src/repro/engine/example.py"
 
 
 def rules_hit(source: str, path: str) -> set[str]:
-    return {v.rule_id for v in lint_source(textwrap.dedent(source), path)}
+    return {v.rule_id for v in lint_sources({path: textwrap.dedent(source)})}
 
 
 # ------------------------------------------------------------------- RL001
@@ -35,7 +35,7 @@ def test_rl001_fires_on_wall_clock_and_unseeded_rng():
             g = np.random.default_rng()
             return a, b, c, d, e, g
     """
-    violations = lint_source(textwrap.dedent(bad), SIM_PATH)
+    violations = lint_sources({SIM_PATH: textwrap.dedent(bad)})
     rl001 = [v for v in violations if v.rule_id == "RL001"]
     assert len(rl001) == 6
 
@@ -53,8 +53,8 @@ def test_rl001_allows_simclock_and_seeded_rng():
 
 def test_rl001_skips_harness_and_benchmarks():
     bad = "import time\nstamp = time.time()\n"
-    assert lint_source(bad, "src/repro/harness.py") == []
-    assert lint_source(bad, "benchmarks/bench_x.py") == []
+    assert lint_sources({"src/repro/harness.py": bad}) == []
+    assert lint_sources({"benchmarks/bench_x.py": bad}) == []
 
 
 def test_rl001_skips_parallel_worker_pool():
@@ -62,7 +62,7 @@ def test_rl001_skips_parallel_worker_pool():
     # the sim-clock goldens already pin that it cannot leak wall-clock time
     # into simulated results.
     bad = "import time\nstamp = time.monotonic()\n"
-    assert lint_source(bad, "src/repro/core/parallel.py") == []
+    assert lint_sources({"src/repro/core/parallel.py": bad}) == []
     assert "RL001" in rules_hit(bad, SIM_PATH)
 
 
@@ -185,13 +185,13 @@ def test_rl004_fires_on_host_io_below_store_layer():
             np.save(path, np.zeros(3))
             return data
     """
-    violations = lint_source(textwrap.dedent(bad), ENGINE_PATH)
+    violations = lint_sources({ENGINE_PATH: textwrap.dedent(bad)})
     assert len([v for v in violations if v.rule_id == "RL004"]) == 3
 
 
 def test_rl004_allows_dataset_cache_and_store_traffic():
     cache = "import os\n\ndef f(p):\n    return open(p).read()\n"
-    assert lint_source(cache, "src/repro/graph/datasets.py") == []
+    assert lint_sources({"src/repro/graph/datasets.py": cache}) == []
     good = """
         def f(store, name):
             return store.read(name, 0, 64)
@@ -268,24 +268,25 @@ def test_suppression_comment_silences_one_rule():
         "def f():\n"
         "    return time.time()  # repro-lint: disable=RL001\n"
     )
-    assert lint_source(bad, SIM_PATH) == []
+    assert lint_sources({SIM_PATH: bad}) == []
     wrong_id = (
         "import time\n"
         "def f():\n"
         "    return time.time()  # repro-lint: disable=RL002\n"
     )
-    assert {v.rule_id for v in lint_source(wrong_id, SIM_PATH)} == {"RL001"}
+    # The wrong id suppresses nothing, so RL100 reports it as well.
+    assert {v.rule_id for v in lint_sources({SIM_PATH: wrong_id})} == {"RL001", "RL100"}
     disable_all = (
         "import time\n"
         "def f():\n"
         "    return time.time()  # repro-lint: disable=all\n"
     )
-    assert lint_source(disable_all, SIM_PATH) == []
+    assert lint_sources({SIM_PATH: disable_all}) == []
 
 
 def test_syntax_error_reports_rl000():
     assert [v.rule_id for v in
-            lint_source("def broken(:\n", SIM_PATH)] == ["RL000"]
+            lint_sources({SIM_PATH: "def broken(:\n"})] == ["RL000"]
 
 
 def test_list_rules_exits_zero(capsys):

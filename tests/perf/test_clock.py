@@ -58,11 +58,3 @@ def test_checkpoint_measures_deltas():
     assert checkpoint.elapsed_s == pytest.approx(0.75)
     assert checkpoint.busy_s("flash") == pytest.approx(0.5)
     assert checkpoint.busy_s("cpu") == pytest.approx(0.25)
-
-
-def test_reset_clears_everything():
-    clock = SimClock()
-    clock.charge("flash", 1.0, nbytes=10)
-    clock.reset()
-    assert clock.elapsed_s == 0.0
-    assert clock.busy_s("flash") == 0.0

@@ -9,7 +9,6 @@ from repro.perf.profiles import (
     GRAFSOFT,
     SERVER_SSD_ARRAY,
     SINGLE_SSD_SERVER,
-    profile_by_name,
 )
 
 
@@ -73,10 +72,3 @@ def test_with_dram_override():
     small = GRAFSOFT.with_dram(1 * GB)
     assert small.dram_capacity == 1 * GB
     assert small.flash_read_bw == GRAFSOFT.flash_read_bw
-
-
-def test_profile_lookup():
-    assert profile_by_name("grafboost") is GRAFBOOST
-    assert profile_by_name("GraFSoft") is GRAFSOFT
-    with pytest.raises(KeyError):
-        profile_by_name("nonexistent")

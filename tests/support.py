@@ -1,4 +1,5 @@
-"""Helpers only the tests use: literal key-value runs and reference answers.
+"""Helpers only the tests use: literal key-value runs, graph generators
+and reference answers.
 
 The reference answers, like :mod:`repro.algorithms.reference`, work on a
 :class:`~repro.graph.csr.CSRGraph` directly, with no storage simulation.
@@ -11,6 +12,7 @@ import numpy as np
 from repro.algorithms.reference import bfs_levels
 from repro.core.kvstream import KEY_DTYPE, KVArray
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import _rmat_words
 
 
 def kv_pairs(pairs: list[tuple[int, object]], value_dtype: np.dtype) -> KVArray:
@@ -22,6 +24,27 @@ def kv_pairs(pairs: list[tuple[int, object]], value_dtype: np.dtype) -> KVArray:
     return KVArray(keys, values)
 
 
+def rmat_edges(scale: int, edgefactor: int, a: float, b: float, c: float,
+               seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """General R-MAT with caller-chosen quadrant probabilities (the
+    recursion of :func:`~repro.graph.generators.kronecker_edges`)."""
+    if not 0 < a + b + c < 1:
+        raise ValueError(f"a+b+c must be in (0, 1), got {a + b + c}")
+    if scale > 32:
+        raise ValueError(f"R-MAT scale above 32 is not supported: {scale}")
+    n = 1 << scale
+    rng = np.random.default_rng(seed)
+    src, dst = _rmat_words(rng, scale, n * edgefactor, a, b, c)
+    return src.astype(np.uint64), dst.astype(np.uint64), n
+
+
+def uniform_edges(num_vertices: int, num_edges: int, seed: int,
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Uniform random (Erdős–Rényi-style multigraph) edges, for tests."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, num_vertices, num_edges).astype(np.uint64)
+    dst = rng.integers(0, num_vertices, num_edges).astype(np.uint64)
+    return src, dst, num_vertices
 
 
 def random_weights(num_edges: int, seed: int) -> np.ndarray:

@@ -68,7 +68,7 @@ def test_pagerank_agrees_everywhere(dataset):
         assert np.allclose(ranks, reference, atol=1e-12), (dataset, kind)
 
     for baseline_cls in BASELINES:
-        result = baseline_cls(graph, SERVER_SSD_ARRAY).run_pagerank(1)
+        result = baseline_cls(graph, SERVER_SSD_ARRAY).run("pagerank", iterations=1)
         assert result.completed
         assert np.allclose(result.final_values(), reference), \
             (dataset, baseline_cls.__name__)

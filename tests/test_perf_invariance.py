@@ -33,7 +33,7 @@ from repro.baselines import (
     SemiExternalEngine,
     ShardedExternalEngine,
 )
-from repro.core import backend_for_profile
+from repro.core.accelerator import SoftwareBackend
 from repro.core.bloom import BloomFilter
 from repro.core.external import ExternalSortReducer
 from repro.core.kvstream import KVArray
@@ -271,7 +271,7 @@ def test_sim_clock_invariance_external_sort_reduce(faults):
     device = FlashDevice(FlashGeometry(8192, 32, 2048), GRAFSOFT, clock,
                          faults=faults)
     store = SSDFileSystem(SSD(device))
-    backend = backend_for_profile(GRAFSOFT)
+    backend = SoftwareBackend(GRAFSOFT)
     red = ExternalSortReducer(store, SUM, np.float64, backend,
                               chunk_bytes=1 << 18, fanout=4)
     rng = np.random.default_rng(42)
@@ -359,7 +359,7 @@ def test_sim_clock_invariance_external_sort_reduce_parallel(workers):
     clock = SimClock()
     device = FlashDevice(FlashGeometry(8192, 32, 2048), GRAFSOFT, clock)
     store = SSDFileSystem(SSD(device))
-    backend = backend_for_profile(GRAFSOFT)
+    backend = SoftwareBackend(GRAFSOFT)
     pool = SortReducePool(workers)
     try:
         red = ExternalSortReducer(store, SUM, np.float64, backend,
@@ -460,7 +460,7 @@ def _name_files_elsewhere() -> None:
     store = AppendOnlyFlashFS(FlashDevice(
         FlashGeometry(page_bytes=4096, pages_per_block=16, num_blocks=64),
         GRAFSOFT, SimClock()))
-    backend = backend_for_profile(GRAFSOFT)
+    backend = SoftwareBackend(GRAFSOFT)
     for _ in range(10_000):
         ExternalSortReducer(store, SUM, np.float64, backend, chunk_bytes=1024)
         VertexArray(store, 1, np.float64, 0.0)
@@ -742,7 +742,7 @@ def _baseline_case(system, algorithm, case):
     engine = _BASELINE_MODELS[system](graph, profile, **kwargs)
     root = default_root(graph)
     if algorithm == "pagerank":
-        result = engine.run_pagerank(iterations=2)
+        result = engine.run("pagerank", iterations=2)
     elif algorithm == "bfs":
         result = engine.run_bfs(root)
     else:

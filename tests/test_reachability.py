@@ -1,11 +1,19 @@
 """Ratchets over the source tree, read with ``ast``.
 
 * Every top-level function or class, and every non-dunder method, in
-  ``src/repro`` is named in some file of ``src/``, ``benchmarks/`` or
-  ``examples/`` other than by its own definition: a method as an attribute,
-  since a local variable of the same name does not reach it.  A string
-  literal that is a dotted name counts (``benchmarks/layered/trace.py``
-  names its targets by string); prose and docstrings do not.
+  ``src/repro`` is reached from code in ``src/``, ``benchmarks/`` or
+  ``examples/``.  Module-level code, benches and examples reach what they
+  name; a reached definition reaches what its own body names.  A name used
+  only inside unreached definitions does not count, so neither a function
+  that calls itself nor a pair that call each other keeps itself alive.
+  A method is named as an attribute, since a local variable of the same
+  name does not reach it.  An import's alias does not count, nor does an
+  entry of ``__all__``, so a package re-export reaches nothing; a use of
+  ``Z`` after ``from X import Y as Z`` counts for ``Y``.  A string counts
+  only if it is dotted (``a.b``, ``module:Class``), never a bare word such
+  as ``{"op": "reset"}``, prose or a docstring.  A ``(layer, "repro.…",
+  (…))`` row of ``benchmarks/layered/trace.py`` reaches the methods it
+  lists of a ``module:Class`` row and the functions of a ``module`` row.
   ``ast.NodeVisitor`` ``visit_*`` methods are dispatched by name and exempt.
 * Every module under ``src/repro`` is imported, directly or through other
   modules, from ``repro.cli``, ``repro.__main__``, a bench or an example.
@@ -41,6 +49,9 @@ ALLOWED = {
                   "other public API exposes the free pool",
     "repro.lint.__main__": "entry point of `python -m repro.lint`, which CI's "
                            "lint job runs",
+    "_read_silent": "the uncharged oracle read of a page: the perf-invariance "
+                    "goldens read stored bytes with it, and RL006's pinned "
+                    "corpus names it as a raw device primitive",
 }
 
 
@@ -57,45 +68,127 @@ def module_name(path: Path) -> str:
 MODULES = {module_name(path): path for path in (SRC / "repro").rglob("*.py")}
 
 
-def names_used(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(names as attributes or in dotted-name strings, bare names)."""
-    attributes: set[str] = set()
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.alias):
-            names.update(node.name.split("."))
-        elif isinstance(node, ast.Attribute):
-            attributes.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and re.fullmatch(r"[A-Za-z_][\w.:]*", node.value)):
-            attributes.update(re.split(r"[.:]", node.value))
-    return attributes, names
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: A string naming something: ``a.b``, ``module:Class``; a bare word does not.
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)+")
 
 
 def definitions(tree: ast.Module):
-    """(definition, is a method) for each definition the ratchet checks."""
+    """(class or None, definition) for each definition the ratchet checks."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node, False
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield None, node
         if isinstance(node, ast.ClassDef):
-            yield from ((method, True) for method in node.body
-                        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from ((node.name, method) for method in node.body
+                        if isinstance(method, FUNCTIONS)
                         and not re.fullmatch(r"__\w+__|visit_\w+", method.name))
 
 
+def qualified(module: str, cls: str | None, name: str) -> str:
+    """How a ``trace.py`` row names a definition."""
+    return f"{module}:{cls}.{name}" if cls else f"{module}.{name}"
+
+
+def uses(tree: ast.Module, module: str | None):
+    """(owner, use) for each name ``tree`` uses.  The owner is the key of
+    the innermost definition of ``module`` the use sits in, else None.  A
+    use is ``("name", n)`` for a bare name, ``("attr", n)`` for an attribute
+    or a part of a dotted string, or ``("row", qualified)`` for an attribute
+    a ``(layer, "repro.…", (…))`` row wraps."""
+    owners = {}
+    if module:
+        for cls, node in definitions(tree):   # a method after its class
+            owners.update(dict.fromkeys(ast.walk(node), (module, cls, node.name)))
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    for node in ast.walk(tree):
+        owner = owners.get(node)
+        if isinstance(node, ast.Name):
+            yield owner, ("name", aliases.get(node.id, node.id))
+        elif isinstance(node, ast.Attribute):
+            yield owner, ("attr", node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            yield from ((owner, ("attr", part)) for part in re.split(r"[.:]", node.value))
+        elif (isinstance(node, ast.Tuple) and len(node.elts) == 3
+              and isinstance(node.elts[1], ast.Constant)
+              and str(node.elts[1].value).startswith("repro.")
+              and isinstance(node.elts[2], ast.Tuple)):
+            target, _, cls = node.elts[1].value.partition(":")
+            yield from ((owner, ("row", qualified(target, cls, attr.value)))
+                        for attr in node.elts[2].elts if isinstance(attr, ast.Constant))
+
+
+def unused_definitions(modules: dict[str, ast.Module], callers: list[ast.Module],
+                       allowed=()) -> list[tuple[str, ast.AST]]:
+    """(module, definition) for each definition in ``modules`` that no
+    code reaches: module-level code and ``callers`` reach what they name,
+    a definition reached (or ``allowed``) reaches what its body names."""
+    nodes, named_by = {}, {}
+    for module, tree in modules.items():
+        for cls, node in definitions(tree):
+            key = (module, cls, node.name)
+            nodes[key] = node
+            for use in [("attr", node.name), ("row", qualified(*key)),
+                        *([("name", node.name)] if cls is None else [])]:
+                named_by.setdefault(use, []).append(key)
+    used = {}
+    for module, tree in [*modules.items(), *((None, tree) for tree in callers)]:
+        for owner, use in uses(tree, module):
+            used.setdefault(owner, set()).add(use)
+    live = {key for key in nodes if key[2] in allowed}
+    todo = [None, *live]
+    while todo:
+        for use in used.get(todo.pop(), ()):
+            for key in named_by.get(use, ()):
+                if key not in live:
+                    live.add(key)
+                    todo.append(key)
+    return [(key[0], node) for key, node in nodes.items() if key not in live]
+
+
 def test_every_definition_is_named_outside_the_tests():
-    attributes, names = set(), set()
-    for path in CALLERS:
-        more_attributes, more_names = names_used(parse(path))
-        attributes |= more_attributes
-        names |= more_names
-    unused = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
-              for path in MODULES.values() for node, method in definitions(parse(path))
-              if node.name not in attributes and (method or node.name not in names)
-              and node.name not in ALLOWED]
-    assert not unused, "only the tests name these; delete them:\n" + "\n".join(unused)
+    callers = [parse(path) for path in CALLERS if SRC not in path.parents]
+    unused = [f"{MODULES[module].relative_to(ROOT)}:{node.lineno} {node.name}"
+              for module, node in unused_definitions(
+                  {name: parse(path) for name, path in MODULES.items()}, callers, ALLOWED)]
+    assert not unused, (
+        "only the tests reach these; delete each, move it to tests/support.py "
+        "as an oracle, or add it to ALLOWED with a reason:\n" + "\n".join(unused))
+
+
+SYNTHETIC = {
+    "repro.toy": "from repro.toy.mod import exported\n__all__ = ['exported']\n",
+    "repro.toy.mod": """
+def exported(): pass
+class Clock:
+    def reset(self): pass
+    def tick(self): pass
+    def wind(self): pass
+def recurse(n): return recurse(n - 1)
+def ping(): return pong()
+def pong(): return ping()
+def live(): return Clock().tick()
+def renamed(): pass
+""",
+}
+SYNTHETIC_CALLER = """
+from repro.toy.mod import live, renamed as other
+live(), other()
+request = {"op": "reset"}
+ROWS = (("toy", "repro.toy.mod", ("reset",)), ("toy", "repro.toy.mod:Clock", ("wind",)))
+"""
+
+
+def test_the_definition_check_sees_through_names_that_reach_nothing():
+    """A re-export, ``__all__``, a bare string, a trace row of a module
+    (which names its functions, not a method) and calls from inside dead
+    code reach nothing; a call, an ``as`` import's use, a method call and a
+    trace row of the class do."""
+    modules = {name: ast.parse(source) for name, source in SYNTHETIC.items()}
+    unused = unused_definitions(modules, [ast.parse(SYNTHETIC_CALLER)])
+    assert sorted(node.name for _, node in unused) == [
+        "exported", "ping", "pong", "recurse", "reset"]
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -175,11 +268,14 @@ SIZING = "a sizing setting that lets a test reach an edge case cheaply"
 ENTRY_POINT = "an entry point"
 PLATFORM = "the §V hardware platform table"
 POOL = "removed with ROADMAP item 2"
+GOLDEN = ("the perf-invariance goldens pin runs at another value; as a "
+          "constant it would move them")
 
 #: ``function(parameter)``, ``Class(parameter)`` for a constructor,
 #: ``Class.method(parameter)``, or a bare class name for all its fields.
 ALLOWED_SETTINGS = {
     "main(argv)": ENTRY_POINT,
+    "BaselineEngine.run(iterations)": GOLDEN,
     "HardwareProfile": PLATFORM,
     "GraphCache(budget_bytes)": SIZING,
     "PageMappedFTL(gc_reserve_blocks)": SIZING,
@@ -193,7 +289,6 @@ ALLOWED_SETTINGS = {
     "merge_reduce_arrays(pool)": POOL,
 }
 
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: Stands for every keyword of a ``**`` argument whose keys are not literal.
 ANY = "**"
 
