@@ -87,13 +87,6 @@ class SortReduceStats:
             pairs_out += existing.pairs_out
         self._by_phase[phase] = PhaseStat(phase, pairs_in, pairs_out)
 
-    def merge(self, other: "SortReduceStats") -> None:
-        """Fold another stats object in (per-worker / per-partition
-        aggregation).  Deterministic regardless of merge order."""
-        self.total_input_pairs += other.total_input_pairs
-        for stat in other.phases:
-            self.record(stat.phase, stat.pairs_in, stat.pairs_out)
-
     def written_fractions(self) -> list[float]:
         """Fig 14's series: data written to storage after each phase, as a
         fraction of what would be written had reduction not been applied

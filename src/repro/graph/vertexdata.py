@@ -41,6 +41,10 @@ NEVER = -1
 
 #: Records per chunk when scanning overlays/base sequentially.
 SCAN_CHUNK_RECORDS = 1 << 16
+#: Keys per chunk of :meth:`VertexArray.scan` (compaction, final values).
+#: Its own constant, so the tests that shrink ``SCAN_CHUNK_RECORDS`` to
+#: split overlays keep compaction's chunks, which their goldens pin.
+SCAN_KEYS = SCAN_CHUNK_RECORDS
 
 
 @dataclass
@@ -157,11 +161,12 @@ class VertexArray:
                                 dtype=self._overlay_dtype)
         return tuple(np.ascontiguousarray(records[field]) for field in ("k", "v", "step"))
 
-    def scan(self, chunk_records: int = SCAN_CHUNK_RECORDS):
-        """Yield (keys, values, steps) over the full key space, merged."""
+    def scan(self):
+        """Yield (keys, values, steps) over the full key space, merged, in
+        chunks of ``SCAN_KEYS`` keys."""
         cursor = self.cursor()
-        for start in range(0, self.num_vertices, chunk_records):
-            keys = np.arange(start, min(start + chunk_records, self.num_vertices),
+        for start in range(0, self.num_vertices, SCAN_KEYS):
+            keys = np.arange(start, min(start + SCAN_KEYS, self.num_vertices),
                              dtype=np.uint64)
             values, steps = cursor.lookup(keys)
             yield keys, values, steps

@@ -39,18 +39,10 @@ Sinks (where nondeterminism becomes a broken golden):
 * sort-reduce key material (``sort_reduce_in_memory``);
 * run-file naming (store ``create``/``rename``).
 
-Rules:
-
-* **RL007** — fs-order taint escapes (into a list, loop-carried
-  accumulation, stored state or an opaque call) or reaches a sink.
-* **RL008** — set-order / id-hash taint escapes or reaches a sink.
-* **RL009** — pool-order taint reaches a sink or feeds a float
-  accumulation, or a ``SimClock`` charge / stateful float accumulation is
-  reachable from a worker entry point (``Process(target=...)``) — the
-  PR 5 parallel-merge regression class.
-* **RL010** — wall-clock/rng taint reaches a determinism sink, possibly
-  through intermediate calls in other modules — the interprocedural
-  generalization of RL001.
+A taint that escapes (into a list, a loop-carried accumulation, stored
+state or an opaque call) or reaches a sink is a finding of the rule its
+kind maps to (``RULE_FOR_KIND``); each rule's class below says what it
+guards and what it would catch.
 
 Propagation is summary-based: each function gets a fixpoint summary
 (taints returned, parameters that flow to the return value, parameters
@@ -283,11 +275,7 @@ class _FunctionAnalyzer:
             self._assign(stmt.target, taints, is_set=False)
             self._exec_block(stmt.body)
             self._exec_block(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self._eval(stmt.test)
-            self._exec_block(stmt.body)
-            self._exec_block(stmt.orelse)
-        elif isinstance(stmt, ast.If):
+        elif isinstance(stmt, (ast.While, ast.If)):
             self._eval(stmt.test)
             self._exec_block(stmt.body)
             self._exec_block(stmt.orelse)
@@ -402,41 +390,26 @@ class _FunctionAnalyzer:
             return (self._eval(node.left, sanctioned) |
                     self._eval(node.right, sanctioned))
         if isinstance(node, ast.BoolOp):
-            out: set[Taint] = set()
-            for value in node.values:
-                out |= self._eval(value, sanctioned)
-            return out
+            return set().union(*(self._eval(v, sanctioned) for v in node.values))
         if isinstance(node, ast.UnaryOp):
             return self._eval(node.operand, sanctioned)
         if isinstance(node, ast.Compare):
             # ``x in s`` / ``a < b``: a boolean — order cannot survive, but
             # entropy in the operands still decides the branch value.
-            out = self._eval(node.left, sanctioned)
-            for comp in node.comparators:
-                out |= self._eval(comp, sanctioned)
+            out = set().union(*(self._eval(c, sanctioned)
+                                for c in [node.left, *node.comparators]))
             return {t for t in out if t.kind not in ORDER_KINDS}
         if isinstance(node, ast.Subscript):
             return (self._eval(node.value, sanctioned) |
                     self._eval(node.slice, sanctioned))
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            out = set()
-            for elt in node.elts:
-                out |= self._eval(elt, sanctioned)
-            return out
+            return set().union(*(self._eval(e, sanctioned) for e in node.elts))
         if isinstance(node, ast.Dict):
-            out = set()
-            for key in node.keys:
-                if key is not None:
-                    out |= self._eval(key, sanctioned)
-            for value in node.values:
-                out |= self._eval(value, sanctioned)
-            return out
+            return set().union(*(self._eval(k, sanctioned) for k in node.keys),
+                               *(self._eval(v, sanctioned) for v in node.values))
         if isinstance(node, ast.JoinedStr):
-            out = set()
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    out |= self._eval(value.value, sanctioned)
-            return out
+            return set().union(*(self._eval(v.value, sanctioned) for v in node.values
+                                 if isinstance(v, ast.FormattedValue)))
         if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp,
                              ast.DictComp)):
             return self._eval_comprehension(node, sanctioned)
@@ -487,38 +460,24 @@ class _FunctionAnalyzer:
         and id-hash *sources* when the iterable is set-typed/id-keyed."""
         taints = self._eval(iter_node)
         source: Taint | None = None
+        keyed = (iter_node.func.value if isinstance(iter_node, ast.Call)
+                 and isinstance(iter_node.func, ast.Attribute)
+                 and iter_node.func.attr in ("keys", "values", "items") else iter_node)
+        own = self.module.classes.get(self.info.class_name or "")
         if isinstance(iter_node, (ast.Set, ast.SetComp)):
             source = self._source(SETORDER, "set iteration", iter_node)
-        elif (isinstance(iter_node, ast.Call) and
-              isinstance(iter_node.func, ast.Name) and
-              iter_node.func.id in ("set", "frozenset")):
-            source = self._source(SETORDER, f"{iter_node.func.id}() iteration",
-                                  iter_node)
-        elif isinstance(iter_node, ast.Name):
-            if iter_node.id in self.set_vars:
-                source = self._source(
-                    SETORDER, f"iteration over set {iter_node.id!r}",
-                    iter_node)
-            elif iter_node.id in self.idkey_vars:
-                source = self._source(
-                    IDHASH, f"iteration over id()/hash()-keyed "
-                            f"{iter_node.id!r}", iter_node)
-        elif (isinstance(iter_node, ast.Attribute) and
-              isinstance(iter_node.value, ast.Name) and
-              iter_node.value.id == "self" and self.info.class_name):
-            cls = self.module.classes.get(self.info.class_name)
-            if cls is not None and iter_node.attr in cls.set_attrs:
-                source = self._source(
-                    SETORDER, f"iteration over set self.{iter_node.attr}",
-                    iter_node)
-        elif (isinstance(iter_node, ast.Call) and
-              isinstance(iter_node.func, ast.Attribute) and
-              iter_node.func.attr in ("keys", "values", "items")):
-            recv = iter_node.func.value
-            if isinstance(recv, ast.Name) and recv.id in self.idkey_vars:
-                source = self._source(
-                    IDHASH, f"iteration over id()/hash()-keyed "
-                            f"{recv.id!r}", iter_node)
+        elif (isinstance(iter_node, ast.Call) and isinstance(iter_node.func, ast.Name)
+              and iter_node.func.id in ("set", "frozenset")):
+            source = self._source(SETORDER, f"{iter_node.func.id}() iteration", iter_node)
+        elif isinstance(iter_node, ast.Name) and iter_node.id in self.set_vars:
+            source = self._source(SETORDER, f"iteration over set {iter_node.id!r}", iter_node)
+        elif isinstance(keyed, ast.Name) and keyed.id in self.idkey_vars:
+            source = self._source(
+                IDHASH, f"iteration over id()/hash()-keyed {keyed.id!r}", iter_node)
+        elif (isinstance(iter_node, ast.Attribute) and ast.unparse(iter_node.value) == "self"
+              and own is not None and iter_node.attr in own.set_attrs):
+            source = self._source(
+                SETORDER, f"iteration over set self.{iter_node.attr}", iter_node)
         if source is not None:
             taints = taints | {source}
         return taints
@@ -593,18 +552,12 @@ class _FunctionAnalyzer:
         else:
             # Opaque call: the result inherits the receiver's and the
             # arguments' taints (str(x), fut.result(), os.path.join(d, f)).
-            taints |= recv_taints
-            for ts in arg_taints:
-                taints |= ts
-            for ts in kw_taints.values():
-                taints |= ts
+            taints |= recv_taints.union(*arg_taints, *kw_taints.values())
             # Container mutators taint the receiver instead of escaping.
             if (isinstance(func, ast.Attribute) and
                     func.attr in _CONTAINER_ADDERS):
                 base = self._target_name(func.value)
-                added: set[Taint] = set()
-                for ts in arg_taints:
-                    added |= ts
+                added: set[Taint] = set().union(*arg_taints)
                 if base is not None:
                     self.env.setdefault(base, set()).update(added)
                 for t in sorted(added):
@@ -612,33 +565,19 @@ class _FunctionAnalyzer:
                         self._escape(t, f"collected via "
                                         f".{func.attr}()")
             elif self.collecting and not sanctioned:
-                flat: set[Taint] = set()
-                for ts in arg_taints:
-                    flat |= ts
-                for _name, ts in sorted(kw_taints.items()):
-                    flat |= ts
-                for t in sorted(flat):
+                for t in sorted(set().union(*arg_taints, *kw_taints.values())):
                     if t.kind in ORDER_KINDS:
                         self._escape(t, f"passed to opaque call "
                                         f"{_call_name(func)}()")
 
         sink = self._match_sink(node)
         if sink is not None:
-            all_args: set[Taint] = set()
-            for ts in arg_taints:
-                all_args |= ts
-            for ts in kw_taints.values():
-                all_args |= ts
-            self._hit(all_args, sink, node)
+            self._hit(set().union(*arg_taints, *kw_taints.values()), sink, node)
         return taints
 
     def _param_offset(self, callee: str, func: ast.AST) -> int:
         info = self.flow.graph.functions[callee]
-        if info.class_name is None:
-            return 0
-        if "staticmethod" in info.decorators:
-            return 0
-        return 1
+        return int(info.class_name is not None and "staticmethod" not in info.decorators)
 
     def _match_source(self, node: ast.Call) -> Taint | None:
         func = node.func
@@ -694,25 +633,13 @@ class _FunctionAnalyzer:
         """``sorted(xs, key=lambda v: id(v))``: an address-dependent order."""
         if not self.collecting:
             return
-        for kw in node.keywords:
-            if kw.arg != "key":
-                continue
-            if (isinstance(kw.value, ast.Name) and
-                    kw.value.id in ("id", "hash")):
-                self._finding(
-                    "RL008", node,
-                    f"{kw.value.id} as a sort key orders by interpreter "
-                    "addresses/hashes — derive sort keys from stable data")
-                continue
-            for sub in ast.walk(kw.value):
-                if (isinstance(sub, ast.Call) and
-                        isinstance(sub.func, ast.Name) and
-                        sub.func.id in ("id", "hash")):
-                    self._finding(
-                        "RL008", node,
-                        f"{sub.func.id}() in a sort key orders by "
-                        "interpreter addresses/hashes — derive sort keys "
-                        "from stable data")
+        for key in (kw.value for kw in node.keywords if kw.arg == "key"):
+            uses = ([f"{key.id} as"] if isinstance(key, ast.Name) and key.id in ("id", "hash")
+                    else [f"{ast.unparse(sub.func)}() in" for sub in ast.walk(key)
+                          if _is_id_hash_call(sub)])
+            for use in uses:
+                self._finding("RL008", node, f"{use} a sort key orders by interpreter "
+                              "addresses/hashes — derive sort keys from stable data")
 
     # ----------------------------------------------------------- findings
 
@@ -801,46 +728,31 @@ class DetFlow:
                         work.append(caller)
                         queued.add(caller)
         findings: dict[tuple, Violation] = {}
-        for qual in order:
-            info = self.graph.functions[qual]
-            if not _in_sim_src(info.path):
-                continue
-            analyzer = _FunctionAnalyzer(self, info)
+        for qual in order:   # every module is sim source (``analyze_program``)
+            analyzer = _FunctionAnalyzer(self, self.graph.functions[qual])
             analyzer.run(collect=True)
             findings.update(analyzer.findings)
         for violation in self._worker_partition_pass():
             findings.setdefault(
                 (violation.rule_id, violation.path, violation.line,
                  violation.message), violation)
-        out = sorted(findings.values(),
-                     key=lambda v: (v.path, v.line, v.col, v.rule_id,
-                                    v.message))
-        return out
+        return sorted(findings.values(),
+                      key=lambda v: (v.path, v.line, v.col, v.rule_id, v.message))
 
     # The PR 5 class, statically: anything reachable from a worker entry
     # point (``Process(target=fn)``) runs outside the host's serial charge
     # order, so a SimClock charge or stateful float accumulation there can
     # never be bit-deterministic across worker counts.
     def _worker_partition_pass(self) -> list[Violation]:
-        roots: set[str] = set()
-        for qual in sorted(self.graph.functions):
-            info = self.graph.functions[qual]
-            if info.node.name == "_worker_main":
-                roots.add(qual)
-            for sub in ast.walk(info.node):
-                if isinstance(sub, ast.Call):
-                    for kw in sub.keywords:
-                        if kw.arg == "target":
-                            callee = self.graph.resolve_call(info, kw.value)
-                            if callee is not None:
-                                roots.add(callee)
+        roots = self.graph.spawned | {qual for qual, info in self.graph.functions.items()
+                                      if info.node.name == "_worker_main"}
         if not roots:
             return []
-        reachable = self.graph.reachable_from(sorted(roots))
+        reachable = self.graph.reachable_from(sorted(roots), uses=False)
         out: list[Violation] = []
         for qual in sorted(reachable):
             info = self.graph.functions.get(qual)
-            if info is None or not _in_sim_src(info.path):
+            if info is None:
                 continue
             for sub in ast.walk(info.node):
                 if (isinstance(sub, ast.Call) and
@@ -892,9 +804,15 @@ class RuleFsOrder(Rule):
     across loop iterations, stored into object state, handed to an opaque
     call, or reaching a determinism sink (journal/checkpoint writes,
     SimClock charges, traces, run naming) — replayed recovery and
-    cross-host goldens diverge.  Wrap the listing in ``sorted()`` (the
-    fix for every historical instance), or suppress with a justification
-    when the surrounding code provably restores determinism.
+    cross-host goldens diverge.  Wrap the listing in ``sorted()``, or
+    suppress with a justification when the surrounding code provably
+    restores determinism.
+
+    Caught so far: no commit.  No simulator module lists a host directory
+    (RL004 keeps the host filesystem out of the flash stack); the one
+    listing under ``src/`` is the linter's own sorted ``os.walk``.  It
+    would catch recovery or run naming that follows a listing's order.
+    Pinned corpus: ``core/order.py:6:0: RL007 os.listdir() order ...``.
     """
 
     id = "RL007"
@@ -912,6 +830,12 @@ class RuleSetOrder(Rule):
     determinism sink, results stop being bit-identical.  Sort before
     iterating (``sorted(s)``), key containers by stable data, or suppress
     with a justification when order provably cannot matter.
+
+    Caught so far: no commit.  It would catch a set of string keys (job
+    ids, file names) iterated into a journal, a trace or a charge order,
+    which moves with ``PYTHONHASHSEED``.  Pinned corpus:
+    ``core/order.py:12:0: RL008 set() iteration ...`` and
+    ``core/order.py:17:11: RL008 id as a sort key ...``.
     """
 
     id = "RL008"
@@ -950,6 +874,12 @@ class RuleTransitiveEntropy(Rule):
     checksum construction, sort-reduce key material or run naming.  Use
     ``SimClock`` for simulated time and thread explicit seeds; host-side
     wall-clock is fine as long as it never flows into simulated state.
+
+    Caught so far: no commit.  It exists for the class named when det-flow
+    landed: a host-clock read behind a helper in an RL001-allowlisted file
+    charged to the clock.  Pinned corpus: ``core/record.py:5:4: RL010
+    time.time() (src/repro/harness.py:4) reaches SimClock charge() via
+    harness.now_seconds ...``.
     """
 
     id = "RL010"

@@ -30,7 +30,7 @@ import os
 import re
 import sys
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.lint.detflow import PROGRAM_RULES, analyze_program
@@ -117,34 +117,27 @@ def _file_violations(entry: FileEntry) -> list[Violation]:
     return found
 
 
-@dataclass
-class LintResult:
-    """Outcome of linting a set of entries, pre-suppression bookkeeping."""
-
-    violations: list[Violation] = field(default_factory=list, init=False)
-    #: (path, line) -> suppressed rule ids that actually matched a finding.
-    used_suppressions: dict[tuple[str, int], set[str]] = field(
-        default_factory=dict, init=False)
+#: (path, line) -> the suppressed rule ids that matched a finding there.
+Used = dict[tuple[str, int], set[str]]
 
 
 def _apply_suppressions(entries: dict[str, FileEntry],
-                        raw: Iterable[Violation]) -> LintResult:
-    result = LintResult()
+                        raw: Iterable[Violation]) -> tuple[list[Violation], Used]:
+    kept: list[Violation] = []
+    used: Used = {}
     for violation in raw:
         entry = entries.get(violation.path)
         ids = entry.suppressions.get(violation.line, set()) if entry else set()
         if "all" in ids or violation.rule_id in ids:
-            used = result.used_suppressions.setdefault(
-                (violation.path, violation.line), set())
-            used.add("all" if "all" in ids and violation.rule_id not in ids
-                     else violation.rule_id)
-            continue
-        result.violations.append(violation)
-    return result
+            used.setdefault((violation.path, violation.line), set()).add(
+                "all" if "all" in ids and violation.rule_id not in ids
+                else violation.rule_id)
+        else:
+            kept.append(violation)
+    return kept, used
 
 
-def _unused_suppressions(entries: dict[str, FileEntry],
-                         result: LintResult) -> list[Violation]:
+def _unused_suppressions(entries: dict[str, FileEntry], matched: Used) -> list[Violation]:
     found: list[Violation] = []
     for path in sorted(entries):
         entry = entries[path]
@@ -154,15 +147,9 @@ def _unused_suppressions(entries: dict[str, FileEntry],
             ids = entry.suppressions[line]
             if "RL100" in ids:
                 continue  # explicit per-line escape hatch
-            used = result.used_suppressions.get((path, line), set())
-            if "all" in ids:
-                if not used:
-                    found.append(Violation(
-                        path, line, 0, "RL100",
-                        "unused suppression: disable=all suppresses "
-                        "nothing on this line — remove it"))
-                continue
-            for rule_id in sorted(ids - used):
+            used = matched.get((path, line), set())
+            unused = ([] if used else ["all"]) if "all" in ids else sorted(ids - used)
+            for rule_id in unused:
                 found.append(Violation(
                     path, line, 0, "RL100",
                     f"unused suppression: disable={rule_id} suppresses "
@@ -188,8 +175,8 @@ def lint_sources(sources: dict[str, str]) -> list[Violation]:
         raw.extend(_file_violations(entry))
     raw.extend(analyze_program([(e.path, e.tree) for e in ordered
                                 if e.tree is not None]))
-    result = _apply_suppressions(entries, raw)
-    return _sorted(result.violations + _unused_suppressions(entries, result))
+    kept, used = _apply_suppressions(entries, raw)
+    return _sorted(kept + _unused_suppressions(entries, used))
 
 
 def iter_python_files(paths: Iterable[str]) -> list[str]:
@@ -242,11 +229,8 @@ def all_rules() -> list[Rule]:
 
 
 def explain(rule_id: str) -> str | None:
-    for rule in all_rules():
-        if rule.id == rule_id.upper():
-            doc = inspect.getdoc(rule.__class__) or rule.summary
-            return doc
-    return None
+    return next((inspect.getdoc(rule.__class__) or rule.summary
+                 for rule in all_rules() if rule.id == rule_id.upper()), None)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

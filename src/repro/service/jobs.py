@@ -165,13 +165,6 @@ class JobFailure:
                 "superstep": self.superstep, "attempt": self.attempt,
                 "context": dict(self.context)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "JobFailure":
-        return JobFailure(error=d["error"], message=d.get("message", ""),
-                          superstep=int(d.get("superstep", -1)),
-                          attempt=int(d.get("attempt", 0)),
-                          context=dict(d.get("context", {})))
-
 
 @dataclass
 class Job:

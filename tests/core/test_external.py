@@ -283,20 +283,3 @@ def test_stats_record_order_independent():
     assert a.written_fractions() == b.written_fractions()
     assert [p.phase for p in a.phases] == [0, 1, 2]
     assert a.final_pairs == b.final_pairs == 10
-
-
-def test_stats_merge_matches_single_accumulator():
-    from repro.core.external import SortReduceStats
-
-    records = [(0, 100, 40), (1, 70, 30), (0, 50, 20), (2, 30, 10)]
-    whole = SortReduceStats()
-    parts = [SortReduceStats() for _ in range(3)]
-    for i, r in enumerate(records):
-        whole.record(*r)
-        whole.total_input_pairs += r[1]
-        parts[i % 3].record(*r)
-        parts[i % 3].total_input_pairs += r[1]
-    merged = SortReduceStats()
-    for part in reversed(parts):  # merge order must not matter
-        merged.merge(part)
-    assert merged.to_dict() == whole.to_dict()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.kvstream import KVArray
+from repro.graph import vertexdata
 from repro.graph.vertexdata import NEVER, VertexArray
 from tests.support import kv_pairs
 
@@ -81,11 +82,12 @@ def test_final_values_merges_everything(aoffs):
     assert final[0] == 999
 
 
-def test_scan_covers_key_space(aoffs):
+def test_scan_covers_key_space(aoffs, monkeypatch):
+    monkeypatch.setattr(vertexdata, "SCAN_KEYS", 16)
     array = make_array(aoffs, n=70)
     array.stage(kv([(69, 7)]), step=0)
     seen = []
-    for keys, values, steps in array.scan(chunk_records=16):
+    for keys, values, steps in array.scan():
         seen.extend(keys.tolist())
     assert seen == list(range(70))
 

@@ -71,10 +71,21 @@ def test_callgraph_methods_vs_functions():
                 def read(self):
                     return 1
 
+            class Meter:
+                def __init__(self, clock: Clock):
+                    self.clock = clock
+
+                def tick(self):
+                    return self.clock.tick()
+
+            def meter() -> "Meter":
+                return Meter(Clock())
+
             def use():
                 c = Clock()
                 c.tick()
                 tick()
+                meter().tick()
         """,
     }))
     # Module function and method with the same bare name stay distinct.
@@ -86,6 +97,9 @@ def test_callgraph_methods_vs_functions():
     # self-calls resolve to the method on the same class.
     assert {q for _, q in graph.edges["repro.core.a.Clock.tick"]} == \
         {"repro.core.a.Clock.read"}
+    # Receivers typed by a return annotation and by ``self.attr = param``.
+    assert "repro.core.a.Meter.tick" in callees
+    assert {q for _, q in graph.edges["repro.core.a.Meter.tick"]} == {"repro.core.a.Clock.tick"}
 
 
 def test_callgraph_indexes_decorated_functions():
