@@ -13,7 +13,7 @@ from repro.core.inmemory import sort_only_in_memory, sort_reduce_in_memory
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
 from repro.engine.config import make_system
-from repro.harness import load_dataset
+from repro.graph.datasets import build_graph
 from repro.perf.report import emit_results, format_table
 
 SCALE = 2.0 ** -14
@@ -29,7 +29,7 @@ def intermediate_list(graph) -> KVArray:
 
 
 def run_ablation():
-    graph = load_dataset(DATASET, SCALE)
+    graph = build_graph(DATASET, SCALE)
     updates = intermediate_list(graph)
     chunk_records = 4096
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.algorithms.bfs import run_bfs
 from repro.engine.config import make_system
-from repro.harness import default_root, load_dataset
+from repro.graph.datasets import build_graph
+from repro.harness import default_root
 from repro.perf.report import emit_results, format_table, human_bytes
 
 SCALE = 2.0 ** -14
@@ -19,7 +20,7 @@ DATASET = "kron28"
 
 
 def run_mode(lazy: bool):
-    graph = load_dataset(DATASET, SCALE)
+    graph = build_graph(DATASET, SCALE)
     system = make_system("grafsoft", SCALE, num_vertices_hint=graph.num_vertices)
     flash_graph = system.load_graph(graph)
     engine = system.engine_for(flash_graph, graph.num_vertices, lazy=lazy)

@@ -10,8 +10,7 @@ without packing on the accelerator to show the end-to-end effect.
 from repro.algorithms.pagerank import run_pagerank
 from repro.core.packing import PackingSpec
 from repro.engine.config import make_system
-from repro.graph.datasets import DATASETS
-from repro.harness import load_dataset
+from repro.graph.datasets import DATASETS, build_graph
 from repro.perf.report import emit_results, format_table
 
 SCALE = 2.0 ** -14
@@ -33,7 +32,7 @@ def packing_rows():
 
 
 def run_end_to_end():
-    graph = load_dataset("kron28", SCALE)
+    graph = build_graph("kron28", SCALE)
     times = {}
     for packed in (True, False):
         system = make_system(

@@ -32,7 +32,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from repro.algorithms.pagerank import run_pagerank
 from repro.engine.config import make_system
 from repro.flash.faults import FaultPlan
-from repro.harness import load_dataset
+from repro.graph.datasets import build_graph
 from repro.perf.report import emit_results, format_table
 
 #: Moderate severity: raw BER high enough that ECC corrections and the
@@ -46,7 +46,7 @@ QUICK = dict(scale=1 / 65536, iterations=2)
 
 
 def run_one(kind: str, scale: float, iterations: int, faults: FaultPlan | None):
-    graph = load_dataset("kron30", scale, seed=7)
+    graph = build_graph("kron30", scale, seed=7)
     system = make_system(kind, scale, num_vertices_hint=graph.num_vertices,
                          faults=faults)
     flash_graph = system.load_graph(graph)

@@ -42,7 +42,8 @@ from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_pagerank
 from repro.engine.config import make_system
 from repro.flash.faults import CrashPlan
-from repro.harness import default_root, load_dataset, run_grafboost_system
+from repro.graph.datasets import build_graph
+from repro.harness import default_root, run_grafboost_system
 from repro.perf.report import emit_results, format_table
 
 #: ISSUE acceptance: at least this many power losses must actually fire.
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     params = QUICK if args.quick else FULL
 
-    graph = load_dataset("kron30", params["scale"], seed=7)
+    graph = build_graph("kron30", params["scale"], seed=7)
     rows = []
     failures = []
     for kind in ("grafboost", "grafsoft"):

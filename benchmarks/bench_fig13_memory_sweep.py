@@ -16,7 +16,8 @@ lines are flat — the paper's central claim.
 
 import math
 
-from repro.harness import load_dataset, run_cell, results_by, run_matrix
+from repro.graph.datasets import build_graph
+from repro.harness import run_cell, results_by, run_matrix
 from repro.perf.profiles import SERVER_SSD_ARRAY
 from repro.perf.report import emit_results, format_table, normalize_series
 
@@ -27,11 +28,11 @@ SWEEP_SYSTEMS = ["X-Stream", "FlashGraph", "GraFSoft", "GraFBoost", "GraFBoost2"
 
 
 def vertex_data_bytes() -> int:
-    return load_dataset(DATASET, SCALE).num_vertices * 8
+    return build_graph(DATASET, SCALE).num_vertices * 8
 
 
 def run_sweep(algorithm: str):
-    graph = load_dataset(DATASET, SCALE)
+    graph = build_graph(DATASET, SCALE)
     base = vertex_data_bytes()
     rows = []
     family_cache: dict[str, float] = {}
@@ -85,7 +86,7 @@ def flat(values: list[float]) -> bool:
 def test_fig13a_wdc_64gb(benchmark):
     """The 64 GB machine (= 200% of vertex data): GraFBoost family leads."""
     def run():
-        graph = load_dataset(DATASET, SCALE)
+        graph = build_graph(DATASET, SCALE)
         dram = 2 * vertex_data_bytes()
         profile = SERVER_SSD_ARRAY.scaled(SCALE).with_dram(dram)
         return run_matrix(SWEEP_SYSTEMS, ["pagerank", "bfs", "bc"], DATASET,
@@ -156,7 +157,7 @@ def run_mode_dram_sweep():
     from repro.harness import run_grafboost_system
     from repro.perf.report import mode_trace_summary
 
-    graph = load_dataset(DATASET, SCALE)
+    graph = build_graph(DATASET, SCALE)
     footprint = semiexternal_footprint(graph.num_vertices, np.dtype("<f8"))
     rows = []
     for percent in MEMORY_PERCENTS:

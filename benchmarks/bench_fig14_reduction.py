@@ -11,7 +11,7 @@ over 90%.
 
 from repro.algorithms.pagerank import run_pagerank
 from repro.engine.config import make_system
-from repro.harness import load_dataset
+from repro.graph.datasets import build_graph
 from repro.perf.report import emit_results, format_table
 
 SCALES = {
@@ -24,7 +24,7 @@ SCALES = {
 
 
 def measure(dataset: str) -> list[float]:
-    graph = load_dataset(dataset, SCALES[dataset])
+    graph = build_graph(dataset, SCALES[dataset])
     system = make_system("grafsoft", SCALES[dataset],
                          num_vertices_hint=graph.num_vertices)
     flash_graph = system.load_graph(graph)

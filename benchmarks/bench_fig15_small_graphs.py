@@ -17,7 +17,8 @@ GraphLab cluster (GraphLab5).  The paper's findings to reproduce:
 import dataclasses
 import math
 
-from repro.harness import GRAFBOOST_ONE_CARD, load_dataset, run_cell
+from repro.graph.datasets import build_graph
+from repro.harness import GRAFBOOST_ONE_CARD, run_cell
 from repro.perf.profiles import SINGLE_SSD_SERVER
 from repro.perf.report import emit_results, format_table
 
@@ -33,7 +34,7 @@ def run_figure(algorithm: str):
     cells = {}
     server = SINGLE_SSD_SERVER.scaled(SCALE)
     for dataset in DATASETS:
-        graph = load_dataset(dataset, SCALE)
+        graph = build_graph(dataset, SCALE)
         reference = run_cell("GraFSoft", graph, algorithm, scale=SCALE,
                              server_profile=server, dataset=dataset)
         patience = reference.elapsed_s * 30
@@ -116,7 +117,7 @@ def test_fig15_small_graphs_are_not_grafboost_territory(benchmark):
     comparable performance to the fastest systems" — on twitter, the
     in-memory and semi-external systems close to (or past) GraFBoost."""
     def run():
-        graph = load_dataset("twitter", SCALE)
+        graph = build_graph("twitter", SCALE)
         server = SINGLE_SSD_SERVER.scaled(SCALE)
         flash = run_cell("FlashGraph", graph, "pagerank", scale=SCALE,
                          server_profile=server, dataset="twitter")

@@ -12,7 +12,8 @@ measured from the simulated WDC PageRank runs (Table II).
 
 import pytest
 
-from repro.harness import load_dataset, run_cell
+from repro.graph.datasets import build_graph
+from repro.harness import run_cell
 from repro.perf.power import PowerModel
 from repro.perf.profiles import GRAFBOOST, SERVER_SSD_ARRAY
 from repro.perf.report import emit_results, format_table
@@ -21,7 +22,7 @@ SCALE = 2.0 ** -16
 
 
 def run_power_rows():
-    graph = load_dataset("wdc", SCALE)
+    graph = build_graph("wdc", SCALE)
     rows = []
 
     boost_cell = run_cell("GraFBoost", graph, "pagerank", scale=SCALE, dataset="wdc")

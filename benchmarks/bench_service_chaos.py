@@ -36,7 +36,8 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.engine.config import make_system
 from repro.flash.faults import CrashPlan
-from repro.harness import load_dataset, run_service_cell
+from repro.graph.datasets import build_graph
+from repro.harness import run_service_cell
 from repro.perf.report import emit_results, format_table
 from repro.service import (
     PoisonSpec,
@@ -98,7 +99,7 @@ def check_isolation(baseline_trace, clean_trace, failures, label):
 
 def check_reclaim(failures):
     """A lone poisoned job must leave zero flash footprint behind."""
-    graph = load_dataset("twitter", SCALE, seed=1)
+    graph = build_graph("twitter", SCALE, seed=1)
     system = make_system("grafboost", SCALE,
                          num_vertices_hint=graph.num_vertices, durable=True)
     flash_graph = system.load_graph(graph)
@@ -133,14 +134,14 @@ def main(argv=None) -> int:
         worker_counts = [1, 2, 4]
         plans = [None, "seed=3,ops=40", "at=300/1500/4000"]
 
-    graph = load_dataset("twitter", SCALE, seed=1)
+    graph = build_graph("twitter", SCALE, seed=1)
     rows = []
     failures: list[str] = []
     for mode in modes:
         baseline = run_cell(graph, 1, mode)
         clean = run_cell(graph, 1, mode, poison=False)
         check_isolation(baseline.trace, clean.trace, failures, mode)
-        if baseline.jobs_quarantined < 1 or baseline.jobs_cancelled < 1:
+        if baseline.quarantined < 1 or baseline.cancelled < 1:
             failures.append(f"{mode}: chaos workload missed a failure path")
         for workers in worker_counts:
             for plan in plans:
@@ -155,8 +156,8 @@ def main(argv=None) -> int:
                 rows.append([
                     mode, workers, plan or "-",
                     "yes" if identical else "NO",
-                    cell.jobs_done, cell.jobs_quarantined,
-                    cell.jobs_cancelled, cell.retries,
+                    len(cell.jobs_by_state("done")), cell.quarantined,
+                    cell.cancelled, cell.retries,
                     f"{cell.power_losses}/{cell.remounts}",
                 ])
     check_reclaim(failures)

@@ -8,9 +8,8 @@ with the experiment.
 
 import pytest
 
-from repro.graph.datasets import DATASETS
+from repro.graph.datasets import DATASETS, build_graph
 from repro.graph.formats import FlashCSR
-from repro.harness import load_dataset
 from repro.perf.report import emit_results, format_table, human_bytes
 
 SCALES = {
@@ -28,7 +27,7 @@ TEXT_BYTES_PER_EDGE = 21
 def build_rows():
     rows = []
     for name, dataset in DATASETS.items():
-        graph = load_dataset(name, SCALES[name])
+        graph = build_graph(name, SCALES[name])
         binary = (graph.num_vertices + 1) * 8 + graph.num_edges * 8
         rows.append([
             name,

@@ -11,7 +11,8 @@ same columns from the simulated clock:
 * FlashGraph / X-Stream: all 32 cores busy (3200%).
 """
 
-from repro.harness import load_dataset, run_cell
+from repro.graph.datasets import build_graph
+from repro.harness import run_cell
 from repro.perf.report import emit_results, format_table, human_bytes
 
 SCALE = 2.0 ** -16
@@ -25,7 +26,7 @@ GRAFBOOST_HOST_CPU = 200
 
 
 def run_table():
-    graph = load_dataset(DATASET, SCALE)
+    graph = build_graph(DATASET, SCALE)
     rows = []
     for system in SYSTEMS:
         cell = run_cell(system, graph, "pagerank", scale=SCALE, dataset=DATASET)

@@ -21,15 +21,16 @@ import sys
 from repro.engine.modes import MODES as EXECUTION_MODES
 from repro.flash.device import FlashError
 from repro.flash.faults import CrashPlan, FaultPlan
-from repro.graph.datasets import DATASETS, DEFAULT_SCALE
+from repro.graph.datasets import DATASETS, DEFAULT_SCALE, build_graph
 from repro.harness import (
     ALGORITHMS,
     BASELINE_SYSTEMS,
+    CRASH_ALGORITHMS,
     GRAFBOOST_FAMILY,
-    load_dataset,
     results_by,
     run_cell,
     run_matrix,
+    run_service_cell,
 )
 from repro.perf.profiles import (
     GRAFBOOST,
@@ -46,18 +47,9 @@ from repro.perf.report import (
     superstep_timeline,
     wear_rows,
 )
+from repro.service import TenantQuota, demo_quotas, demo_workload, parse_job_spec
 
 ALL_SYSTEMS = list(GRAFBOOST_FAMILY) + list(BASELINE_SYSTEMS)
-
-#: ``run`` flags (and their argparse dests) that configure the simulated
-#: flash stack; the baseline strategy models have none to configure.  Each
-#: defaults to None or False, so the guard in ``cmd_run`` sees exactly the
-#: flags given; ``cmd_run`` fills in the real defaults.
-_FLASH_STACK_FLAGS = (
-    ("--timeline", "timeline"), ("--faults", "faults"), ("--crash", "crashes"),
-    ("--checkpoint-every", "checkpoint_every"), ("--sanitize", "sanitize"),
-    ("--workers", "workers"), ("--mode", "mode"),
-)
 
 
 def _parse_scale(text: str) -> float:
@@ -76,27 +68,14 @@ def _int_at_least(minimum: int):
     return integer
 
 
-def _parse_faults(text: str) -> FaultPlan:
-    try:
-        return FaultPlan.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_crashes(text: str) -> CrashPlan:
-    try:
-        return CrashPlan.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_job(text: str):
-    from repro.service import parse_job_spec
-
-    try:
-        return parse_job_spec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _spec(parse):
+    """An argparse type from a spec parser: its ValueError is a usage error."""
+    def parsed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parsed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,57 +90,69 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("profiles", help="list the hardware profiles (§V platforms)")
 
-    run = sub.add_parser("run", help="run one system on one algorithm")
+    # The dataset a run, serve or compare builds.
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", choices=sorted(DATASETS), default="kron28")
+    dataset.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE)
+    dataset.add_argument("--seed", type=_int_at_least(0), default=1)
+
+    # Flags that configure the simulated flash stack.  Each defaults to None
+    # or False, so ``cmd_run`` sees exactly the flags given and refuses them
+    # for a baseline model; the commands fill in the real defaults.
+    stack = argparse.ArgumentParser(add_help=False)
+    stack_flags = [
+        stack.add_argument(
+            "--faults", type=_spec(FaultPlan.parse), metavar="SPEC",
+            help="seeded fault-injection plan for the flash device, "
+                 "e.g. seed=3,ber=5e-5,pfail=1e-4"),
+        stack.add_argument(
+            "--crash", type=_spec(CrashPlan.parse), metavar="SPEC",
+            dest="crashes",
+            help="seeded power-loss plan, e.g. seed=3,ops=5 or "
+                 "at=120/4000/9000; each crash kills the stack mid-run, "
+                 "which then remounts and resumes from the latest "
+                 "checkpoint (run supports "
+                 + ", ".join(CRASH_ALGORITHMS) + ")"),
+        stack.add_argument(
+            "--workers", type=_int_at_least(1), metavar="N",
+            help="sort-reduce worker processes (default: 1); results, "
+                 "simulated time and the service trace are bit-identical "
+                 "for any N"),
+        stack.add_argument(
+            "--mode", choices=list(EXECUTION_MODES),
+            help="engine execution mode (default: sortreduce); adaptive "
+                 "picks per superstep and reports the decision trace"),
+    ]
+
+    run = sub.add_parser(
+        "run", parents=[dataset, stack],
+        help="run one system on one algorithm",
+        description="Run one system on one algorithm.  The flash-stack "
+                    "flags apply to the GraFBoost-family systems only.")
     run.add_argument("--system", choices=ALL_SYSTEMS, default="GraFBoost")
     run.add_argument("--algorithm", choices=list(ALGORITHMS), default="bfs")
-    run.add_argument("--dataset", choices=sorted(DATASETS), default="kron28")
-    run.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE)
-    run.add_argument("--seed", type=_int_at_least(0), default=1)
-    run.add_argument("--timeline", action="store_true",
-                     help="print the per-superstep breakdown")
-    run.add_argument("--faults", type=_parse_faults, default=None,
-                     metavar="SPEC",
-                     help="seeded fault-injection plan for the flash device, "
-                          "e.g. seed=3,ber=5e-5,pfail=1e-4 (GraFBoost-family "
-                          "systems only)")
-    run.add_argument("--crash", type=_parse_crashes, default=None,
-                     metavar="SPEC", dest="crashes",
-                     help="seeded power-loss plan, e.g. seed=3,ops=5 or "
-                          "at=120/4000/9000; each crash kills the stack "
-                          "mid-run, which then remounts and resumes from "
-                          "the latest checkpoint (pagerank/bfs on "
-                          "GraFBoost-family systems)")
-    run.add_argument("--checkpoint-every", type=_int_at_least(0), default=None,
-                     metavar="N",
-                     help="checkpoint engine state every N supersteps "
-                          "(default: 4 when --crash is given, else off)")
-    run.add_argument("--sanitize", action="store_true",
-                     help="attach FlashSan, the runtime flash-invariant "
-                          "sanitizer, to the simulated device (GraFBoost-"
-                          "family systems; equivalent to REPRO_SANITIZE=1)")
-    run.add_argument("--workers", type=_int_at_least(1), default=None,
-                     metavar="N",
-                     help="sort-reduce worker processes for the GraFBoost-"
-                          "family engines (default: 1); "
-                          "results and simulated time are bit-identical "
-                          "for any N")
-    run.add_argument("--mode", choices=list(EXECUTION_MODES), default=None,
-                     help="engine execution mode for the GraFBoost-family "
-                          "systems (default: sortreduce); "
-                          "adaptive picks per superstep and reports the "
-                          "decision trace")
+    stack_flags += [
+        run.add_argument("--timeline", action="store_true",
+                         help="print the per-superstep breakdown"),
+        run.add_argument("--checkpoint-every", type=_int_at_least(0),
+                         metavar="N",
+                         help="checkpoint engine state every N supersteps "
+                              "(default: 4 when --crash is given, else off)"),
+        run.add_argument("--sanitize", action="store_true",
+                         help="attach FlashSan, the runtime flash-invariant "
+                              "sanitizer, to the simulated device "
+                              "(equivalent to REPRO_SANITIZE=1)"),
+    ]
+    run.set_defaults(stack_flags=stack_flags)
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[dataset, stack],
         help="drive a multi-tenant service workload (analytics jobs + "
              "point queries) and print the deterministic scheduler trace")
     serve.add_argument("--system", choices=list(GRAFBOOST_FAMILY),
                        default="GraFBoost")
-    serve.add_argument("--dataset", choices=sorted(DATASETS), default="kron28")
-    serve.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE)
-    serve.add_argument("--seed", type=_int_at_least(0), default=1)
     serve.add_argument("--job", action="append", dest="jobs", metavar="SPEC",
-                       type=_parse_job,
+                       type=_spec(parse_job_spec),
                        help="submit one job: tenant:kind[:k=v,...][@round], "
                             "e.g. t0:pagerank:iters=2, "
                             "t1:neighborhood:v=5,depth=2, "
@@ -178,30 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="TENANT=R/Q/P",
                        help="per-tenant quota: max running/queued analytics "
                             "runs and outstanding point queries, e.g. "
-                            "t0=1/0/8 (repeatable)")
-    serve.add_argument("--faults", type=_parse_faults, default=None,
-                       metavar="SPEC",
-                       help="seeded fault-injection plan (as in run)")
-    serve.add_argument("--crash", type=_parse_crashes, default=None,
-                       metavar="SPEC", dest="crashes",
-                       help="seeded power-loss plan; job state and engine "
-                            "checkpoints are journaled on flash, so the "
-                            "service recovers with a bit-identical trace")
-    serve.add_argument("--workers", type=_int_at_least(1), default=1,
-                       metavar="N",
-                       help="sort-reduce worker processes (default: 1; "
-                            "trace is bit-identical for any N)")
-    serve.add_argument("--mode", choices=list(EXECUTION_MODES),
-                       default="sortreduce",
-                       help="engine execution mode for the analytics jobs "
-                            "(default: sortreduce)")
+                            "t0=1/0/8 (repeatable, once per tenant)")
 
-    compare = sub.add_parser("compare", help="run a figure-style matrix")
-    compare.add_argument("--dataset", choices=sorted(DATASETS), default="kron28")
+    compare = sub.add_parser("compare", parents=[dataset],
+                             help="run a figure-style matrix")
     compare.add_argument("--systems", default="GraFBoost,GraFBoost2,GraFSoft")
     compare.add_argument("--algorithms", default="pagerank,bfs")
-    compare.add_argument("--scale", type=_parse_scale, default=DEFAULT_SCALE)
-    compare.add_argument("--seed", type=_int_at_least(0), default=1)
     return parser
 
 
@@ -249,28 +222,25 @@ def _cannot_run(args, what: str, error: Exception) -> int:
 
 
 def cmd_run(args) -> int:
-    # NB: --timeline is handled *after* all flag validation and goes through
-    # run_cell like every other invocation, so it composes with --faults/
-    # --crash/--sanitize/--checkpoint-every instead of silently dropping
-    # them (it used to return early through a separate bare-engine path).
     # A flash-stack flag on a baseline model is refused, never ignored.
     if args.system not in GRAFBOOST_FAMILY:
-        for flag, dest in _FLASH_STACK_FLAGS:
-            value = getattr(args, dest)
+        for flag in args.stack_flags:
+            value = getattr(args, flag.dest)
             if value is not None and value is not False:
-                print(f"{flag} only applies to the simulated flash stacks "
-                      f"({', '.join(GRAFBOOST_FAMILY)}), not {args.system}",
-                      file=sys.stderr)
+                print(f"{flag.option_strings[0]} only applies to the simulated "
+                      f"flash stacks ({', '.join(GRAFBOOST_FAMILY)}), not "
+                      f"{args.system}", file=sys.stderr)
                 return 2
-    if args.crashes is not None and args.algorithm not in ("pagerank", "bfs"):
-        print("--crash supports pagerank and bfs (multi-phase "
-              "algorithms have no checkpoint protocol)", file=sys.stderr)
+    if args.crashes is not None and args.algorithm not in CRASH_ALGORITHMS:
+        print(f"--crash supports {', '.join(CRASH_ALGORITHMS)}, not "
+              f"{args.algorithm} (multi-phase algorithms have no checkpoint "
+              f"protocol)", file=sys.stderr)
         return 2
     checkpoint_every = args.checkpoint_every
     if checkpoint_every is None:
         checkpoint_every = 4 if args.crashes is not None else 0
     try:
-        graph = load_dataset(args.dataset, args.scale, seed=args.seed)
+        graph = build_graph(args.dataset, args.scale, seed=args.seed)
         print(f"{args.dataset} @ scale {args.scale:g}: "
               f"{graph.num_vertices:,} vertices, {graph.num_edges:,} edges")
         cell = run_cell(args.system, graph, args.algorithm, scale=args.scale,
@@ -326,9 +296,6 @@ def cmd_run(args) -> int:
 
 def cmd_serve(args) -> int:
     """Drive a multi-tenant service workload and print the scheduler trace."""
-    from repro.harness import run_service_cell
-    from repro.service import TenantQuota, demo_quotas, demo_workload
-
     jobs = list(args.jobs or [])
     quotas: dict[str, TenantQuota] = {}
     if args.demo:
@@ -338,62 +305,59 @@ def cmd_serve(args) -> int:
         print("serve needs at least one --job SPEC (or --demo)",
               file=sys.stderr)
         return 2
+    given: set[str] = set()
     for quota_spec in args.quotas or []:
         try:
             tenant, quota = _parse_quota(quota_spec)
+            if tenant in given:
+                raise ValueError(f"--quota given twice for tenant {tenant!r}")
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        given.add(tenant)
         quotas[tenant] = quota
     try:
-        cell = run_service_cell(args.system, load_dataset(
-                                    args.dataset, args.scale, seed=args.seed),
-                                jobs, scale=args.scale,
-                                quotas=quotas or None, dataset=args.dataset,
-                                faults=args.faults, crashes=args.crashes,
-                                workers=args.workers, mode=args.mode)
+        report = run_service_cell(
+            args.system, build_graph(args.dataset, args.scale, seed=args.seed),
+            jobs, scale=args.scale, quotas=quotas or None,
+            dataset=args.dataset, faults=args.faults, crashes=args.crashes,
+            workers=args.workers or 1, mode=args.mode or "sortreduce")
     except (ValueError, MemoryError) as e:
         return _cannot_run(args, f"serve on {args.system}", e)
     except (FlashError, RuntimeError) as e:
         print(f"serve: aborted on {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     print("Scheduler trace")
-    for line in cell.trace:
+    for line in report.trace:
         print(f"  {line}")
-    rows = [
-        ["system", cell.system],
-        ["jobs done", cell.jobs_done],
-        ["jobs rejected", cell.jobs_rejected],
-        ["jobs failed", cell.jobs_failed],
-        ["scheduler rounds", cell.rounds],
-        ["simulated time", human_seconds(cell.elapsed_s)],
-        ["flash traffic", human_bytes(cell.flash_bytes)],
+    rows = [["system", args.system]]
+    rows += [[f"jobs {state}", len(report.jobs_by_state(state))]
+             for state in ("done", "rejected", "failed")]
+    rows += [
+        ["scheduler rounds", report.rounds],
+        ["simulated time", human_seconds(report.elapsed_s)],
+        ["flash traffic", human_bytes(report.flash_bytes)],
     ]
-    if cell.jobs_quarantined:
-        rows.append(["jobs quarantined", cell.jobs_quarantined])
-    if cell.jobs_cancelled:
-        rows.append(["jobs cancelled", cell.jobs_cancelled])
-    if cell.retries:
-        rows.append(["job retries", cell.retries])
-    if cell.failures:
-        rows.append(["flash failures", cell.failures])
-    if cell.degraded_rejections:
-        rows.append(["degraded rejections", cell.degraded_rejections])
+    for name, count in (("jobs quarantined", report.quarantined),
+                        ("jobs cancelled", report.cancelled),
+                        ("job retries", report.retries),
+                        ("flash failures", report.failures),
+                        ("degraded rejections", report.degraded_rejections)):
+        if count:
+            rows.append([name, count])
     if args.crashes is not None:
         rows += [
-            ["power losses", f"{cell.power_losses:,}"],
-            ["remounts", f"{cell.remounts:,}"],
+            ["power losses", f"{report.power_losses:,}"],
+            ["remounts", f"{report.remounts:,}"],
         ]
     rows += [[name, value] for name, value
-             in wear_rows(cell.wear, cell.lifetime_writes_remaining)]
+             in wear_rows(report.wear, report.lifetime_writes_remaining)]
     print(format_table(["metric", "value"], rows))
     return 0
 
 
 def _parse_quota(text: str):
     """``tenant=running/queued/point`` → (tenant, TenantQuota)."""
-    from repro.service import TenantQuota
-
     tenant, sep, body = text.partition("=")
     parts = body.split("/")
     if not sep or not tenant or len(parts) != 3:
@@ -409,18 +373,24 @@ def _parse_quota(text: str):
         raise ValueError(f"bad quota {text!r}; {exc}") from None
 
 
+def _compare_names(flag: str, text: str, known) -> list[str]:
+    """One ``compare`` list: at least one name, each of them known."""
+    what = flag.removeprefix("--")
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in known]
+    if unknown or not names:
+        problem = f"unknown {what}: {', '.join(unknown)}" if unknown \
+            else f"{flag} names no {what}"
+        raise ValueError(f"{problem} (known: {', '.join(known)})")
+    return names
+
+
 def cmd_compare(args) -> int:
-    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    unknown = [s for s in systems if s not in ALL_SYSTEMS]
-    if unknown:
-        print(f"unknown systems: {', '.join(unknown)} "
-              f"(known: {', '.join(ALL_SYSTEMS)})", file=sys.stderr)
-        return 2
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        print(f"unknown algorithms: {', '.join(unknown)} "
-              f"(known: {', '.join(ALGORITHMS)})", file=sys.stderr)
+    try:
+        systems = _compare_names("--systems", args.systems, ALL_SYSTEMS)
+        algorithms = _compare_names("--algorithms", args.algorithms, ALGORITHMS)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     try:
         results = run_matrix(systems, algorithms, args.dataset, scale=args.scale,

@@ -46,7 +46,6 @@ that raises it) and is re-exported here for convenience.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
@@ -118,6 +117,31 @@ def _spec_int(raw: str) -> int:
     if not value.is_integer():
         raise ValueError(f"{raw!r} is not an integer")
     return int(value)
+
+
+def split_spec(spec: str, what: str) -> dict[str, str]:
+    """Split a ``key=value,...`` spec into a key -> raw value map.
+
+    Blank entries are skipped; an entry without ``=`` and a repeated key are
+    errors, named by ``what`` (``"fault"``, ``"crash"``, ``"job"``).  Each
+    caller owns its keys and their value types.
+
+    >>> split_spec("seed=3, ber=5e-5,", "fault")
+    {'seed': '3', 'ber': '5e-5'}
+    """
+    entries: dict[str, str] = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, raw = part.partition("=")
+        if not sep:
+            raise ValueError(f"{what} spec entry {part!r} is not key=value")
+        key = key.strip()
+        if key in entries:
+            raise ValueError(f"duplicate {what} spec key {key!r}")
+        entries[key] = raw.strip()
+    return entries
 
 
 #: Remounts after which the crash recovery driver
@@ -195,14 +219,7 @@ class CrashPlan:
         (10, 250, 9000)
         """
         kwargs: dict[str, object] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"crash spec entry {part!r} is not key=value")
-            key, _, raw = part.partition("=")
-            key = key.strip()
+        for key, raw in split_spec(spec, "crash").items():
             if key not in _CRASH_SPEC_KEYS:
                 known = ", ".join(sorted(_CRASH_SPEC_KEYS))
                 raise ValueError(f"unknown crash spec key {key!r}; known: {known}")
@@ -365,27 +382,15 @@ class FaultPlan:
         >>> FaultPlan.parse("seed=3,ber=5e-5").read_ber
         5e-05
         """
-        field_names = {f.name for f in dataclasses.fields(FaultPlan)}
+        keys = {field: (field, cast) for field, cast in _SPEC_KEYS.values()}
+        keys.update(_SPEC_KEYS)
         kwargs: dict[str, object] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"fault spec entry {part!r} is not key=value")
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key in _SPEC_KEYS:
-                field, cast = _SPEC_KEYS[key]
-            elif key in field_names:
-                field = key
-                cast = int if key in ("seed", "pe_cycle_limit",
-                                      "ecc_correctable_bits",
-                                      "read_retry_limit") else float
-            else:
+        for key, raw in split_spec(spec, "fault").items():
+            if key not in keys:
                 known = ", ".join(sorted(_SPEC_KEYS))
                 raise ValueError(f"unknown fault spec key {key!r}; known: {known}")
-            if field in kwargs:
+            field, cast = keys[key]
+            if field in kwargs:   # a short name and its field name are one key
                 raise ValueError(f"duplicate fault spec key {key!r}")
             try:
                 kwargs[field] = _spec_int(raw) if cast is int else cast(raw)

@@ -22,7 +22,7 @@ RNG audit (repro-lint RL001): every function here constructs its own
 draws nothing from global or OS-entropy state (R-MAT edge blocks draw through
 copies of that generator's state, never seeded from anything else) — two
 calls with the same arguments produce byte-identical edge lists, which is what
-lets ``load_dataset`` cache built graphs and the invariance goldens stay pinned.
+lets ``build_graph`` cache built graphs and the invariance goldens stay pinned.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ bars and ``*`` marks in the figures.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from repro.flash.wear import WearReport, lifetime_writes_remaining
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DEFAULT_SCALE, build_graph
 from repro.perf.profiles import GB, GRAFBOOST, HardwareProfile, SERVER_SSD_ARRAY
+from repro.service.scheduler import ServiceReport
 import dataclasses
 
 #: Fig 15 configuration: "GraFBoost also used only one flash card ...
@@ -48,79 +48,10 @@ GRAFBOOST_FAMILY = ("GraFBoost", "GraFBoost2", "GraFSoft")
 _BASELINE_CLASSES = {cls.name: cls for cls in BASELINE_ENGINES}
 BASELINE_SYSTEMS = tuple(_BASELINE_CLASSES)
 ALGORITHMS = ("pagerank", "bfs", "bc")
-
-#: In-process graph cache budget.  Deliberately small — a long-lived
-#: service process must not accumulate every graph it ever loaded.
-GRAPH_CACHE_DEFAULT_BYTES = 256 * 1024 * 1024
-
-
-class GraphCache:
-    """A byte-budgeted LRU over built datasets, keyed ``(name, scale, seed)``.
-
-    The most recently used entry is always kept, even when it alone exceeds
-    the budget — back-to-back loads of the same key must return the same
-    object (callers rely on identity for cross-run comparisons); the budget
-    only bounds what *accumulates* beyond that.
-    """
-
-    def __init__(self, budget_bytes: int = GRAPH_CACHE_DEFAULT_BYTES):
-        self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[tuple, CSRGraph]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def current_bytes(self) -> int:
-        return sum(g.nbytes for g in self._entries.values())
-
-    def get(self, key: tuple) -> CSRGraph | None:
-        graph = self._entries.get(key)
-        if graph is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return graph
-
-    def put(self, key: tuple, graph: CSRGraph) -> None:
-        self._entries[key] = graph
-        self._entries.move_to_end(key)
-        while len(self._entries) > 1 and self.current_bytes > self.budget_bytes:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> dict:
-        return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses, "evictions": self.evictions,
-                "current_bytes": self.current_bytes,
-                "budget_bytes": self.budget_bytes}
-
-
-_GRAPH_CACHE = GraphCache()
-
-
-def load_dataset(name: str, scale: float = DEFAULT_SCALE, seed: int = 1) -> CSRGraph:
-    """Build (and memoize) a dataset at the requested scale.
-
-    In-process results go through the byte-budgeted :class:`GraphCache`;
-    across processes,
-    :func:`repro.graph.datasets.build_graph` persists built graphs to the
-    on-disk dataset cache (``REPRO_DATASET_CACHE``), so repeated benchmark
-    invocations skip synthesis entirely.
-    """
-    key = (name, scale, seed)
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None:
-        graph = build_graph(name, scale, seed=seed)
-        _GRAPH_CACHE.put(key, graph)
-    return graph
+#: The algorithms that run under a crash plan: each is one vertex program
+#: with a checkpoint protocol.  Betweenness centrality's two phases would
+#: need per-phase checkpoint names.
+CRASH_ALGORITHMS = ("pagerank", "bfs")
 
 
 def default_root(graph: CSRGraph) -> int:
@@ -224,10 +155,9 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
     latest checkpoint.  Op indices are device-lifetime, so remounts and
     re-execution *drain* the finite schedule even with
     ``checkpoint_every=0``, and the final vertex values are bit-identical
-    to an uninterrupted run.  Only the single-program algorithms run under
-    a crash plan (``pagerank``, ``bfs``); multi-phase drivers like
-    betweenness centrality would need per-phase checkpoint names.  With no
-    crash plan nothing is ever caught and this is the plain run.
+    to an uninterrupted run.  Only :data:`CRASH_ALGORITHMS` run under a
+    crash plan.  With no crash plan nothing is ever caught and this is the
+    plain run.
 
     ``sanitize`` attaches FlashSan to the device (``None`` defers to
     ``REPRO_SANITIZE``).  ``workers`` turns on parallel sort-reduce;
@@ -238,8 +168,9 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if crashes is not None and algorithm == "bc":
-        raise ValueError("crash injection supports pagerank/bfs, not 'bc'")
+    if crashes is not None and algorithm not in CRASH_ALGORITHMS:
+        raise ValueError(f"crash injection supports "
+                         f"{'/'.join(CRASH_ALGORITHMS)}, not {algorithm!r}")
     system = make_system(kind.lower(), scale, dram_bytes=dram_bytes,
                          num_vertices_hint=graph.num_vertices, profile=profile,
                          faults=faults, crashes=crashes,
@@ -384,34 +315,6 @@ def run_cell(system: str, graph: CSRGraph, algorithm: str,
                                scale=scale, cutoff_s=cutoff_s, dataset=dataset)
 
 
-@dataclass
-class ServiceCellResult:
-    """One service workload cell: a job mix driven to completion."""
-
-    system: str
-    dataset: str
-    jobs_done: int
-    jobs_rejected: int
-    jobs_failed: int
-    rounds: int
-    remounts: int
-    power_losses: int
-    rejections: int
-    elapsed_s: float
-    flash_bytes: int
-    trace: list[str]
-    jobs: list
-    # Failure-domain outcome counters (all zero on a fault-free run).
-    jobs_quarantined: int = 0
-    jobs_cancelled: int = 0
-    retries: int = 0
-    failures: int = 0
-    degraded_rejections: int = 0
-    # Device wear at the end of the cell.
-    wear: WearReport | None = None
-    lifetime_writes_remaining: float = 1.0
-
-
 def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
                      scale: float = DEFAULT_SCALE,
                      quotas=None, config=None,
@@ -419,14 +322,17 @@ def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
                      faults=None, crashes=None,
                      sanitize: bool | None = None,
                      workers: int = 1,
-                     mode: str = "sortreduce") -> ServiceCellResult:
+                     mode: str = "sortreduce") -> ServiceReport:
     """Run a multi-tenant service workload on a GraFBoost-family stack.
 
     ``jobs`` is a list of job specs (strings in the CLI syntax or
     :class:`~repro.service.JobSpec` instances) submitted before the
     scheduler starts.  The stack is always built durable: job state lives in
     an on-flash journal, so the cell survives ``crashes`` power-loss
-    injection with a bit-identical scheduler trace.
+    injection with a bit-identical scheduler trace.  Returns the scheduler's
+    report, whose ``elapsed_s`` and ``flash_bytes`` span the graph load and
+    the whole run.  ``dataset`` is accepted, like :func:`run_cell`'s, but
+    the report does not carry it.
     """
     if kind not in GRAFBOOST_FAMILY:
         raise ValueError(
@@ -442,27 +348,9 @@ def run_service_cell(kind: str, graph: CSRGraph, jobs: list,
                                  default_root=default_root(graph))
     service.submit_all(jobs)
     report = service.run()
-    return ServiceCellResult(
-        system=kind, dataset=dataset,
-        jobs_done=len(report.jobs_by_state("done")),
-        jobs_rejected=len(report.jobs_by_state("rejected")),
-        jobs_failed=len(report.jobs_by_state("failed")),
-        rounds=report.rounds,
-        remounts=report.remounts,
-        power_losses=report.power_losses,
-        rejections=report.rejections,
-        elapsed_s=system.clock.elapsed_s - start_s,
-        flash_bytes=system.clock.bytes_moved("flash"),
-        trace=report.trace,
-        jobs=report.jobs,
-        jobs_quarantined=report.quarantined,
-        jobs_cancelled=report.cancelled,
-        retries=report.retries,
-        failures=report.failures,
-        degraded_rejections=report.degraded_rejections,
-        wear=report.wear,
-        lifetime_writes_remaining=report.lifetime_writes_remaining,
-    )
+    report.elapsed_s = system.clock.elapsed_s - start_s
+    report.flash_bytes = system.clock.bytes_moved("flash")
+    return report
 
 
 def run_matrix(systems: list[str], algorithms: list[str], dataset: str,
@@ -475,7 +363,7 @@ def run_matrix(systems: list[str], algorithms: list[str], dataset: str,
     manually) is ``patience_factor`` times the slowest completed
     GraFBoost-family time per algorithm.
     """
-    graph = load_dataset(dataset, scale, seed)
+    graph = build_graph(dataset, scale, seed=seed)
     results: list[WorkloadResult] = []
     for algorithm in algorithms:
         reference_times: list[float] = []

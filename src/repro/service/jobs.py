@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.flash.faults import split_spec
+
 ANALYTICS_KINDS = ("pagerank", "bfs", "cc")
 POINT_KINDS = ("neighborhood", "path", "vstate")
 #: Control operations: processed at arrival, never scheduled.  ``cancel``
@@ -113,14 +115,9 @@ def parse_job_spec(text: str) -> JobSpec:
     if len(pieces) < 2:
         raise ValueError(
             f"job spec {text!r} needs tenant:kind[:params][@round]")
-    tenant, kind = pieces[0], pieces[1]
-    params: dict = {}
-    if len(pieces) == 3 and pieces[2]:
-        for pair in pieces[2].split(","):
-            k, sep, v = pair.partition("=")
-            if not sep:
-                raise ValueError(f"bad param {pair!r} in job spec {text!r}")
-            params[k.strip()] = _parse_param(v.strip())
+    tenant, kind, *rest = pieces
+    params = {key: _parse_param(raw)
+              for key, raw in split_spec("".join(rest), "job").items()}
     deadline = params.pop("deadline", 0)
     if not isinstance(deadline, int):
         raise ValueError(f"deadline must be an integer round count, "

@@ -165,6 +165,10 @@ class ServiceReport:
     #: Device wear at the end of the run (see :mod:`repro.flash.wear`).
     wear: WearReport | None = None
     lifetime_writes_remaining: float = 1.0
+    #: Simulated seconds and flash bytes of the whole cell, graph load
+    #: included; set by :func:`repro.harness.run_service_cell`.
+    elapsed_s: float = 0.0
+    flash_bytes: int = 0
 
     def jobs_by_state(self, state: str) -> list:
         return [j for j in self.jobs if j.state == state]

@@ -32,8 +32,9 @@ from repro.engine.modes import (
 from repro.engine.superstep import SCAN_EDGES_PER_CHUNK
 from repro.flash.faults import CrashPlan
 from repro.graph.csr import CSRGraph
+from repro.graph.datasets import build_graph
 from repro.graph.formats import FlashCSR
-from repro.harness import default_root, load_dataset, run_grafboost_system
+from repro.harness import default_root, run_grafboost_system
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFSOFT
 
@@ -41,7 +42,7 @@ SCALE = 1 / 65536
 
 
 def _load():
-    return load_dataset("kron30", scale=SCALE, seed=7)
+    return build_graph("kron30", SCALE, seed=7)
 
 
 def _run(graph, algorithm, mode, workers=1, system_kind="grafsoft"):
@@ -308,7 +309,7 @@ def test_semiexternal_clock_unchanged_on_a_frontier_of_several_push_batches():
     # distinct keys of one push, so the batches must reach it as one update.
     # Pinned numbers: read when a push built all its update pairs at once.
     scale = 2.0 ** -15
-    graph = load_dataset("kron30", scale=scale, seed=7)
+    graph = build_graph("kron30", scale, seed=7)
     system = make_system("grafsoft", scale, num_vertices_hint=graph.num_vertices,
                          mode="semiexternal")
     engine = system.engine_for(system.load_graph(graph), graph.num_vertices)
@@ -405,7 +406,7 @@ def test_adaptive_near_best_static_mode(regime):
     # The adaptive contract: within 10% of the best static mode on every
     # regime, and strictly faster than the worst.
     dataset, algorithm, scale, kwargs = MODE_REGIMES[regime]
-    graph = load_dataset(dataset, scale=scale, seed=7)
+    graph = build_graph(dataset, scale, seed=7)
     elapsed = {mode: run_grafboost_system("GraFSoft", graph, algorithm,
                                           scale=scale, dataset=dataset,
                                           mode=mode, **kwargs).elapsed_s

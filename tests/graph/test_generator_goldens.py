@@ -1,6 +1,6 @@
 """Byte-level goldens for everything ``build_graph`` synthesizes.
 
-``load_dataset`` caches built graphs on disk keyed by
+``build_graph`` caches built graphs on disk keyed by
 ``DATASET_CACHE_VERSION`` and the invariance goldens pin simulated numbers of
 runs over these graphs, so a generator or CSR change that moves one byte must
 either be a deliberate, versioned change or a bug.  The digests below were

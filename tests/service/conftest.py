@@ -3,14 +3,14 @@
 import pytest
 
 from repro.engine.config import make_system
-from repro.harness import load_dataset
+from repro.graph.datasets import build_graph
 
 SCALE = 2.0 ** -16
 
 
 @pytest.fixture()
 def service_graph():
-    return load_dataset("twitter", SCALE, seed=1)
+    return build_graph("twitter", SCALE, seed=1)
 
 
 @pytest.fixture()

@@ -65,7 +65,7 @@ def test_run_out_of_host_memory_is_a_usage_error(capsys, monkeypatch):
     def build(dataset, scale, seed):
         raise MemoryError("Unable to allocate 5.50 GiB for an array")
 
-    monkeypatch.setattr(repro.cli, "load_dataset", build)
+    monkeypatch.setattr(repro.cli, "build_graph", build)
     code, out, err = run_cli(capsys, "run", "--dataset", "twitter",
                              "--scale", "0.5")
     assert code == 2 and out == ""
@@ -83,17 +83,23 @@ def test_compare_matrix(capsys):
 
 
 def test_compare_rejects_unknown_system(capsys):
-    code, _, err = run_cli(capsys, "compare", "--systems", "Spark",
-                           "--algorithms", "pagerank")
-    assert code == 2
-    assert "unknown systems" in err
+    # An empty list used to exit 0 and print an empty table.
+    for systems, message in (("Spark", "unknown systems: Spark"),
+                             ("", "--systems names no systems"),
+                             (" , ", "--systems names no systems")):
+        code, _, err = run_cli(capsys, "compare", "--systems", systems,
+                               "--algorithms", "pagerank")
+        assert code == 2, systems
+        assert message in err
 
 
 def test_compare_rejects_unknown_algorithm(capsys):
-    code, _, err = run_cli(capsys, "compare", "--systems", "GraFSoft",
-                           "--algorithms", "trianglecount")
-    assert code == 2
-    assert "unknown algorithms" in err
+    for algorithms, message in (("trianglecount", "unknown algorithms"),
+                                ("", "--algorithms names no algorithms")):
+        code, _, err = run_cli(capsys, "compare", "--systems", "GraFSoft",
+                               "--algorithms", algorithms)
+        assert code == 2, algorithms
+        assert message in err
 
 
 def test_scale_validation():
@@ -140,12 +146,14 @@ def test_crash_count_is_bounded_by_the_parser(command, ops, capsys):
     ("ecc=inf", "bad value 'inf' for fault key 'ecc'"),
     ("ecc=3.7", "bad value '3.7' for fault key 'ecc'"),
     ("seed=1,seed=2", "duplicate fault spec key 'seed'"),
+    ("ops=3,ops=7", "duplicate crash spec key 'ops'"),
 ])
 def test_fault_spec_errors_are_usage_errors(command, spec, message, capsys):
     # The integer keys used to end in "OverflowError: cannot convert float
     # infinity to integer"; a repeated key silently kept the last value.
+    flag = "--crash" if "crash" in message else "--faults"
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--faults", spec])
+        main([*command, flag, spec])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 
@@ -241,19 +249,41 @@ def test_run_timeline_rejected_for_baselines(capsys):
     assert out == ""
 
 
+#: Values to give each flash-stack flag of ``run`` (none for a switch).
+STACK_FLAG_VALUES = {
+    "--faults": [["seed=3,ber=5e-5"]], "--crash": [["at=300"]],
+    "--checkpoint-every": [["3"], ["0"]], "--workers": [["4"]],
+    "--mode": [["densescan"]], "--timeline": [[]], "--sanitize": [[]],
+}
+
+
 @pytest.mark.parametrize("flag", [
-    ["--faults", "seed=3,ber=5e-5"], ["--crash", "at=300"],
-    ["--checkpoint-every", "3"], ["--checkpoint-every", "0"], ["--sanitize"],
-    ["--workers", "4"], ["--mode", "densescan"],
+    [name, *value]
+    for name in (action.option_strings[0] for action
+                 in build_parser().parse_args(["run"]).stack_flags)
+    for value in STACK_FLAG_VALUES[name]
 ], ids=" ".join)
 def test_run_flash_stack_flags_rejected_for_baselines(capsys, flag):
-    # --checkpoint-every and --workers used to exit 0 and be ignored.
+    # Every flag the parser declares for the flash stack, so a new one cannot
+    # be silently ignored: --checkpoint-every and --workers used to exit 0.
     code, out, err = run_cli(capsys, "run", "--system", "FlashGraph",
                              "--algorithm", "bfs", "--dataset", "twitter",
                              "--scale", "6e-5", *flag)
     assert code == 2
     assert f"{flag[0]} only applies to the simulated flash stacks" in err
     assert out == ""
+
+
+def test_run_crash_refuses_multi_phase_algorithms(capsys, monkeypatch):
+    # Refused before the dataset is built, with the harness's list.
+    import repro.cli
+
+    monkeypatch.setattr(repro.cli, "build_graph", None)
+    code, out, err = run_cli(capsys, "run", "--algorithm", "bc",
+                             "--crash", "seed=1,ops=1")
+    assert code == 2 and out == ""
+    assert err == ("--crash supports pagerank, bfs, not bc (multi-phase "
+                   "algorithms have no checkpoint protocol)\n")
 
 
 def test_serve_demo(capsys):
@@ -331,6 +361,7 @@ def test_serve_rejects_bad_job_spec(capsys):
     ("t0:pagerank:iters=-1", "iters must be an integer >= 1"),
     ("t0:bfs:root=-4", "root must be an integer >= 0"),
     ("t0:cc:retries=x", "retries must be an integer >= 0"),
+    ("t0:bfs:root=1,root=2", "duplicate job spec key 'root'"),
 ])
 def test_serve_job_spec_errors_are_usage_errors(spec, message, capsys,
                                                 monkeypatch):
@@ -339,18 +370,29 @@ def test_serve_job_spec_errors_are_usage_errors(spec, message, capsys,
     # failure (retries).  Now they are refused before any dataset work.
     import repro.cli
 
-    monkeypatch.setattr(repro.cli, "load_dataset", None)
+    monkeypatch.setattr(repro.cli, "build_graph", None)
     with pytest.raises(SystemExit) as exc:
         main(["serve", "--dataset", "twitter", "--job", spec])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 
 
+def test_serve_rejects_repeated_quota_tenant(capsys, monkeypatch):
+    # The second --quota for a tenant used to replace the first silently.
+    import repro.cli
+
+    monkeypatch.setattr(repro.cli, "build_graph", None)
+    code, _, err = run_cli(capsys, "serve", "--job", "t0:bfs",
+                           "--quota", "t0=0/0/0", "--quota", "t0=1/0/8")
+    assert code == 2
+    assert err == "--quota given twice for tenant 't0'\n"
+
+
 @pytest.mark.parametrize("quota", ["t0=-3/-1/-2", "t0=1/-1/8", "t0=1/1/-1"])
 def test_serve_rejects_negative_quota(quota, capsys, monkeypatch):
     import repro.cli
 
-    monkeypatch.setattr(repro.cli, "load_dataset", None)
+    monkeypatch.setattr(repro.cli, "build_graph", None)
     code, _, err = run_cli(capsys, "serve", "--dataset", "twitter",
                            "--job", "t0:bfs", "--quota", quota)
     assert code == 2

@@ -7,12 +7,12 @@ from repro import harness
 from repro.engine.config import make_system
 from repro.flash.device import FlashRecoveryExhaustedError
 from repro.flash.faults import CrashPlan
+from repro.graph.datasets import build_graph
 from repro.harness import (
     GRAFBOOST_FAMILY,
     GRAFBOOST_ONE_CARD,
     WorkloadResult,
     default_root,
-    load_dataset,
     results_by,
     run_baseline_system,
     run_cell,
@@ -23,14 +23,6 @@ from repro.harness import (
 from repro.perf.profiles import SERVER_SSD_ARRAY
 
 SCALE = 2.0 ** -14
-
-
-def test_load_dataset_memoizes():
-    a = load_dataset("twitter", SCALE, seed=3)
-    b = load_dataset("twitter", SCALE, seed=3)
-    assert a is b
-    c = load_dataset("twitter", SCALE, seed=4)
-    assert c is not a
 
 
 def test_default_root_has_edges(tiny_graph):
@@ -47,7 +39,7 @@ def test_default_root_rejects_empty():
 
 
 def test_run_grafboost_system_all_algorithms():
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     for algorithm in ("pagerank", "bfs", "bc"):
         cell = run_grafboost_system("GraFBoost", graph, algorithm, scale=SCALE)
         assert cell.completed
@@ -56,7 +48,7 @@ def test_run_grafboost_system_all_algorithms():
 
 
 def test_run_grafboost_unknown_algorithm():
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     with pytest.raises(ValueError, match="algorithm"):
         run_grafboost_system("GraFBoost", graph, "kcore", scale=SCALE)
 
@@ -66,7 +58,7 @@ def test_graph_load_recovery_is_bounded_and_typed(monkeypatch, entry):
     """Every crash-path loop draws from the system's one remount budget.
     The serve entry's graph-load remount loop used to have no bound at all:
     it drained this plan and completed."""
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
 
     def two_remounts(*args, **kwargs):
         system = make_system(*args, **kwargs)
@@ -88,13 +80,13 @@ def test_graph_load_recovery_is_bounded_and_typed(monkeypatch, entry):
 
 
 def test_run_baseline_unknown_name():
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     with pytest.raises(KeyError, match="unknown baseline"):
         run_baseline_system("Pregel", graph, "bfs", SERVER_SSD_ARRAY.scaled(SCALE))
 
 
 def test_baseline_dnf_propagates():
-    graph = load_dataset("kron28", SCALE)
+    graph = build_graph("kron28", SCALE)
     cell = run_baseline_system("GraphLab", graph, "bfs",
                                SERVER_SSD_ARRAY.scaled(SCALE), scale=SCALE)
     assert not cell.completed
@@ -109,7 +101,7 @@ def test_baseline_cutoff_before_first_superstep_is_a_dnf(system, algorithm):
     """Patience that runs out in FlashGraph's untimed setup or GraphLab's
     timed load is a DNF like any other cutoff, not an escaping exception."""
     scale = 2.0 ** -16
-    graph = load_dataset("twitter", scale)
+    graph = build_graph("twitter", scale)
     cell = run_baseline_system(system, graph, algorithm,
                                SERVER_SSD_ARRAY.scaled(scale), scale=scale,
                                cutoff_s=1e-12)
@@ -118,13 +110,13 @@ def test_baseline_cutoff_before_first_superstep_is_a_dnf(system, algorithm):
 
 
 def test_run_baseline_unknown_algorithm():
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     with pytest.raises(ValueError, match="algorithm"):
         run_baseline_system("X-Stream", graph, "kcore", SERVER_SSD_ARRAY.scaled(SCALE))
 
 
 def test_run_cell_dispatch():
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     family = run_cell("GraFSoft", graph, "bfs", scale=SCALE)
     baseline = run_cell("FlashGraph", graph, "bfs", scale=SCALE)
     assert family.system in GRAFBOOST_FAMILY
@@ -133,7 +125,7 @@ def test_run_cell_dispatch():
 
 
 def test_run_cell_grafboost_profile_override():
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     two_cards = run_cell("GraFBoost", graph, "pagerank", scale=SCALE)
     one_card = run_cell("GraFBoost", graph, "pagerank", scale=SCALE,
                         grafboost_profile=GRAFBOOST_ONE_CARD)
@@ -160,77 +152,19 @@ def test_results_by_filters_algorithm():
     assert by_system["A"].elapsed_s == 1.0
 
 
-# ---------------------------------------------------------------- graph cache
-
-def test_graph_cache_evicts_in_lru_order():
-    from repro.harness import GraphCache
-
-    small = load_dataset("twitter", 2.0 ** -18, seed=1)
-    cache = GraphCache(budget_bytes=small.nbytes * 2 + 1)
-    cache.put(("a",), small)
-    cache.put(("b",), small)
-    assert cache.get(("a",)) is small      # refresh "a": "b" is now oldest
-    cache.put(("c",), small)               # over budget, evict "b"
-    assert len(cache) == 2
-    assert cache.get(("b",)) is None
-    assert cache.get(("a",)) is small and cache.get(("c",)) is small
-    assert cache.evictions == 1
-
-
-def test_graph_cache_keeps_most_recent_even_over_budget():
-    from repro.harness import GraphCache
-
-    graph = load_dataset("twitter", 2.0 ** -18, seed=1)
-    cache = GraphCache(budget_bytes=0)
-    cache.put(("only",), graph)
-    # A one-entry cache over budget still serves that entry: callers rely on
-    # back-to-back load_dataset identity.
-    assert cache.get(("only",)) is graph
-    cache.put(("next",), graph)
-    assert len(cache) == 1 and cache.get(("only",)) is None
-
-
-def test_graph_cache_stats_and_clear():
-    from repro.harness import GraphCache
-
-    graph = load_dataset("twitter", 2.0 ** -18, seed=1)
-    cache = GraphCache(budget_bytes=graph.nbytes * 10)
-    assert cache.get(("k",)) is None
-    cache.put(("k",), graph)
-    cache.get(("k",))
-    stats = cache.stats()
-    assert stats["entries"] == 1 and stats["hits"] == 1
-    assert stats["misses"] == 1 and stats["evictions"] == 0
-    assert stats["current_bytes"] == graph.nbytes
-    cache.clear()
-    assert len(cache) == 0 and cache.stats()["current_bytes"] == 0
-
-
 def test_runs_ignore_the_retired_environment_switches(monkeypatch):
-    # The engine mode, worker count and graph cache budget once fell back to
-    # REPRO_<NAME> variables; a run is now configured by its arguments alone.
-    from repro.harness import GRAPH_CACHE_DEFAULT_BYTES, GraphCache
-
-    for name, value in {"MODE": "adaptive", "WORKERS": "4",
-                        "GRAPH_CACHE_BYTES": "12345"}.items():
+    # The engine mode and worker count once fell back to REPRO_<NAME>
+    # variables; a run is now configured by its arguments alone.
+    for name, value in {"MODE": "adaptive", "WORKERS": "4"}.items():
         monkeypatch.setenv(f"REPRO_{name}", value)
     system = make_system("grafsoft", SCALE)
     assert (system.mode, system.workers) == ("sortreduce", 1)
-    assert GraphCache().budget_bytes == GRAPH_CACHE_DEFAULT_BYTES
-
-
-def test_load_dataset_goes_through_shared_cache():
-    before = harness._GRAPH_CACHE.stats()["hits"]
-    a = load_dataset("twitter", SCALE, seed=3)
-    b = load_dataset("twitter", SCALE, seed=3)
-    assert a is b
-    assert harness._GRAPH_CACHE.stats()["hits"] > before
 
 
 # ------------------------------------------------------- two-phase mode trace
 
 def test_bc_mode_trace_covers_both_phases():
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     result = run_grafboost_system("GraFBoost", graph, "bc", scale=SCALE)
     assert result.mode_phases is not None
     labels = [label for label, _ in result.mode_phases]
@@ -245,7 +179,7 @@ def test_bc_mode_trace_covers_both_phases():
 def test_bc_mode_trace_summary_labels_phases():
     from repro.perf.report import mode_trace_summary
 
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     result = run_grafboost_system("GraFBoost", graph, "bc", scale=SCALE)
     summary = mode_trace_summary(result.mode_trace, result.mode_phases)
     assert "forward:" in summary and "backtrace:" in summary

@@ -22,7 +22,8 @@ from repro.baselines import (
     ShardedExternalEngine,
 )
 from repro.engine.config import make_system
-from repro.harness import default_root, load_dataset
+from repro.graph.datasets import build_graph
+from repro.harness import default_root
 from tests.support import bfs_tree_descendants
 from repro.perf.profiles import SERVER_SSD_ARRAY
 
@@ -40,7 +41,7 @@ def engine_for(kind, graph):
 
 @pytest.mark.parametrize("dataset", DATASETS)
 def test_bfs_levels_agree_everywhere(dataset):
-    graph = load_dataset(dataset, SCALE)
+    graph = build_graph(dataset, SCALE)
     root = default_root(graph)
     reference = bfs_levels(graph, root)
 
@@ -59,7 +60,7 @@ def test_bfs_levels_agree_everywhere(dataset):
 
 @pytest.mark.parametrize("dataset", DATASETS)
 def test_pagerank_agrees_everywhere(dataset):
-    graph = load_dataset(dataset, SCALE)
+    graph = build_graph(dataset, SCALE)
     reference = pagerank_push(graph, 1)
 
     for kind in ("grafboost", "grafsoft"):
@@ -76,7 +77,7 @@ def test_pagerank_agrees_everywhere(dataset):
 
 @pytest.mark.parametrize("dataset", ["twitter", "kron28"])
 def test_bc_agrees_everywhere(dataset):
-    graph = load_dataset(dataset, SCALE)
+    graph = build_graph(dataset, SCALE)
     root = default_root(graph)
 
     engine = engine_for("grafboost", graph)
@@ -97,7 +98,7 @@ def test_bc_agrees_everywhere(dataset):
 def test_flash_data_really_round_trips():
     """The engines' storage is not a mock: corrupting one flash page changes
     the observable file contents."""
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     # sanitize=False: this test corrupts raw flash behind the device API,
     # which is precisely the tampering FlashSan exists to report.
     system = make_system("grafboost", SCALE, num_vertices_hint=graph.num_vertices,
@@ -116,7 +117,7 @@ def test_flash_data_really_round_trips():
 def test_memory_budget_enforced_end_to_end():
     """Engines must never exceed their DRAM budget (strict tracker):
     a full run leaves zero outstanding allocations."""
-    graph = load_dataset("kron28", SCALE)
+    graph = build_graph("kron28", SCALE)
     system = make_system("grafsoft", SCALE, num_vertices_hint=graph.num_vertices)
     flash_graph = system.load_graph(graph)
     engine = system.engine_for(flash_graph, graph.num_vertices)
@@ -128,7 +129,7 @@ def test_memory_budget_enforced_end_to_end():
 def test_flash_space_fully_reclaimed():
     """After a run, only the graph, V and the final newV remain on flash —
     every temporary sort-reduce file was deleted."""
-    graph = load_dataset("twitter", SCALE)
+    graph = build_graph("twitter", SCALE)
     system = make_system("grafboost", SCALE, num_vertices_hint=graph.num_vertices)
     flash_graph = system.load_graph(graph)
     engine = system.engine_for(flash_graph, graph.num_vertices)

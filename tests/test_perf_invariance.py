@@ -45,11 +45,11 @@ from repro.flash.device import FlashDevice, FlashGeometry
 from repro.flash.faults import CrashPlan, FaultPlan
 from repro.flash.filestore import SSDFileSystem
 from repro.flash.ftl import SSD
+from repro.graph.datasets import build_graph
 from repro.graph.formats import FlashCSR, coalesce_ranges, coalescing_gap
 from repro.graph.vertexdata import VertexArray
 from repro.harness import (
     default_root,
-    load_dataset,
     run_grafboost_system,
     run_service_cell,
 )
@@ -297,7 +297,7 @@ def test_sim_clock_invariance_external_sort_reduce(faults):
                          ids=["no-plan", "zero-rate-plan"])
 def test_sim_clock_invariance_pagerank(system, golden_elapsed, golden_flash,
                                        faults):
-    graph = load_dataset("kron30", scale=1 / 65536, seed=7)
+    graph = build_graph("kron30", 1 / 65536, seed=7)
     result = run_grafboost_system(system, graph, "pagerank", scale=1 / 65536,
                                   dataset="kron30", pagerank_iterations=2,
                                   faults=faults, mode="sortreduce")
@@ -323,7 +323,7 @@ def test_sim_clock_invariance_pagerank(system, golden_elapsed, golden_flash,
 ])
 def test_sanitized_pagerank_bit_identical(system, golden_elapsed,
                                           golden_flash):
-    graph = load_dataset("kron30", scale=1 / 65536, seed=7)
+    graph = build_graph("kron30", 1 / 65536, seed=7)
     result = run_grafboost_system(system, graph, "pagerank", scale=1 / 65536,
                                   dataset="kron30", pagerank_iterations=2,
                                   sanitize=True, mode="sortreduce")
@@ -334,7 +334,7 @@ def test_sanitized_pagerank_bit_identical(system, golden_elapsed,
 
 @pytest.mark.parametrize("system", ["GraFBoost", "GraFSoft"])
 def test_sanitized_bfs_bit_identical(system):
-    graph = load_dataset("kron30", scale=1 / 65536, seed=7)
+    graph = build_graph("kron30", 1 / 65536, seed=7)
     plain = run_grafboost_system(system, graph, "bfs", scale=1 / 65536,
                                  dataset="kron30", sanitize=False)
     sanitized = run_grafboost_system(system, graph, "bfs", scale=1 / 65536,
@@ -383,7 +383,7 @@ def test_sim_clock_invariance_external_sort_reduce_parallel(workers):
 
 
 def _run_algorithm_with_workers(algorithm: str, workers: int):
-    graph = load_dataset("kron30", scale=1 / 65536, seed=7)
+    graph = build_graph("kron30", 1 / 65536, seed=7)
     system = make_system("grafsoft", 1 / 65536,
                          num_vertices_hint=graph.num_vertices, workers=workers)
     flash_graph = system.load_graph(graph)
@@ -415,7 +415,7 @@ def test_worker_sweep_bit_identical(algorithm):
 def test_crash_recovery_bit_identical_under_parallel_merge():
     """Power loss mid sort-reduce with workers in flight: the crash →
     remount → resume loop must land on the same bits as the serial run."""
-    graph = load_dataset("kron30", scale=1 / 65536, seed=7)
+    graph = build_graph("kron30", 1 / 65536, seed=7)
     # Count device ops on an uninterrupted run to aim the crash inside the
     # engine run (past graph load), then crash both a serial and a parallel
     # run at the same op index.
@@ -483,7 +483,7 @@ DURABLE_JOBS = {
 
 @pytest.mark.parametrize("job", sorted(DURABLE_JOBS))
 def test_durable_job_reruns_bit_identical(job):
-    graph = load_dataset("kron30", scale=DURABLE_SCALE, seed=7)
+    graph = build_graph("kron30", DURABLE_SCALE, seed=7)
     first = DURABLE_JOBS[job](graph)
     _name_files_elsewhere()
     again = DURABLE_JOBS[job](graph)
@@ -497,7 +497,7 @@ def test_sanitizer_actually_observed_the_run():
     from repro.algorithms.pagerank import run_pagerank
     from repro.engine.config import make_system
 
-    graph = load_dataset("kron30", scale=1 / 65536, seed=7)
+    graph = build_graph("kron30", 1 / 65536, seed=7)
     system = make_system("grafboost", 1 / 65536,
                          num_vertices_hint=graph.num_vertices, sanitize=True)
     flash_graph = system.load_graph(graph)
@@ -533,7 +533,7 @@ def test_sim_clock_invariance_wdc_bfs(system, golden_elapsed, golden_flash,
                                       golden_supersteps, golden_fingerprint):
     """~900 supersteps of overlay lookups, bloom skips and compactions, on
     AOFFS (GraFBoost) and on the FTL-backed file system (GraFSoft)."""
-    graph = load_dataset("wdc", scale=1 / 65536, seed=7)
+    graph = build_graph("wdc", 1 / 65536, seed=7)
     result = run_grafboost_system(system, graph, "bfs", scale=1 / 65536,
                                   dataset="wdc", mode="sortreduce")
     assert result.completed
@@ -651,7 +651,7 @@ _PAGERANK_ACTIVATED = [16384, 11050]
 
 
 def _strategy_run(kind, algorithm, mode="sortreduce", lazy=True):
-    graph = load_dataset("kron30", scale=1 / 65536, seed=7)
+    graph = build_graph("kron30", 1 / 65536, seed=7)
     system = make_system(kind, 1 / 65536, num_vertices_hint=graph.num_vertices,
                          mode=mode)
     flash_graph = system.load_graph(graph)
@@ -732,7 +732,7 @@ def _baseline_case(system, algorithm, case):
     scale = 2.0 ** -17 if case == "wdc" else 2.0 ** -16
     dataset = {"wdc": "wdc", "kron28": "kron28", "idspace": "kron32"}.get(
         case, "twitter")
-    graph = load_dataset(dataset, scale=scale, seed=1)
+    graph = build_graph(dataset, scale, seed=1)
     profile = SERVER_SSD_ARRAY.scaled(scale)
     if case == "tight":
         profile = profile.with_dram(int(graph.num_vertices * 16 * 0.95))

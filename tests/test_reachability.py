@@ -201,7 +201,6 @@ ALLOWED_SETTINGS = {
     "main(argv)": ENTRY_POINT,
     "BaselineEngine.run(iterations)": GOLDEN,
     "HardwareProfile": PLATFORM,
-    "GraphCache(budget_bytes)": SIZING,
     "PageMappedFTL(gc_reserve_blocks)": SIZING,
     "PageMappedFTL(overprovision)": SIZING,
     "SSDFileSystem.mount(meta_lpns)": SIZING,
