@@ -160,8 +160,10 @@ class RunHandle:
         offset = 0
         while offset < self.num_records:
             n = min(per_chunk, self.num_records - offset)
-            raw = self.store.read(self.name, offset * rec, n * rec)
-            yield KVArray.from_bytes(raw, self.value_dtype)
+            # No local keeps the read: a suspended generator holds only the
+            # decoded chunk it yielded.
+            yield KVArray.from_bytes(
+                self.store.read(self.name, offset * rec, n * rec), self.value_dtype)
             offset += n
 
     def delete(self) -> None:
@@ -281,7 +283,7 @@ class ExternalSortReducer:
     def _write_run(self, run: KVArray) -> None:
         name = f"{self.name_prefix}:run-{self._run_counter}"
         self._run_counter += 1
-        self.store.append(name, run.to_bytes())
+        self.store.append_array(name, run.to_records())
         self.store.seal(name)
         self._runs.append(RunHandle(self.store, name, len(run), self.value_dtype,
                                     level=0, seq=self._run_counter - 1))
@@ -376,7 +378,7 @@ class ExternalSortReducer:
 
         def sink(kv: KVArray) -> None:
             nonlocal out_records
-            self.store.append(out_name, kv.to_bytes())
+            self.store.append_array(out_name, kv.to_records())
             out_records += len(kv)
 
         merger = StreamingMergeReducer(self.op, self.value_dtype,

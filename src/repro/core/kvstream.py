@@ -115,12 +115,19 @@ class KVArray:
 
     # ----------------------------------------------------------- serialization
 
-    def to_bytes(self) -> bytes:
-        """Interleaved (key, value) records, little-endian."""
+    def to_records(self) -> np.ndarray:
+        """Interleaved (key, value) records, little-endian, frozen: the file
+        store keeps them as its pages without a copy
+        (:meth:`repro.flash.store.FileStore.append_array`)."""
         rec = np.empty(len(self), dtype=self.record_dtype())
         rec["k"] = self.keys
         rec["v"] = self.values
-        return rec.tobytes()
+        rec.flags.writeable = False
+        return rec
+
+    def to_bytes(self) -> bytes:
+        """:meth:`to_records` as ``bytes``."""
+        return self.to_records().tobytes()
 
     @staticmethod
     def from_bytes(data: bytes, value_dtype: np.dtype) -> "KVArray":

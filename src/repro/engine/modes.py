@@ -176,7 +176,8 @@ class SortReduceMode(ExecutionMode):
             records = np.empty(len(keys), dtype=rec_dtype)
             records["k"] = keys
             records["v"] = values
-            store.append(name, records.tobytes())  # extra I/O #1
+            records.flags.writeable = False
+            store.append_array(name, records)  # extra I/O #1
 
         activated = self._active_list(prev_newv, superstep, spool)
         if activated:
@@ -275,8 +276,8 @@ class DramAggregator:
             out = KVArray(idx.astype(np.uint64), self.values[idx])
             per_chunk = max(1, MERGE_IO_BYTES // out.record_bytes)
             for start in range(0, n, per_chunk):
-                store.append(self.name,
-                             out.slice(start, min(start + per_chunk, n)).to_bytes())
+                store.append_array(
+                    self.name, out.slice(start, min(start + per_chunk, n)).to_records())
             store.seal(self.name)
             # Folding the per-batch reductions into one table plays the
             # merge phase's role in the stats (Fig 14's written fractions).

@@ -61,9 +61,11 @@ def scan(vertices: VertexArray, program: VertexProgram,
         finalized = program.finalize(chunk.values, old_values)
         mask = program.is_active(finalized, old_values, old_steps, superstep)
         active_keys = chunk.keys[mask]
+        active_values = np.asarray(finalized)[mask]
+        # The push below holds this chunk's active pairs, nothing else of it.
+        del chunk, old_values, old_steps, finalized, mask
         if len(active_keys) == 0:
             continue
-        active_values = np.asarray(finalized)[mask]
         overlay.add(KVArray(active_keys, active_values))
         activated += len(active_keys)
         if on_active is not None:
@@ -106,6 +108,7 @@ def push(graph: FlashCSR, program: VertexProgram, backend, sink,
     if targets.total == 0:
         return
     weights = graph.weights_for(starts, ends) if program.uses_weights else None
+    del starts, ends
     per_vertex = None
     if weights is None:
         per_vertex = program.vertex_messages(

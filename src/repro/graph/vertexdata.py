@@ -188,7 +188,8 @@ class VertexArray:
             records = np.empty(len(keys), dtype=self._record_dtype)
             records["v"] = values
             records["step"] = steps
-            self.store.append(new_name, records.tobytes())
+            records.flags.writeable = False
+            self.store.append_array(new_name, records)
         self.store.seal(new_name)
         if self._base_materialized:
             self._discard(self._base_file)
@@ -291,12 +292,13 @@ class OverlayWriter:
         if self._min_key is None:
             self._min_key = int(updates.keys[0])
         self._last_key = int(updates.keys[-1])
-        self._key_chunks.append(updates.keys.copy())
         records = np.empty(len(updates), dtype=self.array._overlay_dtype)
         records["k"] = updates.keys
         records["v"] = updates.values
         records["step"] = self.step
-        self.array.store.append(self.name, records.tobytes())
+        records.flags.writeable = False
+        self.array.store.append_array(self.name, records)
+        self._key_chunks.append(records["k"])
         self.count += len(updates)
 
     def close(self) -> int:
@@ -318,6 +320,10 @@ class OverlayWriter:
         return self.count
 
 
+#: An :class:`_OverlayCursor`'s empty buffer.
+_NO_COLUMNS = (np.empty(0, dtype=np.uint64),) * 3
+
+
 class _OverlayCursor:
     """Sequential chunked reader of one sorted overlay file.
 
@@ -331,7 +337,7 @@ class _OverlayCursor:
         self.array = array
         self.overlay = overlay
         self.pos = 0
-        self.columns: tuple[np.ndarray, ...] = (np.empty(0, dtype=np.uint64),) * 3
+        self.columns: tuple[np.ndarray, ...] = _NO_COLUMNS
 
     def advance_to(self, max_key: int) -> None:
         """Ensure the buffer covers all records with key <= max_key."""
@@ -360,7 +366,8 @@ class _OverlayCursor:
         hi = int(np.searchsorted(keys, sorted_keys[-1], side="right"))
         positions = np.searchsorted(sorted_keys, keys[lo:hi], side="left")
         hits = sorted_keys[positions] == keys[lo:hi]
-        self.columns = (keys[hi:], values[hi:], steps[hi:])
+        # Empty views would keep the whole consumed read alive.
+        self.columns = (keys[hi:], values[hi:], steps[hi:]) if hi < len(keys) else _NO_COLUMNS
         return positions[hits], values[lo:hi][hits], steps[lo:hi][hits]
 
 

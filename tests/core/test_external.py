@@ -1,5 +1,7 @@
 """External sort-reduce over flash files: correctness, stats, space hygiene."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,10 @@ from repro.core.accelerator import AcceleratorBackend, SoftwareBackend
 from repro.core.external import ExternalSortReducer
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import FIRST, SUM
+from repro.flash.aoffs import AppendOnlyFlashFS
+from repro.flash.device import FlashDevice
+from repro.flash.store import is_frozen
+from repro.perf.clock import SimClock
 from repro.perf.memory import MemoryTracker
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT
 from tests.support import kv_pairs
@@ -171,6 +177,44 @@ def test_run_chunks_iteration(aoffs, monkeypatch):
     assert np.allclose(joined.values, whole.values)
 
 
+def test_a_suspended_chunk_stream_holds_one_decoded_chunk(aoffs, monkeypatch):
+    monkeypatch.setattr(external, "MERGE_IO_BYTES", 1 << 16)
+    reducer = make_reducer(aoffs, chunk_bytes=1 << 20)
+    n = 2 * (1 << 16) // 16                    # two chunks of 16-byte records
+    reducer.add(KVArray(np.arange(n, dtype=np.uint64), np.ones(n)))
+    run = reducer.finish()
+    tracemalloc.start()
+    try:
+        chunks = run.chunks()
+        first = next(chunks)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # The decoded chunk, not the bytes it was read from as well.
+    assert held <= 1.25 * first.nbytes, f"{held} B held for a {first.nbytes} B chunk"
+    assert len(first) + len(next(chunks)) == n
+
+
+def test_a_run_goes_to_flash_as_its_frozen_records(raw_device):
+    # Without FlashSan, whose shadow state would be counted too.
+    aoffs = AppendOnlyFlashFS(FlashDevice(raw_device.geometry, raw_device.profile,
+                                          SimClock(), sanitize=False))
+    reducer = make_reducer(aoffs, chunk_bytes=1 << 20)
+    run = KVArray(np.arange(1 << 16, dtype=np.uint64), np.ones(1 << 16))
+    tracemalloc.start()
+    try:
+        reducer._write_run(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One array of records, not that array and a byte copy of it.
+    assert peak <= 1.1 * run.nbytes, f"traced peak {peak} B for a {run.nbytes} B run"
+    [handle] = reducer._runs
+    page = aoffs._fetch(aoffs._file(handle.name), [0], [1])[0]
+    assert isinstance(page, memoryview) and is_frozen(page.obj)
+    assert handle.read_all().keys.tolist() == run.keys.tolist()
+
+
 def test_clock_advances(aoffs):
     clock = aoffs.device.clock
     reducer = make_reducer(aoffs, chunk_bytes=2048)
@@ -238,7 +282,7 @@ def sort_reduce_split(kind, op, updates, cuts, as_one_call):
             reducer.add(piece)
     final = reducer.finish().read_all()
     clock = store.device.clock
-    return (written, final.to_bytes(), reducer.stats.to_dict(),
+    return (written, final.to_records().tobytes(), reducer.stats.to_dict(),
             reducer.stats.total_input_pairs, clock.elapsed_s, dict(clock.usage))
 
 

@@ -75,7 +75,9 @@ def test_nbytes_and_record_size():
                 max_size=200))
 def test_bytes_roundtrip(pairs):
     kv = kv_pairs(pairs, np.int64)
-    back = KVArray.from_bytes(kv.to_bytes(), np.int64)
+    records = kv.to_records()
+    assert not records.flags.writeable
+    back = KVArray.from_bytes(records.tobytes(), np.int64)
     assert np.array_equal(back.keys, kv.keys)
     assert np.array_equal(back.values, kv.values)
 

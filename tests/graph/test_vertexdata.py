@@ -33,6 +33,18 @@ def test_overlay_lookup(aoffs):
     assert steps.tolist() == [NEVER, 0, 0, NEVER]
 
 
+def test_a_consumed_overlay_read_is_released(aoffs):
+    array = make_array(aoffs)
+    array.stage(kv([(3, 30), (7, 70), (40, 400)]), step=0)
+    cursor = array.cursor()
+    cursor.lookup(np.array([3, 7], dtype=np.uint64))
+    overlay_cursor = cursor._cursors[0]
+    assert overlay_cursor.columns[0].tolist() == [40]
+    cursor.lookup(np.array([40, 99], dtype=np.uint64))
+    # Every buffered record is consumed: no view of the read is left.
+    assert all(column.base is None for column in overlay_cursor.columns)
+
+
 def test_newer_overlay_wins(aoffs):
     array = make_array(aoffs)
     array.stage(kv([(5, 1), (6, 1)]), step=0)
