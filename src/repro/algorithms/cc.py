@@ -32,11 +32,6 @@ class LabelPropagationProgram(VertexProgram):
     reduce_op = MIN
     default_value = NO_LABEL
 
-    def edge_program(self, src_values: np.ndarray, src_ids: np.ndarray,
-                     edge_weights: np.ndarray | None,
-                     src_degrees: np.ndarray) -> np.ndarray:
-        return src_values
-
     def vertex_messages(self, values: np.ndarray, ids: np.ndarray,
                         degrees: np.ndarray) -> np.ndarray:
         return values

@@ -3,6 +3,7 @@
 The push-style program (§V-A):
 
 * ``edge_program(vertexValue, edgeValue, numNeighbors) = vertexValue / numNeighbors``
+  — one value per source vertex, stated by :meth:`PageRankProgram.vertex_messages`
 * ``vertex_update(v1, v2) = v1 + v2`` (SUM)
 * ``finalize(v) = 0.15 / NumVertices + 0.85 * v`` (dampening)
 
@@ -28,9 +29,8 @@ import numpy as np
 
 from repro.algorithms.reference import DAMPING
 from repro.core.bloom import BloomFilter
-from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
-from repro.engine.api import VertexProgram, all_active_chunks
+from repro.engine.api import VertexProgram
 from repro.engine.engine import GraFBoostEngine, RunResult
 from repro.graph.formats import FlashCSR
 
@@ -48,11 +48,6 @@ class PageRankProgram(VertexProgram):
         self.num_vertices = num_vertices
         self.default_value = 1.0 / num_vertices
 
-    def edge_program(self, src_values: np.ndarray, src_ids: np.ndarray,
-                     edge_weights: np.ndarray | None,
-                     src_degrees: np.ndarray) -> np.ndarray:
-        return src_values / src_degrees.astype(np.float64)
-
     def vertex_messages(self, values: np.ndarray, ids: np.ndarray,
                         degrees: np.ndarray) -> np.ndarray:
         # Zero-degree vertices produce no edges, so their (inf/nan) quotient
@@ -62,9 +57,6 @@ class PageRankProgram(VertexProgram):
 
     def finalize(self, new_values: np.ndarray, old_values: np.ndarray) -> np.ndarray:
         return (1.0 - DAMPING) / self.num_vertices + DAMPING * new_values
-
-    def initial_updates(self, num_vertices: int) -> Iterator[KVArray]:
-        return all_active_chunks(num_vertices, self.value_dtype, self.default_value)
 
 
 def run_pagerank(engine: GraFBoostEngine, num_vertices: int,

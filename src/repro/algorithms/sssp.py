@@ -7,20 +7,17 @@ vertex update.  A vertex is active when its distance improved.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import MIN
-from repro.engine.api import VertexProgram, single_seed
+from repro.engine.api import SingleSourceProgram
 from repro.engine.engine import GraFBoostEngine, RunResult
 
 #: Distance of an unreached vertex.
 UNREACHED = np.float64(np.inf)
 
 
-class SSSPProgram(VertexProgram):
+class SSSPProgram(SingleSourceProgram):
     """Shortest path distances from one root over weighted out-edges."""
 
     name = "sssp"
@@ -30,9 +27,7 @@ class SSSPProgram(VertexProgram):
     uses_weights = True
 
     def __init__(self, root: int):
-        if root < 0:
-            raise ValueError(f"root must be non-negative, got {root}")
-        self.root = int(root)
+        super().__init__(root, seed=0.0)
 
     def edge_program(self, src_values: np.ndarray, src_ids: np.ndarray,
                      edge_weights: np.ndarray | None,
@@ -47,14 +42,6 @@ class SSSPProgram(VertexProgram):
     def is_active(self, finalized: np.ndarray, old_values: np.ndarray,
                   old_steps: np.ndarray, superstep: int) -> np.ndarray:
         return finalized < old_values
-
-    def initial_updates(self, num_vertices: int) -> Iterator[KVArray]:
-        if self.root >= num_vertices:
-            raise ValueError(f"root {self.root} out of range [0, {num_vertices})")
-        return single_seed(self.root, np.float64(0.0), self.value_dtype)
-
-    def initial_frontier_hint(self, num_vertices: int) -> int:
-        return 1  # single-root seed
 
 
 def run_sssp(engine: GraFBoostEngine, root: int) -> RunResult:

@@ -63,11 +63,6 @@ class BaselineResult:
         """Execution time, NaN for DNF — the form the figure tables use."""
         return self.elapsed_s if self.completed else float("nan")
 
-    def final_values(self) -> np.ndarray:
-        if self.values is None:
-            raise RuntimeError(f"{self.system} {self.algorithm} did not finish: {self.dnf_reason}")
-        return self.values
-
 
 class BaselineEngine:
     """One storage strategy's costs over the shared BFS, PageRank and BC.

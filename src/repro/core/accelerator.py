@@ -117,10 +117,6 @@ class SoftwareBackend:
     def __init__(self, profile: HardwareProfile):
         self.profile = profile
 
-    def traffic_scale(self) -> float:
-        """Software keeps keys and values word-aligned (§IV-F): no packing."""
-        return 1.0
-
     def sorter_threads(self) -> int:
         """Threads available to the in-memory sorter pool."""
         return max(1, self.profile.cpu_threads - 2)

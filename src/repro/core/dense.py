@@ -65,10 +65,6 @@ class DenseRunHandle:
     def __len__(self) -> int:
         return self.num_records
 
-    @property
-    def nbytes(self) -> int:
-        return dense_bytes(self.key_space, self.value_dtype.itemsize)
-
     def chunks(self) -> Iterator[KVArray]:
         """Stream the populated (key, value) pairs in key order."""
         for start in range(0, self.key_space, DENSE_CHUNK_KEYS):
@@ -83,17 +79,6 @@ class DenseRunHandle:
                 continue
             keys = np.flatnonzero(mask).astype(np.uint64) + np.uint64(start)
             yield KVArray(keys, values[mask])
-
-    def read_all(self) -> KVArray:
-        chunks = list(self.chunks())
-        if not chunks:
-            return KVArray.empty(self.value_dtype)
-        return KVArray.concat(chunks)
-
-    def delete(self) -> None:
-        for name in (self.values_file, self.bitmap_file):
-            if self.store.exists(name):
-                self.store.delete(name)
 
 
 def densify_run(run, key_space: int, store=None) -> DenseRunHandle:

@@ -220,7 +220,9 @@ class StreamingMergeReducer:
                 # Every buffered key of the boundary source equals the
                 # boundary (a giant duplicate group): pull more data from the
                 # sources pinning the boundary until one moves past it.
-                self._extend_past(live, boundary)
+                for s in live:
+                    if s.last_key == boundary:
+                        s.pull()
         return self.pairs_in - pairs_in_start, self.pairs_out - pairs_out_start
 
     # ---------------------------------------------------------------- helpers
@@ -242,11 +244,6 @@ class StreamingMergeReducer:
                 parts.extend(got)
                 progress = True
         return parts, progress
-
-    def _extend_past(self, live: list[_SourceState], boundary: int) -> None:
-        for s in live:
-            if s.last_key == boundary:
-                s.pull()
 
     def _emit(self, parts: list[KVArray], sink: Callable[[KVArray], None]) -> None:
         parts = [p for p in parts if len(p)]

@@ -6,16 +6,14 @@ and word alignment (a 34-bit key uses exactly 34 bits).  The software
 implementation keeps keys and values word-aligned instead (§IV-F) — packing
 and unpacking is free in specialized hardware but costly on a CPU.
 
-This module provides both the arithmetic model the accelerator cost model
-uses (pairs per word, effective bandwidth saving) and a *functional*
-pack/unpack so tests can prove the format round-trips.
+This module is the arithmetic model the accelerator cost model uses: pairs
+per word and the effective bandwidth saving.  Nothing in the simulator
+stores the packed format itself, so there is no pack/unpack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 WORD_BITS = 256
 WORD_BYTES = WORD_BITS // 8
@@ -63,49 +61,3 @@ class PackingSpec:
             raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
         key_bits = max(1, int(num_vertices - 1).bit_length())
         return PackingSpec(key_bits=key_bits, value_bits=value_bits)
-
-    # ------------------------------------------------------------- functional
-
-    def pack(self, keys: np.ndarray, values: np.ndarray) -> bytes:
-        """Pack pairs into consecutive 256-bit words (low bits first)."""
-        if len(keys) != len(values):
-            raise ValueError("keys and values must be the same length")
-        key_mask = (1 << self.key_bits) - 1
-        value_mask = (1 << self.value_bits) - 1
-        ppw = self.pairs_per_word
-        out = bytearray()
-        for w0 in range(0, len(keys), ppw):
-            word = 0
-            shift = 0
-            for i in range(w0, min(w0 + ppw, len(keys))):
-                k = int(keys[i])
-                v = int(values[i])
-                if k & ~key_mask:
-                    raise ValueError(f"key {k} does not fit in {self.key_bits} bits")
-                if v & ~value_mask:
-                    raise ValueError(f"value {v} does not fit in {self.value_bits} bits")
-                word |= (k | (v << self.key_bits)) << shift
-                shift += self.pair_bits
-            out.extend(word.to_bytes(WORD_BYTES, "little"))
-        return bytes(out)
-
-    def unpack(self, data: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse of :meth:`pack` for ``count`` pairs."""
-        ppw = self.pairs_per_word
-        expected_words = -(-count // ppw) if count else 0
-        if len(data) != expected_words * WORD_BYTES:
-            raise ValueError(
-                f"expected {expected_words * WORD_BYTES} bytes for {count} pairs, "
-                f"got {len(data)}"
-            )
-        key_mask = (1 << self.key_bits) - 1
-        value_mask = (1 << self.value_bits) - 1
-        keys = np.empty(count, dtype=np.uint64)
-        values = np.empty(count, dtype=np.uint64)
-        for w in range(expected_words):
-            word = int.from_bytes(data[w * WORD_BYTES:(w + 1) * WORD_BYTES], "little")
-            for j in range(min(ppw, count - w * ppw)):
-                pair = (word >> (j * self.pair_bits)) & ((1 << self.pair_bits) - 1)
-                keys[w * ppw + j] = pair & key_mask
-                values[w * ppw + j] = (pair >> self.key_bits) & value_mask
-        return keys, values

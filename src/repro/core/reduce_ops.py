@@ -5,8 +5,9 @@ Sort-reduce requires the update function to be *binary associative*
 entries with matching keys be merged early, at any merge level, without
 changing the final result.
 
-A :class:`ReduceOp` bundles a numpy ufunc fast path (``reduceat`` over group
-boundaries) with a name and an optional scalar fallback.  The operators the
+A :class:`ReduceOp` is a named numpy ufunc, reduced with ``reduceat`` over
+group boundaries, or one of the two positional operators ``FIRST`` and
+``LAST``, which pick a value by its place in the group.  The operators the
 paper's algorithms use:
 
 * ``SUM`` — PageRank's vertex_update and betweenness-centrality backtracing.
@@ -17,23 +18,23 @@ paper's algorithms use:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.core.kvstream import KVArray
+
+#: The operators that keep a group's first or last value: no ufunc.
+POSITIONAL = ("first", "last")
 
 
 class ReduceOp:
     """A named binary associative reduction over values of equal keys."""
 
-    def __init__(self, name: str, ufunc: np.ufunc | None,
-                 scalar: Callable[[object, object], object] | None = None):
-        if ufunc is None and scalar is None:
-            raise ValueError("a ReduceOp needs a ufunc or a scalar function")
+    def __init__(self, name: str, ufunc: np.ufunc | None):
+        if ufunc is None and name not in POSITIONAL:
+            raise ValueError(f"a ReduceOp needs a ufunc unless it is one of "
+                             f"{', '.join(POSITIONAL)}")
         self.name = name
         self.ufunc = ufunc
-        self.scalar = scalar
 
     def __repr__(self) -> str:
         return f"ReduceOp({self.name})"
@@ -68,29 +69,7 @@ class ReduceOp:
             ends[:-1] = starts[1:]
             ends[-1] = len(values)
             return values[ends - 1]
-        if self.ufunc is not None:
-            return self.ufunc.reduceat(values, starts)
-        return self._reduce_groups_scalar(values, starts)
-
-    def _reduce_groups_scalar(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        out = np.empty(len(starts), dtype=values.dtype)
-        bounds = list(starts) + [len(values)]
-        for i in range(len(starts)):
-            acc = values[bounds[i]]
-            for j in range(bounds[i] + 1, bounds[i + 1]):
-                acc = self.scalar(acc, values[j])
-            out[i] = acc
-        return out
-
-    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Element-wise f(a, b) for aligned arrays of matched keys."""
-        if self.name == "first":
-            return a.copy()
-        if self.name == "last":
-            return b.copy()
-        if self.ufunc is not None:
-            return self.ufunc(a, b)
-        return np.array([self.scalar(x, y) for x, y in zip(a, b)], dtype=a.dtype)
+        return self.ufunc.reduceat(values, starts)
 
     def scatter_into(self, out_values: np.ndarray, touched: np.ndarray,
                      keys: np.ndarray, values: np.ndarray) -> int:
@@ -116,9 +95,9 @@ class ReduceOp:
         seen = touched[idx]
         fresh = ~seen
         out_values[idx[fresh]] = reduced.values[fresh]
-        if seen.any():
-            hot = idx[seen]
-            out_values[hot] = self.combine(out_values[hot], reduced.values[seen])
+        if seen.any() and self.name != "first":   # FIRST keeps what it holds
+            hot, later = idx[seen], reduced.values[seen]
+            out_values[hot] = later if self.name == "last" else self.ufunc(out_values[hot], later)
         touched[idx] = True
         return len(reduced)
 
@@ -135,8 +114,8 @@ SUM = ReduceOp("sum", np.add)
 PROD = ReduceOp("prod", np.multiply)
 MIN = ReduceOp("min", np.minimum)
 MAX = ReduceOp("max", np.maximum)
-FIRST = ReduceOp("first", None, scalar=lambda a, b: a)
-LAST = ReduceOp("last", None, scalar=lambda a, b: b)
+FIRST = ReduceOp("first", None)
+LAST = ReduceOp("last", None)
 
 _BUILTIN = {op.name: op for op in (SUM, PROD, MIN, MAX, FIRST, LAST)}
 

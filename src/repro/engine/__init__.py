@@ -1,9 +1,9 @@
 """The GraFBoost vertex-centric engine (§III-C, §IV).
 
-Push-style vertex programs (edge_program / vertex_update / finalize /
-is_active, Algorithm 1's vocabulary) are executed in bulk-synchronous
-supersteps whose random vertex updates are routed through external
-sort-reduce:
+Push-style vertex programs (a per-vertex or per-edge message /
+vertex_update / finalize / is_active, Algorithm 1's vocabulary) are
+executed in bulk-synchronous supersteps whose random vertex updates are
+routed through external sort-reduce:
 
 * :mod:`repro.engine.api` — the :class:`VertexProgram` interface and the
   all-active vertex list generator (§IV-D's hardware generator module).

@@ -1,9 +1,14 @@
 """The vertex-program interface (Algorithm 1's vocabulary, vectorized).
 
-A graph algorithm is expressed as four functions plus a reduction operator:
+A graph algorithm is expressed as a per-edge program, a reduction operator
+and two per-vertex functions:
 
-* :meth:`VertexProgram.edge_program` — per-edge: combine the source vertex's
-  value with the edge property into an update for the destination.
+* the per-edge program — combine the source vertex's value with the edge
+  property into an update for the destination.  A program that sends the
+  same update along every out-edge of a vertex (PageRank, BFS, CC) states
+  it once per vertex, :meth:`VertexProgram.vertex_messages`; one whose
+  update reads the edge's weight (SSSP) states it per edge,
+  :meth:`VertexProgram.edge_program`.
 * ``reduce_op`` — *vertex_update*: the binary associative function that
   merges updates targeting the same vertex; this is what sort-reduce
   interleaves into its merge phases.
@@ -33,8 +38,9 @@ class VertexProgram:
     """Base class for push-style vertex programs.
 
     Subclasses set :attr:`value_dtype`, :attr:`reduce_op`,
-    :attr:`default_value` and override the four program methods.  The base
-    implementations give pass-through finalize and always-active semantics.
+    :attr:`default_value` and override one of :meth:`vertex_messages` and
+    :meth:`edge_program`, and :meth:`finalize` and :meth:`is_active` where
+    the pass-through and always-active defaults do not fit.
     """
 
     #: Human-readable algorithm name (used in reports).
@@ -57,7 +63,8 @@ class VertexProgram:
     def edge_program(self, src_values: np.ndarray, src_ids: np.ndarray,
                      edge_weights: np.ndarray | None,
                      src_degrees: np.ndarray) -> np.ndarray:
-        """Per-edge update values.
+        """Per-edge update values, for a program whose
+        :meth:`vertex_messages` is None.
 
         All inputs are aligned per-edge arrays: the source vertex's value and
         id, the edge weight (None for unweighted graphs), and the source's
@@ -73,10 +80,9 @@ class VertexProgram:
         (PageRank: value/degree; BFS: the source id; CC: the label).
         Returning that per-vertex array lets the engine expand it with a
         single repeat instead of materializing per-edge source value/id/
-        degree arrays first — the result is element-for-element identical to
-        calling :meth:`edge_program` on the expanded arrays.  Programs whose
-        updates genuinely depend on the individual edge (weights) keep the
-        default None and take the per-edge path.
+        degree arrays first.  Programs whose updates depend on the individual
+        edge (weights) keep the default None and override
+        :meth:`edge_program`.
         """
         return None
 
@@ -115,8 +121,8 @@ class VertexProgram:
         """The ``newV`` stream that seeds superstep 0.
 
         Default: every vertex active with the default value (the hardware
-        vertex list generator of §IV-D).  Algorithms with sparse starts
-        (BFS, SSSP) override with their root update.
+        vertex list generator of §IV-D).  :class:`SingleSourceProgram`
+        (BFS, SSSP) seeds its root alone.
         """
         return all_active_chunks(num_vertices, self.value_dtype, self.default_value)
 
@@ -125,8 +131,8 @@ class VertexProgram:
 
         The adaptive execution mode needs superstep 0's frontier size
         before consuming the (single-pass) update stream.  The default
-        matches the dense all-active kickoff; sparse-start programs (BFS,
-        SSSP) override alongside :meth:`initial_updates`.
+        matches the dense all-active kickoff; :class:`SingleSourceProgram`
+        overrides it alongside :meth:`initial_updates`.
         """
         return num_vertices
 
@@ -168,9 +174,21 @@ def all_active_chunks(num_vertices: int, value_dtype: np.dtype,
         yield KVArray(keys, values)
 
 
-def single_seed(key: int, value, value_dtype: np.dtype) -> Iterator[KVArray]:
-    """A one-vertex seed stream (BFS/SSSP roots)."""
-    yield KVArray(
-        np.array([key], dtype=np.uint64),
-        np.array([value], dtype=np.dtype(value_dtype)),
-    )
+class SingleSourceProgram(VertexProgram):
+    """A program seeded at one root vertex (BFS, SSSP): superstep 0 pushes
+    from the root alone, with ``seed`` as its value."""
+
+    def __init__(self, root: int, seed):
+        if root < 0:
+            raise ValueError(f"root must be non-negative, got {root}")
+        self.root = int(root)
+        self.seed = seed
+
+    def initial_updates(self, num_vertices: int) -> Iterator[KVArray]:
+        if self.root >= num_vertices:
+            raise ValueError(f"root {self.root} out of range [0, {num_vertices})")
+        return iter([KVArray(np.array([self.root], dtype=np.uint64),
+                             np.array([self.seed], dtype=np.dtype(self.value_dtype)))])
+
+    def initial_frontier_hint(self, num_vertices: int) -> int:
+        return 1

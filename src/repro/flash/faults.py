@@ -262,11 +262,6 @@ class PowerLossInjector:
         self._rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 0x51A5]))
         self.op_index = 0
 
-    @property
-    def exhausted(self) -> bool:
-        """No losses remain: the system is guaranteed to run to completion."""
-        return not self._pending
-
     def advance(self, count: int = 1) -> int | None:
         """Advance the global op counter by ``count`` ops.
 

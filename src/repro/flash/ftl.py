@@ -193,10 +193,6 @@ class PageMappedFTL:
         block, page = self.translate(lpn)
         return self.device.read_page(block, page)
 
-    def write(self, lpn: int, data: bytes) -> None:
-        """Write/overwrite one logical page: a batch of one."""
-        self.write_many([(lpn, data)])
-
     def write_many(self, writes: list[tuple[int, bytes]],
                    crcs: list[int] | None = None) -> None:
         """Write/overwrite logical pages; each old physical copy becomes
@@ -371,10 +367,6 @@ class SSD:
         ssd.ftl = PageMappedFTL.mount(device)
         ssd.ftl_overhead_s = ftl_overhead_s
         return ssd
-
-    @property
-    def page_bytes(self) -> int:
-        return self.device.geometry.page_bytes
 
     @property
     def logical_pages(self) -> int:

@@ -280,8 +280,3 @@ class FlashCSR:
             if self.has_weights:
                 weights = self.store.read_array(self.weight_file, WEIGHT_DTYPE, start, n)
             yield srcs_all[start:start + n], dsts, weights
-
-    def out_degrees(self) -> np.ndarray:
-        """Per-vertex outbound degree (one sequential index scan)."""
-        offsets = self.store.read_array(self.index_file, OFFSET_DTYPE).astype(np.int64)
-        return np.diff(offsets).astype(np.uint64)

@@ -7,12 +7,12 @@ functions, classes, methods, nested defs), imports are resolved through
 expressions to fully-qualified names
 (``repro.core.external.ExternalSortReducer.add``).  det-flow
 (``detflow.py``) follows the call edges; the reachability ratchet
-(``tests/test_reachability.py``) follows :attr:`CallGraph.uses`.
+(``tests/test_reachability.py``) resolves each name its code uses with
+:meth:`CallGraph.resolve`.
 
 Resolution is deliberately best-effort: Python is dynamic, so a call that
 cannot be resolved contributes no call edge (det-flow treats it as an
-opaque call) and counts as a use of every definition of its name.  Four
-strategies are tried in order:
+opaque call).  Four strategies are tried in order:
 
 1. **Lexical**: a bare name that is a nested ``def`` of the enclosing
    function, ``cls``, or a top-level function/class of the module.
@@ -29,7 +29,10 @@ strategies are tried in order:
    exactly one indexed function anywhere resolves to it — in a repo this
    size that is reliable for distinctive names (``charge_pool``,
    ``reduce_sorted``) and a deliberate no-op for generic ones (``add``,
-   ``get``), which stay opaque.
+   ``get``), which stay opaque.  So is a method of an object made outside
+   the tree: a name bound only to ``open(...)`` or to a call into a module
+   outside it (``HEADER = struct.Struct(...)`` makes ``HEADER.pack`` no
+   use of a ``pack`` the tree defines).
 
 Everything is keyed and iterated in sorted order so downstream analyses
 (and their JSON reports) are byte-deterministic.
@@ -41,14 +44,12 @@ import ast
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: Methods a class reaches without naming them: Python calls dunders
 #: implicitly and ``ast.NodeVisitor`` dispatches ``visit_*`` by name.
 IMPLICIT = re.compile(r"__\w+__|visit_\w+")
-#: A string that may name something: ``a.b``, ``module:Class``.
-DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)+")
 
 
 def module_name_for_path(path: str) -> str:
@@ -159,6 +160,9 @@ class FunctionInfo:
     decorators: list[str] = field(default_factory=list)
     #: lazy cache: local name -> the one class its assignments give.
     local_types: dict[str, ClassInfo] | None = None
+    #: lazy cache: local name -> whether every binding makes it outside
+    #: the tree.
+    outside: dict[str, bool] | None = None
 
 
 @dataclass
@@ -186,21 +190,9 @@ class ModuleInfo:
     #: top-level function name -> qualname.
     functions: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-
-
-class Uses(NamedTuple):
-    """What the tree's code names, read once for every module."""
-
-    #: owner -> the qualnames its code names.  The owners are each module
-    #: (its top-level statements; it also reaches the modules it imports),
-    #: each class (bases, decorators and class-level statements; it also
-    #: reaches its ``IMPLICIT`` methods) and each top-level function or
-    #: method (nested defs included).
-    by_owner: dict[str, set[str]]
-    #: every call: the scope it is resolved in, the node, the callee.
-    calls: list[tuple[FunctionInfo, ast.Call, str | None]]
-    #: every attribute name assigned (``x.attr = ...``).
-    stored: set[str]
+    #: lazy cache: module-level name -> whether every binding makes it
+    #: outside the tree.
+    outside: dict[str, bool] | None = None
 
 
 def is_set_expr(value: ast.AST) -> bool:
@@ -389,7 +381,8 @@ class CallGraph:
         chain = dotted(expr)
         found = self._lookup(mod.name, chain) if chain else None
         if found or not isinstance(expr, ast.Attribute) or (
-                expr.attr in self._GENERIC or expr.attr.startswith("__")):
+                expr.attr in self._GENERIC or expr.attr.startswith("__")
+                or self.made_outside(scope, expr.value)):
             return found
         candidates = self._by_name.get(expr.attr, [])   # unique-name fallback
         return candidates[0] if len(candidates) == 1 else None
@@ -462,6 +455,62 @@ class CallGraph:
         scope.local_types = _agreed(found)
         return scope.local_types
 
+    @functools.cached_property
+    def _tree_names(self) -> set[str]:
+        """The names an import of an indexed module may start with: its
+        top-level package, or its own name for a script that puts its
+        directory on ``sys.path`` (``import workloads``)."""
+        return {part for name in self.modules
+                for part in (name.split(".")[0], name.rpartition(".")[2])}
+
+    def _outside_call(self, mod: ModuleInfo, value: ast.AST) -> bool:
+        """Whether ``value`` is ``open(...)`` or a call into a module
+        outside the tree (``struct.Struct(...)``)."""
+        if not isinstance(value, ast.Call):
+            return False
+        if (isinstance(value.func, ast.Name) and value.func.id == "open"
+                and "open" not in mod.imports.names and "open" not in mod.functions):
+            return True
+        resolved = mod.imports.resolve(value.func)
+        return resolved is not None and resolved[0].split(".")[0] not in self._tree_names
+
+    def _outside_names(self, mod: ModuleInfo, nodes: list[ast.AST],
+                       params: list[str]) -> dict[str, bool]:
+        """Each name bound under ``nodes``, or a parameter: whether every
+        binding assigns it (or binds it by ``with ... as``) an outside
+        call.  ``ast.walk`` reaches a binding before the names it binds."""
+        found: dict[str, list[bool]] = {name: [False] for name in params}
+        simple: set[ast.Name] = set()
+        for sub in (sub for node in nodes for sub in ast.walk(node)):
+            pairs = ([(item.optional_vars, item.context_expr) for item in sub.items]
+                     if isinstance(sub, (ast.With, ast.AsyncWith)) else _assignments(sub)
+                     if isinstance(sub, (ast.Assign, ast.AnnAssign)) else [])
+            for target, value in pairs:
+                if isinstance(target, ast.Name):
+                    simple.add(target)
+                    found.setdefault(target.id, []).append(self._outside_call(mod, value))
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store) and sub not in simple:
+                found.setdefault(sub.id, []).append(False)   # a loop, unpacking, ...
+        return {name: all(outside) for name, outside in found.items()}
+
+    def made_outside(self, scope: FunctionInfo, expr: ast.AST) -> bool:
+        """Whether ``expr`` names an object made outside the tree: a name
+        that ``scope`` (or, if ``scope`` binds it nowhere, its module) binds
+        only to ``open(...)`` or to calls into modules outside the tree.
+        Its methods are not the tree's, whatever they are called."""
+        if not isinstance(expr, ast.Name):
+            return False
+        mod = self.modules[scope.module]
+        if scope.outside is None:
+            scope.outside = self._outside_names(mod, [scope.node], [
+                arg.arg for arg in ast.walk(scope.node.args) if isinstance(arg, ast.arg)])
+        if expr.id in scope.outside:
+            return scope.outside[expr.id]
+        if mod.outside is None:
+            mod.outside = self._outside_names(
+                mod, [s for s in mod.tree.body if not isinstance(s, DEFS)], [])
+        return mod.outside.get(expr.id, False)
+
     def _attr_type(self, cls: ClassInfo, attr: str) -> ClassInfo | None:
         """The class every ``self.attr = ...`` in ``cls`` (or, failing
         those, in its bases) gives."""
@@ -508,9 +557,9 @@ class CallGraph:
                 rev.setdefault(callee, set()).add(caller)
         return {k: sorted(v) for k, v in sorted(rev.items())}
 
-    def reachable_from(self, roots: list[str], uses: bool) -> set[str]:
+    def reachable_from(self, roots: list[str]) -> set[str]:
         """Everything transitively reachable from ``roots`` (inclusive)
-        through call edges, or through :attr:`uses` if ``uses``."""
+        through call edges."""
         seen: set[str] = set()
         stack = sorted(set(roots))
         while stack:
@@ -518,121 +567,5 @@ class CallGraph:
             if qual in seen:
                 continue
             seen.add(qual)
-            stack += sorted(self.uses.by_owner.get(qual, ())) if uses else [
-                callee for _line, callee in self.edges.get(qual, ())]
+            stack += [callee for _line, callee in self.edges.get(qual, ())]
         return seen
-
-    # --------------------------------------------------------------- uses
-
-    @functools.cached_property
-    def _subclasses(self) -> dict[str, list[str]]:
-        """Class qualname -> the qualnames of its direct subclasses."""
-        found: dict[str, list[str]] = {}
-        for qual in sorted(self.classes):
-            for base in self.bases_of(self.classes[qual]):
-                found.setdefault(base.qualname, []).append(qual)
-        return found
-
-    def targets(self, qual: str) -> list[str]:
-        """``qual``, and if it is a method, the methods overriding it in
-        the subclasses of its class: a call may reach any of them.  (A
-        dunder's overrides are ``IMPLICIT`` uses of their classes.)"""
-        info = self.functions.get(qual)
-        if info is None or info.class_name is None or info.node.name.startswith("__"):
-            return [qual]
-        name, todo, found = info.node.name, [qual.rpartition(".")[0]], [qual]
-        while todo:
-            for sub in self._subclasses.get(todo.pop(), ()):
-                todo.append(sub)
-                if name in self.classes[sub].methods:
-                    found.append(self.classes[sub].methods[name])
-        return found
-
-    def _by_names(self) -> dict[tuple[bool, str], list[str]]:
-        """(top-level only, name) -> the definitions of that name."""
-        found: dict[tuple[bool, str], list[str]] = {}
-        for qual in [*sorted(self.functions), *sorted(self.classes)]:
-            name = qual.rpartition(".")[2]
-            found.setdefault((False, name), []).append(qual)
-            if qual == f"{(self.classes.get(qual) or self.functions[qual]).module}.{name}":
-                found.setdefault((True, name), []).append(qual)
-        return found
-
-    def _strings(self, text: str) -> list[str]:
-        """What a dotted string names: a qualname (``module:Class`` for
-        ``module.Class``) or a ``Class.method`` of the graph."""
-        path = text.replace(":", ".")
-        if path in self.functions or path in self.classes:
-            return [path]
-        owner, _, name = path.rpartition(".")
-        return sorted(cls.methods[name] for cls in self.classes.values()
-                      if cls.name == owner and name in cls.methods)
-
-    @functools.cached_property
-    def uses(self) -> Uses:
-        """Every name in the graph's code, resolved where the graph can
-        (a method also reaches its overrides, :meth:`targets`) and else
-        matched by name: a bare name to the top-level definitions of that
-        name, an attribute to every definition of it.  An attribute of a
-        module outside the graph names nothing.  A dotted string counts
-        for what :meth:`_strings` resolves it to, and a ``(layer,
-        "module[:Class]", ("attr", ...))`` row for those attributes."""
-        by_name = self._by_names()
-        out = Uses({}, [], set())
-        packages = {name.split(".")[0] for name in self.modules}
-
-        def external(scope: FunctionInfo, expr: ast.AST) -> bool:   # ``np.take``
-            chain = dotted(expr) or []
-            resolved = (self.modules[scope.module].imports.resolve_module_attr(chain)
-                        if len(chain) > 1 else None)
-            return resolved is not None and resolved[0].split(".")[0] not in packages
-
-        def note(owner: str, scope: FunctionInfo, nodes: Iterable[ast.AST]) -> None:
-            found = out.by_owner.setdefault(owner, set())
-            for sub in (sub for node in nodes for sub in ast.walk(node)):
-                if isinstance(sub, ast.Call):
-                    out.calls.append((scope, sub, self.resolve(scope, sub.func)))
-                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
-                    out.stored.add(sub.attr)
-                elif isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load):
-                    qual = self.resolve(scope, sub)
-                    if qual:
-                        found.update(self.targets(qual))
-                    elif not external(scope, sub):
-                        found.update(by_name.get(
-                            (True, sub.id) if isinstance(sub, ast.Name) else (False, sub.attr), ()))
-                elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-                      and DOTTED.fullmatch(sub.value)):
-                    found.update(self._strings(sub.value))
-                elif (isinstance(sub, ast.Tuple) and len(sub.elts) == 3
-                      and isinstance(row := getattr(sub.elts[1], "value", None), str)
-                      and isinstance(sub.elts[2], ast.Tuple)):
-                    found.update(q for attr in sub.elts[2].elts if (q := row.replace(":", ".")
-                                 + f".{getattr(attr, 'value', '')}") in self.functions)
-
-        for name in sorted(self.modules):
-            mod = self.modules[name]
-            top = FunctionInfo(name, name, mod.path, ast.FunctionDef(   # the module's code
-                name="<module>", body=[s for s in mod.tree.body if not isinstance(s, DEFS)],
-                args=ast.arguments(posonlyargs=[], args=[], vararg=None, kwonlyargs=[],
-                                   kw_defaults=[], kwarg=None, defaults=[]),
-                decorator_list=[], returns=None))
-            note(name, top, top.node.body)
-            out.by_owner[name].update(   # importing ``a.b`` imports ``a`` and ``a.b``
-                part for imported in mod.imports.imported for i in range(imported.count(".") + 1)
-                if (part := imported.rsplit(".", i)[0]) in self.modules)
-            for stmt in mod.tree.body:
-                if isinstance(stmt, ast.ClassDef):
-                    cls = mod.classes[stmt.name]
-                    note(cls.qualname, top, [*stmt.bases, *stmt.keywords, *stmt.decorator_list,
-                                             *(s for s in stmt.body if not isinstance(s, DEFS))])
-                    out.by_owner[cls.qualname].update(
-                        q for m, q in cls.methods.items() if IMPLICIT.fullmatch(m))
-                    for item in stmt.body:
-                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                            info = self.functions[cls.methods[item.name]]
-                            note(info.qualname, info, [item])
-                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    info = self.functions[f"{name}.{stmt.name}"]
-                    note(info.qualname, info, [stmt])
-        return out

@@ -748,7 +748,7 @@ class DetFlow:
                                       if info.node.name == "_worker_main"}
         if not roots:
             return []
-        reachable = self.graph.reachable_from(sorted(roots), uses=False)
+        reachable = self.graph.reachable_from(sorted(roots))
         out: list[Violation] = []
         for qual in sorted(reachable):
             info = self.graph.functions.get(qual)

@@ -45,10 +45,24 @@ TERMINAL_STATES = (DONE, REJECTED, FAILED, QUARANTINED, CANCELLED)
 #: BFS depth cap for ``path`` queries without an explicit ``cap`` param.
 DEFAULT_PATH_CAP = 64
 
-#: Integer params checked when a spec is made, with their minimum: a bad
-#: one would otherwise surface rounds later (``retries`` only at the job's
-#: first failure) or run nothing (``iters=0``).
-_INT_PARAMS = {"iters": 1, "root": 0, "retries": 0}
+#: Stands for a param a spec of its kind must give.
+REQUIRED = "required"
+#: The params each kind takes, checked when a spec is made: an integer is
+#: the minimum of an optional integer param, ``REQUIRED`` a param the spec
+#: must give, None an optional one.  A bad value would otherwise surface
+#: rounds later (``retries`` only at the job's first failure, ``depth=abc``
+#: when the query runs) or run nothing (``iters=0``), and an unknown key
+#: would be dropped.  Vertex ids and job refs are checked when the job runs,
+#: against the graph and the jobs submitted.
+PARAMS: dict[str, dict[str, int | str | None]] = {
+    "pagerank": {"iters": 1, "retries": 0},
+    "bfs": {"root": 0, "retries": 0},
+    "cc": {"retries": 0},
+    "neighborhood": {"v": REQUIRED, "depth": 0},
+    "path": {"src": REQUIRED, "dst": REQUIRED, "cap": 0},
+    "vstate": {"ref": REQUIRED, "v": None},
+    "cancel": {"ref": REQUIRED},
+}
 
 
 @dataclass(frozen=True)
@@ -75,10 +89,17 @@ class JobSpec:
         if self.deadline_rounds < 0:
             raise ValueError(
                 f"deadline_rounds must be >= 0, got {self.deadline_rounds}")
-        for key, minimum in _INT_PARAMS.items():
-            value = self.params.get(key, minimum)
-            if not isinstance(value, int) or value < minimum:
-                raise ValueError(f"{key} must be an integer >= {minimum}, "
+        known = PARAMS[self.kind]
+        unknown = sorted(self.params.keys() - known.keys())
+        if unknown:
+            raise ValueError(f"unknown {self.kind} param {unknown[0]!r}; known: "
+                             + ", ".join(known))
+        for key, rule in known.items():
+            if rule == REQUIRED and key not in self.params:
+                raise ValueError(f"{self.kind} needs param {key!r}")
+            value = self.params.get(key, rule)
+            if isinstance(rule, int) and (not isinstance(value, int) or value < rule):
+                raise ValueError(f"{key} must be an integer >= {rule}, "
                                  f"got {value!r}")
 
     @property

@@ -20,11 +20,10 @@ def run_on(graph, kind="grafsoft", root=0):
 
 def test_program_pieces():
     program = BFSProgram(3)
-    src_ids = np.array([1, 2, 3], dtype=np.uint64)
+    ids = np.array([1, 2, 3], dtype=np.uint64)
     assert np.array_equal(
-        program.edge_program(np.zeros(3, np.uint64), src_ids, None,
-                             np.ones(3, np.uint64)),
-        src_ids)
+        program.vertex_messages(np.zeros(3, np.uint64), ids, np.ones(3, np.uint64)),
+        ids)
     old = np.array([UNVISITED, 7], dtype=np.uint64)
     active = program.is_active(np.zeros(2, np.uint64), old, np.zeros(2), 1)
     assert active.tolist() == [True, False]

@@ -26,8 +26,8 @@ def make_engine(graph, kind="grafsoft"):
 def test_program_pieces():
     program = PageRankProgram(num_vertices=100)
     assert program.default_value == pytest.approx(0.01)
-    messages = program.edge_program(
-        np.array([0.4, 0.9]), None, None, np.array([2, 3], dtype=np.uint64))
+    messages = program.vertex_messages(
+        np.array([0.4, 0.9]), None, np.array([2, 3], dtype=np.uint64))
     assert np.allclose(messages, [0.2, 0.3])
     finalized = program.finalize(np.array([0.5]), np.zeros(1))
     assert finalized[0] == pytest.approx(0.15 / 100 + 0.85 * 0.5)

@@ -21,6 +21,15 @@ from repro.perf.profiles import GRAFSOFT
 from tests.support import kv_pairs
 
 
+def read_all(dense: DenseRunHandle) -> KVArray:
+    chunks = list(dense.chunks())
+    return KVArray.concat(chunks) if chunks else KVArray.empty(dense.value_dtype)
+
+
+def stored_bytes(store, dense: DenseRunHandle) -> int:
+    return store.size(dense.values_file) + store.size(dense.bitmap_file)
+
+
 def make_run(aoffs, pairs, chunk_bytes=4096):
     reducer = ExternalSortReducer(aoffs, SUM, np.float64,
                                   SoftwareBackend(GRAFSOFT), chunk_bytes)
@@ -40,11 +49,11 @@ def test_densify_roundtrip(aoffs):
     pairs = [(0, 1.0), (3, 2.0), (4, 0.5), (99, 7.0)]
     run = make_run(aoffs, pairs)
     dense = densify_run(run, key_space=100)
-    out = dense.read_all()
+    out = read_all(dense)
     assert out.keys.tolist() == [0, 3, 4, 99]
     assert out.values.tolist() == [1.0, 2.0, 0.5, 7.0]
     assert len(dense) == 4
-    assert dense.nbytes == dense_bytes(100, 8)
+    assert stored_bytes(aoffs, dense) == dense_bytes(100, 8)
 
 
 def test_densify_chunk_iteration_matches_sparse(aoffs, monkeypatch):
@@ -67,7 +76,7 @@ def test_densify_empty_run(aoffs):
                                   SoftwareBackend(GRAFSOFT), 4096)
     run = reducer.finish()
     dense = densify_run(run, key_space=64)
-    assert len(dense.read_all()) == 0
+    assert len(read_all(dense)) == 0
 
 
 def test_densify_validates_key_space(aoffs):
@@ -90,16 +99,14 @@ def test_choose_encoding_densifies_and_cleans_up(aoffs):
     chosen = choose_encoding(run, key_space=100)
     assert isinstance(chosen, DenseRunHandle)
     assert not aoffs.exists(run.name)  # sparse run deleted
-    assert chosen.read_all().keys.tolist() == list(range(90))
-    chosen.delete()
-    assert not aoffs.exists(chosen.values_file)
+    assert read_all(chosen).keys.tolist() == list(range(90))
 
 
 def test_dense_smaller_on_flash_when_dense(aoffs):
     pairs = [(i, 1.0) for i in range(900)]
     run = make_run(aoffs, pairs)
     dense = densify_run(run, key_space=1000)
-    assert dense.nbytes < run.nbytes
+    assert stored_bytes(aoffs, dense) < run.nbytes
 
 
 @settings(deadline=None, max_examples=25)
@@ -114,7 +121,7 @@ def test_densify_property(keys, key_space):
     pairs = [(k, float(k) + 0.25) for k in sorted(keys)]
     run = make_run(store, pairs)
     dense = densify_run(run, key_space=key_space)
-    out = dense.read_all()
+    out = read_all(dense)
     assert out.keys.astype(int).tolist() == sorted(keys)
     if len(keys):
         assert np.allclose(out.values, np.array(sorted(keys)) + 0.25)

@@ -1,8 +1,6 @@
 """256-bit word packing (Fig 7)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.packing import WORD_BYTES, PackingSpec
 
@@ -39,46 +37,6 @@ def test_validation():
         PackingSpec(key_bits=65, value_bits=8)
     with pytest.raises(ValueError):
         PackingSpec(key_bits=64, value_bits=256)
-
-
-def test_pack_unpack_roundtrip_simple():
-    spec = PackingSpec(key_bits=34, value_bits=30)
-    keys = np.array([0, 1, 2 ** 34 - 1, 12345], dtype=np.uint64)
-    values = np.array([7, 0, 2 ** 30 - 1, 99], dtype=np.uint64)
-    packed = spec.pack(keys, values)
-    assert len(packed) == WORD_BYTES  # 4 pairs fit one word
-    back_keys, back_values = spec.unpack(packed, 4)
-    assert np.array_equal(back_keys, keys)
-    assert np.array_equal(back_values, values)
-
-
-def test_pack_rejects_oversized_fields():
-    spec = PackingSpec(key_bits=8, value_bits=8)
-    with pytest.raises(ValueError, match="key"):
-        spec.pack(np.array([256], dtype=np.uint64), np.array([0], dtype=np.uint64))
-    with pytest.raises(ValueError, match="value"):
-        spec.pack(np.array([0], dtype=np.uint64), np.array([256], dtype=np.uint64))
-
-
-def test_unpack_length_check():
-    spec = PackingSpec(key_bits=8, value_bits=8)
-    with pytest.raises(ValueError):
-        spec.unpack(b"\x00" * 10, 3)
-
-
-@given(st.integers(1, 64), st.integers(1, 64),
-       st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)),
-                max_size=40))
-def test_pack_unpack_property(key_bits, value_bits, pairs):
-    key_bits = max(key_bits, 17)
-    value_bits = max(value_bits, 17)
-    spec = PackingSpec(key_bits=key_bits, value_bits=value_bits)
-    keys = np.array([k for k, _ in pairs], dtype=np.uint64)
-    values = np.array([v for _, v in pairs], dtype=np.uint64)
-    packed = spec.pack(keys, values)
-    back_keys, back_values = spec.unpack(packed, len(pairs))
-    assert np.array_equal(back_keys, keys)
-    assert np.array_equal(back_values, values)
 
 
 def test_saving_monotone_in_key_width():

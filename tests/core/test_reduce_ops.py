@@ -70,9 +70,9 @@ def test_reduce_empty():
     assert len(out) == 0
 
 
-def test_custom_scalar_op():
-    concat_min = ReduceOp("gcd", None, scalar=lambda a, b: np.gcd(a, b))
-    out = concat_min.reduce_sorted(kv([(1, 12), (1, 18), (2, 7)]))
+def test_custom_ufunc_op():
+    gcd = ReduceOp("gcd", np.gcd)
+    out = gcd.reduce_sorted(kv([(1, 12), (1, 18), (2, 7)]))
     assert out.values.tolist() == [6, 7]
 
 
@@ -82,12 +82,14 @@ def test_op_needs_some_implementation():
 
 
 def test_combine_elementwise():
-    a = np.array([1, 2, 3])
-    b = np.array([10, 0, 3])
-    assert SUM.combine(a, b).tolist() == [11, 2, 6]
-    assert MIN.combine(a, b).tolist() == [1, 0, 3]
-    assert FIRST.combine(a, b).tolist() == [1, 2, 3]
-    assert LAST.combine(a, b).tolist() == [10, 0, 3]
+    # A key a later batch scatters again combines with the value it holds.
+    keys = np.array([0, 1, 2], dtype=np.uint64)
+    for op, expected in ((SUM, [11, 2, 6]), (MIN, [1, 0, 3]),
+                         (FIRST, [1, 2, 3]), (LAST, [10, 0, 3])):
+        out, touched = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=bool)
+        op.scatter_into(out, touched, keys, np.array([1, 2, 3]))
+        op.scatter_into(out, touched, keys, np.array([10, 0, 3]))
+        assert out.tolist() == expected
 
 
 def test_op_by_name():

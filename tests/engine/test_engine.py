@@ -7,7 +7,7 @@ from repro.algorithms.bfs import BFSProgram, UNVISITED, run_bfs
 from repro.algorithms.pagerank import run_pagerank
 from repro.algorithms.reference import pagerank_push, validate_parents
 from repro.engine import api
-from repro.engine.api import VertexProgram, all_active_chunks, single_seed
+from repro.engine.api import VertexProgram, all_active_chunks
 from repro.engine.config import make_system
 from repro.core.reduce_ops import SUM
 
@@ -152,7 +152,7 @@ def test_initial_generators(monkeypatch):
     chunks = list(all_active_chunks(10, np.float64, 0.5))
     assert [len(c) for c in chunks] == [4, 4, 2]
     assert chunks[0].values[0] == 0.5
-    seed = list(single_seed(3, np.uint64(3), np.uint64))
+    seed = list(BFSProgram(3).initial_updates(10))
     assert len(seed) == 1 and seed[0].keys[0] == 3
 
 

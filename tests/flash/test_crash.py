@@ -176,11 +176,10 @@ def test_injector_survives_across_injector_state_not_plan():
 def test_injector_requires_plan_like_object():
     injector = PowerLossInjector(CrashPlan(at_ops=(1,)), device=None)
     assert injector.advance(1) is None
-    assert not injector.exhausted
     assert injector.advance(1) == 0
     with pytest.raises(PowerLossError):
         injector.fire("unit test")
-    assert injector.exhausted
+    assert injector.advance(1) is None   # no loss remains
 
 
 # -------------------------------------------------------------- out of space

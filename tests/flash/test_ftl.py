@@ -17,7 +17,7 @@ def make_ftl(num_blocks=16, pages_per_block=8, overprovision=0.2):
 
 def test_write_read_roundtrip():
     ftl = make_ftl()
-    ftl.write(5, b"data5")
+    ftl.write_many([(5, b"data5")])
     assert ftl.read(5) == b"data5"
     assert ftl.is_mapped(5)
     assert not ftl.is_mapped(6)
@@ -25,9 +25,9 @@ def test_write_read_roundtrip():
 
 def test_overwrite_remaps():
     ftl = make_ftl()
-    ftl.write(0, b"v1")
+    ftl.write_many([(0, b"v1")])
     old_physical = ftl.translate(0)
-    ftl.write(0, b"v2")
+    ftl.write_many([(0, b"v2")])
     assert ftl.read(0) == b"v2"
     assert ftl.translate(0) != old_physical
 
@@ -42,7 +42,7 @@ def test_read_unwritten_is_error():
 
 def test_trim_unmaps():
     ftl = make_ftl()
-    ftl.write(1, b"x")
+    ftl.write_many([(1, b"x")])
     ftl.trim(1)
     assert not ftl.is_mapped(1)
     ftl.trim(1)  # idempotent
@@ -54,7 +54,7 @@ def test_gc_reclaims_overwritten_space():
     ftl = make_ftl(num_blocks=8, pages_per_block=4, overprovision=0.3)
     for round_index in range(20):
         for lpn in range(10):
-            ftl.write(lpn, f"{round_index}:{lpn}".encode())
+            ftl.write_many([(lpn, f"{round_index}:{lpn}".encode())])
     assert ftl.gc_runs > 0
     for lpn in range(10):
         assert ftl.read(lpn) == f"19:{lpn}".encode()
@@ -65,7 +65,7 @@ def test_write_amplification_reported():
     assert ftl.write_amplification == 1.0  # nothing written yet
     for round_index in range(30):
         for lpn in range(8):
-            ftl.write(lpn, b"x" * 64)
+            ftl.write_many([(lpn, b"x" * 64)])
     assert ftl.write_amplification >= 1.0
     assert ftl.device.total_pages_written >= ftl.user_pages_written
 
@@ -76,7 +76,7 @@ def test_sustained_overwrites_never_exhaust():
     ftl = make_ftl(num_blocks=4, pages_per_block=4, overprovision=0.3)
     for round_index in range(6):
         for lpn in range(ftl.logical_pages):
-            ftl.write(lpn, f"{round_index}-{lpn}".encode())
+            ftl.write_many([(lpn, f"{round_index}-{lpn}".encode())])
     for lpn in range(ftl.logical_pages):
         assert ftl.read(lpn) == f"5-{lpn}".encode()
 
@@ -87,7 +87,7 @@ def test_write_many_matches_individual_writes():
     payload = [(i, bytes([i]) * 128) for i in range(20)]
     ftl_a.write_many(payload)
     for lpn, data in payload:
-        ftl_b.write(lpn, data)
+        ftl_b.write_many([(lpn, data)])
     for lpn, data in payload:
         assert ftl_a.read(lpn) == data
         assert ftl_b.read(lpn) == data
@@ -101,7 +101,7 @@ def test_write_many_cheaper_than_individual():
     payload = [(i, b"z" * 4096) for i in range(64)]
     ftl_a.write_many(payload)
     for lpn, data in payload:
-        ftl_b.write(lpn, data)
+        ftl_b.write_many([(lpn, data)])
     assert clock_a.elapsed_s < clock_b.elapsed_s
 
 

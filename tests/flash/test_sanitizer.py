@@ -148,7 +148,7 @@ def test_oob_divergence_detected():
 def test_erase_of_ftl_mapped_pages_detected():
     device = make_device()
     ftl = PageMappedFTL(device)
-    ftl.write(0, page_of(1))
+    ftl.write_many([(0, page_of(1))])
     block = ftl._map[0][0]
     with pytest.raises(SanitizerError, match="still mapped"):
         device.erase_block(block)
@@ -191,7 +191,7 @@ def test_erase_of_reclaimed_block_is_clean():
 def test_free_pool_drift_detected():
     device = make_device()
     ftl = PageMappedFTL(device)
-    ftl.write(0, page_of(1))
+    ftl.write_many([(0, page_of(1))])
     live_block = ftl._map[0][0]
     # A bookkeeping bug returns a block holding live data to the free pool.
     heapq.heappush(ftl._free_blocks, live_block)
@@ -202,7 +202,7 @@ def test_free_pool_drift_detected():
 def test_map_reverse_disagreement_detected():
     device = make_device()
     ftl = PageMappedFTL(device)
-    ftl.write(0, page_of(1))
+    ftl.write_many([(0, page_of(1))])
     ftl._reverse[ftl._map[0]] = 1  # reverse map points at the wrong lpn
     with pytest.raises(SanitizerError, match="reverse"):
         ftl._sanity_check()
@@ -211,7 +211,7 @@ def test_map_reverse_disagreement_detected():
 def test_spare_accounting_drift_detected():
     device = make_device()
     ftl = PageMappedFTL(device)
-    ftl.write(0, page_of(1))
+    ftl.write_many([(0, page_of(1))])
     ftl.spare_blocks_remaining += 1
     with pytest.raises(SanitizerError, match="spare"):
         ftl._sanity_check()
@@ -220,7 +220,7 @@ def test_spare_accounting_drift_detected():
 def test_map_to_unprogrammed_page_detected():
     device = make_device()
     ftl = PageMappedFTL(device)
-    ftl.write(0, page_of(1))
+    ftl.write_many([(0, page_of(1))])
     ftl._map[1] = (5, 0)  # maps a page nothing ever programmed
     ftl._reverse[(5, 0)] = 1
     with pytest.raises(SanitizerError, match="never saw"):
@@ -285,7 +285,7 @@ def test_durable_ftl_mount_is_clean():
     device = make_device()
     ftl = PageMappedFTL(device, durable=True)
     ftl.write_many([(lpn, page_of(lpn + 1)) for lpn in range(20)])
-    ftl.write(3, page_of(99))  # leave an invalidated old copy behind
+    ftl.write_many([(3, page_of(99))])  # leave an invalidated old copy behind
     remounted = PageMappedFTL.mount(device)
     assert remounted.device.sanitizer is device.sanitizer
     assert remounted.read(3) == page_of(99)
@@ -300,7 +300,7 @@ def test_crash_and_torn_write_recovery_is_clean():
     from repro.flash.device import PowerLossError
     with pytest.raises(PowerLossError):
         for lpn in range(40):
-            ssd.ftl.write(lpn, page_of(lpn + 1))
+            ssd.ftl.write_many([(lpn, page_of(lpn + 1))])
     # Remount replays OOB records past the torn page; the sanitizer rides
     # along through the whole scan and must stay silent.
     recovered = SSD.mount(device)

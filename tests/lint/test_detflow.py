@@ -8,6 +8,7 @@ from __future__ import annotations
 import ast
 import json
 import textwrap
+from pathlib import Path
 
 from repro.lint import lint_sources, main
 from repro.lint.callgraph import CallGraph, module_name_for_path
@@ -139,6 +140,37 @@ def test_callgraph_inherited_method_resolution():
     # Child has no ``work`` of its own; self.work() resolves through Base.
     assert {q for _, q in graph.edges["repro.core.a.Child.leaf"]} == \
         {"repro.core.a.Base.work"}
+
+
+def test_callgraph_does_not_guess_methods_of_objects_made_outside():
+    # ``OOB_RECORD`` is ftl.py's module-level ``struct.Struct``.  Its
+    # ``pack`` used to resolve to the tree's only method named ``pack``.
+    ftl = Path(__file__).resolve().parents[2] / "src" / "repro" / "flash" / "ftl.py"
+    graph = CallGraph.build([("src/repro/flash/ftl.py", ast.parse(ftl.read_text())),
+                             *parse({SIM_A: """
+        import struct
+        HEADER = struct.Struct("<Q")
+
+        class Spec:
+            def pack(self):
+                return 0
+
+        def guessed(spec):
+            return spec.pack()
+
+        def made_outside(path):
+            with open(path) as fh:
+                fh.pack()
+            local = struct.Struct("<Q")
+            return HEADER.pack(1), local.pack(2)
+    """})])
+    scope = graph.functions["repro.flash.ftl.PageMappedFTL._make_oob"]
+    call = next(node for node in ast.walk(scope.node) if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "OOB_RECORD.pack")
+    assert graph.resolve_call(scope, call.func) is None
+    # An untyped parameter still falls back to the one method of its name.
+    assert {q for _, q in graph.edges["repro.core.a.guessed"]} == {"repro.core.a.Spec.pack"}
+    assert graph.edges["repro.core.a.made_outside"] == []
 
 
 # -------------------------------------- historical class 1: PR 5 / RL009

@@ -25,8 +25,8 @@ def run(tenant, state=RUNNING):
 
 
 def point(tenant, state=PENDING):
-    return Job(job_id="svc-0", spec=JobSpec(tenant=tenant,
-                                            kind="neighborhood"),
+    return Job(job_id="svc-0", spec=JobSpec(tenant=tenant, kind="neighborhood",
+                                            params={"v": 0}),
                state=state)
 
 

@@ -362,12 +362,23 @@ def test_serve_rejects_bad_job_spec(capsys):
     ("t0:bfs:root=-4", "root must be an integer >= 0"),
     ("t0:cc:retries=x", "retries must be an integer >= 0"),
     ("t0:bfs:root=1,root=2", "duplicate job spec key 'root'"),
+    ("t0:pagerank:iterations=5", "unknown pagerank param 'iterations'"),
+    ("t0:cc:root=3", "unknown cc param 'root'"),
+    ("t0:neighborhood:v=0,depth=-1", "depth must be an integer >= 0"),
+    ("t0:neighborhood:v=0,depth=abc", "depth must be an integer >= 0"),
+    ("t0:neighborhood:depth=2", "neighborhood needs param 'v'"),
+    ("t0:path:src=0", "path needs param 'dst'"),
+    ("t0:path:src=0,dst=1,cap=-1", "cap must be an integer >= 0"),
+    ("t1:vstate:v=0", "vstate needs param 'ref'"),
+    ("t0:cancel", "cancel needs param 'ref'"),
 ])
 def test_serve_job_spec_errors_are_usage_errors(spec, message, capsys,
                                                 monkeypatch):
     # These used to exit 1 ("serve: aborted") after the dataset was built,
-    # report done with 0 supersteps (iters), or raise only at the job's first
-    # failure (retries).  Now they are refused before any dataset work.
+    # report done with 0 supersteps (iters), raise only at the job's first
+    # failure (retries) or when the query ran (depth=abc, a missing v), or
+    # drop an unknown key (iterations=5 ran one iteration).  Now they are
+    # refused before any dataset work.
     import repro.cli
 
     monkeypatch.setattr(repro.cli, "build_graph", None)

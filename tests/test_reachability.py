@@ -5,7 +5,7 @@ a :class:`repro.lint.callgraph.CallGraph` of ``src/``, ``benchmarks/`` and
 * Every top-level function or class, and every method but the
   ``IMPLICIT`` ones (dunders, ``visit_*``), in ``src/repro`` is reached.
   Module-level code, benches and examples reach what they use; a reached
-  definition reaches what its body uses (``CallGraph.uses``): what the
+  definition reaches what its body uses (:func:`uses`): what the
   graph resolves a name to, so a dead method cannot hide behind a live
   namesake, else every definition of that name.  So neither a function
   that calls itself nor a dead pair keeps itself alive, and an import's
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import ast
 import functools
+import re
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from repro.lint.callgraph import IMPLICIT, CallGraph, FunctionInfo
+from repro.lint.callgraph import DEFS, IMPLICIT, CallGraph, FunctionInfo, dotted
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = [*(ROOT / "src").rglob("*.py"), *(ROOT / "benchmarks").rglob("*.py"),
@@ -49,6 +50,158 @@ ALLOWED = {
                     "goldens read stored bytes with it, and RL006's pinned "
                     "corpus names it as a raw device primitive",
 }
+
+
+#: A string that may name something: ``a.b``, ``module:Class``.
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)+")
+
+
+class Uses(NamedTuple):
+    """What the tree's code names, read once for every module."""
+
+    #: owner -> the qualnames its code names.  The owners are each module
+    #: (its top-level statements; it also reaches the modules it imports),
+    #: each class (bases, decorators and class-level statements; it also
+    #: reaches its ``IMPLICIT`` methods) and each top-level function or
+    #: method (nested defs included).
+    by_owner: dict[str, set[str]]
+    #: every call: the scope it is resolved in, the node, the callee.
+    calls: list[tuple[FunctionInfo, ast.Call, str | None]]
+    #: every attribute name assigned (``x.attr = ...``).
+    stored: set[str]
+
+
+@functools.cache
+def subclasses(graph: CallGraph) -> dict[str, list[str]]:
+    """Class qualname -> the qualnames of its direct subclasses."""
+    found: dict[str, list[str]] = {}
+    for qual in sorted(graph.classes):
+        for base in graph.bases_of(graph.classes[qual]):
+            found.setdefault(base.qualname, []).append(qual)
+    return found
+
+
+def targets(graph: CallGraph, qual: str) -> list[str]:
+    """``qual``, and if it is a method, the methods overriding it in the
+    subclasses of its class: a call may reach any of them.  (A dunder's
+    overrides are ``IMPLICIT`` uses of their classes.)"""
+    info = graph.functions.get(qual)
+    if info is None or info.class_name is None or info.node.name.startswith("__"):
+        return [qual]
+    name, todo, found = info.node.name, [qual.rpartition(".")[0]], [qual]
+    below = subclasses(graph)
+    while todo:
+        for sub in below.get(todo.pop(), ()):
+            todo.append(sub)
+            if name in graph.classes[sub].methods:
+                found.append(graph.classes[sub].methods[name])
+    return found
+
+
+def by_names(graph: CallGraph) -> dict[tuple[bool, str], list[str]]:
+    """(top-level only, name) -> the definitions of that name."""
+    found: dict[tuple[bool, str], list[str]] = {}
+    for qual in [*sorted(graph.functions), *sorted(graph.classes)]:
+        name = qual.rpartition(".")[2]
+        found.setdefault((False, name), []).append(qual)
+        if qual == f"{(graph.classes.get(qual) or graph.functions[qual]).module}.{name}":
+            found.setdefault((True, name), []).append(qual)
+    return found
+
+
+def strings(graph: CallGraph, text: str) -> list[str]:
+    """What a dotted string names: a qualname (``module:Class`` for
+    ``module.Class``) or a ``Class.method`` of the graph."""
+    path = text.replace(":", ".")
+    if path in graph.functions or path in graph.classes:
+        return [path]
+    owner, _, name = path.rpartition(".")
+    return sorted(cls.methods[name] for cls in graph.classes.values()
+                  if cls.name == owner and name in cls.methods)
+
+
+@functools.cache
+def uses(graph: CallGraph) -> Uses:
+    """Every name in the graph's code, resolved where the graph can (a
+    method also reaches its overrides, :func:`targets`) and else matched by
+    name: a bare name to the top-level definitions of that name, an
+    attribute to every definition of it.  An attribute of a module outside
+    the graph, or of an object made outside it (``CallGraph.made_outside``),
+    names nothing.  A dotted string counts for what :func:`strings`
+    resolves it to, and a ``(layer, "module[:Class]", ("attr", ...))`` row
+    for those attributes."""
+    names = by_names(graph)
+    out = Uses({}, [], set())
+    packages = {name.split(".")[0] for name in graph.modules}
+
+    def external(scope: FunctionInfo, expr: ast.AST) -> bool:   # ``np.take``, ``fh.read``
+        chain = dotted(expr) or []
+        resolved = (graph.modules[scope.module].imports.resolve_module_attr(chain)
+                    if len(chain) > 1 else None)
+        return (resolved is not None and resolved[0].split(".")[0] not in packages
+                or isinstance(expr, ast.Attribute) and graph.made_outside(scope, expr.value))
+
+    def note(owner: str, scope: FunctionInfo, nodes: Iterable[ast.AST]) -> None:
+        found = out.by_owner.setdefault(owner, set())
+        for sub in (sub for node in nodes for sub in ast.walk(node)):
+            if isinstance(sub, ast.Call):
+                out.calls.append((scope, sub, graph.resolve(scope, sub.func)))
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                out.stored.add(sub.attr)
+            elif isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load):
+                qual = graph.resolve(scope, sub)
+                if qual:
+                    found.update(targets(graph, qual))
+                elif not external(scope, sub):
+                    found.update(names.get(
+                        (True, sub.id) if isinstance(sub, ast.Name) else (False, sub.attr), ()))
+            elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                  and DOTTED.fullmatch(sub.value)):
+                found.update(strings(graph, sub.value))
+            elif (isinstance(sub, ast.Tuple) and len(sub.elts) == 3
+                  and isinstance(row := getattr(sub.elts[1], "value", None), str)
+                  and isinstance(sub.elts[2], ast.Tuple)):
+                found.update(q for attr in sub.elts[2].elts if (q := row.replace(":", ".")
+                             + f".{getattr(attr, 'value', '')}") in graph.functions)
+
+    for name in sorted(graph.modules):
+        mod = graph.modules[name]
+        top = FunctionInfo(name, name, mod.path, ast.FunctionDef(   # the module's code
+            name="<module>", body=[s for s in mod.tree.body if not isinstance(s, DEFS)],
+            args=ast.arguments(posonlyargs=[], args=[], vararg=None, kwonlyargs=[],
+                               kw_defaults=[], kwarg=None, defaults=[]),
+            decorator_list=[], returns=None))
+        note(name, top, top.node.body)
+        out.by_owner[name].update(   # importing ``a.b`` imports ``a`` and ``a.b``
+            part for imported in mod.imports.imported for i in range(imported.count(".") + 1)
+            if (part := imported.rsplit(".", i)[0]) in graph.modules)
+        for stmt in mod.tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                cls = mod.classes[stmt.name]
+                note(cls.qualname, top, [*stmt.bases, *stmt.keywords, *stmt.decorator_list,
+                                         *(s for s in stmt.body if not isinstance(s, DEFS))])
+                out.by_owner[cls.qualname].update(
+                    q for m, q in cls.methods.items() if IMPLICIT.fullmatch(m))
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        info = graph.functions[cls.methods[item.name]]
+                        note(info.qualname, info, [item])
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                info = graph.functions[f"{name}.{stmt.name}"]
+                note(info.qualname, info, [stmt])
+    return out
+
+
+def reachable(graph: CallGraph, roots: list[str]) -> set[str]:
+    """Everything ``roots`` (inclusive) transitively use."""
+    seen: set[str] = set()
+    stack = sorted(set(roots))
+    while stack:
+        qual = stack.pop()
+        if qual not in seen:
+            seen.add(qual)
+            stack += sorted(uses(graph).by_owner.get(qual, ()))
+    return seen
 
 
 def build(sources: dict[str, str]) -> CallGraph:
@@ -86,7 +239,7 @@ def unreached(graph: CallGraph, allowed=()) -> list[str]:
     roots = [*graph.modules, *(qual for name in graph.modules.keys() - set(src_modules(graph))
                                for qual in definitions(graph, name)),
              *(qual for qual in checked if qual.rpartition(".")[2] in allowed)]
-    return sorted(checked - graph.reachable_from(roots, uses=True))
+    return sorted(checked - reachable(graph, roots))
 
 
 def test_every_definition_is_named_outside_the_tests():
@@ -99,7 +252,16 @@ def test_every_definition_is_named_outside_the_tests():
 SYNTHETIC = {
     "src/repro/toy/__init__.py": "from repro.toy.mod import exported\n__all__ = ['exported']\n",
     "src/repro/toy/mod.py": """
+import struct
+HEADER = struct.Struct("<Q")
 def exported(): pass
+class Codec:
+    def pack(self): pass
+    def read(self): pass
+def header(): return HEADER.pack(1)
+def load(p):
+    with open(p) as fh:
+        return fh.read()
 class Clock:
     def reset(self): pass
     def tick(self): return self.step()
@@ -121,8 +283,8 @@ def read(meter: Meter): return meter.value()
 def renamed(): pass
 """,
     "benchmarks/caller.py": """
-from repro.toy.mod import live, read, renamed as other
-live(), read(None), other()
+from repro.toy.mod import Codec, header, live, load, read, renamed as other
+live(), read(None), other(), header(), load("toy.bin"), Codec()
 request = {"op": "reset"}
 ROWS = (("toy", "repro.toy.mod", ("reset",)), ("toy", "repro.toy.mod:Clock", ("wind",)))
 STRINGS = ["run.py", "perf.clock.sim_cpu_busy_s", "repro.toy.mod.named"]
@@ -137,19 +299,22 @@ def test_the_definition_check_sees_through_names_that_reach_nothing():
     ``Clock.run``) reach nothing; nor does a call the graph resolves reach
     a namesake of its target: ``self.step()``, ``c.tick()`` on a
     constructed local and ``meter.value()`` on an annotated parameter keep
-    ``Meter.step``, ``Meter.tick`` and ``Clock.value`` dead.  A call, an
+    ``Meter.step``, ``Meter.tick`` and ``Clock.value`` dead; and a method
+    of an object made outside the tree reaches no namesake in it:
+    ``HEADER.pack()`` on a module-level ``struct.Struct`` and ``fh.read()``
+    on an ``open`` keep ``Codec.pack`` and ``Codec.read`` dead.  A call, an
     ``as`` import's use, a trace row of the class and a string naming a
     qualname do reach."""
     assert unreached(build(SYNTHETIC)) == [f"repro.toy.mod.{name}" for name in [
-        "Clock.reset", "Clock.run", "Clock.value", "Meter.step", "Meter.tick",
-        "clock", "exported", "ping", "pong", "recurse"]]
+        "Clock.reset", "Clock.run", "Clock.value", "Codec.pack", "Codec.read",
+        "Meter.step", "Meter.tick", "clock", "exported", "ping", "pong", "recurse"]]
 
 
 def test_every_module_is_reachable_from_an_entry_point():
     graph = tree()
     roots = [*(graph.modules.keys() - set(src_modules(graph))),
              *(name for name in [*ENTRY_POINTS, *ALLOWED] if name in graph.modules)]
-    unreached = sorted(graph.modules.keys() - graph.reachable_from(roots, uses=True))
+    unreached = sorted(graph.modules.keys() - reachable(graph, roots))
     assert not unreached, f"no entry point, bench or example imports {unreached}"
 
 
@@ -177,7 +342,7 @@ def test_no_process_wide_counters():
 
 
 def test_results_files_match_their_benches():
-    emitted = {call.args[0].value for scope, call, _ in tree().uses.calls
+    emitted = {call.args[0].value for scope, call, _ in uses(tree()).calls
                if Path(scope.path).parent == Path("benchmarks")
                and ast.unparse(call.func) == "emit_results"
                and isinstance(call.args[0], ast.Constant)}
@@ -283,12 +448,12 @@ def settings_check() -> tuple[list[str], list[tuple[str, str]]]:
     found, constructs = signatures(graph)
     positional: dict[str, int] = {}
     keywords: dict[str, set[str]] = {}
-    fields = set(graph.uses.stored)   # and dataclasses.replace / setattr keywords
+    fields = set(uses(graph).stored)   # and dataclasses.replace / setattr keywords
     # (sources, target, carries positional): a class call constructs its
     # bases; keywords pass through ``**kwargs`` to where it is forwarded.
     edges = [((cls, cls.rpartition(".")[2]), base, True)
              for cls, bases in constructs.items() for base in bases]
-    for scope, call, callee in graph.uses.calls:
+    for scope, call, callee in uses(graph).calls:
         func = ast.unparse(call.func)
         if func in ("replace", "dataclasses.replace"):
             fields.update(k.arg for k in call.keywords if k.arg)
@@ -308,7 +473,7 @@ def settings_check() -> tuple[list[str], list[tuple[str, str]]]:
                 words.add(ANY)    # a dict whose keys the check cannot read
         count = 1 << 30 if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
         leaf = getattr(call.func, "id", getattr(call.func, "attr", None))
-        for target in ([t.removesuffix(".__init__") for t in graph.targets(callee)]
+        for target in ([t.removesuffix(".__init__") for t in targets(graph, callee)]
                        if callee else [leaf] if leaf else []):
             positional[target] = max(positional.get(target, 0), count)
             keywords.setdefault(target, set()).update(words)
