@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Keys hashed at once by :meth:`BloomFilter.add`: its hash temporaries are
+#: ``num_hashes`` positions per key of one block, whatever the batch.
+ADD_BLOCK_KEYS = 1 << 14
+
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer: a cheap, well-mixed 64-bit hash."""
@@ -50,13 +54,19 @@ class BloomFilter:
         return (h % np.uint64(self.num_bits)).astype(np.int64)
 
     def add(self, keys: np.ndarray) -> None:
-        """Insert a batch of keys."""
+        """Insert a batch of keys, hashing ``ADD_BLOCK_KEYS`` at a time.
+
+        One boolean per bit marks every block's positions, then is packed
+        least-significant bit first (bit ``pos`` is bit ``pos & 7`` of byte
+        ``pos >> 3``) and OR-ed in.  Setting the packed bytes directly with
+        ``bitwise_or.at`` holds no mask but costs ~15 ns a position, which
+        made every workload's adds slower; the mask is one byte per bit.
+        """
         if len(keys) == 0:
             return
-        # One boolean per bit, packed least-significant bit first: bit
-        # ``pos`` lands on byte ``pos >> 3``, bit ``pos & 7``.
         mask = np.zeros(len(self._bits) * 8, dtype=bool)
-        mask[self._positions(keys).ravel()] = True
+        for start in range(0, len(keys), ADD_BLOCK_KEYS):
+            mask[self._positions(keys[start:start + ADD_BLOCK_KEYS]).ravel()] = True
         self._bits |= np.packbits(mask, bitorder="little")
 
     def contains(self, keys: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ key space plus a presence bitmap (1 bit per key), which wins once more than
 ``itemsize / (itemsize + 8)`` of the key space is populated — e.g. beyond
 ~50 % density for 8-byte values.
 
-:class:`DenseRunHandle` is chunk-iterable exactly like
+:class:`DenseRunHandle` is chunk-iterable like
 :class:`~repro.core.external.RunHandle` (it yields sparse
 :class:`~repro.core.kvstream.KVArray` chunks reconstructed from the bitmap),
-so a densified ``newV`` drops into the engine unchanged.
+but no engine path densifies a run: every ``newV`` stays sparse, and only
+``benchmarks/bench_ablation_dense.py`` and the tests use this module.
 """
 
 from __future__ import annotations

@@ -153,18 +153,25 @@ class RunHandle:
         raw = self.store.read(self.name, 0, self.nbytes)
         return KVArray.from_bytes(raw, self.value_dtype)
 
-    def chunks(self) -> Iterator[KVArray]:
-        """Stream the run in record-aligned chunks of roughly ``MERGE_IO_BYTES``."""
+    def reads(self) -> Iterator[list[KVArray]]:
+        """Stream the run in record-aligned reads of roughly
+        ``MERGE_IO_BYTES``, each as the runs of views
+        :meth:`KVArray.from_buffers` makes of the read's segments: a merge
+        source holds the flash pages the device already keeps, not a copy."""
         rec = self.record_bytes
-        per_chunk = max(1, MERGE_IO_BYTES // rec)
+        per_read = max(1, MERGE_IO_BYTES // rec)
         offset = 0
         while offset < self.num_records:
-            n = min(per_chunk, self.num_records - offset)
-            # No local keeps the read: a suspended generator holds only the
-            # decoded chunk it yielded.
-            yield KVArray.from_bytes(
-                self.store.read(self.name, offset * rec, n * rec), self.value_dtype)
+            n = min(per_read, self.num_records - offset)
+            read = self.store.read(self.name, offset * rec, n * rec, segments=True)
+            yield KVArray.from_buffers(read.segments, self.value_dtype)
             offset += n
+
+    def chunks(self) -> Iterator[KVArray]:
+        """:meth:`reads`, each read as one :class:`KVArray` (joined only when
+        it spans more than one run of views)."""
+        for parts in self.reads():
+            yield parts[0] if len(parts) == 1 else KVArray.concat(parts)
 
     def delete(self) -> None:
         if self.num_records and self.store.exists(self.name):
@@ -384,7 +391,7 @@ class ExternalSortReducer:
         merger = StreamingMergeReducer(self.op, self.value_dtype,
                                        fanout=self.fanout, pool=self.pool)
         try:
-            pairs_in, pairs_out = merger.merge([r.chunks() for r in group], sink)
+            pairs_in, pairs_out = merger.merge([r.reads() for r in group], sink)
         except Exception:
             # A failed merge (device error, worker death) must not leak its
             # partially-written output: it is not yet in ``self._runs``, so

@@ -17,6 +17,11 @@ import numpy as np
 
 KEY_DTYPE = np.dtype("<u8")
 
+#: Buffers shorter than this are copied, not viewed, by
+#: :meth:`KVArray.from_buffers`: every view is one more part in each merge
+#: step, which costs more than copying this many bytes once.
+VIEW_MIN_BYTES = 1 << 16
+
 #: Concatenations of at most this many sorted runs are sorted by timsort, more
 #: by the composite sort — the measured crossover (DESIGN.md), not a setting.
 TIMSORT_MAX_RUNS = 2
@@ -133,6 +138,37 @@ class KVArray:
     def from_bytes(data: bytes, value_dtype: np.dtype) -> "KVArray":
         rec = np.frombuffer(data, dtype=record_dtype(value_dtype))
         return KVArray._wrap(rec["k"].copy(), rec["v"].copy())
+
+    @staticmethod
+    def from_buffers(buffers: list, value_dtype: np.dtype) -> list["KVArray"]:
+        """Records laid end to end across ``buffers``, in order, as
+        non-empty runs of read-only strided views into them.
+
+        Only what no buffer holds whole is copied: the records a buffer
+        boundary cuts in two, and buffers shorter than ``VIEW_MIN_BYTES``,
+        joined with those cut records into one run of their own.
+        """
+        dtype = record_dtype(value_dtype)
+        size = dtype.itemsize
+        parts: list[KVArray] = []
+        pending = b""          # bytes no view holds, copied, in order
+        for buffer in buffers:
+            n = len(buffer)
+            if n < VIEW_MIN_BYTES:
+                pending += buffer
+                continue
+            head = -len(pending) % size
+            if pending:
+                rec = np.frombuffer(pending + buffer[:head], dtype=dtype)
+                parts.append(KVArray._wrap(rec["k"], rec["v"]))
+            count = (n - head) // size
+            rec = np.frombuffer(buffer, dtype=dtype, count=count, offset=head)
+            parts.append(KVArray._wrap(rec["k"], rec["v"]))
+            pending = bytes(buffer[head + count * size:])
+        if pending:
+            rec = np.frombuffer(pending, dtype=dtype)
+            parts.append(KVArray._wrap(rec["k"], rec["v"]))
+        return parts
 
     def __repr__(self) -> str:
         preview = ", ".join(

@@ -15,6 +15,7 @@ for the Fig 14 reduction statistics.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterator
 
 import numpy as np
@@ -63,12 +64,13 @@ def sort_reduce_parts(parts: list[KVArray], op: ReduceOp) -> KVArray:
     """Merge-reduce non-empty sorted ``parts`` in key-range slices.
 
     Bitwise ``op.reduce_sorted(KVArray.concat(parts).sorted(runs=len(parts)))``:
-    every part is cut at the same keys with ``searchsorted(side="left")``, so
-    a key's records all land in one slice, and the stable sort of a key
-    range is the restriction of the stable sort of the whole — the argument
-    of :meth:`~repro.core.parallel.SortReducePool.merge_reduce`, run
-    serially.  A batch of at most ``EMIT_SLICE_RECORDS`` records is one
-    slice.
+    every part is cut at the same keys with ``bisect_left`` (numpy's
+    ``searchsorted`` would first copy a part that is a strided view of flash
+    pages, and converts the keys for a Python-int key), so a key's records
+    all land in one slice, and the stable sort of a key range is the
+    restriction of the stable sort of the whole — the argument of
+    :meth:`~repro.core.parallel.SortReducePool.merge_reduce`, run serially.
+    A batch of at most ``EMIT_SLICE_RECORDS`` records is one slice.
     """
     total = sum(len(p) for p in parts)
     lows = [0] * len(parts)
@@ -76,8 +78,7 @@ def sort_reduce_parts(parts: list[KVArray], op: ReduceOp) -> KVArray:
     for cut in [*_slice_cuts(parts, total), None]:
         pieces = []
         for j, p in enumerate(parts):
-            high = len(p) if cut is None else int(
-                np.searchsorted(p.keys, cut, side="left"))
+            high = len(p) if cut is None else bisect_left(p.keys, cut)
             if high > lows[j]:
                 pieces.append(p.slice(lows[j], high))
             lows[j] = high
@@ -108,17 +109,23 @@ def merge_reduce_arrays(runs: list[KVArray], op: ReduceOp,
     return sort_reduce_parts(runs, op)
 
 
+#: What a merge source yields per pull: one sorted chunk, or one read as
+#: the consecutive non-empty parts it decodes to (:meth:`RunHandle.reads`).
+Chunk = KVArray | list[KVArray]
+
+
 class _SourceState:
     """Buffer and lifecycle of one input run during a streaming merge.
 
-    The buffer is a *list* of sorted chunks, consolidated lazily only when a
+    The buffer is a *list* of sorted parts, consolidated lazily only when a
     prefix is cut off — repeatedly concatenating into one array would copy
-    the surviving suffix on every pull (quadratic on long runs).
+    the surviving suffix on every pull (quadratic on long runs).  Parts may
+    be read-only views of flash pages; nothing here writes them.
     """
 
     __slots__ = ("chunks", "parts", "buffered", "exhausted")
 
-    def __init__(self, chunks: Iterator[KVArray], value_dtype: np.dtype):
+    def __init__(self, chunks: Iterator[Chunk], value_dtype: np.dtype):
         self.chunks = iter(chunks)
         self.parts: list[KVArray] = []   # non-empty, in global key order
         self.buffered = 0                # total records across ``parts``
@@ -129,12 +136,13 @@ class _SourceState:
         if self.exhausted:
             return False
         for chunk in self.chunks:
-            if len(chunk) == 0:
+            parts = [chunk] if isinstance(chunk, KVArray) else chunk
+            if not parts or not len(parts[0]):
                 continue
-            if self.parts and chunk.keys[0] < self.parts[-1].keys[-1]:
+            if self.parts and parts[0].keys[0] < self.parts[-1].keys[-1]:
                 raise ValueError("run chunks are not globally sorted")
-            self.parts.append(chunk)
-            self.buffered += len(chunk)
+            self.parts += parts
+            self.buffered += sum(map(len, parts))
             return True
         self.exhausted = True
         return False
@@ -158,7 +166,7 @@ class _SourceState:
                 del self.parts[0]
                 self.buffered -= len(head)
                 continue
-            cut = int(np.searchsorted(head.keys, boundary, side="left"))
+            cut = bisect_left(head.keys, boundary)
             if cut:
                 out.append(head.slice(0, cut))
                 self.parts[0] = head.slice(cut, len(head))
@@ -193,7 +201,7 @@ class StreamingMergeReducer:
         self.pairs_in = 0
         self.pairs_out = 0
 
-    def merge(self, sources: list[Iterator[KVArray]],
+    def merge(self, sources: list[Iterator[Chunk]],
               sink: Callable[[KVArray], None]) -> tuple[int, int]:
         """Run the merge; returns (pairs consumed, pairs emitted)."""
         if not sources:

@@ -22,6 +22,7 @@ from repro.engine.modes import (
 from repro.engine.superstep import scan
 from repro.flash.device import FlashError
 from repro.flash.publish import discard, publish
+from repro.flash.store import FileStore
 from repro.graph.formats import FlashCSR
 from repro.graph.vertexdata import VertexArray
 
@@ -98,8 +99,8 @@ class GraFBoostEngine:
     commodity SSD file system).
     """
 
-    def __init__(self, graph: FlashCSR, store, backend, num_vertices: int,
-                 chunk_bytes: int, memory=None, lazy: bool = True,
+    def __init__(self, graph: FlashCSR, store: FileStore, backend,
+                 num_vertices: int, chunk_bytes: int, memory=None, lazy: bool = True,
                  checkpoint_every: int = 0, checkpoint_prefix: str = "ckpt",
                  auto_resume: bool = False, workers: int = 1,
                  mode: str = "sortreduce"):

@@ -49,6 +49,7 @@ from repro.engine.superstep import (
     scan,
 )
 from repro.flash.device import FlashError
+from repro.flash.store import FileStore
 from repro.graph.formats import OFFSET_DTYPE, TARGET_DTYPE, WEIGHT_DTYPE
 
 #: Every selectable mode (``adaptive`` picks among the static ones).
@@ -168,7 +169,7 @@ class SortReduceMode(ExecutionMode):
         """Algorithm 2: materialize the active list A_i on flash, then
         consume it from the read-back — two extra I/O operations per active
         vertex vs Algorithm 3 (§III-C), kept for the lazy-evaluation ablation."""
-        store = self.store
+        store: FileStore = self.store
         name = f"{self.vertices.prefix}:active-{superstep}"
         rec_dtype = np.dtype([("k", "<u8"), ("v", self.program.value_dtype)])
 

@@ -17,6 +17,7 @@ real SSD.  Durable metadata is a ping-pong log on the low logical pages
 
 from __future__ import annotations
 
+import mmap
 from array import array
 from collections.abc import Collection
 
@@ -35,20 +36,62 @@ from repro.flash.journal import (
 from repro.flash.store import FileStore, StoredFile
 
 
-def free_lpn_stack(end: int, start: int,
-                   used: Collection[int] = ()) -> tuple[array, int]:
-    """The free pool of a store owning LPNs ``start .. end - 1``, of which
-    ``used`` are taken: a stack of int64s and its height.  The free LPNs are
-    ``stack[:height]``, popped from the top so the lowest goes first.  One
-    machine word per page, not one Python int, and room for every LPN the
-    store owns, so the stack is never resized: a multi-megabyte buffer that
-    moved on every grow would fragment the host heap."""
-    lpns = np.arange(end - 1, start - 1, -1, dtype=np.int64)
-    free = lpns[~np.isin(lpns, sorted(used))] if used else lpns
-    stack = array("q", free.tobytes())
-    height = len(stack)
-    stack.frombytes(bytes(8 * (len(lpns) - height)))
-    return stack, height
+class FreeLPNPool:
+    """The free logical pages of a store owning LPNs ``start .. end - 1``.
+
+    A pop hands out recycled LPNs first, the last one pushed first, then
+    the lowest LPN never handed out: the order of one stack that held every
+    free LPN from the highest down, the lowest on top.  Only the recycled
+    LPNs are stored, below ``fresh``, the never-used mark; above it every
+    LPN is free.  Their stack is one anonymous mapping with room for every
+    LPN, made once and never resized (a buffer that moved on every grow
+    fragmented the host heap), of which the kernel commits only the pages
+    the stack has reached.  ``used`` are the LPNs live files hold at
+    mount: the free ones below the highest of them start out recycled,
+    lowest on top, so pops keep that one stack's order.
+    """
+
+    __slots__ = ("end", "fresh", "_stack", "_top")
+
+    def __init__(self, start: int, end: int, used: Collection[int] = ()):
+        self.end = end
+        self.fresh = max(max(used, default=start - 1) + 1, start)
+        holes = np.arange(self.fresh - 1, start - 1, -1, dtype=np.int64)
+        if used:
+            holes = holes[~np.isin(holes, np.fromiter(used, np.int64, len(used)))]
+        mapping = mmap.mmap(-1, 8 * max(1, end - start), flags=mmap.MAP_PRIVATE)
+        mapping[:holes.nbytes] = holes.tobytes()
+        self._stack = memoryview(mapping).cast("q")
+        self._top = len(holes)
+
+    def __len__(self) -> int:
+        return self._top + self.end - self.fresh
+
+    def pop(self, n: int) -> list[int] | None:
+        """The next ``n`` LPNs, in the order of ``n`` single pops, or
+        ``None``, taking none, when fewer are free."""
+        top = self._top
+        if top + self.end - self.fresh < n:
+            return None
+        k = n if n < top else top
+        lpns = [*self._stack[top - k:top][::-1]]
+        self._top = top - k
+        if k < n:
+            fresh = self.fresh
+            lpns += range(fresh, fresh + n - k)
+            self.fresh = fresh + n - k
+        return lpns
+
+    def push(self, lpns: list[int]) -> None:
+        """Recycle ``lpns``, in order: the last is popped first."""
+        top = self._top
+        self._stack[top:top + len(lpns)] = array("q", lpns)
+        self._top = top + len(lpns)
+
+    def free(self) -> list[int]:
+        """Every free LPN, in the order pops hand them out."""
+        return self._stack[:self._top].tolist()[::-1] + list(
+            range(self.fresh, self.end))
 
 
 class SSDFileSystem(FileStore):
@@ -67,8 +110,7 @@ class SSDFileSystem(FileStore):
         super().__init__(ssd.device, 1, durable)
         self.ssd = ssd
         if not durable:
-            self._free_lpns, self._free_top = free_lpn_stack(
-                ssd.logical_pages, 0)
+            self._free = FreeLPNPool(0, ssd.logical_pages)
             return
         # Durable mode reserves the low logical pages as a metadata log:
         # two ping-pong halves, each large enough for a full snapshot, so a
@@ -86,8 +128,7 @@ class SSDFileSystem(FileStore):
                 f"device too small for a {meta_lpns}-page metadata log")
         self.meta_lpns = meta_lpns
         self._half_lpns = meta_lpns // 2
-        self._free_lpns, self._free_top = free_lpn_stack(
-            ssd.logical_pages, meta_lpns)
+        self._free = FreeLPNPool(meta_lpns, ssd.logical_pages)
         self._meta_seq = 0
         self._meta_half = 0
         self._meta_cursor = 0
@@ -116,17 +157,15 @@ class SSDFileSystem(FileStore):
 
     @property
     def free_bytes(self) -> int:
-        return self._free_top * self.page_bytes
+        return len(self._free) * self.page_bytes
 
     def _program(self, f: StoredFile, pages: list,
                  crcs: list[int] | None) -> None:
-        top, n = self._free_top, len(pages)
-        if top < n:
+        lpns = self._free.pop(len(pages))
+        if lpns is None:
             raise FlashOutOfSpaceError(
                 f"SSD file system out of space appending to {f.name!r}: "
-                f"{n} pages needed, {top} free")
-        lpns = self._free_lpns[top - n:top][::-1]   # the order of n single pops
-        self._free_top = top - n
+                f"{len(pages)} pages needed, {len(self._free)} free")
         f.extents.extend(lpns)
         self.ssd.write_pages(list(zip(lpns, pages)), crcs)
 
@@ -141,8 +180,7 @@ class SSDFileSystem(FileStore):
     def _reclaim(self, extents: list[int]) -> None:
         for lpn in extents:
             self.ssd.trim(lpn)
-            self._free_lpns[self._free_top] = lpn
-            self._free_top += 1
+        self._free.push(extents)
 
     def write_at(self, name: str, offset: int, data: bytes) -> None:
         """In-place update of already-flushed bytes (page-aligned regions may
@@ -157,6 +195,8 @@ class SSDFileSystem(FileStore):
                 f"region [0, {flushed_bytes}) of {name!r}"
             )
         page_bytes = self.page_bytes
+        # The pages stop being slices of the buffers they were cut from.
+        f.buffers = []
         pos = 0
         while pos < len(data):
             page_index, in_page = divmod(offset + pos, page_bytes)
@@ -325,5 +365,4 @@ class SSDFileSystem(FileStore):
             if lpn >= self.meta_lpns and lpn not in used:
                 self.ssd.trim(lpn)
                 self.recovery.discarded_pages += 1
-        self._free_lpns, self._free_top = free_lpn_stack(
-            self.ssd.logical_pages, self.meta_lpns, used)
+        self._free = FreeLPNPool(self.meta_lpns, self.ssd.logical_pages, used)

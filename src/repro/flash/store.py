@@ -24,10 +24,12 @@ placements to it).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import TypeGuard
+from operator import itemgetter
+from typing import Literal, TypeGuard, overload
 
 import numpy as np
 
@@ -89,6 +91,13 @@ class StoredFile:
     #: Per-flushed-page CRC-32, recorded only under fault injection or
     #: durability: the end-to-end check that catches ECC miscorrections.
     page_crcs: list[int] = field(default_factory=list)
+    #: ``(first page, buffer)`` of every flush this store object made, in
+    #: order: the buffer the flush cut its pages from, so a read can return
+    #: them as contiguous segments (:meth:`FileStore.read` with
+    #: ``segments=True``).  They cover every flushed page only when the
+    #: first starts at page 0: a remounted file starts with none, and
+    #: ``write_at`` drops them.
+    buffers: list[tuple[int, memoryview]] = field(default_factory=list)
     #: A sealed file's snapshot records, JSON-encoded by the first
     #: compaction that lists it and reused by every later one; whatever
     #: changes a sealed file's record (rename, ``write_at`` patch, AOFFS
@@ -150,6 +159,27 @@ class SpanRead:
                 pieces = [memoryview(pieces[i])[head:], *pieces[i + 1:j],
                           memoryview(pieces[j])[:stop]]
         return np.frombuffer(bytearray().join(pieces), dtype=self.dtype)
+
+
+_first_page = itemgetter(0)
+
+
+class SegmentRead:
+    """What one :meth:`FileStore.read` with ``segments=True`` fetched: the
+    byte range as the contiguous buffers it lies in, in order, each a view
+    of a buffer the file's pages were cut from (or of the RAM tail), so
+    nothing is copied.  ``len()`` is the byte count, as of the ``bytes`` it
+    stands for.  Under a fault plan, and for a file whose pages this store
+    object did not flush, it is one joined copy of the fetched pages."""
+
+    __slots__ = ("segments", "nbytes")
+
+    def __init__(self, segments: list, nbytes: int):
+        self.segments = segments
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return self.nbytes
 
 
 class FileStore:
@@ -261,7 +291,8 @@ class FileStore:
             # through the buffer protocol.
             view = memoryview(blob)
             self._flush(f, [view[start:start + page_bytes]
-                            for start in range(0, flush_bytes, page_bytes)])
+                            for start in range(0, flush_bytes, page_bytes)],
+                        view[:flush_bytes])
             remainder = blob[flush_bytes:]
             f.tail_parts = [remainder] if remainder else []
             f.tail_len -= flush_bytes
@@ -274,15 +305,17 @@ class FileStore:
             return
         if f.tail_len:
             tail = f.tail_bytes()
-            self._flush(f, [b"".join((tail, bytes(self.page_bytes - len(tail))))])
+            page = b"".join((tail, bytes(self.page_bytes - len(tail))))
+            self._flush(f, [page], memoryview(page))
             f.tail_parts = []
             f.tail_len = 0
         f.sealed = True
         self._log({"op": "seal", "name": name, "size": f.size})
         self._commit_log()
 
-    def _flush(self, f: StoredFile, pages: list) -> None:
-        """Program ``pages`` at the file's end, then log their commit records.
+    def _flush(self, f: StoredFile, pages: list, buffer: memoryview) -> None:
+        """Program ``pages``, consecutive page-sized slices of ``buffer``,
+        at the file's end, then log their commit records.
 
         Records only after the data is on flash (write-behind for data,
         write-ahead for deletes): a crash in between leaves programmed but
@@ -298,6 +331,7 @@ class FileStore:
         self._program(f, pages, crcs)
         if crcs is not None:
             f.page_crcs += crcs
+        f.buffers.append((first, buffer))
         f.flushed_pages = end = first + len(pages)
         if self.durable:
             per_extent = self.pages_per_extent
@@ -312,17 +346,59 @@ class FileStore:
 
     # ---------------------------------------------------------------- reading
 
-    def read(self, name: str, offset: int = 0, nbytes: int | None = None) -> bytes:
+    @overload
+    def read(self, name: str, offset: int = 0, nbytes: int | None = None,
+             *, segments: Literal[False] = False) -> bytes: ...
+
+    @overload
+    def read(self, name: str, offset: int = 0, nbytes: int | None = None,
+             *, segments: Literal[True]) -> SegmentRead: ...
+
+    def read(self, name: str, offset: int = 0, nbytes: int | None = None,
+             *, segments: bool = False) -> bytes | SegmentRead:
         """Read a byte range; one device access latency per call.
 
         Streaming readers should read in large chunks; a caller doing many
         small reads pays the per-access latency each time, exactly like a
-        real host doing fine-grained random flash I/O.
+        real host doing fine-grained random flash I/O.  The range comes
+        back as one ``bytes`` copy or, with ``segments=True``, as a
+        :class:`SegmentRead` of views; the device read and its charges are
+        the same either way.
         """
         f = self._file(name)
         if nbytes is None:
             nbytes = f.size - offset
-        return b"".join(self._read_spans(f, 1, [(offset, offset + nbytes)]))
+        end = offset + nbytes
+        pieces = self._read_spans(f, 1, [(offset, end)])
+        if not segments:
+            return b"".join(pieces)
+        return SegmentRead(self._segments(f, offset, end, pieces), nbytes)
+
+    def _segments(self, f: StoredFile, start: int, end: int,
+                  pieces: list) -> list:
+        """Bytes ``[start, end)`` of ``f``, which ``_read_spans`` just
+        fetched as ``pieces``, as views of ``f.buffers``: one per buffer the
+        range crosses, then the RAM-tail piece.  The device kept the pages
+        it returned as slices of those buffers and no later write changes a
+        page, so the views hold the same bytes; a fault plan may hand back
+        other bytes, and a remounted file has no buffers, so there the
+        fetched pieces are joined.  O(log buffers + segments)."""
+        page_bytes = self.page_bytes
+        flushed = f.flushed_pages * page_bytes
+        stop = end if end < flushed else flushed
+        if start >= stop:
+            return pieces              # the RAM tail alone, or nothing
+        buffers = f.buffers
+        if self.device.faults is not None or not buffers or buffers[0][0]:
+            return [b"".join(pieces)]
+        i = bisect_right(buffers, start // page_bytes, key=_first_page) - 1
+        j = bisect_right(buffers, (stop - 1) // page_bytes, key=_first_page)
+        out = [buffer for _first, buffer in buffers[i:j]]
+        out[-1] = out[-1][:stop - buffers[j - 1][0] * page_bytes]
+        out[0] = out[0][start - buffers[i][0] * page_bytes:]
+        if end > flushed:
+            out += pieces[-1:]
+        return out
 
     def read_spans(self, name: str, dtype: np.dtype,
                    spans: list[tuple[int, int]]) -> SpanRead:

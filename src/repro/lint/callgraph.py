@@ -22,9 +22,10 @@ opaque call).  Four strategies are tried in order:
    class (walking locally-resolvable bases in definition order).  The
    class of ``self``/``cls`` is the enclosing one, of ``super()`` its
    first base; a local's is the one class every assignment to it gives
-   (a constructor, a call with a return annotation) or its parameter
-   annotation; ``self.attr``'s the one class every ``self.attr = ...``
-   of the class gives; a call's its callee's return annotation.
+   (a constructor, a call with a return annotation, the annotation of an
+   annotated assignment) or its parameter annotation; ``self.attr``'s the
+   one class every ``self.attr = ...`` of the class gives; a call's its
+   callee's return annotation.
 4. **Unique method name**: an attribute whose method name is defined by
    exactly one indexed function anywhere resolves to it — in a repo this
    size that is reliable for distinctive names (``charge_pool``,
@@ -444,13 +445,16 @@ class CallGraph:
                  for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
                  if arg.annotation is not None}
         assigned = [(t, v) for t, v in _assignments(scope.node) if isinstance(t, ast.Name)]
+        declared = {sub.target: self.annotation_class(scope.module, sub.annotation)
+                    for sub in ast.walk(scope.node) if isinstance(sub, ast.AnnAssign)}
         simple = {target for target, _ in assigned}
         for sub in ast.walk(scope.node):   # a loop, ``with`` or unpacking: unknown
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store) and sub not in simple:
                 found.setdefault(sub.id, []).append(None)
         for target, value in assigned:
             if not _is_none(value):
-                found.setdefault(target.id, []).append(self.type_of(scope, value))
+                found.setdefault(target.id, []).append(
+                    declared[target] if target in declared else self.type_of(scope, value))
                 scope.local_types.update(_agreed({target.id: found[target.id]}))
         scope.local_types = _agreed(found)
         return scope.local_types

@@ -70,6 +70,7 @@ from repro.flash.device import (
 )
 from repro.flash.faults import error_context
 from repro.flash.publish import discard, publish
+from repro.flash.store import FileStore
 from repro.flash.wear import HEALTHY, WearReport, lifetime_writes_remaining
 from repro.service.admission import (
     ADMITTED,
@@ -621,7 +622,7 @@ class GraphService:
         host state that died from the journal."""
         self._engines = {}
         self.graph = self.system.reattach_graph(self.graph)
-        store = self.system.store
+        store: FileStore = self.system.store
         if store.exists(JOURNAL_FILE):
             state = json.loads(bytes(store.read(JOURNAL_FILE)))
             if state.get("version") != JOURNAL_VERSION:

@@ -177,22 +177,26 @@ def test_run_chunks_iteration(aoffs, monkeypatch):
     assert np.allclose(joined.values, whole.values)
 
 
-def test_a_suspended_chunk_stream_holds_one_decoded_chunk(aoffs, monkeypatch):
+def test_a_merge_source_holds_no_copy_of_a_contiguous_read(aoffs, monkeypatch):
     monkeypatch.setattr(external, "MERGE_IO_BYTES", 1 << 16)
     reducer = make_reducer(aoffs, chunk_bytes=1 << 20)
-    n = 2 * (1 << 16) // 16                    # two chunks of 16-byte records
+    n = 2 * (1 << 16) // 16                    # two reads of 16-byte records
     reducer.add(KVArray(np.arange(n, dtype=np.uint64), np.ones(n)))
     run = reducer.finish()
     tracemalloc.start()
     try:
-        chunks = run.chunks()
-        first = next(chunks)
+        reads = run.reads()
+        [first] = next(reads)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # The decoded chunk, not the bytes it was read from as well.
-    assert held <= 1.25 * first.nbytes, f"{held} B held for a {first.nbytes} B chunk"
-    assert len(first) + len(next(chunks)) == n
+    # Views of the pages the device keeps, and a few objects: no decoded
+    # copy (the whole read, 20x the bound), no joined bytes.
+    assert not first.keys.flags.writeable and first.keys.base is not None
+    assert held <= 0.05 * first.nbytes, f"{held} B held for a {first.nbytes} B read"
+    [second] = next(reads)
+    assert np.array_equal(np.concatenate([first.keys, second.keys]),
+                          np.arange(n, dtype=np.uint64))
 
 
 def test_a_run_goes_to_flash_as_its_frozen_records(raw_device):

@@ -177,3 +177,35 @@ def test_repr_preview():
     kv = kv_pairs([(i, i) for i in range(10)], np.int64)
     text = repr(kv)
     assert "n=10" in text and "…" in text
+
+
+@given(count=st.integers(0, 300), value=st.sampled_from([np.float32, np.float64]),
+       cuts=st.lists(st.integers(0, 4000), max_size=12))
+def test_from_buffers_decodes_records_cut_anywhere(count, value, cuts):
+    # VIEW_MIN_BYTES is 64 KB; these buffers are made of one bytes object
+    # cut at arbitrary byte offsets, so records straddle boundaries and
+    # both small (copied) and large (viewed) buffers occur.
+    kv = KVArray(np.arange(count, dtype=np.uint64) * 7, np.arange(count, dtype=value))
+    data = kv.to_records().tobytes() * (1 + (1 << 16) // max(1, kv.nbytes))
+    size = record_dtype(np.dtype(value)).itemsize
+    data = data[:len(data) // size * size]
+    edges = sorted({0, len(data), *(c * len(data) // 4000 for c in cuts)})
+    view = memoryview(data)
+    parts = KVArray.from_buffers([view[a:b] for a, b in zip(edges, edges[1:])], value)
+    whole = KVArray.from_bytes(data, value) if data else None
+    if whole is None:
+        assert parts == []
+        return
+    joined = KVArray.concat(parts)
+    assert np.array_equal(joined.keys, whole.keys)
+    assert np.array_equal(joined.values, whole.values)
+    assert all(len(p) and not p.keys.flags.writeable for p in parts)
+
+
+def test_from_buffers_views_a_large_buffer_in_place():
+    kv = KVArray(np.arange(1 << 13, dtype=np.uint64), np.ones(1 << 13))
+    records = kv.to_records()
+    [part] = KVArray.from_buffers([memoryview(records.view(np.uint8))], np.float64)
+    assert np.shares_memory(part.keys, records) and np.shares_memory(part.values, records)
+    with pytest.raises(ValueError):
+        KVArray.from_buffers([memoryview(records.view(np.uint8))[:-1]], np.float64)

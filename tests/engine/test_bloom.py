@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.bloom as bloom_module
 from repro.core.bloom import BloomFilter
 
 
@@ -12,6 +13,18 @@ def test_no_false_negatives():
     keys = np.arange(0, 1000, 7, dtype=np.uint64)
     bloom.add(keys)
     assert bloom.contains(keys).all()
+
+
+def test_block_adds_set_the_bits_of_one_whole_batch_mask(monkeypatch):
+    # Eleven hash blocks, the last one short: the bits of one mask of every
+    # key's positions, packed least-significant bit first.
+    monkeypatch.setattr(bloom_module, "ADD_BLOCK_KEYS", 100)
+    keys = np.random.default_rng(3).integers(0, 2 ** 63, 1050).astype(np.uint64)
+    bloom = BloomFilter(num_bits=5003, num_hashes=4)
+    bloom.add(keys)
+    mask = np.zeros(len(bloom._bits) * 8, dtype=bool)
+    mask[bloom._positions(keys).ravel()] = True
+    assert np.array_equal(bloom._bits, np.packbits(mask, bitorder="little"))
 
 
 def test_mostly_rejects_absent_keys():

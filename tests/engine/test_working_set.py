@@ -36,14 +36,17 @@ def test_pagerank_traced_peak_is_bounded():
     # keeps the graph's frozen arrays instead of a copy and merge batches
     # sort-reduce in key-range slices; 23.7 since a superstep frees what it
     # no longer reads and runs and overlays go to flash as the frozen arrays
-    # they were built in.  The rest is mostly the device's payload, which
-    # grows with the graph by design.  Bound: that measurement + 14 %.
+    # they were built in; 21.2 since merge sources hold views of the flash
+    # pages instead of a decoded copy, bloom filters are built in blocks and
+    # the free-LPN pool stores only recycled LPNs.  The rest is mostly the
+    # device's payload, which grows with the graph by design.  Bound: that
+    # measurement + 14 %.
     scale = 2.0 ** -14
     graph = build_graph("kron30", scale, seed=1)
     assert graph.num_edges == 1 << 20
     peak = traced_peak(graph, "GraFSoft", "pagerank", scale, "kron30",
                        pagerank_iterations=2)
-    assert peak <= 27e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak <= 24.2e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_sparse_bfs_traced_peak_is_bounded():

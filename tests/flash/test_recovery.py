@@ -156,7 +156,7 @@ def check_ssd_fs_structure(fs) -> None:
             assert lpn >= fs.meta_lpns, f"file lpn {lpn} inside metadata log"
             owner[lpn] = name
     data_lpns = set(range(fs.meta_lpns, fs.ssd.logical_pages))
-    assert set(fs._free_lpns[:fs._free_top]) == data_lpns - set(owner), \
+    assert set(fs._free.free()) == data_lpns - set(owner), \
         "free-lpn pool is not the exact complement of live files"
 
 

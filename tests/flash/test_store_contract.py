@@ -677,6 +677,21 @@ class StoreMachine(RuleBasedStateMachine):
         if not bad:
             assert bytes(got) == data[offset:offset + n]
 
+    @rule(name=NAMES, offset=st.integers(0, 12 * PAGE),
+          nbytes=st.integers(0, 24 * PAGE))
+    def read_segments(self, name, offset, nbytes):
+        """A read as segments: the bytes and the charges of a plain read."""
+        data = self.model.get(name, [b""])[0]
+        offset = min(offset, len(data))
+        nbytes = min(nbytes, len(data) - offset)
+        error = None if name in self.model else FileNotFoundError
+        got = self.expect(
+            error, lambda store: store.read(name, offset, nbytes, segments=True),
+            twin_op=lambda store: store.read(name, offset, nbytes))
+        if error is None:
+            assert len(got) == nbytes
+            assert b"".join(got.segments) == data[offset:offset + nbytes]
+
     @rule(name=NAMES, dtype=st.sampled_from([np.dtype("u1"), np.dtype("<u4")]),
           cuts=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
                         max_size=5),

@@ -273,6 +273,7 @@ class Meter:
     def step(self): pass
     def tick(self): pass
     def value(self): pass
+    def run(self): pass
 def clock(): pass
 def named(): pass
 def recurse(n): return recurse(n - 1)
@@ -280,11 +281,14 @@ def ping(): return pong()
 def pong(): return ping()
 def live(): c = Clock(); return c.tick()
 def read(meter: Meter): return meter.value()
+def annotated(x):
+    meter: Meter = x
+    return meter.run()
 def renamed(): pass
 """,
     "benchmarks/caller.py": """
-from repro.toy.mod import Codec, header, live, load, read, renamed as other
-live(), read(None), other(), header(), load("toy.bin"), Codec()
+from repro.toy.mod import Codec, annotated, header, live, load, read, renamed as other
+live(), read(None), annotated(None), other(), header(), load("toy.bin"), Codec()
 request = {"op": "reset"}
 ROWS = (("toy", "repro.toy.mod", ("reset",)), ("toy", "repro.toy.mod:Clock", ("wind",)))
 STRINGS = ["run.py", "perf.clock.sim_cpu_busy_s", "repro.toy.mod.named"]
@@ -298,8 +302,9 @@ def test_the_definition_check_sees_through_names_that_reach_nothing():
     and dotted strings that name nothing of the tree (``"run.py"`` is not
     ``Clock.run``) reach nothing; nor does a call the graph resolves reach
     a namesake of its target: ``self.step()``, ``c.tick()`` on a
-    constructed local and ``meter.value()`` on an annotated parameter keep
-    ``Meter.step``, ``Meter.tick`` and ``Clock.value`` dead; and a method
+    constructed local, ``meter.value()`` on an annotated parameter and
+    ``meter.run()`` on an annotated local keep ``Meter.step``, ``Meter.tick``,
+    ``Clock.value`` and ``Clock.run`` dead; and a method
     of an object made outside the tree reaches no namesake in it:
     ``HEADER.pack()`` on a module-level ``struct.Struct`` and ``fh.read()``
     on an ``open`` keep ``Codec.pack`` and ``Codec.read`` dead.  A call, an
