@@ -20,14 +20,14 @@ vertex-value array ``V`` and sparse ``newV`` overlays (§IV-B).
 
 from repro.graph.csr import CSRGraph
 from repro.graph.formats import FlashCSR
-from repro.graph.generators import kronecker_edges, powerlaw_edges, webcrawl_edges
+from repro.graph.generators import kronecker_csr, powerlaw_edges, webcrawl_edges
 from repro.graph.datasets import GraphDataset, DATASETS, dataset_by_name, build_graph
 from repro.graph.vertexdata import VertexArray
 
 __all__ = [
     "CSRGraph",
     "FlashCSR",
-    "kronecker_edges",
+    "kronecker_csr",
     "powerlaw_edges",
     "webcrawl_edges",
     "GraphDataset",

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kvstream import stable_sort
 from repro.flash.store import is_frozen
+
+#: Edges per pass of the CSR build's block loops: no temporary of the build
+#: is larger than this many edges' worth.
+BUILD_BLOCK_EDGES = 1 << 17
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -21,6 +24,24 @@ def _frozen(array: np.ndarray) -> np.ndarray:
         array = array.copy()
     array.flags.writeable = False
     return array
+
+
+def position_bits(num_edges: int, num_vertices: int) -> int:
+    """Low bits an edge's index takes in its sort word, ``source <<
+    position_bits | index``; a graph whose words would not fit 64 bits is
+    refused."""
+    bits = max(num_edges - 1, 0).bit_length()
+    if max(num_vertices - 1, 0).bit_length() + bits > 64:
+        raise ValueError(f"{num_vertices} vertices and {num_edges} edges do "
+                         f"not fit a 64-bit sort word")
+    return bits
+
+
+def sort_words(sources: np.ndarray, first: int, pos_bits: int, out: np.ndarray) -> None:
+    """``out[i] = sources[i] << pos_bits | first + i``: the sort words of
+    edges ``first:first + len(out)``, written into the uint64 ``out``."""
+    np.left_shift(sources, np.uint64(pos_bits), out=out, casting="unsafe")
+    out += np.arange(first, first + len(out), dtype=np.uint64)
 
 
 class CSRGraph:
@@ -67,12 +88,41 @@ class CSRGraph:
             raise ValueError(f"weights length {len(weights)} != edge count {len(src)}")
         if len(src) and max(src.max(), dst.max()) >= num_vertices:
             raise ValueError("edge endpoint out of range")
-        src_sorted, order = stable_sort(src)
-        counts = np.bincount(src_sorted.view(np.int64), minlength=num_vertices)
-        offsets = np.zeros(num_vertices + 1, dtype=np.uint64)
-        np.cumsum(counts, out=offsets[1:])
-        w = None if weights is None else np.asarray(weights)[order]
-        return CSRGraph(num_vertices, offsets, dst[order], w)
+        pos_bits = position_bits(len(src), num_vertices)
+        words = np.empty(len(src), dtype=np.uint64)
+        for lo in range(0, len(src), BUILD_BLOCK_EDGES):
+            hi = min(lo + BUILD_BLOCK_EDGES, len(src))
+            sort_words(src[lo:hi], lo, pos_bits, words[lo:hi])
+        return CSRGraph.from_sort_words(words, pos_bits, num_vertices, dst, weights)
+
+    @staticmethod
+    def from_sort_words(words: np.ndarray, pos_bits: int, num_vertices: int,
+                        dst: np.ndarray, weights: np.ndarray | None = None,
+                        ) -> "CSRGraph":
+        """Build from the edges' uint64 sort words (:func:`sort_words`, any
+        order) and their targets ``dst`` (and ``weights``) by edge index.
+
+        ``words`` is sorted in place — the composite word is unique, so its
+        order is the stable order by source — and then overwritten, a block
+        at a time, by the targets it orders: it becomes the graph's
+        ``targets``.  The offsets are where each vertex's first word would
+        sort, so no per-edge key array is made.
+        """
+        weights = None if weights is None else np.asarray(weights)
+        words.sort()
+        offsets = np.empty(num_vertices + 1, dtype=np.uint64)
+        offsets[:-1] = np.searchsorted(
+            words, np.arange(num_vertices, dtype=np.uint64) << np.uint64(pos_bits))
+        offsets[-1] = len(words)
+        ordered = None if weights is None else np.empty(len(words), dtype=np.float32)
+        mask = np.uint64((1 << pos_bits) - 1)
+        for lo in range(0, len(words), BUILD_BLOCK_EDGES):
+            block = words[lo:lo + BUILD_BLOCK_EDGES]
+            order = block & mask
+            if ordered is not None:
+                ordered[lo:lo + len(block)] = weights[order]
+            block[:] = dst[order]
+        return CSRGraph(num_vertices, offsets, words, ordered)
 
     # -------------------------------------------------------------- properties
 

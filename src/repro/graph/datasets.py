@@ -48,8 +48,8 @@ class GraphDataset:
     #: ``(dataset, scale_factor) -> vertex count``: the one rule the
     #: generator and :meth:`scaled_nodes` share.
     vertices: Callable[["GraphDataset", float], int]
-    #: ``(dataset, num_vertices, seed) -> (src, dst, num_vertices)``.
-    make_edges: Callable[["GraphDataset", int, int], tuple[np.ndarray, np.ndarray, int]]
+    #: ``(dataset, num_vertices, seed) -> CSRGraph``.
+    synthesize: Callable[["GraphDataset", int, int], CSRGraph]
 
     def scaled_nodes(self, scale_factor: float) -> int:
         return self.vertices(self, scale_factor)
@@ -57,12 +57,11 @@ class GraphDataset:
     def scaled_edges(self, scale_factor: float) -> int:
         return self.scaled_nodes(scale_factor) * self.paper_edgefactor
 
-    def edges(self, scale_factor: float = DEFAULT_SCALE, seed: int = 1,
-              ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Synthesize (src, dst, num_vertices) at the requested scale."""
+    def graph(self, scale_factor: float = DEFAULT_SCALE, seed: int = 1) -> CSRGraph:
+        """Synthesize the graph at the requested scale."""
         if scale_factor <= 0 or scale_factor > 1:
             raise ValueError(f"scale_factor must be in (0, 1], got {scale_factor}")
-        return self.make_edges(self, self.scaled_nodes(scale_factor), seed)
+        return self.synthesize(self, self.scaled_nodes(scale_factor), seed)
 
 
 def _power_of_two(dataset: GraphDataset, scale_factor: float) -> int:
@@ -77,18 +76,19 @@ def _at_least_64(dataset: GraphDataset, scale_factor: float) -> int:
     return max(64, int(dataset.paper_nodes * scale_factor))
 
 
-def _kron(dataset: GraphDataset, num_vertices: int, seed: int):
-    return generators.kronecker_edges(num_vertices.bit_length() - 1,
-                                      dataset.paper_edgefactor, seed=seed)
+def _kron(dataset: GraphDataset, num_vertices: int, seed: int) -> CSRGraph:
+    return generators.kronecker_csr(num_vertices.bit_length() - 1,
+                                    dataset.paper_edgefactor, seed=seed)
 
 
-def _twitter(dataset: GraphDataset, num_vertices: int, seed: int):
-    return generators.powerlaw_edges(num_vertices, num_vertices * dataset.paper_edgefactor,
-                                     exponent=1.3, seed=seed)
+def _twitter(dataset: GraphDataset, num_vertices: int, seed: int) -> CSRGraph:
+    return CSRGraph.from_edges(*generators.powerlaw_edges(
+        num_vertices, num_vertices * dataset.paper_edgefactor, exponent=1.3, seed=seed))
 
 
-def _wdc(dataset: GraphDataset, num_vertices: int, seed: int):
-    return generators.webcrawl_edges(num_vertices, dataset.paper_edgefactor, seed=seed)
+def _wdc(dataset: GraphDataset, num_vertices: int, seed: int) -> CSRGraph:
+    return CSRGraph.from_edges(*generators.webcrawl_edges(
+        num_vertices, dataset.paper_edgefactor, seed=seed))
 
 
 DATASETS: dict[str, GraphDataset] = {
@@ -100,7 +100,7 @@ DATASETS: dict[str, GraphDataset] = {
         paper_size_bytes=6 * GB,
         paper_txt_bytes=25 * GB,
         vertices=_at_least_64,
-        make_edges=_twitter,
+        synthesize=_twitter,
     ),
     "kron28": GraphDataset(
         name="kron28",
@@ -110,7 +110,7 @@ DATASETS: dict[str, GraphDataset] = {
         paper_size_bytes=18 * GB,
         paper_txt_bytes=88 * GB,
         vertices=_power_of_two,
-        make_edges=_kron,
+        synthesize=_kron,
     ),
     "kron30": GraphDataset(
         name="kron30",
@@ -120,7 +120,7 @@ DATASETS: dict[str, GraphDataset] = {
         paper_size_bytes=72 * GB,
         paper_txt_bytes=351 * GB,
         vertices=_power_of_two,
-        make_edges=_kron,
+        synthesize=_kron,
     ),
     "kron32": GraphDataset(
         name="kron32",
@@ -130,7 +130,7 @@ DATASETS: dict[str, GraphDataset] = {
         paper_size_bytes=128 * GB,
         paper_txt_bytes=295 * GB,
         vertices=_power_of_two,
-        make_edges=_kron,
+        synthesize=_kron,
     ),
     "wdc": GraphDataset(
         name="wdc",
@@ -140,7 +140,7 @@ DATASETS: dict[str, GraphDataset] = {
         paper_size_bytes=502 * GB,
         paper_txt_bytes=2648 * GB,
         vertices=_at_least_64,
-        make_edges=_wdc,
+        synthesize=_wdc,
     ),
 }
 
@@ -238,9 +238,7 @@ def build_graph(name: str, scale_factor: float = DEFAULT_SCALE, seed: int = 1) -
         cached = _load_cached(path)
         if cached is not None:
             return cached
-    dataset = dataset_by_name(name)
-    src, dst, n = dataset.edges(scale_factor, seed)
-    graph = CSRGraph.from_edges(src, dst, n)
+    graph = dataset_by_name(name).graph(scale_factor, seed)
     if path is not None:
         _store_cached(path, graph)
     return graph

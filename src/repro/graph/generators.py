@@ -5,23 +5,25 @@ follower graph, and the Web Data Commons hyperlink crawl (Table I).  Real
 multi-terabyte inputs are unavailable offline, so each is synthesized with
 the structural property that drives its results:
 
-* :func:`kronecker_edges` — the Graph500 reference R-MAT recursion
+* :func:`kronecker_csr` — the Graph500 reference R-MAT recursion
   (A=0.57, B=0.19, C=0.19, D=0.05), giving the skewed degree distribution
-  that makes reduction collapse most updates early.
+  that makes reduction collapse most updates early; built straight into
+  its CSR.
 * :func:`powerlaw_edges` — a Zipf-attachment "twitter"-like social graph:
   few supersteps, extreme hubs, >80% phase-0 reduction (Fig 14).
 * :func:`webcrawl_edges` — a "wdc"-like web graph: host-local chain links
   plus hub links, engineered to give BFS a very long sparse tail of
   supersteps — the property that makes X-Stream take "23 days" (§V-C.1).
 
-All generators are deterministic given a seed and return (src, dst) uint64
-arrays; duplicate edges and self-loops are kept, as in Graph500 inputs.
+All generators are deterministic given a seed; the other two return (src,
+dst) uint64 arrays.  Duplicate edges and self-loops are kept, as in Graph500
+inputs.
 
 RNG audit (repro-lint RL001): every function here constructs its own
 ``np.random.default_rng(seed)`` from an explicit caller-supplied seed and
 draws nothing from global or OS-entropy state (R-MAT edge blocks draw through
 copies of that generator's state, never seeded from anything else) — two
-calls with the same arguments produce byte-identical edge lists, which is what
+calls with the same arguments produce byte-identical graphs, which is what
 lets ``build_graph`` cache built graphs and the invariance goldens stay pinned.
 """
 
@@ -29,8 +31,11 @@ from __future__ import annotations
 
 import os
 import threading
+from typing import Callable
 
 import numpy as np
+
+from repro.graph.csr import CSRGraph, position_bits, sort_words
 
 #: Graph500 initiator matrix probabilities.
 KRON_A, KRON_B, KRON_C = 0.57, 0.19, 0.19
@@ -41,39 +46,49 @@ RMAT_BLOCK_EDGES, RMAT_THREAD_EDGES = 1 << 17, 1 << 19
 CHAIN_FRACTION, TAIL_FRACTION = 0.3, 0.02
 
 
-def kronecker_edges(scale: int, edgefactor: int = 16, seed: int = 1,
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Graph500 Kronecker generator: 2**scale vertices, edgefactor per vertex.
+def kronecker_csr(scale: int, edgefactor: int = 16, seed: int = 1) -> CSRGraph:
+    """Graph500 Kronecker graph: 2**scale vertices, edgefactor per vertex,
+    as a CSR built inside the R-MAT blocks.
 
-    Returns (src, dst, num_vertices).  Vertex ids are permuted as the
-    Graph500 spec requires, so vertex id does not correlate with degree.
+    Vertex ids are permuted as the Graph500 spec requires, so vertex id does
+    not correlate with degree.  The permutation comes first, from a copy of
+    the generator advanced past every R-MAT draw (where one serial loop
+    leaves it); each block then writes its edges' sort words and permuted
+    targets in place, so no edge-sized array but those two is made.
     """
     if scale < 1 or scale > 30:
         raise ValueError(f"kronecker scale out of supported range [1, 30]: {scale}")
     n = 1 << scale
+    m = n * edgefactor
     rng = np.random.default_rng(seed)
-    src, dst = _rmat_words(rng, scale, n * edgefactor, KRON_A, KRON_B, KRON_C)
-    perm = rng.permutation(n).astype(np.uint64)
-    return perm[src], perm[dst], n
+    perm = _stream_at(rng, 2 * m * scale).permutation(n).astype(np.uint32)
+    pos_bits = position_bits(m, n)
+    words = np.zeros(m, dtype=np.uint64)
+    dst = np.zeros(m, dtype=np.uint32)
+
+    def fill(lo: int, hi: int) -> None:
+        # The block's sort words hold its source words until they are made.
+        src = words[lo:hi].view(np.uint32)[:hi - lo]
+        _rmat_range(rng, scale, m, lo, KRON_A, KRON_B, KRON_C, src, dst[lo:hi])
+        sort_words(perm[src], lo, pos_bits, words[lo:hi])
+        np.take(perm, dst[lo:hi], out=dst[lo:hi])
+    _deal_blocks(m, fill)
+    return CSRGraph.from_sort_words(words, pos_bits, n, dst)
 
 
-def _rmat_words(rng: np.random.Generator, scale: int, m: int,
-                a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The R-MAT recursion behind :func:`kronecker_edges`: ``m`` (src, dst)
-    pairs of ``scale``-bit ids as uint32 words from ``rng`` (a fresh PCG64),
-    in blocks dealt to one thread per CPU this process may run on (the caller
-    is one; the rest are joined on return).  Same arrays and ``rng`` state
-    for any deal."""
+def _deal_blocks(m: int, fill: Callable[[int, int], None]) -> None:
+    """``fill(lo, hi)`` for every block of ``RMAT_BLOCK_EDGES`` of ``m``
+    edges, dealt round-robin to one thread per CPU this process may run on
+    (the caller is one; the rest are joined, and the first error a block
+    raised is re-raised, on return)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cpus, m // RMAT_THREAD_EDGES))
-    src, dst = (np.zeros(m, dtype=np.uint32) for _ in range(2))
     errors = []
 
     def run(part: int) -> None:
         try:
             for lo in range(part * RMAT_BLOCK_EDGES, m, parts * RMAT_BLOCK_EDGES):
-                hi = min(lo + RMAT_BLOCK_EDGES, m)
-                _rmat_range(rng, scale, m, lo, a, b, c, src[lo:hi], dst[lo:hi])
+                fill(lo, min(lo + RMAT_BLOCK_EDGES, m))
         except Exception as exc:
             errors.append(exc)
     threads = [threading.Thread(target=run, args=(part,)) for part in range(1, parts)]
@@ -84,25 +99,31 @@ def _rmat_words(rng: np.random.Generator, scale: int, m: int,
         thread.join()
     if errors:
         raise errors[0]
-    rng.bit_generator.advance(2 * m * scale)  # where one loop over m leaves it
-    return src, dst
+
+
+def _stream_at(caller: np.random.Generator, offset: int) -> np.random.Generator:
+    """A generator over ``caller``'s stream from ``offset`` draws on; the
+    caller's own state is only read."""
+    bits = np.random.PCG64(0)
+    bits.state = caller.bit_generator.state
+    return np.random.Generator(bits.advance(offset))
 
 
 def _rmat_range(caller: np.random.Generator, scale: int, m: int, lo: int, a: float,
                 b: float, c: float, src: np.ndarray, dst: np.ndarray) -> None:
-    """Edges ``lo:lo + len(src)`` of ``m`` into ``src``/``dst``: two uniform
-    draws per edge and level (source, then target), edge ``i`` reading draws
-    ``2 * bit * m + i`` and ``+ m`` of the caller's stream, so a copy of its
-    generator starts ``lo`` draws in and skips the others' after each fill.
-    Scratch is allocated before the loop: fresh arrays per level cost as much
-    as the draws (DESIGN.md, "Graph synthesis (cold start)")."""
+    """Edges ``lo:lo + len(src)`` of ``m`` into the zeroed uint32
+    ``src``/``dst``: two uniform draws per edge and level (source, then
+    target), edge ``i`` reading draws ``2 * bit * m + i`` and ``+ m`` of the
+    caller's stream, so a copy of its generator starts ``lo`` draws in and
+    skips the others' after each fill.  Scratch is allocated before the
+    loop: fresh arrays per level cost as much as the draws (DESIGN.md,
+    "Graph synthesis (cold start)")."""
     ab = a + b
     c_norm = c / (1.0 - ab)
     a_norm = a / ab
     n = len(src)
-    bits = np.random.PCG64(0)
-    bits.state = caller.bit_generator.state
-    rng = np.random.Generator(bits.advance(lo))
+    rng = _stream_at(caller, lo)
+    bits = rng.bit_generator
     r = np.empty(n, dtype=np.float64)
     word = np.empty(n, dtype=np.uint32)
     src_bit, dst_bit, if_set = (np.empty(n, dtype=np.bool_) for _ in range(3))

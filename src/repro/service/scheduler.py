@@ -187,9 +187,14 @@ class GraphService:
         self.num_vertices = num_vertices
         self.config = config or ServiceConfig()
         self.default_root = default_root
-        self.controller = AdmissionController(system.profile.flash_read_bw,
-                                              quotas,
-                                              wear_probe=self._wear_probe)
+        # The probe holds the device, which survives remounts, and not the
+        # service: a bound method would tie the whole stack into a cycle
+        # only the cyclic collector frees.
+        device = system.device
+        self.controller = AdmissionController(
+            system.profile.flash_read_bw, quotas,
+            wear_probe=lambda: (lifetime_writes_remaining(device),
+                                device.bad_block_count))
         #: (job_id, spec) in submission order — the workload definition.
         #: Journaled alongside the job table so future arrivals replay
         #: identically after a crash.
@@ -198,11 +203,6 @@ class GraphService:
         self.round = 0
         self._engines: dict = {}
         self._next_id = 1
-
-    def _wear_probe(self) -> tuple[float, int]:
-        """Live device health for degraded-mode admission decisions."""
-        device = self.system.device
-        return lifetime_writes_remaining(device), device.bad_block_count
 
     # -------------------------------------------------------------- submission
 

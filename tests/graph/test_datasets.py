@@ -64,9 +64,9 @@ def test_determinism():
 
 def test_scale_validation():
     with pytest.raises(ValueError):
-        DATASETS["twitter"].edges(0)
+        DATASETS["twitter"].graph(0)
     with pytest.raises(ValueError):
-        DATASETS["twitter"].edges(2.0)
+        DATASETS["twitter"].graph(2.0)
 
 
 def test_unknown_dataset():
@@ -115,8 +115,8 @@ def test_second_build_skips_synthesis(tmp_path, monkeypatch):
     from repro.graph import generators
     monkeypatch.setenv("REPRO_DATASET_CACHE", str(tmp_path))
     calls = []
-    real = generators.kronecker_edges
-    monkeypatch.setattr(generators, "kronecker_edges",
+    real = generators.kronecker_csr
+    monkeypatch.setattr(generators, "kronecker_csr",
                         lambda *a, **kw: (calls.append(a), real(*a, **kw))[1])
     build_graph("kron30", 2.0 ** -16, seed=6)
     assert len(calls) == 1

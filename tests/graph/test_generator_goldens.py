@@ -15,7 +15,13 @@ import pytest
 
 from repro.graph import datasets, generators
 from repro.graph.csr import CSRGraph
-from tests.support import random_weights, rmat_edges, uniform_edges
+from tests.support import (
+    dataset_edges,
+    kronecker_edges,
+    random_weights,
+    rmat_edges,
+    uniform_edges,
+)
 
 RULE = ("generator output changed: bump `DATASET_CACHE_VERSION` and "
         "re-record, or fix the change")
@@ -34,7 +40,7 @@ def digest(*arrays: np.ndarray) -> str:
 
 
 GENERATORS = {
-    "kronecker_edges": lambda seed: generators.kronecker_edges(11, 8, seed=seed)[:2],
+    "kronecker_edges": lambda seed: kronecker_edges(11, 8, seed=seed)[:2],
     "rmat_edges": lambda seed: rmat_edges(
         10, 6, a=0.45, b=0.25, c=0.15, seed=seed)[:2],
     "powerlaw_edges": lambda seed: generators.powerlaw_edges(
@@ -102,7 +108,7 @@ def graph_arrays(graph: CSRGraph) -> tuple[np.ndarray, ...]:
 def fresh_build(name: str, seed: int, weighted: bool) -> CSRGraph:
     """``build_graph`` without the cache; weighted: ``random_weights`` on
     the generator's edges, as weighted datasets were built."""
-    src, dst, n = datasets.DATASETS[name].edges(SCALE, seed)
+    src, dst, n = dataset_edges(name, SCALE, seed)
     weights = random_weights(len(src), seed=seed) if weighted else None
     return CSRGraph.from_edges(src, dst, n, weights)
 
@@ -127,7 +133,7 @@ def test_cache_entry_from_the_reference_build_equals_a_fresh_build(
         name, tmp_path, reference_from_edges):
     # A version-1 ``.npz`` written by older code must be what today's code
     # would have built — that is what lets the cache version stay at 1.
-    src, dst, n = datasets.DATASETS[name].edges(SCALE, seed=3)
+    src, dst, n = dataset_edges(name, SCALE, seed=3)
     path = str(tmp_path / "entry.npz")
     datasets._store_cached(path, reference_from_edges(src, dst, n))
     cached = datasets._load_cached(path)

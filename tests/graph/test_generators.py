@@ -17,13 +17,19 @@ from repro.graph.generators import (
     KRON_C,
     TAIL_FRACTION,
     _rmat_range,
-    _rmat_words,
-    kronecker_edges,
+    _stream_at,
+    kronecker_csr,
     powerlaw_edges,
     webcrawl_edges,
 )
 from repro.algorithms.reference import bfs_levels
-from tests.support import random_weights, rmat_edges, uniform_edges
+from tests.support import (
+    kronecker_edges,
+    random_weights,
+    rmat_edges,
+    rmat_words,
+    uniform_edges,
+)
 
 
 def test_kronecker_shape():
@@ -50,10 +56,11 @@ def test_kronecker_degree_skew():
 
 
 def test_kronecker_validation():
-    with pytest.raises(ValueError):
-        kronecker_edges(scale=0)
-    with pytest.raises(ValueError):
-        kronecker_edges(scale=31)
+    for build in (kronecker_edges, kronecker_csr):
+        with pytest.raises(ValueError):
+            build(scale=0)
+        with pytest.raises(ValueError):
+            build(scale=31)
 
 
 def test_rmat_general():
@@ -86,6 +93,11 @@ def assert_same_edges(got, expected):
         assert g.dtype == e.dtype == np.uint64 and np.array_equal(g, e)
 
 
+def assert_same_graph(got: CSRGraph, expected: CSRGraph):
+    assert got.num_vertices == expected.num_vertices and got.weights is None
+    assert_same_edges((got.offsets, got.targets), (expected.offsets, expected.targets))
+
+
 @pytest.mark.parametrize("scale, edgefactor", [(1, 3), (4, 5), (9, 4), (17, 1)])
 @pytest.mark.parametrize("seed", [1, 2, 99])
 def test_kronecker_equals_the_reference_loop(scale, edgefactor, seed):
@@ -96,6 +108,23 @@ def test_kronecker_equals_the_reference_loop(scale, edgefactor, seed):
     got = kronecker_edges(scale, edgefactor, seed=seed)
     assert got[2] == n
     assert_same_edges(got[:2], (perm[src.astype(np.int64)], perm[dst.astype(np.int64)]))
+    assert_same_graph(kronecker_csr(scale, edgefactor, seed=seed),
+                      CSRGraph.from_edges(*got))
+
+
+@pytest.mark.parametrize("scale, edgefactor", [(1, 3), (9, 4), (17, 1)])
+@pytest.mark.parametrize("seed", [1, 99])
+def test_permutation_from_the_advanced_copy_is_the_serial_loops(scale, edgefactor, seed):
+    # kronecker_csr draws the Graph500 permutation before the R-MAT words,
+    # from a copy of the generator advanced past all 2·m·scale of them.
+    n, m = 1 << scale, edgefactor << scale
+    serial = np.random.default_rng(seed)
+    reference_rmat(serial, scale, m, KRON_A, KRON_B, KRON_C)
+    caller = np.random.default_rng(seed)
+    before = caller.bit_generator.state
+    assert np.array_equal(_stream_at(caller, 2 * m * scale).permutation(n),
+                          serial.permutation(n))
+    assert caller.bit_generator.state == before
 
 
 @pytest.mark.parametrize("scale, edgefactor", [(1, 3), (4, 5), (9, 4), (17, 1)])
@@ -118,7 +147,7 @@ def test_rmat_kernel_leaves_the_generator_where_the_reference_does(scale):
     # permutation, in kronecker_edges) sees the same stream.
     m = 7 << scale
     ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-    got = _rmat_words(ours, scale, m, KRON_A, KRON_B, KRON_C)
+    got = rmat_words(ours, scale, m, KRON_A, KRON_B, KRON_C)
     expected = reference_rmat(theirs, scale, m, KRON_A, KRON_B, KRON_C)
     assert all(g.dtype == np.uint32 and np.array_equal(g, e)
                for g, e in zip(got, expected, strict=True))
@@ -169,7 +198,7 @@ def test_rmat_ranges_give_the_same_bytes_for_any_cut(cut, seed, abc):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(n, block)``: ``_rmat_words`` sees ``n`` CPUs, starts a thread
+    """``cpus(n, block)``: the block dealer sees ``n`` CPUs, starts a thread
     for as little as one edge and deals blocks of ``block`` edges, so a small
     ``m`` takes the threaded path on any host.  ``block=None`` leaves the
     shipped block size and thread threshold in place.  Threads switch every
@@ -211,7 +240,7 @@ def test_rmat_words_on_any_cpu_count_equal_the_reference(
     cpus(parts, block)
     alive = threading.active_count()
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _rmat_words(ours, scale, m, *abc)
+    got = rmat_words(ours, scale, m, *abc)
     assert threading.active_count() == alive
     # The blocks were dealt to the caller and to parts - 1 threads of its own.
     assert len(range_threads) == -(-m // block)
@@ -232,8 +261,10 @@ def test_generators_on_any_cpu_count_equal_the_reference(cpus, parts, scale, edg
     rng = np.random.default_rng(7)
     src, dst = reference_rmat(rng, scale, m, KRON_A, KRON_B, KRON_C)
     perm = rng.permutation(n).astype(np.uint64)     # drawn after the words
-    assert_same_edges(kronecker_edges(scale, edgefactor, seed=7)[:2],
-                      (perm[src.astype(np.int64)], perm[dst.astype(np.int64)]))
+    expected = (perm[src.astype(np.int64)], perm[dst.astype(np.int64)])
+    assert_same_edges(kronecker_edges(scale, edgefactor, seed=7)[:2], expected)
+    assert_same_graph(kronecker_csr(scale, edgefactor, seed=7),
+                      CSRGraph.from_edges(*expected, n))
     assert_same_edges(rmat_edges(scale, edgefactor, *ABC_SETS[3], seed=7)[:2],
                       reference_rmat(np.random.default_rng(7), scale, m, *ABC_SETS[3]))
 
@@ -244,21 +275,40 @@ def test_thread_count_follows_the_cpus_and_the_edge_count(cpus, range_threads):
                           (4, 1 << 20, 2), (4, 3 << 19, 3), (2, 1 << 21, 2)]:
         cpus(n)
         del range_threads[:]
-        src, dst = _rmat_words(np.random.default_rng(1), 1, m, KRON_A, KRON_B, KRON_C)
+        src, dst = rmat_words(np.random.default_rng(1), 1, m, KRON_A, KRON_B, KRON_C)
         assert len(src) == len(dst) == m
         assert len(range_threads) == -(-m // (1 << 17))
         assert len(set(range_threads)) == threads
-    assert [len(a) for a in _rmat_words(np.random.default_rng(1), 1, 0, 0.5, 0.2, 0.2)] == [0, 0]
+    assert [len(a) for a in rmat_words(np.random.default_rng(1), 1, 0, 0.5, 0.2, 0.2)] == [0, 0]
+
+
+#: digest(offsets, targets) of kron30 @ 2^-12, seed 1.
+KRON30_CSR_DIGEST = "9f8f83b3b75a506df775ca0de161b815d8070da61baf10f904e5f4b3c0688b0e"
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_kron30_at_benchmark_size_has_the_serial_loops_bytes(cpus, n):
     # kron30 @ 2^-12 (pr_dense): 4 194 304 edges in 32 blocks, up to eight
-    # threads allowed, the CPUs decide; three do not divide 32.  The digest was
-    # recorded from the one-loop kernel on the commit before the split.
+    # threads allowed, the CPUs decide; three do not divide 32.  The edge
+    # digest was recorded from the one-loop kernel on the commit before the
+    # split, the CSR digest from the edge-list build (`from_edges` over
+    # these edges) on the commit before the CSR was built in the blocks.
     cpus(n)
     assert digest(*kronecker_edges(18, 16, seed=1)[:2]) == (
         "ac8e91650d10581c3ed7680749c2f23b6f547f883b23abaa14754cd5de61705c")
+    graph = kronecker_csr(18, 16, seed=1)
+    assert digest(graph.offsets, graph.targets) == KRON30_CSR_DIGEST
+
+
+def test_one_thread_and_two_build_the_same_bytes(cpus, range_threads):
+    # kron30 @ 2^-14 at the shipped constants: 2^20 edges, a thread per 2^19.
+    built = []
+    for n in (1, 2):
+        cpus(n)
+        del range_threads[:]
+        built.append(kronecker_csr(16, 16, seed=3))
+        assert len(set(range_threads)) == n
+    assert_same_graph(*built)
 
 
 def test_a_failing_block_raises_in_the_caller_and_leaves_no_thread(cpus, monkeypatch):
@@ -273,9 +323,10 @@ def test_a_failing_block_raises_in_the_caller_and_leaves_no_thread(cpus, monkeyp
     alive = threading.active_count()
     # Block 8 of 16 is the caller's third, block 9 the second thread's.
     for fails_at in (32, 36):
-        for call in (lambda: _rmat_words(np.random.default_rng(1), 4, 64,
+        for call in (lambda: rmat_words(np.random.default_rng(1), 4, 64,
                                          KRON_A, KRON_B, KRON_C),
                      lambda: kronecker_edges(4, 4, seed=1),
+                     lambda: kronecker_csr(4, 4, seed=1),
                      lambda: rmat_edges(4, 4, 0.45, 0.25, 0.15, seed=1)):
             with pytest.raises(FloatingPointError, match=f"block at {fails_at}"):
                 call()

@@ -1,8 +1,12 @@
 """Scheduler end-to-end: demo workload, determinism, crash durability."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import harness
 from repro.flash.faults import CrashPlan
 from repro.service import (
     GraphService,
@@ -309,3 +313,27 @@ def test_service_for_wires_through_config(make_service):
     service = make_service()
     assert isinstance(service, GraphService)
     assert service.system.durable
+
+
+def test_a_service_cell_frees_its_stack_without_the_cycle_collector(
+        service_graph, monkeypatch):
+    # Reference counting alone frees the stack run_service_cell built (system,
+    # store, FTL, device pages, service) when it returns: nothing in it is
+    # held by a reference cycle that waits for the cyclic collector.
+    built, make_system = [], harness.make_system
+
+    def recording(*args, **kwargs):
+        system = make_system(*args, **kwargs)
+        built.append(weakref.ref(system))
+        return system
+    monkeypatch.setattr(harness, "make_system", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        report = harness.run_service_cell(
+            "GraFBoost", service_graph, ["tA:pagerank:iters=2", "tB:bfs@1"],
+            scale=2.0 ** -16)
+        assert len(built) == 1 and built[0]() is None
+        assert all(job.state == "done" for job in report.jobs)
+    finally:
+        gc.enable()
