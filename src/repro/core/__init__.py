@@ -20,8 +20,6 @@ Layers, bottom-up:
 * :mod:`repro.core.packing` / :mod:`repro.core.accelerator` — the FPGA
   datapath's 256-bit tuple packing (Fig 7) and its throughput model, plus
   the software backend's cost model.
-* :mod:`repro.core.dense` — dense output encoding with presence bitmaps
-  (§III-B).
 * :mod:`repro.core.bloom` — the bloom filter behind Algorithm 4's active
   list.
 """

@@ -4,21 +4,15 @@ The reproduction rests on invariants no generic linter knows about:
 simulated time is deterministic (RL001), ``PowerLossError`` must reach the
 one recovery driver (RL002), the flash stack keeps its own error taxonomy
 (RL003) and never touches the host filesystem (RL004), keys/LPNs/offsets
-stay integers past 2^53 (RL005), and every device operation charges the
-``SimClock`` (RL006).  ``--explain RLxxx`` prints each rule's rationale.
+stay integers past 2^53 (RL005), every device operation charges the
+``SimClock`` (RL006), and no worker result is collected in completion
+order (RL009).  RL100 flags suppression comments that no longer suppress
+anything.  ``--explain RLxxx`` prints each rule's rationale.
 
-One index of the tree serves everything whole-program:
-``callgraph.CallGraph`` resolves imports, definitions, call edges and what
-each piece of code names.  The det-flow pass (``detflow.py``) follows its
-call edges to taint nondeterminism sources — unsorted filesystem listings
-(RL007), set/dict iteration order and ``id()``/``hash()`` keys (RL008),
-pool completion order (RL009), and wall-clock/unseeded RNG reached
-*transitively* through calls (RL010) — and reports when taint reaches a
-determinism sink: ``SimClock.charge*``, journal/checkpoint writes,
-trace/report/checksum construction, sort-reduce key material, or run
-naming.  The reachability ratchet (``tests/test_reachability.py``) follows
-the same graph's uses to find dead definitions and settings only the tests
-set.  RL100 flags suppression comments that no longer suppress anything.
+Every rule reads one file at a time.  The rest of the determinism promise
+is checked by running the code: the goldens and worker/mode/crash matrices
+of ``tests/test_perf_invariance.py`` (with a run under two hash seeds for
+set and dict order), and FlashSan.
 
 Run with ``python -m repro.lint src tests benchmarks examples``; any
 finding fails the run, and ``--format json`` prints it

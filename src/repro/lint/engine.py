@@ -1,5 +1,5 @@
-"""Driver: walk files, run per-file and whole-program rules, honor inline
-suppressions, report.
+"""Driver: walk files, run the per-file rules, honor inline suppressions,
+report.
 
 Suppressions are line-scoped comments (real comments — a suppression
 string inside a string literal is ignored)::
@@ -30,10 +30,8 @@ import os
 import re
 import sys
 import tokenize
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.lint.detflow import PROGRAM_RULES, analyze_program
 from repro.lint.rules import ALL_RULES, Rule, Violation
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -86,97 +84,43 @@ def _suppressions(source: str) -> dict[int, set[str]]:
 # ------------------------------------------------------------------ pipeline
 
 
-@dataclass
-class FileEntry:
-    """One parsed file, shared by the per-file and whole-program passes."""
-
-    path: str
-    tree: ast.Module | None
-    suppressions: dict[int, set[str]]
-    syntax_error: Violation | None = None
-
-
-def _load_entry(path: str, source: str) -> FileEntry:
+def _lint_file(path: str, source: str) -> list[Violation]:
+    """One file's findings that no suppression on their line silences,
+    then an RL100 for each suppression that silenced nothing."""
+    suppressions = _suppressions(source)
     try:
         tree = ast.parse(source, filename=path)
-        error = None
     except SyntaxError as err:
-        tree = None
-        error = Violation(path, err.lineno or 1, err.offset or 0, "RL000",
-                          f"syntax error: {err.msg}")
-    return FileEntry(path, tree, _suppressions(source), error)
-
-
-def _file_violations(entry: FileEntry) -> list[Violation]:
-    if entry.tree is None:
-        return [entry.syntax_error] if entry.syntax_error else []
-    found: list[Violation] = []
-    for rule in ALL_RULES:
-        if rule.applies(entry.path):
-            found.extend(rule.check(entry.tree, entry.path))
-    return found
-
-
-#: (path, line) -> the suppressed rule ids that matched a finding there.
-Used = dict[tuple[str, int], set[str]]
-
-
-def _apply_suppressions(entries: dict[str, FileEntry],
-                        raw: Iterable[Violation]) -> tuple[list[Violation], Used]:
+        # What the comments guard is unknown: no RL100 for this file.
+        ids = suppressions.get(err.lineno or 1, set())
+        return [] if ids & {"RL000", "all"} else [Violation(
+            path, err.lineno or 1, err.offset or 0, "RL000", f"syntax error: {err.msg}")]
     kept: list[Violation] = []
-    used: Used = {}
-    for violation in raw:
-        entry = entries.get(violation.path)
-        ids = entry.suppressions.get(violation.line, set()) if entry else set()
-        if "all" in ids or violation.rule_id in ids:
-            used.setdefault((violation.path, violation.line), set()).add(
-                "all" if "all" in ids and violation.rule_id not in ids
-                else violation.rule_id)
+    used: dict[int, set[str]] = {}   # line -> the ids that silenced a finding
+    for violation in (v for rule in ALL_RULES if rule.applies(path)
+                      for v in rule.check(tree, path)):
+        ids = suppressions.get(violation.line, set())
+        if violation.rule_id in ids or "all" in ids:
+            used.setdefault(violation.line, set()).add(
+                violation.rule_id if violation.rule_id in ids else "all")
         else:
             kept.append(violation)
-    return kept, used
-
-
-def _unused_suppressions(entries: dict[str, FileEntry], matched: Used) -> list[Violation]:
-    found: list[Violation] = []
-    for path in sorted(entries):
-        entry = entries[path]
-        if entry.tree is None:
-            continue  # a syntax error hides what the comments guard
-        for line in sorted(entry.suppressions):
-            ids = entry.suppressions[line]
-            if "RL100" in ids:
-                continue  # explicit per-line escape hatch
-            used = matched.get((path, line), set())
-            unused = ([] if used else ["all"]) if "all" in ids else sorted(ids - used)
-            for rule_id in unused:
-                found.append(Violation(
-                    path, line, 0, "RL100",
-                    f"unused suppression: disable={rule_id} suppresses "
-                    "nothing on this line — remove it"))
-    return found
-
-
-def _sorted(violations: list[Violation]) -> list[Violation]:
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id,
-                                   v.message))
-    return violations
+    for line in sorted(suppressions):
+        ids, matched = suppressions[line], used.get(line, set())
+        if "RL100" in ids:
+            continue  # explicit per-line escape hatch
+        unused = ([] if matched else ["all"]) if "all" in ids else sorted(ids - matched)
+        kept += [Violation(path, line, 0, "RL100",
+                           f"unused suppression: disable={rule_id} suppresses "
+                           "nothing on this line — remove it") for rule_id in unused]
+    return kept
 
 
 def lint_sources(sources: dict[str, str]) -> list[Violation]:
-    """Lint a program given as ``{path: source}``; each path decides which
-    rules apply to its file.  Per-file rules, then the det-flow pass over
-    all modules at once (so cross-module taint flows resolve), then
-    suppressions and RL100."""
-    entries = {path: _load_entry(path, sources[path]) for path in sorted(sources)}
-    ordered = list(entries.values())
-    raw: list[Violation] = []
-    for entry in ordered:
-        raw.extend(_file_violations(entry))
-    raw.extend(analyze_program([(e.path, e.tree) for e in ordered
-                                if e.tree is not None]))
-    kept, used = _apply_suppressions(entries, raw)
-    return _sorted(kept + _unused_suppressions(entries, used))
+    """Lint files given as ``{path: source}``; each path decides which
+    rules apply to its file."""
+    found = [v for path in sorted(sources) for v in _lint_file(path, sources[path])]
+    return sorted(found, key=lambda v: (v.path, v.line, v.col, v.rule_id, v.message))
 
 
 def iter_python_files(paths: Iterable[str]) -> list[str]:
@@ -191,7 +135,7 @@ def iter_python_files(paths: Iterable[str]) -> list[str]:
             raise FileNotFoundError(f"no such file or directory: {path}")
         # dirnames is sorted in place, so the traversal order (and with it
         # every report) is deterministic.
-        for dirpath, dirnames, filenames in os.walk(path):  # repro-lint: disable=RL007
+        for dirpath, dirnames, filenames in os.walk(path):
             dirnames[:] = sorted(d for d in dirnames
                                  if d not in ("__pycache__", ".git"))
             files.extend(os.path.join(dirpath, name)
@@ -225,7 +169,7 @@ def render_json(violations: list[Violation]) -> str:
 
 
 def all_rules() -> list[Rule]:
-    return list(ALL_RULES) + list(PROGRAM_RULES) + [RuleUnusedSuppression()]
+    return list(ALL_RULES) + [RuleUnusedSuppression()]
 
 
 def explain(rule_id: str) -> str | None:
@@ -237,8 +181,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="repro-lint: repo-specific static analysis "
-                    "(per-file rules RL001-RL006, whole-program "
-                    "determinism-flow RL007-RL010, RL100).")
+                    "(per-file rules RL001-RL006, RL009, RL100).")
     parser.add_argument("paths", nargs="*", metavar="PATH")
     parser.add_argument("--list-rules", action="store_true",
                         help="list rule ids with one-line summaries")

@@ -1,4 +1,4 @@
-"""The repro-lint rules (RL001–RL006).
+"""The repro-lint rules (RL001–RL006, RL009).
 
 Each rule is a small AST pass scoped to the part of the tree where its
 invariant holds.  Paths are matched with normalized forward slashes, so
@@ -13,7 +13,97 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.lint.callgraph import ImportMap, dotted
+
+def module_name_for_path(path: str) -> str:
+    """``src/repro/core/external.py`` -> ``repro.core.external``."""
+    p = path.replace("\\", "/")
+    if p.endswith(".py"):
+        p = p[:-3]
+    parts = [seg for seg in p.split("/") if seg not in ("", ".", "..")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    if "src" in parts:
+        parts = parts[parts.index("src") + 1:]
+    if "repro" in parts:
+        parts = parts[parts.index("repro"):]
+    return ".".join(parts)
+
+
+class ImportMap(ast.NodeVisitor):
+    """Alias-resolving import tracker (module- and from-imports).
+
+    Relative imports resolve against the module's package: ``from .foo
+    import bar`` inside ``repro.core.external`` names ``repro.core.foo``,
+    so it can never alias a stdlib module of the same name.
+    """
+
+    def __init__(self, package: str) -> None:
+        #: local alias -> canonical dotted module ("np" -> "numpy")
+        self.modules: dict[str, str] = {}
+        #: local name -> (canonical module, attr) for from-imports
+        self.names: dict[str, tuple[str, str]] = {}
+        #: every dotted name an import statement imports, wherever it sits
+        self.imported: set[str] = set()
+        self._package = package
+
+    @classmethod
+    def for_module(cls, path: str, tree: ast.Module) -> "ImportMap":
+        """The import map of the module parsed from ``path``."""
+        name = module_name_for_path(path)
+        package = name if path.endswith("__init__.py") else name.rpartition(".")[0]
+        imports = cls(package)
+        imports.visit(tree)
+        return imports
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self.modules[alias.asname or alias.name.split(".")[0]] = alias.name
+            self.imported.add(alias.name)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level:
+            base = self._package.split(".") if self._package else []
+            up = node.level - 1
+            if up:
+                base = base[:-up] if up < len(base) else []
+            mod = ".".join(base + ([node.module] if node.module else []))
+        else:
+            mod = node.module or ""
+        if not mod:
+            return
+        self.imported.update([mod, *(f"{mod}.{alias.name}" for alias in node.names)])
+        for alias in node.names:
+            self.names[alias.asname or alias.name] = (mod, alias.name)
+
+    def resolve_module_attr(self, chain: list[str]) -> tuple[str, str] | None:
+        """Resolve a dotted chain to ``(canonical_module, attr_chain)``."""
+        head = chain[0]
+        if len(chain) == 1:
+            return self.names.get(head)
+        if head in self.modules:
+            return self.modules[head], ".".join(chain[1:])
+        if head in self.names:
+            mod, attr = self.names[head]
+            return f"{mod}.{attr}", ".".join(chain[1:])
+        return None
+
+    def resolve(self, node: ast.AST) -> tuple[str, str] | None:
+        """Resolve an expression (a ``Call.func``) through the imports."""
+        chain = dotted(node)
+        return self.resolve_module_attr(chain) if chain else None
+
+
+def dotted(node: ast.AST) -> list[str] | None:
+    """``a.b.c`` -> ``["a", "b", "c"]``; None for non-name chains."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        parts.reverse()
+        return parts
+    return None
 
 
 @dataclass(frozen=True)
@@ -41,10 +131,10 @@ def _in_sim_src(path: str) -> bool:
 
 
 class Rule:
-    """Base class: subclasses set ``id``/``summary``; per-file rules also
-    implement applies() and check().  A rule that keeps the defaults is
-    checked by the engine as a whole (det-flow, RL100) and only lends its
-    id and docstring to ``--list-rules``/``--explain``."""
+    """Base class: subclasses set ``id``/``summary`` and implement
+    applies() and check().  A rule that keeps the defaults is checked by
+    the engine itself (RL100) and only lends its id and docstring to
+    ``--list-rules``/``--explain``."""
 
     id: str = ""
     summary: str = ""
@@ -60,10 +150,6 @@ class Rule:
                          getattr(node, "col_offset", 0), self.id, message)
 
 
-#: Source kinds of :func:`entropy_source`, shared with det-flow (RL010).
-WALLCLOCK = "wall-clock"
-RNG = "rng"
-
 _TIME_FNS = {"time", "time_ns", "perf_counter", "perf_counter_ns",
              "monotonic", "monotonic_ns", "process_time",
              "process_time_ns", "clock"}
@@ -75,35 +161,25 @@ _SAFE_NP_RANDOM = {"default_rng", "Generator", "SeedSequence",
 _SEEDED_CTORS = {"default_rng", "RandomState", "SeedSequence"}
 
 
-def entropy_source(mod: str, attr: str,
-                   call: ast.Call) -> tuple[str, str, str] | None:
-    """Classify a call resolved to ``mod.attr`` as a host-entropy source.
-
-    Returns ``(kind, source, message)`` — ``kind`` is :data:`WALLCLOCK` or
-    :data:`RNG`, ``source`` names the call in det-flow findings and
-    ``message`` is RL001's — or None for a deterministic call.
-    """
+def entropy_source(mod: str, attr: str, call: ast.Call) -> str | None:
+    """RL001's message if a call resolved to ``mod.attr`` reads host
+    entropy (the wall clock or an unseeded RNG), else None."""
     leaf = attr.split(".")[-1]
     if mod == "time" and leaf in _TIME_FNS:
-        source = f"time.{leaf}()"
-        return WALLCLOCK, source, f"wall-clock read {source} — use SimClock"
+        return f"wall-clock read time.{leaf}() — use SimClock"
     if mod in ("datetime", "datetime.datetime") and leaf in _DATETIME_FNS:
-        source = f"datetime {leaf}()"
-        return WALLCLOCK, source, f"wall-clock read {source} — use SimClock"
+        return f"wall-clock read datetime {leaf}() — use SimClock"
     if mod == "random":
-        source = f"random.{leaf}()"
-        return RNG, source, (f"stdlib {source} draws unseeded host entropy "
-                             "— use numpy.random.default_rng(seed)")
+        return (f"stdlib random.{leaf}() draws unseeded host entropy "
+                "— use numpy.random.default_rng(seed)")
     if (mod in ("numpy.random", "numpy") and
             attr.startswith("random.")) or mod == "numpy.random":
         if leaf not in _SAFE_NP_RANDOM:
-            source = f"numpy.random.{leaf}()"
-            return RNG, source, (f"legacy {source} uses the unseeded global "
-                                 "state — use default_rng(seed)")
+            return (f"legacy numpy.random.{leaf}() uses the unseeded global "
+                    "state — use default_rng(seed)")
         if leaf in _SEEDED_CTORS and not call.args:
-            return RNG, f"seedless {leaf}()", (
-                f"{leaf}() without a seed is OS-entropy-seeded — pass an "
-                "explicit seed")
+            return (f"{leaf}() without a seed is OS-entropy-seeded — pass an "
+                    "explicit seed")
     return None
 
 
@@ -118,8 +194,9 @@ class RuleWallClock(Rule):
     the worker pool's queue timeouts and process joins are host-side
     orchestration that legitimately reads the host clock — by design it
     carries no simulated state, so wall-clock there cannot leak into
-    results or ``SimClock`` accounting (the bit-identity goldens enforce
-    exactly that).
+    results or ``SimClock`` accounting.  A host-clock read that reaches a
+    charge through a helper in an allowlisted file is left to the
+    bit-identity goldens: it moves ``elapsed_s`` on every run.
     """
 
     id = "RL001"
@@ -138,9 +215,9 @@ class RuleWallClock(Rule):
             if not isinstance(node, ast.Call):
                 continue
             resolved = imports.resolve(node.func)
-            entropy = entropy_source(*resolved, node) if resolved else None
-            if entropy is not None:
-                yield self._v(path, node, entropy[2])
+            message = entropy_source(*resolved, node) if resolved else None
+            if message is not None:
+                yield self._v(path, node, message)
 
 
 class RuleBareExcept(Rule):
@@ -458,6 +535,38 @@ class RuleChargeClock(Rule):
                     "never charges the SimClock")
 
 
+class RuleCompletionOrder(Rule):
+    """RL009: no completion-order collection in the simulator.
+
+    ``as_completed``, ``imap_unordered`` and ``FIRST_COMPLETED`` hand back
+    results in the order workers finish, which the host scheduler picks.
+    ``SimClock.elapsed_s`` is a sequential float sum, so results folded or
+    charged in that order move its low bits between runs and across
+    ``--workers N``; the parallel merge once shipped exactly that.  The
+    worker sweeps in ``tests/test_perf_invariance.py`` catch it only when
+    the workers happen to finish out of order, so the names are banned
+    everywhere under ``src/repro``, the worker pool included: collect
+    results in submission order.
+    """
+
+    id = "RL009"
+    summary = "completion-order collection of worker results"
+
+    _NAMES = {"as_completed", "imap_unordered", "FIRST_COMPLETED"}
+
+    def applies(self, path: str) -> bool:
+        return _in_sim_src(path)
+
+    def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in self._NAMES:
+                yield self._v(path, node, f"{name}: results in worker completion "
+                              "order — collect them in submission order")
+
+
 ALL_RULES: list[Rule] = [
     RuleWallClock(),
     RuleBareExcept(),
@@ -465,4 +574,5 @@ ALL_RULES: list[Rule] = [
     RuleHostIO(),
     RuleFloatKeys(),
     RuleChargeClock(),
+    RuleCompletionOrder(),
 ]

@@ -210,10 +210,15 @@ class GraphService:
         """Register a job; returns its deterministic id (``svc-<n>``).
 
         Admission is decided at the spec's arrival round, not here — a
-        submission is just workload input.
+        submission is just workload input.  A spec that arrives at or past
+        ``config.max_rounds`` is refused here: the scheduler would idle up
+        to the limit and then abort.
         """
         if isinstance(spec, str):
             spec = parse_job_spec(spec)
+        if spec.at_round >= self.config.max_rounds:
+            raise ValueError(f"job arrives at round {spec.at_round}, past the "
+                             f"service's last round {self.config.max_rounds - 1}")
         job_id = f"svc-{self._next_id}"
         self._next_id += 1
         self.submissions.append((job_id, spec))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -602,18 +603,27 @@ def test_read_spans_of_generated_span_lists(kind, durable, spans, part):
 
 # ------------------------------------------------------- generated sequences
 
-PAGE = 512
-MACHINE_GEOMETRY = FlashGeometry(page_bytes=PAGE, pages_per_block=8,
-                                 num_blocks=512)
+#: The engine's 8 KB page (``engine.config.PAGE_BYTES``) and two smaller
+#: ones, whose boundaries short files cross more often.
+PAGE_SIZES = [512, 2048, 8192]
 NAMES = st.sampled_from(["a", "b", "c", "d"])
-#: Every tail-buffer boundary, and a flush spanning several extents.
-APPEND_SIZES = st.sampled_from([0, 1, PAGE - 1, PAGE, PAGE + 1, 19 * PAGE + 7])
+#: Sizes as ``(pages, bytes)``: ``pages * page_bytes + bytes`` at the drawn
+#: page size.  Every tail-buffer boundary, and a flush spanning several
+#: extents.
+APPEND_SIZES = st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (19, 7)])
+
+
+def units(n):
+    """An offset or length of up to ``n`` 512-byte units, scaled to the drawn
+    page and moved by -1, 0 or +1 byte, so page boundaries are hit exactly."""
+    return st.tuples(st.integers(-1, n), st.integers(-1, 1))
 
 
 class StoreMachine(RuleBasedStateMachine):
     """Generated op sequences against a dict model ``name -> [data, sealed]``.
 
-    Each rule predicts from the model either the new state or the exact
+    Each example draws a page size and runs FlashSan on the store.  Each
+    rule predicts from the model either the new state or the exact
     exception type; the invariant then compares the whole visible state.
     Every op also runs on a twin store, where ``read_spans`` becomes one
     ``read_array`` per span: the two stores' charges must never differ.
@@ -621,10 +631,24 @@ class StoreMachine(RuleBasedStateMachine):
 
     def __init__(self, kind: str, durable: bool):
         super().__init__()
-        self.store = make_store(kind, durable, MACHINE_GEOMETRY)
-        self.twin = make_store(kind, durable, MACHINE_GEOMETRY)
+        self.kind, self.durable = kind, durable
         self.model: dict[str, list] = {}
         self.fill = 0
+
+    @initialize(page=st.sampled_from(PAGE_SIZES))
+    def build(self, page):
+        self.page = page
+        geometry = FlashGeometry(page_bytes=page, pages_per_block=8, num_blocks=512)
+        self.store = make_store(self.kind, self.durable, geometry, sanitize=True)
+        self.twin = make_store(self.kind, self.durable, geometry)
+
+    def sized(self, drawn) -> int:
+        """``(pages, bytes)`` at this example's page size."""
+        return drawn[0] * self.page + drawn[1]
+
+    def scaled(self, drawn) -> int:
+        """``(units, nudge)`` of :func:`units` at this example's page size."""
+        return drawn[0] * self.page // 512 + drawn[1]
 
     def expect(self, error, op, *args, twin_op=None, **kwargs):
         """Run ``op(store, ...)`` on the store and ``twin_op`` (default: the
@@ -648,7 +672,7 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(name=NAMES, size=APPEND_SIZES)
     def append(self, name, size):
         self.fill = (self.fill + 1) % 251
-        data = bytes((self.fill + i) % 256 for i in range(size))
+        data = bytes((self.fill + i) % 256 for i in range(self.sized(size)))
         sealed = name in self.model and self.model[name][1]
         self.expect(FlashError if sealed else None,
                     FileStore.append, name, data)
@@ -663,9 +687,10 @@ class StoreMachine(RuleBasedStateMachine):
         if name in self.model:
             self.model[name][1] = True
 
-    @rule(name=NAMES, offset=st.integers(-1, 12 * PAGE),
-          nbytes=st.one_of(st.none(), st.integers(-1, 12 * PAGE)))
+    @rule(name=NAMES, offset=units(12 * 512), nbytes=st.one_of(st.none(), units(12 * 512)))
     def read(self, name, offset, nbytes):
+        offset = self.scaled(offset)
+        nbytes = None if nbytes is None else self.scaled(nbytes)
         if name not in self.model:
             self.expect(FileNotFoundError, FileStore.read, name, offset, nbytes)
             return
@@ -677,13 +702,12 @@ class StoreMachine(RuleBasedStateMachine):
         if not bad:
             assert bytes(got) == data[offset:offset + n]
 
-    @rule(name=NAMES, offset=st.integers(0, 12 * PAGE),
-          nbytes=st.integers(0, 24 * PAGE))
+    @rule(name=NAMES, offset=units(12 * 512), nbytes=units(24 * 512))
     def read_segments(self, name, offset, nbytes):
         """A read as segments: the bytes and the charges of a plain read."""
         data = self.model.get(name, [b""])[0]
-        offset = min(offset, len(data))
-        nbytes = min(nbytes, len(data) - offset)
+        offset = min(max(self.scaled(offset), 0), len(data))
+        nbytes = min(max(self.scaled(nbytes), 0), len(data) - offset)
         error = None if name in self.model else FileNotFoundError
         got = self.expect(
             error, lambda store: store.read(name, offset, nbytes, segments=True),
@@ -727,8 +751,9 @@ class StoreMachine(RuleBasedStateMachine):
             hi = len(blocks) * max(part) // 1000
             assert got.take(lo, hi).tobytes() == blocks[lo:hi].tobytes()
 
-    @rule(name=NAMES, chunk=st.sampled_from([0, 1000, PAGE, 5 * PAGE + 3]))
+    @rule(name=NAMES, chunk=st.sampled_from([(0, 0), (0, 1000), (1, 0), (5, 3)]))
     def stream(self, name, chunk):
+        chunk = self.sized(chunk)
         error = (ValueError if chunk <= 0 else
                  None if name in self.model else FileNotFoundError)
         chunks = self.expect(error, lambda store: list(store.stream(name, chunk)))
@@ -758,7 +783,7 @@ class StoreMachine(RuleBasedStateMachine):
         for entry in self.model.values():
             if not entry[1]:
                 # The RAM tail died with power: back to the last full page.
-                entry[0] = entry[0][:len(entry[0]) // PAGE * PAGE]
+                entry[0] = entry[0][:len(entry[0]) // self.page * self.page]
 
     @invariant()
     def matches_model(self):
@@ -788,4 +813,4 @@ def test_generated_op_sequences_match_the_model(kind, durable):
     run_state_machine_as_test(
         lambda: StoreMachine(kind, durable),
         settings=settings(max_examples=100, stateful_step_count=30,
-                          deadline=None))
+                          deadline=None, derandomize=True))

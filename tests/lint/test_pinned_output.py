@@ -1,7 +1,7 @@
 """repro-lint's exact output over a fixed corpus, pinned line for line.
 
-The corpus has at least one firing case for every rule (RL000-RL010,
-RL100) plus the import shapes the rules resolve through: a relative
+The corpus has at least one firing case for every rule (RL000-RL006,
+RL009, RL100) plus the import shapes the rules resolve through: a relative
 import of a module named ``time`` inside ``repro.core`` (which must never
 alias the stdlib), an aliased ``import numpy.random as npr`` and a
 seedless ``default_rng()``.  The library entry point and the CLI must
@@ -40,12 +40,6 @@ CORPUS = {
             f = npr.default_rng(seed)
             g = np.random.default_rng(seed)
             return a, b, c, d, e, f, g
-
-        def jitter(clock):
-            clock.charge("cpu", npr.rand())
-            clock.charge("cpu", npr.default_rng().random())
-            clock.charge("cpu", random.random() + pc())
-            clock.charge("cpu", datetime.now().timestamp())
     """,
     "src/repro/core/relative.py": """
         from .time import monotonic
@@ -107,37 +101,11 @@ CORPUS = {
         from concurrent.futures import as_completed
 
         def names(d):
-            out = []
-            for n in os.listdir(d):
-                out.append(n)
-            return out
-
-        def pending(keys):
-            out = []
-            for k in set(keys):
-                out.append(k)
-            return out
-
-        def by_address(objs):
-            return sorted(objs, key=id)
+            return os.listdir(d)
 
         def merge(futures, clock):
             for fut in as_completed(futures):
-                kv, seconds = fut.result()
-                clock.charge("cpu", seconds)
-    """,
-    "src/repro/harness.py": """
-        import time
-
-        def now_seconds():
-            return time.time()
-    """,
-    "src/repro/core/record.py": """
-        from repro.harness import now_seconds
-
-        def record(clock):
-            t = now_seconds()
-            clock.charge("io", t)
+                clock.charge("cpu", fut.result())
     """,
     "src/repro/core/suppressed.py": """
         import time
@@ -176,26 +144,13 @@ EXPECTED = [
     'src/repro/core/entropy.py:15:8: RL001 legacy numpy.random.rand() uses the unseeded global state — use default_rng(seed)',
     'src/repro/core/entropy.py:16:8: RL001 default_rng() without a seed is OS-entropy-seeded — pass an explicit seed',
     'src/repro/core/entropy.py:17:8: RL001 default_rng() without a seed is OS-entropy-seeded — pass an explicit seed',
-    'src/repro/core/entropy.py:23:4: RL010 numpy.random.rand() (src/repro/core/entropy.py:23) reaches SimClock charge() — nondeterminism in determinism-critical state',
-    'src/repro/core/entropy.py:23:24: RL001 legacy numpy.random.rand() uses the unseeded global state — use default_rng(seed)',
-    'src/repro/core/entropy.py:24:4: RL010 seedless default_rng() (src/repro/core/entropy.py:24) reaches SimClock charge() — nondeterminism in determinism-critical state',
-    'src/repro/core/entropy.py:24:24: RL001 default_rng() without a seed is OS-entropy-seeded — pass an explicit seed',
-    'src/repro/core/entropy.py:25:4: RL010 random.random() (src/repro/core/entropy.py:25) reaches SimClock charge() — nondeterminism in determinism-critical state',
-    'src/repro/core/entropy.py:25:4: RL010 time.perf_counter() (src/repro/core/entropy.py:25) reaches SimClock charge() — nondeterminism in determinism-critical state',
-    'src/repro/core/entropy.py:25:24: RL001 stdlib random.random() draws unseeded host entropy — use numpy.random.default_rng(seed)',
-    'src/repro/core/entropy.py:25:42: RL001 wall-clock read time.perf_counter() — use SimClock',
-    'src/repro/core/entropy.py:26:4: RL010 datetime now() (src/repro/core/entropy.py:26) reaches SimClock charge() — nondeterminism in determinism-critical state',
-    'src/repro/core/entropy.py:26:24: RL001 wall-clock read datetime now() — use SimClock',
     'src/repro/core/handlers.py:4:4: RL002 bare except swallows PowerLossError — re-raise, or catch Exception instead',
     'src/repro/core/handlers.py:10:4: RL002 PowerLossError handler outside the recovery driver — run the operation under SystemConfig.run_recovering instead',
     "src/repro/core/keys.py:4:11: RL005 np.linspace over 'key_space' yields float64 — integer keys past 2^53 lose precision; use integer arithmetic (key_space * i // n)",
     "src/repro/core/keys.py:7:11: RL005 true division on 'lpn' produces float64 — use // to keep key/lpn/offset arithmetic exact",
-    'src/repro/core/order.py:6:0: RL007 os.listdir() order is nondeterministic and escapes (collected via .append()) — sort the listing or suppress with a justification',
-    'src/repro/core/order.py:6:13: RL004 os.listdir(): host filesystem access below the store layer',
-    'src/repro/core/order.py:12:0: RL008 set() iteration order is nondeterministic and escapes (collected via .append()) — sort before iterating or suppress with a justification',
-    'src/repro/core/order.py:17:11: RL008 id as a sort key orders by interpreter addresses/hashes — derive sort keys from stable data',
-    'src/repro/core/order.py:22:8: RL009 as_completed() (src/repro/core/order.py:20) reaches SimClock charge() — nondeterminism in determinism-critical state',
-    'src/repro/core/record.py:5:4: RL010 time.time() (src/repro/harness.py:4) reaches SimClock charge() via harness.now_seconds — nondeterminism in determinism-critical state',
+    'src/repro/core/order.py:2:31: RL009 as_completed: results in worker completion order — collect them in submission order',
+    'src/repro/core/order.py:5:11: RL004 os.listdir(): host filesystem access below the store layer',
+    'src/repro/core/order.py:8:15: RL009 as_completed: results in worker completion order — collect them in submission order',
     'src/repro/core/suppressed.py:7:0: RL100 unused suppression: disable=RL001 suppresses nothing on this line — remove it',
     'src/repro/core/suppressed.py:10:0: RL100 unused suppression: disable=all suppresses nothing on this line — remove it',
     'src/repro/engine/hostio.py:7:9: RL004 open(): storage below the engine goes through FlashDevice / the file stores',

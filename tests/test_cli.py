@@ -339,10 +339,27 @@ def test_serve_round_limit_is_a_clean_abort(capsys, monkeypatch):
         scheduler.ServiceConfig, max_rounds=3))
     code, _, err = run_cli(capsys, "serve", "--dataset", "twitter",
                            "--scale", "1.6e-5",
-                           "--job", "t0:neighborhood:v=0,depth=1@50")
+                           "--job", "t0:pagerank:iters=20")
     assert code == 1
     assert "serve: aborted on RuntimeError" in err
     assert "exceeded 3 rounds" in err
+
+
+def test_serve_refuses_a_job_arriving_after_the_last_round(capsys, monkeypatch):
+    """An arrival at or past ``max_rounds`` is refused when it is submitted,
+    not after the scheduler has idled up to the limit."""
+    import functools
+
+    from repro.service import scheduler
+
+    monkeypatch.setattr(scheduler, "ServiceConfig", functools.partial(
+        scheduler.ServiceConfig, max_rounds=3))
+    code, out, err = run_cli(capsys, "serve", "--dataset", "twitter",
+                             "--scale", "1.6e-5", "--job", "t0:pagerank",
+                             "--job", "t1:neighborhood:v=0,depth=1@3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "ValueError: job arrives at round 3, past the service's last round 2" in err
 
 
 def test_serve_rejects_bad_job_spec(capsys):

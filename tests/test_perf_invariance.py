@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,8 @@ from repro.harness import (
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST, GRAFSOFT, SERVER_SSD_ARRAY
 from repro.service import demo_quotas, demo_workload
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # --------------------------------------------------------------------------
 # scalar reference implementations
@@ -489,6 +495,58 @@ def test_durable_job_reruns_bit_identical(job):
     again = DURABLE_JOBS[job](graph)
     assert again.elapsed_s == first.elapsed_s
     assert again.flash_bytes == first.flash_bytes
+
+
+# --------------------------------------------------------------------------
+# hash seeds: nothing a run reports may follow set or dict-of-str order
+# --------------------------------------------------------------------------
+# String hashing is salted per process by PYTHONHASHSEED, so a set of job ids
+# or file names iterated into the clock, the journal or the trace gives
+# another order under another seed.  Each seed runs in its own interpreter.
+
+HASH_SEED_RUNS = """
+import hashlib, json
+from repro.algorithms.pagerank import run_pagerank
+from repro.engine.config import make_system
+from repro.flash.faults import CrashPlan
+from repro.graph.datasets import build_graph
+from repro.harness import run_grafboost_system, run_service_cell
+from repro.service import demo_quotas, demo_workload
+
+scale = 1 / 65536
+graph = build_graph("kron30", scale, seed=7)
+bfs = run_grafboost_system(
+    "GraFBoost", graph, "bfs", scale=scale, checkpoint_every=1,
+    crashes=CrashPlan(seed=3, crashes=3, first_op=100, mean_gap=300))
+system = make_system("grafsoft", scale, num_vertices_hint=graph.num_vertices)
+engine = system.engine_for(system.load_graph(graph), graph.num_vertices)
+pagerank = run_pagerank(engine, graph.num_vertices, 2)
+service = run_service_cell("GraFBoost", graph, demo_workload(), scale=scale,
+                           quotas=demo_quotas())
+print(json.dumps({
+    "bfs": [repr(bfs.elapsed_s), bfs.flash_bytes, bfs.power_losses,
+            hashlib.sha1(bfs.final_values.tobytes()).hexdigest()],
+    "pagerank": [repr(pagerank.elapsed_s), system.clock.bytes_moved("flash"),
+                 hashlib.sha1(pagerank.final_values().tobytes()).hexdigest(),
+                 [s.to_dict() for s in pagerank.sort_stats]],
+    "service": [repr(service.elapsed_s), service.flash_bytes, service.trace],
+}, indent=1))
+"""
+
+
+def test_runs_are_identical_under_two_hash_seeds():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, "-c", HASH_SEED_RUNS], cwd=ROOT, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    outputs = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err[-2000:]
+        outputs.append(json.loads(out))
+    assert outputs[0]["bfs"][2] > 0 and len(outputs[0]["service"][2]) > 1
+    assert outputs[0] == outputs[1]
 
 
 def test_sanitizer_actually_observed_the_run():

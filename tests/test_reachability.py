@@ -1,5 +1,5 @@
-"""Ratchets over the source tree, read from repro-lint's one index of it:
-a :class:`repro.lint.callgraph.CallGraph` of ``src/``, ``benchmarks/`` and
+"""Ratchets over the source tree, read from one index of it: a
+:class:`tests.lint.callgraph.CallGraph` of ``src/``, ``benchmarks/`` and
 ``examples/``.
 
 * Every top-level function or class, and every method but the
@@ -32,7 +32,8 @@ import re
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from repro.lint.callgraph import DEFS, IMPLICIT, CallGraph, FunctionInfo, dotted
+from repro.lint.rules import dotted
+from tests.lint.callgraph import DEFS, IMPLICIT, CallGraph, FunctionInfo
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = [*(ROOT / "src").rglob("*.py"), *(ROOT / "benchmarks").rglob("*.py"),
