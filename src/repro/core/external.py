@@ -171,7 +171,7 @@ class RunHandle:
         """:meth:`reads`, each read as one :class:`KVArray` (joined only when
         it spans more than one run of views)."""
         for parts in self.reads():
-            yield parts[0] if len(parts) == 1 else KVArray.concat(parts)
+            yield KVArray.concat(parts)
 
     def delete(self) -> None:
         if self.num_records and self.store.exists(self.name):

@@ -109,10 +109,13 @@ class KVArray:
 
     @staticmethod
     def concat(runs: list["KVArray"]) -> "KVArray":
-        """Concatenate preserving order (run order matters for FIRST/LAST)."""
+        """Concatenate preserving order (run order matters for FIRST/LAST).
+        One non-empty run is returned as it is, not copied."""
         runs = [r for r in runs if len(r)]
         if not runs:
             raise ValueError("concat of zero non-empty runs needs a value dtype; use KVArray.empty")
+        if len(runs) == 1:
+            return runs[0]
         return KVArray._wrap(
             np.concatenate([r.keys for r in runs]),
             np.concatenate([r.values for r in runs]),

@@ -84,7 +84,7 @@ def sort_reduce_parts(parts: list[KVArray], op: ReduceOp) -> KVArray:
             lows[j] = high
         outs.append(op.reduce_sorted(
             KVArray.concat(pieces).sorted(runs=len(pieces)), presorted=True))
-    return outs[0] if len(outs) == 1 else KVArray.concat(outs)
+    return KVArray.concat(outs)
 
 
 def merge_reduce_arrays(runs: list[KVArray], op: ReduceOp,

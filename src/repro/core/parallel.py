@@ -125,14 +125,14 @@ def _worker_main(tasks, results) -> None:
         task = tasks.get()
         if task is None:
             return
-        ticket, name, n, dtype_str, op_name, runs = task
         try:
+            ticket, name, n, dtype_str, op_name, runs = task
             kv = _kv_from_shm(name, n, dtype_str, unlink=True)
             out = _sort_reduce(kv, op_by_name(op_name), runs)
             results.put((ticket, _kv_to_shm(out), len(out),
                          out.values.dtype.str, None))
         except Exception as exc:
-            results.put((ticket, None, 0, dtype_str,
+            results.put((task[0], None, 0, None,
                          f"{type(exc).__name__}: {exc}"))
 
 
@@ -223,14 +223,22 @@ class SortReducePool:
         self._arrived.pop(ticket, None)
 
     def _pump(self, block: bool) -> None:
-        """Move one arrived worker result into ``_arrived``."""
+        """Move one arrived worker result into ``_arrived``.
+
+        A dead worker may have taken the awaited task with it, or died
+        holding the task queue's lock, so the others can take nothing more:
+        while a ticket is awaited, any dead worker closes the pool
+        (:func:`get_pool` then builds a fresh one) and raises.
+        """
         try:
             msg = self._results.get(timeout=1.0) if block \
                 else self._results.get_nowait()
         except queue.Empty:
-            if block and not any(p.is_alive() for p in self._procs):
+            if block and not all(p.is_alive() for p in self._procs):
+                self.shutdown(join_timeout_s=1.0)
                 raise WorkerTaskError(
-                    "all sort-reduce workers died without replying") from None
+                    "a sort-reduce worker died without replying; "
+                    "the pool is closed") from None
             return
         ticket, name, n, dtype_str, error = msg
         if ticket in self._discarded:
@@ -290,7 +298,7 @@ class SortReducePool:
             for t in tickets:
                 self.discard(t)
             raise
-        return KVArray.concat([o for o in outs if len(o)])
+        return KVArray.concat(outs)
 
     def merge_reduce(self, parts: list[KVArray], op: ReduceOp) -> KVArray:
         """Merge-reduce sorted parts, partitioned by key range across workers.

@@ -245,7 +245,7 @@ class DramAggregator:
             batches = [batch for batch in kv if len(batch)]
             if not batches:
                 return
-            kv = batches[0] if len(batches) == 1 else KVArray.concat(batches)
+            kv = KVArray.concat(batches)
         if kv.value_dtype != self.value_dtype:
             raise ValueError(f"value dtype {kv.value_dtype} != {self.value_dtype}")
         if len(kv) == 0:

@@ -22,10 +22,16 @@ from repro.graph.formats import FlashCSR
 from repro.graph.vertexdata import VertexArray
 
 
-#: Most edges one batch of update pairs covers: :func:`push`'s batches and
-#: the dense scan's edge chunks, matching
-#: :meth:`repro.graph.formats.FlashCSR.stream_edges`.
+#: Edges per read of the dense scan's edge stream, matching
+#: :meth:`repro.graph.formats.FlashCSR.stream_edges`.  Simulated: each chunk
+#: is one charged read, so the figures pin it.
 SCAN_EDGES_PER_CHUNK = 1 << 18
+
+#: Most edges one of :func:`push`'s batches of update pairs covers.
+#: Host-only: every edge read is charged before a batch is built and the
+#: sorter cuts its chunks at ``chunk_bytes`` whatever the batch boundaries,
+#: so this bounds host memory and never moves a simulated number.
+PUSH_EDGES_PER_BATCH = 1 << 16
 
 
 @dataclass
@@ -76,16 +82,16 @@ def scan(vertices: VertexArray, program: VertexProgram,
 
 def edge_batches(degrees: np.ndarray) -> Iterator[tuple[int, int]]:
     """Cut a run of vertices with these out-degrees into consecutive
-    ``(lo, hi)`` batches of at most ``SCAN_EDGES_PER_CHUNK`` edges; a vertex
+    ``(lo, hi)`` batches of at most ``PUSH_EDGES_PER_BATCH`` edges; a vertex
     with more edges than that is a batch of its own."""
     edge_ends = np.cumsum(degrees)
     total = int(edge_ends[-1])
     lo, done = 0, 0
     while done < total:
-        if total - done <= SCAN_EDGES_PER_CHUNK:
+        if total - done <= PUSH_EDGES_PER_BATCH:
             yield lo, len(degrees)
             return
-        hi = int(np.searchsorted(edge_ends, done + SCAN_EDGES_PER_CHUNK, side="right"))
+        hi = int(np.searchsorted(edge_ends, done + PUSH_EDGES_PER_BATCH, side="right"))
         hi = max(hi, int(np.searchsorted(edge_ends, done, side="right")) + 1)
         yield lo, hi
         lo, done = hi, int(edge_ends[hi - 1])

@@ -158,6 +158,24 @@ def test_chunk_handles_oversized_add(aoffs):
     assert np.allclose(out.values, expected[out.keys.astype(np.int64)])
 
 
+def test_a_chunk_inside_one_batch_is_sorted_as_views(aoffs, monkeypatch):
+    sorted_chunks, sort = [], external.sort_reduce_in_memory
+
+    def record(chunk, op):
+        sorted_chunks.append(chunk)
+        return sort(chunk, op)
+
+    monkeypatch.setattr(external, "sort_reduce_in_memory", record)
+    reducer = make_reducer(aoffs, chunk_bytes=4096)
+    batch = random_updates(1000, 100, seed=9)      # 16 000 B: 3 full chunks
+    reducer.add(batch)
+    reducer.finish()
+    assert [len(c) for c in sorted_chunks] == [256, 256, 256, 232]
+    assert all(np.shares_memory(c.keys, batch.keys)
+               and np.shares_memory(c.values, batch.values)
+               for c in sorted_chunks)
+
+
 def test_chunk_bytes_validation(aoffs):
     with pytest.raises(ValueError):
         make_reducer(aoffs, chunk_bytes=16)

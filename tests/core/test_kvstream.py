@@ -53,6 +53,11 @@ def test_concat_preserves_run_order():
     assert out.values.tolist() == [1, 2]
 
 
+def test_concat_of_one_nonempty_run_is_that_run():
+    run = kv_pairs([(3, 1), (1, 2)], np.int64)
+    assert KVArray.concat([KVArray.empty(np.int64), run]) is run
+
+
 def test_concat_requires_nonempty():
     with pytest.raises(ValueError):
         KVArray.concat([KVArray.empty(np.int64)])

@@ -1,6 +1,11 @@
 """Parallel sort-reduce pool: bit-identity with the serial path, inline
 fallbacks, error propagation, and merge-failure space hygiene."""
 
+import os
+import signal
+import time
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -167,6 +172,63 @@ def test_collect_after_discard_raises(pool):
     assert_kv_equal(pool.collect(other), sort_reduce_in_memory(kv, SUM))
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail the block with ``TimeoutError`` instead of hanging past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_malformed_task_is_reported_and_the_worker_lives():
+    p = SortReducePool(2, inline_records=64)
+    try:
+        ticket = p._next_ticket
+        p._next_ticket += 1
+        p._tasks.put((ticket, "repro-no-such-shm-block", 8, "<f8", "sum"))
+        with deadline(20), pytest.raises(WorkerTaskError, match="ValueError"):
+            p.collect(ticket)
+        assert all(proc.is_alive() for proc in p._procs)
+        kv = random_kv(2000, 100, seed=8)
+        with deadline(20):
+            assert_kv_equal(p.collect(p.submit_chunk_sort(kv, SUM)),
+                            sort_reduce_in_memory(kv, SUM))
+    finally:
+        p.shutdown()
+
+
+def test_one_dead_worker_fails_the_wait_and_closes_the_pool(monkeypatch):
+    # The live worker never takes the task (as when the dead one held the
+    # task queue's lock), so only the dead worker can end the wait.
+    import repro.core.parallel as parallel_mod
+
+    def idle_worker(tasks, results):
+        time.sleep(600)
+
+    monkeypatch.setattr(parallel_mod, "_worker_main", idle_worker)
+    p = SortReducePool(2, inline_records=64)
+    monkeypatch.undo()
+    parallel_mod._POOLS[2] = p
+    try:
+        ticket = p.submit_chunk_sort(random_kv(2000, 100, seed=4), SUM)
+        os.kill(p._procs[0].pid, signal.SIGKILL)
+        with deadline(20), pytest.raises(WorkerTaskError, match="died"):
+            p.collect(ticket)
+        assert p.closed
+        assert not any(proc.is_alive() for proc in p._procs)
+        fresh = get_pool(2)
+        assert fresh is not p and not fresh.closed
+    finally:
+        shutdown_pools()
+
+
 def test_all_workers_dead_raises():
     p = SortReducePool(2, inline_records=64)
     try:
@@ -188,15 +250,12 @@ def test_pool_rejects_single_worker():
 def test_shutdown_kills_hung_workers(monkeypatch):
     # A worker stuck ignoring SIGTERM (simulating uninterruptible state)
     # must still be gone after shutdown: sentinel → terminate → kill.
-    import signal
-    import time as _time
-
     import repro.core.parallel as parallel_mod
 
     def hung_worker(tasks, results):
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
         while True:
-            _time.sleep(60)
+            time.sleep(60)
 
     monkeypatch.setattr(parallel_mod, "_worker_main", hung_worker)
     p = SortReducePool(2, inline_records=64)

@@ -29,7 +29,7 @@ from repro.engine.modes import (
     charge_mode_switch,
     semiexternal_footprint,
 )
-from repro.engine.superstep import SCAN_EDGES_PER_CHUNK
+from repro.engine.superstep import PUSH_EDGES_PER_BATCH
 from repro.flash.faults import CrashPlan
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import build_graph
@@ -315,7 +315,7 @@ def test_semiexternal_clock_unchanged_on_a_frontier_of_several_push_batches():
     engine = system.engine_for(system.load_graph(graph), graph.num_vertices)
     result = run_pagerank(engine, graph.num_vertices, 2)
     assert result.supersteps[0].traversed_edges == graph.num_edges
-    assert graph.num_edges > SCAN_EDGES_PER_CHUNK
+    assert graph.num_edges > PUSH_EDGES_PER_BATCH
     assert result.elapsed_s == 0.03550763786103986
     usage = {name: (u.busy_s, u.bytes_moved, u.ops)
              for name, u in system.clock.usage.items()}

@@ -46,7 +46,7 @@ def test_sssp_eager_agrees_with_lazy(weighted_graph):
     ([3, 4], [(0, 2)]),
 ])
 def test_edge_batches(monkeypatch, degrees, batches):
-    monkeypatch.setattr(superstep, "SCAN_EDGES_PER_CHUNK", 300)
+    monkeypatch.setattr(superstep, "PUSH_EDGES_PER_BATCH", 300)
     assert list(superstep.edge_batches(np.array(degrees, dtype=np.int64))) == batches
 
 
@@ -80,7 +80,7 @@ def test_push_batch_size_changes_nothing(monkeypatch, weighted_graph, mode,
     weights and source ids, and per-vertex messages — gives the values, sort
     stats and clock of one batch per push."""
     whole = _outcome(weighted_graph, algorithm, mode)
-    monkeypatch.setattr(superstep, "SCAN_EDGES_PER_CHUNK", 97)
+    monkeypatch.setattr(superstep, "PUSH_EDGES_PER_BATCH", 97)
     assert _outcome(weighted_graph, algorithm, mode) == whole
 
 

@@ -38,15 +38,17 @@ def test_pagerank_traced_peak_is_bounded():
     # no longer reads and runs and overlays go to flash as the frozen arrays
     # they were built in; 21.2 since merge sources hold views of the flash
     # pages instead of a decoded copy, bloom filters are built in blocks and
-    # the free-LPN pool stores only recycled LPNs.  The rest is mostly the
-    # device's payload, which grows with the graph by design.  Bound: that
-    # measurement + 14 %.
+    # the free-LPN pool stores only recycled LPNs (22.3 later, with 2^18-edge
+    # push batches); 19.0 since a push batch covers 2^16 edges and a sort
+    # chunk inside one batch is sorted as views of it.  The rest is mostly
+    # the device's payload, which grows with the graph by design.  Bound:
+    # that measurement + 8 %.
     scale = 2.0 ** -14
     graph = build_graph("kron30", scale, seed=1)
     assert graph.num_edges == 1 << 20
     peak = traced_peak(graph, "GraFSoft", "pagerank", scale, "kron30",
                        pagerank_iterations=2)
-    assert peak <= 24.2e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak <= 20.5e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_sparse_bfs_traced_peak_is_bounded():

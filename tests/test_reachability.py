@@ -379,7 +379,6 @@ ALLOWED_SETTINGS = {
     "StreamingMergeReducer(refill_records)": SIZING,
     "SystemConfig(max_remounts)": SIZING,
     "SortReducePool(inline_records)": POOL,
-    "SortReducePool.shutdown(join_timeout_s)": POOL,
     "merge_reduce_arrays(pool)": POOL,
 }
 
