@@ -38,12 +38,11 @@ import numpy as np
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.algorithms.bfs import run_bfs
-from repro.algorithms.pagerank import run_pagerank
+from repro.algorithms import ANALYTICS
 from repro.engine.config import make_system
 from repro.flash.faults import CrashPlan
 from repro.graph.datasets import build_graph
-from repro.harness import default_root, run_grafboost_system
+from repro.harness import CRASH_ALGORITHMS, default_root, run_grafboost_system
 from repro.perf.report import emit_results, format_table
 
 #: ISSUE acceptance: at least this many power losses must actually fire.
@@ -68,10 +67,9 @@ def run_clean(kind: str, graph, algorithm: str, scale: float, iterations: int):
     start_s = system.clock.elapsed_s
     flash_graph = system.load_graph(graph)
     engine = system.engine_for(flash_graph, graph.num_vertices)
-    if algorithm == "pagerank":
-        result = run_pagerank(engine, graph.num_vertices, iterations=iterations)
-    else:
-        result = run_bfs(engine, default_root(graph))
+    program, limit = ANALYTICS[algorithm].factory(
+        graph.num_vertices, default_root(graph), {"iters": iterations})
+    result = engine.run(program, max_supersteps=limit)
     elapsed = system.clock.elapsed_s - start_s
     return result.final_values(), elapsed, system.device.crashes.op_index
 
@@ -100,7 +98,7 @@ def main(argv=None) -> int:
     rows = []
     failures = []
     for kind in ("grafboost", "grafsoft"):
-        for algorithm in ("pagerank", "bfs"):
+        for algorithm in CRASH_ALGORITHMS:
             clean_values, clean_s, total_ops = run_clean(
                 kind, graph, algorithm, params["scale"], params["iterations"])
             plan = crash_plan_for(total_ops, args.seed)

@@ -9,17 +9,16 @@ Bars are performance normalized to GraFSoft (higher = faster), exactly as
 the paper plots them; DNFs show as 0.
 """
 
-from repro.harness import GRAFBOOST_FAMILY, results_by, run_matrix
+from repro.harness import ALGORITHMS, GRAFBOOST_FAMILY, results_by, run_matrix
 from repro.perf.report import emit_results, format_table, normalize_series
 
 SYSTEMS = ["X-Stream", "FlashGraph", "GraFBoost", "GraFBoost2", "GraFSoft",
            "GraphChi", "GraphLab"]
-ALGORITHMS = ["pagerank", "bfs", "bc"]
 SCALE = 2.0 ** -16
 
 
 def run_figure(dataset: str):
-    results = run_matrix(SYSTEMS, ALGORITHMS, dataset, scale=SCALE,
+    results = run_matrix(SYSTEMS, list(ALGORITHMS), dataset, scale=SCALE,
                          patience_factor=30.0)
     rows = []
     for algorithm in ALGORITHMS:

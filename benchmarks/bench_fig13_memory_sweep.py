@@ -17,7 +17,7 @@ lines are flat — the paper's central claim.
 import math
 
 from repro.graph.datasets import build_graph
-from repro.harness import run_cell, results_by, run_matrix
+from repro.harness import ALGORITHMS, run_cell, results_by, run_matrix
 from repro.perf.profiles import SERVER_SSD_ARRAY
 from repro.perf.report import emit_results, format_table, normalize_series
 
@@ -89,13 +89,13 @@ def test_fig13a_wdc_64gb(benchmark):
         graph = build_graph(DATASET, SCALE)
         dram = 2 * vertex_data_bytes()
         profile = SERVER_SSD_ARRAY.scaled(SCALE).with_dram(dram)
-        return run_matrix(SWEEP_SYSTEMS, ["pagerank", "bfs", "bc"], DATASET,
+        return run_matrix(SWEEP_SYSTEMS, list(ALGORITHMS), DATASET,
                           scale=SCALE, server_profile=profile,
                           patience_factor=30.0)
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
-    for algorithm in ("pagerank", "bfs", "bc"):
+    for algorithm in ALGORITHMS:
         by_system = results_by(results, algorithm)
         baseline = by_system["GraFSoft"].elapsed_s
         normalized = normalize_series(

@@ -26,7 +26,6 @@ SCALE = 2.0 ** -14
 DATASETS = ["twitter", "kron28", "kron30"]
 SYSTEMS = ["X-Stream", "FlashGraph", "GraphChi", "GraphLab", "GraphLab5",
            "GraFSoft", "GraFBoost"]
-ALGORITHMS = ["pagerank", "bfs", "bc"]
 
 
 def run_figure(algorithm: str):

@@ -5,7 +5,8 @@ BFS "forms the basis and shares the characteristics of many other
 algorithms such as Single-Source Shortest Path and Label Propagation"
 (§V-A).  This example exercises both on a grid-with-shortcuts network:
 SSSP with MIN as the sort-reduce operator (distances validated against
-Dijkstra) and label propagation for connected components.
+Dijkstra) and label propagation for connected components (labels validated
+against the minimum-label closure).
 
 Run:  python examples/road_network_sssp.py
 """
@@ -13,7 +14,7 @@ Run:  python examples/road_network_sssp.py
 import numpy as np
 
 from repro.algorithms.cc import NO_LABEL, run_label_propagation
-from repro.algorithms.reference import sssp_distances
+from repro.algorithms.reference import min_label_closure, sssp_distances
 from repro.algorithms.sssp import run_sssp
 from repro.engine.config import make_system
 from repro.graph.csr import CSRGraph
@@ -87,6 +88,8 @@ def main() -> None:
     labels = cc.final_values()
     resolved = np.where(labels == NO_LABEL,
                         np.arange(graph.num_vertices, dtype=np.uint64), labels)
+    # Every label must be the minimum id that reaches its vertex.
+    assert np.array_equal(resolved, min_label_closure(graph)), "labels differ"
     components, sizes = np.unique(resolved, return_counts=True)
     print(f"  components        : {len(components)}")
     for label, size in sorted(zip(components, sizes), key=lambda t: -t[1])[:3]:

@@ -86,6 +86,21 @@ def pagerank_push(graph: CSRGraph, iterations: int) -> np.ndarray:
     return rank
 
 
+def min_label_closure(graph: CSRGraph) -> np.ndarray:
+    """Label propagation's fixed point on the directed graph: for each
+    vertex, the minimum id among the vertices that reach it, itself
+    included (its component's minimum id on a symmetrized graph)."""
+    labels = np.arange(graph.num_vertices, dtype=np.uint64)
+    src, dst = graph.edge_list()
+    src_i, dst_i = src.astype(np.int64), dst.astype(np.int64)
+    while True:
+        pushed = labels.copy()
+        np.minimum.at(pushed, dst_i, labels[src_i])
+        if np.array_equal(pushed, labels):
+            return labels
+        labels = pushed
+
+
 def sssp_distances(graph: CSRGraph, root: int) -> np.ndarray:
     """Dijkstra via scipy (weighted; inf = unreachable)."""
     from scipy.sparse import csr_matrix

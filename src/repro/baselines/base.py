@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms import ANALYTICS
 from repro.baselines import kernels
 from repro.graph.csr import CSRGraph
 from repro.perf.clock import SimClock
@@ -119,7 +120,8 @@ class BaselineEngine:
     def run(self, algorithm: str, root: int = 0, iterations: int = 1) -> BaselineResult:
         """Run ``algorithm`` (``bfs``, ``pagerank`` or ``bc``) under this
         model's costs; ``root`` is the BFS/BC source."""
-        if algorithm not in ("bfs", "pagerank", "bc"):
+        analytic = ANALYTICS.get(algorithm)
+        if analytic is None or analytic.baseline_state_bytes is None:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         self._supersteps = self._traversed = 0
         reason = self.refusal(algorithm)

@@ -18,22 +18,11 @@ file it covers; sparse supersteps issue per-vertex random reads
 
 from __future__ import annotations
 
+from repro.algorithms import ANALYTICS
 from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED
 from repro.engine.modes import DENSE_THRESHOLD, charge_page_faults
 from repro.graph.csr import CSRGraph
 from repro.perf.profiles import HardwareProfile
-
-#: Framework bookkeeping per vertex (message queues, indices) on top of the
-#: algorithm's own state.  Calibrated against Fig 13's x-axis (percent of
-#: 8-byte-per-vertex data): BFS state equals vertex data (degradation only
-#: below the 100% point), PageRank needs twice that (slowdown visible from
-#: 150%), BC five times (degrades from 400%) — the orderings of Fig 13b-d.
-VERTEX_OVERHEAD_BYTES = 0
-
-#: Algorithm state per vertex; BC's is largest (parents, levels, credits,
-#: per-level bookkeeping), which is why its "performance degradation [is]
-#: faster" in Fig 13d.
-ALG_STATE_BYTES = {"bfs": 8, "pagerank": 16, "bc": 40}
 
 #: Beyond this much vertex-state overflow the run is declared failed rather
 #: than thrashed (the paper's runs "stopped manually", Fig 13b).
@@ -72,7 +61,8 @@ class SemiExternalEngine(BaselineEngine):
         self._cold_bytes = self.edge_file_bytes
 
     def state_bytes(self, algorithm: str) -> int:
-        per_vertex = ALG_STATE_BYTES[algorithm] + VERTEX_OVERHEAD_BYTES
+        per_vertex = ANALYTICS[algorithm].baseline_state_bytes
+        assert per_vertex is not None  # run() takes only the modelled kinds
         return self.graph.num_vertices * per_vertex
 
     def swap_fraction(self, algorithm: str) -> float:

@@ -154,12 +154,6 @@ class VertexProgram:
         self.namespace = label
         return self
 
-    # ---------------------------------------------------------------- limits
-
-    def max_supersteps(self) -> int:
-        """Upper bound on supersteps (the engine also stops on quiescence)."""
-        return 1 << 30
-
 
 def all_active_chunks(num_vertices: int, value_dtype: np.dtype,
                       value) -> Iterator[KVArray]:

@@ -327,8 +327,8 @@ class EngineRun:
                  max_supersteps: int | None = None):
         self.engine = engine
         self.program = program
-        self.limit = (program.max_supersteps() if max_supersteps is None
-                      else max_supersteps)
+        # No limit: the run stops only on quiescence.
+        self.limit = 1 << 30 if max_supersteps is None else max_supersteps
         self.run_start = engine.clock.elapsed_s
         retire = engine._retire_file if engine.checkpoint_every else None
 

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms import ANALYTICS
 from repro.algorithms.bc import run_betweenness_centrality
-from repro.algorithms.bfs import run_bfs
-from repro.algorithms.pagerank import run_pagerank
 from repro.baselines import BASELINE_ENGINES, SemiExternalEngine
 from repro.baselines.base import DNF_CUTOFF_UNLIMITED
 from repro.baselines.semiexternal import VERTEX_ID_SPACE
@@ -47,11 +46,14 @@ GRAFBOOST_ONE_CARD = dataclasses.replace(
 GRAFBOOST_FAMILY = ("GraFBoost", "GraFBoost2", "GraFSoft")
 _BASELINE_CLASSES = {cls.name: cls for cls in BASELINE_ENGINES}
 BASELINE_SYSTEMS = tuple(_BASELINE_CLASSES)
-ALGORITHMS = ("pagerank", "bfs", "bc")
+#: The algorithms of the figure matrix: the kinds the baselines model.
+ALGORITHMS = tuple(name for name, analytic in ANALYTICS.items()
+                   if analytic.baseline_state_bytes is not None)
 #: The algorithms that run under a crash plan: each is one vertex program
 #: with a checkpoint protocol.  Betweenness centrality's two phases would
 #: need per-phase checkpoint names.
-CRASH_ALGORITHMS = ("pagerank", "bfs")
+CRASH_ALGORITHMS = tuple(name for name in ALGORITHMS
+                         if ANALYTICS[name].factory is not None)
 
 
 def default_root(graph: CSRGraph) -> int:
@@ -178,18 +180,18 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
     start_s = system.clock.elapsed_s
     flash_graph = _load_graph(system, graph)
     root = default_root(graph)
+    factory = ANALYTICS[algorithm].factory
 
     def run_algorithm():
         # After a remount, continue from the newest checkpoint (if any).
         engine = system.engine_for(flash_graph, graph.num_vertices,
                                    checkpoint_every=checkpoint_every,
                                    auto_resume=system.remounts > 0)
-        if algorithm == "pagerank":
-            return run_pagerank(engine, graph.num_vertices,
-                                iterations=pagerank_iterations)
-        if algorithm == "bfs":
-            return run_bfs(engine, root)
-        return run_betweenness_centrality(engine, root)
+        if factory is None:
+            return run_betweenness_centrality(engine, root)
+        program, limit = factory(graph.num_vertices, root,
+                                 {"iters": pagerank_iterations})
+        return engine.run(program, max_supersteps=limit)
 
     def reattach() -> None:
         nonlocal flash_graph
@@ -197,7 +199,7 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
 
     result = system.run_recovering(run_algorithm, reload=reattach)
 
-    if algorithm == "bc":
+    if factory is None:
         # Both phases: the forward BFS supersteps *and* the backtracing
         # sort-reduce passes (each one level of the BFS tree).
         forward_modes = [s.mode for s in result.forward.supersteps]

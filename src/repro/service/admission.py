@@ -59,6 +59,9 @@ REJECTED_DECISION = "rejected"
 #: healthy-capacity limits were hit — tenants can tell device trouble apart
 #: from their own oversubscription.
 DEGRADED_DECISION = "degraded"
+#: Not a decision of this controller: the scheduler failed the spec at
+#: arrival because it does not fit the graph, so it never asked for quota.
+INVALID_DECISION = "invalid"
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Job vocabulary of the analytics service: specs, states, results.
 
-A *job* is either a full analytics run (``pagerank`` / ``bfs`` / ``cc`` —
-the single-program algorithms the PR 3 checkpoint protocol covers, so every
-admitted run is crash→remount→resume durable for free) or a cheap *point
-query* answered in milliseconds of simulated time:
+A *job* is either a full analytics run (each :data:`ANALYTICS_KINDS` kind
+is one vertex program, which the engine checkpoint protocol covers, so
+every admitted run is crash→remount→resume durable for free) or a cheap
+*point query* answered in milliseconds of simulated time:
 
 * ``neighborhood`` — all vertices within ``depth`` hops of ``v``;
 * ``path`` — an unweighted shortest path ``src → dst`` (BFS, depth-capped);
@@ -21,9 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.algorithms import ANALYTICS
 from repro.flash.faults import split_spec
 
-ANALYTICS_KINDS = ("pagerank", "bfs", "cc")
+#: The analytics kinds the service runs: every :data:`ANALYTICS` row that
+#: is one vertex program.
+ANALYTICS_KINDS = tuple(kind for kind, analytic in ANALYTICS.items()
+                        if analytic.factory is not None)
 POINT_KINDS = ("neighborhood", "path", "vstate")
 #: Control operations: processed at arrival, never scheduled.  ``cancel``
 #: takes ``ref=<job-id>`` and tears down that job (same tenant only).
@@ -52,17 +56,17 @@ REQUIRED = "required"
 #: must give, None an optional one.  A bad value would otherwise surface
 #: rounds later (``retries`` only at the job's first failure, ``depth=abc``
 #: when the query runs) or run nothing (``iters=0``), and an unknown key
-#: would be dropped.  Vertex ids and job refs are checked when the job runs,
-#: against the graph and the jobs submitted.
+#: would be dropped.  An analytics kind takes its :data:`ANALYTICS` row's
+#: params and ``retries``.  Vertex ids and job refs are checked when the job
+#: arrives or runs, against the graph and the jobs submitted.
 PARAMS: dict[str, dict[str, int | str | None]] = {
-    "pagerank": {"iters": 1, "retries": 0},
-    "bfs": {"root": 0, "retries": 0},
-    "cc": {"retries": 0},
+    kind: {**ANALYTICS[kind].params, "retries": 0} for kind in ANALYTICS_KINDS}
+PARAMS.update({
     "neighborhood": {"v": REQUIRED, "depth": 0},
     "path": {"src": REQUIRED, "dst": REQUIRED, "cap": 0},
     "vstate": {"ref": REQUIRED, "v": None},
     "cancel": {"ref": REQUIRED},
-}
+})
 
 
 @dataclass(frozen=True)
@@ -197,8 +201,8 @@ class Job:
     spec: JobSpec
     state: str = PENDING
     #: Initial admission decision ("admitted" | "queued" | "rejected" |
-    #: "degraded") — recorded once at arrival and never recomputed, part of
-    #: the trace.
+    #: "degraded" | "invalid") — recorded once at arrival and never
+    #: recomputed, part of the trace.
     admission: str = ""
     #: Result summary of a finished job (small, JSON-safe): per-kind fields
     #: plus a crc32 checksum of the full payload for determinism checks.
@@ -238,21 +242,3 @@ class Job:
                    retries=int(d.get("retries", 0)),
                    retry_round=int(d.get("retry_round", 0)),
                    failures=list(d.get("failures", [])))
-
-
-def make_program(spec: JobSpec, num_vertices: int, default_root: int):
-    """Build the (namespaced-later) vertex program for an analytics spec."""
-    if spec.kind == "pagerank":
-        from repro.algorithms.pagerank import PageRankProgram
-
-        return PageRankProgram(num_vertices), int(spec.params.get("iters", 1))
-    if spec.kind == "bfs":
-        from repro.algorithms.bfs import BFSProgram
-
-        root = int(spec.params.get("root", default_root))
-        return BFSProgram(root), None
-    if spec.kind == "cc":
-        from repro.algorithms.cc import LabelPropagationProgram
-
-        return LabelPropagationProgram(), None
-    raise ValueError(f"not an analytics kind: {spec.kind!r}")

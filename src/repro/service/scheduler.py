@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.algorithms import ANALYTICS
 from repro.flash.device import (
     FlashError,
     FlashUncorrectableError,
@@ -75,6 +76,7 @@ from repro.flash.wear import HEALTHY, WearReport, lifetime_writes_remaining
 from repro.service.admission import (
     ADMITTED,
     DEGRADED_DECISION,
+    INVALID_DECISION,
     AdmissionController,
     TenantQuota,
 )
@@ -92,7 +94,6 @@ from repro.service.jobs import (
     Job,
     JobFailure,
     JobSpec,
-    make_program,
     parse_job_spec,
 )
 from repro.service.queries import checksum, read_vstate, run_point_batch, vstate_vertices
@@ -308,12 +309,28 @@ class GraphService:
             self._do_cancel(job)
             return
         if spec.is_analytics:
-            self.controller.admit_analytics(job, self.jobs.values())
+            try:
+                self._program(spec)
+            except ValueError as exc:
+                # A spec that does not fit the graph (a root past the last
+                # vertex) fails alone, before it takes any quota.
+                job.admission = INVALID_DECISION
+                job.state = FAILED
+                job.reason = f"invalid query: {type(exc).__name__}: {exc}"
+            else:
+                self.controller.admit_analytics(job, self.jobs.values())
         else:
             self.controller.admit_point(job, self.jobs.values())
         self.jobs[job_id] = job
 
     # ----------------------------------------------------------- analytics jobs
+
+    def _program(self, spec: JobSpec):
+        """``(program, superstep limit)`` of an analytics spec, from its
+        :data:`ANALYTICS` row."""
+        factory = ANALYTICS[spec.kind].factory
+        assert factory is not None  # every service analytics kind has one
+        return factory(self.num_vertices, self.default_root, spec.params)
 
     def _job_engine(self, job: Job):
         """``(engine, program, superstep limit)`` of an analytics job.
@@ -323,8 +340,7 @@ class GraphService:
         checkpoint namespace.  The program is namespaced by job id so two
         concurrent runs of the same algorithm keep disjoint on-flash state.
         """
-        program, limit = make_program(job.spec, self.num_vertices,
-                                      self.default_root)
+        program, limit = self._program(job.spec)
         program.namespaced(job.job_id)
         engine = self.system.engine_for(
             self.graph, self.num_vertices,

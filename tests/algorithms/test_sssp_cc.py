@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms.cc import NO_LABEL, run_label_propagation
-from repro.algorithms.reference import sssp_distances
+from repro.algorithms.reference import min_label_closure, sssp_distances
 from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.engine.config import make_system
 from repro.graph.csr import CSRGraph
-from tests.support import min_reachable_label, random_weights, uniform_edges
+from tests.support import random_weights, uniform_edges
 
 SCALE = 2.0 ** -15
 
@@ -72,7 +72,7 @@ def test_label_propagation_matches_reference():
     labels = result.final_values()
     resolved = np.where(labels == NO_LABEL, np.arange(n, dtype=np.uint64),
                         labels).astype(np.int64)
-    assert np.array_equal(resolved, min_reachable_label(both))
+    assert np.array_equal(resolved, min_label_closure(both))
 
 
 def test_label_propagation_on_disconnected_components():

@@ -404,6 +404,30 @@ def test_recovery_exhaustion_is_typed_with_plan(make_service):
     assert excinfo.value.plan is not None
 
 
+def test_bad_root_fails_only_its_own_job(make_service, service_graph):
+    # A BFS root past the last vertex used to raise out of the round and
+    # abort the whole service: no tenant's job finished.
+    n = service_graph.num_vertices
+    quotas = {"t1": TenantQuota(max_running=1, max_queued=0, max_point=8)}
+    good = ["t0:pagerank:iters=2", "t1:neighborhood:v=1,depth=1", "t1:cc@1"]
+    clean = make_service(quotas=quotas)
+    clean.submit_all(good)
+    clean_report = clean.run()
+    service = make_service(quotas=quotas)
+    service.submit_all(good[:2] + [f"t1:bfs:root={n + 99}@1"] + good[2:])
+    report = service.run()
+    bad = report.jobs[2]
+    assert (bad.admission, bad.state) == ("invalid", "failed")
+    assert bad.reason == (f"invalid query: ValueError: root {n + 99} out of "
+                          f"range [0, {n})")
+    # It held no reservation: tenant t1 may run one job and queue none, and
+    # its cc, arriving in the same round right behind it, still ran.  Every
+    # other job's line (job ids aside) is the clean run's.
+    assert [line.partition(" ")[2] for line in report.trace[:2] + report.trace[3:]] \
+        == [line.partition(" ")[2] for line in clean_report.trace]
+    assert clean_report.jobs_by_state("done") == clean_report.jobs
+
+
 # --------------------------------------------------------- point-query domain
 
 def test_invalid_point_query_fails_alone(make_service, service_graph):

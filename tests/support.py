@@ -94,26 +94,6 @@ def random_weights(num_edges: int, seed: int) -> np.ndarray:
     return rng.uniform(0.1, 10.0, num_edges).astype(np.float32)
 
 
-def min_reachable_label(graph: CSRGraph, max_rounds: int | None = None) -> np.ndarray:
-    """For each vertex: the minimum vertex id that can reach it (label
-    propagation's fixed point on the directed graph)."""
-    n = graph.num_vertices
-    labels = np.arange(n, dtype=np.int64)
-    src, dst = graph.edge_list()
-    src_i, dst_i = src.astype(np.int64), dst.astype(np.int64)
-    rounds = 0
-    while True:
-        pushed = np.full(n, n, dtype=np.int64)
-        np.minimum.at(pushed, dst_i, labels[src_i])
-        new_labels = np.minimum(labels, pushed)
-        rounds += 1
-        if np.array_equal(new_labels, labels):
-            return labels
-        labels = new_labels
-        if max_rounds is not None and rounds >= max_rounds:
-            return labels
-
-
 def bfs_tree_descendants(graph: CSRGraph, root: int, parents: np.ndarray,
                          unvisited) -> np.ndarray:
     """Number of BFS-parent-tree descendants per vertex — the score the
