@@ -111,9 +111,10 @@ def main(argv=None) -> int:
             identical = np.array_equal(clean_values, crashed.final_values)
             if not identical:
                 failures.append(f"{label}: results diverged after crashes")
-            if crashed.power_losses < MIN_LOSSES:
+            stats = crashed.crashes
+            if stats.power_losses < MIN_LOSSES:
                 failures.append(
-                    f"{label}: only {crashed.power_losses} power losses "
+                    f"{label}: only {stats.power_losses} power losses "
                     f"fired (need >= {MIN_LOSSES})")
             if crashed.elapsed_s < clean_s:
                 failures.append(
@@ -123,8 +124,8 @@ def main(argv=None) -> int:
                 label,
                 "yes" if identical else "NO",
                 f"{total_ops:,}",
-                f"{crashed.power_losses:,}",
-                f"{crashed.torn_writes:,}",
+                f"{stats.power_losses:,}",
+                f"{stats.torn_writes:,}",
                 f"{crashed.remounts:,}",
                 f"{(crashed.elapsed_s / clean_s - 1) * 100:+.2f}%",
             ])

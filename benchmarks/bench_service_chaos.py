@@ -141,24 +141,28 @@ def main(argv=None) -> int:
         baseline = run_cell(graph, 1, mode)
         clean = run_cell(graph, 1, mode, poison=False)
         check_isolation(baseline.trace, clean.trace, failures, mode)
-        if baseline.quarantined < 1 or baseline.cancelled < 1:
+        if (not baseline.jobs_by_state("quarantined")
+                or not baseline.jobs_by_state("cancelled")):
             failures.append(f"{mode}: chaos workload missed a failure path")
         for workers in worker_counts:
             for plan in plans:
                 cell = run_cell(graph, workers, mode, crashes=plan)
+                losses = cell.crashes.power_losses if cell.crashes else 0
                 identical = cell.trace == baseline.trace
                 if not identical:
                     failures.append(f"{mode} workers={workers} "
                                     f"crash={plan or '-'}: trace diverged")
-                if plan and cell.power_losses == 0:
+                if plan and losses == 0:
                     failures.append(f"{mode} workers={workers}: crash plan "
                                     f"{plan} injected nothing")
                 rows.append([
                     mode, workers, plan or "-",
                     "yes" if identical else "NO",
-                    len(cell.jobs_by_state("done")), cell.quarantined,
-                    cell.cancelled, cell.retries,
-                    f"{cell.power_losses}/{cell.remounts}",
+                    len(cell.jobs_by_state("done")),
+                    len(cell.jobs_by_state("quarantined")),
+                    len(cell.jobs_by_state("cancelled")),
+                    sum(job.retries for job in cell.jobs),
+                    f"{losses}/{cell.remounts}",
                 ])
     check_reclaim(failures)
 

@@ -28,7 +28,7 @@ their storage traffic through the cost model — the comparison the paper
 makes is about I/O strategy, and that is what is simulated.
 """
 
-from repro.baselines.base import BaselineEngine, BaselineResult, DNF_CUTOFF_UNLIMITED
+from repro.baselines.base import BaselineEngine, DNF_CUTOFF_UNLIMITED
 from repro.baselines.inmemory import InMemoryEngine, ClusterInMemoryEngine
 from repro.baselines.semiexternal import SemiExternalEngine
 from repro.baselines.edgecentric import EdgeCentricEngine
@@ -42,7 +42,6 @@ BASELINE_ENGINES = (InMemoryEngine, ClusterInMemoryEngine, SemiExternalEngine,
 __all__ = [
     "BASELINE_ENGINES",
     "BaselineEngine",
-    "BaselineResult",
     "DNF_CUTOFF_UNLIMITED",
     "InMemoryEngine",
     "ClusterInMemoryEngine",

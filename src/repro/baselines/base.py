@@ -1,5 +1,5 @@
-"""The one driver every baseline model runs on, its charging helpers, run
-results, and the did-not-finish protocol.
+"""The one driver every baseline model runs on, its charging helpers and
+the did-not-finish protocol.
 
 The paper's figures contain several kinds of failure — GraphLab exceeding
 memory, FlashGraph thrashing until "stopped manually", X-Stream's projected
@@ -10,8 +10,9 @@ exceeded the experiment's patience, like stopping a run by hand).
 
 :class:`BaselineEngine` runs BFS, PageRank and BC once, over
 :mod:`repro.baselines.kernels`, and owns the start clock, the cutoff scope,
-the superstep and traversed-edge counts and the three result shapes.  A
-model is a subclass that answers only cost hooks:
+the superstep and traversed-edge counts and the three result shapes, each
+a :class:`~repro.perf.outcome.WorkloadResult` like the harness's.  A model
+is a subclass that answers only cost hooks:
 
 * :meth:`~BaselineEngine.refusal` — why the run cannot start, or ``None``;
 * :meth:`~BaselineEngine.setup` — untimed preparation;
@@ -25,14 +26,13 @@ model is a subclass that answers only cost hooks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.algorithms import ANALYTICS
 from repro.baselines import kernels
 from repro.graph.csr import CSRGraph
 from repro.perf.clock import SimClock
+from repro.perf.outcome import WorkloadResult
 from repro.perf.profiles import HardwareProfile
 
 #: Sentinel patience: never cut a run off.
@@ -41,28 +41,6 @@ DNF_CUTOFF_UNLIMITED = float("inf")
 
 class RunCutoff(Exception):
     """Raised internally when a run exceeds the experiment's patience."""
-
-
-@dataclass
-class BaselineResult:
-    """Outcome of one baseline run (mirrors the engine's RunResult shape)."""
-
-    system: str
-    algorithm: str
-    completed: bool
-    elapsed_s: float
-    values: np.ndarray | None = None
-    supersteps: int = 0
-    traversed_edges: int = 0
-    dnf_reason: str = ""
-    peak_memory: int = 0
-    cpu_busy_s: float = 0.0
-    flash_bytes: int = 0
-
-    @property
-    def time_or_nan(self) -> float:
-        """Execution time, NaN for DNF — the form the figure tables use."""
-        return self.elapsed_s if self.completed else float("nan")
 
 
 class BaselineEngine:
@@ -114,10 +92,10 @@ class BaselineEngine:
 
     # ------------------------------------------------------------ algorithms
 
-    def run_bfs(self, root: int) -> BaselineResult:
+    def run_bfs(self, root: int) -> WorkloadResult:
         return self.run("bfs", root=root)
 
-    def run(self, algorithm: str, root: int = 0, iterations: int = 1) -> BaselineResult:
+    def run(self, algorithm: str, root: int = 0, iterations: int = 1) -> WorkloadResult:
         """Run ``algorithm`` (``bfs``, ``pagerank`` or ``bc``) under this
         model's costs; ``root`` is the BFS/BC source."""
         analytic = ANALYTICS.get(algorithm)
@@ -178,15 +156,16 @@ class BaselineEngine:
 
     def _result(self, algorithm: str, values: np.ndarray | None = None,
                 elapsed_s: float = float("nan"),
-                dnf_reason: str = "") -> BaselineResult:
+                dnf_reason: str = "") -> WorkloadResult:
         completed = values is not None
-        return BaselineResult(
-            system=self.name, algorithm=algorithm, completed=completed,
-            elapsed_s=elapsed_s, values=values, supersteps=self._supersteps,
-            traversed_edges=self._traversed, dnf_reason=dnf_reason,
-            peak_memory=self.peak_memory(algorithm),
+        return WorkloadResult(
+            system=self.name, algorithm=algorithm, dataset="?",
+            completed=completed, elapsed_s=elapsed_s,
+            supersteps=self._supersteps, traversed_edges=self._traversed,
             cpu_busy_s=self.clock.busy_s("cpu") if completed else 0.0,
             flash_bytes=self.clock.bytes_moved("flash") if completed else 0,
+            memory_bytes=self.peak_memory(algorithm), dnf_reason=dnf_reason,
+            final_values=values,
         )
 
     # ---------------------------------------------------------------- charges

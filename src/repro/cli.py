@@ -48,6 +48,7 @@ from repro.perf.report import (
     wear_rows,
 )
 from repro.service import TenantQuota, demo_quotas, demo_workload, parse_job_spec
+from repro.service.admission import DEGRADED_DECISION
 
 ALL_SYSTEMS = list(GRAFBOOST_FAMILY) + list(BASELINE_SYSTEMS)
 
@@ -275,21 +276,7 @@ def cmd_run(args) -> int:
     if cell.mode_trace:
         rows.append(["mode trace",
                      mode_trace_summary(cell.mode_trace, cell.mode_phases)])
-    if args.faults is not None:
-        rows += [
-            ["corrected bit errors", f"{cell.corrected_bit_errors:,}"],
-            ["read retries", f"{cell.read_retries:,}"],
-            ["checksum recoveries", f"{cell.checksum_recoveries:,}"],
-            ["retired blocks", f"{cell.retired_blocks:,}"],
-        ]
-    if args.crashes is not None:
-        rows += [
-            ["power losses", f"{cell.power_losses:,}"],
-            ["torn writes", f"{cell.torn_writes:,}"],
-            ["remounts", f"{cell.remounts:,}"],
-        ]
-    rows += [[name, value] for name, value
-             in wear_rows(cell.wear, cell.lifetime_writes_remaining)]
+    rows += _stack_rows(cell)
     print(format_table(["metric", "value"], rows))
     return 0
 
@@ -338,22 +325,39 @@ def cmd_serve(args) -> int:
         ["simulated time", human_seconds(report.elapsed_s)],
         ["flash traffic", human_bytes(report.flash_bytes)],
     ]
-    for name, count in (("jobs quarantined", report.quarantined),
-                        ("jobs cancelled", report.cancelled),
-                        ("job retries", report.retries),
-                        ("flash failures", report.failures),
-                        ("degraded rejections", report.degraded_rejections)):
+    for name, count in (
+            ("jobs quarantined", len(report.jobs_by_state("quarantined"))),
+            ("jobs cancelled", len(report.jobs_by_state("cancelled"))),
+            ("job retries", sum(job.retries for job in report.jobs)),
+            ("flash failures", sum(len(job.failures) for job in report.jobs)),
+            ("degraded rejections", sum(1 for job in report.jobs
+                                        if job.admission == DEGRADED_DECISION))):
         if count:
             rows.append([name, count])
-    if args.crashes is not None:
-        rows += [
-            ["power losses", f"{report.power_losses:,}"],
-            ["remounts", f"{report.remounts:,}"],
-        ]
-    rows += [[name, value] for name, value
-             in wear_rows(report.wear, report.lifetime_writes_remaining)]
+    rows += _stack_rows(report, torn_writes=False)
     print(format_table(["metric", "value"], rows))
     return 0
+
+
+def _stack_rows(record, torn_writes: bool = True) -> list:
+    """The flash stack's rows of a run's or a service's metric table: the
+    fault and crash counters when that injector was attached, then wear.
+    The service table leaves torn writes out."""
+    rows: list = []
+    faults, crashes = record.faults, record.crashes
+    if faults is not None:
+        rows += [
+            ["corrected bit errors", f"{faults.bits_corrected:,}"],
+            ["read retries", f"{faults.read_retries:,}"],
+            ["checksum recoveries", f"{faults.checksum_recoveries:,}"],
+            ["retired blocks", f"{faults.blocks_retired:,}"],
+        ]
+    if crashes is not None:
+        rows.append(["power losses", f"{crashes.power_losses:,}"])
+        if torn_writes:
+            rows.append(["torn writes", f"{crashes.torn_writes:,}"])
+        rows.append(["remounts", f"{record.remounts:,}"])
+    return rows + wear_rows(record.wear)
 
 
 def _parse_quota(text: str):

@@ -42,7 +42,6 @@ import numpy as np
 from repro.core.external import MERGE_IO_BYTES, RunHandle, SortReduceStats
 from repro.core.kvstream import KVArray
 from repro.engine.superstep import (
-    SCAN_EDGES_PER_CHUNK,
     SuperstepOutcome,
     push,
     reduce_into,
@@ -50,7 +49,7 @@ from repro.engine.superstep import (
 )
 from repro.flash.device import FlashError
 from repro.flash.store import FileStore
-from repro.graph.formats import OFFSET_DTYPE, TARGET_DTYPE, WEIGHT_DTYPE
+from repro.graph.formats import OFFSET_DTYPE, TARGET_DTYPE
 
 #: Every selectable mode (``adaptive`` picks among the static ones).
 MODES = ("sortreduce", "semiexternal", "densescan", "adaptive")
@@ -355,12 +354,8 @@ class DenseScanMode(ExecutionMode):
                     values_dense: np.ndarray) -> None:
         """One sequential pass over index + edges, pushing active updates."""
         program = self.program
-        graph = self.graph
-        store = self.store
-        n = graph.num_vertices
-        offsets = store.read_array(graph.index_file, OFFSET_DTYPE).astype(np.int64)
-        degrees = np.diff(offsets)
-        srcs_all = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        n = self.graph.num_vertices
+        degrees = self.graph.out_degrees()
 
         # Per-vertex message fast path, expanded to a dense lookup table so
         # each edge chunk is one fancy index instead of a per-edge call.
@@ -374,14 +369,8 @@ class DenseScanMode(ExecutionMode):
                 msg_dense = np.zeros(n, dtype=program.value_dtype)
                 msg_dense[active_idx] = per_vertex
 
-        for start in range(0, graph.num_edges, SCAN_EDGES_PER_CHUNK):
-            cnt = min(SCAN_EDGES_PER_CHUNK, graph.num_edges - start)
-            dsts = store.read_array(graph.edge_file, TARGET_DTYPE, start, cnt)
-            weights = None
-            if program.uses_weights:
-                weights = store.read_array(graph.weight_file, WEIGHT_DTYPE,
-                                           start, cnt)
-            srcs = srcs_all[start:start + cnt]
+        for srcs, dsts, weights in self.graph.stream_edges(
+                degrees, weights=program.uses_weights):
             sel = active_mask[srcs]
             if not sel.any():
                 continue
@@ -390,7 +379,7 @@ class DenseScanMode(ExecutionMode):
                 messages = msg_dense[src_sel]
             else:
                 messages = program.edge_program(
-                    values_dense[src_sel], src_sel.astype(np.uint64),
+                    values_dense[src_sel], src_sel,
                     weights[sel] if weights is not None else None,
                     degrees[src_sel].astype(np.uint64))
             update = KVArray(dsts[sel],

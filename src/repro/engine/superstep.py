@@ -22,11 +22,6 @@ from repro.graph.formats import FlashCSR
 from repro.graph.vertexdata import VertexArray
 
 
-#: Edges per read of the dense scan's edge stream, matching
-#: :meth:`repro.graph.formats.FlashCSR.stream_edges`.  Simulated: each chunk
-#: is one charged read, so the figures pin it.
-SCAN_EDGES_PER_CHUNK = 1 << 18
-
 #: Most edges one of :func:`push`'s batches of update pairs covers.
 #: Host-only: every edge read is charged before a batch is built and the
 #: sorter cuts its chunks at ``chunk_bytes`` whatever the batch boundaries,

@@ -75,11 +75,20 @@ class WearReport:
         """
         return max(0.0, 1.0 - self.erase_count_stddev / (self.mean_erase_count + 1.0))
 
+    @property
+    def lifetime_writes_remaining(self) -> float:
+        """Fraction of the rated program/erase budget the most-worn block
+        has left."""
+        return _lifetime_left(self.max_erase_count)
+
 
 def lifetime_writes_remaining(device: FlashDevice) -> float:
     """Fraction of the device's rated program/erase budget still unused."""
-    worst = max(device.erase_counts) if device.erase_counts else 0
-    return max(0.0, 1.0 - worst / RATED_PE_CYCLES)
+    return _lifetime_left(max(device.erase_counts) if device.erase_counts else 0)
+
+
+def _lifetime_left(max_erase_count: int) -> float:
+    return max(0.0, 1.0 - max_erase_count / RATED_PE_CYCLES)
 
 
 def health(lifetime_remaining: float, bad_blocks: int) -> str:

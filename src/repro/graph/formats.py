@@ -28,6 +28,7 @@ OFFSET_DTYPE = np.dtype("<u8")
 TARGET_DTYPE = np.dtype("<u8")
 WEIGHT_DTYPE = np.dtype("<f4")
 #: Edges per chunk of a sequential :meth:`FlashCSR.stream_edges` scan.
+#: Simulated: each chunk is one charged read, so the figures pin it.
 STREAM_EDGES_PER_CHUNK = 1 << 18
 #: Items of the fetched read one step of a :meth:`RangeGather.take` copies
 #: beyond the ranges it returns, at most.
@@ -264,19 +265,31 @@ class FlashCSR:
 
     # ---------------------------------------------------------------- streams
 
-    def stream_edges(self):
-        """Sequentially scan the whole graph, yielding (srcs, dsts[, weights]).
+    def out_degrees(self) -> np.ndarray:
+        """Every vertex's out-degree, from one sequential read of the index."""
+        offsets = self.store.read_array(self.index_file, OFFSET_DTYPE).astype(np.int64)
+        return np.diff(offsets)
+
+    def stream_edges(self, degrees: np.ndarray | None = None,
+                     weights: bool | None = None):
+        """Sequentially scan the whole graph, yielding (srcs, dsts, weights).
 
         The access pattern edge-centric systems (X-Stream) and dense
         supersteps use: pure sequential reads of the index and edge files.
+        ``degrees`` are :meth:`out_degrees`, read here unless the caller
+        already has them; ``weights`` (default: the graph has them) reads
+        the weight file alongside, else each chunk's weights are None.
         """
-        offsets = self.store.read_array(self.index_file, OFFSET_DTYPE).astype(np.int64)
-        degrees = np.diff(offsets)
+        if degrees is None:
+            degrees = self.out_degrees()
+        if weights is None:
+            weights = self.has_weights
         srcs_all = np.repeat(np.arange(self.num_vertices, dtype=np.uint64), degrees)
         for start in range(0, self.num_edges, STREAM_EDGES_PER_CHUNK):
             n = min(STREAM_EDGES_PER_CHUNK, self.num_edges - start)
             dsts = self.store.read_array(self.edge_file, TARGET_DTYPE, start, n)
-            weights = None
-            if self.has_weights:
-                weights = self.store.read_array(self.weight_file, WEIGHT_DTYPE, start, n)
-            yield srcs_all[start:start + n], dsts, weights
+            chunk_weights = None
+            if weights:
+                chunk_weights = self.store.read_array(self.weight_file, WEIGHT_DTYPE,
+                                                      start, n)
+            yield srcs_all[start:start + n], dsts, chunk_weights

@@ -1,10 +1,15 @@
 """Evaluation harness: runs (system × algorithm × dataset) cells and emits
 the rows behind every table and figure of the paper's §V.
 
-The benchmark files under ``benchmarks/`` are thin wrappers over this
-module: they pick the workload matrix of one figure, run it, and print the
-same rows/series the paper reports.  Keeping the logic here makes the same
-sweeps scriptable from user code and testable.
+The figure and system-level scripts under ``benchmarks/`` run their cells
+through this module: Fig 12, 13 and 15, Table II, power, crash and service
+chaos (``bench_fig12``/``13``/``15``, ``bench_table2``, ``bench_power``,
+``bench_crash``, ``bench_service_chaos``), as do ``repro run``/``serve``/
+``compare`` and the layered benchmark.  The scripts that measure one
+mechanism build their own stack, through
+:func:`~repro.engine.config.make_system` or from its parts: Fig 14's
+reduction ratios, the ablations, ``bench_chaos``, Table I and the
+sort-reduce throughput.
 
 Systems are addressed by the paper's names:
 
@@ -13,14 +18,13 @@ Systems are addressed by the paper's names:
 * ``GraphLab`` / ``GraphLab5`` / ``FlashGraph`` / ``X-Stream`` /
   ``GraphChi`` — the baseline strategy models.
 
-Every run returns a :class:`WorkloadResult`; a DNF (out of memory, id-space
-or patience cutoff) carries ``elapsed_s = NaN`` exactly like the missing
-bars and ``*`` marks in the figures.
+Every run returns a :class:`~repro.perf.outcome.WorkloadResult`, the
+baselines' too; a DNF (out of memory, id-space or patience cutoff) carries
+``elapsed_s = NaN`` exactly like the missing bars and ``*`` marks in the
+figures.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +34,10 @@ from repro.baselines import BASELINE_ENGINES, SemiExternalEngine
 from repro.baselines.base import DNF_CUTOFF_UNLIMITED
 from repro.baselines.semiexternal import VERTEX_ID_SPACE
 from repro.engine.config import make_system
-from repro.flash.wear import WearReport, lifetime_writes_remaining
+from repro.flash.wear import WearReport
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DEFAULT_SCALE, build_graph
+from repro.perf.outcome import WorkloadResult
 from repro.perf.profiles import GB, GRAFBOOST, HardwareProfile, SERVER_SSD_ARRAY
 from repro.service.scheduler import ServiceReport
 import dataclasses
@@ -63,60 +68,6 @@ def default_root(graph: CSRGraph) -> int:
     if len(nonzero) == 0:
         raise ValueError("graph has no edges")
     return int(nonzero[0])
-
-
-@dataclass
-class WorkloadResult:
-    """One cell of an evaluation matrix."""
-
-    system: str
-    algorithm: str
-    dataset: str
-    completed: bool
-    elapsed_s: float
-    supersteps: int = 0
-    traversed_edges: int = 0
-    cpu_busy_s: float = 0.0
-    flash_bytes: int = 0
-    memory_bytes: int = 0
-    dnf_reason: str = ""
-    # Fault-injection outcome counters (all zero without a FaultPlan).
-    corrected_bit_errors: int = 0
-    read_retries: int = 0
-    uncorrectable_reads: int = 0
-    checksum_recoveries: int = 0
-    retired_blocks: int = 0
-    # Crash-injection outcome counters (all zero without a CrashPlan).
-    power_losses: int = 0
-    remounts: int = 0
-    torn_writes: int = 0
-    # Final vertex values (populated under a crash plan, for divergence
-    # checks against an uninterrupted run).
-    final_values: np.ndarray | None = None
-    # Per-superstep execution modes (GraFBoost-family engines only; the
-    # adaptive decision trace — constant for static modes).  Multi-phase
-    # algorithms (bc) concatenate all phases; ``mode_phases`` labels the
-    # segments, e.g. ``[("forward", 4), ("backtrace", 3)]``.
-    mode_trace: list[str] | None = None
-    mode_phases: list[tuple[str, int]] | None = None
-    # Per-superstep metrics of the (forward) run — what ``--timeline``
-    # renders.  Carried on the result so the timeline path goes through the
-    # same fault/crash/sanitize wiring as every other cell.
-    superstep_metrics: list | None = None
-    # Device wear at the end of the run (GraFBoost-family stacks only —
-    # baseline strategy models have no simulated device to wear out).
-    wear: WearReport | None = None
-    lifetime_writes_remaining: float = 1.0
-
-    @property
-    def time_or_nan(self) -> float:
-        return self.elapsed_s if self.completed else float("nan")
-
-    @property
-    def mteps(self) -> float:
-        if not self.completed or self.elapsed_s <= 0:
-            return 0.0
-        return self.traversed_edges / self.elapsed_s / 1e6
 
 
 def _load_graph(system, graph: CSRGraph):
@@ -212,7 +163,8 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
         mode_trace = [s.mode for s in steps]
         mode_phases = None
     clock = system.clock
-    workload = WorkloadResult(
+    device = system.device
+    return WorkloadResult(
         system=kind, algorithm=algorithm, dataset=dataset, completed=True,
         # Under a crash plan the cell's time spans graph load, every
         # interrupted attempt and every remount, not just the last attempt.
@@ -223,34 +175,15 @@ def run_grafboost_system(kind: str, graph: CSRGraph, algorithm: str,
         cpu_busy_s=clock.busy_s("cpu") + clock.busy_s("accel"),
         flash_bytes=clock.bytes_moved("flash"),
         memory_bytes=system.memory.peak,
-        remounts=system.remounts,
+        final_values=result.final_values() if crashes is not None else None,
         mode_trace=mode_trace,
         mode_phases=mode_phases,
         superstep_metrics=list(steps),
+        faults=device.faults.stats if device.faults is not None else None,
+        crashes=device.crashes.stats if device.crashes is not None else None,
+        remounts=system.remounts,
+        wear=WearReport.from_device(device),
     )
-    if crashes is not None:
-        workload.final_values = result.final_values()
-    _attach_injection_stats(workload, system)
-    return workload
-
-
-def _attach_injection_stats(workload: WorkloadResult, system) -> None:
-    """Copy fault/crash injector counters and wear onto a finished result."""
-    workload.wear = WearReport.from_device(system.device)
-    workload.lifetime_writes_remaining = lifetime_writes_remaining(
-        system.device)
-    injector = system.device.faults
-    if injector is not None:
-        stats = injector.stats
-        workload.corrected_bit_errors = stats.bits_corrected
-        workload.read_retries = stats.read_retries
-        workload.uncorrectable_reads = stats.uncorrectable_reads
-        workload.checksum_recoveries = stats.checksum_recoveries
-        workload.retired_blocks = stats.blocks_retired
-    crash_injector = system.device.crashes
-    if crash_injector is not None:
-        workload.power_losses = crash_injector.stats.power_losses
-        workload.torn_writes = crash_injector.stats.torn_writes
 
 
 def run_baseline_system(name: str, graph: CSRGraph, algorithm: str,
@@ -273,13 +206,8 @@ def run_baseline_system(name: str, graph: CSRGraph, algorithm: str,
     else:
         engine = engine_cls(graph, profile, cutoff_s=cutoff_s)
     result = engine.run(algorithm, root=default_root(graph))
-    return WorkloadResult(
-        system=name, algorithm=algorithm, dataset=dataset,
-        completed=result.completed, elapsed_s=result.time_or_nan,
-        supersteps=result.supersteps, traversed_edges=result.traversed_edges,
-        cpu_busy_s=result.cpu_busy_s, flash_bytes=result.flash_bytes,
-        memory_bytes=result.peak_memory, dnf_reason=result.dnf_reason,
-    )
+    result.dataset = dataset
+    return result
 
 
 def run_cell(system: str, graph: CSRGraph, algorithm: str,

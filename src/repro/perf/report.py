@@ -141,18 +141,17 @@ def mode_trace_summary(trace: Sequence[str],
     return " -> ".join(parts)
 
 
-def wear_rows(wear, lifetime_remaining: float) -> list[tuple[str, str]]:
+def wear_rows(wear) -> list[tuple[str, str]]:
     """Device-wear rows for the CLI's metric tables.
 
     ``wear`` is a :class:`repro.flash.wear.WearReport` (or None for systems
-    without a simulated device — then no rows).  ``lifetime_remaining`` is
-    the ``lifetime_writes_remaining`` fraction.
+    without a simulated device — then no rows).
     """
     if wear is None:
         return []
     rows = [
         ("device_bytes_written", human_bytes(wear.bytes_written)),
-        ("device_lifetime_left", f"{lifetime_remaining:.1%}"),
+        ("device_lifetime_left", f"{wear.lifetime_writes_remaining:.1%}"),
         ("wear_evenness", f"{wear.wear_evenness():.3f}"),
     ]
     if wear.bad_blocks:

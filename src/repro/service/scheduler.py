@@ -69,7 +69,7 @@ from repro.flash.device import (
     FlashError,
     FlashUncorrectableError,
 )
-from repro.flash.faults import error_context
+from repro.flash.faults import CrashStats, FaultStats, error_context
 from repro.flash.publish import discard, publish
 from repro.flash.store import FileStore
 from repro.flash.wear import HEALTHY, WearReport, lifetime_writes_remaining
@@ -150,23 +150,22 @@ class ServiceConfig:
 
 @dataclass
 class ServiceReport:
-    """What :meth:`GraphService.run` hands back."""
+    """What :meth:`GraphService.run` hands back.
+
+    Per-job outcomes (state, retries, failures) are read from ``jobs``.
+    ``faults`` and ``crashes`` are the device's injector counters (None
+    without a plan), ``wear`` its wear at the end of the run (see
+    :mod:`repro.flash.wear`).
+    """
 
     jobs: list
     trace: list
     rounds: int
     remounts: int
-    power_losses: int
     rejections: int
-    #: Failure-domain counters (all zero on a healthy, fault-free run).
-    failures: int = 0
-    retries: int = 0
-    quarantined: int = 0
-    cancelled: int = 0
-    degraded_rejections: int = 0
-    #: Device wear at the end of the run (see :mod:`repro.flash.wear`).
-    wear: WearReport | None = None
-    lifetime_writes_remaining: float = 1.0
+    faults: FaultStats | None
+    crashes: CrashStats | None
+    wear: WearReport
     #: Simulated seconds and flash bytes of the whole cell, graph load
     #: included; set by :func:`repro.harness.run_service_cell`.
     elapsed_s: float = 0.0
@@ -239,25 +238,17 @@ class GraphService:
                     f"with jobs still short of a terminal state")
             self.system.run_recovering(self._run_round,
                                        reload=self._reload_journal)
-        crashes = self.system.device.crashes
+        device = self.system.device
         jobs = list(self._jobs())
-        rejected = [j for j in jobs if j.state == REJECTED]
         return ServiceReport(
             jobs=jobs,
             trace=self.trace(),
             rounds=self.round,
             remounts=self.system.remounts,
-            power_losses=crashes.stats.power_losses if crashes else 0,
-            rejections=len(rejected),
-            failures=sum(len(j.failures) for j in jobs),
-            retries=sum(j.retries for j in jobs),
-            quarantined=sum(1 for j in jobs if j.state == QUARANTINED),
-            cancelled=sum(1 for j in jobs if j.state == CANCELLED),
-            degraded_rejections=sum(1 for j in rejected
-                                    if j.admission == DEGRADED_DECISION),
-            wear=WearReport.from_device(self.system.device),
-            lifetime_writes_remaining=lifetime_writes_remaining(
-                self.system.device),
+            rejections=sum(1 for j in jobs if j.state == REJECTED),
+            faults=device.faults.stats if device.faults is not None else None,
+            crashes=device.crashes.stats if device.crashes is not None else None,
+            wear=WearReport.from_device(device),
         )
 
     def _jobs(self, *states):
@@ -310,10 +301,16 @@ class GraphService:
             return
         if spec.is_analytics:
             try:
-                self._program(spec)
+                _, limit = self._program(spec)
+                rounds = self.config.max_rounds
+                if limit is not None and spec.at_round + limit > rounds:
+                    raise ValueError(
+                        f"{limit} supersteps from round {spec.at_round} run "
+                        f"past the last round {rounds - 1}")
             except ValueError as exc:
                 # A spec that does not fit the graph (a root past the last
-                # vertex) fails alone, before it takes any quota.
+                # vertex) or the service (a superstep limit no run can reach
+                # by the last round) fails alone, before it takes any quota.
                 job.admission = INVALID_DECISION
                 job.state = FAILED
                 job.reason = f"invalid query: {type(exc).__name__}: {exc}"

@@ -1,13 +1,16 @@
-"""Every analytics kind × every execution mode against the references, on
-small adversarial shapes.
+"""Every analytics kind × every execution mode, and the service's point
+queries, against the references, on small adversarial shapes.
 
 Each kind with a factory in :data:`repro.algorithms.ANALYTICS` runs on
 each shape in each of the four engine modes and is checked against
 :mod:`repro.algorithms.reference`; then the four modes must agree bit for
-bit, for BC's two-phase driver too.
+bit, for BC's two-phase driver too.  ``neighborhood`` and ``path`` queries
+from every vertex are checked against :func:`reference.bfs_levels`, and a
+shape's queries run in one shared batch must answer as each run alone.
 """
 
 import functools
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from repro.algorithms.bc import run_betweenness_centrality
 from repro.algorithms.bfs import UNVISITED
 from repro.algorithms.cc import NO_LABEL
 from repro.algorithms.reference import (
+    bfs_levels,
     min_label_closure,
     pagerank_push,
     validate_parents,
@@ -25,6 +29,7 @@ from repro.engine.config import make_system
 from repro.engine.modes import MODES
 from repro.graph.csr import CSRGraph
 from repro.harness import default_root
+from repro.service.queries import run_point_batch
 
 SCALE = 2.0 ** -16
 
@@ -92,3 +97,58 @@ def test_modes_agree_bit_for_bit(shape, kind):
     for values in others:
         assert values.dtype == first.dtype
         assert values.tobytes() == first.tobytes()
+
+
+def point_queries(n: int) -> list[tuple[str, str, dict]]:
+    """Neighborhoods of every vertex at depths 0, 1, 2 and 5, and paths
+    between every pair at caps 1, 3 and 64."""
+    queries = [("neighborhood", {"v": v, "depth": depth})
+               for v in range(n) for depth in (0, 1, 2, 5)]
+    queries += [("path", {"src": src, "dst": dst, "cap": cap})
+                for src in range(n) for dst in range(n) for cap in (1, 3, 64)]
+    return [(f"q{i}", kind, params) for i, (kind, params) in enumerate(queries)]
+
+
+@functools.cache
+def point_results(shape: str, batched: bool) -> dict[str, dict]:
+    """Every query's result, from one shared batch or each run alone."""
+    graph = SHAPES[shape]
+    system = make_system("grafsoft", SCALE, num_vertices_hint=graph.num_vertices)
+    flash = system.load_graph(graph)
+    queries = point_queries(graph.num_vertices)
+    if batched:
+        return run_point_batch(flash, system.backend, system.clock, queries)
+    results: dict[str, dict] = {}
+    for query in queries:
+        results.update(run_point_batch(flash, system.backend, system.clock,
+                                       [query]))
+    return results
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_point_queries_match_reference(shape):
+    graph = SHAPES[shape]
+    levels = [bfs_levels(graph, v) for v in range(graph.num_vertices)]
+    results = point_results(shape, batched=True)
+    for job_id, kind, params in point_queries(graph.num_vertices):
+        result = results[job_id]
+        if kind == "neighborhood":
+            level = levels[params["v"]]
+            expected = np.flatnonzero((level >= 0) & (level <= params["depth"]))
+            assert result["vertices"] == expected.tolist(), (job_id, params)
+            assert result["checksum"] == zlib.crc32(expected.astype(np.int64).tobytes())
+            continue
+        src, dst = params["src"], params["dst"]
+        level = int(levels[src][dst])
+        assert result["found"] == (0 <= level <= params["cap"]), (job_id, params)
+        if result["found"]:
+            path = result["path"]
+            assert result["hops"] == level == len(path) - 1, (job_id, params)
+            assert path[0] == src and path[-1] == dst
+            for a, b in zip(path, path[1:]):
+                assert b in graph.neighbors(a), (job_id, params, path)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_point_batch_equals_solo_runs(shape):
+    assert point_results(shape, batched=True) == point_results(shape, batched=False)

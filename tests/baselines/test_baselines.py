@@ -37,7 +37,7 @@ def twitter_root(twitter):
 def test_bfs_correct(engine_cls, twitter, twitter_root):
     result = engine_cls(twitter, SERVER).run_bfs(twitter_root)
     assert result.completed
-    assert validate_parents(twitter, twitter_root, result.values, UNVISITED)
+    assert validate_parents(twitter, twitter_root, result.final_values, UNVISITED)
     assert result.elapsed_s > 0
     assert result.supersteps > 0
 
@@ -46,7 +46,7 @@ def test_bfs_correct(engine_cls, twitter, twitter_root):
 def test_pagerank_correct(engine_cls, twitter):
     result = engine_cls(twitter, SERVER).run("pagerank", iterations=2)
     assert result.completed
-    assert np.allclose(result.values, pagerank_push(twitter, 2))
+    assert np.allclose(result.final_values, pagerank_push(twitter, 2))
 
 
 @pytest.mark.parametrize("engine_cls", ALL_ENGINES)
@@ -55,8 +55,8 @@ def test_bc_correct(engine_cls, twitter, twitter_root):
     result = engine_cls(twitter, SERVER).run("bc", root=twitter_root)
     assert result.completed
     expected = bfs_tree_descendants(twitter, twitter_root,
-                                    bfs.values, UNVISITED)
-    assert np.allclose(result.values, expected)
+                                    bfs.final_values, UNVISITED)
+    assert np.allclose(result.final_values, expected)
 
 
 def test_graphlab_oom_on_kron28():
@@ -68,7 +68,7 @@ def test_graphlab_oom_on_kron28():
     assert not result.completed
     assert "out of memory" in result.dnf_reason
     assert result.elapsed_s != result.elapsed_s  # NaN
-    assert result.values is None
+    assert result.final_values is None
 
 
 def test_graphlab5_handles_kron28_not_kron30():
@@ -163,7 +163,7 @@ def test_graphchi_constant_memory():
     engine = ShardedExternalEngine(kron32, SERVER)
     result = engine.run("pagerank")
     assert result.completed
-    assert result.peak_memory <= SERVER.dram_capacity
+    assert result.memory_bytes <= SERVER.dram_capacity
 
 
 def test_graphchi_slowest_on_pagerank(twitter):

@@ -157,7 +157,7 @@ def test_run_with_crashes_harness_smoke(random_graph):
                                    scale=SCALE, crashes=plan,
                                    checkpoint_every=2)
     assert crashed.completed
-    assert crashed.power_losses == 3
+    assert crashed.crashes.power_losses == 3
     assert crashed.remounts >= 3
     assert np.array_equal(crashed.final_values, clean_values)
     assert crashed.elapsed_s >= clean.elapsed_s

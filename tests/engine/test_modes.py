@@ -20,6 +20,7 @@ from repro.algorithms.bfs import run_bfs
 from repro.algorithms.cc import run_label_propagation
 from repro.algorithms.pagerank import run_pagerank, run_pagerank_alg4
 from repro.algorithms.reference import pagerank_push, validate_parents
+from repro.algorithms.sssp import run_sssp
 from repro.algorithms.bfs import UNVISITED
 from repro.engine.config import make_system
 from repro.engine.modes import (
@@ -323,6 +324,30 @@ def test_semiexternal_clock_unchanged_on_a_frontier_of_several_push_batches():
                      "cpu": (0.6056864725748697, 16699472, 7)}
 
 
+def test_dense_scan_reads_weights_only_for_a_program_that_uses_them():
+    # BFS's scan of a weighted graph reads, superstep by superstep, what it
+    # reads of the graph without weights; SSSP's scan reads the weights and
+    # agrees with the sort-reduce mode.
+    graph = _load()
+    weights = np.random.default_rng(3).uniform(1, 10, graph.num_edges)
+    weighted = CSRGraph(graph.num_vertices, graph.offsets, graph.targets,
+                        weights.astype(np.float32))
+
+    def steps(g, run, mode):
+        system = make_system("grafsoft", SCALE, num_vertices_hint=g.num_vertices,
+                             mode=mode)
+        engine = system.engine_for(system.load_graph(g), g.num_vertices)
+        result = run(engine, default_root(g))
+        return [s.flash_bytes for s in result.supersteps], result.final_values()
+
+    plain_bytes, _ = steps(graph, run_bfs, "densescan")
+    weighted_bytes, _ = steps(weighted, run_bfs, "densescan")
+    assert weighted_bytes == plain_bytes
+    _, dense = steps(weighted, run_sssp, "densescan")
+    _, sortreduce = steps(weighted, run_sssp, "sortreduce")
+    assert np.array_equal(dense, sortreduce)
+
+
 # --------------------------------------------------------------------------
 # crash → remount → resume bit-identity, per mode
 # --------------------------------------------------------------------------
@@ -352,7 +377,7 @@ def test_crash_resume_bit_identical_per_mode(mode):
     serial = crashed(1)
     parallel = crashed(4)
     assert serial.completed and parallel.completed
-    assert serial.power_losses == parallel.power_losses == 1
+    assert serial.crashes.power_losses == parallel.crashes.power_losses == 1
     assert serial.mode_trace == clean.mode_trace == parallel.mode_trace
     assert np.array_equal(serial.final_values, clean.final_values())
     assert np.array_equal(parallel.final_values, serial.final_values)

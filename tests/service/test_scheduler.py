@@ -62,7 +62,7 @@ def test_trace_bit_identical_across_workers(make_service, workers):
 def test_trace_bit_identical_under_power_loss(make_service):
     base = run_demo(make_service)
     crashed = run_demo(make_service, crashes=CrashPlan.parse("seed=3,ops=40"))
-    assert crashed.power_losses > 0      # the plan actually fired
+    assert crashed.crashes.power_losses > 0      # the plan actually fired
     assert crashed.remounts > 0
     assert crashed.trace == base.trace   # ...and left no trace of itself
 
@@ -71,7 +71,7 @@ def test_trace_bit_identical_under_power_loss_with_workers(make_service):
     base = run_demo(make_service)
     crashed = run_demo(make_service, workers=2,
                        crashes=CrashPlan.parse("at=300/1500/4000"))
-    assert crashed.power_losses > 0
+    assert crashed.crashes.power_losses > 0
     assert crashed.trace == base.trace
 
 
@@ -101,7 +101,7 @@ def test_power_loss_inside_journal_reload_lands_on_fault_free_trace(
     # The reload's first flash op is the journal read: crash exactly there.
     report, entered, completed = run_counting((500, entered[0]))
     assert (len(entered), len(completed)) == (2, 1)
-    assert report.power_losses == report.remounts == 2
+    assert report.crashes.power_losses == report.remounts == 2
     assert report.trace == base.trace
 
 
@@ -140,7 +140,7 @@ def test_analytics_values_durable_and_crash_invariant(make_service):
     base = run_demo(make_service)
     crashed = run_demo(make_service,
                        crashes=CrashPlan.parse("at=500/2500/6000"))
-    assert crashed.power_losses > 0
+    assert crashed.crashes.power_losses > 0
     for job_id in ("svc-1", "svc-2"):
         assert values_of(base, job_id) == values_of(crashed, job_id)
 
@@ -171,7 +171,7 @@ def test_job_starting_after_power_loss_keeps_clear_of_resumed_state(
     round_ops = []
     run(CrashPlan(crashes=0), round_ops)
     crashed = run(CrashPlan(at_ops=((round_ops[3] + round_ops[4]) // 2,)))
-    assert crashed.power_losses == 1
+    assert crashed.crashes.power_losses == 1
     assert crashed.trace == base.trace
 
 
@@ -277,7 +277,7 @@ def test_zero_running_quota_rejects_at_arrival(make_service):
     assert (job.state, job.reason) == ("rejected",
                                        "tenant quota allows no analytics runs")
     assert report.rounds == 1
-    assert report.lifetime_writes_remaining == 1.0
+    assert report.wear.lifetime_writes_remaining == 1.0
 
 
 # ------------------------------------------------------------------- parsing

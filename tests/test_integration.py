@@ -53,7 +53,7 @@ def test_bfs_levels_agree_everywhere(dataset):
     for baseline_cls in BASELINES:
         result = baseline_cls(graph, big_profile).run_bfs(root)
         assert result.completed, (dataset, baseline_cls.__name__)
-        parents = result.values
+        parents = result.final_values
         visited = parents != UNVISITED
         assert np.array_equal(visited, reference >= 0), (dataset, baseline_cls.__name__)
 
@@ -71,7 +71,7 @@ def test_pagerank_agrees_everywhere(dataset):
     for baseline_cls in BASELINES:
         result = baseline_cls(graph, SERVER_SSD_ARRAY).run("pagerank", iterations=1)
         assert result.completed
-        assert np.allclose(result.values, reference), \
+        assert np.allclose(result.final_values, reference), \
             (dataset, baseline_cls.__name__)
 
 
@@ -90,8 +90,8 @@ def test_bc_agrees_everywhere(dataset):
         baseline_bfs = baseline_cls(graph, SERVER_SSD_ARRAY).run_bfs(root)
         result = baseline_cls(graph, SERVER_SSD_ARRAY).run("bc", root=root)
         baseline_expected = bfs_tree_descendants(
-            graph, root, baseline_bfs.values, UNVISITED)
-        assert np.allclose(result.values, baseline_expected), \
+            graph, root, baseline_bfs.final_values, UNVISITED)
+        assert np.allclose(result.final_values, baseline_expected), \
             (dataset, baseline_cls.__name__)
 
 

@@ -311,9 +311,9 @@ def test_sim_clock_invariance_pagerank(system, golden_elapsed, golden_flash,
     assert result.flash_bytes == golden_flash
     assert result.traversed_edges == 521983
     if faults is not None:
-        assert result.corrected_bit_errors == 0
-        assert result.read_retries == 0
-        assert result.retired_blocks == 0
+        assert result.faults.bits_corrected == 0
+        assert result.faults.read_retries == 0
+        assert result.faults.blocks_retired == 0
 
 
 # --------------------------------------------------------------------------
@@ -444,7 +444,7 @@ def test_crash_recovery_bit_identical_under_parallel_merge():
     serial = crashed(1)
     parallel = crashed(4)
     assert serial.completed and parallel.completed
-    assert serial.power_losses == parallel.power_losses == 1
+    assert serial.crashes.power_losses == parallel.crashes.power_losses == 1
     assert np.array_equal(parallel.final_values, serial.final_values)
     assert parallel.elapsed_s == serial.elapsed_s
     assert parallel.flash_bytes == serial.flash_bytes
@@ -524,7 +524,7 @@ pagerank = run_pagerank(engine, graph.num_vertices, 2)
 service = run_service_cell("GraFBoost", graph, demo_workload(), scale=scale,
                            quotas=demo_quotas())
 print(json.dumps({
-    "bfs": [repr(bfs.elapsed_s), bfs.flash_bytes, bfs.power_losses,
+    "bfs": [repr(bfs.elapsed_s), bfs.flash_bytes, bfs.crashes.power_losses,
             hashlib.sha1(bfs.final_values.tobytes()).hexdigest()],
     "pagerank": [repr(pagerank.elapsed_s), system.clock.bytes_moved("flash"),
                  hashlib.sha1(pagerank.final_values().tobytes()).hexdigest(),
@@ -805,10 +805,10 @@ def _baseline_case(system, algorithm, case):
         result = engine.run_bfs(root)
     else:
         result = engine.run("bc", root=root)
-    digest = ("" if result.values is None
-              else hashlib.sha256(result.values.tobytes()).hexdigest())
+    digest = ("" if result.final_values is None
+              else hashlib.sha256(result.final_values.tobytes()).hexdigest())
     return (result.completed, repr(result.elapsed_s), result.supersteps,
-            result.traversed_edges, result.dnf_reason, result.peak_memory,
+            result.traversed_edges, result.dnf_reason, result.memory_bytes,
             repr(result.cpu_busy_s), result.flash_bytes,
             repr(engine.clock.elapsed_s), digest)
 
