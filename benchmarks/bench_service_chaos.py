@@ -13,8 +13,9 @@ cancellation), checking
   every (workers, crash plan) combination,
 * the poisoned job is quarantined while every other job's trace line
   matches the fault-free run byte for byte,
-* quarantine actually reclaims the dead job's flash footprint and returns
-  its bandwidth reservation.
+* every job that ends -- done, quarantined, expired or cancelled -- gives
+  its flash footprint and bandwidth reservation back; only the done
+  analytics jobs' values files stay.
 
 Usage::
 
@@ -97,26 +98,30 @@ def check_isolation(baseline_trace, clean_trace, failures, label):
                 f"{label}: bystander {job_id} diverged under poison")
 
 
-def check_reclaim(failures):
-    """A lone poisoned job must leave zero flash footprint behind."""
-    graph = build_graph("twitter", SCALE, seed=1)
-    system = make_system("grafboost", SCALE,
-                         num_vertices_hint=graph.num_vertices, durable=True)
-    flash_graph = system.load_graph(graph)
-    service = system.service_for(
-        flash_graph, graph.num_vertices,
-        config=ServiceConfig(poison={"svc-1": PoisonSpec(superstep=1,
-                                                         attempts=99)}))
-    service.submit("tC:pagerank:iters=2")
-    report = service.run()
-    if len(report.jobs_by_state("quarantined")) != 1:
-        failures.append("reclaim: poisoned job was not quarantined")
-    leftovers = [name for name in system.store.list_files()
-                 if not name.startswith("graph:") and name != "svc:jobs"]
-    if leftovers:
-        failures.append(f"reclaim: flash leftovers {leftovers[:4]}")
-    if usage(service.jobs.values())[RUNNING]:
-        failures.append("reclaim: bandwidth reservation not returned")
+def check_reclaim(graph, failures):
+    """Every ended job gives its flash back: after the whole chaos workload,
+    with and without the poison, only the graph, the journal and the done
+    analytics jobs' values files remain."""
+    for poison in (True, False):
+        system = make_system("grafboost", SCALE,
+                             num_vertices_hint=graph.num_vertices,
+                             durable=True)
+        service = system.service_for(
+            system.load_graph(graph), graph.num_vertices,
+            config=service_config(poison), quotas=chaos_quotas())
+        service.submit_all(chaos_workload())
+        report = service.run()
+        kept = {"svc:jobs"} | {f"svc:{job.job_id}:values"
+                               for job in report.jobs_by_state("done")
+                               if job.is_analytics}
+        leftovers = [name for name in system.store.list_files()
+                     if not name.startswith("graph:") and name not in kept]
+        if leftovers:
+            failures.append(f"reclaim (poison={poison}): flash leftovers "
+                            f"{leftovers[:4]}")
+        if usage(service.jobs.values())[RUNNING]:
+            failures.append(f"reclaim (poison={poison}): bandwidth "
+                            f"reservation not returned")
 
 
 def main(argv=None) -> int:
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
                     sum(job.retries for job in cell.jobs),
                     f"{losses}/{cell.remounts}",
                 ])
-    check_reclaim(failures)
+    check_reclaim(graph, failures)
 
     table = format_table(
         ["mode", "workers", "crash plan", "trace==base", "done",

@@ -460,9 +460,12 @@ class EngineRun:
             engine._purge(self.program.name, self.vertices.prefix)
 
     def cancel(self) -> None:
-        """Abort an in-flight run and reclaim every file it owns on flash —
-        checkpoint included.  Unlike :meth:`abandon` nothing survives: this
-        is the cancellation/quarantine teardown, not a retry boundary."""
+        """End a run, in flight or finished, and reclaim every file it owns
+        on flash — checkpoint included.  Unlike :meth:`abandon` nothing
+        survives: this is the teardown of every run the service ends (done,
+        cancelled or quarantined), not a retry boundary.  After
+        :meth:`finish` the run's vertex-data prefix is the only record of
+        that data's name, so the caller reads the values out first."""
         self.done = True
         self._finished = True
         self.engine._purge(self.program.name, self.vertices.prefix)

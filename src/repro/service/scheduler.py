@@ -49,12 +49,16 @@ reservation early.  Failed analytics jobs retry up to their budget with
 exponential backoff — backoff rounds are a pure function of journaled
 state (retry count), and the backoff *time* is charged to the sim clock —
 resuming from the last checkpoint.  Jobs that exhaust retries or outlive
-their ``deadline_rounds`` are *quarantined*: their whole flash footprint
-(checkpoint included) is swept through the engine's purge path, and a
-tombstone stays in the journal.  A tenant can also tear a job down
-explicitly with a ``cancel`` control op.  A power loss deliberately stays
-outside all of this — it kills the whole host, not one job, and only the
-recovery driver may observe it.
+their ``deadline_rounds`` are *quarantined*, and a tombstone stays in the
+journal.  ``config.max_rounds`` is the last deadline of all: a job still
+live when the last round ends expires by the same rule.  A tenant can also
+tear a job down explicitly with a ``cancel`` control op.  Every ending
+after arrival goes through one transition, :meth:`GraphService._end`,
+which sweeps an analytics job's whole flash footprint (run files, vertex
+data, checkpoint) through the engine's purge path; a DONE job keeps only
+its published values file.  A power loss deliberately stays outside all
+of this — it kills the whole host, not one job, and only the recovery
+driver may observe it.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ class PoisonSpec:
 class ServiceConfig:
     """Service-wide settings (all deterministic)."""
 
-    #: Hard ceiling on scheduler rounds (e.g. an arrival tagged beyond it).
+    #: Number of scheduler rounds: a job still live when round
+    #: ``max_rounds - 1`` ends expires like one past its deadline.
     max_rounds: int = 100_000
     #: Deterministic per-job fault injection: job id -> PoisonSpec.
     poison: dict = field(default_factory=dict)
@@ -211,8 +216,7 @@ class GraphService:
 
         Admission is decided at the spec's arrival round, not here — a
         submission is just workload input.  A spec that arrives at or past
-        ``config.max_rounds`` is refused here: the scheduler would idle up
-        to the limit and then abort.
+        ``config.max_rounds`` is refused here: no round would ever admit it.
         """
         if isinstance(spec, str):
             spec = parse_job_spec(spec)
@@ -230,12 +234,9 @@ class GraphService:
     # --------------------------------------------------------------- main loop
 
     def run(self) -> ServiceReport:
-        """Drive all submitted jobs to a terminal state."""
+        """Drive all submitted jobs to a terminal state, by the end of round
+        ``config.max_rounds - 1`` at the latest."""
         while not self._finished():
-            if self.round >= self.config.max_rounds:
-                raise RuntimeError(
-                    f"service exceeded {self.config.max_rounds} rounds "
-                    f"with jobs still short of a terminal state")
             self.system.run_recovering(self._run_round,
                                        reload=self._reload_journal)
         device = self.system.device
@@ -284,7 +285,10 @@ class GraphService:
         self._promote()
         # 6. All outstanding point queries advance as one shared batch.
         self._run_points()
-        # 7. Publish the new job table; this is the round's commit point.
+        # 7. Whatever the last round leaves live has run out of rounds.
+        if r == self.config.max_rounds - 1:
+            self._expire_deadlines(last_round=True)
+        # 8. Publish the new job table; this is the round's commit point.
         self.round = r + 1
         self._write_journal()
 
@@ -362,7 +366,6 @@ class GraphService:
             if run.step():
                 return
             result = run.finish()
-            self._engines.pop(job.job_id, None)
             values = result.final_values()
             values_file = self._write_values(job.job_id, values)
         except FlashError as exc:
@@ -379,7 +382,7 @@ class GraphService:
             "dtype": values.dtype.str,
             "elapsed_s": result.elapsed_s,
         }
-        job.state = DONE
+        self._end(job, DONE)
 
     def _maybe_poison(self, job: Job, run) -> None:
         """Fire the job's deterministic fault injection, if configured."""
@@ -404,14 +407,13 @@ class GraphService:
         bandwidth reservation for the duration of the backoff.
         """
         run = self._engines.pop(job.job_id, None)
-        self._record_failure(job, exc, getattr(
+        exhausted = self._attempt_failed(job, exc, getattr(
             exc, "superstep", run.superstep if run is not None else -1))
         if run is not None:
             run.abandon()
-        limit = job.retry_limit(MAX_RETRIES)
-        if job.retries >= limit:
-            self._quarantine(
-                job, f"retries exhausted after {job.retries + 1} attempts")
+        if exhausted:
+            self._end(job, QUARANTINED,
+                      f"retries exhausted after {job.retries + 1} attempts")
             return
         attempt = job.retries
         job.retries += 1
@@ -422,33 +424,37 @@ class GraphService:
         self.system.clock.charge("cpu", RETRY_BACKOFF_S * (1 << attempt))
         job.state = RETRYING
 
-    def _record_failure(self, job: Job, exc: FlashError,
-                        superstep: int) -> None:
+    def _attempt_failed(self, job: Job, exc: FlashError,
+                        superstep: int) -> bool:
+        """Journal one failed attempt; True if it used up the retry budget."""
         failure = JobFailure(error=type(exc).__name__, message=str(exc),
                              superstep=superstep, attempt=job.retries,
                              context=error_context(exc))
         job.failures.append(failure.to_dict())
+        return job.retries >= job.retry_limit(MAX_RETRIES)
 
-    def _quarantine(self, job: Job, reason: str) -> None:
-        """Poison a job: sweep its whole flash footprint, leave a tombstone."""
-        self._purge_job_flash(job)
-        job.state = QUARANTINED
-        job.reason = reason
+    def _end(self, job: Job, state: str, reason: str = "") -> None:
+        """Move an arrived job to a terminal ``state``: the one way it ends.
 
-    def _purge_job_flash(self, job: Job) -> None:
-        """Remove every flash file a job owns: run state, checkpoint, values.
-
-        Works with or without a live engine run — a quarantined RETRYING job
-        has no run, so its checkpoint namespace is purged through a
-        throwaway engine bound to the same prefix.
+        An analytics job gives back every flash file it owns.  A live or
+        just-finished run is torn down through :meth:`EngineRun.cancel`:
+        ``finish()`` has already cleared the checkpoint, so only the run
+        still knows its vertex-data prefix.  A job with no run (queued, or
+        retrying after an abandoned attempt) is purged through a throwaway
+        engine bound to its checkpoint namespace.  Only a DONE job keeps its
+        published values file.
         """
-        run = self._engines.pop(job.job_id, None)
-        if run is not None:
-            run.cancel()
-        elif job.is_analytics:
-            engine, program, _ = self._job_engine(job)
-            engine.purge_program_state(program)
-        discard(self.system.store, *_values_files(job.job_id))
+        if job.is_analytics:
+            run = self._engines.pop(job.job_id, None)
+            if run is not None:
+                run.cancel()
+            else:
+                engine, program, _ = self._job_engine(job)
+                engine.purge_program_state(program)
+            if state != DONE:
+                discard(self.system.store, *_values_files(job.job_id))
+        job.state = state
+        job.reason = reason
 
     def _write_values(self, job_id: str, values: np.ndarray) -> str:
         """Durably publish a finished job's vertex values.
@@ -475,13 +481,11 @@ class GraphService:
         """Act on a ``cancel`` control op at its arrival round."""
         ref, ref_spec = self._ref(job)
         if ref_spec is None:
-            job.state = FAILED
-            job.reason = f"unknown ref job {ref!r}"
+            self._end(job, FAILED, f"unknown ref job {ref!r}")
             return
         if ref_spec.tenant != job.spec.tenant:
-            job.state = FAILED
-            job.reason = (f"ref job {ref} belongs to tenant "
-                          f"{ref_spec.tenant!r}")
+            self._end(job, FAILED, f"ref job {ref} belongs to tenant "
+                                   f"{ref_spec.tenant!r}")
             return
         target = self.jobs.get(ref)
         if target is None:
@@ -495,35 +499,29 @@ class GraphService:
         elif target.state in TERMINAL_STATES:
             outcome = "noop"
         else:
-            self._cancel_job(target, f"cancelled by {job.job_id}")
+            self._end(target, CANCELLED, f"cancelled by {job.job_id}")
             outcome = "cancelled"
         job.result = {"kind": "cancel", "ref": ref, "outcome": outcome}
-        job.state = DONE
+        self._end(job, DONE)
 
-    def _cancel_job(self, target: Job, reason: str) -> None:
-        """Tear down a live job: sweep its flash state, end it CANCELLED."""
-        if target.is_analytics:
-            self._purge_job_flash(target)
-        target.state = CANCELLED
-        target.reason = reason
-
-    def _expire_deadlines(self) -> None:
-        """Expire every non-terminal job past its ``deadline_rounds``.
+    def _expire_deadlines(self, last_round: bool = False) -> None:
+        """Expire every live job past its ``deadline_rounds`` — or, once the
+        last round's work is done, every live job.
 
         Analytics jobs are quarantined (their partial flash state is dead
         weight the service must reclaim); point queries simply fail.
         """
         for job in self._jobs():
             d = job.spec.deadline_rounds
-            if (job.state in TERMINAL_STATES or not d
-                    or self.round - job.spec.at_round < d):
-                continue
-            reason = f"deadline of {d} rounds exceeded"
-            if job.is_analytics:
-                self._quarantine(job, reason)
+            if last_round:
+                reason = f"round limit {self.config.max_rounds} reached"
+            elif d and self.round - job.spec.at_round >= d:
+                reason = f"deadline of {d} rounds exceeded"
             else:
-                job.state = FAILED
-                job.reason = reason
+                continue
+            if job.state not in TERMINAL_STATES:
+                self._end(job, QUARANTINED if job.is_analytics else FAILED,
+                          reason)
 
     def _resume_retries(self) -> None:
         """Re-admit RETRYING jobs whose backoff expired, job-id order."""
@@ -571,10 +569,8 @@ class GraphService:
             # failure, each against its own retry budget.
             for job_id, _, _ in batch:
                 job = self.jobs[job_id]
-                self._record_failure(job, exc, -1)
-                if job.retries >= job.retry_limit(MAX_RETRIES):
-                    job.state = FAILED
-                    job.reason = "retries exhausted in point batch"
+                if self._attempt_failed(job, exc, -1):
+                    self._end(job, FAILED, "retries exhausted in point batch")
                 else:
                     job.retries += 1   # stays PENDING, rebatched next round
             return
@@ -584,11 +580,10 @@ class GraphService:
             if "error" in res:
                 # Per-query failure domain: one tenant's bad input fails only
                 # its own query, the rest of the batch completed above.
-                job.state = FAILED
-                job.reason = f"invalid query: {res['error']}"
+                self._end(job, FAILED, f"invalid query: {res['error']}")
             else:
                 job.result = res
-                job.state = DONE
+                self._end(job, DONE)
 
     def _try_vstate(self, job: Job) -> None:
         """Resolve a vertex-state read once its referenced job is terminal."""
@@ -596,8 +591,8 @@ class GraphService:
             vertices = vstate_vertices(job.spec.params, self.num_vertices)
         except (TypeError, ValueError) as exc:
             # Bad input fails this query only, like a bad batched query.
-            job.state = FAILED
-            job.reason = f"invalid query: {type(exc).__name__}: {exc}"
+            self._end(job, FAILED,
+                      f"invalid query: {type(exc).__name__}: {exc}")
             return
         ref, ref_spec = self._ref(job)
         target = self.jobs.get(ref)
@@ -613,13 +608,12 @@ class GraphService:
         elif target.state != DONE:
             reason = f"ref job {ref} ended {target.state}"
         if reason is not None:
-            job.state = FAILED
-            job.reason = reason
+            self._end(job, FAILED, reason)
             return
         job.result = read_vstate(self.system.store,
                                  target.result["values_file"],
                                  np.dtype(target.result["dtype"]), vertices)
-        job.state = DONE
+        self._end(job, DONE)
 
     # ------------------------------------------------------------- durability
 

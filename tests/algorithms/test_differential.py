@@ -50,6 +50,10 @@ SHAPES = {
     "two_components": _graph(
         [(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 6), (6, 5), (9, 10)],
         12),
+    # A level on which two frontier vertices each discover new vertices, so
+    # a path query must keep each new vertex's own parent.
+    "binary_tree": _graph(
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)], 7),
 }
 
 PROGRAM_KINDS = [kind for kind, analytic in ANALYTICS.items()

@@ -152,6 +152,35 @@ def test_quarantine_with_sealed_checkpoint_reclaims_everything(make_service):
     assert leftovers == []
 
 
+# One case per way an analytics job ends: (jobs, config, the job's end state).
+ENDINGS = {
+    "done": (["t0:cc"], ServiceConfig(), "done"),
+    "deadline": (["t0:pagerank:iters=8,deadline=2"], ServiceConfig(),
+                 "quarantined"),
+    "cancel": (["t0:pagerank:iters=8", "t0:cancel:ref=svc-1@1"],
+               ServiceConfig(), "cancelled"),
+    "retries_exhausted": (["t0:pagerank:iters=4"], ServiceConfig(
+        poison={"svc-1": PoisonSpec(superstep=3, attempts=99)}), "quarantined"),
+    "round_limit": (["t0:cc"], ServiceConfig(max_rounds=3), "quarantined"),
+}
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_every_ending_gives_the_jobs_flash_back(make_service, ending):
+    # In the done case finish() has cleared the checkpoint, so only the
+    # finished run still names its vertex data.
+    jobs, config, state = ENDINGS[ending]
+    service = make_service(config=config)
+    service.submit_all(jobs)
+    report = service.run()
+    assert report.jobs[0].state == state
+    kept = ["svc:jobs"] + [f"svc:{job.job_id}:values"
+                           for job in report.jobs_by_state("done")
+                           if job.is_analytics]
+    assert [name for name in service.system.store.list_files()
+            if not name.startswith("graph:")] == sorted(kept)
+
+
 # ------------------------------------------------------------------ deadlines
 
 def test_deadline_expires_running_analytics(make_service):
@@ -449,6 +478,27 @@ def test_a_limit_past_the_last_round_fails_only_its_own_job():
     report = run_service_cell("GraFBoost", graph, ["tB:pagerank:iters=3@1"],
                               scale=scale, config=ServiceConfig(max_rounds=4))
     assert report.jobs[0].state == "done" and report.rounds == 4
+
+
+def test_the_round_limit_ends_only_the_jobs_still_live():
+    # BFS and CC take 6 supersteps each; CC arrives in round 2, so it is
+    # still running when round 6, the last, ends.  The finished jobs'
+    # results must come back all the same.
+    from repro.graph.datasets import build_graph
+    from repro.harness import run_service_cell
+
+    scale = 1.6e-5
+    graph = build_graph("twitter", scale)
+    jobs = ["tA:bfs", "tB:cc@2", "tA:neighborhood:v=0,depth=1@1"]
+    full = run_service_cell("GraFBoost", graph, jobs, scale=scale,
+                            config=ServiceConfig(max_rounds=8))
+    assert [job.state for job in full.jobs] == ["done"] * 3
+    report = run_service_cell("GraFBoost", graph, jobs, scale=scale,
+                              config=ServiceConfig(max_rounds=7))
+    assert report.rounds == 7
+    assert [report.trace[0], report.trace[2]] == [full.trace[0], full.trace[2]]
+    assert report.trace[1] == ("svc-2 tenant=tB kind=cc admission=admitted "
+                               "state=quarantined reason='round limit 7 reached'")
 
 
 # --------------------------------------------------------- point-query domain
