@@ -26,6 +26,23 @@ from repro.engine.engine import GraFBoostEngine, RunResult
 UNVISITED = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
+def expand_level(frontier: np.ndarray, degrees: np.ndarray, targets: np.ndarray,
+                 visited: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One BFS level outside the engine: the vertices the sorted
+    ``frontier`` discovers, ascending, and the parent of each.
+
+    ``targets`` are the frontier's out-neighbours, ``degrees[i]`` of them
+    for ``frontier[i]``, in frontier order and then edge order.  Each target
+    not yet ``visited`` is marked visited, and its parent is its first
+    discoverer in that order: ``vertex_update(v1, v2) = v1``.
+    """
+    sources = np.repeat(frontier, degrees)
+    fresh = ~visited[targets]
+    new, first = np.unique(targets[fresh], return_index=True)
+    visited[new] = True
+    return new, sources[fresh][first]
+
+
 class BFSProgram(SingleSourceProgram):
     """BFS from a single root; vertex values are parent ids."""
 

@@ -29,8 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms import ANALYTICS
+from repro.algorithms.bfs import UNVISITED, expand_level
 from repro.baselines import kernels
 from repro.graph.csr import CSRGraph
+from repro.graph.formats import gather_ranges
 from repro.perf.clock import SimClock
 from repro.perf.outcome import WorkloadResult
 from repro.perf.profiles import HardwareProfile
@@ -114,26 +116,33 @@ class BaselineEngine:
             else:
                 values, levels = self._bfs(algorithm, root)
                 if algorithm == "bc":
-                    values = kernels.bc_backtrace(levels, self.graph.num_vertices)
-                    self.charge_backtrace(algorithm, [len(v) for v, _ in levels[::-1]])
+                    values = kernels.bc_backtrace(levels, values)
+                    self.charge_backtrace(algorithm, [len(v) for v in levels[::-1]])
         except RunCutoff as cut:
             return self._result(algorithm, dnf_reason=str(cut))
         return self._result(algorithm, values, self.clock.elapsed_s - start)
 
     def _bfs(self, algorithm: str, root: int):
-        """Level-synchronous BFS: the parent array and the per-level
-        (vertices, parents) lists the BC backtrace walks."""
-        parents = np.full(self.graph.num_vertices, kernels.UNVISITED, dtype=np.uint64)
+        """Level-synchronous BFS: the parent array and each level's
+        vertices, which the BC backtrace walks."""
+        graph = self.graph
+        parents = np.full(graph.num_vertices, UNVISITED, dtype=np.uint64)
         parents[root] = root
+        visited = np.zeros(graph.num_vertices, dtype=bool)
+        visited[root] = True
         frontier = np.array([root], dtype=np.int64)
-        levels = [(frontier, parents[frontier])]
+        levels = [frontier]
         while len(frontier):
             active = len(frontier)
-            frontier, edges = kernels.bfs_expand(self.graph, frontier, parents)
-            self._superstep(algorithm, active, edges, len(frontier),
+            starts = graph.offsets[frontier].astype(np.int64)
+            degrees = graph.offsets[frontier + 1].astype(np.int64) - starts
+            targets = gather_ranges(graph.targets, starts, degrees).astype(np.int64)
+            frontier, found_by = expand_level(frontier, degrees, targets, visited)
+            parents[frontier] = found_by
+            self._superstep(algorithm, active, len(targets), len(frontier),
                             active + len(frontier))
             if len(frontier):
-                levels.append((frontier, parents[frontier]))
+                levels.append(frontier)
         return parents, levels
 
     def _pagerank(self, iterations: int) -> np.ndarray:

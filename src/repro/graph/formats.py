@@ -97,6 +97,28 @@ def span_positions(spans: list[tuple[int, int]], base: np.ndarray,
     return items + (base - span_starts)[span_idx]
 
 
+def gather_ranges(array: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray:
+    """``array[s:s + n]`` for each range of ``starts`` and ``lengths``,
+    concatenated in one new array by one fancy index.
+
+    The index climbs by one within a range, and by one plus the jump from
+    the previous range's end at each range's first item, so it is the
+    cumsum of those steps.  Zero-length ranges are dropped first: they have
+    no first item to carry their jump.
+    """
+    nonempty = lengths > 0
+    starts, lengths = starts[nonempty], lengths[nonempty]
+    if len(starts) == 0:
+        return np.empty(0, dtype=array.dtype)
+    ends = np.cumsum(lengths)    # where each range ends in the output
+    index = np.ones(int(ends[-1]), dtype=np.int64)
+    index[0] = starts[0]
+    index[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    np.cumsum(index, out=index)
+    return array[index]
+
+
 class RangeGather:
     """The items of a sorted run of ``[start, end)`` ranges of one file, read
     from flash by :meth:`FlashCSR.edges_for` / :meth:`FlashCSR.weights_for`
@@ -146,14 +168,8 @@ class RangeGather:
             block_low = int(first[s])
             block = self._read.take(block_low,
                                     int((first[s:e] + lengths[s:e]).max()))
-            # Output item p of range r is block item first[r] - block_low +
-            # (p - at[r]): the index climbs by one, and by one plus the jump
-            # at each range's start.
-            index = np.ones(int(at[e] - at[s]), dtype=np.int64)
-            index[0] = 0
-            index[at[s + 1:e] - at[s]] = jumps[s:e - 1] + 1
-            np.cumsum(index, out=index)
-            out[at[s]:at[e]] = block[index]
+            out[at[s]:at[e]] = gather_ranges(block, first[s:e] - block_low,
+                                             lengths[s:e])
         return out
 
 

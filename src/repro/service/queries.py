@@ -11,7 +11,9 @@ design exists to avoid.  Instead, all queries active in a round advance
    set of flash reads shared by the whole batch.
 3. One ``charge_chunk_sort`` for the level — the batch's updates go through
    a shared sort-reduce pass rather than one tiny sort per query.
-4. Each query then expands its own slice of the shared edge block.
+4. Each query gathers its frontier's ranges of the shared edge block
+   (:func:`~repro.graph.formats.gather_ranges`) and expands them with
+   :func:`~repro.algorithms.bfs.expand_level`, the baselines' BFS level.
 
 Per-query expansion is order-deterministic: frontier vertices are processed
 in sorted order and a newly discovered vertex's parent is its *first*
@@ -26,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.algorithms.bfs import expand_level
+from repro.graph.formats import gather_ranges
 from repro.service.jobs import DEFAULT_PATH_CAP
 
 #: Simulated record width of a (vertex, payload) update in the shared pass.
@@ -48,7 +52,6 @@ class _QueryState:
     levels_left: int
     target: int = -1             # path only
     parents: dict = field(default_factory=dict, init=False)  # path: child -> parent
-    reached: list = field(default_factory=list, init=False)  # neighborhood: per-level hits
     done: bool = False
 
 
@@ -126,31 +129,16 @@ def _advance(state: _QueryState, union: np.ndarray, dsts: np.ndarray,
              base: np.ndarray, lengths: np.ndarray) -> None:
     """Expand one query's frontier using the batch's shared edge block."""
     idx = np.searchsorted(union, state.frontier)
-    n = lengths[idx]
-    if int(n.sum()) == 0:
-        state.frontier = np.empty(0, dtype=np.int64)
-        return
-    # Per-edge (src, dst) pairs in frontier order, then file order — the
-    # same order a solo BFS over this frontier would see them.
-    srcs = np.repeat(state.frontier, n)
-    offs = np.concatenate([np.arange(b, b + c) for b, c in
-                           zip(base[idx].tolist(), n.tolist())])
-    level_dsts = dsts[offs].astype(np.int64)
-    fresh = ~state.visited[level_dsts]
-    new_dsts, new_srcs = level_dsts[fresh], srcs[fresh]
-    if len(new_dsts) == 0:
-        state.frontier = np.empty(0, dtype=np.int64)
-        return
-    uniq, first = np.unique(new_dsts, return_index=True)
-    state.visited[uniq] = True
+    degrees = lengths[idx]
+    # The frontier's out-edges in frontier order, then file order: what a
+    # solo BFS over this frontier would read.
+    targets = gather_ranges(dsts, base[idx], degrees).astype(np.int64)
+    new, parents = expand_level(state.frontier, degrees, targets, state.visited)
     if state.kind == "path":
-        for child, parent in zip(uniq.tolist(), new_srcs[first].tolist()):
-            state.parents[child] = parent
+        state.parents.update(zip(new.tolist(), parents.tolist()))
         if state.visited[state.target]:
             state.done = True
-    else:
-        state.reached.append(uniq)
-    state.frontier = uniq
+    state.frontier = new
     state.levels_left -= 1
 
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.flash.aoffs import AppendOnlyFlashFS
 from repro.flash.device import FlashDevice, FlashGeometry
@@ -15,6 +15,7 @@ from repro.graph.formats import (
     FlashCSR,
     coalesce_ranges,
     coalescing_gap,
+    gather_ranges,
 )
 from repro.perf.clock import SimClock
 from repro.perf.profiles import GRAFBOOST
@@ -124,6 +125,27 @@ def test_reads_charge_flash_time(aoffs, random_graph):
     starts, ends = flash.index_lookup(np.arange(0, 500, 3, dtype=np.uint64))
     flash.edges_for(starts, ends)
     assert clock.elapsed_s > before
+
+
+# ------------------------------------------------------------ gather_ranges
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)), max_size=12))
+@example([])
+@example([(7, 5)])                          # one range
+@example([(0, 3), (3, 2), (5, 4)])          # adjacent
+@example([(2, 5), (4, 3), (2, 5)])          # overlapping and repeated
+@example([(1, 2), (5, 0), (9, 1), (20, 0)])  # empty between and at the end
+@example([(30, 4), (10, 2)])                # descending
+def test_gather_ranges_is_concatenated_slices(ranges):
+    array = np.arange(100, 170, dtype=np.uint64)
+    starts = np.array([s for s, _ in ranges], dtype=np.int64)
+    lengths = np.array([n for _, n in ranges], dtype=np.int64)
+    expected = np.concatenate([array[:0], *(array[s:s + n] for s, n in ranges)])
+    got = gather_ranges(array, starts, lengths)
+    assert got.dtype == array.dtype
+    assert np.array_equal(got, expected)
 
 
 # ------------------------------------------------ _gather vs naive slicing

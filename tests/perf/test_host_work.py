@@ -19,10 +19,13 @@ import math
 import os
 import pstats
 
+import numpy as np
 import pytest
 
+from repro.engine.config import make_system
 from repro.harness import run_grafboost_system, run_service_cell
 from repro.graph.datasets import build_graph
+from repro.service.queries import run_point_batch
 
 SANITIZED = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
@@ -32,9 +35,11 @@ SERVE_JOBS = ["tA:pagerank:iters=2", "tB:bfs", "tA:cc"]
 #: Calls per unit: each reading + 10 %.  Readings (calls per superstep,
 #: per 1000 edges, per round): BFS 1233.3, PageRank 135 237.5 and 257.9,
 #: serve 45 557.0 when the test was added; 1250.4, 139 316.5 and 265.7,
-#: 46 357.8 since merge sources read flash pages as views.
+#: 46 357.8 since merge sources read flash pages as views.  Point batch,
+#: per query: 747.2 (9 351.8 when each query copied its edge ranges one
+#: frontier vertex at a time).
 BOUNDS = {"bfs": 1375, "pagerank_step": 153_250, "pagerank_kedge": 292,
-          "serve": 50_990}
+          "serve": 50_990, "point_batch": 822}
 
 
 def profiled_calls(run) -> tuple[int, object]:
@@ -92,3 +97,22 @@ def test_serve_calls_per_round():
           report.rounds, BOUNDS["serve"])
 
 
+def test_point_batch_calls():
+    # 24 neighborhood and path queries drawn at seed 1, one shared batch on
+    # kron28 @ 2^-12 (GraFSoft's stack).
+    scale = 2.0 ** -12
+    graph = build_graph("kron28", scale, seed=1)
+    system = make_system("grafsoft", scale, num_vertices_hint=graph.num_vertices)
+    flash = system.load_graph(graph)
+    rng = np.random.default_rng(1)
+    queries = []
+    for i in range(24):
+        a, b = (int(v) for v in rng.integers(0, graph.num_vertices, 2))
+        queries.append((f"q{i}", "neighborhood", {"v": a, "depth": 1 + i % 3})
+                       if i % 2 else
+                       (f"q{i}", "path", {"src": a, "dst": b, "cap": 6}))
+    calls, results = profiled_calls(lambda: run_point_batch(
+        flash, system.backend, system.clock, queries))
+    assert not any("error" in result for result in results.values())
+    check("point batch of 24 queries on kron28 @ 2^-12", calls, "query",
+          len(queries), BOUNDS["point_batch"])

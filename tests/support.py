@@ -88,6 +88,115 @@ def uniform_edges(num_vertices: int, num_edges: int, seed: int,
     return src, dst, num_vertices
 
 
+# ----------------------------------------------- small generated shapes
+# Six topology families after graph-accel's benchmark generators.  Each
+# takes a vertex count ``n`` (at least 8) and a numpy Generator and returns
+# (src, dst) edge lists on exactly ``n`` vertices; :func:`generated_graph`
+# seeds the Generator and builds the CSR.
+
+
+def _erdos_renyi(n: int, rng: np.random.Generator):
+    """G(n, p) with about two out-edges per vertex, self-loops included."""
+    return np.nonzero(rng.random((n, n)) < 2.0 / n)
+
+
+def _both_ways(src, dst):
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    return np.concatenate([src, dst]), np.concatenate([dst, src])
+
+
+def _barbell(n: int, rng: np.random.Generator):
+    """Two cliques joined by a path through the remaining vertices, each
+    edge in both directions, under a random relabelling."""
+    k = max(3, n // 3)
+    label = rng.permutation(n)
+    src, dst = [], []
+    for lo in (0, n - k):
+        for a in range(lo, lo + k):
+            src += [a] * (k - 1 - (a - lo))
+            dst += range(a + 1, lo + k)
+    src += range(k - 1, n - k)
+    dst += range(k, n - k + 1)
+    src, dst = _both_ways(src, dst)
+    return label[src], label[dst]
+
+
+def _small_world(n: int, rng: np.random.Generator):
+    """A ring where each vertex links its two clockwise successors, each
+    link rewired to a random target with probability 0.2."""
+    src = np.repeat(np.arange(n), 2)
+    dst = (src + np.tile([1, 2], n)) % n
+    rewire = rng.random(len(dst)) < 0.2
+    dst[rewire] = rng.integers(0, n, int(rewire.sum()))
+    return src, dst
+
+
+def _scale_free(n: int, rng: np.random.Generator):
+    """Preferential attachment: each new vertex links to two earlier ones
+    picked by degree, in both directions."""
+    src, dst = [1], [0]
+    ends = [0, 1]                # one entry per edge end: a degree-weighted urn
+    for v in range(2, n):
+        for u in {int(ends[i]) for i in rng.integers(0, len(ends), 2)}:
+            src.append(v)
+            dst.append(u)
+            ends += [u, v]
+    return _both_ways(src, dst)
+
+
+def _random_tree(n: int, rng: np.random.Generator):
+    """A DLA-like tree: each vertex sticks to one of the four vertices
+    grown just before it, so branches stay long; edges point away from
+    vertex 0, with one in ten also pointing back."""
+    child = np.arange(1, n)
+    parent = child - rng.integers(1, 5, n - 1).clip(max=child)
+    back = rng.random(n - 1) < 0.1
+    return (np.concatenate([parent, child[back]]),
+            np.concatenate([child, parent[back]]))
+
+
+def _lsystem_tree(n: int, rng: np.random.Generator):
+    """An L-system-like binary tree in heap order (children ``2v + 1`` and
+    ``2v + 2``) with a link from each left child to its right sibling,
+    under a random relabelling that keeps the root vertex 0."""
+    child = np.arange(1, n)
+    left = child[(child % 2 == 1) & (child + 1 < n)]
+    label = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    src = np.concatenate([(child - 1) // 2, left])
+    return label[src], label[np.concatenate([child, left + 1])]
+
+
+#: Family name -> generator; see the note above.
+GRAPH_FAMILIES = {
+    "erdos_renyi": _erdos_renyi,
+    "barbell": _barbell,
+    "small_world": _small_world,
+    "scale_free": _scale_free,
+    "random_tree": _random_tree,
+    "lsystem_tree": _lsystem_tree,
+}
+
+
+def generated_graph(family: str, n: int, seed: int) -> CSRGraph:
+    """A graph of family ``family`` on ``n`` vertices, drawn from ``seed``."""
+    src, dst = GRAPH_FAMILIES[family](n, np.random.default_rng(seed))
+    return CSRGraph.from_edges(np.asarray(src, dtype=np.uint64),
+                               np.asarray(dst, dtype=np.uint64), n)
+
+
+def first_parents(graph: CSRGraph, root: int, unvisited) -> np.ndarray:
+    """The BFS parent array in which every vertex's parent is its first
+    discoverer: the smallest vertex one level shallower with an edge to
+    it, as a level-synchronous BFS over sorted frontiers finds it."""
+    levels = bfs_levels(graph, root)
+    src, dst = (side.astype(np.int64) for side in graph.edge_list())
+    tree = (levels[src] >= 0) & (levels[dst] == levels[src] + 1)
+    parents = np.full(graph.num_vertices, unvisited, dtype=np.uint64)
+    np.minimum.at(parents, dst[tree], src[tree].astype(np.uint64))
+    parents[root] = root
+    return parents
+
+
 def random_weights(num_edges: int, seed: int) -> np.ndarray:
     """Uniform edge weights in [0.1, 10) for weighted-graph tests."""
     rng = np.random.default_rng(seed)
