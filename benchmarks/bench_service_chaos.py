@@ -14,8 +14,8 @@ cancellation), checking
 * the poisoned job is quarantined while every other job's trace line
   matches the fault-free run byte for byte,
 * every job that ends -- done, quarantined, expired or cancelled -- gives
-  its flash footprint and bandwidth reservation back; only the done
-  analytics jobs' values files stay.
+  its flash footprint and bandwidth reservation back, under power loss
+  too; only the done analytics jobs' values files stay.
 
 Usage::
 
@@ -98,14 +98,23 @@ def check_isolation(baseline_trace, clean_trace, failures, label):
                 f"{label}: bystander {job_id} diverged under poison")
 
 
+#: (poison, crash plan) legs of :func:`check_reclaim`.  The crash leg kills
+#: attempts before their first checkpoint, whose vertex data no checkpoint
+#: names.
+RECLAIM_LEGS = ((True, None), (False, None), (True, "seed=3,ops=40"))
+
+
 def check_reclaim(graph, failures):
     """Every ended job gives its flash back: after the whole chaos workload,
-    with and without the poison, only the graph, the journal and the done
-    analytics jobs' values files remain."""
-    for poison in (True, False):
+    with and without the poison and under power loss, only the graph, the
+    journal and the done analytics jobs' values files remain."""
+    for poison, crashes in RECLAIM_LEGS:
+        label = f"reclaim (poison={poison}, crash={crashes or '-'})"
         system = make_system("grafboost", SCALE,
                              num_vertices_hint=graph.num_vertices,
-                             durable=True)
+                             durable=True,
+                             crashes=CrashPlan.parse(crashes) if crashes
+                             else None)
         service = system.service_for(
             system.load_graph(graph), graph.num_vertices,
             config=service_config(poison), quotas=chaos_quotas())
@@ -117,11 +126,9 @@ def check_reclaim(graph, failures):
         leftovers = [name for name in system.store.list_files()
                      if not name.startswith("graph:") and name not in kept]
         if leftovers:
-            failures.append(f"reclaim (poison={poison}): flash leftovers "
-                            f"{leftovers[:4]}")
+            failures.append(f"{label}: flash leftovers {leftovers[:4]}")
         if usage(service.jobs.values())[RUNNING]:
-            failures.append(f"reclaim (poison={poison}): bandwidth "
-                            f"reservation not returned")
+            failures.append(f"{label}: bandwidth reservation not returned")
 
 
 def main(argv=None) -> int:

@@ -53,10 +53,6 @@ class VertexProgram:
     default_value: object = 0
     #: Whether edge_program consumes edge weights.
     uses_weights = False
-    #: Job-scope label applied by :meth:`namespaced` ("" until then).  Failure
-    #: records and the service's flash-state purge use it to attribute a
-    #: namespaced run back to its owning job.
-    namespace: str = ""
 
     # ------------------------------------------------------------ the program
 
@@ -141,18 +137,28 @@ class VertexProgram:
     def namespaced(self, label: str) -> "VertexProgram":
         """Give this program instance a job-scoped name.
 
-        Everything the engine persists — sort-reduce run files, the
-        checkpoint's algorithm tag, the resume-time orphan sweep prefix —
-        derives from :attr:`name`, so two concurrent runs of the *same*
-        algorithm over one store must not share it.  The service layer calls
-        ``program.namespaced(job_id)`` to keep each job's on-flash footprint
-        (and crash/resume state) disjoint.  Returns ``self`` for chaining.
+        Every file a run writes — sort-reduce runs, vertex data, the
+        checkpoint pair — sits under :func:`run_prefix`, ``<name>/``, so
+        two concurrent runs of the *same* algorithm over one store must not
+        share a name.  The service layer calls ``program.namespaced(job_id)``
+        to keep each job's on-flash footprint (and crash/resume state)
+        disjoint, and to let one purge of ``<name>/`` give it all back.
+        Returns ``self`` for chaining.
         """
         if not label or any(c in label for c in ":/ "):
             raise ValueError(f"bad namespace label {label!r}")
         self.name = f"{self.name}@{label}"
-        self.namespace = label
         return self
+
+
+def run_prefix(program: VertexProgram) -> str:
+    """``<program name>/``: the head of every store file a run of ``program``
+    writes.  A name holding ``/`` is refused: a purge of one program could
+    then reach another's files."""
+    if "/" in program.name:
+        raise ValueError(f"program name {program.name!r} contains '/', "
+                         f"which ends a program's name on flash")
+    return program.name + "/"
 
 
 def all_active_chunks(num_vertices: int, value_dtype: np.dtype,

@@ -90,13 +90,11 @@ class SystemConfig:
 
     def engine_for(self, graph: FlashCSR, num_vertices: int,
                    lazy: bool = True, checkpoint_every: int = 0,
-                   auto_resume: bool = False,
-                   checkpoint_prefix: str = "ckpt") -> GraFBoostEngine:
+                   auto_resume: bool = False) -> GraFBoostEngine:
         return GraFBoostEngine(
             graph, self.store, self.backend, num_vertices,
             chunk_bytes=self.chunk_bytes, memory=self.memory, lazy=lazy,
             checkpoint_every=checkpoint_every, auto_resume=auto_resume,
-            checkpoint_prefix=checkpoint_prefix,
             workers=self.workers, mode=self.mode,
         )
 
@@ -105,8 +103,9 @@ class SystemConfig:
         """A multi-tenant analytics service over this stack.
 
         Jobs submitted to the returned :class:`~repro.service.GraphService`
-        run as interleaved :meth:`engine_for` engines (each with its own
-        checkpoint namespace) plus batched point queries against ``graph``.
+        run as interleaved :meth:`engine_for` engines (each job's files
+        named after its program) plus batched point queries against
+        ``graph``.
         """
         from repro.service import GraphService
 

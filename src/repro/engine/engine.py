@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.external import ExternalSortReducer, RunHandle, SortReduceStats
 from repro.core.parallel import get_pool
-from repro.engine.api import VertexProgram
+from repro.engine.api import VertexProgram, run_prefix
 from repro.engine.modes import (
     MODES,
     AdaptivePolicy,
@@ -30,6 +30,29 @@ from repro.graph.vertexdata import VertexArray
 CHECKPOINT_VERSION = 1
 #: Overlays a run's vertex array stacks before it compacts them.
 MAX_OVERLAYS = 64
+
+
+def checkpoint_files(program: VertexProgram) -> tuple[str, str]:
+    """(staging, latest) names of ``program``'s checkpoint pair."""
+    prefix = run_prefix(program)
+    return f"{prefix}ckpt:staging", f"{prefix}ckpt:latest"
+
+
+def purge(store: FileStore, program: VertexProgram, keep=()) -> None:
+    """Delete every file under ``program``'s :func:`run_prefix` that ``keep``
+    does not name: run files, vertex data, active lists, and the checkpoint
+    pair last.  Every file a run writes is named there, so no checkpoint is
+    read to find them; graph files and other programs' files are left
+    alone.  With ``keep`` empty this reclaims every run ``program`` ever
+    had on ``store``, dead attempts included."""
+    prefix = run_prefix(program)
+    pair = checkpoint_files(program)
+    for name in store.list_files():
+        if name.startswith(prefix) and name not in keep and name not in pair:
+            store.delete(name)
+    for name in pair:
+        if name not in keep and store.exists(name):
+            store.delete(name)
 
 
 @dataclass
@@ -101,8 +124,7 @@ class GraFBoostEngine:
 
     def __init__(self, graph: FlashCSR, store: FileStore, backend,
                  num_vertices: int, chunk_bytes: int, memory=None, lazy: bool = True,
-                 checkpoint_every: int = 0, checkpoint_prefix: str = "ckpt",
-                 auto_resume: bool = False, workers: int = 1,
+                 checkpoint_every: int = 0, auto_resume: bool = False, workers: int = 1,
                  mode: str = "sortreduce"):
         if mode not in MODES:
             raise ValueError(f"unknown execution mode {mode!r}; known: "
@@ -128,9 +150,9 @@ class GraFBoostEngine:
         # vertex data, frontier run and superstep counter to the (durable)
         # store; `auto_resume` makes run() continue from the newest matching
         # checkpoint after a remount.  Both default off — checkpointing
-        # writes real (simulated) flash traffic.
+        # writes real (simulated) flash traffic.  Checkpoints are named after
+        # the program (:func:`checkpoint_files`).
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_prefix = checkpoint_prefix
         self.auto_resume = auto_resume
         self.resumed_from_superstep: int | None = None
         self._retired: list[str] = []
@@ -172,14 +194,6 @@ class GraFBoostEngine:
             pool=self.pool)
 
     # ----------------------------------------------------- checkpoint/restart
-
-    @property
-    def _checkpoint_file(self) -> str:
-        return f"{self.checkpoint_prefix}:latest"
-
-    @property
-    def _checkpoint_staging(self) -> str:
-        return f"{self.checkpoint_prefix}:staging"
 
     def _flush_retired(self) -> None:
         retired, self._retired = self._retired, []
@@ -224,18 +238,16 @@ class GraFBoostEngine:
             "sort_stats": [s.to_dict() for s in result.sort_stats],
             "files": files + ([prev_run.name] if prev_run.num_records else []),
         }
-        publish(self.store, self._checkpoint_staging, self._checkpoint_file,
+        publish(self.store, *checkpoint_files(program),
                 json.dumps(state).encode())
         self._flush_retired()
 
     def _load_checkpoint(self, program: VertexProgram) -> dict | None:
-        if not self.store.exists(self._checkpoint_file):
+        latest = checkpoint_files(program)[1]
+        if not self.store.exists(latest):
             return None
-        state = json.loads(bytes(self.store.read(self._checkpoint_file)))
-        if (state.get("version") != CHECKPOINT_VERSION
-                or state.get("algorithm") != program.name):
-            return None
-        return state
+        state = json.loads(bytes(self.store.read(latest)))
+        return state if state.get("version") == CHECKPOINT_VERSION else None
 
     def _restore(self, program: VertexProgram, state: dict):
         """Rebuild engine state from a checkpoint and sweep crash orphans."""
@@ -256,58 +268,21 @@ class GraFBoostEngine:
         return vertices, prev_run, int(state["superstep"]), result
 
     def _sweep_orphans(self, program: VertexProgram, state: dict) -> None:
-        """Delete engine-owned files the checkpoint does not reference.
+        """Delete the program's files the checkpoint does not reference.
 
         These are the half-written leftovers of the interrupted superstep
         (overlay/run files whose metadata committed but whose logical role
-        died with the crash) plus anything retired after the checkpoint
-        published.  Only names under the engine's own prefixes are touched —
-        graph files and foreign data are left alone.
+        died with the crash), anything retired after the checkpoint
+        published, and whatever an attempt killed before that checkpoint
+        left behind.
         """
-        referenced = set(state["files"])
-        referenced.add(self._checkpoint_file)
-        vertex_prefix = state["vertices"]["prefix"] + ":"
-        run_prefix = f"{program.name}-s"
-        for name in list(self.store.list_files()):
-            if name in referenced:
-                continue
-            if (name.startswith(vertex_prefix) or name.startswith(run_prefix)
-                    or name == self._checkpoint_staging):
-                self.store.delete(name)
+        purge(self.store, program,
+              keep=set(state["files"]) | {checkpoint_files(program)[1]})
 
-    def _clear_checkpoint(self) -> None:
+    def _clear_checkpoint(self, program: VertexProgram) -> None:
         """Completion: drop checkpoint files and flush deferred deletions."""
-        discard(self.store, self._checkpoint_staging, self._checkpoint_file)
+        discard(self.store, *checkpoint_files(program))
         self._flush_retired()
-
-    # --------------------------------------------------------- state teardown
-
-    def _purge(self, program_name: str, vertex_prefix: str | None) -> None:
-        """Delete *every* file a run of ``program_name`` owns on flash:
-        sort-reduce run files, vertex base/overlay files, and this engine's
-        checkpoint pair.  Only engine-owned prefixes are touched — graph
-        files and other jobs' state are left alone."""
-        prefixes = [f"{program_name}-s"]
-        if vertex_prefix:
-            prefixes.append(vertex_prefix + ":")
-        for name in list(self.store.list_files()):
-            if any(name.startswith(p) for p in prefixes):
-                self.store.delete(name)
-        discard(self.store, self._checkpoint_staging, self._checkpoint_file)
-        self._retired = []
-
-    def purge_program_state(self, program: VertexProgram) -> None:
-        """Reclaim a dead run's flash state when no live :class:`EngineRun`
-        exists (after a crash, or once a failed run was abandoned).
-
-        The checkpoint — if one survives — names the run's vertex-data
-        prefix, so the purge reaches files whose names are not derivable
-        from the program alone.  This is the quarantine hook the service
-        layer sweeps failed jobs through.
-        """
-        state = self._load_checkpoint(program)
-        vertex_prefix = state["vertices"]["prefix"] if state else None
-        self._purge(program.name, vertex_prefix)
 
 
 class EngineRun:
@@ -342,8 +317,9 @@ class EngineRun:
         else:
             self.vertices = VertexArray(
                 engine.store, engine.num_vertices, program.value_dtype,
-                program.default_value, max_overlays=engine.max_overlays,
-                retire=retire,
+                program.default_value,
+                prefix=engine.store.unique_name(run_prefix(program) + "v"),
+                max_overlays=engine.max_overlays, retire=retire,
             )
             self.result = RunResult(algorithm=program.name, vertices=self.vertices)
             self.prev_chunks = program.initial_updates(engine.num_vertices)
@@ -455,20 +431,9 @@ class EngineRun:
         state = engine._load_checkpoint(self.program)
         if state is not None:
             engine._sweep_orphans(self.program, state)
-            engine._retired = []
         else:
-            engine._purge(self.program.name, self.vertices.prefix)
-
-    def cancel(self) -> None:
-        """End a run, in flight or finished, and reclaim every file it owns
-        on flash — checkpoint included.  Unlike :meth:`abandon` nothing
-        survives: this is the teardown of every run the service ends (done,
-        cancelled or quarantined), not a retry boundary.  After
-        :meth:`finish` the run's vertex-data prefix is the only record of
-        that data's name, so the caller reads the values out first."""
-        self.done = True
-        self._finished = True
-        self.engine._purge(self.program.name, self.vertices.prefix)
+            purge(engine.store, self.program)
+        engine._retired = []
 
     def finish(self) -> RunResult:
         """Final apply pass, checkpoint cleanup, and elapsed accounting."""
@@ -483,6 +448,6 @@ class EngineRun:
                  self.superstep)
             self.prev_run.delete()
         if engine.checkpoint_every:
-            engine._clear_checkpoint()
+            engine._clear_checkpoint(self.program)
         self.result.elapsed_s = engine.clock.elapsed_s - self.run_start
         return self.result

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.external import MERGE_IO_BYTES, RunHandle, SortReduceStats
 from repro.core.kvstream import KVArray
+from repro.engine.api import run_prefix
 from repro.engine.superstep import (
     SuperstepOutcome,
     push,
@@ -103,6 +104,8 @@ class ExecutionMode:
         self.engine = engine
         self.vertices = vertices
         self.program = program
+        #: Head of the names of this run's sort-reduce run files.
+        self.prefix = run_prefix(program)
         self.graph = engine.graph
         self.store = engine.store
         self.backend = engine.backend
@@ -115,7 +118,7 @@ class ExecutionMode:
     def _reducer(self, superstep: int):
         program = self.program
         return self.engine.make_reducer(program.reduce_op, program.value_dtype,
-                                        f"{program.name}-s{superstep}")
+                                        f"{self.prefix}s{superstep}")
 
     def _push_into(self, sink) -> Consume:
         return lambda keys, values: push(self.graph, self.program,
@@ -218,7 +221,7 @@ class DramAggregator:
         self.stats = SortReduceStats()
         self._batch_out = 0
         self.name = self.store.unique_name(
-            f"{program.name}-s{superstep}") + ":run-0"
+            f"{mode.prefix}s{superstep}") + ":run-0"
         footprint = semiexternal_footprint(n, self.value_dtype)
         self._mem_label = f"{self.name}:vertex-dram"
         pinned = footprint

@@ -91,6 +91,7 @@ class VertexArray:
             [("k", "<u8"), ("v", self.value_dtype), ("step", "<i8")])
         self._base_gap = coalescing_gap(store, self._record_dtype.itemsize)
         self.default_value = default_value
+        # The engine names a run's array under its program: ``<name>/v-<n>``.
         self.prefix = prefix or store.unique_name("vertexdata")
         self.max_overlays = max_overlays
         # Compaction normally deletes superseded files immediately; a

@@ -36,7 +36,8 @@ the driver remounts the store (charging real recovery time) and calls the
 service's reload hook, which reloads the journal — and with the job table,
 every reservation that was committed — and drops the dead engines.  They
 are re-created with ``auto_resume=True`` so each interrupted run continues
-from its own checkpoint namespace (``svc:<job-id>:ckpt``).
+from its own checkpoint: every file a job's run writes, checkpoint pair
+included, is named under its job-scoped program (``<kind>@<job-id>/``).
 
 **Failure domains.**  A :class:`FlashError` raised inside one job's
 superstep (uncorrectable ECC, out-of-space, bad-block exhaustion) is *that
@@ -55,8 +56,9 @@ live when the last round ends expires by the same rule.  A tenant can also
 tear a job down explicitly with a ``cancel`` control op.  Every ending
 after arrival goes through one transition, :meth:`GraphService._end`,
 which sweeps an analytics job's whole flash footprint (run files, vertex
-data, checkpoint) through the engine's purge path; a DONE job keeps only
-its published values file.  A power loss deliberately stays outside all
+data of every attempt, checkpoint) with the engine's one
+:func:`~repro.engine.engine.purge`; a DONE job keeps only its published
+values file.  A power loss deliberately stays outside all
 of this — it kills the whole host, not one job, and only the recovery
 driver may observe it.
 """
@@ -69,6 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms import ANALYTICS
+from repro.engine.engine import purge
 from repro.flash.device import (
     FlashError,
     FlashUncorrectableError,
@@ -333,26 +336,24 @@ class GraphService:
         assert factory is not None  # every service analytics kind has one
         return factory(self.num_vertices, self.default_root, spec.params)
 
-    def _job_engine(self, job: Job):
-        """``(engine, program, superstep limit)`` of an analytics job.
+    def _job_program(self, job: Job):
+        """``(program, superstep limit)`` of an analytics job.  The program
+        is namespaced by job id, so two concurrent runs of the same algorithm
+        keep disjoint on-flash state."""
+        program, limit = self._program(job.spec)
+        return program.namespaced(job.job_id), limit
+
+    def _build_run(self, job: Job):
+        """(Re)create the cooperative engine run for an admitted job.
 
         ``auto_resume=True`` unconditionally: with no checkpoint on flash a
         run is a fresh start, after a crash it resumes from the job's own
-        checkpoint namespace.  The program is namespaced by job id so two
-        concurrent runs of the same algorithm keep disjoint on-flash state.
+        checkpoint.
         """
-        program, limit = self._program(job.spec)
-        program.namespaced(job.job_id)
+        program, limit = self._job_program(job)
         engine = self.system.engine_for(
             self.graph, self.num_vertices,
-            checkpoint_every=CHECKPOINT_EVERY,
-            auto_resume=True,
-            checkpoint_prefix=f"svc:{job.job_id}:ckpt")
-        return engine, program, limit
-
-    def _build_run(self, job: Job):
-        """(Re)create the cooperative engine run for an admitted job."""
-        engine, program, limit = self._job_engine(job)
+            checkpoint_every=CHECKPOINT_EVERY, auto_resume=True)
         run = engine.start(program, max_supersteps=limit)
         self._engines[job.job_id] = run
         return run
@@ -436,21 +437,14 @@ class GraphService:
     def _end(self, job: Job, state: str, reason: str = "") -> None:
         """Move an arrived job to a terminal ``state``: the one way it ends.
 
-        An analytics job gives back every flash file it owns.  A live or
-        just-finished run is torn down through :meth:`EngineRun.cancel`:
-        ``finish()`` has already cleared the checkpoint, so only the run
-        still knows its vertex-data prefix.  A job with no run (queued, or
-        retrying after an abandoned attempt) is purged through a throwaway
-        engine bound to its checkpoint namespace.  Only a DONE job keeps its
-        published values file.
+        An analytics job drops its run, if it has one, and gives back every
+        flash file its program's name covers: those of every attempt, live,
+        finished, abandoned or killed by a power loss.  Only a DONE job
+        keeps its published values file.
         """
         if job.is_analytics:
-            run = self._engines.pop(job.job_id, None)
-            if run is not None:
-                run.cancel()
-            else:
-                engine, program, _ = self._job_engine(job)
-                engine.purge_program_state(program)
+            self._engines.pop(job.job_id, None)
+            purge(self.system.store, self._job_program(job)[0])
             if state != DONE:
                 discard(self.system.store, *_values_files(job.job_id))
         job.state = state

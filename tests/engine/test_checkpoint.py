@@ -5,14 +5,23 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bfs import run_bfs
-from repro.algorithms.pagerank import run_pagerank
+from repro.algorithms.pagerank import (
+    PageRankAlg4Program,
+    PageRankProgram,
+    run_pagerank,
+    run_pagerank_alg4,
+)
+from repro.core.bloom import BloomFilter
 from repro.core.external import ExternalSortReducer
 from repro.core.kvstream import KVArray
 from repro.core.reduce_ops import SUM
+from repro.engine.api import run_prefix
 from repro.engine.config import make_system
+from repro.engine.engine import checkpoint_files, purge
 from repro.engine.modes import STATIC_MODES
 from repro.flash.device import FlashError, PowerLossError
 from repro.flash.faults import CrashPlan
+from repro.graph.formats import FlashCSR
 from repro.harness import run_grafboost_system
 
 SCALE = 2.0 ** -14
@@ -60,7 +69,8 @@ def test_checkpointing_does_not_change_results(random_graph):
     # Checkpoints are real flash traffic, cleared again on completion.
     assert (system.clock.bytes_moved("flash")
             > plain_system.clock.bytes_moved("flash"))
-    assert not [n for n in system.store.list_files() if n.startswith("ckpt:")]
+    pair = checkpoint_files(PageRankProgram(random_graph.num_vertices))
+    assert not any(map(system.store.exists, pair))
 
 
 def test_crash_resume_from_checkpoint_is_bit_identical(random_graph):
@@ -86,10 +96,9 @@ def test_crash_resume_from_checkpoint_is_bit_identical(random_graph):
     assert engine.resumed_from_superstep is not None
     assert engine.resumed_from_superstep > 0
     assert np.array_equal(result.final_values(), clean_values)
-    # Completion swept the checkpoint, its staging file, and crash orphans.
-    leftovers = [n for n in system.store.list_files()
-                 if n.startswith("ckpt:")]
-    assert leftovers == []
+    # Completion swept the checkpoint and its staging file.
+    pair = checkpoint_files(PageRankProgram(random_graph.num_vertices))
+    assert not any(map(system.store.exists, pair))
 
 
 def test_alg4_crash_resume_from_checkpoint(random_graph):
@@ -161,6 +170,87 @@ def test_run_with_crashes_harness_smoke(random_graph):
     assert crashed.remounts >= 3
     assert np.array_equal(crashed.final_values, clean_values)
     assert crashed.elapsed_s >= clean.elapsed_s
+
+
+# ----------------------------------------------------------- run file names
+
+
+def test_a_program_name_holding_the_separator_is_refused(random_graph):
+    system, flash_graph = build("grafboost", random_graph, durable=True)
+    before = system.store.list_files()
+    program = PageRankProgram(random_graph.num_vertices)
+    program.name = "page/rank"
+    engine = system.engine_for(flash_graph, random_graph.num_vertices,
+                               checkpoint_every=1, auto_resume=True)
+    with pytest.raises(ValueError, match="contains '/'"):
+        engine.start(program)
+    assert system.store.list_files() == before
+    with pytest.raises(ValueError, match="bad namespace label"):
+        PageRankProgram(4).namespaced("job/1")
+
+
+@pytest.mark.parametrize("mode", STATIC_MODES)
+def test_a_durable_run_writes_only_under_its_programs_name(random_graph,
+                                                           monkeypatch, mode):
+    """Run files, vertex data, the eager active list and the checkpoint
+    pair: every name a run hands the store starts with ``<program>/``."""
+    n = random_graph.num_vertices
+    system = make_system("grafboost", SCALE, num_vertices_hint=n,
+                         durable=True, mode=mode)
+    engine = system.engine_for(system.load_graph(random_graph), n,
+                               lazy=False, checkpoint_every=1)
+    store = system.store
+    graph_files = set(store.list_files())
+    written = []
+    append = store.append
+    monkeypatch.setattr(store, "append", lambda name, data: (
+        written.append(name), append(name, data))[1])
+    program = PageRankProgram(n)
+    prefix = run_prefix(program)
+    run = engine.start(program, max_supersteps=4)
+    checkpoints = 0
+    while run.step():
+        files = set(store.list_files()) - graph_files
+        checkpoints += checkpoint_files(program)[1] in files
+        assert files and all(name.startswith(prefix) for name in files)
+    run.finish()
+    assert checkpoints == 2   # at supersteps 1 and 2; step 3 ends the run
+    assert {name.split(":")[0] for name in written} >= {
+        prefix + "ckpt", run.vertices.prefix}
+    assert all(name.startswith(prefix) for name in written)
+
+
+def test_a_purge_leaves_a_longer_named_program_alone(random_graph):
+    """``pagerank``'s purge must not reach ``pagerank-alg4``'s files, and the
+    co-resident alg4 run finishes as if it had run alone."""
+    n = random_graph.num_vertices
+    system, out_graph = build("grafboost", random_graph, durable=True)
+    in_graph = FlashCSR.write(system.store, "in", random_graph.reversed())
+    alone = run_pagerank_alg4(system.engine_for(out_graph, n), in_graph,
+                              iterations=4, tol=0.0).final_values()
+
+    system, out_graph = build("grafboost", random_graph, durable=True)
+    in_graph = FlashCSR.write(system.store, "in", random_graph.reversed())
+    alg4 = PageRankAlg4Program(in_graph, BloomFilter(max(64, n), num_hashes=2),
+                               tol=0.0)
+    runs = [system.engine_for(out_graph, n, checkpoint_every=1).start(
+        program, max_supersteps=4) for program in (PageRankProgram(n), alg4)]
+    for _ in range(3):
+        for run in runs:
+            run.step()
+
+    def owned(run):
+        return [name for name in system.store.list_files()
+                if name.startswith(run_prefix(run.program))]
+
+    neighbour = owned(runs[1])
+    assert owned(runs[0]) and checkpoint_files(runs[1].program)[1] in neighbour
+    purge(system.store, runs[0].program)
+    assert owned(runs[0]) == []
+    assert owned(runs[1]) == neighbour
+    while runs[1].step():
+        pass
+    assert np.array_equal(runs[1].finish().final_values(), alone)
 
 
 # --------------------------------------------------- cleanup-path narrowing

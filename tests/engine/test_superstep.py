@@ -133,12 +133,12 @@ def _alg4(system, engine, graph):
 
 @pytest.mark.parametrize("failing_call", ["add", "finish"])
 @pytest.mark.parametrize("run,failing_prefix,superstep", [
-    (_alg4, "pagerank-alg4-s1-", 1),
+    (_alg4, "pagerank-alg4/s1-", 1),
     (lambda system, engine, graph: run_betweenness_centrality(engine, 0),
      "bc-back-2-", None),
     # The engine's own path: the control row.
     (lambda system, engine, graph: run_pagerank(engine, graph.num_vertices, 3),
-     "pagerank-s1-", 1),
+     "pagerank/s1-", 1),
 ], ids=["alg4", "bc-backtrace", "pagerank"])
 def test_failed_sort_reduce_leaks_nothing(monkeypatch, run, failing_prefix,
                                           superstep, failing_call):

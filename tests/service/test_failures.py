@@ -413,6 +413,20 @@ def test_chaos_trace_bit_identical_under_power_loss(make_service, plan):
     assert crashed.trace == base.trace
 
 
+@pytest.mark.parametrize("plan", ["seed=3,ops=40", "at=300/1500/4000",
+                                  "at=500/2500/6000"])
+def test_power_loss_leaves_no_flash_behind(make_service, plan):
+    """An attempt killed before its first checkpoint leaves vertex data that
+    no checkpoint names; the job's end reclaims it all the same."""
+    service, report = run_chaos(make_service, crashes=CrashPlan.parse(plan))
+    assert report.crashes.power_losses > 0
+    kept = ["svc:jobs"] + [f"svc:{job.job_id}:values"
+                           for job in report.jobs_by_state("done")
+                           if job.is_analytics]
+    assert [name for name in service.system.store.list_files()
+            if not name.startswith("graph:")] == sorted(kept)
+
+
 def test_chaos_rerun_is_reproducible(make_service):
     assert run_chaos(make_service)[1].trace == run_chaos(make_service)[1].trace
 

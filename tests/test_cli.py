@@ -517,9 +517,9 @@ flash traffic        | 6.6 MB
 jobs cancelled       | 1
 power losses         | 2
 remounts             | 2
-device_bytes_written | 10.3 MB
+device_bytes_written | 10.4 MB
 device_lifetime_left | 99.6%
-wear_evenness        | 0.675
+wear_evenness        | 0.674
 """),
     (["compare", "--systems",
       "GraFBoost,GraFSoft,GraphLab,FlashGraph,X-Stream,GraphChi",

@@ -134,7 +134,5 @@ def test_flash_space_fully_reclaimed():
     flash_graph = system.load_graph(graph)
     engine = system.engine_for(flash_graph, graph.num_vertices)
     run_bfs(engine, default_root(graph))
-    leftovers = [name for name in system.store.list_files()
-                 if "sortreduce" in name or ":run-" in name.split("bfs")[-1]]
-    temp_runs = [name for name in system.store.list_files() if "bfs-s" in name]
+    temp_runs = [name for name in system.store.list_files() if "bfs/s" in name]
     assert temp_runs == []
